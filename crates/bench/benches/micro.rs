@@ -127,13 +127,14 @@ fn bench_cost_model(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("cost_model");
     // Cold kernel expansion: what every mission paid per unique kernel
-    // before the timing cache, and what a cache miss still costs.
+    // before the timing cache, and what a cache miss still costs. Times
+    // the production path, which streams the kernel into the pipeline.
     group.bench_function("kernel_expansion_cold", |b| {
         let kernel = Kernel::MatMul { m: 24, k: 24, n: 24 };
         b.iter(|| {
             let mut cpu = CpuModel::new(CpuConfig::boom());
             let mut m = MemSystem::new(MemConfig::default());
-            black_box(cpu.run_trace(&kernel.trace(), &mut m))
+            black_box(cpu.run_kernel(&kernel, &mut m))
         })
     });
     // Closed-form Gemmini timing: the per-layer cost of a cached-miss

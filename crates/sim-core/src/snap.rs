@@ -73,6 +73,13 @@ pub enum SnapError {
     },
     /// A string field held invalid UTF-8.
     BadUtf8,
+    /// A decoded value lies outside the range its field can hold.
+    BadValue {
+        /// What was being decoded.
+        context: &'static str,
+        /// The offending value.
+        value: u64,
+    },
 }
 
 impl fmt::Display for SnapError {
@@ -99,6 +106,9 @@ impl fmt::Display for SnapError {
                 write!(f, "length prefix {len} exceeds {available} available bytes")
             }
             SnapError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
+            SnapError::BadValue { context, value } => {
+                write!(f, "value {value:#x} out of range decoding {context}")
+            }
         }
     }
 }

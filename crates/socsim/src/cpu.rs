@@ -9,16 +9,15 @@
 //!   out-of-order core with a reorder-buffer-bounded window; independent
 //!   instructions (including cache misses) overlap.
 //!
-//! Both execute [`KernelTrace`]s against the shared [`MemSystem`], so cache
+//! Both time instruction streams against the shared [`MemSystem`], so cache
 //! behavior and bus contention feed directly into timing. Branch outcomes
 //! are drawn from a deterministic per-run LCG, with distinct accuracies for
 //! loop back-edges and data-dependent branches.
 
-use crate::kernel::{InstrClass, Kernel, KernelTrace};
+use crate::kernel::{Instr, InstrClass, InstrSink, Kernel, KernelTrace, SAMPLE_BUDGET};
 use crate::mem::MemSystem;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Microarchitectural parameters of a core timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,11 +43,14 @@ pub struct CpuConfig {
     pub easy_branch_miss: f64,
     /// Mispredict probability for data-dependent branches.
     pub hard_branch_miss: f64,
-    /// Load/store issue ports.
+    /// Load/store issue ports (at most [`MAX_PORTS`]).
     pub mem_ports: usize,
-    /// Floating-point issue ports.
+    /// Floating-point issue ports (at most [`MAX_PORTS`]).
     pub fp_ports: usize,
 }
+
+/// The most issue ports of one kind a [`CpuConfig`] may declare.
+pub const MAX_PORTS: usize = 8;
 
 impl CpuConfig {
     /// The in-order Rocket-class configuration.
@@ -131,7 +133,16 @@ pub struct CpuModel {
 
 impl CpuModel {
     /// Creates a core with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration declares more than [`MAX_PORTS`] memory
+    /// or floating-point issue ports.
     pub fn new(config: CpuConfig) -> CpuModel {
+        assert!(
+            config.mem_ports <= MAX_PORTS && config.fp_ports <= MAX_PORTS,
+            "a core may declare at most {MAX_PORTS} issue ports of each kind"
+        );
         CpuModel {
             config,
             stats: CpuStats::default(),
@@ -211,151 +222,191 @@ impl CpuModel {
         (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Executes a trace against `mem`, returning the (scaled) cycle cost.
-    ///
-    /// Memory accesses depend only on each instruction's `(addr, write)`
-    /// pair — never on pipeline state — and occur in program order, so they
-    /// are pre-costed as one stream through [`MemSystem::cost_stream`]
-    /// (which batches periodic loop bodies in closed form) and the pipeline
-    /// pass below consumes the resulting latencies. Bit-identical to
-    /// interleaving the accesses with the pipeline walk.
+    /// Times a materialized trace against `mem`, returning the (scaled)
+    /// cycle cost: the trace's instructions are pushed, in order, through
+    /// the same pipeline step that [`CpuModel::run_kernel`] streams a
+    /// kernel into, so the two agree bit for bit.
     pub fn run_trace(&mut self, trace: &KernelTrace, mem: &mut MemSystem) -> u64 {
-        if trace.instrs.is_empty() {
-            return 0;
+        let mut pipe = Pipeline::new(self, mem);
+        for &instr in &trace.instrs {
+            pipe.push(instr);
         }
-        let refs: Vec<(u64, bool)> = trace
-            .instrs
-            .iter()
-            .filter_map(|instr| match instr.class {
-                // rose-lint: allow(PANIC002, the trace generator sets addr on every Load/Store)
-                InstrClass::Load => Some((instr.addr.expect("load without address"), false)),
-                // rose-lint: allow(PANIC002, the trace generator sets addr on every Load/Store)
-                InstrClass::Store => Some((instr.addr.expect("store without address"), true)),
-                _ => None,
-            })
-            .collect();
-        let mut mem_lats = Vec::new();
-        mem.cost_stream(&refs, &mut mem_lats);
-        let mut mem_lats = mem_lats.into_iter();
-        let cfg = self.config;
-        let window = cfg.window.clamp(1, 512);
-        // Completion times of the most recent `window` instructions.
-        let mut completed: VecDeque<u64> = VecDeque::with_capacity(window + 1);
-        let mut dispatch_cycle: u64 = 0;
-        let mut slots_used: usize = 0;
-        let mut last_issue: u64 = 0;
-        let mut max_completion: u64 = 0;
-        // Structural hazards: next-free cycle per issue port.
-        let mut mem_port_free = vec![0u64; cfg.mem_ports.max(1)];
-        let mut fp_port_free = vec![0u64; cfg.fp_ports.max(1)];
-
-        for instr in &trace.instrs {
-            // Dispatch slot accounting.
-            if slots_used >= cfg.width {
-                dispatch_cycle += 1;
-                slots_used = 0;
-            }
-            // ROB full: stall dispatch until the oldest in-flight retires.
-            if completed.len() >= window {
-                // rose-lint: allow(PANIC002, guarded by completed.len() >= window with window >= 1)
-                let oldest = *completed.front().expect("nonempty window");
-                if oldest > dispatch_cycle {
-                    dispatch_cycle = oldest;
-                    slots_used = 0;
-                }
-            }
-
-            // Operand readiness from dependency distances.
-            let mut ready = dispatch_cycle;
-            for dep in [instr.dep1, instr.dep2] {
-                let dep = dep as usize;
-                if dep > 0 && dep <= completed.len() {
-                    ready = ready.max(completed[completed.len() - dep]);
-                }
-            }
-
-            // Issue.
-            let mut start = if cfg.in_order {
-                let s = ready.max(last_issue).max(dispatch_cycle);
-                last_issue = s;
-                // In-order issue consumes the pipeline slot at `s`.
-                dispatch_cycle = s;
-                s
-            } else {
-                ready.max(dispatch_cycle)
-            };
-
-            // Structural hazard: claim the earliest-free issue port.
-            let port_pool = match instr.class {
-                InstrClass::Load | InstrClass::Store => Some(&mut mem_port_free),
-                InstrClass::FpAdd | InstrClass::FpMul | InstrClass::FpDiv => {
-                    Some(&mut fp_port_free)
-                }
-                _ => None,
-            };
-            if let Some(ports) = port_pool {
-                let (idx, &free_at) = ports
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &t)| t)
-                    // rose-lint: allow(PANIC002, port pools are config-sized with at least one port)
-                    .expect("nonempty port pool");
-                start = start.max(free_at);
-                ports[idx] = start + 1;
-            }
-
-            // Execution latency (memory latencies were pre-costed above).
-            let latency = match instr.class {
-                InstrClass::Load => {
-                    // rose-lint: allow(PANIC002, one pre-costed latency exists per Load/Store)
-                    mem_lats.next().expect("pre-costed load latency")
-                }
-                InstrClass::Store => {
-                    // Stores retire through a store buffer: the cache state
-                    // change is accounted but does not stall the pipeline.
-                    // rose-lint: allow(PANIC002, one pre-costed latency exists per Load/Store)
-                    mem_lats.next().expect("pre-costed store latency");
-                    1
-                }
-                c => cfg.latency_of(c),
-            };
-            let completion = start + latency.max(1);
-
-            // Branch resolution.
-            if instr.class == InstrClass::Branch {
-                let miss_p = if instr.hard_to_predict {
-                    cfg.hard_branch_miss
-                } else {
-                    cfg.easy_branch_miss
-                };
-                if self.next_rand() < miss_p {
-                    self.stats.mispredicts += 1;
-                    let redirect = completion + cfg.mispredict_penalty;
-                    if redirect > dispatch_cycle {
-                        dispatch_cycle = redirect;
-                        slots_used = 0;
-                    }
-                }
-            }
-
-            slots_used += 1;
-            completed.push_back(completion);
-            if completed.len() > window {
-                completed.pop_front();
-            }
-            max_completion = max_completion.max(completion);
-        }
-
-        let raw_cycles = max_completion.max(1);
-        let scaled = (raw_cycles as f64 * trace.scale).round() as u64;
-        self.stats.cycles += scaled;
-        self.stats.instrs += trace.total_instrs();
-        scaled
+        pipe.finish(trace.scale)
     }
 
-    /// Convenience: expand and run a kernel.
+    /// Expands `kernel` and times it against `mem`, returning the (scaled)
+    /// cycle cost. The kernel generator streams its (sampled) instructions
+    /// straight into the pipeline step, so no trace is materialized.
     pub fn run_kernel(&mut self, kernel: &Kernel, mem: &mut MemSystem) -> u64 {
-        self.run_trace(&kernel.trace(), mem)
+        let mut pipe = Pipeline::new(self, mem);
+        let scale = kernel.emit(&mut pipe, SAMPLE_BUDGET);
+        pipe.finish(scale)
+    }
+}
+
+/// Completion-time ring of the pipeline step: a power of two no smaller
+/// than the largest reorder buffer [`CpuConfig::window`] is clamped to.
+const RING: usize = 512;
+
+/// The per-instruction pipeline step, as an [`InstrSink`]: each pushed
+/// instruction is dispatched, issued, costed, and retired on arrival.
+///
+/// Loads and stores call [`MemSystem::access`] inline, in program order.
+/// An access depends only on the instruction's `(addr, write)` pair, never
+/// on pipeline state, so the memory system sees exactly the access stream
+/// it would see if the trace were costed up front.
+struct Pipeline<'a> {
+    cpu: &'a mut CpuModel,
+    mem: &'a mut MemSystem,
+    cfg: CpuConfig,
+    /// Reorder-buffer size, clamped to `1..=RING`.
+    window: usize,
+    /// Completion time of instruction `i` at `completed[i % RING]`.
+    completed: [u64; RING],
+    /// Instructions pushed so far.
+    count: usize,
+    dispatch_cycle: u64,
+    slots_used: usize,
+    last_issue: u64,
+    max_completion: u64,
+    /// Structural hazards: next-free cycle per issue port (the first
+    /// `mem_ports` / `fp_ports` entries are live).
+    mem_port_free: [u64; MAX_PORTS],
+    fp_port_free: [u64; MAX_PORTS],
+    mem_ports: usize,
+    fp_ports: usize,
+}
+
+impl<'a> Pipeline<'a> {
+    fn new(cpu: &'a mut CpuModel, mem: &'a mut MemSystem) -> Pipeline<'a> {
+        let cfg = cpu.config;
+        Pipeline {
+            cpu,
+            mem,
+            cfg,
+            window: cfg.window.clamp(1, RING),
+            completed: [0; RING],
+            count: 0,
+            dispatch_cycle: 0,
+            slots_used: 0,
+            last_issue: 0,
+            max_completion: 0,
+            mem_port_free: [0; MAX_PORTS],
+            fp_port_free: [0; MAX_PORTS],
+            mem_ports: cfg.mem_ports.max(1),
+            fp_ports: cfg.fp_ports.max(1),
+        }
+    }
+
+    /// Charges the timed instructions to the core, scaled by the sampling
+    /// factor, and returns the scaled cycle cost (0 for an empty stream).
+    fn finish(self, scale: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let raw_cycles = self.max_completion.max(1);
+        let scaled = (raw_cycles as f64 * scale).round() as u64;
+        self.cpu.stats.cycles += scaled;
+        self.cpu.stats.instrs += (self.count as f64 * scale).round() as u64;
+        scaled
+    }
+}
+
+impl InstrSink for Pipeline<'_> {
+    #[inline(always)]
+    fn push(&mut self, instr: Instr) {
+        let cfg = &self.cfg;
+        // Dispatch slot accounting.
+        if self.slots_used >= cfg.width {
+            self.dispatch_cycle += 1;
+            self.slots_used = 0;
+        }
+        // ROB full: stall dispatch until the oldest in-flight retires.
+        let in_flight = self.count.min(self.window);
+        if in_flight == self.window {
+            let oldest = self.completed[(self.count - self.window) % RING];
+            if oldest > self.dispatch_cycle {
+                self.dispatch_cycle = oldest;
+                self.slots_used = 0;
+            }
+        }
+
+        // Operand readiness from dependency distances (only producers
+        // still in the window are tracked).
+        let mut ready = self.dispatch_cycle;
+        for dep in [instr.dep1, instr.dep2] {
+            let dep = usize::from(dep);
+            if dep > 0 && dep <= in_flight {
+                ready = ready.max(self.completed[(self.count - dep) % RING]);
+            }
+        }
+
+        // Issue.
+        let mut start = if cfg.in_order {
+            let s = ready.max(self.last_issue).max(self.dispatch_cycle);
+            self.last_issue = s;
+            // In-order issue consumes the pipeline slot at `s`.
+            self.dispatch_cycle = s;
+            s
+        } else {
+            ready.max(self.dispatch_cycle)
+        };
+
+        // Structural hazard: claim the earliest-free issue port (the
+        // lowest-numbered one on a tie).
+        let ports = match instr.class {
+            InstrClass::Load | InstrClass::Store => &mut self.mem_port_free[..self.mem_ports],
+            InstrClass::FpAdd | InstrClass::FpMul | InstrClass::FpDiv => {
+                &mut self.fp_port_free[..self.fp_ports]
+            }
+            InstrClass::IntAlu | InstrClass::Branch => &mut [],
+        };
+        let earliest = ports.iter().copied().enumerate().min_by_key(|&(_, t)| t);
+        if let Some((idx, free_at)) = earliest {
+            start = start.max(free_at);
+            ports[idx] = start + 1;
+        }
+
+        // Execution latency; loads and stores are costed here, in order.
+        let latency = match instr.class {
+            InstrClass::Load => {
+                // rose-lint: allow(PANIC002, the trace generator sets addr on every Load/Store)
+                let addr = instr.addr.expect("load without address");
+                self.mem.access(addr, false)
+            }
+            InstrClass::Store => {
+                // Stores retire through a store buffer: the cache state
+                // change is accounted but does not stall the pipeline.
+                // rose-lint: allow(PANIC002, the trace generator sets addr on every Load/Store)
+                let addr = instr.addr.expect("store without address");
+                self.mem.access(addr, true);
+                1
+            }
+            c => cfg.latency_of(c),
+        };
+        let completion = start + latency.max(1);
+
+        // Branch resolution.
+        if instr.class == InstrClass::Branch {
+            let miss_p = if instr.hard_to_predict {
+                cfg.hard_branch_miss
+            } else {
+                cfg.easy_branch_miss
+            };
+            if self.cpu.next_rand() < miss_p {
+                self.cpu.stats.mispredicts += 1;
+                let redirect = completion + cfg.mispredict_penalty;
+                if redirect > self.dispatch_cycle {
+                    self.dispatch_cycle = redirect;
+                    self.slots_used = 0;
+                }
+            }
+        }
+
+        self.slots_used += 1;
+        self.completed[self.count % RING] = completion;
+        self.count += 1;
+        self.max_completion = self.max_completion.max(completion);
     }
 }
 
@@ -461,6 +512,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 8 issue ports")]
+    fn more_ports_than_the_pipeline_holds_are_rejected() {
+        CpuModel::new(CpuConfig {
+            fp_ports: MAX_PORTS + 1,
+            ..CpuConfig::boom()
+        });
+    }
+
+    #[test]
     fn contention_slows_cpu_kernels() {
         let k = Kernel::Memcpy { bytes: 1 << 20 };
         let mut quiet_mem = mem();
@@ -469,5 +529,296 @@ mod tests {
         busy_mem.bus_mut().set_dma_utilization(0.85);
         let busy = CpuModel::new(CpuConfig::boom()).run_kernel(&k, &mut busy_mem);
         assert!(busy > quiet, "busy {busy} vs quiet {quiet}");
+    }
+}
+
+/// Pinned cost-model outputs and the streamed/materialized equivalence.
+#[cfg(test)]
+mod golden_tests {
+    use super::*;
+    use crate::kernel::ElemKind;
+    use crate::mem::test_support::{state_bytes, warmed};
+    use proptest::prelude::*;
+    use rose_sim_core::fnv::fnv64;
+
+    /// One kernel of each variant; the MatMul, Im2col, Elementwise, Pool
+    /// and Control shapes exceed [`SAMPLE_BUDGET`] and are sampled.
+    const KERNELS: [Kernel; 8] = [
+        Kernel::MatMul {
+            m: 40,
+            k: 40,
+            n: 40,
+        },
+        Kernel::Im2col {
+            channels: 3,
+            ksize: 3,
+            out_elems: 1024,
+        },
+        Kernel::Elementwise {
+            n: 50_000,
+            kind: ElemKind::Add,
+        },
+        Kernel::Pool {
+            out_elems: 4096,
+            window: 3,
+        },
+        Kernel::Softmax { n: 5000 },
+        Kernel::Memcpy { bytes: 200_000 },
+        Kernel::FrameworkNode { tensors: 6 },
+        Kernel::Control { ops: 40_000 },
+    ];
+
+    /// A core's name and its configuration constructor.
+    type Core = (&'static str, fn() -> CpuConfig);
+
+    const CORES: [Core; 2] = [("Rocket", CpuConfig::rocket), ("BOOM", CpuConfig::boom)];
+
+    /// The five outputs of one expansion: cycles, instructions,
+    /// mispredicts, the branch RNG afterwards, and an FNV of the memory
+    /// system's state afterwards.
+    type Outcome = (u64, u64, u64, u64, u64);
+
+    fn outcome(cpu: &CpuModel, cycles: u64, mem: &MemSystem) -> Outcome {
+        let s = cpu.stats();
+        assert_eq!(s.cycles, cycles);
+        (
+            cycles,
+            s.instrs,
+            s.mispredicts,
+            cpu.branch_rng(),
+            fnv64(&state_bytes(mem)),
+        )
+    }
+
+    /// The same warmed memory state starts every row.
+    fn start(geometry: usize) -> MemSystem {
+        warmed(geometry, 0x5EED, 30)
+    }
+
+    /// `(kernel, core, geometry, cycles, instrs, mispredicts, post-RNG,
+    /// post-memory FNV)`.
+    type GoldenRow = (usize, usize, usize, u64, u64, u64, u64, u64);
+
+    /// Recorded from the materialize-then-cost pipeline that predates
+    /// streaming.
+    #[rustfmt::skip]
+    const GOLDEN: [GoldenRow; 64] = [
+        (0, 0, 0, 726088, 385602, 177, 0x6cf0bfe28a5a96be, 0x20f5518977ae55d3),
+        (0, 0, 1, 932760, 385602, 177, 0x6cf0bfe28a5a96be, 0x727fb9d626937912),
+        (0, 0, 2, 775818, 385602, 177, 0x6cf0bfe28a5a96be, 0x1d6a1bdc2aa5b65f),
+        (0, 0, 3, 1126018, 385602, 177, 0x6cf0bfe28a5a96be, 0xd664f475e2f515b6),
+        (0, 1, 0, 263587, 385602, 73, 0x6cf0bfe28a5a96be, 0x20f5518977ae55d3),
+        (0, 1, 1, 343155, 385602, 73, 0x6cf0bfe28a5a96be, 0x727fb9d626937912),
+        (0, 1, 2, 287739, 385602, 73, 0x6cf0bfe28a5a96be, 0x1d6a1bdc2aa5b65f),
+        (0, 1, 3, 370772, 385602, 73, 0x6cf0bfe28a5a96be, 0xd664f475e2f515b6),
+        (1, 0, 0, 1093417, 193536, 2196, 0x6754085be04e8b21, 0x66dc3267a5985d89),
+        (1, 0, 1, 3304280, 193536, 2196, 0x6754085be04e8b21, 0xfa47073d41450e11),
+        (1, 0, 2, 3387224, 193536, 2196, 0x6754085be04e8b21, 0x117830299945a18b),
+        (1, 0, 3, 769420, 193536, 2196, 0x6754085be04e8b21, 0xf9fd5a8b9fd5b142),
+        (1, 1, 0, 472874, 193536, 1240, 0x6754085be04e8b21, 0x66dc3267a5985d89),
+        (1, 1, 1, 1580325, 193536, 1240, 0x6754085be04e8b21, 0xfa47073d41450e11),
+        (1, 1, 2, 1621869, 193536, 1240, 0x6754085be04e8b21, 0x117830299945a18b),
+        (1, 1, 3, 310354, 193536, 1240, 0x6754085be04e8b21, 0xf9fd5a8b9fd5b142),
+        (2, 0, 0, 626324, 225000, 58, 0xe5f97278cb6d7377, 0xd1a5129aa3ab687d),
+        (2, 0, 1, 963779, 225000, 58, 0xe5f97278cb6d7377, 0x04031cc88233ec69),
+        (2, 0, 2, 1188149, 225000, 58, 0xe5f97278cb6d7377, 0x3b02f8093ab8fb3b),
+        (2, 0, 3, 1346591, 225000, 58, 0xe5f97278cb6d7377, 0xdb02284c4f79f30c),
+        (2, 1, 0, 125279, 225000, 25, 0xe5f97278cb6d7377, 0xd1a5129aa3ab687d),
+        (2, 1, 1, 193992, 225000, 25, 0xe5f97278cb6d7377, 0x04031cc88233ec69),
+        (2, 1, 2, 250152, 225000, 25, 0xe5f97278cb6d7377, 0x3b02f8093ab8fb3b),
+        (2, 1, 3, 332949, 225000, 25, 0xe5f97278cb6d7377, 0xdb02284c4f79f30c),
+        (3, 0, 0, 295264, 122880, 35, 0x99b7ed34a79d8b49, 0x4c5c9dae2e1c46d1),
+        (3, 0, 1, 313693, 122880, 35, 0x99b7ed34a79d8b49, 0xa55beeb6ca58a14a),
+        (3, 0, 2, 387332, 122880, 35, 0x99b7ed34a79d8b49, 0xae5ac09b068212eb),
+        (3, 0, 3, 300838, 122880, 35, 0x99b7ed34a79d8b49, 0x8e9c83d63c1bfd98),
+        (3, 1, 0, 41255, 122880, 14, 0x99b7ed34a79d8b49, 0x4c5c9dae2e1c46d1),
+        (3, 1, 1, 41249, 122880, 14, 0x99b7ed34a79d8b49, 0xa55beeb6ca58a14a),
+        (3, 1, 2, 130070, 122880, 14, 0x99b7ed34a79d8b49, 0xae5ac09b068212eb),
+        (3, 1, 3, 46712, 122880, 14, 0x99b7ed34a79d8b49, 0x8e9c83d63c1bfd98),
+        (4, 0, 0, 293170, 50000, 97, 0xdfe79d8c9d878a72, 0xe3bbe5af672220eb),
+        (4, 0, 1, 377533, 50000, 97, 0xdfe79d8c9d878a72, 0xfa5cd0309832299f),
+        (4, 0, 2, 321070, 50000, 97, 0xdfe79d8c9d878a72, 0xf110dd53a3c71aaf),
+        (4, 0, 3, 407001, 50000, 97, 0xdfe79d8c9d878a72, 0x2d0895b6d91184ff),
+        (4, 1, 0, 133160, 50000, 42, 0xdfe79d8c9d878a72, 0xe3bbe5af672220eb),
+        (4, 1, 1, 217523, 50000, 42, 0xdfe79d8c9d878a72, 0xfa5cd0309832299f),
+        (4, 1, 2, 161060, 50000, 42, 0xdfe79d8c9d878a72, 0xf110dd53a3c71aaf),
+        (4, 1, 3, 246991, 50000, 42, 0xdfe79d8c9d878a72, 0x2d0895b6d91184ff),
+        (5, 0, 0, 201168, 100000, 247, 0x92cbec61a3f78878, 0xe9fb833e7ea49937),
+        (5, 0, 1, 257418, 100000, 247, 0x92cbec61a3f78878, 0x53bdd2abd3254e88),
+        (5, 0, 2, 482238, 100000, 247, 0x92cbec61a3f78878, 0x6b879b14159a081a),
+        (5, 0, 3, 610993, 100000, 247, 0x92cbec61a3f78878, 0xe406f81b21db02d5),
+        (5, 1, 0, 75093, 100000, 102, 0x92cbec61a3f78878, 0xe9fb833e7ea49937),
+        (5, 1, 1, 103216, 100000, 102, 0x92cbec61a3f78878, 0x53bdd2abd3254e88),
+        (5, 1, 2, 215673, 100000, 102, 0x92cbec61a3f78878, 0x6b879b14159a081a),
+        (5, 1, 3, 280005, 100000, 102, 0x92cbec61a3f78878, 0xe406f81b21db02d5),
+        (6, 0, 0, 402630, 25600, 412, 0x9dd6c29cb55e3e05, 0x50871639dddde395),
+        (6, 0, 1, 422124, 25600, 412, 0x9dd6c29cb55e3e05, 0x932fe49f218a48da),
+        (6, 0, 2, 468870, 25600, 412, 0x9dd6c29cb55e3e05, 0x1fe1a37dc3344c4a),
+        (6, 0, 3, 411078, 25600, 412, 0x9dd6c29cb55e3e05, 0xe144c7d5ca797c07),
+        (6, 1, 0, 357255, 25600, 222, 0x9dd6c29cb55e3e05, 0x50871639dddde395),
+        (6, 1, 1, 364345, 25600, 222, 0x9dd6c29cb55e3e05, 0x932fe49f218a48da),
+        (6, 1, 2, 358272, 25600, 222, 0x9dd6c29cb55e3e05, 0x1fe1a37dc3344c4a),
+        (6, 1, 3, 374543, 25600, 222, 0x9dd6c29cb55e3e05, 0xe144c7d5ca797c07),
+        (7, 0, 0, 228952, 160000, 3870, 0x5e18a843784b8a05, 0xf4c5e0f09f74626c),
+        (7, 0, 1, 432440, 160000, 3870, 0x5e18a843784b8a05, 0x974194d9c6148cc0),
+        (7, 0, 2, 259552, 160000, 3870, 0x5e18a843784b8a05, 0x6ec59f3c08d5862b),
+        (7, 0, 3, 267637, 160000, 3870, 0x5e18a843784b8a05, 0x669691b044092c54),
+        (7, 1, 0, 94996, 160000, 2145, 0x5e18a843784b8a05, 0xf4c5e0f09f74626c),
+        (7, 1, 1, 110281, 160000, 2145, 0x5e18a843784b8a05, 0x974194d9c6148cc0),
+        (7, 1, 2, 103257, 160000, 2145, 0x5e18a843784b8a05, 0x6ec59f3c08d5862b),
+        (7, 1, 3, 98104, 160000, 2145, 0x5e18a843784b8a05, 0x669691b044092c54),
+    ];
+
+    #[test]
+    fn golden_cost_table() {
+        for &(k, c, g, cycles, instrs, mispredicts, rng, mem_fnv) in &GOLDEN {
+            let mut mem = start(g);
+            let mut cpu = CpuModel::new(CORES[c].1());
+            let got = cpu.run_kernel(&KERNELS[k], &mut mem);
+            assert_eq!(
+                outcome(&cpu, got, &mem),
+                (cycles, instrs, mispredicts, rng, mem_fnv),
+                "{:?} on {} with memory geometry {g}",
+                KERNELS[k],
+                CORES[c].0
+            );
+        }
+    }
+
+    fn small_kernel(variant: usize, size: usize) -> Kernel {
+        match variant {
+            0 => Kernel::MatMul {
+                m: size % 9 + 1,
+                k: size % 13 + 1,
+                n: size % 17 + 1,
+            },
+            1 => Kernel::Im2col {
+                channels: size % 3 + 1,
+                ksize: 3,
+                out_elems: size,
+            },
+            2 => Kernel::Elementwise {
+                n: size * 8,
+                kind: [
+                    ElemKind::Relu,
+                    ElemKind::BatchNorm,
+                    ElemKind::Add,
+                    ElemKind::Bias,
+                ][size % 4],
+            },
+            3 => Kernel::Pool {
+                out_elems: size,
+                window: size % 3 + 1,
+            },
+            4 => Kernel::Softmax { n: size },
+            5 => Kernel::Memcpy { bytes: size * 16 },
+            6 => Kernel::FrameworkNode { tensors: size % 5 },
+            _ => Kernel::Control { ops: size * 4 },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_kernel_matches_its_materialized_trace(
+            variant in 0usize..8,
+            size in 0usize..1500,
+            boom in proptest::any::<bool>(),
+            geometry in 0usize..4,
+            warm_seed in 0u64..u64::MAX,
+            util_pct in 0u64..90,
+        ) {
+            let kernel = small_kernel(variant, size);
+            let core = if boom { CpuConfig::boom() } else { CpuConfig::rocket() };
+            let mut streamed_mem = warmed(geometry, warm_seed, util_pct);
+            let mut traced_mem = streamed_mem.clone();
+            let mut streamed = CpuModel::new(core);
+            let mut traced = CpuModel::new(core);
+            let a = streamed.run_kernel(&kernel, &mut streamed_mem);
+            let b = traced.run_trace(&kernel.trace(), &mut traced_mem);
+            prop_assert_eq!(
+                outcome(&streamed, a, &streamed_mem),
+                outcome(&traced, b, &traced_mem)
+            );
+        }
+    }
+}
+
+/// SMARTS-style sampling checked against the unsampled model.
+#[cfg(test)]
+mod sampling_tests {
+    use super::*;
+    use crate::kernel::ElemKind;
+    use crate::mem::MemConfig;
+
+    /// Cycles of the whole kernel, every instruction timed: the pipeline
+    /// sink holds no trace, so an unbounded budget costs no memory.
+    fn unsampled(kernel: &Kernel, core: CpuConfig) -> u64 {
+        let mut cpu = CpuModel::new(core);
+        let mut mem = MemSystem::new(MemConfig::default());
+        let mut pipe = Pipeline::new(&mut cpu, &mut mem);
+        let scale = kernel.emit(&mut pipe, usize::MAX);
+        assert_eq!(scale, 1.0, "{kernel:?} was sampled");
+        assert!(
+            (2 * SAMPLE_BUDGET..=6 * SAMPLE_BUDGET).contains(&pipe.count),
+            "{kernel:?} emits {} instructions, outside 2-6x the sample budget",
+            pipe.count
+        );
+        pipe.finish(scale)
+    }
+
+    #[test]
+    fn sampled_cycles_stay_within_pinned_error_of_unsampled() {
+        // (kernel, |relative error| bound in %): each bound is about 1.5x
+        // the worse of Rocket and BOOM as measured (DESIGN.md §4).
+        let cases = [
+            (
+                Kernel::MatMul {
+                    m: 40,
+                    k: 40,
+                    n: 40,
+                },
+                1.5,
+            ),
+            (
+                Kernel::Im2col {
+                    channels: 3,
+                    ksize: 3,
+                    out_elems: 2048,
+                },
+                0.1,
+            ),
+            (
+                Kernel::Elementwise {
+                    n: 100_000,
+                    kind: ElemKind::Add,
+                },
+                0.3,
+            ),
+            (
+                Kernel::Pool {
+                    out_elems: 12_288,
+                    window: 3,
+                },
+                0.1,
+            ),
+            (Kernel::Softmax { n: 40_000 }, 0.2),
+            (Kernel::Memcpy { bytes: 800_000 }, 0.2),
+            (Kernel::FrameworkNode { tensors: 100 }, 5.0),
+            (Kernel::Control { ops: 100_000 }, 2.5),
+        ];
+        for (kernel, bound_pct) in cases {
+            for core in [CpuConfig::rocket(), CpuConfig::boom()] {
+                let full = unsampled(&kernel, core);
+                let mut mem = MemSystem::new(MemConfig::default());
+                let sampled = CpuModel::new(core).run_kernel(&kernel, &mut mem);
+                let err_pct = (sampled as f64 / full as f64 - 1.0) * 100.0;
+                assert!(
+                    err_pct.abs() <= bound_pct,
+                    "{kernel:?} (window {}): sampled {sampled} vs unsampled {full} cycles, \
+                     error {err_pct:+.3}% exceeds {bound_pct}%",
+                    core.window
+                );
+            }
+        }
     }
 }

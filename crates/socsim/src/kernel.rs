@@ -345,6 +345,22 @@ impl KernelTrace {
     }
 }
 
+/// A consumer of a kernel's instruction stream, fed in program order.
+///
+/// `Vec<Instr>` collects a [`KernelTrace`]; the CPU pipeline model is a
+/// sink too, so a cold expansion times each instruction as it is generated
+/// without materializing the stream.
+pub trait InstrSink {
+    /// Accepts the next dynamic instruction.
+    fn push(&mut self, instr: Instr);
+}
+
+impl InstrSink for Vec<Instr> {
+    fn push(&mut self, instr: Instr) {
+        Vec::push(self, instr);
+    }
+}
+
 /// Maximum instructions emitted per trace before sampling kicks in.
 pub const SAMPLE_BUDGET: usize = 120_000;
 
@@ -366,9 +382,9 @@ impl Kernel {
         KernelTrace { instrs, scale }
     }
 
-    /// Emits up to `budget` instructions into `out`, returning the scale
-    /// factor (total / emitted iterations).
-    fn emit(&self, out: &mut Vec<Instr>, budget: usize) -> f64 {
+    /// Streams up to `budget` instructions into `out` in program order,
+    /// returning the scale factor (total / emitted iterations).
+    pub(crate) fn emit<S: InstrSink>(&self, out: &mut S, budget: usize) -> f64 {
         match *self {
             Kernel::MatMul { m, k, n } => {
                 // ikj loop: inner loop streams B[k][..] and C[i][..].

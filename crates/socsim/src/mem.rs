@@ -90,15 +90,28 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// For each set, the resident tags ordered most- to least-recently used.
-    sets: Vec<Vec<(u64, bool)>>, // (tag, dirty)
+    /// `sets × ways` line words, `(tag << 1) | dirty`. Set `s` holds its
+    /// `fill[s]` resident lines at `lines[s * ways..]`, most- to
+    /// least-recently used.
+    lines: Vec<u64>,
+    /// Resident lines per set.
+    fill: Vec<usize>,
     stats: CacheStats,
     set_mask: u64,
+    /// Address bits below the tag: line offset plus set index.
+    tag_shift: u32,
     line_shift: u32,
 }
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate, if the set count or line size
+    /// is not a power of two, or if the tag would span the whole 64-bit
+    /// address (one set of one-byte lines), leaving no bit for the dirty
+    /// flag.
     pub fn new(config: CacheConfig) -> Cache {
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
@@ -106,12 +119,20 @@ impl Cache {
             config.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        let line_shift = config.line_bytes.trailing_zeros();
+        let tag_shift = line_shift + sets.trailing_zeros();
+        assert!(
+            tag_shift > 0,
+            "a one-set cache needs lines wider than a byte"
+        );
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.ways); sets],
+            lines: vec![0; sets * config.ways],
+            fill: vec![0; sets],
             stats: CacheStats::default(),
             set_mask: (sets - 1) as u64,
-            line_shift: config.line_bytes.trailing_zeros(),
+            tag_shift,
+            line_shift,
         }
     }
 
@@ -132,82 +153,71 @@ impl Cache {
 
     /// Performs one access; returns `true` on a hit. On a miss the line is
     /// installed, possibly writing back a dirty victim.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
-        let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
-
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            let (t, dirty) = set.remove(pos);
-            set.insert(0, (t, dirty || write));
-            self.stats.hits += 1;
-            return true;
-        }
-        self.stats.misses += 1;
-        if set.len() == self.config.ways {
-            // rose-lint: allow(PANIC002, guarded by set.len() == ways with ways >= 1)
-            let (_, dirty) = set.pop().expect("nonempty set");
-            if dirty {
-                self.stats.writebacks += 1;
+        let set = ((addr >> self.line_shift) & self.set_mask) as usize;
+        let key = (addr >> self.tag_shift) << 1;
+        let ways = self.config.ways;
+        let lines = &mut self.lines[set * ways..(set + 1) * ways];
+        match lines[..self.fill[set]].iter().position(|&w| w & !1 == key) {
+            Some(pos) => {
+                let word = lines[pos] | u64::from(write);
+                if pos > 0 {
+                    lines.copy_within(..pos, 1);
+                }
+                lines[0] = word;
+                self.stats.hits += 1;
+                true
+            }
+            None => {
+                self.install(set, key | u64::from(write));
+                false
             }
         }
-        set.insert(0, (tag, write));
-        false
+    }
+
+    /// The miss path of [`Cache::access`]: installs `word` as the MRU line
+    /// of `set`, evicting (and writing back, if dirty) the LRU line of a
+    /// full set.
+    fn install(&mut self, set: usize, word: u64) {
+        let ways = self.config.ways;
+        let lines = &mut self.lines[set * ways..(set + 1) * ways];
+        let fill = &mut self.fill[set];
+        self.stats.misses += 1;
+        if *fill == ways {
+            if lines[ways - 1] & 1 == 1 {
+                self.stats.writebacks += 1;
+            }
+        } else {
+            *fill += 1;
+        }
+        lines.copy_within(..*fill - 1, 1);
+        lines[0] = word;
     }
 
     /// Invalidates all contents (e.g. after DMA writes to memory).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-    }
-
-    /// Accounts `count` repeat hits on the line holding `addr`, which must
-    /// currently be the MRU entry of its set (i.e. the line was just
-    /// accessed). A repeat hit's only observable effects are the hit
-    /// counter and the MRU dirty bit: the LRU move is a no-op on an
-    /// already-MRU line, so this is bit-identical to `count` calls of
-    /// [`Cache::access`] with no interleaved traffic.
-    pub(crate) fn repeat_mru_hits(&mut self, addr: u64, count: u64, write: bool) {
-        let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
-        debug_assert_eq!(set.first().map(|&(t, _)| t), Some(tag), "line not MRU");
-        if write {
-            if let Some(front) = set.first_mut() {
-                front.1 = true;
-            }
-        }
-        self.stats.hits += count;
-    }
-
-    /// Accounts `count` hits whose LRU movement and dirty-bit updates are
-    /// known to be no-ops (the stream coster's fixed-point batches: the
-    /// touched lines are already arranged in the order the batch would
-    /// leave them, and their dirty bits already reflect the batch's write
-    /// pattern). Only the hit counter is observable.
-    pub(crate) fn add_stream_hits(&mut self, count: u64) {
-        self.stats.hits += count;
+        self.fill.fill(0);
     }
 
     /// Serializes contents (tags in LRU order, dirty bits) and counters.
-    /// Geometry (`set_mask`, `line_shift`) is structural.
+    /// Geometry (`set_mask`, `tag_shift`, `line_shift`) is structural.
     pub fn save_state(&self, w: &mut SnapWriter) {
         let Cache {
-            config: _,
-            sets,
+            config,
+            lines,
+            fill,
             stats,
             set_mask: _,
+            tag_shift: _,
             line_shift: _,
         } = self;
-        w.usize(sets.len());
-        for set in sets {
-            w.usize(set.len());
-            for &(tag, dirty) in set {
-                w.u64(tag);
-                w.bool(dirty);
+        w.usize(fill.len());
+        for (set, &n) in lines.chunks_exact(config.ways).zip(fill) {
+            w.usize(n);
+            for &word in &set[..n] {
+                w.u64(word >> 1);
+                w.bool(word & 1 == 1);
             }
         }
         w.u64(stats.hits);
@@ -220,29 +230,37 @@ impl Cache {
     /// # Errors
     ///
     /// Propagates [`SnapError`] on a malformed snapshot, including a set
-    /// count or associativity that does not match this cache's geometry.
+    /// count or associativity that does not match this cache's geometry,
+    /// or a tag wider than this geometry's addresses can produce.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n_sets = r.usize()?;
-        if n_sets != self.sets.len() {
+        if n_sets != self.fill.len() {
             return Err(SnapError::BadLength {
                 len: n_sets as u64,
-                available: self.sets.len(),
+                available: self.fill.len(),
             });
         }
-        for set in &mut self.sets {
+        let ways = self.config.ways;
+        for (set, fill) in self.lines.chunks_exact_mut(ways).zip(&mut self.fill) {
             let n = r.usize()?;
-            if n > self.config.ways {
+            if n > ways {
                 return Err(SnapError::BadLength {
                     len: n as u64,
-                    available: self.config.ways,
+                    available: ways,
                 });
             }
-            set.clear();
-            for _ in 0..n {
+            for word in &mut set[..n] {
                 let tag = r.u64()?;
                 let dirty = r.bool()?;
-                set.push((tag, dirty));
+                if tag.leading_zeros() < self.tag_shift {
+                    return Err(SnapError::BadValue {
+                        context: "cache tag",
+                        value: tag,
+                    });
+                }
+                *word = (tag << 1) | u64::from(dirty);
             }
+            *fill = n;
         }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
@@ -419,19 +437,57 @@ pub struct MemSystem {
     /// L2 stream prefetcher: last line seen per tracked stream.
     prefetch_streams: [u64; 4],
     prefetch_hits: u64,
+    /// Derived, not state: the miss latencies at the bus utilization they
+    /// were last computed for.
+    miss_latencies: MissLatencies,
+}
+
+/// The bus-contended latency of each L1-miss outcome at one DMA
+/// utilization. A pure function of the configuration and the utilization,
+/// so it is recomputed only when the utilization changes.
+#[derive(Debug, Clone, Copy)]
+struct MissLatencies {
+    /// The utilization these were computed at.
+    dma_utilization: f64,
+    l2_hit: u64,
+    prefetched: u64,
+    dram: u64,
+}
+
+impl MissLatencies {
+    fn at(config: &MemConfig, bus: &Bus) -> MissLatencies {
+        let transfer = (config.l1d.line_bytes as f64 / config.bus_bytes_per_cycle).ceil() as u64;
+        let fill = bus.contended(config.l2_latency + transfer);
+        MissLatencies {
+            dma_utilization: bus.dma_utilization(),
+            l2_hit: bus.contended(config.l2_latency),
+            prefetched: fill,
+            dram: config.dram_latency + fill,
+        }
+    }
 }
 
 impl MemSystem {
     /// Creates an empty (cold) hierarchy.
     pub fn new(config: MemConfig) -> MemSystem {
+        let bus = Bus::new();
         MemSystem {
             l1d: Cache::new(config.l1d),
             l2: Cache::new(config.l2),
-            bus: Bus::new(),
+            miss_latencies: MissLatencies::at(&config, &bus),
+            bus,
             config,
             prefetch_streams: [u64::MAX; 4],
             prefetch_hits: 0,
         }
+    }
+
+    /// The miss latencies at the bus's current DMA utilization.
+    fn miss_latencies(&mut self) -> MissLatencies {
+        if self.miss_latencies.dma_utilization.to_bits() != self.bus.dma_utilization().to_bits() {
+            self.miss_latencies = MissLatencies::at(&self.config, &self.bus);
+        }
+        self.miss_latencies
     }
 
     /// Misses absorbed by the L2 stream prefetcher so far.
@@ -449,6 +505,7 @@ impl MemSystem {
             bus,
             prefetch_streams,
             prefetch_hits,
+            miss_latencies: _,
         } = self;
         l1d.save_state(w);
         l2.save_state(w);
@@ -510,177 +567,31 @@ impl MemSystem {
     ///
     /// L1 hit → `l1_latency`; L1 miss, L2 hit → `l2_latency`; L2 miss →
     /// DRAM latency plus the line transfer, inflated by bus contention.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> u64 {
-        self.access_tracked(addr, write).0
-    }
-
-    /// [`MemSystem::access`] that also reports whether the access hit in
-    /// the L1 (the condition the stride-run fast paths key on — latency
-    /// values alone can collide across levels under exotic configs).
-    fn access_tracked(&mut self, addr: u64, write: bool) -> (u64, bool) {
         if self.l1d.access(addr, write) {
-            return (self.config.l1_latency, true);
+            return self.config.l1_latency;
         }
+        let lat = self.miss_latencies();
         if self.l2.access(addr, write) {
-            return (self.bus.contended(self.config.l2_latency), false);
+            return lat.l2_hit;
         }
-        let transfer =
-            (self.config.l1d.line_bytes as f64 / self.config.bus_bytes_per_cycle).ceil() as u64;
         self.bus.record_bytes(self.config.l1d.line_bytes as u64);
         // L2 stream prefetcher: a miss one line beyond a tracked stream was
         // fetched ahead of time and costs only the L2 hit latency.
         let line = addr / self.config.l1d.line_bytes as u64;
-        let mut prefetched = false;
         if self.config.prefetch {
             for stream in &mut self.prefetch_streams {
                 if line == stream.wrapping_add(1) {
                     *stream = line;
-                    prefetched = true;
-                    break;
+                    self.prefetch_hits += 1;
+                    return lat.prefetched;
                 }
             }
-        }
-        if prefetched {
-            self.prefetch_hits += 1;
-            return (self.bus.contended(self.config.l2_latency + transfer), false);
         }
         // Allocate the stream table entry (round-robin by line hash).
         self.prefetch_streams[(line % 4) as usize] = line;
-        (
-            self.config.dram_latency + self.bus.contended(self.config.l2_latency + transfer),
-            false,
-        )
-    }
-
-    /// Costs `count` accesses at `base`, `base + stride`, `base + 2·stride`
-    /// ... in closed form per touched cache line, returning the total
-    /// latency. Bit-identical to calling [`MemSystem::access`] per element.
-    ///
-    /// A non-negative stride walks lines monotonically, so a line is never
-    /// revisited once left: the first access to each line runs through the
-    /// full hierarchy (L1/L2 install, prefetcher training, bus traffic) and
-    /// the remaining accesses to that line are provably MRU L1 hits whose
-    /// count follows from the stride, line size, and alignment — those are
-    /// accounted in bulk without touching the LRU state. Negative strides
-    /// (aliasing runs are impossible here, but descending runs are rare and
-    /// not worth a mirrored fast path) fall back to per-access simulation.
-    pub fn access_run(&mut self, base: u64, stride: i64, count: u64, write: bool) -> u64 {
-        if count == 0 {
-            return 0;
-        }
-        if stride < 0 {
-            let mut total = 0;
-            for i in 0..count {
-                total += self.access(base.wrapping_add_signed(stride * i as i64), write);
-            }
-            return total;
-        }
-        let stride = stride as u64;
-        if stride == 0 {
-            // One concrete access installs (or touches) the line; the rest
-            // are repeat hits on the now-MRU line.
-            let first = self.access(base, write);
-            self.l1d.repeat_mru_hits(base, count - 1, write);
-            return first + (count - 1) * self.config.l1_latency;
-        }
-        let line_bytes = self.config.l1d.line_bytes as u64;
-        let mut total = 0;
-        let mut i = 0u64;
-        while i < count {
-            let addr = base + i * stride;
-            total += self.access(addr, write);
-            // Index of the first access past this line's end: every access
-            // in between is a repeat hit on the just-installed line.
-            let line_end = (addr / line_bytes + 1) * line_bytes;
-            let next = ((line_end - base).div_ceil(stride)).min(count);
-            let repeats = next - i - 1;
-            if repeats > 0 {
-                self.l1d.repeat_mru_hits(addr, repeats, write);
-                total += repeats * self.config.l1_latency;
-            }
-            i = next;
-        }
-        total
-    }
-
-    /// Costs an ordered access stream `(addr, write)` and appends one
-    /// latency per access to `lats`. Bit-identical to calling
-    /// [`MemSystem::access`] once per element, in order.
-    ///
-    /// The fast path exploits the loop structure of kernel traces: most
-    /// emit a short body whose accesses repeat with a fixed period `p`
-    /// (streaming loads/stores walking a line plus a scratch slot). If the
-    /// previous `p` accesses all hit in the L1 and the next `p` accesses
-    /// touch the same (line, write) sequence, the next group is provably
-    /// all L1 hits *and* leaves the cache state bit-identical: hits evict
-    /// nothing, re-touching the same lines in the same order reproduces the
-    /// same per-set recency arrangement, and the dirty bits are already
-    /// set by the verified group. Matching groups are therefore accounted
-    /// in bulk (hit counter only) at `l1_latency` each; state is only
-    /// advanced at group boundaries, so a partial-group mismatch resumes
-    /// concrete simulation from an exact state. Irregular streams (pointer
-    /// chasing) defeat the matcher, so repeated failures back off to plain
-    /// per-access simulation for a window to bound the matching overhead.
-    pub fn cost_stream(&mut self, refs: &[(u64, bool)], lats: &mut Vec<u64>) {
-        /// Longest loop-body period recognized (covers every emitted
-        /// kernel body; elementwise-Add is the widest at 12 refs/iter).
-        const MAX_PERIOD: usize = 12;
-        /// Consecutive match failures tolerated before backing off.
-        const MAX_FAILS: u32 = 4;
-        /// Accesses simulated concretely per backoff window.
-        const BACKOFF: usize = 256;
-
-        lats.reserve(refs.len());
-        let line_shift = self.l1d.line_shift;
-        let same_line = |a: (u64, bool), b: (u64, bool)| -> bool {
-            a.0 >> line_shift == b.0 >> line_shift && a.1 == b.1
-        };
-        let mut i = 0usize;
-        // Consecutive L1 hits immediately before `i` (capped: only the last
-        // MAX_PERIOD matter as a verified base group).
-        let mut streak = 0usize;
-        let mut fails = 0u32;
-        let mut skip_until = 0usize;
-        while i < refs.len() {
-            if streak > 0 && i >= skip_until {
-                let pmax = streak.min(MAX_PERIOD).min(refs.len() - i);
-                let period = (1..=pmax)
-                    .find(|&p| (0..p).all(|j| same_line(refs[i + j], refs[i + j - p])));
-                if let Some(p) = period {
-                    // Extend group-by-group while the periodic pattern
-                    // holds; each whole matched group is a state fixed
-                    // point, so only counters move.
-                    let mut batched = p;
-                    while i + batched + p <= refs.len()
-                        && (0..p).all(|j| {
-                            same_line(refs[i + batched + j], refs[i + batched + j - p])
-                        })
-                    {
-                        batched += p;
-                    }
-                    self.l1d.add_stream_hits(batched as u64);
-                    lats.extend(std::iter::repeat_n(self.config.l1_latency, batched));
-                    i += batched;
-                    streak = MAX_PERIOD.min(streak + batched);
-                    fails = 0;
-                    continue;
-                }
-                fails += 1;
-                if fails >= MAX_FAILS {
-                    skip_until = i + BACKOFF;
-                    fails = 0;
-                }
-            }
-            let (addr, write) = refs[i];
-            let (lat, l1_hit) = self.access_tracked(addr, write);
-            lats.push(lat);
-            streak = if l1_hit {
-                MAX_PERIOD.min(streak + 1)
-            } else {
-                0
-            };
-            i += 1;
-        }
+        lat.dram
     }
 
     /// Latency of one uncached MMIO word access.
@@ -817,24 +728,26 @@ mod tests {
     }
 }
 
+/// Memory geometries and warmed states shared by the memory-system and
+/// CPU-model tests.
 #[cfg(test)]
-mod analytic_tests {
+pub(crate) mod test_support {
     use super::*;
-    use proptest::prelude::*;
 
-    /// Full dynamic state plus prefetch-hit counter, for bit-exact
-    /// before/after comparison of the analytic fast paths.
-    fn state_bytes(m: &MemSystem) -> Vec<u8> {
+    /// Full dynamic state, for bit-exact before/after comparison.
+    pub(crate) fn state_bytes(m: &MemSystem) -> Vec<u8> {
         let mut w = SnapWriter::new();
         m.save_state(&mut w);
         w.into_bytes()
     }
 
-    fn config_from(sel: usize) -> MemConfig {
+    /// Four memory configurations: the default; a tiny hierarchy of 32-B
+    /// lines that evicts and conflicts on short streams; the default
+    /// without the prefetcher; and a direct-mapped L1 of 128-B lines.
+    pub(crate) fn config_from(sel: usize) -> MemConfig {
         match sel {
             0 => MemConfig::default(),
             1 => MemConfig {
-                // Tiny L1 so short runs already evict and conflict.
                 l1d: CacheConfig {
                     size_bytes: 512,
                     ways: 2,
@@ -862,10 +775,11 @@ mod analytic_tests {
         }
     }
 
-    fn warmed(sel: usize, warm_seed: u64, util_pct: u64) -> MemSystem {
+    /// A hierarchy of geometry `sel` pre-touched with a pseudo-random
+    /// working set, so runs start from a nontrivial cache arrangement,
+    /// under `util_pct` % DMA contention.
+    pub(crate) fn warmed(sel: usize, warm_seed: u64, util_pct: u64) -> MemSystem {
         let mut m = MemSystem::new(config_from(sel));
-        // Pre-touch a pseudo-random working set so runs start from a
-        // nontrivial cache arrangement, then add DMA contention.
         let mut addr = warm_seed | 1;
         for i in 0..96u64 {
             addr = addr.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -874,97 +788,163 @@ mod analytic_tests {
         m.bus_mut().set_dma_utilization(util_pct as f64 / 100.0);
         m
     }
-
-    proptest! {
-        #[test]
-        fn access_run_matches_per_access(
-            sel in 0usize..4,
-            warm_seed in 0u64..u64::MAX,
-            util_pct in 0u64..90,
-            base in 0u64..(1 << 20),
-            stride in -300i64..900,
-            count in 0u64..600,
-            write in proptest::any::<bool>(),
-        ) {
-            let mut fast = warmed(sel, warm_seed, util_pct);
-            let mut slow = fast.clone();
-            let total_fast = fast.access_run(base, stride, count, write);
-            let mut total_slow = 0u64;
-            for i in 0..count {
-                total_slow += slow.access(base.wrapping_add_signed(stride * i as i64), write);
-            }
-            prop_assert_eq!(total_fast, total_slow);
-            prop_assert_eq!(state_bytes(&fast), state_bytes(&slow));
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn cost_stream_matches_per_access(
-            sel in 0usize..4,
-            warm_seed in 0u64..u64::MAX,
-            util_pct in 0u64..90,
-            shape in (1u64..2048, 0usize..13, 1usize..40, 0u64..(1 << 16)),
-        ) {
-            // Build a stream with a periodic loop body (the shape kernel
-            // traces emit) punctuated by an aperiodic scatter segment, so
-            // both the batch path and its mismatch/backoff exits run.
-            let (stream_stride, period, iters, base) = shape;
-            let mut refs: Vec<(u64, bool)> = Vec::new();
-            for it in 0..iters as u64 {
-                for j in 0..period as u64 {
-                    let addr = base + it * stream_stride + j * 8;
-                    refs.push((addr, j % 4 == 3));
-                }
-                // A scratch slot revisited every iteration (periodic hit).
-                refs.push((0x4000_0000 + (j_scatter(it) % 64), false));
-            }
-            // Aperiodic tail: pointer-chase style scatter.
-            for it in 0..64u64 {
-                refs.push((j_scatter(it.wrapping_mul(7919)) % (1 << 20), it % 5 == 0));
-            }
-            let mut fast = warmed(sel, warm_seed, util_pct);
-            let mut slow = fast.clone();
-            let mut lats_fast = Vec::new();
-            fast.cost_stream(&refs, &mut lats_fast);
-            let lats_slow: Vec<u64> =
-                refs.iter().map(|&(a, w)| slow.access(a, w)).collect();
-            prop_assert_eq!(lats_fast, lats_slow);
-            prop_assert_eq!(state_bytes(&fast), state_bytes(&slow));
-        }
-    }
-
-    fn j_scatter(x: u64) -> u64 {
-        x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31)
-    }
-
-    #[test]
-    fn stride_zero_run_is_batched_hits() {
-        let mut m = MemSystem::new(MemConfig::default());
-        let total = m.access_run(0x1000, 0, 100, false);
-        // One cold miss plus 99 L1 hits.
-        assert_eq!(m.l1_stats().hits, 99);
-        assert_eq!(m.l1_stats().misses, 1);
-        assert!(total > 99 * MemConfig::default().l1_latency);
-    }
-
-    #[test]
-    fn periodic_stream_batches_after_warmup() {
-        let mut m = MemSystem::new(MemConfig::default());
-        // A loop body touching the same two lines 1000 times: after the
-        // concrete warmup the batcher should account nearly all hits in
-        // bulk, and the latencies must still be per-access exact.
-        let refs: Vec<(u64, bool)> = (0..1000)
-            .flat_map(|_| [(0x8000u64, false), (0x9000u64, true)])
-            .collect();
-        let mut lats = Vec::new();
-        m.cost_stream(&refs, &mut lats);
-        assert_eq!(lats.len(), refs.len());
-        assert_eq!(m.l1_stats().misses, 2);
-        assert_eq!(m.l1_stats().hits, 1998);
-    }
 }
 
+#[cfg(test)]
+mod reference_lru_tests {
+    use super::test_support::config_from;
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The reference LRU model: each set a `Vec` of `(tag, dirty)`, most-
+    /// to least-recently used, reordered by `remove`/`insert`. [`Cache`]
+    /// must agree with it access for access, and serialize identically.
+    struct RefCache {
+        ways: usize,
+        sets: Vec<Vec<(u64, bool)>>,
+        stats: CacheStats,
+        set_mask: u64,
+        line_shift: u32,
+    }
+
+    impl RefCache {
+        fn new(config: CacheConfig) -> RefCache {
+            let sets = config.sets();
+            RefCache {
+                ways: config.ways,
+                sets: vec![Vec::with_capacity(config.ways); sets],
+                stats: CacheStats::default(),
+                set_mask: (sets - 1) as u64,
+                line_shift: config.line_bytes.trailing_zeros(),
+            }
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> bool {
+            let line = addr >> self.line_shift;
+            let set = &mut self.sets[(line & self.set_mask) as usize];
+            let tag = line >> self.set_mask.count_ones();
+            if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
+                let (t, dirty) = set.remove(pos);
+                set.insert(0, (t, dirty || write));
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            if set.len() == self.ways {
+                if let Some((_, true)) = set.pop() {
+                    self.stats.writebacks += 1;
+                }
+            }
+            set.insert(0, (tag, write));
+            false
+        }
+
+        fn save_state(&self, w: &mut SnapWriter) {
+            w.usize(self.sets.len());
+            for set in &self.sets {
+                w.usize(set.len());
+                for &(tag, dirty) in set {
+                    w.u64(tag);
+                    w.bool(dirty);
+                }
+            }
+            w.u64(self.stats.hits);
+            w.u64(self.stats.misses);
+            w.u64(self.stats.writebacks);
+        }
+    }
+
+    fn cache_bytes(save: impl Fn(&mut SnapWriter)) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
+    proptest! {
+        #[test]
+        fn flat_cache_matches_reference_lru(
+            sel in 0usize..4,
+            l2 in proptest::any::<bool>(),
+            span_log2 in 8u32..20,
+            seed in 0u64..u64::MAX,
+            len in 0usize..1500,
+        ) {
+            // Both levels of all four geometries (the direct-mapped 128-B
+            // L1 included), on streams that mix a hot strided walk with
+            // scattered addresses over a span a few times the capacity.
+            let mem = config_from(sel);
+            let config = if l2 { mem.l2 } else { mem.l1d };
+            let mut flat = Cache::new(config);
+            let mut reference = RefCache::new(config);
+            let mut x = seed | 1;
+            for i in 0..len as u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let addr = if x >> 62 == 0 {
+                    i * 24 % (1 << span_log2)
+                } else {
+                    (x >> 20) % (1 << span_log2)
+                };
+                let write = x >> 61 & 1 == 1;
+                prop_assert_eq!(flat.access(addr, write), reference.access(addr, write));
+            }
+            prop_assert_eq!(flat.stats(), reference.stats);
+            prop_assert_eq!(
+                cache_bytes(|w| flat.save_state(w)),
+                cache_bytes(|w| reference.save_state(w))
+            );
+            let mut restored = Cache::new(config);
+            let bytes = cache_bytes(|w| flat.save_state(w));
+            prop_assert!(restored.restore_state(&mut SnapReader::new(&bytes)).is_ok());
+            prop_assert_eq!(cache_bytes(|w| restored.save_state(w)), bytes);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_tag_wider_than_the_address() {
+        // Two sets of 64-B lines: tags hold the top 57 address bits.
+        let config = CacheConfig {
+            size_bytes: 256,
+            ways: 2,
+            line_bytes: 64,
+        };
+        let mut w = SnapWriter::new();
+        w.usize(2);
+        w.usize(1);
+        w.u64(u64::MAX >> 7);
+        w.bool(true);
+        w.usize(0);
+        w.u64(0);
+        w.u64(0);
+        w.u64(0);
+        let ok = w.into_bytes();
+        assert!(Cache::new(config)
+            .restore_state(&mut SnapReader::new(&ok))
+            .is_ok());
+        let mut w = SnapWriter::new();
+        w.usize(2);
+        w.usize(1);
+        w.u64(u64::MAX >> 6);
+        w.bool(true);
+        let wide = w.into_bytes();
+        assert_eq!(
+            Cache::new(config).restore_state(&mut SnapReader::new(&wide)),
+            Err(SnapError::BadValue {
+                context: "cache tag",
+                value: u64::MAX >> 6,
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one-set cache")]
+    fn one_set_of_byte_lines_is_rejected() {
+        Cache::new(CacheConfig {
+            size_bytes: 4,
+            ways: 4,
+            line_bytes: 1,
+        });
+    }
+}
 #[cfg(test)]
 mod prefetch_tests {
     use super::*;

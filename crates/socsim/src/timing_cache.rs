@@ -345,24 +345,31 @@ impl SharedTimingCache {
     /// multiply over 8-byte lanes (`Fnv64` folds byte-wise internally,
     /// which would dominate the whole replay) — one multiply per word
     /// keeps the hit path an order of magnitude cheaper than the codec
-    /// hash, at the same 64-bit collision resistance. The lane hash is a
-    /// pure key format private to the cache file; `MODEL_VERSION` guards
-    /// it like every other layout choice.
+    /// hash. A multiply carries differences only toward higher bits, so
+    /// each lane also folds the high half of the state down; without that
+    /// fold, flipping bit 63 of any two words cancels out. This is still
+    /// only a 64-bit content hash with no stored pre-state to check a hit
+    /// against. The lane hash is a pure key format private to the cache
+    /// file; `MODEL_VERSION` guards it like every other layout choice.
     pub fn context_hash(mem_state: &[u8], branch_rng: u64) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let lane = |h: u64, word: u64| {
+            let h = (h ^ word).wrapping_mul(PRIME);
+            h ^ (h >> 32)
+        };
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut chunks = mem_state.chunks_exact(8);
         for chunk in &mut chunks {
             // rose-lint: allow(PANIC002, chunks_exact(8) guarantees 8-byte slices, so the conversion is infallible)
             let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            h = (h ^ word).wrapping_mul(PRIME);
+            h = lane(h, word);
         }
         for &byte in chunks.remainder() {
-            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
+            h = lane(h, u64::from(byte));
         }
         // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-        h = (h ^ mem_state.len() as u64).wrapping_mul(PRIME);
-        (h ^ branch_rng).wrapping_mul(PRIME)
+        h = lane(h, mem_state.len() as u64);
+        lane(h, branch_rng)
     }
 
     /// Looks up a recorded CPU-kernel expansion.
@@ -600,6 +607,26 @@ mod tests {
         let mut no_accel = base.clone();
         no_accel.gemmini = None;
         assert_ne!(fp, SharedTimingCache::fingerprint(&no_accel));
+    }
+
+    #[test]
+    fn context_hash_separates_high_bit_flips_in_two_lanes() {
+        // A plain xor-then-multiply lane hash maps these pairs to the same
+        // key: bit 63 of a lane survives every later multiply unchanged,
+        // so flipping it in two lanes cancels.
+        let base: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37)).collect();
+        let h = SharedTimingCache::context_hash(&base, 9);
+        for (a, b) in [(0, 1), (0, 7), (3, 5), (6, 7)] {
+            let mut flipped = base.clone();
+            flipped[8 * a + 7] ^= 0x80;
+            flipped[8 * b + 7] ^= 0x80;
+            assert_ne!(
+                SharedTimingCache::context_hash(&flipped, 9),
+                h,
+                "bit 63 flipped in lanes {a} and {b}"
+            );
+        }
+        assert_ne!(SharedTimingCache::context_hash(&base, 9 ^ (1 << 63)), h);
     }
 
     #[test]
