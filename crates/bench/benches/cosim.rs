@@ -4,7 +4,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rose::mission::{build_mission, MissionConfig};
-use rose_bridge::sync::SyncMode;
 
 fn bench_sync_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("sync_step");
@@ -50,32 +49,6 @@ fn bench_short_mission(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole comparison: the same mission with the quantum run
-/// sequentially vs with the RTL grant and environment frames overlapped.
-/// Parallel should win by roughly the cheaper side's share of the quantum.
-fn bench_sync_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sync_mode");
-    group.sample_size(10);
-    for (name, mode) in [
-        ("sequential", SyncMode::Sequential),
-        ("parallel", SyncMode::Parallel),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let config = MissionConfig {
-                    max_sim_seconds: 1.0,
-                    sync_mode: mode,
-                    ..MissionConfig::default()
-                };
-                let (mut sync, _metrics) = build_mission(&config);
-                sync.run_until(u64::MAX, |env, _| env.sim().time() >= 1.0);
-                black_box(sync.stats().sim_cycles)
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Overhead guard for the tracing layer: the same mission untraced vs
 /// traced. Disabled tracing must cost only a branch per would-be event,
 /// so "off" here should match the plain mission benchmarks.
@@ -103,7 +76,6 @@ criterion_group!(
     benches,
     bench_sync_step,
     bench_short_mission,
-    bench_sync_modes,
     bench_trace_overhead
 );
 criterion_main!(benches);

@@ -10,7 +10,6 @@ fn main() {
         "throughput (sim MHz)",
         "env wall (s)",
         "rtl wall (s)",
-        "overlap",
     ]);
     let mut csv = CsvLog::new(&[
         "frames_per_sync",
@@ -18,7 +17,6 @@ fn main() {
         "sim_mhz",
         "env_wall_s",
         "rtl_wall_s",
-        "overlap",
     ]);
     for p in &points {
         t.row(vec![
@@ -27,7 +25,6 @@ fn main() {
             format!("{:.1}", p.sim_mhz),
             format!("{:.3}", p.env_wall_s),
             format!("{:.3}", p.rtl_wall_s),
-            format!("{:.2}", p.overlap),
         ]);
         csv.row(&[
             p.frames_per_sync as f64,
@@ -35,12 +32,10 @@ fn main() {
             p.sim_mhz,
             p.env_wall_s,
             p.rtl_wall_s,
-            p.overlap,
         ]);
     }
     t.print("Figure 15: simulation throughput vs synchronization granularity (TCP deployment)");
     println!("paper: throughput grows with granularity, bottlenecked at fine granularity by per-sync polling and at coarse granularity by the RTL simulator's native speed");
-    println!("overlap = fraction of the cheaper simulator hidden behind the other by the parallel quantum");
     if let Some(p) = write_csv("fig15.csv", &csv) {
         println!("wrote {}", p.display());
     }

@@ -273,7 +273,7 @@ fn run_with_snapshot(config: &MissionConfig, at: f64, out: &PathBuf) -> Result<M
 /// Renders the `--bench-json` perf-trajectory record: throughput, the
 /// per-phase wall breakdown, and the run's determinism digest.
 fn bench_record(report: &MissionReport) -> String {
-    let wall_s = report.sync_stats.wall.as_secs_f64();
+    let wall_s = report.profile.total_wall().as_secs_f64();
     let sim_us_per_wall_s = if wall_s > 0.0 {
         report.sim_time_s * 1e6 / wall_s
     } else {
@@ -503,7 +503,7 @@ fn main() -> ExitCode {
             eprintln!("determinism audit FAILED: diverged on {}", diverged.join(", "));
             return ExitCode::FAILURE;
         }
-        println!("determinism: bit-identical across runs (sync_mode {:?})", config.sync_mode);
+        println!("determinism: bit-identical across runs");
     }
     rose_bench::persist_timing_cache();
     ExitCode::SUCCESS

@@ -68,13 +68,12 @@ fn run_fig14() {
 fn run_fig15() {
     for p in rose_bench::fig15(2.0) {
         println!(
-            "{} frames/sync ({}M cycles): {:.1} sim-MHz, env {:.2}s / rtl {:.2}s, overlap {:.2}",
+            "{} frames/sync ({}M cycles): {:.1} sim-MHz, env {:.2}s / rtl {:.2}s",
             p.frames_per_sync,
             p.cycles_per_sync / 1_000_000,
             p.sim_mhz,
             p.env_wall_s,
             p.rtl_wall_s,
-            p.overlap,
         );
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! ```toml
 //! [allow]
-//! DET001 = ["crates/rose-bridge/src/sync.rs", "crates/bench/src"]
+//! DET001 = ["crates/trace/src/profiler.rs", "crates/bench/src"]
 //!
 //! [rule.DET003]
 //! entry_points = ["Soc::run_*", "Synchronizer::step_*"]
@@ -16,8 +16,8 @@
 //!
 //! `[allow]` maps rule identifiers to arrays of workspace-relative path
 //! prefixes: a file matching a prefix is exempt from that rule wholesale
-//! (for whole-file exemptions like the synchronizer's wall-time throughput
-//! stats). Single-line exemptions use `// rose-lint: allow(RULE, reason)`
+//! (for whole-file exemptions like the profiler, the one sanctioned
+//! wall-clock reader). Single-line exemptions use `// rose-lint: allow(RULE, reason)`
 //! annotations instead, handled in [`crate::lint_files`].
 //!
 //! `[rule.RULE]` sections tune tier W's workspace analysis per rule:

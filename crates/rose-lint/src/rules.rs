@@ -214,8 +214,8 @@ pub fn run_rules(rel_path: &str, lexed: &Lexed, all_rules: bool) -> Vec<Finding>
 
 /// DET001 — no wall-clock reads in simulation logic. `Instant::now()` and
 /// any use of `SystemTime` make behavior depend on host scheduling; the
-/// whitelist (rose-lint.toml) covers the synchronizer's throughput stats,
-/// which measure the *host*, by design.
+/// whitelist (rose-lint.toml) covers the profiler's `Stopwatch`, whose
+/// readings measure the *host*, by design.
 fn det001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
     let mut out = Vec::new();
     for i in 0..tokens.len() {
@@ -254,9 +254,7 @@ fn det001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
 /// API (`rose_trace::Stopwatch` / `Profiler::time`) whose readings are
 /// digest-excluded by construction (DESIGN.md §4f). Where DET001 guards
 /// *determinism* of simulated state, PROF001 guards *attribution*: ad-hoc
-/// timing never shows up in `--profile` and can leak into reports. The
-/// synchronizer's whitelisted wall-time stats (rose-lint.toml) are the
-/// deliberate exception.
+/// timing never shows up in `--profile` and can leak into reports.
 fn prof001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
     let mut out = Vec::new();
     for i in 0..tokens.len() {

@@ -14,7 +14,7 @@ use crate::rtlside::SocRtl;
 use parking_lot::Mutex;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
-    serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, SyncConfig, SyncMode, SyncStats,
+    rtl_wall, serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, SyncConfig, SyncMode, SyncStats,
     SyncTelemetry, Synchronizer,
 };
 use rose_bridge::transport::ChannelTransport;
@@ -29,10 +29,11 @@ use rose_sim_core::rng::SimRng;
 use rose_socsim::soc::SocStats;
 use rose_socsim::{Soc, SocConfig};
 use rose_trace::{
-    FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Profiler, TraceClock, TraceLog,
-    Tracer,
+    FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Phase, Profiler, TraceClock,
+    TraceLog, Tracer,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Full configuration of one mission.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,9 +53,9 @@ pub struct MissionConfig {
     pub frame_hz: u32,
     /// Frames per synchronization period (granularity of Figures 15/16).
     pub frames_per_sync: u64,
-    /// Intra-period execution: run the SoC grant and the environment
-    /// frames concurrently ([`SyncMode::Parallel`], the default) or on one
-    /// thread. Unobservable to the simulated system either way.
+    /// Inert: every period runs on one thread whatever this says. Kept so
+    /// snapshots keep their config byte and existing configurations keep
+    /// compiling ([`SyncMode`]).
     pub sync_mode: SyncMode,
     /// Deterministic seed for all stochastic components.
     pub seed: u64,
@@ -290,7 +291,7 @@ pub struct MissionReport {
     pub energy: rose_socsim::energy::EnergyReport,
     /// Raw SoC counters.
     pub soc_stats: SocStats,
-    /// Synchronizer counters (throughput for Figure 15).
+    /// Synchronizer progress counters.
     pub sync_stats: SyncStats,
     /// Application-level counters (inference latencies, model selections).
     pub app: AppMetrics,
@@ -298,8 +299,9 @@ pub struct MissionReport {
     /// [`MissionConfig::trace`] was set.
     pub trace: Option<TraceLog>,
     /// Host wall-clock self-profile of the run (env step / RTL grant /
-    /// transport / snapshot codec / trace overhead). Telemetry: never an
-    /// input to the determinism digest (DESIGN.md §4f).
+    /// transport / snapshot codec / trace overhead) — the run's only wall
+    /// time record, so throughput derives from its total. Telemetry: never
+    /// an input to the determinism digest (DESIGN.md §4f).
     pub profile: Profiler,
     /// Synchronizer host-telemetry histograms (quantum wall time, grant
     /// latency, bridge queue depth).
@@ -347,6 +349,10 @@ impl MissionReport {
         registry.record(&self.energy);
         registry.record(&self.app);
         registry.record(&self.profile);
+        registry.gauge(
+            "sync.throughput_hz",
+            self.sync_stats.throughput_hz(self.profile.total_wall()),
+        );
         registry.record_histogram("soc.kernel_cycles", &self.kernel_cycles);
         registry.set_counter("mission.collisions", self.collisions as u64);
         registry.set_counter("mission.postmortems", self.postmortems.len() as u64);
@@ -393,18 +399,20 @@ pub fn drive_mission(
     let mut postmortems = Vec::new();
     while sync.stats().syncs < max_syncs {
         let before = *sync.stats();
+        let (env_before, rtl_before) = side_walls(sync.profiler());
         if sync.run_until(1, |env, _| env.sim().mission_complete()) == 0 {
             break; // mission complete or program halted
         }
         let after = *sync.stats();
+        let (env_after, rtl_after) = side_walls(sync.profiler());
         let sample = FlightSample {
             sync: after.syncs,
             sim_time_s: sync.env().sim().time(),
             collisions: sync.env().sim().collision_count() as u64,
             deadline_misses: metrics.lock().deadline_misses,
             queue_depth: after.data_to_env - before.data_to_env,
-            env_wall_us: (after.env_wall - before.env_wall).as_secs_f64() * 1e6,
-            rtl_wall_us: (after.rtl_wall - before.rtl_wall).as_secs_f64() * 1e6,
+            env_wall_us: (env_after - env_before).as_secs_f64() * 1e6,
+            rtl_wall_us: (rtl_after - rtl_before).as_secs_f64() * 1e6,
             // In-process RTL: no transport, so never a fault and never
             // recovery work.
             fault: false,
@@ -429,6 +437,13 @@ pub fn drive_mission(
         }
     }
     postmortems
+}
+
+/// The profiler's running totals for the two sides of each quantum — the
+/// environment's frames and the RTL side's grants — from which a
+/// [`FlightSample`] takes its per-quantum deltas.
+fn side_walls(profile: &Profiler) -> (Duration, Duration) {
+    (profile.total(Phase::EnvStep), rtl_wall(profile))
 }
 
 /// Constructs the full co-simulation for `config` without running it
@@ -522,7 +537,7 @@ pub fn mission_parts_with_program(
     let rtl = SocRtl::new(soc);
 
     let ratio = SyncRatio::new(config.soc.clock, FrameSpec::from_hz(config.frame_hz));
-    let sync_config = SyncConfig::new(ratio, config.frames_per_sync).with_mode(config.sync_mode);
+    let sync_config = SyncConfig::new(ratio, config.frames_per_sync);
     (env, rtl, sync_config)
 }
 
@@ -675,8 +690,6 @@ pub struct FaultedMissionReport {
 /// exhausted policy latches, winding the mission down at the last
 /// completed sync boundary.
 pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> FaultedMissionReport {
-    use rose_trace::Phase;
-
     let (env, rtl, sync_config, metrics) = mission_parts(config);
     let (client, mut server) = ChannelTransport::pair();
     let server_thread = std::thread::spawn(move || {
@@ -696,17 +709,19 @@ pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> Fault
     let mut aborted = false;
     while sync.stats().syncs < max_syncs {
         let before = *sync.stats();
+        let (env_before, rtl_before) = side_walls(sync.profiler());
         let recovery_before = sync.profiler().total(Phase::Recovery);
         let ran = sync.run_until(1, |env, _| env.sim().mission_complete());
         let after = *sync.stats();
+        let (env_after, rtl_after) = side_walls(sync.profiler());
         let sample = FlightSample {
             sync: after.syncs,
             sim_time_s: sync.env().sim().time(),
             collisions: sync.env().sim().collision_count() as u64,
             deadline_misses: metrics.lock().deadline_misses,
             queue_depth: after.data_to_env - before.data_to_env,
-            env_wall_us: (after.env_wall - before.env_wall).as_secs_f64() * 1e6,
-            rtl_wall_us: (after.rtl_wall - before.rtl_wall).as_secs_f64() * 1e6,
+            env_wall_us: (env_after - env_before).as_secs_f64() * 1e6,
+            rtl_wall_us: (rtl_after - rtl_before).as_secs_f64() * 1e6,
             fault: sync.rtl().fault().is_some(),
             recovery_retries: sync.rtl().recovery_stats().retries,
             recovery_us: (sync.profiler().total(Phase::Recovery) - recovery_before)

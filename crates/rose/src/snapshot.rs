@@ -7,9 +7,8 @@
 //! in-flight program position), the bridge queues, the synchronizer
 //! position, and every component's trace prefix. Resuming a snapshot and
 //! running to completion produces a [`crate::audit::MissionDigest`]
-//! **bit-identical** to the straight run — under both
-//! [`SyncMode::Sequential`] and [`SyncMode::Parallel`] — which is the
-//! correctness gate the determinism auditor enforces.
+//! **bit-identical** to the straight run, which is the correctness gate
+//! the determinism auditor enforces.
 //!
 //! # Format
 //!
@@ -32,9 +31,6 @@
 //! *once*, [`Mission::snapshot`] it, and [`Mission::fork`] one branch
 //! per sweep point, perturbing each branch (initial yaw, gains) before
 //! running it to completion.
-//!
-//! [`SyncMode::Sequential`]: rose_bridge::sync::SyncMode::Sequential
-//! [`SyncMode::Parallel`]: rose_bridge::sync::SyncMode::Parallel
 
 use crate::app::AppMetrics;
 use crate::envside::CoSimEnv;
@@ -251,11 +247,10 @@ mod tests {
     use crate::mission::run_mission;
     use rose_bridge::sync::SyncMode;
 
-    fn short(sync_mode: SyncMode) -> MissionConfig {
+    fn short() -> MissionConfig {
         MissionConfig {
             max_sim_seconds: 2.0,
             trace: true,
-            sync_mode,
             ..MissionConfig::default()
         }
     }
@@ -269,21 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn resume_is_bit_identical_sequential() {
-        let config = short(SyncMode::Sequential);
-        let straight = MissionDigest::of(&run_mission(&config));
-        for boundary in [0, 1, 17, 60] {
-            assert_eq!(
-                digest_of_resumed(&config, boundary),
-                straight,
-                "divergence after snapshot at sync {boundary}"
-            );
-        }
-    }
-
-    #[test]
-    fn resume_is_bit_identical_parallel() {
-        let config = short(SyncMode::Parallel);
+    fn resume_is_bit_identical() {
+        let config = short();
         let straight = MissionDigest::of(&run_mission(&config));
         for boundary in [0, 1, 17, 60] {
             assert_eq!(
@@ -296,7 +278,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_byte_identically() {
-        let config = short(SyncMode::Sequential);
+        let config = short();
         let mut mission = Mission::start(&config);
         mission.run_syncs(25);
         let first = mission.snapshot();
@@ -311,7 +293,12 @@ mod tests {
 
     #[test]
     fn snapshot_config_decodes_without_resume() {
-        let config = short(SyncMode::Parallel);
+        // The inert sync_mode still travels as its snapshot byte; the
+        // non-default value proves the decode does not assume the default.
+        let config = MissionConfig {
+            sync_mode: SyncMode::Sequential,
+            ..short()
+        };
         let mission = Mission::start(&config);
         let snap = mission.snapshot();
         assert_eq!(snap.config().expect("config decodes"), config);
@@ -319,7 +306,7 @@ mod tests {
 
     #[test]
     fn forked_branches_run_independently() {
-        let config = short(SyncMode::Sequential);
+        let config = short();
         let mut mission = Mission::start(&config);
         mission.run_syncs(20);
         let branches = mission.fork(2).expect("fork");
@@ -342,7 +329,7 @@ mod tests {
 
     #[test]
     fn forked_branch_registries_combine_without_double_counting() {
-        let config = short(SyncMode::Sequential);
+        let config = short();
         let straight = run_mission(&config).metric_registry();
 
         let mut mission = Mission::start(&config);
@@ -407,7 +394,7 @@ mod tests {
 
     #[test]
     fn corrupt_snapshots_are_rejected() {
-        let config = short(SyncMode::Sequential);
+        let config = short();
         let mission = Mission::start(&config);
         let snap = mission.snapshot();
 

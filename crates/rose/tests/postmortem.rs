@@ -59,35 +59,31 @@ fn deadline_miss_postmortem_blames_compute() {
 }
 
 #[test]
-fn telemetry_does_not_perturb_the_digest_in_either_sync_mode() {
+fn telemetry_does_not_perturb_the_digest() {
     use rose::audit::MissionDigest;
-    use rose_bridge::sync::SyncMode;
 
     // Full observability armed: tracing, histograms, deadline accounting,
-    // flight recorder. The digest must not notice, and Sequential must
-    // still reproduce Parallel bit-for-bit.
-    let instrumented = |sync_mode| {
-        MissionConfig {
-            max_sim_seconds: 2.0,
-            trace: true,
-            deadline_budget_s: 0.05,
-            sync_mode,
-            ..MissionConfig::default()
-        }
+    // flight recorder. The digest must not notice, and a second run must
+    // reproduce the first bit-for-bit.
+    let instrumented = MissionConfig {
+        max_sim_seconds: 2.0,
+        trace: true,
+        deadline_budget_s: 0.05,
+        ..MissionConfig::default()
     };
     let bare = MissionConfig {
         max_sim_seconds: 2.0,
         trace: true,
         ..MissionConfig::default()
     };
-    let sequential = MissionDigest::of(&run_mission(&instrumented(SyncMode::Sequential)));
-    let parallel = MissionDigest::of(&run_mission(&instrumented(SyncMode::Parallel)));
-    assert_eq!(sequential, parallel, "sync modes diverged under telemetry");
+    let first = MissionDigest::of(&run_mission(&instrumented));
+    let second = MissionDigest::of(&run_mission(&instrumented));
+    assert_eq!(first, second, "runs diverged under telemetry");
     // The deadline budget only adds host-side accounting — the flown
     // trajectory and SoC state are untouched.
     let unbudgeted = MissionDigest::of(&run_mission(&bare));
-    assert_eq!(sequential.trajectory, unbudgeted.trajectory);
-    assert_eq!(sequential.soc, unbudgeted.soc);
+    assert_eq!(first.trajectory, unbudgeted.trajectory);
+    assert_eq!(first.soc, unbudgeted.soc);
 }
 
 #[test]

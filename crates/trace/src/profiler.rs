@@ -13,10 +13,9 @@
 //! determinism digest or a mission snapshot (DESIGN.md §4d/§4f) — the
 //! same contract the sync-quantum span args already follow. To keep that
 //! auditable, the `PROF001` lint flags every direct `std::time::Instant`
-//! / `SystemTime` read outside this module and the synchronizer's
-//! whitelisted wall-time stats: all other wall-clock sampling funnels
-//! through [`Stopwatch`] / [`Profiler::time`], which are digest-excluded
-//! by construction.
+//! / `SystemTime` read outside this module: all wall-clock sampling
+//! funnels through [`Stopwatch`] / [`Profiler::time`], which are
+//! digest-excluded by construction.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -93,8 +92,8 @@ impl Phase {
 }
 
 /// A started wall-clock measurement. The **only** sanctioned way (along
-/// with [`Profiler::time`]) to read host time outside the synchronizer's
-/// whitelisted stats — see the module docs and the `PROF001` lint.
+/// with [`Profiler::time`]) to read host time — see the module docs and
+/// the `PROF001` lint.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
@@ -107,6 +106,16 @@ impl Stopwatch {
     /// Wall time elapsed since [`start`](Stopwatch::start).
     pub fn elapsed(&self) -> Duration {
         self.0.elapsed()
+    }
+
+    /// Wall time since the previous lap (or the start), restarting the
+    /// measurement from now. Consecutive laps tile the timeline: no
+    /// instant between two laps goes unmeasured or is counted twice.
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let lap = now - self.0;
+        self.0 = now;
+        lap
     }
 }
 
@@ -245,6 +254,19 @@ mod tests {
         let out = p.time(Phase::SnapshotCodec, || 41 + 1);
         assert_eq!(out, 42);
         assert_eq!(p.count(Phase::SnapshotCodec), 1);
+    }
+
+    #[test]
+    fn laps_tile_the_elapsed_time() {
+        let total = Stopwatch::start();
+        let mut laps = total;
+        let first = laps.lap();
+        std::thread::sleep(Duration::from_millis(2));
+        let second = laps.lap();
+        assert!(second >= Duration::from_millis(2));
+        // Every lap ends where the next begins, so the laps never add up
+        // to more than one reading of the whole span.
+        assert!(first + second <= total.elapsed());
     }
 
     #[test]

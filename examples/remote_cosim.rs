@@ -37,7 +37,7 @@ fn main() {
         "simulated {:.1} s of flight over {} syncs ({:.1} sim-MHz over TCP)",
         stats.sim_frames as f64 / 60.0,
         stats.syncs,
-        stats.throughput_hz() / 1e6
+        stats.throughput_hz(sync.profiler().total_wall()) / 1e6
     );
     let (env, remote) = sync.into_parts();
     remote.shutdown().expect("shutdown");

@@ -2,19 +2,18 @@
 //!
 //! The contract (DESIGN.md §4e): a mission snapshotted at **any** quantum
 //! boundary and resumed must produce a [`MissionDigest`] bit-identical to
-//! the straight run — trajectory, SoC counters, and trace ordering —
-//! under both [`SyncMode`] variants. Any divergence means a component
-//! carries hidden state its `save_state`/`restore_state` pair misses.
+//! the straight run — trajectory, SoC counters, and trace ordering. Any
+//! divergence means a component carries hidden state its
+//! `save_state`/`restore_state` pair misses.
 
 use proptest::prelude::*;
 use rose::audit::MissionDigest;
 use rose::mission::{run_mission, MissionConfig};
 use rose::snapshot::Mission;
-use rose_bridge::sync::SyncMode;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-fn short(sync_mode: SyncMode) -> MissionConfig {
+fn short() -> MissionConfig {
     // 0.25 simulated seconds = 15 quantum boundaries: several inferences,
     // live bridge queues, warm caches — yet cheap enough for 96 property
     // cases in tier 1.
@@ -24,36 +23,28 @@ fn short(sync_mode: SyncMode) -> MissionConfig {
         // builds; the snapshot surface it exercises is the same.
         controller: rose::app::ControllerChoice::Static(rose_dnn::DnnModel::ResNet6),
         trace: true,
-        sync_mode,
         ..MissionConfig::default()
     }
 }
 
-/// The straight-run digests, computed once per sync mode and shared
-/// across all property cases (the reference every resumed run must hit).
-fn straight_digest(sync_mode: SyncMode) -> MissionDigest {
-    static SEQ: OnceLock<MissionDigest> = OnceLock::new();
-    static PAR: OnceLock<MissionDigest> = OnceLock::new();
-    let cell = match sync_mode {
-        SyncMode::Sequential => &SEQ,
-        SyncMode::Parallel => &PAR,
-    };
-    *cell.get_or_init(|| MissionDigest::of(&run_mission(&short(sync_mode))))
+/// The straight-run digest, computed once and shared across all property
+/// cases (the reference every resumed run must hit).
+fn straight_digest() -> MissionDigest {
+    static STRAIGHT: OnceLock<MissionDigest> = OnceLock::new();
+    *STRAIGHT.get_or_init(|| MissionDigest::of(&run_mission(&short())))
 }
 
 /// Runs one fork-and-resume evaluation: snapshot at `boundary`, assert
 /// the snapshot re-serializes byte-identically after a round-trip, then
 /// run the branch out and return its digest. Pure in its inputs, so
-/// results are memoized — proptest draws (mode, boundary) pairs with
-/// replacement, and a debug-build mission costs ~0.5 s of cold-cache
-/// warm-up each.
-fn resumed_digest(sync_mode: SyncMode, boundary: u64) -> MissionDigest {
-    static CACHE: Mutex<BTreeMap<(bool, u64), MissionDigest>> = Mutex::new(BTreeMap::new());
-    let key = (sync_mode == SyncMode::Parallel, boundary);
-    if let Some(&hit) = CACHE.lock().unwrap().get(&key) {
+/// results are memoized — proptest draws boundaries with replacement,
+/// and a debug-build mission costs ~0.5 s of cold-cache warm-up each.
+fn resumed_digest(boundary: u64) -> MissionDigest {
+    static CACHE: Mutex<BTreeMap<u64, MissionDigest>> = Mutex::new(BTreeMap::new());
+    if let Some(&hit) = CACHE.lock().unwrap().get(&boundary) {
         return hit;
     }
-    let config = short(sync_mode);
+    let config = short();
     let mut mission = Mission::start(&config);
     mission.run_syncs(boundary);
     let snap = mission.snapshot();
@@ -64,7 +55,7 @@ fn resumed_digest(sync_mode: SyncMode, boundary: u64) -> MissionDigest {
         "round-trip not byte-identical at boundary {boundary}"
     );
     let digest = MissionDigest::of(&resumed.run_to_completion());
-    CACHE.lock().unwrap().insert(key, digest);
+    CACHE.lock().unwrap().insert(boundary, digest);
     digest
 }
 
@@ -74,19 +65,11 @@ proptest! {
     /// the snapshot must re-serialize byte-identically after the
     /// round-trip (serialize → deserialize → serialize).
     #[test]
-    fn fork_at_any_boundary_is_bit_identical(
-        mode_sel in 0u64..2,
-        boundary in 0u64..16,
-    ) {
-        let sync_mode = if mode_sel == 0 {
-            SyncMode::Sequential
-        } else {
-            SyncMode::Parallel
-        };
-        let digest = resumed_digest(sync_mode, boundary);
+    fn fork_at_any_boundary_is_bit_identical(boundary in 0u64..16) {
+        let digest = resumed_digest(boundary);
         prop_assert!(
-            digest == straight_digest(sync_mode),
-            "resume at boundary {boundary} under {sync_mode:?} diverged"
+            digest == straight_digest(),
+            "resume at boundary {boundary} diverged"
         );
     }
 }
