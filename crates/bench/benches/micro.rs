@@ -123,6 +123,8 @@ fn bench_physics(c: &mut Criterion) {
 }
 
 fn bench_cost_model(c: &mut Criterion) {
+    use rose_sim_core::snap::SnapWriter;
+    use rose_socsim::timing_cache::KernelEntry;
     use rose_socsim::SharedTimingCache;
 
     let mut group = c.benchmark_group("cost_model");
@@ -147,20 +149,33 @@ fn bench_cost_model(c: &mut Criterion) {
         })
     });
     // Disk round trip: what a warm sweep pays once at startup to skip
-    // every cold expansion above.
+    // every cold expansion above. A default mission records 23 kernel
+    // entries, each carrying a full memory-system image.
     group.bench_function("timing_cache_load", |b| {
         let path = std::env::temp_dir().join(format!(
             "rose-micro-timing-cache-{}.snap",
             std::process::id()
         ));
         let cache = SharedTimingCache::load(&path);
-        let fp = 0xfeed_beef_u64;
-        for m in 0..64usize {
-            cache.insert_matmul(fp, m, 24, 24, rose_socsim::timing_cache::AccelEntry {
-                run: Default::default(),
-                bus_bytes: 4096,
-                cycles_delta: 1000,
-            });
+        // Touch 4 MiB so every cache set is full, as after a real kernel.
+        let mut mem = MemSystem::new(MemConfig::default());
+        for addr in (0..4u64 << 20).step_by(64) {
+            mem.access(addr, addr % 256 == 0);
+        }
+        let mut w = SnapWriter::new();
+        mem.save_state(&mut w);
+        let post_mem = w.into_bytes();
+        assert!(post_mem.len() > 64 << 10, "image is {} bytes", post_mem.len());
+        let kernel = Kernel::MatMul { m: 24, k: 24, n: 24 };
+        for ctx in 0..23u64 {
+            let entry = KernelEntry {
+                cycles: 1000,
+                instrs: 800,
+                mispredicts: 3,
+                post_rng: ctx,
+                post_mem: post_mem.clone(),
+            };
+            cache.insert_kernel(0xfeed_beef, kernel, ctx, entry);
         }
         cache.persist().expect("bench cache persists");
         b.iter(|| black_box(SharedTimingCache::load(&path).len()));

@@ -145,8 +145,8 @@ pub fn fig10() -> Vec<LabeledRun> {
 
 /// Runs labeled mission configs on the sweep worker pool, keeping order.
 /// Every point runs against the process-wide timing cache: sweeps revisit
-/// the same kernels and accelerator shapes constantly, which is exactly
-/// the reuse the cache converts into replays.
+/// the same CPU kernels constantly, which is exactly the reuse the cache
+/// converts into replays.
 fn run_labeled(scenarios: Vec<(String, MissionConfig)>) -> Vec<LabeledRun> {
     parallel_map(scenarios, default_jobs(), |(label, mission)| LabeledRun {
         label,

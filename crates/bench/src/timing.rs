@@ -1,8 +1,8 @@
 //! Process-wide timing-cache attachment for the bench binaries.
 //!
-//! Sweeps re-expand the same kernels and accelerator shapes thousands of
-//! times; the persisted timing cache (DESIGN.md §4i) lets a machine pay
-//! that cost once. The cache is selected by the `ROSE_TIMING_CACHE`
+//! Sweeps re-expand the same CPU kernels thousands of times; the
+//! persisted timing cache (DESIGN.md §4i) lets a machine pay that cost
+//! once. The cache is selected by the `ROSE_TIMING_CACHE`
 //! environment variable (unset → the default per-repo file, `0`/`off` →
 //! disabled, anything else → that path) and shared by every mission the
 //! process runs, including parallel sweep workers.

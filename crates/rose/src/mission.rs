@@ -11,6 +11,7 @@
 use crate::app::{AppMetrics, ControlGains, ControllerChoice, TrailNavApp};
 use crate::envside::CoSimEnv;
 use crate::rtlside::SocRtl;
+use crate::snapshot::Mission;
 use parking_lot::Mutex;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
@@ -367,17 +368,10 @@ impl MissionReport {
     }
 }
 
-/// Builds and runs one mission to completion (goal or timeout), with the
+/// Builds and runs one mission to completion (goal, abort, or timeout), with the
 /// flight recorder sampling every synchronization boundary.
 pub fn run_mission(config: &MissionConfig) -> MissionReport {
-    let (mut sync, metrics) = build_mission(config);
-    let mut flight = FlightRecorder::default();
-    let postmortems = drive_mission(config, &mut sync, &metrics, &mut flight);
-    let mut report = finish_report(config, sync, &metrics);
-    report.postmortems = postmortems;
-    report.flight_occupancy = flight.occupancy();
-    report.flight_capacity = flight.capacity();
-    report
+    Mission::start(config).run_to_completion()
 }
 
 /// Steps the co-simulation one synchronization period at a time until the
@@ -468,6 +462,14 @@ pub fn build_mission(
 pub fn mission_parts(
     config: &MissionConfig,
 ) -> (CoSimEnv, SocRtl, SyncConfig, Arc<Mutex<AppMetrics>>) {
+    let (app, metrics) = trail_nav_app(config);
+    let (env, rtl, sync_config) = mission_parts_with_program(config, Box::new(app));
+    (env, rtl, sync_config, metrics)
+}
+
+/// The mission's navigation application, configured from `config`:
+/// controller, gains, deadline budget, and degradation-ladder abort.
+fn trail_nav_app(config: &MissionConfig) -> (TrailNavApp, Arc<Mutex<AppMetrics>>) {
     let rng = SimRng::new(config.seed);
     let (mut app, metrics) = TrailNavApp::new(
         config.controller,
@@ -478,8 +480,7 @@ pub fn mission_parts(
     app.set_gains(config.gains);
     app.set_deadline_budget(config.deadline_budget_s, config.soc.clock.hz() as f64);
     app.set_abort_after_degraded(config.degraded_abort_streak);
-    let (env, rtl, sync_config) = mission_parts_with_program(config, Box::new(app));
-    (env, rtl, sync_config, metrics)
+    (app, metrics)
 }
 
 /// Synchronization quanta a blocked sensor read waits before the SoC's RX
@@ -552,15 +553,7 @@ pub fn run_mission_multitenant(
 ) -> (MissionReport, u64) {
     use rose_socsim::multitenant::{TelemetryTask, TimeShared};
 
-    let rng = SimRng::new(config.seed);
-    let (mut app, metrics) = TrailNavApp::new(
-        config.controller,
-        config.soc.has_accelerator(),
-        config.velocity,
-        &rng,
-    );
-    app.set_gains(config.gains);
-    app.set_deadline_budget(config.deadline_budget_s, config.soc.clock.hz() as f64);
+    let (app, metrics) = trail_nav_app(config);
     let (telemetry, loops) = TelemetryTask::new(telemetry_block_bytes);
     let shared = TimeShared::new(Box::new(app), Box::new(telemetry), sharing);
     let (env, rtl, sync_config) = mission_parts_with_program(config, Box::new(shared));

@@ -34,11 +34,12 @@
 
 use crate::app::AppMetrics;
 use crate::envside::CoSimEnv;
-use crate::mission::{build_mission, finish_report, MissionConfig, MissionReport};
+use crate::mission::{build_mission, drive_mission, finish_report, MissionConfig, MissionReport};
 use crate::rtlside::SocRtl;
 use parking_lot::Mutex;
 use rose_bridge::sync::Synchronizer;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
+use rose_trace::FlightRecorder;
 use std::sync::Arc;
 
 /// A running (or paused) mission: the full co-simulation plus its
@@ -98,19 +99,26 @@ impl Mission {
         self.sync.run_until(n, |env, _| env.sim().mission_complete())
     }
 
-    /// Runs until the mission completes, the SoC halts, or the simulated
-    /// time wall ([`MissionConfig::max_sim_seconds`]) is reached, then
-    /// extracts the report. Periods already executed (including those
-    /// executed before a snapshot was taken) count against the wall.
+    /// Runs until the mission completes, the SoC halts, the application
+    /// requests an abort, or the simulated time wall
+    /// ([`MissionConfig::max_sim_seconds`]) is reached, then extracts the
+    /// report. This is the loop [`crate::mission::run_mission`] flies,
+    /// with a fresh flight recorder. Periods already executed (including
+    /// those executed before a snapshot was taken) count against the
+    /// wall.
     pub fn run_to_completion(self) -> MissionReport {
         let Mission {
             config,
             mut sync,
             metrics,
         } = self;
-        let remaining = config.max_syncs().saturating_sub(sync.stats().syncs);
-        sync.run_until(remaining, |env, _| env.sim().mission_complete());
-        finish_report(&config, sync, &metrics)
+        let mut flight = FlightRecorder::default();
+        let postmortems = drive_mission(&config, &mut sync, &metrics, &mut flight);
+        let mut report = finish_report(&config, sync, &metrics);
+        report.postmortems = postmortems;
+        report.flight_occupancy = flight.occupancy();
+        report.flight_capacity = flight.capacity();
+        report
     }
 
     /// Extracts the report at the current position without running further.

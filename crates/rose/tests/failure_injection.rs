@@ -197,9 +197,10 @@ fn degraded_mission_survives_snapshot_and_resume_bit_identically() {
     }
 }
 
-#[test]
-fn sustained_blackout_walks_the_ladder_to_a_clean_abort() {
-    let config = MissionConfig {
+/// A flight whose depth sensor dies for good, so the degradation ladder
+/// reaches its abort rung about a second after the blackout starts.
+fn aborting() -> MissionConfig {
+    MissionConfig {
         max_sim_seconds: 20.0,
         controller: rose::app::ControllerChoice::dynamic_default(),
         // The depth sensor dies at t=1 s and never comes back...
@@ -208,13 +209,12 @@ fn sustained_blackout_walks_the_ladder_to_a_clean_abort() {
         // requests a clean abort.
         degraded_abort_streak: 10,
         ..MissionConfig::default()
-    };
-    let report = run_mission(&config);
-    assert!(report.app.abort_requested, "the ladder must reach the abort rung");
-    assert!(!report.completed, "an aborted mission does not reach the goal");
-    assert!(report.app.degraded_depth >= 10);
-    // The abort is documented, not silent.
-    let aborts = report
+    }
+}
+
+/// The number of `mission-abort` postmortems in a report.
+fn abort_postmortems(report: &rose::mission::MissionReport) -> usize {
+    report
         .postmortems
         .iter()
         .filter(|pm| {
@@ -224,6 +224,37 @@ fn sustained_blackout_walks_the_ladder_to_a_clean_abort() {
                 .and_then(|v| v.as_str())
                 == Some("mission-abort")
         })
-        .count();
-    assert_eq!(aborts, 1, "exactly one abort postmortem");
+        .count()
+}
+
+#[test]
+fn sustained_blackout_walks_the_ladder_to_a_clean_abort() {
+    let config = aborting();
+    let report = run_mission(&config);
+    assert!(report.app.abort_requested, "the ladder must reach the abort rung");
+    assert!(!report.completed, "an aborted mission does not reach the goal");
+    assert!(report.app.degraded_depth >= 10);
+    // The abort is documented, not silent.
+    assert_eq!(abort_postmortems(&report), 1, "exactly one abort postmortem");
+}
+
+#[test]
+fn resumed_mission_still_stops_at_the_abort_rung() {
+    let config = aborting();
+    let straight = run_mission(&config);
+    assert!(straight.app.abort_requested);
+    // Snapshot half a second in, well before the blackout, and resume:
+    // the resumed flight must take the same abort, not fly on to the
+    // time wall.
+    let mut mission = Mission::start(&config);
+    mission.run_syncs(30);
+    let resumed = mission
+        .snapshot()
+        .resume()
+        .expect("snapshot must resume")
+        .run_to_completion();
+    assert!(resumed.app.abort_requested);
+    assert_eq!(resumed.sim_time_s, straight.sim_time_s);
+    assert_eq!(abort_postmortems(&resumed), 1, "the resumed run documents its abort");
+    assert_eq!(MissionDigest::of(&resumed), MissionDigest::of(&straight));
 }

@@ -14,7 +14,7 @@ use crate::gemmini::{AccelRun, ConvShape, GemminiModel};
 use crate::kernel::Kernel;
 use crate::mem::{CacheStats, MemSystem};
 use crate::program::{ProgContext, TargetOp, TargetProgram};
-use crate::timing_cache::{AccelEntry, KernelEntry, SharedTimingCache};
+use crate::timing_cache::{KernelEntry, SharedTimingCache};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{
     ArgValue, LogHistogram, MetricRegistry, MetricSource, Stopwatch, Track, TraceEvent, Tracer,
@@ -189,14 +189,14 @@ pub struct Soc {
     conv_costs: BTreeMap<ConvShape, AccelRun>,
     matmul_costs: BTreeMap<(usize, usize, usize), AccelRun>,
     /// The persisted cross-run timing cache (DESIGN.md §4i), consulted on
-    /// in-memory cost-cache misses. Structural, like `config`: attached
+    /// in-memory CPU-kernel cost misses. Structural, like `config`: attached
     /// by the mission driver, never snapshotted.
     timing_cache: Option<SharedTimingCache>,
     /// [`SharedTimingCache::fingerprint`] of `config`, precomputed when
     /// the cache is attached.
     timing_fingerprint: u64,
-    /// Wall time spent expanding cost models (cold kernel/accelerator
-    /// timing and cache replays), drained each grant for
+    /// Wall time spent in cost models (cold kernel expansion, kernel
+    /// cache replays, accelerator timing), drained each grant for
     /// `Phase::CostModel` attribution. Host telemetry (§4f).
     cost_model_wall: Duration,
     tracer: Tracer,
@@ -301,7 +301,7 @@ impl Soc {
     }
 
     /// Attaches the persisted cross-run timing cache (DESIGN.md §4i),
-    /// consulted on in-memory cost-cache misses. Structural, like
+    /// consulted on in-memory CPU-kernel cost misses. Structural, like
     /// `config`: the mission driver re-attaches it rather than the
     /// snapshot carrying it. Replays are bit-identical to cold expansion,
     /// so attaching a cache never changes mission results — only wall
@@ -311,8 +311,8 @@ impl Soc {
         self.timing_cache = Some(cache);
     }
 
-    /// Drains the wall time spent in cost-model expansion (cold kernel
-    /// and accelerator timing, plus cache replays) since the last call.
+    /// Drains the wall time spent in cost models (cold kernel expansion,
+    /// kernel cache replays, accelerator timing) since the last call.
     /// Host telemetry for `Phase::CostModel` attribution; never enters
     /// simulated state (§4f).
     pub fn take_cost_model_wall(&mut self) -> Duration {
@@ -604,8 +604,9 @@ impl Soc {
         cycles
     }
 
-    fn accel(&mut self) -> &mut GemminiModel {
-        self.gemmini
+    /// The accelerator, taken by field so callers can also borrow `mem`.
+    fn accel(gemmini: &mut Option<GemminiModel>) -> &mut GemminiModel {
+        gemmini
             .as_mut()
             // rose-lint: allow(PANIC002, programs with accel ops only compile for accel-equipped SocConfigs)
             .expect("program issued an accelerator op on an SoC without an accelerator")
@@ -614,31 +615,13 @@ impl Soc {
     fn conv_cost(&mut self, shape: ConvShape) -> AccelRun {
         if let Some(&run) = self.conv_costs.get(&shape) {
             // Re-account activity for the cached run.
-            self.accel().add_activity(run.cycles, run.macs);
+            Soc::accel(&mut self.gemmini).add_activity(run.cycles, run.macs);
             return run;
         }
         let sw = Stopwatch::start();
-        let run = if let Some(entry) = self
-            .timing_cache
-            .as_ref()
-            .and_then(|c| c.lookup_conv(self.timing_fingerprint, shape))
-        {
-            self.replay_accel(entry)
-        } else {
-            let before_bytes = self.mem.bus().total_bytes();
-            let before_cycles = self.gemmini.as_ref().map_or(0, |g| g.total_cycles());
-            let gemmini = self
-                .gemmini
-                .as_mut()
-                // rose-lint: allow(PANIC002, programs with accel ops only compile for accel-equipped SocConfigs)
-                .expect("program issued an accelerator op on an SoC without an accelerator");
-            let run = gemmini.conv(shape, &mut self.mem);
-            gemmini.release_bus(&mut self.mem);
-            self.record_accel_entry(before_bytes, before_cycles, run, |cache, fp, entry| {
-                cache.insert_conv(fp, shape, entry);
-            });
-            run
-        };
+        let gemmini = Soc::accel(&mut self.gemmini);
+        let run = gemmini.conv(shape, &mut self.mem);
+        gemmini.release_bus(&mut self.mem);
         self.conv_costs.insert(shape, run);
         self.cost_model_wall += sw.elapsed();
         run
@@ -646,75 +629,16 @@ impl Soc {
 
     fn matmul_cost(&mut self, m: usize, k: usize, n: usize) -> AccelRun {
         if let Some(&run) = self.matmul_costs.get(&(m, k, n)) {
-            self.accel().add_activity(run.cycles, run.macs);
+            Soc::accel(&mut self.gemmini).add_activity(run.cycles, run.macs);
             return run;
         }
         let sw = Stopwatch::start();
-        let run = if let Some(entry) = self
-            .timing_cache
-            .as_ref()
-            .and_then(|c| c.lookup_matmul(self.timing_fingerprint, m, k, n))
-        {
-            self.replay_accel(entry)
-        } else {
-            let before_bytes = self.mem.bus().total_bytes();
-            let before_cycles = self.gemmini.as_ref().map_or(0, |g| g.total_cycles());
-            let gemmini = self
-                .gemmini
-                .as_mut()
-                // rose-lint: allow(PANIC002, programs with accel ops only compile for accel-equipped SocConfigs)
-                .expect("program issued an accelerator op on an SoC without an accelerator");
-            let run = gemmini.matmul(m, k, n, &mut self.mem);
-            gemmini.release_bus(&mut self.mem);
-            self.record_accel_entry(before_bytes, before_cycles, run, |cache, fp, entry| {
-                cache.insert_matmul(fp, m, k, n, entry);
-            });
-            run
-        };
+        let gemmini = Soc::accel(&mut self.gemmini);
+        let run = gemmini.matmul(m, k, n, &mut self.mem);
+        gemmini.release_bus(&mut self.mem);
         self.matmul_costs.insert((m, k, n), run);
         self.cost_model_wall += sw.elapsed();
         run
-    }
-
-    /// Replays a persisted accelerator run with side effects bit-identical
-    /// to the cold path: the same bus traffic, DMA utilization parked at
-    /// zero (cold runs end with `release_bus`), and the same lifetime
-    /// activity deltas — without running the timing model.
-    fn replay_accel(&mut self, entry: AccelEntry) -> AccelRun {
-        self.mem.bus_mut().record_bytes(entry.bus_bytes);
-        self.mem.bus_mut().set_dma_utilization(0.0);
-        self.accel().add_activity(entry.cycles_delta, entry.run.macs);
-        entry.run
-    }
-
-    /// Records a cold accelerator run in the persisted cache. Skipped when
-    /// the lifetime-cycle delta underflowed (a conv's DMA-reuse credit can
-    /// saturate the counter at the very start of a mission): such a run is
-    /// context-dependent and must not be replayed elsewhere.
-    fn record_accel_entry(
-        &mut self,
-        before_bytes: u64,
-        before_cycles: u64,
-        run: AccelRun,
-        insert: impl FnOnce(&SharedTimingCache, u64, AccelEntry),
-    ) {
-        let Some(cache) = &self.timing_cache else {
-            return;
-        };
-        let after_cycles = self.gemmini.as_ref().map_or(0, |g| g.total_cycles());
-        let Some(cycles_delta) = after_cycles.checked_sub(before_cycles) else {
-            return;
-        };
-        let bus_bytes = self.mem.bus().total_bytes() - before_bytes;
-        insert(
-            cache,
-            self.timing_fingerprint,
-            AccelEntry {
-                run,
-                bus_bytes,
-                cycles_delta,
-            },
-        );
     }
 
     /// Records one accelerator command stream as a `gemmini-tile` span
@@ -1163,14 +1087,15 @@ mod tests {
         };
 
         // Populate: a first mission expands everything cold into the
-        // shared cache (the second Memcpy hits the in-memory cache, so
-        // one kernel + one conv + one matmul entry land on "disk").
+        // shared cache. Only CPU kernels are persisted, and the second
+        // Memcpy hits the in-memory cache, so one kernel entry lands on
+        // "disk"; the conv and matmul are timed afresh on every run.
         let cache = SharedTimingCache::in_memory();
         let mut warmup = scripted_soc(ops());
         warmup.set_timing_cache(cache.clone());
         warmup.run_cycles(100_000_000);
         assert!(warmup.halted());
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.len(), 1);
 
         // A cacheless run and a warm-cache run of the same mission must
         // finish in bit-identical states: counters, caches, bus, RNG,
@@ -1181,7 +1106,7 @@ mod tests {
         warm.set_timing_cache(cache.clone());
         warm.run_cycles(100_000_000);
         let (hits, _) = cache.counters();
-        assert!(hits >= 3, "warm run should replay all three entries");
+        assert_eq!(hits, 1, "warm run should replay the kernel entry");
         assert_eq!(cold.stats(), warm.stats());
         assert_eq!(state(&cold), state(&warm));
         // And the warmup run itself matches too (cold-with-recording).

@@ -2,30 +2,31 @@
 //!
 //! The in-memory cost caches in [`crate::soc::Soc`] already guarantee that
 //! each distinct kernel shape is expanded at most once *per mission*. A
-//! sweep (fig10–16, `dse_accel`, `freq_sweep`) still re-expands every
-//! kernel once per mission, and expansion dominates the `rtl-grant` phase
-//! on short missions. This module widens those caches across *processes*:
-//! a versioned on-disk table, keyed by a [`SocConfig`] fingerprint plus
-//! the kernel descriptor, loaded at mission start and shared by every
-//! mission of a sweep — so a swept configuration expands each kernel
-//! exactly once per machine, not once per mission.
+//! sweep (fig10–16, `dse_accel`, `freq_sweep`) still re-expands every CPU
+//! kernel once per mission, and that expansion — milliseconds per kernel
+//! — dominates the `rtl-grant` phase on short missions. This module widens
+//! the CPU-kernel cache across *processes*: a versioned on-disk table,
+//! keyed by a [`SocConfig`] fingerprint plus the kernel descriptor, loaded
+//! at mission start and shared by every mission of a sweep — so a swept
+//! configuration expands each kernel exactly once per machine, not once
+//! per mission.
+//!
+//! Accelerator timing ([`crate::gemmini`]) is not persisted: it is a
+//! closed form over at most four block classes, a fraction of a
+//! microsecond per call, so a cold call already costs what a replay
+//! would. The SoC's per-mission memo is all it needs.
 //!
 //! # The digest-invisibility contract
 //!
 //! Replaying an entry must be **bit-identical** to the cold expansion it
 //! stands in for: the same counter deltas, the same memory-hierarchy
-//! state, the same branch-RNG position, the same bus traffic. The cache
-//! key makes that sound:
-//!
-//! * CPU-kernel expansion is a pure function of (kernel, memory state,
-//!   branch RNG, core kind, memory geometry). The key therefore covers
-//!   the kernel descriptor, the configuration fingerprint, and a
-//!   *context hash* over the serialized memory state and RNG; the entry
-//!   stores the full post-expansion memory image so a replay restores
-//!   exactly the state a cold run would have left.
-//! * Accelerator timing ([`crate::gemmini`]) is a pure function of the
-//!   shape and the configuration alone (`dma_latency` reads no mutable
-//!   state), so conv/matmul entries are context-free.
+//! state, the same branch-RNG position, the same bus traffic. CPU-kernel
+//! expansion is a pure function of (kernel, memory state, branch RNG,
+//! core kind, memory geometry). The key therefore covers the kernel
+//! descriptor, the configuration fingerprint, and a *context hash* over
+//! the serialized memory state and RNG; the entry stores the full
+//! post-expansion memory image so a replay restores exactly the state a
+//! cold run would have left.
 //!
 //! The fingerprint deliberately **excludes** [`SocConfig::name`] (a
 //! label) and the clock (cycle-domain expansion never sees wall time), so
@@ -38,7 +39,6 @@
 //! change or fail it.
 
 use crate::config::SocConfig;
-use crate::gemmini::{AccelRun, ConvShape};
 use crate::kernel::Kernel;
 use rose_sim_core::fnv::Fnv64;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
@@ -83,52 +83,10 @@ pub struct KernelEntry {
     pub post_mem: Vec<u8>,
 }
 
-/// A recorded accelerator run: everything a cold `conv`/`matmul` call
-/// changes outside its return value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccelEntry {
-    /// The run record the cold call returned (for convolutions, after the
-    /// im2col-reuse DMA adjustment).
-    pub run: AccelRun,
-    /// Bytes the cold run recorded on the shared bus. For convolutions
-    /// this is the *pre-adjustment* DMA total (the bus sees the traffic
-    /// before the reuse credit), so it can exceed `run.dma_bytes`.
-    pub bus_bytes: u64,
-    /// Cycles the cold run added to the accelerator's lifetime activity
-    /// counter. For convolutions this can differ from `run.cycles`
-    /// because the compute-floor clamp applies only to the run record.
-    pub cycles_delta: u64,
-}
-
-impl AccelEntry {
-    fn save_state(&self, w: &mut SnapWriter) {
-        let AccelEntry {
-            run,
-            bus_bytes,
-            cycles_delta,
-        } = self;
-        run.save_state(w);
-        w.u64(*bus_bytes);
-        w.u64(*cycles_delta);
-    }
-
-    fn restore_state(r: &mut SnapReader<'_>) -> Result<AccelEntry, SnapError> {
-        Ok(AccelEntry {
-            run: AccelRun::restore_state(r)?,
-            bus_bytes: r.u64()?,
-            cycles_delta: r.u64()?,
-        })
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     /// (config fingerprint, kernel, expansion-context hash) → expansion.
     kernels: BTreeMap<(u64, Kernel, u64), KernelEntry>,
-    /// (config fingerprint, conv shape) → run.
-    convs: BTreeMap<(u64, ConvShape), AccelEntry>,
-    /// (config fingerprint, (m, k, n)) → run.
-    matmuls: BTreeMap<(u64, (usize, usize, usize)), AccelEntry>,
     /// Entries added since load (persist is a no-op while clean).
     // rose-lint: allow(SNAP002, host-side cache bookkeeping, deliberately outside mission snapshots; the timing cache is structural, never simulated state (DESIGN.md 4i))
     dirty: bool,
@@ -154,20 +112,6 @@ impl Inner {
             w.u64(entry.post_rng);
             w.bytes(&entry.post_mem);
         }
-        w.usize(self.convs.len());
-        for ((fp, shape), entry) in &self.convs {
-            w.u64(*fp);
-            shape.save_state(w);
-            entry.save_state(w);
-        }
-        w.usize(self.matmuls.len());
-        for ((fp, (m, k, n)), entry) in &self.matmuls {
-            w.u64(*fp);
-            w.usize(*m);
-            w.usize(*k);
-            w.usize(*n);
-            entry.save_state(w);
-        }
     }
 
     fn restore_state(bytes: &[u8]) -> Result<Inner, SnapError> {
@@ -192,22 +136,6 @@ impl Inner {
                 post_mem: r.bytes()?,
             };
             inner.kernels.insert((fp, kernel, ctx), entry);
-        }
-        let n_convs = r.usize()?;
-        for _ in 0..n_convs {
-            let fp = r.u64()?;
-            let shape = ConvShape::restore_state(&mut r)?;
-            inner.convs.insert((fp, shape), AccelEntry::restore_state(&mut r)?);
-        }
-        let n_matmuls = r.usize()?;
-        for _ in 0..n_matmuls {
-            let fp = r.u64()?;
-            let m = r.usize()?;
-            let k = r.usize()?;
-            let n = r.usize()?;
-            inner
-                .matmuls
-                .insert((fp, (m, k, n)), AccelEntry::restore_state(&mut r)?);
         }
         r.finish()?;
         Ok(inner)
@@ -319,7 +247,9 @@ impl SharedTimingCache {
     /// parameters, and the memory geometry/latencies. The config *name*
     /// and the *clock* are deliberately excluded — neither enters
     /// cycle-domain expansion, so renamed configs and frequency-sweep
-    /// points share entries.
+    /// points share entries. The accelerator parameters enter no kernel
+    /// expansion either, so an accelerator sweep re-expands kernels it
+    /// could share; dropping them would re-key every stored entry.
     pub fn fingerprint(config: &SocConfig) -> u64 {
         let mut w = SnapWriter::new();
         w.u32(MODEL_VERSION);
@@ -390,46 +320,9 @@ impl SharedTimingCache {
         inner.dirty = true;
     }
 
-    /// Looks up a recorded convolution run.
-    pub fn lookup_conv(&self, fp: u64, shape: ConvShape) -> Option<AccelEntry> {
-        let mut inner = self.lock();
-        let hit = inner.convs.get(&(fp, shape)).copied();
-        match hit {
-            Some(_) => inner.hits += 1,
-            None => inner.misses += 1,
-        }
-        hit
-    }
-
-    /// Records a cold convolution run.
-    pub fn insert_conv(&self, fp: u64, shape: ConvShape, entry: AccelEntry) {
-        let mut inner = self.lock();
-        inner.convs.insert((fp, shape), entry);
-        inner.dirty = true;
-    }
-
-    /// Looks up a recorded matmul run.
-    pub fn lookup_matmul(&self, fp: u64, m: usize, k: usize, n: usize) -> Option<AccelEntry> {
-        let mut inner = self.lock();
-        let hit = inner.matmuls.get(&(fp, (m, k, n))).copied();
-        match hit {
-            Some(_) => inner.hits += 1,
-            None => inner.misses += 1,
-        }
-        hit
-    }
-
-    /// Records a cold matmul run.
-    pub fn insert_matmul(&self, fp: u64, m: usize, k: usize, n: usize, entry: AccelEntry) {
-        let mut inner = self.lock();
-        inner.matmuls.insert((fp, (m, k, n)), entry);
-        inner.dirty = true;
-    }
-
-    /// Total entries across the three tables.
+    /// Number of recorded kernel expansions.
     pub fn len(&self) -> usize {
-        let inner = self.lock();
-        inner.kernels.len() + inner.convs.len() + inner.matmuls.len()
+        self.lock().kernels.len()
     }
 
     /// True when no entries are cached.
@@ -461,50 +354,20 @@ mod tests {
     }
 
     fn sample_entries(cache: &SharedTimingCache, fp: u64) {
-        cache.insert_kernel(
-            fp,
-            Kernel::Memcpy { bytes: 4096 },
-            0xfeed,
-            KernelEntry {
-                cycles: 123,
-                instrs: 456,
-                mispredicts: 7,
-                post_rng: 0xabcd,
-                post_mem: vec![1, 2, 3, 4],
-            },
-        );
-        cache.insert_conv(
-            fp,
-            ConvShape {
-                in_c: 3,
-                out_c: 8,
-                out_h: 16,
-                out_w: 16,
-                ksize: 3,
-            },
-            AccelEntry {
-                run: AccelRun {
-                    cycles: 1000,
-                    compute_cycles: 800,
-                    dma_bytes: 4096,
-                    macs: 99,
-                    tiles: 4,
+        for (bytes, ctx, cycles) in [(4096, 0xfeed, 123), (4096, 0xbeef, 124), (64, 0xfeed, 5)] {
+            cache.insert_kernel(
+                fp,
+                Kernel::Memcpy { bytes },
+                ctx,
+                KernelEntry {
+                    cycles,
+                    instrs: 456,
+                    mispredicts: 7,
+                    post_rng: 0xabcd,
+                    post_mem: vec![1, 2, 3, 4],
                 },
-                bus_bytes: 12288,
-                cycles_delta: 950,
-            },
-        );
-        cache.insert_matmul(
-            fp,
-            8,
-            16,
-            32,
-            AccelEntry {
-                run: AccelRun::default(),
-                bus_bytes: 64,
-                cycles_delta: 1,
-            },
-        );
+            );
+        }
     }
 
     #[test]
@@ -523,23 +386,38 @@ mod tests {
             .unwrap();
         assert_eq!(k.cycles, 123);
         assert_eq!(k.post_mem, vec![1, 2, 3, 4]);
-        let c = reloaded
-            .lookup_conv(
-                fp,
-                ConvShape {
-                    in_c: 3,
-                    out_c: 8,
-                    out_h: 16,
-                    out_w: 16,
-                    ksize: 3,
-                },
-            )
+        let other_ctx = reloaded
+            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 4096 }, 0xbeef)
             .unwrap();
-        assert_eq!(c.bus_bytes, 12288);
-        assert_eq!(c.cycles_delta, 950);
-        assert!(reloaded.lookup_matmul(fp, 8, 16, 32).is_some());
-        // Wrong fingerprint: every table misses.
-        assert!(reloaded.lookup_matmul(fp ^ 1, 8, 16, 32).is_none());
+        assert_eq!(other_ctx.cycles, 124);
+        assert!(reloaded
+            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 64 }, 0xfeed)
+            .is_some());
+        // Wrong fingerprint or context: a miss.
+        assert!(reloaded
+            .lookup_kernel(fp ^ 1, &Kernel::Memcpy { bytes: 4096 }, 0xfeed)
+            .is_none());
+        assert!(reloaded
+            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 64 }, 0xbeef)
+            .is_none());
+        assert_eq!(reloaded.counters(), (3, 2));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn file_with_accelerator_tables_loads_empty() {
+        // The earlier layout followed the kernel table with conv and
+        // matmul tables. Even empty ones leave trailing bytes, so such a
+        // file is rejected whole and the cache starts empty.
+        let path = temp_path("accel-tables");
+        let old = SharedTimingCache::in_memory();
+        sample_entries(&old, 1);
+        let mut w = SnapWriter::new();
+        old.lock().save_state(&mut w);
+        w.usize(0);
+        w.usize(0);
+        std::fs::write(&path, w.into_bytes()).unwrap();
+        assert!(SharedTimingCache::load(&path).is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -569,8 +447,6 @@ mod tests {
         let mut w = SnapWriter::new();
         w.section(SNAP_SECTION);
         w.u32(MODEL_VERSION + 1);
-        w.usize(0);
-        w.usize(0);
         w.usize(0);
         std::fs::write(&path, w.into_bytes()).unwrap();
         assert!(SharedTimingCache::load(&path).is_empty());
