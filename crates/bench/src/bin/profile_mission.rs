@@ -8,7 +8,6 @@
 //!                 [--snapshot-at F] [--snapshot-out PATH]
 //!                 [--resume-from PATH]
 //!                 [--deadline-budget F] [--postmortem-out PATH]
-//!                 [--bench-json PATH] [--bench-gate BASELINE]
 //! ```
 //!
 //! `ROSE_TRACE` / `ROSE_METRICS` environment variables are fallbacks for
@@ -37,14 +36,10 @@
 //!   simulated seconds; misses trigger flight-recorder postmortems.
 //! * `--postmortem-out PATH` writes any postmortems the flight recorder
 //!   dumped (a JSON array) — CI uploads this as a failure artifact.
-//! * `--bench-json PATH` writes the schema-versioned perf-trajectory
-//!   record (simulated-µs per wall-second, per-phase wall breakdown,
-//!   determinism digest).
-//! * `--bench-gate BASELINE` compares this run's throughput against a
-//!   committed bench JSON and exits nonzero on a >15% degradation. When
-//!   BASELINE is a directory it is scanned for `BENCH_*.json` records and
-//!   the gate runs against the best (highest-throughput) point of the
-//!   trajectory, so past perf wins ratchet the floor.
+//!
+//! `--seconds` must be finite and positive, `--snapshot-at` and
+//! `--deadline-budget` finite and non-negative; anything else is a usage
+//! error (exit 2).
 //!
 //! The mission runs against the persisted timing cache selected by
 //! `ROSE_TIMING_CACHE` (set it to `0` to force a cold run) and persists
@@ -56,13 +51,6 @@ use rose::snapshot::{Mission, MissionSnapshot};
 use rose_trace::{json, Phase, Stopwatch, Track};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Schema tag stamped into every `--bench-json` record.
-const BENCH_SCHEMA: &str = "rose-bench-v1";
-
-/// `--bench-gate` fails when throughput drops below this fraction of the
-/// baseline (a >15% degradation).
-const BENCH_GATE_RATIO: f64 = 0.85;
 
 struct Args {
     trace: Option<PathBuf>,
@@ -76,8 +64,6 @@ struct Args {
     resume_from: Option<PathBuf>,
     deadline_budget: Option<f64>,
     postmortem_out: Option<PathBuf>,
-    bench_json: Option<PathBuf>,
-    bench_gate: Option<PathBuf>,
 }
 
 fn usage() -> ! {
@@ -85,10 +71,18 @@ fn usage() -> ! {
         "usage: profile_mission [--trace out.json] [--metrics out.csv] \
          [--seconds F] [--check] [--determinism] [--profile] \
          [--snapshot-at F] [--snapshot-out PATH] [--resume-from PATH] \
-         [--deadline-budget F] [--postmortem-out PATH] \
-         [--bench-json PATH] [--bench-gate BASELINE]"
+         [--deadline-budget F] [--postmortem-out PATH]"
     );
     std::process::exit(2)
+}
+
+/// The value after a numeric flag, or [`usage`] when it is missing,
+/// unparsable, non-finite or rejected by `ok`.
+fn number(value: Option<String>, ok: fn(f64) -> bool) -> f64 {
+    value
+        .and_then(|s| s.parse::<f64>().ok())
+        .filter(|v| v.is_finite() && ok(*v))
+        .unwrap_or_else(|| usage())
 }
 
 fn parse_args() -> Args {
@@ -104,46 +98,21 @@ fn parse_args() -> Args {
         resume_from: None,
         deadline_budget: None,
         postmortem_out: None,
-        bench_json: None,
-        bench_gate: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--trace" => args.trace = Some(it.next().unwrap_or_else(|| usage()).into()),
             "--metrics" => args.metrics = Some(it.next().unwrap_or_else(|| usage()).into()),
-            "--seconds" => {
-                args.seconds = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--seconds" => args.seconds = number(it.next(), |v| v > 0.0),
             "--check" => args.check = true,
             "--determinism" => args.determinism = true,
             "--profile" => args.profile = true,
-            "--deadline-budget" => {
-                args.deadline_budget = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--deadline-budget" => args.deadline_budget = Some(number(it.next(), |v| v >= 0.0)),
             "--postmortem-out" => {
                 args.postmortem_out = Some(it.next().unwrap_or_else(|| usage()).into())
             }
-            "--bench-json" => {
-                args.bench_json = Some(it.next().unwrap_or_else(|| usage()).into())
-            }
-            "--bench-gate" => {
-                args.bench_gate = Some(it.next().unwrap_or_else(|| usage()).into())
-            }
-            "--snapshot-at" => {
-                args.snapshot_at = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--snapshot-at" => args.snapshot_at = Some(number(it.next(), |v| v >= 0.0)),
             "--snapshot-out" => {
                 args.snapshot_out = it.next().unwrap_or_else(|| usage()).into()
             }
@@ -270,103 +239,6 @@ fn run_with_snapshot(config: &MissionConfig, at: f64, out: &PathBuf) -> Result<M
     Ok(report)
 }
 
-/// Renders the `--bench-json` perf-trajectory record: throughput, the
-/// per-phase wall breakdown, and the run's determinism digest.
-fn bench_record(report: &MissionReport) -> String {
-    let wall_s = report.profile.total_wall().as_secs_f64();
-    let sim_us_per_wall_s = if wall_s > 0.0 {
-        report.sim_time_s * 1e6 / wall_s
-    } else {
-        0.0
-    };
-    let mut phases = String::new();
-    for (i, phase) in Phase::ALL.iter().enumerate() {
-        if i > 0 {
-            phases.push(',');
-        }
-        phases.push_str(&format!(
-            "\"{}\":{{\"total_us\":{:.1},\"calls\":{}}}",
-            phase.name(),
-            report.profile.total(*phase).as_secs_f64() * 1e6,
-            report.profile.count(*phase),
-        ));
-    }
-    format!(
-        "{{\"schema\":\"{BENCH_SCHEMA}\",\"sim_s\":{:.6},\"wall_s\":{:.6},\
-         \"sim_us_per_wall_s\":{:.1},\"syncs\":{},\"digest\":\"{:#018x}\",\
-         \"phases\":{{{phases}}}}}\n",
-        report.sim_time_s,
-        wall_s,
-        sim_us_per_wall_s,
-        report.sync_stats.syncs,
-        MissionDigest::of(report).combined(),
-    )
-}
-
-/// Extracts the schema-checked throughput from one bench JSON document.
-fn bench_throughput(doc: &str, what: &str) -> Result<f64, String> {
-    let parsed = json::parse(doc).map_err(|e| format!("{what}: bad JSON: {e}"))?;
-    match parsed.get("schema").and_then(|s| s.as_str()) {
-        Some(BENCH_SCHEMA) => {}
-        other => return Err(format!("{what}: schema {other:?}, want {BENCH_SCHEMA:?}")),
-    }
-    parsed
-        .get("sim_us_per_wall_s")
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("{what}: sim_us_per_wall_s missing"))
-}
-
-/// Resolves the gate baseline: a single bench JSON, or a directory scanned
-/// for `BENCH_*.json` records, in which case the best (highest-throughput)
-/// point of the whole trajectory is the baseline — past perf wins ratchet
-/// the floor instead of resetting it at every record.
-fn bench_baseline(path: &PathBuf) -> Result<(f64, String), String> {
-    if !path.is_dir() {
-        let doc = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading baseline {}: {e}", path.display()))?;
-        let label = path.display().to_string();
-        return Ok((bench_throughput(&doc, &label)?, label));
-    }
-    let mut best: Option<(f64, String)> = None;
-    let entries = std::fs::read_dir(path)
-        .map_err(|e| format!("scanning baseline dir {}: {e}", path.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("scanning {}: {e}", path.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-            continue;
-        }
-        let doc = std::fs::read_to_string(entry.path())
-            .map_err(|e| format!("reading {name}: {e}"))?;
-        let throughput = bench_throughput(&doc, &name)?;
-        if best.as_ref().is_none_or(|(b, _)| throughput > *b) {
-            best = Some((throughput, name));
-        }
-    }
-    best.ok_or_else(|| format!("no BENCH_*.json records in {}", path.display()))
-}
-
-/// The `--bench-gate` regression check: the current run's throughput must
-/// stay within [`BENCH_GATE_RATIO`] of the baseline's (see
-/// [`bench_baseline`] for how a directory baseline resolves).
-fn bench_gate(current: &str, baseline_path: &PathBuf) -> Result<(), String> {
-    let (base, label) = bench_baseline(baseline_path)?;
-    let cur = bench_throughput(current, "current run")?;
-    if cur < base * BENCH_GATE_RATIO {
-        return Err(format!(
-            "throughput regression: {cur:.1} sim-us/wall-s vs baseline {base:.1} \
-             from {label} (floor {:.1}, -{:.1}%)",
-            base * BENCH_GATE_RATIO,
-            (1.0 - cur / base) * 100.0,
-        ));
-    }
-    println!(
-        "bench gate: {cur:.1} sim-us/wall-s vs baseline {base:.1} from {label} ({:+.1}%) — ok",
-        (cur / base - 1.0) * 100.0,
-    );
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     let mut config = MissionConfig {
@@ -457,22 +329,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             println!("wrote {}", path.display());
-        }
-    }
-    if args.bench_json.is_some() || args.bench_gate.is_some() {
-        let record = bench_record(&report);
-        if let Some(path) = &args.bench_json {
-            if let Err(e) = std::fs::write(path, &record) {
-                eprintln!("error: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", path.display());
-        }
-        if let Some(baseline) = &args.bench_gate {
-            if let Err(e) = bench_gate(&record, baseline) {
-                eprintln!("bench gate FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
         }
     }
     if args.check {

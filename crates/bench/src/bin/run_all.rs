@@ -1,7 +1,6 @@
 //! Runs every table/figure experiment in sequence (the artifact's
 //! `run-all.sh`). Each mission sweep fans its independent scenarios out
-//! over a worker pool; control the width with `--jobs N` or
-//! `ROSE_BENCH_JOBS`.
+//! over a worker pool; control the width with `--jobs N`.
 fn main() {
     println!("sweep parallelism: {} jobs", rose_bench::default_jobs());
     for (name, f) in [

@@ -1,10 +1,10 @@
 //! Experiment runners, one per table/figure of the paper's evaluation.
 //!
-//! Every runner uses [`rose::mission`]'s configurations so the binaries,
-//! integration tests, and Criterion benches measure the same scenarios.
-//! Mission sweeps are independent per point (each has its own seed and
-//! state), so they fan out over [`crate::parallel::parallel_map`] with the
-//! worker count from `--jobs` / `ROSE_BENCH_JOBS`.
+//! Every runner uses [`rose::mission`]'s configurations so the binaries
+//! and integration tests measure the same scenarios. Mission sweeps are
+//! independent per point (each has its own seed and state), so they fan
+//! out over [`crate::parallel::parallel_map`] with the worker count from
+//! `--jobs`.
 
 use crate::parallel::{default_jobs, parallel_map};
 use crate::report::TextTable;

@@ -2,8 +2,8 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (see DESIGN.md §3 for the index); this library holds
-//! the shared experiment runners so binaries, integration tests, and
-//! Criterion benches use identical configurations.
+//! the shared experiment runners so binaries and integration tests use
+//! identical configurations.
 //!
 //! Results print as aligned text tables and are also written as CSV into
 //! `results/` (mirroring the artifact's CSV logs in

@@ -4,29 +4,18 @@
 //! self-contained [`rose::mission::MissionConfig`] with its own seed and
 //! no shared state — so the runners fan the points out over a small
 //! worker pool and collect results in input order. The worker count is
-//! taken from the `--jobs N` / `-j N` command-line flag or the
-//! `ROSE_BENCH_JOBS` environment variable, defaulting to the machine's
-//! available parallelism.
+//! taken from the `--jobs N` / `-j N` command-line flag, defaulting to the
+//! machine's available parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The configured sweep parallelism: `ROSE_BENCH_JOBS`, else `--jobs N`
-/// (or `-j N` / `--jobs=N`) from the command line, else the machine's
-/// available parallelism. Always at least 1.
+/// The configured sweep parallelism: `--jobs N` (or `-j N` / `--jobs=N`)
+/// from the command line, else the machine's available parallelism.
+/// Always at least 1.
 pub fn default_jobs() -> usize {
-    if let Some(n) = std::env::var("ROSE_BENCH_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    if let Some(n) = jobs_from_args(std::env::args().skip(1)) {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    jobs_from_args(std::env::args().skip(1))
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Parses `--jobs N`, `--jobs=N`, or `-j N` out of an argument list.

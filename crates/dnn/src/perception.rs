@@ -48,11 +48,6 @@ impl ClassProbs {
         self.0[0]
     }
 
-    /// Probability of the `Center` class.
-    pub fn center(&self) -> f64 {
-        self.0[1]
-    }
-
     /// Probability of the `Right` class.
     pub fn right(&self) -> f64 {
         self.0[2]

@@ -353,11 +353,6 @@ impl InferencePlan {
             })
             .sum()
     }
-
-    /// Number of framework nodes (operators) for overhead accounting.
-    pub fn node_count(&self) -> usize {
-        self.ops.len()
-    }
 }
 
 /// Builds a weighted network for `spec` with deterministic initialization.

@@ -108,14 +108,6 @@ impl Image {
             pixels: bytes,
         }
     }
-
-    /// Mean brightness of the image in `[0, 255]`.
-    pub fn mean_brightness(&self) -> f64 {
-        if self.pixels.is_empty() {
-            return 0.0;
-        }
-        self.pixels.iter().map(|&p| p as f64).sum::<f64>() / self.pixels.len() as f64
-    }
 }
 
 /// Renders the view from `pos` at heading `yaw` into an [`Image`].

@@ -119,15 +119,6 @@ impl RigidBodyState {
         })
     }
 
-    /// State at rest on the ground at `position` with the given heading.
-    pub fn grounded_at(position: Vec3, yaw: f64) -> RigidBodyState {
-        RigidBodyState {
-            position,
-            attitude: Quat::from_euler(0.0, 0.0, yaw),
-            ..RigidBodyState::default()
-        }
-    }
-
     /// Current yaw (heading) angle.
     pub fn yaw(&self) -> f64 {
         self.attitude.yaw()

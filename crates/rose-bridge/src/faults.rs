@@ -326,11 +326,6 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     /// Unwraps the decorator.
     pub fn into_inner(self) -> T {
         self.inner

@@ -727,11 +727,6 @@ impl<T: Transport> RemoteRtl<T> {
         self.outbox.len()
     }
 
-    /// Payloads received from the remote SoC awaiting `drain_tx`.
-    pub fn pending_rx(&self) -> usize {
-        self.inbox.len()
-    }
-
     /// Records a transport failure: the endpoint reports halted so the
     /// mission loop winds down at the next sync boundary, and the error is
     /// surfaced through [`RtlSide::take_fault`]. Only the first fault is

@@ -90,9 +90,9 @@ pub struct MissionConfig {
     /// mission abort. 0 (the default) never aborts.
     pub degraded_abort_streak: u64,
     /// Optional shared timing cache (DESIGN.md §4i): the SoC replays
-    /// previously expanded kernel and accelerator costs instead of
-    /// re-deriving them, with bit-identical mission digests. `None` (the
-    /// default) runs every mission cold.
+    /// previously expanded CPU-kernel costs instead of re-deriving them,
+    /// with bit-identical mission digests. `None` (the default) runs every
+    /// mission cold.
     pub timing_cache: Option<rose_socsim::SharedTimingCache>,
 }
 

@@ -23,11 +23,6 @@ impl SocRtl {
         &self.soc
     }
 
-    /// Mutable SoC access (between sync periods).
-    pub fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.soc
-    }
-
     /// Unwraps the SoC.
     pub fn into_soc(self) -> Soc {
         self.soc

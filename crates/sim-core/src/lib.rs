@@ -16,8 +16,8 @@
 //!   [`math::Vec3`], [`math::Quat`], and helpers.
 //! * [`pid`] — a production-style PID controller with output limits and
 //!   integral anti-windup, used by the flight controller cascade.
-//! * [`stats`] — streaming statistics and histograms used by the benchmark
-//!   harness.
+//! * [`stats`] — streaming summary statistics (count, mean, variance,
+//!   extrema) behind the metric registry.
 //! * [`csv`] — minimal CSV log writing matching the artifact's CSV outputs.
 //! * [`snap`] — the versioned, dependency-free snapshot codec behind
 //!   mission snapshot / fork / resume.

@@ -90,11 +90,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared length (avoids the square root).
-    pub fn norm_sq(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Unit vector in the same direction, or zero if the vector is zero.
     pub fn normalized(self) -> Vec3 {
         let n = self.norm();
@@ -118,11 +113,6 @@ impl Vec3 {
     /// The horizontal (XY-plane) projection.
     pub fn horizontal(self) -> Vec3 {
         Vec3::new(self.x, self.y, 0.0)
-    }
-
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
     }
 
     /// True if all components are finite.

@@ -1,4 +1,4 @@
-//! Streaming statistics and histograms for the benchmark harness.
+//! Streaming summary statistics.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -149,150 +149,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A collection of all observations, supporting exact percentiles.
-///
-/// Used where the benchmark harness needs tail latencies rather than moments.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct Samples {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Samples {
-    /// An empty sample set.
-    pub fn new() -> Samples {
-        Samples::default()
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.values.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The `p`-th percentile (0–100) by nearest-rank, or `None` if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.values.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.values
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        let rank = ((p / 100.0) * (self.values.len() - 1) as f64).round() as usize;
-        Some(self.values[rank])
-    }
-
-    /// Arithmetic mean, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
-    /// A read-only view of the raw values (insertion order not guaranteed
-    /// after a percentile query).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl FromIterator<f64> for Samples {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Samples {
-        Samples {
-            values: iter.into_iter().collect(),
-            sorted: false,
-        }
-    }
-}
-
-impl Extend<f64> for Samples {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        self.values.extend(iter);
-        self.sorted = false;
-    }
-}
-
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` equal buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Histogram {
-        assert!(n > 0, "histogram needs at least one bucket");
-        assert!(lo < hi, "histogram range inverted");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.buckets.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.buckets[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Bucket counts (excluding under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count of observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of observations including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,28 +220,5 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn percentiles() {
-        let mut s: Samples = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(s.percentile(0.0), Some(1.0));
-        assert_eq!(s.percentile(100.0), Some(100.0));
-        assert_eq!(s.percentile(50.0), Some(51.0)); // nearest-rank on 0..99
-        assert_eq!(s.len(), 100);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(10.0);
-        assert!(h.buckets().iter().all(|&c| c == 1));
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 12);
     }
 }

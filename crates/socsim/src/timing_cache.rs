@@ -143,10 +143,10 @@ impl Inner {
 }
 
 /// A cloneable, thread-safe handle to one timing cache, shared by every
-/// mission of a sweep (clones share storage). Parallel-sync missions and
-/// multi-threaded sweeps hit it concurrently, hence the mutex; the lock
-/// is only taken on *in-memory-cache misses*, which happen a handful of
-/// times per mission.
+/// mission of a sweep (clones share storage). The missions of a
+/// multi-threaded sweep hit it concurrently, hence the mutex; the lock is
+/// only taken on *in-memory-cache misses*, which happen a handful of times
+/// per mission.
 #[derive(Debug, Clone)]
 pub struct SharedTimingCache {
     path: Option<PathBuf>,

@@ -1,10 +1,10 @@
 //! Log-bucketed latency histogram with quantile estimation.
 //!
 //! [`Summary`](rose_sim_core::stats::Summary) gives exact count/mean/min/
-//! max in O(1) memory but no quantiles; [`Samples`](rose_sim_core::stats)
-//! gives exact quantiles but unbounded memory. `LogHistogram` sits in
-//! between: fixed memory (one `u64` per bucket), bounded relative error,
-//! and mergeable/subtractable buckets — the shape needed for always-on
+//! max in O(1) memory but no quantiles; keeping every sample gives exact
+//! quantiles but unbounded memory. `LogHistogram` sits in between: fixed
+//! memory (one `u64` per bucket), bounded relative error, and
+//! mergeable/subtractable buckets — the shape needed for always-on
 //! telemetry (p50/p90/p99/p99.9 of quantum wall time, grant latency,
 //! queue depth, kernel cycles, control-loop slack) and for combining
 //! forked-mission branches without double-counting a shared warm-start

@@ -197,32 +197,6 @@ impl Tracer {
         }
     }
 
-    /// Opens a paired span at environment frame `frame`; see
-    /// [`span_begin_cycles`](Tracer::span_begin_cycles).
-    #[inline]
-    pub fn span_begin_frames(
-        &mut self,
-        track: Track,
-        name: &'static str,
-        frame: u64,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        if let Some(buf) = &self.inner {
-            let ts = buf.clock.frames_to_us(frame);
-            self.push(track, name, ts, EventKind::Begin, args);
-        }
-    }
-
-    /// Closes a paired span at environment frame `frame`; see
-    /// [`span_end_cycles`](Tracer::span_end_cycles).
-    #[inline]
-    pub fn span_end_frames(&mut self, track: Track, name: &'static str, frame: u64) {
-        if let Some(buf) = &self.inner {
-            let ts = buf.clock.frames_to_us(frame);
-            self.push(track, name, ts, EventKind::End, Vec::new());
-        }
-    }
-
     /// Records an instant at SoC cycle `cycle`.
     #[inline]
     pub fn instant_cycles(
