@@ -10,11 +10,10 @@ use crate::parallel::{default_jobs, parallel_map};
 use crate::report::TextTable;
 use crate::timing::with_timing_cache;
 use rose::app::ControllerChoice;
-use rose::mission::{
-    build_mission, finish_report, mission_parts, run_mission, MissionConfig, MissionReport,
-};
+use rose::mission::{run_mission, run_remote_mission, MissionConfig, MissionReport};
 use rose::snapshot::{Mission, MissionSnapshot};
-use rose_bridge::sync::{rtl_wall, serve_rtl, RemoteRtl, Synchronizer};
+use rose_bridge::faults::FaultPlan;
+use rose_bridge::sync::rtl_wall;
 use rose_bridge::transport::TcpTransport;
 use rose_dnn::lower::time_inference;
 use rose_dnn::DnnModel;
@@ -24,7 +23,6 @@ use rose_sim_core::cycles::{FrameSpec, SyncRatio};
 use rose_socsim::SocConfig;
 use rose_trace::Phase;
 use std::net::TcpListener;
-use std::thread;
 
 /// Table 2: the evaluated hardware configurations.
 pub fn table2() -> TextTable {
@@ -264,33 +262,20 @@ pub fn fig15(sim_seconds_per_point: f64) -> Vec<Fig15Point> {
                 max_sim_seconds: sim_seconds_per_point,
                 ..MissionConfig::default()
             });
-            let (env, mut rtl, sync_config, _metrics) = mission_parts(&mission);
-
             // Serve the SoC behind TCP, as FireSim is in the paper.
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind fig15 listener");
             let addr = listener.local_addr().expect("listener addr");
-            let server = thread::spawn(move || {
-                let mut transport = TcpTransport::accept(&listener).expect("accept");
-                serve_rtl(&mut transport, &mut rtl).expect("serve_rtl");
-            });
-
-            let remote = RemoteRtl::new(TcpTransport::connect(addr).expect("connect"));
-            let mut sync = Synchronizer::new(sync_config, env, remote);
-            let syncs =
-                (sim_seconds_per_point * 100.0 / frames_per_sync as f64).ceil() as u64;
-            sync.run_syncs(syncs.max(1));
-            let stats = *sync.stats();
-            let profile = sync.profiler().clone();
-            let (_, remote) = sync.into_parts();
-            remote.shutdown().expect("shutdown");
-            server.join().expect("server thread");
-
+            let client = TcpTransport::connect(addr).expect("connect");
+            let server = TcpTransport::accept(&listener).expect("accept");
+            let ratio = SyncRatio::new(mission.soc.clock, FrameSpec::from_hz(mission.frame_hz));
+            let run = run_remote_mission(&mission, client, server, FaultPlan::default()).report;
+            let profile = &run.profile;
             Fig15Point {
                 frames_per_sync,
-                cycles_per_sync: sync_config.cycles_per_sync(),
-                sim_mhz: stats.throughput_hz(profile.total_wall()) / 1e6,
+                cycles_per_sync: ratio.cycles_for_frames(frames_per_sync),
+                sim_mhz: run.sync_stats.throughput_hz(profile.total_wall()) / 1e6,
                 env_wall_s: profile.total(Phase::EnvStep).as_secs_f64(),
-                rtl_wall_s: rtl_wall(&profile).as_secs_f64(),
+                rtl_wall_s: rtl_wall(profile).as_secs_f64(),
             }
         })
         .collect()
@@ -377,7 +362,5 @@ pub fn smoke_mission() -> MissionReport {
         max_sim_seconds: 2.0,
         ..MissionConfig::default()
     };
-    let (mut sync, metrics) = build_mission(&mission);
-    sync.run_until(u64::MAX, |env, _| env.sim().time() >= 2.0);
-    finish_report(&mission, sync, &metrics)
+    run_mission(&mission)
 }

@@ -7,6 +7,12 @@
 //! the goal (or times out), and reports the paper's quantitative metrics:
 //! mission time, average flight velocity, collision count, inference
 //! latency, and accelerator activity factor.
+//!
+//! Every topology flies one loop, `drive_mission`: the in-process SoC
+//! ([`run_mission`], [`run_mission_multitenant`]) and the SoC served from
+//! its own thread behind a transport ([`run_remote_mission`], over TCP or
+//! a fault-injected channel in [`run_mission_with_faults`]). Only the
+//! per-endpoint inputs of each quantum's flight sample differ.
 
 use crate::app::{AppMetrics, ControlGains, ControllerChoice, TrailNavApp};
 use crate::envside::CoSimEnv;
@@ -15,10 +21,10 @@ use crate::snapshot::Mission;
 use parking_lot::Mutex;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
-    rtl_wall, serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, SyncConfig, SyncMode, SyncStats,
-    SyncTelemetry, Synchronizer,
+    rtl_wall, serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, RtlSide, SyncConfig, SyncMode,
+    SyncStats, SyncTelemetry, Synchronizer,
 };
-use rose_bridge::transport::ChannelTransport;
+use rose_bridge::transport::{ChannelTransport, Transport};
 use rose_dnn::DnnModel;
 use rose_envsim::uav::{TrajectoryPoint, UavSim, UavSimConfig};
 use rose_envsim::world::{World, WorldKind};
@@ -31,7 +37,7 @@ use rose_socsim::soc::SocStats;
 use rose_socsim::{Soc, SocConfig};
 use rose_trace::{
     FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Phase, Profiler, TraceClock,
-    TraceLog, Tracer,
+    TraceEvent, TraceLog, Tracer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -374,18 +380,83 @@ pub fn run_mission(config: &MissionConfig) -> MissionReport {
     Mission::start(config).run_to_completion()
 }
 
+/// What the mission loop reads from its RTL endpoint beyond the
+/// [`RtlSide`] protocol: the per-topology inputs of each quantum's
+/// [`FlightSample`]. The defaults describe an endpoint with no transport
+/// and no trace buffer.
+pub(crate) trait MissionRtl: RtlSide {
+    /// True once the endpoint has latched a transport fault.
+    fn fault_latched(&self) -> bool {
+        false
+    }
+
+    /// Cumulative transport-recovery retries.
+    fn recovery_retries(&self) -> u64 {
+        0
+    }
+
+    /// The SoC's recorded trace events, for postmortem attribution.
+    fn recent_events(&self) -> &[TraceEvent] {
+        &[]
+    }
+}
+
+/// In-process RTL: no transport, so never a fault and never recovery
+/// work; attribution reads the SoC tracer's buffer non-destructively
+/// (with tracing off an empty slice, so the recorder costs a few counter
+/// compares per quantum).
+impl MissionRtl for SocRtl {
+    fn recent_events(&self) -> &[TraceEvent] {
+        self.soc().tracer().events()
+    }
+}
+
+/// Remote RTL: the link can fault and recover, but the SoC's tracer
+/// buffer lives on the server thread, so attribution sees only boundary
+/// samples.
+impl<T: Transport> MissionRtl for RemoteRtl<T> {
+    fn fault_latched(&self) -> bool {
+        self.fault().is_some()
+    }
+
+    fn recovery_retries(&self) -> u64 {
+        self.recovery_stats().retries
+    }
+}
+
+/// Flies `sync` to the end of the mission with `drive_mission` and a
+/// fresh flight recorder, then reports, with `into_soc` handing back the
+/// SoC the RTL endpoint drives.
+pub(crate) fn fly_mission<R: MissionRtl>(
+    config: &MissionConfig,
+    mut sync: Synchronizer<CoSimEnv, R>,
+    metrics: &Mutex<AppMetrics>,
+    into_soc: impl FnOnce(R) -> SocRtl,
+) -> MissionReport {
+    let mut flight = FlightRecorder::default();
+    let postmortems = drive_mission(config, &mut sync, metrics, &mut flight);
+    let mut report = finish_report(config, sync, metrics, into_soc);
+    report.postmortems = postmortems;
+    report.flight_occupancy = flight.occupancy();
+    report.flight_capacity = flight.capacity();
+    report
+}
+
 /// Steps the co-simulation one synchronization period at a time until the
-/// mission completes, the program halts, or the simulated-time wall is
-/// reached, feeding `flight` one [`FlightSample`] per quantum. Returns the
+/// mission completes, the program halts or latches a fault, the
+/// application requests an abort, or the simulated-time wall is reached,
+/// feeding `flight` one [`FlightSample`] per quantum. Returns the
 /// postmortem JSON documents the recorder dumped.
 ///
 /// The per-quantum loop is host bookkeeping only — the simulated system
 /// sees exactly the same grant sequence as one
 /// [`Synchronizer::run_until`] call, so trajectories and the determinism
-/// digest are unchanged.
-pub fn drive_mission(
+/// digest are unchanged. It stays apart from the report assembly in
+/// [`fly_mission`]: merged into one function, it measured about 2%
+/// slower on the `flight-warm` benchmark workload (2-vCPU x86-64 VM).
+fn drive_mission<R: MissionRtl>(
     config: &MissionConfig,
-    sync: &mut Synchronizer<CoSimEnv, SocRtl>,
+    sync: &mut Synchronizer<CoSimEnv, R>,
     metrics: &Mutex<AppMetrics>,
     flight: &mut FlightRecorder,
 ) -> Vec<String> {
@@ -393,31 +464,28 @@ pub fn drive_mission(
     let mut postmortems = Vec::new();
     while sync.stats().syncs < max_syncs {
         let before = *sync.stats();
-        let (env_before, rtl_before) = side_walls(sync.profiler());
+        let walls_before = side_walls(sync.profiler());
         if sync.run_until(1, |env, _| env.sim().mission_complete()) == 0 {
-            break; // mission complete or program halted
+            break; // mission complete, program halted, or fault latched
         }
         let after = *sync.stats();
-        let (env_after, rtl_after) = side_walls(sync.profiler());
+        let walls_after = side_walls(sync.profiler());
+        let [env_wall_us, rtl_wall_us, recovery_us] =
+            std::array::from_fn(|i| (walls_after[i] - walls_before[i]).as_secs_f64() * 1e6);
+        let rtl = sync.rtl();
         let sample = FlightSample {
             sync: after.syncs,
             sim_time_s: sync.env().sim().time(),
             collisions: sync.env().sim().collision_count() as u64,
             deadline_misses: metrics.lock().deadline_misses,
             queue_depth: after.data_to_env - before.data_to_env,
-            env_wall_us: (env_after - env_before).as_secs_f64() * 1e6,
-            rtl_wall_us: (rtl_after - rtl_before).as_secs_f64() * 1e6,
-            // In-process RTL: no transport, so never a fault and never
-            // recovery work.
-            fault: false,
-            recovery_retries: 0,
-            recovery_us: 0.0,
+            env_wall_us,
+            rtl_wall_us,
+            fault: rtl.fault_latched(),
+            recovery_retries: rtl.recovery_retries(),
+            recovery_us,
         };
-        // Attribution reads the SoC tracer's buffer non-destructively;
-        // with tracing off this is an empty slice and the recorder costs
-        // a few counter compares per quantum.
-        let recent = sync.rtl().soc().tracer().events();
-        if let Some(pm) = flight.observe(sample, recent) {
+        if let Some(pm) = flight.observe(sample, rtl.recent_events()) {
             postmortems.push(pm);
         }
         if metrics.lock().abort_requested {
@@ -433,11 +501,16 @@ pub fn drive_mission(
     postmortems
 }
 
-/// The profiler's running totals for the two sides of each quantum — the
-/// environment's frames and the RTL side's grants — from which a
-/// [`FlightSample`] takes its per-quantum deltas.
-fn side_walls(profile: &Profiler) -> (Duration, Duration) {
-    (profile.total(Phase::EnvStep), rtl_wall(profile))
+/// The profiler's running totals for the three host-side walls of each
+/// quantum — the environment's frames, the RTL side's grants, and the
+/// fault recovery carved out of them — from which a [`FlightSample`]
+/// takes its per-quantum deltas.
+fn side_walls(profile: &Profiler) -> [Duration; 3] {
+    [
+        profile.total(Phase::EnvStep),
+        rtl_wall(profile),
+        profile.total(Phase::Recovery),
+    ]
 }
 
 /// Constructs the full co-simulation for `config` without running it
@@ -449,16 +522,27 @@ pub fn build_mission(
     Arc<Mutex<AppMetrics>>,
 ) {
     let (env, rtl, sync_config, metrics) = mission_parts(config);
+    (synchronizer(config, sync_config, env, rtl), metrics)
+}
+
+/// A synchronizer over the mission's endpoints, tracing when `config`
+/// asks for it.
+fn synchronizer<R: RtlSide>(
+    config: &MissionConfig,
+    sync_config: SyncConfig,
+    env: CoSimEnv,
+    rtl: R,
+) -> Synchronizer<CoSimEnv, R> {
     let mut sync = Synchronizer::new(sync_config, env, rtl);
     if config.trace {
         sync.set_tracer(Tracer::enabled(config.trace_clock()));
     }
-    (sync, metrics)
+    sync
 }
 
 /// Constructs the mission's endpoints without a synchronizer — used by
-/// deployments that place the RTL side behind a transport (the paper's
-/// TCP configuration, exercised by the Figure 15 throughput benchmark).
+/// deployments that place the RTL side behind a transport
+/// ([`run_remote_mission`]) and by harnesses that time each endpoint.
 pub fn mission_parts(
     config: &MissionConfig,
 ) -> (CoSimEnv, SocRtl, SyncConfig, Arc<Mutex<AppMetrics>>) {
@@ -557,56 +641,29 @@ pub fn run_mission_multitenant(
     let (telemetry, loops) = TelemetryTask::new(telemetry_block_bytes);
     let shared = TimeShared::new(Box::new(app), Box::new(telemetry), sharing);
     let (env, rtl, sync_config) = mission_parts_with_program(config, Box::new(shared));
-    let mut sync = Synchronizer::new(sync_config, env, rtl);
-    if config.trace {
-        sync.set_tracer(Tracer::enabled(config.trace_clock()));
-    }
-    sync.run_until(config.max_syncs(), |env, _| env.sim().mission_complete());
-    let report = finish_report(config, sync, &metrics);
+    let sync = synchronizer(config, sync_config, env, rtl);
+    let report = fly_mission(config, sync, &metrics, |rtl| rtl);
     let processed = loops.load(std::sync::atomic::Ordering::Relaxed);
     (report, processed)
 }
 
-/// Extracts the report after a run (exposed for benches).
-pub fn finish_report(
+/// Extracts the report from a synchronizer at its current position, with
+/// `into_soc` handing back the SoC its RTL endpoint drives: the endpoint
+/// itself in process, or the SoC a server thread returns once the remote
+/// link is shut down ([`run_remote_mission`]).
+pub(crate) fn finish_report<R: RtlSide>(
     config: &MissionConfig,
-    mut sync: Synchronizer<CoSimEnv, SocRtl>,
+    mut sync: Synchronizer<CoSimEnv, R>,
     metrics: &Mutex<AppMetrics>,
+    into_soc: impl FnOnce(R) -> SocRtl,
 ) -> MissionReport {
     let sync_stats = *sync.stats();
     let sync_telemetry = sync.telemetry().clone();
     let profile = sync.profiler().clone();
     let sync_events = sync.take_trace_events();
     let (env, rtl) = sync.into_parts();
-    assemble_report(
-        config,
-        sync_stats,
-        sync_telemetry,
-        profile,
-        sync_events,
-        env,
-        rtl,
-        metrics,
-    )
-}
-
-/// Assembles a [`MissionReport`] from a run's disassembled pieces. Shared
-/// by the in-process topology ([`finish_report`]) and the remote one
-/// ([`run_mission_with_faults`]), where the RTL endpoint comes back from
-/// the server thread rather than out of the synchronizer.
-#[allow(clippy::too_many_arguments)]
-fn assemble_report(
-    config: &MissionConfig,
-    sync_stats: SyncStats,
-    sync_telemetry: SyncTelemetry,
-    profile: Profiler,
-    sync_events: Vec<rose_trace::TraceEvent>,
-    env: CoSimEnv,
-    rtl: SocRtl,
-    metrics: &Mutex<AppMetrics>,
-) -> MissionReport {
     let mut sim = env.into_sim();
-    let mut soc = rtl.into_soc();
+    let mut soc = into_soc(rtl).into_soc();
     let soc_stats = soc.stats();
     let kernel_cycles = soc.kernel_cycles_hist().clone();
     // Merge each component's owned trace buffer into one chronological log.
@@ -653,12 +710,13 @@ fn assemble_report(
     }
 }
 
-/// Outcome of a mission flown over a fault-injected transport.
+/// Outcome of a mission flown with the SoC behind a transport.
 #[derive(Debug, Clone)]
 pub struct FaultedMissionReport {
     /// The ordinary mission report (trajectory, counters, postmortems).
     pub report: MissionReport,
-    /// What the injector actually fired, by kind.
+    /// What the injector actually fired, by kind (all zero for an empty
+    /// plan).
     pub fault_stats: FaultStats,
     /// What absorbing the faults cost the synchronizer.
     pub recovery: RecoveryStats,
@@ -674,104 +732,63 @@ pub struct FaultedMissionReport {
 /// wrapped in a deterministic fault injector — the full robustness
 /// topology: sequenced packets, the recovery policy of
 /// [`MissionConfig::recovery`], and the application's degradation ladder,
-/// all under one seeded [`FaultPlan`].
-///
-/// The SoC runs on a server thread driven by [`serve_rtl`]; the
-/// synchronizer drives it through [`RemoteRtl`] over a
-/// [`FaultyTransport`]-wrapped [`ChannelTransport`]. Transient faults are
-/// absorbed (and attributed to [`rose_trace::Phase::Recovery`]); only an
-/// exhausted policy latches, winding the mission down at the last
-/// completed sync boundary.
+/// all under one seeded [`FaultPlan`]. See [`run_remote_mission`].
 pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> FaultedMissionReport {
+    let (client, server) = ChannelTransport::pair();
+    run_remote_mission(config, client, server, plan)
+}
+
+/// Runs a mission with the SoC served from its own thread by
+/// [`serve_rtl`] on `server`, while the synchronizer drives it through
+/// [`RemoteRtl`] over `client` — the paper's deployment when the pair is
+/// a [`TcpTransport`](rose_bridge::transport::TcpTransport) connection.
+///
+/// The client side is wrapped in a [`FaultyTransport`] injecting `plan`
+/// (an empty plan injects nothing) under [`MissionConfig::recovery`].
+/// Transient faults are absorbed (and attributed to
+/// [`Phase::Recovery`]); only an exhausted policy latches, winding the
+/// mission down at the last completed sync boundary. The loop is
+/// [`run_mission`]'s, so a clean link flies the in-process mission bit
+/// for bit.
+pub fn run_remote_mission<C, S>(
+    config: &MissionConfig,
+    client: C,
+    server: S,
+    plan: FaultPlan,
+) -> FaultedMissionReport
+where
+    C: Transport,
+    S: Transport + Send + 'static,
+{
     let (env, rtl, sync_config, metrics) = mission_parts(config);
-    let (client, mut server) = ChannelTransport::pair();
     let server_thread = std::thread::spawn(move || {
-        let mut rtl = rtl;
-        let result = serve_rtl(&mut server, &mut rtl);
-        (rtl, result)
+        let (mut server, mut rtl) = (server, rtl);
+        let served = serve_rtl(&mut server, &mut rtl);
+        (rtl, served)
     });
     let remote = RemoteRtl::with_policy(FaultyTransport::new(client, plan), config.recovery);
-    let mut sync = Synchronizer::new(sync_config, env, remote);
-    if config.trace {
-        sync.set_tracer(Tracer::enabled(config.trace_clock()));
-    }
+    let sync = synchronizer(config, sync_config, env, remote);
 
-    let max_syncs = config.max_syncs();
-    let mut flight = FlightRecorder::default();
-    let mut postmortems = Vec::new();
-    let mut aborted = false;
-    while sync.stats().syncs < max_syncs {
-        let before = *sync.stats();
-        let (env_before, rtl_before) = side_walls(sync.profiler());
-        let recovery_before = sync.profiler().total(Phase::Recovery);
-        let ran = sync.run_until(1, |env, _| env.sim().mission_complete());
-        let after = *sync.stats();
-        let (env_after, rtl_after) = side_walls(sync.profiler());
-        let sample = FlightSample {
-            sync: after.syncs,
-            sim_time_s: sync.env().sim().time(),
-            collisions: sync.env().sim().collision_count() as u64,
-            deadline_misses: metrics.lock().deadline_misses,
-            queue_depth: after.data_to_env - before.data_to_env,
-            env_wall_us: (env_after - env_before).as_secs_f64() * 1e6,
-            rtl_wall_us: (rtl_after - rtl_before).as_secs_f64() * 1e6,
-            fault: sync.rtl().fault().is_some(),
-            recovery_retries: sync.rtl().recovery_stats().retries,
-            recovery_us: (sync.profiler().total(Phase::Recovery) - recovery_before)
-                .as_secs_f64()
-                * 1e6,
-        };
-        // The remote SoC's tracer buffer lives on the server thread, so
-        // attribution here sees only boundary samples.
-        if let Some(pm) = flight.observe(sample, &[]) {
-            postmortems.push(pm);
-        }
-        if ran == 0 {
-            break; // complete, halted, or latched fault
-        }
-        if metrics.lock().abort_requested {
-            aborted = true;
-            postmortems.push(flight.postmortem(
-                "mission-abort",
-                "sustained degraded-control streak",
-            ));
-            break;
-        }
-    }
-
-    let sync_stats = *sync.stats();
-    let sync_telemetry = sync.telemetry().clone();
-    let profile = sync.profiler().clone();
-    let sync_events = sync.take_trace_events();
-    let (env, remote) = sync.into_parts();
-    let fault_stats = *remote.transport().stats();
-    let recovery = *remote.recovery_stats();
-    let latched = remote.fault().map(|e| e.to_string());
-    // Orderly shutdown when healthy; on a latched fault this returns the
-    // error and dropping the transport disconnects the server instead.
-    let _ = remote.shutdown();
-    let (rtl, served) = server_thread.join().expect("rtl server thread");
-    debug_assert!(served.is_ok(), "server exited with {served:?}");
-
-    let mut report = assemble_report(
-        config,
-        sync_stats,
-        sync_telemetry,
-        profile,
-        sync_events,
-        env,
-        rtl,
-        &metrics,
-    );
-    report.postmortems = postmortems;
-    report.flight_occupancy = flight.occupancy();
-    report.flight_capacity = flight.capacity();
+    let (mut fault_stats, mut recovery, mut latched) = Default::default();
+    let report = fly_mission(config, sync, &metrics, |remote| {
+        fault_stats = *remote.transport().stats();
+        recovery = *remote.recovery_stats();
+        latched = remote.fault().map(|e| e.to_string());
+        // Orderly shutdown when healthy; on a latched fault this returns
+        // the error and dropping the transport disconnects the server.
+        // That drop is why the runner owns `client`: a borrowed one would
+        // outlive the join and leave the server blocked forever.
+        let _ = remote.shutdown();
+        let (rtl, served) = server_thread.join().expect("rtl server thread");
+        debug_assert!(served.is_ok(), "server exited with {served:?}");
+        rtl
+    });
     FaultedMissionReport {
+        aborted: report.app.abort_requested,
         report,
         fault_stats,
         recovery,
         latched,
-        aborted,
     }
 }
 

@@ -34,12 +34,11 @@
 
 use crate::app::AppMetrics;
 use crate::envside::CoSimEnv;
-use crate::mission::{build_mission, drive_mission, finish_report, MissionConfig, MissionReport};
+use crate::mission::{build_mission, finish_report, fly_mission, MissionConfig, MissionReport};
 use crate::rtlside::SocRtl;
 use parking_lot::Mutex;
 use rose_bridge::sync::Synchronizer;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use rose_trace::FlightRecorder;
 use std::sync::Arc;
 
 /// A running (or paused) mission: the full co-simulation plus its
@@ -107,23 +106,12 @@ impl Mission {
     /// those executed before a snapshot was taken) count against the
     /// wall.
     pub fn run_to_completion(self) -> MissionReport {
-        let Mission {
-            config,
-            mut sync,
-            metrics,
-        } = self;
-        let mut flight = FlightRecorder::default();
-        let postmortems = drive_mission(&config, &mut sync, &metrics, &mut flight);
-        let mut report = finish_report(&config, sync, &metrics);
-        report.postmortems = postmortems;
-        report.flight_occupancy = flight.occupancy();
-        report.flight_capacity = flight.capacity();
-        report
+        fly_mission(&self.config, self.sync, &self.metrics, |rtl| rtl)
     }
 
     /// Extracts the report at the current position without running further.
     pub fn finish(self) -> MissionReport {
-        finish_report(&self.config, self.sync, &self.metrics)
+        finish_report(&self.config, self.sync, &self.metrics, |rtl| rtl)
     }
 
     /// Rotates the UAV in place by `dyaw` radians — the divergence knob

@@ -15,11 +15,12 @@
 //!   abort.
 
 use rose::audit::MissionDigest;
-use rose::mission::{run_mission, run_mission_with_faults, MissionConfig};
+use rose::mission::{run_mission, run_mission_multitenant, run_mission_with_faults, MissionConfig};
 use rose::snapshot::Mission;
 use rose_bridge::faults::{FaultKind, FaultPlan};
 use rose_bridge::sync::RecoveryPolicy;
 use rose_sim_core::math::Vec3;
+use rose_socsim::multitenant::TimeSharedConfig;
 use rose_trace::json;
 
 /// A mission short enough for CI but long enough to reach the goal
@@ -147,8 +148,9 @@ fn exhausted_recovery_latches_and_winds_down_cleanly() {
         "an unsurvivable outage must latch"
     );
     assert!(!outcome.report.completed, "the mission wound down early");
-    // The wind-down is orderly: a transport-fault postmortem names the
-    // failure instead of a panic or a hang.
+    // The wind-down is orderly: exactly one transport-fault postmortem
+    // names the failure instead of a panic or a hang — the recorder dumps
+    // once per failure, not once per sync.
     let reasons: Vec<_> = outcome
         .report
         .postmortems
@@ -161,8 +163,12 @@ fn exhausted_recovery_latches_and_winds_down_cleanly() {
                 .map(str::to_owned)
         })
         .collect();
-    assert!(
-        reasons.iter().any(|r| r.as_deref() == Some("transport-fault")),
+    assert_eq!(
+        reasons
+            .iter()
+            .filter(|r| r.as_deref() == Some("transport-fault"))
+            .count(),
+        1,
         "postmortems: {reasons:?}"
     );
 }
@@ -236,6 +242,26 @@ fn sustained_blackout_walks_the_ladder_to_a_clean_abort() {
     assert!(report.app.degraded_depth >= 10);
     // The abort is documented, not silent.
     assert_eq!(abort_postmortems(&report), 1, "exactly one abort postmortem");
+}
+
+#[test]
+fn multitenant_mission_stops_at_the_abort_rung() {
+    // A background tenant sharing the core must not hide the control
+    // loop's abort request: the mission flies the same loop and stops.
+    let (report, _) = run_mission_multitenant(&aborting(), TimeSharedConfig::default(), 64 * 1024);
+    assert!(
+        report.app.abort_requested,
+        "the ladder must reach the abort rung"
+    );
+    assert!(
+        !report.completed,
+        "an aborted mission does not reach the goal"
+    );
+    assert_eq!(
+        abort_postmortems(&report),
+        1,
+        "exactly one abort postmortem"
+    );
 }
 
 #[test]

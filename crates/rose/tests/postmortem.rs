@@ -3,15 +3,12 @@
 //! The flight recorder must turn an injected failure into a postmortem
 //! JSON that *names the cause*: a mission flown with an impossible control
 //! deadline dumps a `deadline-miss` postmortem whose attribution blames
-//! compute, and a mission whose remote RTL peer dies dumps a
-//! `transport-fault` postmortem carrying the latched fault.
+//! compute. (A mission whose remote link dies dumps one
+//! `transport-fault` postmortem: see `failure_injection.rs`.)
 
-use rose::mission::{mission_parts, run_mission, MissionConfig};
-use rose_bridge::sync::{RemoteRtl, Synchronizer};
-use rose_bridge::transport::ChannelTransport;
+use rose::mission::{run_mission, MissionConfig};
 use rose_trace::flight::POSTMORTEM_SCHEMA;
 use rose_trace::json;
-use rose_trace::{FlightRecorder, FlightSample};
 
 #[test]
 fn deadline_miss_postmortem_blames_compute() {
@@ -84,52 +81,4 @@ fn telemetry_does_not_perturb_the_digest() {
     let unbudgeted = MissionDigest::of(&run_mission(&bare));
     assert_eq!(first.trajectory, unbudgeted.trajectory);
     assert_eq!(first.soc, unbudgeted.soc);
-}
-
-#[test]
-fn transport_fault_postmortem_names_the_latched_fault() {
-    let config = MissionConfig {
-        max_sim_seconds: 1.0,
-        ..MissionConfig::default()
-    };
-    let (env, rtl, sync_config, _metrics) = mission_parts(&config);
-    drop(rtl); // the SoC never comes up behind the transport...
-
-    let (client, server) = ChannelTransport::pair();
-    drop(server); // ...and the peer is gone before the first grant.
-    let mut sync = Synchronizer::new(sync_config, env, RemoteRtl::new(client));
-    let mut flight = FlightRecorder::default();
-
-    sync.run_until(10, |_, _| false);
-    let fault = sync
-        .rtl()
-        .fault()
-        .expect("a dead peer must latch a transport fault")
-        .to_string();
-
-    // The mission driver folds the latch into the next flight sample,
-    // exactly as a remote deployment's loop would.
-    let sample = FlightSample {
-        sync: sync.stats().syncs,
-        fault: true,
-        ..FlightSample::default()
-    };
-    let postmortem = flight
-        .observe(sample, &[])
-        .expect("fault latch must rise-edge a postmortem");
-
-    let parsed = json::parse(&postmortem).expect("postmortem is valid JSON");
-    assert_eq!(
-        parsed.get("reason").and_then(|v| v.as_str()),
-        Some("transport-fault")
-    );
-    assert!(!fault.is_empty(), "TransportError must render a message");
-    // A second observation with the fault still latched is not a new
-    // edge: the recorder dumps once per failure, not once per sync.
-    let again = FlightSample {
-        sync: sample.sync + 1,
-        fault: true,
-        ..FlightSample::default()
-    };
-    assert!(flight.observe(again, &[]).is_none());
 }

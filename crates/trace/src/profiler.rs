@@ -21,7 +21,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 /// A host-time attribution phase. One bucket per major co-simulation
-/// cost center; everything unattributed lands in [`Phase::Other`].
+/// cost center.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Environment simulator frame stepping (dynamics, sensors, render).
@@ -43,12 +43,10 @@ pub enum Phase {
     /// out of the RTL grant that triggered it, so `rtl-grant` is left
     /// measuring pure cycle-loop work).
     CostModel,
-    /// Anything not covered by a dedicated phase.
-    Other,
 }
 
 /// Number of phases (array backing size).
-const PHASES: usize = 8;
+const PHASES: usize = 7;
 
 impl Phase {
     /// Every phase, in display order.
@@ -60,7 +58,6 @@ impl Phase {
         Phase::TraceOverhead,
         Phase::Recovery,
         Phase::CostModel,
-        Phase::Other,
     ];
 
     /// The phase's stable display name (also the bench-JSON key).
@@ -73,7 +70,6 @@ impl Phase {
             Phase::TraceOverhead => "trace-overhead",
             Phase::Recovery => "recovery",
             Phase::CostModel => "cost-model",
-            Phase::Other => "other",
         }
     }
 
@@ -86,7 +82,6 @@ impl Phase {
             Phase::TraceOverhead => 4,
             Phase::Recovery => 5,
             Phase::CostModel => 6,
-            Phase::Other => 7,
         }
     }
 }
@@ -275,11 +270,11 @@ mod tests {
         a.add(Phase::RtlGrant, Duration::from_micros(10));
         let mut b = Profiler::new();
         b.add(Phase::RtlGrant, Duration::from_micros(30));
-        b.add(Phase::Other, Duration::from_micros(5));
+        b.add(Phase::CostModel, Duration::from_micros(5));
         a.merge(&b);
         assert_eq!(a.total(Phase::RtlGrant), Duration::from_micros(40));
         assert_eq!(a.count(Phase::RtlGrant), 2);
-        assert_eq!(a.total(Phase::Other), Duration::from_micros(5));
+        assert_eq!(a.total(Phase::CostModel), Duration::from_micros(5));
     }
 
     #[test]

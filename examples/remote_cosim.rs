@@ -4,48 +4,37 @@
 //!
 //! Run with: `cargo run --release --example remote_cosim`
 
-use rose::mission::{mission_parts, MissionConfig};
-use rose_bridge::sync::{serve_rtl, RemoteRtl, Synchronizer};
+use rose::mission::{run_remote_mission, MissionConfig};
+use rose_bridge::faults::FaultPlan;
 use rose_bridge::transport::TcpTransport;
 use std::net::TcpListener;
-use std::thread;
 
 fn main() {
     let config = MissionConfig {
         max_sim_seconds: 5.0,
         ..MissionConfig::default()
     };
-    let (env, mut rtl, sync_config, metrics) = mission_parts(&config);
 
-    // "FireSim host": serves the simulated SoC over TCP.
+    // The synchronizer host connects to the "FireSim host", which serves
+    // the simulated SoC over the accepted end of the connection.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let server = thread::spawn(move || {
-        let mut transport = TcpTransport::accept(&listener).expect("accept");
-        serve_rtl(&mut transport, &mut rtl).expect("serve");
-        rtl
-    });
-
-    // Synchronizer host: connects and runs the lockstep loop.
-    let remote = RemoteRtl::new(TcpTransport::connect(addr).expect("connect"));
-    let mut sync = Synchronizer::new(sync_config, env, remote);
+    let client = TcpTransport::connect(addr).expect("connect");
+    let server = TcpTransport::accept(&listener).expect("accept");
     println!("co-simulating over TCP at {addr} ...");
-    sync.run_until(u64::MAX, |env, _| env.sim().time() >= config.max_sim_seconds);
+    let report = run_remote_mission(&config, client, server, FaultPlan::default()).report;
 
-    let stats = *sync.stats();
+    let stats = report.sync_stats;
     println!(
         "simulated {:.1} s of flight over {} syncs ({:.1} sim-MHz over TCP)",
-        stats.sim_frames as f64 / 60.0,
+        report.sim_time_s,
         stats.syncs,
-        stats.throughput_hz(sync.profiler().total_wall()) / 1e6
+        stats.throughput_hz(report.profile.total_wall()) / 1e6
     );
-    let (env, remote) = sync.into_parts();
-    remote.shutdown().expect("shutdown");
-    let rtl = server.join().expect("join");
+    let x = report.trajectory.last().map_or(0.0, |p| p.position.x);
     println!(
-        "UAV at x = {:.1} m after {} inferences; SoC executed {:.2}e9 cycles",
-        env.sim().pose().position.x,
-        metrics.lock().inferences,
-        rtl.soc().stats().cycles as f64 / 1e9
+        "UAV at x = {x:.1} m after {} inferences; SoC executed {:.2}e9 cycles",
+        report.inference_count,
+        report.soc_stats.cycles as f64 / 1e9
     );
 }

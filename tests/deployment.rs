@@ -3,59 +3,38 @@
 //! paper's cloud/on-premise deployments, Table 4), because the lockstep
 //! protocol delivers data at the same sync boundaries either way.
 
-use rose::mission::{build_mission, mission_parts, MissionConfig};
-use rose_bridge::sync::{serve_rtl, RemoteRtl, Synchronizer};
+use rose::audit::MissionDigest;
+use rose::mission::{run_mission, run_remote_mission, MissionConfig, MissionReport};
+use rose_bridge::faults::FaultPlan;
 use rose_bridge::transport::TcpTransport;
 use std::net::TcpListener;
-use std::thread;
 
-fn run_remote(config: &MissionConfig, sim_seconds: f64) -> Vec<(f64, f64)> {
-    let (env, mut rtl, sync_config, _metrics) = mission_parts(config);
+/// Flies `config` with the SoC served over a loopback TCP connection.
+fn run_over_tcp(config: &MissionConfig) -> MissionReport {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let server = thread::spawn(move || {
-        let mut transport = TcpTransport::accept(&listener).expect("accept");
-        serve_rtl(&mut transport, &mut rtl).expect("serve");
-    });
-    let remote = RemoteRtl::new(TcpTransport::connect(addr).expect("connect"));
-    let mut sync = Synchronizer::new(sync_config, env, remote);
-    sync.run_until(u64::MAX, |env, _| env.sim().time() >= sim_seconds);
-    let (env, remote) = sync.into_parts();
-    let trajectory = env
-        .sim()
-        .trajectory()
-        .iter()
-        .map(|p| (p.position.x, p.position.y))
-        .collect();
-    remote.shutdown().expect("shutdown");
-    server.join().expect("join");
-    trajectory
+    let client = TcpTransport::connect(listener.local_addr().expect("addr")).expect("connect");
+    let server = TcpTransport::accept(&listener).expect("accept");
+    let outcome = run_remote_mission(config, client, server, FaultPlan::default());
+    assert_eq!(
+        outcome.latched, None,
+        "a clean loopback link must not fault"
+    );
+    outcome.report
 }
 
-fn run_local(config: &MissionConfig, sim_seconds: f64) -> Vec<(f64, f64)> {
-    let (mut sync, _metrics) = build_mission(config);
-    sync.run_until(u64::MAX, |env, _| env.sim().time() >= sim_seconds);
-    let (env, _) = sync.into_parts();
-    env.sim()
-        .trajectory()
-        .iter()
-        .map(|p| (p.position.x, p.position.y))
-        .collect()
-}
-
-/// TCP and in-process deployments produce bit-identical trajectories.
+/// TCP and in-process deployments fly bit-identical missions: the same
+/// trajectory and the same SoC counters.
 #[test]
 fn tcp_deployment_is_bit_identical_to_local() {
     let config = MissionConfig {
         max_sim_seconds: 4.0,
         ..MissionConfig::default()
     };
-    let local = run_local(&config, 4.0);
-    let remote = run_remote(&config, 4.0);
-    assert_eq!(local.len(), remote.len());
-    for (i, (l, r)) in local.iter().zip(&remote).enumerate() {
-        assert_eq!(l, r, "trajectories diverge at frame {i}");
-    }
+    let local = run_mission(&config);
+    let remote = run_over_tcp(&config);
+    assert_eq!(remote.trajectory.len(), local.trajectory.len());
+    assert_eq!(remote.sync_stats.syncs, local.sync_stats.syncs);
+    assert_eq!(MissionDigest::of(&remote), MissionDigest::of(&local));
 }
 
 /// The remote deployment still closes the control loop (commands arrive).
@@ -66,7 +45,12 @@ fn tcp_deployment_closes_the_loop() {
         max_sim_seconds: 6.0,
         ..MissionConfig::default()
     };
-    let trajectory = run_remote(&config, 6.0);
-    let (x_last, _) = *trajectory.last().expect("nonempty trajectory");
+    let report = run_over_tcp(&config);
+    let x_last = report
+        .trajectory
+        .last()
+        .expect("nonempty trajectory")
+        .position
+        .x;
     assert!(x_last > 5.0, "UAV should be flying forward, x = {x_last}");
 }
