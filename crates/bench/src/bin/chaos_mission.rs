@@ -80,7 +80,13 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--trials" => args.trials = value().parse().unwrap_or_else(|_| usage()),
             "--events" => args.events = value().parse().unwrap_or_else(|_| usage()),
-            "--seconds" => args.seconds = value().parse().unwrap_or_else(|_| usage()),
+            "--seconds" => {
+                args.seconds = value()
+                    .parse()
+                    .ok()
+                    .filter(|v: &f64| v.is_finite() && *v > 0.0)
+                    .unwrap_or_else(|| usage())
+            }
             "--seed-base" => args.seed_base = value().parse().unwrap_or_else(|_| usage()),
             "--reproducer-out" => args.reproducer_out = value().into(),
             "--self-test" => args.self_test = true,

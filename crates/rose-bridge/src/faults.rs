@@ -7,7 +7,7 @@
 //! Every choice the injector makes flows from the plan and its seeded
 //! [`SimRng`], so the same plan over the same traffic produces the same
 //! faults byte-for-byte — missions under fault injection stay replayable
-//! and forkable (DESIGN.md §4h).
+//! (DESIGN.md §4h).
 //!
 //! Two fault families exist, matching how real deployments fail:
 //!
@@ -27,13 +27,9 @@
 
 use crate::packet::Packet;
 use crate::transport::{Transport, TransportError};
-use bytes::BytesMut;
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::io;
-
-/// Section magic guarding the serialized injector state ("FLT1").
-const SNAP_SECTION: u32 = 0x464c_5431;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,8 +201,7 @@ impl FaultPlan {
         plan
     }
 
-    /// Serializes the schedule itself (chaos-mission reproducer dumps,
-    /// embedding a plan inside a mission snapshot).
+    /// Serializes the schedule itself (chaos-mission reproducer dumps).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.seed);
         w.usize(self.events.len());
@@ -237,8 +232,7 @@ impl FaultPlan {
 }
 
 /// Per-kind injection counters — deterministic (they follow the plan), so
-/// they are serialized with the injector and can be asserted across a
-/// fork/resume.
+/// they can be asserted across runs of the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Data packets silently swallowed.
@@ -326,11 +320,6 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
-    /// Unwraps the decorator.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
     /// The schedule driving this injector.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
@@ -379,116 +368,6 @@ impl<T: Transport> FaultyTransport<T> {
         if let Some(held) = self.held.take() {
             self.inner.send(&held)?;
         }
-        Ok(())
-    }
-
-    /// Serializes the injector's dynamic position: plan cursor, RNG, the
-    /// quantum counter, armed fault state (including a held reordered
-    /// packet), and the injection counters. The plan itself is
-    /// configuration — the restoring side must construct the wrapper with
-    /// an identical plan, exactly as it must reconstruct the mission
-    /// config.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let FaultyTransport {
-            inner: _,
-            plan,
-            cursor,
-            rng,
-            quantum,
-            drop_data,
-            dup_data,
-            corrupt_data,
-            reorder_data,
-            held,
-            stall_ops,
-            fail_ops,
-            stats,
-        } = self;
-        w.section(SNAP_SECTION);
-        // A plan fingerprint so a restore onto the wrong schedule fails
-        // loudly instead of silently diverging.
-        w.u64(plan.seed);
-        w.usize(plan.events.len());
-        w.usize(*cursor);
-        rng.save_state(w);
-        w.u64(*quantum);
-        w.u32(*drop_data);
-        w.u32(*dup_data);
-        w.u32(*corrupt_data);
-        w.u32(*reorder_data);
-        match held {
-            Some(p) => w.opt_bytes(Some(&p.to_bytes())),
-            None => w.opt_bytes(None),
-        }
-        w.u32(*stall_ops);
-        w.u32(*fail_ops);
-        let FaultStats {
-            dropped,
-            duplicated,
-            reordered,
-            corrupted,
-            stalled_ops,
-            disconnected_ops,
-        } = stats;
-        w.u64(*dropped);
-        w.u64(*duplicated);
-        w.u64(*reordered);
-        w.u64(*corrupted);
-        w.u64(*stalled_ops);
-        w.u64(*disconnected_ops);
-    }
-
-    /// Restores the injector's position. The wrapper must have been
-    /// constructed with the same [`FaultPlan`] that produced the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapError`] on a malformed snapshot, and reports
-    /// [`SnapError::BadSection`] when the plan fingerprint does not match
-    /// this wrapper's plan.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section(SNAP_SECTION)?;
-        let seed = r.u64()?;
-        let n_events = r.usize()?;
-        if seed != self.plan.seed || n_events != self.plan.events.len() {
-            return Err(SnapError::BadSection {
-                expected: SNAP_SECTION,
-                // rose-lint: allow(CAST001, diagnostic truncation of the mismatched event count into the error report)
-                found: n_events as u32,
-            });
-        }
-        self.cursor = r.usize()?;
-        self.rng.restore_state(r)?;
-        self.quantum = r.u64()?;
-        self.drop_data = r.u32()?;
-        self.dup_data = r.u32()?;
-        self.corrupt_data = r.u32()?;
-        self.reorder_data = r.u32()?;
-        self.held = match r.opt_bytes()? {
-            Some(bytes) => {
-                let mut buf = BytesMut::from(&bytes[..]);
-                match Packet::decode(&mut buf) {
-                    Ok(p) => Some(p),
-                    Err(_) => {
-                        return Err(SnapError::BadTag {
-                            context: "held reorder packet",
-                            tag: bytes.first().copied().unwrap_or(0),
-                        })
-                    }
-                }
-            }
-            None => None,
-        };
-        self.stall_ops = r.u32()?;
-        self.fail_ops = r.u32()?;
-        self.stats = FaultStats {
-            dropped: r.u64()?,
-            duplicated: r.u64()?,
-            reordered: r.u64()?,
-            corrupted: r.u64()?,
-            stalled_ops: r.u64()?,
-            disconnected_ops: r.u64()?,
-        };
         Ok(())
     }
 
@@ -785,59 +664,6 @@ mod tests {
         assert_eq!(d1, d2);
         assert_eq!(s1, s2);
         assert!(s1.total() > 0, "the random plan must actually inject");
-    }
-
-    #[test]
-    fn snapshot_roundtrips_mid_window() {
-        let (a, _b) = ChannelTransport::pair();
-        let plan = FaultPlan::new(9)
-            .with_event(0, FaultKind::Disconnect { ops: 5 })
-            .with_event(0, FaultKind::Reorder);
-        let mut faulty = FaultyTransport::new(a, plan.clone());
-        // Burn two of the five failing ops and leave three pending.
-        assert!(faulty.send(&data(0, 1)).is_err());
-        assert!(faulty.recv().is_err());
-
-        let mut w = SnapWriter::new();
-        faulty.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let (a2, _b2) = ChannelTransport::pair();
-        let mut restored = FaultyTransport::new(a2, plan);
-        let mut r = SnapReader::new(&bytes);
-        restored.restore_state(&mut r).unwrap();
-        r.finish().unwrap();
-
-        assert_eq!(restored.stats(), faulty.stats());
-        assert_eq!(restored.quantum(), faulty.quantum());
-        // The restored wrapper continues the same window: exactly three
-        // more ops fail, then the link heals.
-        let mut failures = 0;
-        for _ in 0..10 {
-            if restored.send(&data(9, 9)).is_err() {
-                failures += 1;
-            } else {
-                break;
-            }
-        }
-        assert_eq!(failures, 3);
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_plan() {
-        let (a, _b) = ChannelTransport::pair();
-        let faulty = FaultyTransport::new(a, FaultPlan::new(1).with_event(0, FaultKind::Drop));
-        let mut w = SnapWriter::new();
-        faulty.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let (a2, _b2) = ChannelTransport::pair();
-        let mut wrong = FaultyTransport::new(a2, FaultPlan::new(2));
-        let mut r = SnapReader::new(&bytes);
-        assert!(matches!(
-            wrong.restore_state(&mut r),
-            Err(SnapError::BadSection { .. })
-        ));
     }
 
     #[test]

@@ -662,11 +662,6 @@ pub struct RemoteRtl<T> {
     halted: bool,
     /// First transport failure, latched until taken.
     fault: Option<TransportError>,
-    /// True when `halted` was latched by a transport fault rather than an
-    /// orderly remote shutdown. Outlives `take_fault` so a snapshot taken
-    /// after the fault was surfaced still knows the halt is host-side
-    /// (and must not persist into a resume).
-    fault_halt: bool,
     /// Host-side recovery telemetry (never snapshotted or digested).
     recovery: RecoveryStats,
     /// Wall time spent in recovery since the synchronizer last drained it.
@@ -692,7 +687,6 @@ impl<T: Transport> RemoteRtl<T> {
             unacked: Vec::new(),
             halted: false,
             fault: None,
-            fault_halt: false,
             recovery: RecoveryStats::default(),
             recovery_wall: Duration::ZERO,
         }
@@ -733,91 +727,9 @@ impl<T: Transport> RemoteRtl<T> {
     /// kept — later errors are consequences of the same dead peer.
     fn latch_fault(&mut self, error: TransportError) {
         self.halted = true;
-        self.fault_halt = true;
         if self.fault.is_none() {
             self.fault = Some(error);
         }
-    }
-
-    /// Serializes the endpoint's queue occupancy and halt latch.
-    ///
-    /// Both directions' pending payloads round-trip: a resumed mission must
-    /// re-send exactly the packets the straight run would have sent (the
-    /// occupancy invariant `data_to_rtl == delivered + pending_tx()`). The
-    /// latched fault is deliberately *not* serialized — it names a dead
-    /// host-side transport, which is meaningless to the fresh transport a
-    /// resume attaches. A halt that the fault latched (as opposed to an
-    /// orderly remote shutdown) is likewise host-side: it is not persisted,
-    /// so resuming onto a live transport continues the mission from the
-    /// last completed sync boundary.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let RemoteRtl {
-            transport: _,
-            policy: _,
-            outbox,
-            inbox,
-            next_tx_seq,
-            expect_rx,
-            quantum,
-            unacked,
-            halted,
-            fault: _,
-            fault_halt,
-            recovery: _,
-            recovery_wall: _,
-        } = self;
-        w.usize(outbox.len());
-        for payload in outbox {
-            w.bytes(payload);
-        }
-        w.usize(inbox.len());
-        for payload in inbox {
-            w.bytes(payload);
-        }
-        w.bool(*halted && !fault_halt);
-        w.u32(*next_tx_seq);
-        w.u32(*expect_rx);
-        w.u64(*quantum);
-        w.usize(unacked.len());
-        for (seq, payload) in unacked {
-            w.u32(*seq);
-            w.bytes(payload);
-        }
-    }
-
-    /// Restores queue occupancy, the sequencing position, and the halt
-    /// latch onto this endpoint's (fresh) transport. Any latched fault is
-    /// cleared; the recovery telemetry resets (host-side).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapError`] on a malformed snapshot.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n_out = r.usize()?;
-        self.outbox.clear();
-        for _ in 0..n_out {
-            self.outbox.push(r.bytes()?);
-        }
-        let n_in = r.usize()?;
-        self.inbox.clear();
-        for _ in 0..n_in {
-            self.inbox.push(r.bytes()?);
-        }
-        self.halted = r.bool()?;
-        self.next_tx_seq = r.u32()?;
-        self.expect_rx = r.u32()?;
-        self.quantum = r.u64()?;
-        let n_unacked = r.usize()?;
-        self.unacked.clear();
-        for _ in 0..n_unacked {
-            let seq = r.u32()?;
-            self.unacked.push((seq, r.bytes()?));
-        }
-        self.fault = None;
-        self.fault_halt = false;
-        self.recovery = RecoveryStats::default();
-        self.recovery_wall = Duration::ZERO;
-        Ok(())
     }
 
     /// Sends an orderly shutdown to the remote server.
@@ -1477,94 +1389,6 @@ mod tests {
             "fault must not lose or double-count queued packets"
         );
         assert_eq!(remote.pending_tx(), 1, "the failed period's payload stays queued");
-    }
-
-    /// The satellite bugfix scenario: a transport dies mid-mission, the
-    /// synchronizer + `RemoteRtl` state is snapshotted, and the mission
-    /// resumes onto a *fresh* transport. Queue occupancy must round-trip
-    /// (the payload whose send failed is re-sent, none lost or duplicated),
-    /// the fault-latched halt must not persist, and the synchronizer
-    /// continues from the last completed boundary.
-    #[test]
-    fn fault_then_resume_restores_queue_occupancy() {
-        struct StreamEnv;
-        impl EnvSide for StreamEnv {
-            fn step_frames(&mut self, _frames: u64) {}
-            fn handle_data(&mut self, _payload: &[u8]) -> Vec<Vec<u8>> {
-                Vec::new()
-            }
-            fn poll_data(&mut self) -> Vec<Vec<u8>> {
-                vec![vec![0xCD; 4]]
-            }
-        }
-
-        /// Serves `grants` periods, counting delivered data payloads.
-        fn spawn_server(mut server: ChannelTransport, grants: u64) -> thread::JoinHandle<u64> {
-            thread::spawn(move || {
-                let mut delivered = 0u64;
-                for _ in 0..grants {
-                    loop {
-                        match server.recv().unwrap() {
-                            Packet::Data { .. } => delivered += 1,
-                            Packet::GrantCycles { cycles, quantum } => {
-                                server.send(&Packet::CyclesDone { cycles, quantum }).unwrap();
-                                break;
-                            }
-                            other => panic!("unexpected packet {other:?}"),
-                        }
-                    }
-                }
-                delivered
-            })
-        }
-
-        // Phase 1: two clean periods, then the peer dies mid-mission.
-        let (client, server) = ChannelTransport::pair();
-        let server_thread = spawn_server(server, 2);
-        let mut sync = Synchronizer::new(config(1), StreamEnv, RemoteRtl::new(client));
-        assert_eq!(sync.run_until(2, |_, _| false), 2);
-        let delivered_before = server_thread.join().unwrap();
-        assert!(matches!(
-            sync.try_run_until(10, |_, _| false),
-            Err(TransportError::Disconnected)
-        ));
-        assert_eq!(sync.rtl().pending_tx(), 1, "failed send stays queued");
-        let boundary_time = sync.time();
-
-        // Snapshot: synchronizer position + endpoint queue occupancy.
-        let mut w = SnapWriter::new();
-        sync.save_state(&mut w);
-        sync.rtl().save_state(&mut w);
-        let snapshot = w.into_bytes();
-
-        // Phase 2: fresh transport, fresh synchronizer, state restored.
-        let (client, server) = ChannelTransport::pair();
-        let server_thread = spawn_server(server, 3);
-        let mut resumed = Synchronizer::new(config(1), StreamEnv, RemoteRtl::new(client));
-        let mut r = SnapReader::new(&snapshot);
-        resumed.restore_state(&mut r).unwrap();
-        resumed.rtl_mut().restore_state(&mut r).unwrap();
-        r.finish().unwrap();
-
-        assert_eq!(resumed.time(), boundary_time, "resume at the boundary");
-        assert!(!resumed.rtl().halted(), "fault-latched halt must not persist");
-        assert_eq!(resumed.rtl().pending_tx(), 1, "occupancy round-trips");
-
-        assert_eq!(resumed.run_until(3, |_, _| false), 3);
-        let delivered_after = server_thread.join().unwrap();
-
-        // End-to-end conservation across the fault + resume: every payload
-        // counted towards the RTL was delivered on one of the transports
-        // or is still queued — never lost, never double-counted.
-        assert_eq!(
-            resumed.stats().data_to_rtl,
-            delivered_before + delivered_after + resumed.rtl().pending_tx() as u64,
-            "occupancy invariant must survive fault + resume"
-        );
-        assert!(
-            delivered_after > 3,
-            "the re-sent payload plus new traffic reached the new server"
-        );
     }
 
     /// A peer that answers a grant with a packet the synchronizer role

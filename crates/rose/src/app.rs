@@ -197,7 +197,7 @@ impl rose_trace::MetricSource for AppMetrics {
         registry.gauge("app.abort_requested", self.abort_requested as u8 as f64);
         registry.gauge("app.mean_latency_cycles", self.mean_latency_cycles());
         for &lat in &self.latencies_cycles {
-            registry.observe("app.latency_cycles", lat as f64);
+            registry.observe_hist("app.latency_cycles", lat as f64);
         }
         registry.record_histogram("app.slack_cycles", &self.slack_cycles);
     }
@@ -213,8 +213,7 @@ impl AppMetrics {
             deadline_switches,
             deadline_misses,
             // Host telemetry (DESIGN.md §4f): a resumed branch re-observes
-            // only its own suffix; the shared prefix is recovered by
-            // `MetricRegistry::delta_since` when merging forks.
+            // only its own suffix.
             slack_cycles: _,
             degraded_depth,
             classical_commands,

@@ -485,7 +485,7 @@ fn drive_mission<R: MissionRtl>(
             recovery_retries: rtl.recovery_retries(),
             recovery_us,
         };
-        if let Some(pm) = flight.observe(sample, rtl.recent_events()) {
+        if let Some(pm) = flight.record(sample, rtl.recent_events()) {
             postmortems.push(pm);
         }
         if metrics.lock().abort_requested {
@@ -889,6 +889,11 @@ mod tests {
             reg.gauge_value("energy.total_mj"),
             Some(report.energy.total_mj())
         );
+        // Every inference latency lands in the histogram.
+        let latency = reg
+            .histogram("app.latency_cycles")
+            .expect("latency histogram");
+        assert_eq!(latency.count() as usize, report.app.latencies_cycles.len());
 
         // An untraced mission carries no log (and records no events).
         let quiet = run_mission(&MissionConfig {

@@ -324,71 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn forked_branch_registries_combine_without_double_counting() {
-        let config = short();
-        let straight = run_mission(&config).metric_registry();
-
-        let mut mission = Mission::start(&config);
-        mission.run_syncs(20);
-        let branches = mission.fork(2).expect("fork");
-        let prefix = mission.finish().metric_registry();
-        let prefix_syncs = prefix.counter_value("sync.syncs").expect("sync.syncs");
-        assert_eq!(prefix_syncs, 20);
-        let prefix_cycles = prefix.counter_value("soc.cycles").expect("soc.cycles");
-
-        let mut regs = Vec::new();
-        for (i, mut branch) in branches.into_iter().enumerate() {
-            if i == 1 {
-                branch.perturb_yaw(0.2);
-            }
-            regs.push(branch.run_to_completion().metric_registry());
-        }
-        let suffix_syncs: u64 = regs
-            .iter()
-            .map(|r| r.counter_value("sync.syncs").unwrap() - prefix_syncs)
-            .sum();
-        let suffix_cycles: u64 = regs
-            .iter()
-            .map(|r| r.counter_value("soc.cycles").unwrap() - prefix_cycles)
-            .sum();
-
-        // Persisted counters resume from the prefix totals, so merging the
-        // branch registries naively counts the shared warm-start prefix
-        // once per branch...
-        let mut naive = prefix.clone();
-        for reg in &regs {
-            naive.merge(reg);
-        }
-        assert_eq!(
-            naive.counter_value("sync.syncs"),
-            Some(3 * prefix_syncs + suffix_syncs)
-        );
-
-        // ...while prefix + Σ delta_since(prefix) counts it exactly once.
-        let mut merged = prefix.clone();
-        for reg in &regs {
-            merged.merge(&reg.delta_since(&prefix));
-        }
-        assert_eq!(
-            merged.counter_value("sync.syncs"),
-            Some(prefix_syncs + suffix_syncs)
-        );
-        assert_eq!(
-            merged.counter_value("soc.cycles"),
-            Some(prefix_cycles + suffix_cycles)
-        );
-
-        // Host telemetry (DESIGN.md §4f) is never persisted: a resumed
-        // branch re-observes only its own suffix, so it never needed the
-        // delta in the first place — the unperturbed branch's kernel-cycle
-        // histogram plus the prefix's reassembles the straight run's.
-        let count = |reg: &rose_trace::MetricRegistry| {
-            reg.histogram("soc.kernel_cycles").expect("kernel hist").count()
-        };
-        assert_eq!(count(&prefix) + count(&regs[0]), count(&straight));
-    }
-
-    #[test]
     fn corrupt_snapshots_are_rejected() {
         let config = short();
         let mission = Mission::start(&config);

@@ -16,8 +16,6 @@
 //!   [`math::Vec3`], [`math::Quat`], and helpers.
 //! * [`pid`] — a production-style PID controller with output limits and
 //!   integral anti-windup, used by the flight controller cascade.
-//! * [`stats`] — streaming summary statistics (count, mean, variance,
-//!   extrema) behind the metric registry.
 //! * [`csv`] — minimal CSV log writing matching the artifact's CSV outputs.
 //! * [`snap`] — the versioned, dependency-free snapshot codec behind
 //!   mission snapshot / fork / resume.
@@ -44,7 +42,6 @@ pub mod math;
 pub mod pid;
 pub mod rng;
 pub mod snap;
-pub mod stats;
 
 pub use cycles::{ClockSpec, Cycle, Frame, FrameSpec, SimTime, SyncRatio};
 pub use fnv::Fnv64;

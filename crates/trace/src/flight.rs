@@ -5,11 +5,11 @@
 //! fixed-capacity ring of per-quantum [`FlightSample`]s (metric deltas —
 //! collisions, deadline misses, queue depth, wall-time split) plus, when
 //! tracing is enabled, a tail of recent trace events. On a trigger — a
-//! collision, a deadline miss, a latched transport fault, or a panic —
-//! it dumps a **self-contained postmortem JSON** with the ring, the
-//! recent events, and a deadline-miss **attribution** that walks the
-//! recorded spans to name the dominant time sink (compute vs
-//! `stall:rx-empty` vs bridge traffic).
+//! collision, a deadline miss, or a latched transport fault — it dumps a
+//! **self-contained postmortem JSON** with the ring, the recent events,
+//! and a deadline-miss **attribution** that walks the recorded spans to
+//! name the dominant time sink (compute vs `stall:rx-empty` vs bridge
+//! traffic).
 //!
 //! The recorder is telemetry: fixed memory, never part of a mission
 //! snapshot, never an input to the determinism digest (DESIGN.md §4f).
@@ -18,7 +18,6 @@ use crate::chrome::{escape_into, write_f64};
 use crate::event::{EventKind, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Schema tag stamped into every postmortem dump.
 pub const POSTMORTEM_SCHEMA: &str = "rose-postmortem-v1";
@@ -108,18 +107,12 @@ pub fn attribute(events: &[TraceEvent]) -> Attribution {
 }
 
 /// The bounded always-on recorder; see the [module docs](self).
-///
-/// If the owning thread panics while a dump path is configured (see
-/// [`set_panic_dump_path`](FlightRecorder::set_panic_dump_path)), the
-/// recorder's `Drop` writes a `"panic"`-reason postmortem there, so even
-/// an aborting run leaves evidence behind.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: VecDeque<FlightSample>,
     capacity: usize,
     last: Option<FlightSample>,
     recent_events: Vec<TraceEvent>,
-    panic_dump_path: Option<PathBuf>,
 }
 
 impl Default for FlightRecorder {
@@ -136,14 +129,7 @@ impl FlightRecorder {
             capacity: capacity.max(1),
             last: None,
             recent_events: Vec::new(),
-            panic_dump_path: None,
         }
-    }
-
-    /// Arms the panic dump: on a panic unwinding through the recorder's
-    /// owner, a `"panic"` postmortem is written to `path`.
-    pub fn set_panic_dump_path(&mut self, path: impl Into<PathBuf>) {
-        self.panic_dump_path = Some(path.into());
     }
 
     /// Samples currently retained.
@@ -166,7 +152,7 @@ impl FlightRecorder {
     /// collision-count rise, a deadline-miss rise, or a transport fault
     /// latching. Multiple simultaneous triggers produce one postmortem
     /// whose `detail` lists them all.
-    pub fn observe(&mut self, sample: FlightSample, recent: &[TraceEvent]) -> Option<String> {
+    pub fn record(&mut self, sample: FlightSample, recent: &[TraceEvent]) -> Option<String> {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
@@ -271,19 +257,6 @@ impl FlightRecorder {
     }
 }
 
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        if let Some(path) = self.panic_dump_path.take() {
-            // Best effort: a failed dump must not double-panic.
-            let dump = self.postmortem("panic", "panic unwound through the mission runner");
-            let _ = std::fs::write(path, dump);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +285,7 @@ mod tests {
     fn ring_is_bounded_and_oldest_first() {
         let mut fr = FlightRecorder::new(4);
         for i in 0..10 {
-            assert_eq!(fr.observe(sample(i), &[]), None);
+            assert_eq!(fr.record(sample(i), &[]), None);
         }
         assert_eq!(fr.occupancy(), 4);
         assert_eq!(fr.capacity(), 4);
@@ -324,10 +297,10 @@ mod tests {
     fn rising_edges_trigger_once() {
         let mut fr = FlightRecorder::new(8);
         let mut s = sample(0);
-        assert!(fr.observe(s, &[]).is_none());
+        assert!(fr.record(s, &[]).is_none());
         s.sync = 1;
         s.collisions = 1;
-        let pm = fr.observe(s, &[]).expect("collision must trigger");
+        let pm = fr.record(s, &[]).expect("collision must trigger");
         let parsed = json::parse(&pm).expect("postmortem is valid JSON");
         assert_eq!(
             parsed.get("reason").and_then(|r| r.as_str()),
@@ -335,13 +308,13 @@ mod tests {
         );
         // Same count again: no re-trigger.
         s.sync = 2;
-        assert!(fr.observe(s, &[]).is_none());
+        assert!(fr.record(s, &[]).is_none());
     }
 
     #[test]
     fn simultaneous_triggers_merge_into_detail() {
         let mut fr = FlightRecorder::new(8);
-        fr.observe(sample(0), &[]);
+        fr.record(sample(0), &[]);
         let s = FlightSample {
             sync: 1,
             collisions: 1,
@@ -349,7 +322,7 @@ mod tests {
             fault: true,
             ..sample(1)
         };
-        let pm = fr.observe(s, &[]).expect("triggers");
+        let pm = fr.record(s, &[]).expect("triggers");
         let parsed = json::parse(&pm).unwrap();
         assert_eq!(
             parsed.get("detail").and_then(|d| d.as_str()),
@@ -357,7 +330,7 @@ mod tests {
         );
         // fault already latched: no new trigger on the next sample.
         let s2 = FlightSample { sync: 2, ..s };
-        assert!(fr.observe(s2, &[]).is_none());
+        assert!(fr.record(s2, &[]).is_none());
     }
 
     #[test]
@@ -384,10 +357,10 @@ mod tests {
     fn postmortem_embeds_ring_events_and_attribution() {
         let mut fr = FlightRecorder::new(8);
         let events = vec![span("kernel:conv", 300.0), span("sleep", 10.0)];
-        fr.observe(sample(0), &events);
+        fr.record(sample(0), &events);
         let mut s = sample(1);
         s.deadline_misses = 1;
-        let pm = fr.observe(s, &events).expect("miss triggers");
+        let pm = fr.record(s, &events).expect("miss triggers");
         let parsed = json::parse(&pm).expect("valid JSON");
         assert_eq!(
             parsed.get("schema").and_then(|v| v.as_str()),
@@ -423,30 +396,12 @@ mod tests {
         let events: Vec<TraceEvent> = (0..200).map(|_| span("kernel:fill", 1.0)).collect();
         let mut s = sample(1);
         s.collisions = 1;
-        let pm = fr.observe(s, &events).expect("trigger");
+        let pm = fr.record(s, &events).expect("trigger");
         let parsed = json::parse(&pm).unwrap();
         let recent = parsed
             .get("recent_events")
             .and_then(|r| r.as_array())
             .unwrap();
         assert_eq!(recent.len(), EVENT_TAIL);
-    }
-
-    #[test]
-    fn panic_dump_writes_a_postmortem() {
-        let path = std::env::temp_dir().join("rose-flight-panic-test.json");
-        let _ = std::fs::remove_file(&path);
-        let path_clone = path.clone();
-        let result = std::panic::catch_unwind(move || {
-            let mut fr = FlightRecorder::new(4);
-            fr.set_panic_dump_path(&path_clone);
-            fr.observe(sample(0), &[]);
-            panic!("injected");
-        });
-        assert!(result.is_err());
-        let dump = std::fs::read_to_string(&path).expect("panic postmortem written");
-        let parsed = json::parse(&dump).expect("valid JSON");
-        assert_eq!(parsed.get("reason").and_then(|r| r.as_str()), Some("panic"));
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,14 +1,10 @@
 //! Log-bucketed latency histogram with quantile estimation.
 //!
-//! [`Summary`](rose_sim_core::stats::Summary) gives exact count/mean/min/
-//! max in O(1) memory but no quantiles; keeping every sample gives exact
-//! quantiles but unbounded memory. `LogHistogram` sits in between: fixed
-//! memory (one `u64` per bucket), bounded relative error, and
-//! mergeable/subtractable buckets — the shape needed for always-on
-//! telemetry (p50/p90/p99/p99.9 of quantum wall time, grant latency,
-//! queue depth, kernel cycles, control-loop slack) and for combining
-//! forked-mission branches without double-counting a shared warm-start
-//! prefix (merge a prefix-subtracted delta per branch).
+//! Keeping every sample gives exact quantiles but unbounded memory.
+//! `LogHistogram` trades that for fixed memory (one `u64` per bucket),
+//! bounded relative error, and mergeable buckets — the shape needed for
+//! always-on telemetry (p50/p90/p99/p99.9 of quantum wall time, grant
+//! latency, queue depth, kernel cycles, control-loop slack).
 //!
 //! # Bucketing
 //!
@@ -18,9 +14,8 @@
 //! at most `1 / SUB_BUCKETS` (12.5%). Callers pick the unit (µs, cycles,
 //! frames) so that interesting values sit well above 1.0.
 //!
-//! Bucket contents are plain counts, so `merge` is bucket-wise addition
-//! and `delta_since` is bucket-wise (saturating) subtraction — both exact
-//! at the bucket resolution. Quantiles are reported as the geometric
+//! Bucket contents are plain counts, so `merge` is bucket-wise addition,
+//! exact at the bucket resolution. Quantiles are reported as the geometric
 //! placement inside the selected bucket, clamped to the observed
 //! min..max range.
 //!
@@ -174,37 +169,6 @@ impl LogHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// The observations recorded since `prefix` was captured, assuming
-    /// `prefix` is an earlier snapshot of this same histogram (bucket-wise
-    /// saturating subtraction). Used to de-duplicate the shared
-    /// warm-start prefix when combining forked-mission branches.
-    ///
-    /// `min`/`max` are not recoverable by subtraction; the delta keeps
-    /// this histogram's observed range (a conservative superset).
-    pub fn delta_since(&self, prefix: &LogHistogram) -> LogHistogram {
-        let mut out = LogHistogram::new();
-        for (o, (a, b)) in out
-            .buckets
-            .iter_mut()
-            .zip(self.buckets.iter().zip(&prefix.buckets))
-        {
-            *o = a.saturating_sub(*b);
-        }
-        out.count = self.count.saturating_sub(prefix.count);
-        out.sum = if out.count == 0 {
-            0.0
-        } else {
-            self.sum - prefix.sum
-        };
-        out.min = self.min;
-        out.max = self.max;
-        if out.count == 0 {
-            out.min = f64::INFINITY;
-            out.max = f64::NEG_INFINITY;
-        }
-        out
-    }
 }
 
 /// The bucket holding value `x`.
@@ -320,38 +284,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, all);
-    }
-
-    #[test]
-    fn delta_since_removes_the_prefix() {
-        let mut h = LogHistogram::new();
-        for i in 1..=100u64 {
-            h.record(i as f64);
-        }
-        let prefix = h.clone();
-        for i in 1000..=1100u64 {
-            h.record(i as f64);
-        }
-        let delta = h.delta_since(&prefix);
-        assert_eq!(delta.count(), 101);
-        // All delta mass sits in the 1000..=1100 region.
-        assert!(delta.quantile(0.0).unwrap() >= 900.0);
-        // Re-merging the prefix reproduces the full histogram's buckets.
-        let mut rebuilt = prefix.clone();
-        rebuilt.merge(&delta);
-        assert_eq!(rebuilt.count(), h.count());
-        assert_eq!(rebuilt.buckets, h.buckets);
-    }
-
-    #[test]
-    fn delta_of_identical_snapshots_is_empty() {
-        let mut h = LogHistogram::new();
-        h.record(5.0);
-        h.record(9.0);
-        let delta = h.delta_since(&h.clone());
-        assert!(delta.is_empty());
-        assert_eq!(delta.min(), None);
-        assert_eq!(delta.sum(), 0.0);
     }
 
     #[test]

@@ -13,17 +13,17 @@
 //!   trace-event JSON, loadable in Perfetto (`ui.perfetto.dev`) or
 //!   `chrome://tracing`, with env / sync / bridge / SoC-unit activity on
 //!   parallel tracks.
-//! - [`metrics::MetricRegistry`] — a named counter/gauge/summary/histogram
+//! - [`metrics::MetricRegistry`] — a named counter/gauge/histogram
 //!   registry unifying the scattered per-subsystem stats structs behind one
 //!   interface with CSV snapshot export; subsystems opt in by implementing
 //!   [`metrics::MetricSource`].
 //! - [`hist::LogHistogram`] — a fixed-memory log-bucketed histogram with
-//!   p50/p90/p99/p99.9 estimation, mergeable across forked branches.
+//!   p50/p90/p99/p99.9 estimation.
 //! - [`profiler::Profiler`] — host wall-clock self-attribution per
 //!   co-simulation phase, the one sanctioned wall-time API (PROF001).
 //! - [`flight::FlightRecorder`] — an always-on bounded postmortem ring
 //!   that dumps self-contained JSON on collision / deadline miss /
-//!   transport fault / panic, with span-walk attribution.
+//!   transport fault, with span-walk attribution.
 //! - [`json`] — a dependency-free JSON parser used to validate emitted
 //!   traces in tests and CI (the workspace builds offline; serde here is a
 //!   no-op stub).

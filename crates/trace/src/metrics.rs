@@ -9,7 +9,6 @@
 
 use crate::hist::LogHistogram;
 use rose_sim_core::csv::{CsvCell, CsvLog};
-use rose_sim_core::stats::Summary;
 use std::collections::BTreeMap;
 
 /// A scalar metric value.
@@ -31,14 +30,13 @@ pub trait MetricSource {
     fn record_metrics(&self, registry: &mut MetricRegistry);
 }
 
-/// A named counter/gauge/summary store with CSV snapshot export.
+/// A named counter/gauge/histogram store with CSV snapshot export.
 ///
 /// Names sort lexicographically in the snapshot (a `BTreeMap` underneath),
 /// so output order is deterministic across runs and platforms.
 #[derive(Debug, Clone, Default)]
 pub struct MetricRegistry {
     values: BTreeMap<String, MetricValue>,
-    summaries: BTreeMap<String, Summary>,
     histograms: BTreeMap<String, LogHistogram>,
 }
 
@@ -46,17 +44,6 @@ impl MetricRegistry {
     /// An empty registry.
     pub fn new() -> MetricRegistry {
         MetricRegistry::default()
-    }
-
-    /// Adds `delta` to counter `name` (created at zero).
-    pub fn counter(&mut self, name: &str, delta: u64) {
-        match self.values.get_mut(name) {
-            Some(MetricValue::Counter(v)) => *v += delta,
-            _ => {
-                self.values
-                    .insert(name.to_string(), MetricValue::Counter(delta));
-            }
-        }
     }
 
     /// Sets counter `name` to an absolute total (for sources that already
@@ -70,12 +57,6 @@ impl MetricRegistry {
     pub fn gauge(&mut self, name: &str, value: f64) {
         self.values
             .insert(name.to_string(), MetricValue::Gauge(value));
-    }
-
-    /// Records one observation into the distribution `name` (Welford-backed
-    /// count/mean/min/max, the histogram-style interface).
-    pub fn observe(&mut self, name: &str, x: f64) {
-        self.summaries.entry(name.to_string()).or_default().record(x);
     }
 
     /// The value of a scalar metric.
@@ -99,11 +80,6 @@ impl MetricRegistry {
         }
     }
 
-    /// The observation summary `name`, if any observation was recorded.
-    pub fn summary(&self, name: &str) -> Option<&Summary> {
-        self.summaries.get(name)
-    }
-
     /// Records one observation into the log-bucketed histogram `name`
     /// (p50/p90/p99/p99.9 in the CSV snapshot; see
     /// [`LogHistogram`] for the bucketing contract).
@@ -125,72 +101,14 @@ impl MetricRegistry {
         self.histograms.get(name)
     }
 
-    /// Number of scalar metrics plus distributions.
+    /// Number of scalar metrics plus histograms.
     pub fn len(&self) -> usize {
-        self.values.len() + self.summaries.len() + self.histograms.len()
+        self.values.len() + self.histograms.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty() && self.summaries.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Merges every metric of `other` into `self`: counters add, gauges
-    /// take `other`'s value, summaries and histograms merge
-    /// distribution-wise. Combining forked-mission branches is
-    /// `merge(prefix, Σ branchᵢ.delta_since(prefix))` so the shared
-    /// warm-start prefix counts exactly once.
-    pub fn merge(&mut self, other: &MetricRegistry) {
-        for (name, value) in &other.values {
-            match value {
-                MetricValue::Counter(v) => self.counter(name, *v),
-                MetricValue::Gauge(v) => self.gauge(name, *v),
-            }
-        }
-        for (name, summary) in &other.summaries {
-            self.summaries
-                .entry(name.clone())
-                .or_default()
-                .merge(summary);
-        }
-        for (name, hist) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(hist);
-        }
-    }
-
-    /// The metrics recorded since `prefix` was captured, assuming
-    /// `prefix` is an earlier snapshot of this same registry: counters
-    /// subtract, summaries and histograms subtract distribution-wise
-    /// (bucket-exact for histograms, moment-exact for summaries; min/max
-    /// keep the conservative full-stream range), and gauges keep this
-    /// registry's point-in-time value. Metrics absent from `prefix` pass
-    /// through unchanged.
-    pub fn delta_since(&self, prefix: &MetricRegistry) -> MetricRegistry {
-        let mut out = MetricRegistry::new();
-        for (name, value) in &self.values {
-            let delta = match (value, prefix.values.get(name)) {
-                (MetricValue::Counter(v), Some(MetricValue::Counter(p))) => {
-                    MetricValue::Counter(v.saturating_sub(*p))
-                }
-                (v, _) => *v,
-            };
-            out.values.insert(name.clone(), delta);
-        }
-        for (name, summary) in &self.summaries {
-            let delta = match prefix.summaries.get(name) {
-                Some(p) => summary.unmerge(p),
-                None => summary.clone(),
-            };
-            out.summaries.insert(name.clone(), delta);
-        }
-        for (name, hist) in &self.histograms {
-            let delta = match prefix.histograms.get(name) {
-                Some(p) => hist.delta_since(p),
-                None => hist.clone(),
-            };
-            out.histograms.insert(name.clone(), delta);
-        }
-        out
+        self.values.is_empty() && self.histograms.is_empty()
     }
 
     /// Pulls every metric out of `source`.
@@ -199,8 +117,8 @@ impl MetricRegistry {
     }
 
     /// Snapshots the registry as a `metric,kind,value` CSV table. Each
-    /// summary expands to `.count` / `.mean` / `.min` / `.max` rows, each
-    /// histogram to `.count` / `.p50` / `.p90` / `.p99` / `.p999` rows.
+    /// histogram expands to `.count` / `.p50` / `.p90` / `.p99` / `.p999`
+    /// rows.
     pub fn to_csv(&self) -> CsvLog {
         let mut log = CsvLog::new(&["metric", "kind", "value"]);
         for (name, value) in &self.values {
@@ -209,21 +127,6 @@ impl MetricRegistry {
                 MetricValue::Gauge(v) => ("gauge", CsvCell::Float(*v)),
             };
             log.push_row(vec![CsvCell::from(name.as_str()), CsvCell::from(kind), cell]);
-        }
-        for (name, summary) in &self.summaries {
-            let rows: [(&str, CsvCell); 4] = [
-                ("count", CsvCell::from(summary.count())),
-                ("mean", CsvCell::Float(summary.mean())),
-                ("min", CsvCell::Float(summary.min().unwrap_or(f64::NAN))),
-                ("max", CsvCell::Float(summary.max().unwrap_or(f64::NAN))),
-            ];
-            for (stat, cell) in rows {
-                log.push_row(vec![
-                    CsvCell::Str(format!("{name}.{stat}")),
-                    CsvCell::from("summary"),
-                    cell,
-                ]);
-            }
         }
         for (name, hist) in &self.histograms {
             let rows: [(&str, CsvCell); 5] = [
@@ -262,10 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_gauges_overwrite() {
+    fn counters_and_gauges_keep_the_last_value() {
         let mut reg = MetricRegistry::new();
-        reg.counter("a", 2);
-        reg.counter("a", 3);
+        reg.set_counter("a", 2);
+        reg.set_counter("a", 5);
         reg.gauge("g", 1.0);
         reg.gauge("g", 2.5);
         assert_eq!(reg.counter_value("a"), Some(5));
@@ -290,26 +193,22 @@ mod tests {
         let mut reg = MetricRegistry::new();
         reg.gauge("z.last", 0.5);
         reg.set_counter("a.first", 7);
-        reg.observe("lat", 10.0);
-        reg.observe("lat", 30.0);
+        reg.set_counter("m.mid", 3);
         let csv = reg.to_csv();
         let text = csv.to_csv_string();
         assert_eq!(
             text,
             "metric,kind,value\n\
              a.first,counter,7\n\
-             z.last,gauge,0.5\n\
-             lat.count,summary,2\n\
-             lat.mean,summary,20\n\
-             lat.min,summary,10\n\
-             lat.max,summary,30\n"
+             m.mid,counter,3\n\
+             z.last,gauge,0.5\n"
         );
     }
 
     #[test]
-    fn histogram_rows_follow_summaries_in_csv() {
+    fn histogram_rows_follow_scalars_in_csv() {
         let mut reg = MetricRegistry::new();
-        reg.observe("lat", 10.0);
+        reg.set_counter("z.hits", 1);
         for _ in 0..10 {
             reg.observe_hist("wall", 64.0);
         }
@@ -317,10 +216,7 @@ mod tests {
         assert_eq!(
             text,
             "metric,kind,value\n\
-             lat.count,summary,1\n\
-             lat.mean,summary,10\n\
-             lat.min,summary,10\n\
-             lat.max,summary,10\n\
+             z.hits,counter,1\n\
              wall.count,histogram,10\n\
              wall.p50,histogram,64\n\
              wall.p90,histogram,64\n\
@@ -331,58 +227,5 @@ mod tests {
         assert!(!reg.is_empty());
         assert_eq!(reg.histogram("wall").unwrap().count(), 10);
         assert_eq!(reg.histogram("missing"), None);
-    }
-
-    #[test]
-    fn merge_combines_every_metric_kind() {
-        let mut a = MetricRegistry::new();
-        a.counter("hits", 2);
-        a.gauge("ratio", 0.25);
-        a.observe("lat", 10.0);
-        a.observe_hist("wall", 4.0);
-        let mut b = MetricRegistry::new();
-        b.counter("hits", 3);
-        b.gauge("ratio", 0.75);
-        b.observe("lat", 30.0);
-        b.observe_hist("wall", 16.0);
-        b.counter("only_b", 1);
-        a.merge(&b);
-        assert_eq!(a.counter_value("hits"), Some(5));
-        assert_eq!(a.gauge_value("ratio"), Some(0.75));
-        assert_eq!(a.summary("lat").unwrap().count(), 2);
-        assert!((a.summary("lat").unwrap().mean() - 20.0).abs() < 1e-12);
-        assert_eq!(a.histogram("wall").unwrap().count(), 2);
-        assert_eq!(a.counter_value("only_b"), Some(1));
-    }
-
-    #[test]
-    fn delta_since_strips_a_shared_prefix() {
-        let mut prefix = MetricRegistry::new();
-        prefix.counter("hits", 10);
-        prefix.observe("lat", 5.0);
-        prefix.observe_hist("wall", 8.0);
-
-        // Two "branches" each extend a copy of the prefix.
-        let mut branch1 = prefix.clone();
-        branch1.counter("hits", 4);
-        branch1.observe("lat", 9.0);
-        branch1.observe_hist("wall", 32.0);
-        let mut branch2 = prefix.clone();
-        branch2.counter("hits", 6);
-        branch2.observe_hist("wall", 64.0);
-
-        // prefix + Σ deltas counts the prefix exactly once.
-        let mut merged = prefix.clone();
-        merged.merge(&branch1.delta_since(&prefix));
-        merged.merge(&branch2.delta_since(&prefix));
-        assert_eq!(merged.counter_value("hits"), Some(20));
-        assert_eq!(merged.summary("lat").unwrap().count(), 2);
-        assert_eq!(merged.histogram("wall").unwrap().count(), 3);
-
-        // Naive merging would triple-count the prefix (10 + 14 + 16).
-        let mut naive = prefix.clone();
-        naive.merge(&branch1);
-        naive.merge(&branch2);
-        assert_eq!(naive.counter_value("hits"), Some(40));
     }
 }

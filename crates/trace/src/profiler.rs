@@ -170,16 +170,6 @@ impl Profiler {
         self.counts.iter().all(|&c| c == 0)
     }
 
-    /// Adds every attribution of `other` into `self` (combining the
-    /// profiles of forked branches or of sequential mission segments).
-    pub fn merge(&mut self, other: &Profiler) {
-        for phase in Phase::ALL {
-            let i = phase.index();
-            self.totals[i] += other.totals[i];
-            self.counts[i] += other.counts[i];
-        }
-    }
-
     /// Renders the per-phase attribution table shown by
     /// `profile_mission --profile`.
     pub fn render_table(&self) -> String {
@@ -262,19 +252,6 @@ mod tests {
         // Every lap ends where the next begins, so the laps never add up
         // to more than one reading of the whole span.
         assert!(first + second <= total.elapsed());
-    }
-
-    #[test]
-    fn merge_sums_phase_wise() {
-        let mut a = Profiler::new();
-        a.add(Phase::RtlGrant, Duration::from_micros(10));
-        let mut b = Profiler::new();
-        b.add(Phase::RtlGrant, Duration::from_micros(30));
-        b.add(Phase::CostModel, Duration::from_micros(5));
-        a.merge(&b);
-        assert_eq!(a.total(Phase::RtlGrant), Duration::from_micros(40));
-        assert_eq!(a.count(Phase::RtlGrant), 2);
-        assert_eq!(a.total(Phase::CostModel), Duration::from_micros(5));
     }
 
     #[test]
