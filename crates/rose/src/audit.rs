@@ -256,6 +256,43 @@ mod tests {
     }
 
     #[test]
+    fn accelerator_design_points_share_timing_cache_entries() {
+        // The fingerprint leaves the Gemmini parameters out, so a second
+        // design point replays the CPU-kernel expansions a first one
+        // recorded wherever their memory pre-states agree, and still
+        // flies exactly its own cold mission.
+        use rose_socsim::{SharedTimingCache, SocConfig};
+
+        let base = short(MissionConfig::default());
+        let cache = SharedTimingCache::in_memory();
+        run_mission(&MissionConfig {
+            soc: SocConfig::config_a().with_mesh(4),
+            timing_cache: Some(cache.clone()),
+            ..base.clone()
+        });
+        assert!(!cache.is_empty(), "mesh-4 run should record entries");
+        let (hits_before, _) = cache.counters();
+
+        let point = MissionConfig {
+            soc: SocConfig::config_a()
+                .with_mesh(16)
+                .with_scratchpad(128 * 1024),
+            ..base
+        };
+        let cold = MissionDigest::of(&run_mission(&point));
+        let shared = MissionDigest::of(&run_mission(&MissionConfig {
+            timing_cache: Some(cache.clone()),
+            ..point
+        }));
+        let (hits, _) = cache.counters();
+        assert!(
+            hits > hits_before,
+            "mesh-16 run should replay mesh-4 entries"
+        );
+        assert_eq!(cold, shared, "shared entries must not perturb");
+    }
+
+    #[test]
     fn diverged_surfaces_name_the_difference() {
         let config = short(MissionConfig::default());
         let a = MissionDigest::of(&run_mission(&config));

@@ -541,8 +541,9 @@ impl Soc {
 
     /// The in-memory-miss path of [`Soc::cpu_cost`]: replay a persisted
     /// expansion when the timing cache holds one for this exact context
-    /// (kernel, config fingerprint, memory state, branch RNG), expand
-    /// cold — and record the result — otherwise.
+    /// (kernel, config fingerprint, memory state, branch RNG) whose check
+    /// hash matches the live pre-state, expand cold — and record the
+    /// result, replacing any entry that failed its check — otherwise.
     fn expand_cpu_kernel(&mut self, kernel: Kernel) -> u64 {
         // The expansion context doubles as the rollback image below, so
         // it is serialized once, only when a cache is attached.
@@ -553,8 +554,9 @@ impl Soc {
             let hash = SharedTimingCache::context_hash(&pre_mem, self.cpu.branch_rng());
             (hash, pre_mem)
         });
-        if let (Some(cache), Some((hash, pre_mem))) = (&self.timing_cache, &ctx) {
-            if let Some(entry) = cache.lookup_kernel(self.timing_fingerprint, &kernel, *hash) {
+        if let (Some(cache), Some(((key, check), pre_mem))) = (&self.timing_cache, &ctx) {
+            if let Some(entry) = cache.lookup_kernel(self.timing_fingerprint, &kernel, *key, *check)
+            {
                 match self.mem.restore_state(&mut SnapReader::new(&entry.post_mem)) {
                     Ok(()) => {
                         self.cpu.replay_expansion(
@@ -568,10 +570,11 @@ impl Soc {
                         return cycles;
                     }
                     Err(_) => {
-                        // A malformed entry (hash collision against a
-                        // different geometry, or file corruption) may have
-                        // partially overwritten the memory state: roll
-                        // back to the pre-expansion image and expand cold.
+                        // A check mismatch is a miss and never gets here,
+                        // so an image that fails to decode means file
+                        // corruption. It may have partially overwritten
+                        // the memory state: roll back to the
+                        // pre-expansion image and expand cold.
                         self.mem
                             .restore_state(&mut SnapReader::new(pre_mem))
                             // rose-lint: allow(PANIC002, the pre-expansion image was serialized from this exact MemSystem and round-trips by construction)
@@ -584,18 +587,19 @@ impl Soc {
         let cycles = self.cpu.run_kernel(&kernel, &mut self.mem).max(1);
         let after = self.cpu.stats();
         let instrs = after.instrs - before.instrs;
-        if let (Some(cache), Some((hash, _))) = (&self.timing_cache, &ctx) {
+        if let (Some(cache), Some(((key, check), _))) = (&self.timing_cache, &ctx) {
             let mut w = SnapWriter::new();
             self.mem.save_state(&mut w);
             cache.insert_kernel(
                 self.timing_fingerprint,
                 kernel,
-                *hash,
+                *key,
                 KernelEntry {
                     cycles: after.cycles - before.cycles,
                     instrs,
                     mispredicts: after.mispredicts - before.mispredicts,
                     post_rng: self.cpu.branch_rng(),
+                    check: *check,
                     post_mem: w.into_bytes(),
                 },
             );
@@ -1063,35 +1067,44 @@ mod tests {
         assert!(cached.ts_us > cold.ts_us);
     }
 
+    /// A program mixing CPU kernels with accelerator ops, for the
+    /// timing-cache tests.
+    fn cache_ops() -> Vec<TargetOp> {
+        vec![
+            TargetOp::CpuKernel(Kernel::Memcpy { bytes: 32 << 10 }),
+            TargetOp::AccelConv(ConvShape {
+                in_c: 3,
+                out_c: 8,
+                out_h: 14,
+                out_w: 14,
+                ksize: 3,
+            }),
+            TargetOp::AccelMatmul { m: 48, k: 48, n: 48 },
+            TargetOp::Send(vec![9]),
+            TargetOp::CpuKernel(Kernel::Memcpy { bytes: 32 << 10 }),
+        ]
+    }
+
+    fn state(soc: &Soc) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        soc.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn mem_bytes(soc: &Soc) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        soc.mem.save_state(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn warm_timing_cache_replays_bit_identically() {
-        let ops = || {
-            vec![
-                TargetOp::CpuKernel(Kernel::Memcpy { bytes: 32 << 10 }),
-                TargetOp::AccelConv(ConvShape {
-                    in_c: 3,
-                    out_c: 8,
-                    out_h: 14,
-                    out_w: 14,
-                    ksize: 3,
-                }),
-                TargetOp::AccelMatmul { m: 48, k: 48, n: 48 },
-                TargetOp::Send(vec![9]),
-                TargetOp::CpuKernel(Kernel::Memcpy { bytes: 32 << 10 }),
-            ]
-        };
-        let state = |soc: &Soc| {
-            let mut w = SnapWriter::new();
-            soc.save_state(&mut w);
-            w.into_bytes()
-        };
-
         // Populate: a first mission expands everything cold into the
         // shared cache. Only CPU kernels are persisted, and the second
         // Memcpy hits the in-memory cache, so one kernel entry lands on
         // "disk"; the conv and matmul are timed afresh on every run.
         let cache = SharedTimingCache::in_memory();
-        let mut warmup = scripted_soc(ops());
+        let mut warmup = scripted_soc(cache_ops());
         warmup.set_timing_cache(cache.clone());
         warmup.run_cycles(100_000_000);
         assert!(warmup.halted());
@@ -1100,9 +1113,9 @@ mod tests {
         // A cacheless run and a warm-cache run of the same mission must
         // finish in bit-identical states: counters, caches, bus, RNG,
         // queues — the §4i digest-invisibility contract at SoC scope.
-        let mut cold = scripted_soc(ops());
+        let mut cold = scripted_soc(cache_ops());
         cold.run_cycles(100_000_000);
-        let mut warm = scripted_soc(ops());
+        let mut warm = scripted_soc(cache_ops());
         warm.set_timing_cache(cache.clone());
         warm.run_cycles(100_000_000);
         let (hits, _) = cache.counters();
@@ -1111,6 +1124,60 @@ mod tests {
         assert_eq!(state(&cold), state(&warm));
         // And the warmup run itself matches too (cold-with-recording).
         assert_eq!(state(&cold), state(&warmup));
+    }
+
+    #[test]
+    fn forged_timing_cache_entry_fails_its_check_and_expands_cold() {
+        // The first op is a CPU kernel, so its expansion context is the
+        // fresh SoC's memory state and branch RNG.
+        let fresh = scripted_soc(cache_ops());
+        let fp = SharedTimingCache::fingerprint(&fresh.config);
+        let kernel = Kernel::Memcpy { bytes: 32 << 10 };
+        let (key, check) =
+            SharedTimingCache::context_hash(&mem_bytes(&fresh), fresh.cpu.branch_rng());
+
+        // A forged entry under the live key: a wrong check, and a
+        // well-formed post-image taken from a different memory state. Were
+        // the check not compared, this replay would restore it and diverge.
+        let mut other = scripted_soc(vec![TargetOp::CpuKernel(Kernel::Memcpy {
+            bytes: 1 << 10,
+        })]);
+        other.run_cycles(1_000_000);
+        assert!(other.halted());
+        let forged = KernelEntry {
+            cycles: 1,
+            instrs: 1,
+            mispredicts: 0,
+            post_rng: other.cpu.branch_rng(),
+            check: !check,
+            post_mem: mem_bytes(&other),
+        };
+        assert_ne!(forged.post_mem, mem_bytes(&fresh));
+        let cache = SharedTimingCache::in_memory();
+        cache.insert_kernel(fp, kernel, key, forged.clone());
+
+        let mut cold = scripted_soc(cache_ops());
+        cold.run_cycles(100_000_000);
+        let mut checked = scripted_soc(cache_ops());
+        checked.set_timing_cache(cache.clone());
+        checked.run_cycles(100_000_000);
+        assert!(checked.halted());
+        assert!(
+            state(&cold) == state(&checked),
+            "a forged entry must not reach the SoC state"
+        );
+        assert_eq!(cache.counters(), (0, 1), "a failed check is a miss");
+
+        // The cold expansion replaced the forged entry with its own.
+        let recorded = SharedTimingCache::in_memory();
+        let mut recorder = scripted_soc(cache_ops());
+        recorder.set_timing_cache(recorded.clone());
+        recorder.run_cycles(100_000_000);
+        assert_eq!(cache.len(), 1);
+        let replaced = cache.lookup_kernel(fp, &kernel, key, check);
+        assert!(replaced.is_some());
+        assert_ne!(replaced.as_ref(), Some(&forged));
+        assert_eq!(replaced, recorded.lookup_kernel(fp, &kernel, key, check));
     }
 
     #[test]

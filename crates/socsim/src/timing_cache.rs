@@ -6,10 +6,10 @@
 //! kernel once per mission, and that expansion — milliseconds per kernel
 //! — dominates the `rtl-grant` phase on short missions. This module widens
 //! the CPU-kernel cache across *processes*: a versioned on-disk table,
-//! keyed by a [`SocConfig`] fingerprint plus the kernel descriptor, loaded
-//! at mission start and shared by every mission of a sweep — so a swept
-//! configuration expands each kernel exactly once per machine, not once
-//! per mission.
+//! keyed by a core-and-memory fingerprint of the [`SocConfig`] plus the
+//! kernel descriptor, loaded at mission start and shared by every mission
+//! of a sweep — so each expansion context is expanded exactly once per
+//! machine, not once per mission or once per design point.
 //!
 //! Accelerator timing ([`crate::gemmini`]) is not persisted: it is a
 //! closed form over at most four block classes, a fraction of a
@@ -26,13 +26,16 @@
 //! descriptor, the configuration fingerprint, and a *context hash* over
 //! the serialized memory state and RNG; the entry stores the full
 //! post-expansion memory image so a replay restores exactly the state a
-//! cold run would have left.
+//! cold run would have left. The entry also stores a second, independent
+//! 64-bit hash of the same pre-state, and every hit is checked against
+//! it: a mismatch is a miss, and the SoC expands cold.
 //!
 //! The fingerprint deliberately **excludes** [`SocConfig::name`] (a
-//! label) and the clock (cycle-domain expansion never sees wall time), so
-//! a frequency sweep shares every entry across its points. It **includes**
-//! [`MODEL_VERSION`]: bump that constant whenever any timing-model change
-//! lands, and every stale entry self-invalidates.
+//! label), the clock (cycle-domain expansion never sees wall time) and
+//! the accelerator parameters (no CPU kernel reads them), so frequency
+//! and accelerator sweeps share every entry across their points. It
+//! **includes** [`MODEL_VERSION`]: bump that constant whenever any
+//! timing-model change lands, and every stale entry self-invalidates.
 //!
 //! A missing, truncated, corrupt, or version-mismatched cache file loads
 //! as an empty cache — the cache can only ever accelerate a run, never
@@ -50,7 +53,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// accelerator timing models, or the memory hierarchy that can move a
 /// single cycle MUST bump this: the fingerprint folds it in, so every
 /// entry recorded by an older model self-invalidates.
-pub const MODEL_VERSION: u32 = 1;
+pub const MODEL_VERSION: u32 = 2;
 
 /// Section magic guarding the cache file ("RTMC").
 const SNAP_SECTION: u32 = 0x5254_4d43;
@@ -78,6 +81,9 @@ pub struct KernelEntry {
     pub mispredicts: u64,
     /// The branch RNG state after the expansion.
     pub post_rng: u64,
+    /// The pre-state's check hash (the second half of
+    /// [`SharedTimingCache::context_hash`]), compared on every hit.
+    pub check: u64,
     /// The complete serialized [`crate::mem::MemSystem`] state after the
     /// expansion (caches, bus counters, prefetcher).
     pub post_mem: Vec<u8>,
@@ -85,7 +91,7 @@ pub struct KernelEntry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// (config fingerprint, kernel, expansion-context hash) → expansion.
+    /// (config fingerprint, kernel, expansion-context key) → expansion.
     kernels: BTreeMap<(u64, Kernel, u64), KernelEntry>,
     /// Entries added since load (persist is a no-op while clean).
     // rose-lint: allow(SNAP002, host-side cache bookkeeping, deliberately outside mission snapshots; the timing cache is structural, never simulated state (DESIGN.md 4i))
@@ -110,6 +116,7 @@ impl Inner {
             w.u64(entry.instrs);
             w.u64(entry.mispredicts);
             w.u64(entry.post_rng);
+            w.u64(entry.check);
             w.bytes(&entry.post_mem);
         }
     }
@@ -133,6 +140,7 @@ impl Inner {
                 instrs: r.u64()?,
                 mispredicts: r.u64()?,
                 post_rng: r.u64()?,
+                check: r.u64()?,
                 post_mem: r.bytes()?,
             };
             inner.kernels.insert((fp, kernel, ctx), entry);
@@ -243,51 +251,51 @@ impl SharedTimingCache {
     }
 
     /// The configuration fingerprint every key is scoped under: FNV-1a
-    /// over [`MODEL_VERSION`], the core kind, the accelerator generator
-    /// parameters, and the memory geometry/latencies. The config *name*
-    /// and the *clock* are deliberately excluded — neither enters
-    /// cycle-domain expansion, so renamed configs and frequency-sweep
-    /// points share entries. The accelerator parameters enter no kernel
-    /// expansion either, so an accelerator sweep re-expands kernels it
-    /// could share; dropping them would re-key every stored entry.
+    /// over [`MODEL_VERSION`], the core kind, and the memory
+    /// geometry/latencies. The config *name*, the *clock* and the
+    /// *accelerator* parameters are deliberately excluded — none enters
+    /// cycle-domain CPU-kernel expansion, so renamed configs and the
+    /// points of a frequency or accelerator sweep share entries. What an
+    /// accelerator op leaves in the memory hierarchy is covered by the
+    /// context hash instead.
     pub fn fingerprint(config: &SocConfig) -> u64 {
         let mut w = SnapWriter::new();
         w.u32(MODEL_VERSION);
         config.core.save_state(&mut w);
-        match &config.gemmini {
-            None => w.u8(0),
-            Some(g) => {
-                w.u8(1);
-                g.save_state(&mut w);
-            }
-        }
         config.mem.save_state(&mut w);
         let mut h = Fnv64::new();
         h.write(&w.into_bytes());
         h.finish()
     }
 
-    /// The CPU-kernel expansion context: a content hash of the serialized
-    /// memory-system state and the branch-RNG position. Two expansions
+    /// The CPU-kernel expansion context of the serialized memory-system
+    /// state and the branch-RNG position, as `(key, check)`: two
+    /// independent 64-bit content hashes. `key` indexes the entry; `check`
+    /// is stored in it and compared on every hit, so a replay needs both
+    /// to agree with the pre-state it was recorded from. Two expansions
     /// with equal kernel, fingerprint, and context are bit-identical.
     ///
-    /// The state is ~100 KiB of cache tags, so this is an FNV-1a-style
-    /// multiply over 8-byte lanes (`Fnv64` folds byte-wise internally,
-    /// which would dominate the whole replay) — one multiply per word
-    /// keeps the hit path an order of magnitude cheaper than the codec
-    /// hash. A multiply carries differences only toward higher bits, so
-    /// each lane also folds the high half of the state down; without that
-    /// fold, flipping bit 63 of any two words cancels out. This is still
-    /// only a 64-bit content hash with no stored pre-state to check a hit
-    /// against. The lane hash is a pure key format private to the cache
-    /// file; `MODEL_VERSION` guards it like every other layout choice.
-    pub fn context_hash(mem_state: &[u8], branch_rng: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let lane = |h: u64, word: u64| {
-            let h = (h ^ word).wrapping_mul(PRIME);
-            h ^ (h >> 32)
+    /// The state is ~100 KiB of cache tags, so each hash is an
+    /// FNV-1a-style multiply over 8-byte lanes (`Fnv64` folds byte-wise
+    /// internally, which would dominate the whole replay) — one multiply
+    /// per word keeps the hit path an order of magnitude cheaper than the
+    /// codec hash. A multiply carries differences only toward higher bits,
+    /// so each lane also folds the high half of the state down; without
+    /// that fold, flipping bit 63 of any two words cancels out. The check
+    /// chain uses its own seed, multiplier and fold, and sees each word
+    /// with its halves swapped. Both chains run in the same loop, and the
+    /// loop is bound by multiply latency, so the second chain is nearly
+    /// free. The lane hashes are a key format private to the cache file;
+    /// `MODEL_VERSION` guards them like every other layout choice.
+    pub fn context_hash(mem_state: &[u8], branch_rng: u64) -> (u64, u64) {
+        const KEY_PRIME: u64 = 0x0000_0100_0000_01b3;
+        const CHECK_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+        let lane = |(key, check): (u64, u64), word: u64| {
+            let key = (key ^ word).wrapping_mul(KEY_PRIME);
+            let check = (check ^ word.rotate_left(32)).wrapping_mul(CHECK_MUL);
+            (key ^ (key >> 32), check ^ (check >> 29))
         };
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = (0xcbf2_9ce4_8422_2325u64, 0x6a09_e667_f3bc_c908u64);
         let mut chunks = mem_state.chunks_exact(8);
         for chunk in &mut chunks {
             // rose-lint: allow(PANIC002, chunks_exact(8) guarantees 8-byte slices, so the conversion is infallible)
@@ -302,10 +310,23 @@ impl SharedTimingCache {
         lane(h, branch_rng)
     }
 
-    /// Looks up a recorded CPU-kernel expansion.
-    pub fn lookup_kernel(&self, fp: u64, kernel: &Kernel, ctx: u64) -> Option<KernelEntry> {
+    /// Looks up a recorded CPU-kernel expansion under the context `key`,
+    /// and returns it only if its stored check equals the live `check`. A
+    /// check mismatch counts as a miss: the caller expands cold and its
+    /// insert replaces the entry.
+    pub fn lookup_kernel(
+        &self,
+        fp: u64,
+        kernel: &Kernel,
+        key: u64,
+        check: u64,
+    ) -> Option<KernelEntry> {
         let mut inner = self.lock();
-        let hit = inner.kernels.get(&(fp, *kernel, ctx)).cloned();
+        let hit = inner
+            .kernels
+            .get(&(fp, *kernel, key))
+            .filter(|entry| entry.check == check)
+            .cloned();
         match hit {
             Some(_) => inner.hits += 1,
             None => inner.misses += 1,
@@ -313,10 +334,11 @@ impl SharedTimingCache {
         hit
     }
 
-    /// Records a cold CPU-kernel expansion.
-    pub fn insert_kernel(&self, fp: u64, kernel: Kernel, ctx: u64, entry: KernelEntry) {
+    /// Records a cold CPU-kernel expansion under the context `key`,
+    /// replacing any entry already there.
+    pub fn insert_kernel(&self, fp: u64, kernel: Kernel, key: u64, entry: KernelEntry) {
         let mut inner = self.lock();
-        inner.kernels.insert((fp, kernel, ctx), entry);
+        inner.kernels.insert((fp, kernel, key), entry);
         inner.dirty = true;
     }
 
@@ -340,8 +362,7 @@ impl SharedTimingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SocConfig;
-    use crate::gemmini::GemminiConfig;
+    use crate::config::{CoreKind, SocConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -364,6 +385,7 @@ mod tests {
                     instrs: 456,
                     mispredicts: 7,
                     post_rng: 0xabcd,
+                    check: ctx ^ 1,
                     post_mem: vec![1, 2, 3, 4],
                 },
             );
@@ -382,25 +404,28 @@ mod tests {
         let reloaded = SharedTimingCache::load(&path);
         assert_eq!(reloaded.len(), 3);
         let k = reloaded
-            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 4096 }, 0xfeed)
+            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 4096 }, 0xfeed, 0xfeec)
             .unwrap();
         assert_eq!(k.cycles, 123);
         assert_eq!(k.post_mem, vec![1, 2, 3, 4]);
         let other_ctx = reloaded
-            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 4096 }, 0xbeef)
+            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 4096 }, 0xbeef, 0xbeee)
             .unwrap();
         assert_eq!(other_ctx.cycles, 124);
         assert!(reloaded
-            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 64 }, 0xfeed)
+            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 64 }, 0xfeed, 0xfeec)
             .is_some());
-        // Wrong fingerprint or context: a miss.
+        // Wrong fingerprint, key or check: a miss.
         assert!(reloaded
-            .lookup_kernel(fp ^ 1, &Kernel::Memcpy { bytes: 4096 }, 0xfeed)
+            .lookup_kernel(fp ^ 1, &Kernel::Memcpy { bytes: 4096 }, 0xfeed, 0xfeec)
             .is_none());
         assert!(reloaded
-            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 64 }, 0xbeef)
+            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 64 }, 0xbeef, 0xbeee)
             .is_none());
-        assert_eq!(reloaded.counters(), (3, 2));
+        assert!(reloaded
+            .lookup_kernel(fp, &Kernel::Memcpy { bytes: 4096 }, 0xfeed, 0xfeed)
+            .is_none());
+        assert_eq!(reloaded.counters(), (3, 3));
         std::fs::remove_file(&path).ok();
     }
 
@@ -454,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_name_and_clock_only() {
+    fn fingerprint_ignores_name_clock_and_accelerator() {
         let base = SocConfig::config_a();
         let fp = SharedTimingCache::fingerprint(&base);
 
@@ -468,41 +493,43 @@ mod tests {
         clocked.clock = rose_sim_core::cycles::ClockSpec::from_mhz(123);
         assert_eq!(fp, SharedTimingCache::fingerprint(&clocked));
 
-        let mut other_mesh = base.clone();
-        other_mesh.gemmini = Some(GemminiConfig {
-            mesh_rows: 8,
-            mesh_cols: 8,
-            ..GemminiConfig::default()
-        });
-        assert_ne!(fp, SharedTimingCache::fingerprint(&other_mesh));
+        // Accelerator design points share all entries too: no CPU kernel
+        // reads the Gemmini parameters.
+        assert_eq!(fp, SharedTimingCache::fingerprint(&base.with_mesh(8)));
+        let spad = base.with_scratchpad(128 * 1024);
+        assert_eq!(fp, SharedTimingCache::fingerprint(&spad));
+        let mut no_accel = base.clone();
+        no_accel.gemmini = None;
+        assert_eq!(fp, SharedTimingCache::fingerprint(&no_accel));
 
+        // The core and the memory hierarchy do enter expansion.
+        let mut other_core = base.clone();
+        other_core.core = CoreKind::Rocket;
+        assert_ne!(fp, SharedTimingCache::fingerprint(&other_core));
         let mut other_mem = base.clone();
         other_mem.mem.l1_latency += 1;
         assert_ne!(fp, SharedTimingCache::fingerprint(&other_mem));
-
-        let mut no_accel = base.clone();
-        no_accel.gemmini = None;
-        assert_ne!(fp, SharedTimingCache::fingerprint(&no_accel));
     }
 
     #[test]
     fn context_hash_separates_high_bit_flips_in_two_lanes() {
         // A plain xor-then-multiply lane hash maps these pairs to the same
-        // key: bit 63 of a lane survives every later multiply unchanged,
-        // so flipping it in two lanes cancels.
+        // value: bit 63 of a lane survives every later multiply unchanged,
+        // so flipping it in two lanes cancels. Both the key and the check
+        // must separate them.
         let base: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37)).collect();
-        let h = SharedTimingCache::context_hash(&base, 9);
+        let (key, check) = SharedTimingCache::context_hash(&base, 9);
         for (a, b) in [(0, 1), (0, 7), (3, 5), (6, 7)] {
             let mut flipped = base.clone();
             flipped[8 * a + 7] ^= 0x80;
             flipped[8 * b + 7] ^= 0x80;
-            assert_ne!(
-                SharedTimingCache::context_hash(&flipped, 9),
-                h,
-                "bit 63 flipped in lanes {a} and {b}"
-            );
+            let (k, c) = SharedTimingCache::context_hash(&flipped, 9);
+            assert_ne!(k, key, "key: bit 63 flipped in lanes {a} and {b}");
+            assert_ne!(c, check, "check: bit 63 flipped in lanes {a} and {b}");
         }
-        assert_ne!(SharedTimingCache::context_hash(&base, 9 ^ (1 << 63)), h);
+        let (k, c) = SharedTimingCache::context_hash(&base, 9 ^ (1 << 63));
+        assert_ne!(k, key);
+        assert_ne!(c, check);
     }
 
     #[test]
