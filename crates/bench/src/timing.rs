@@ -27,10 +27,10 @@ pub fn with_timing_cache(mut config: MissionConfig) -> MissionConfig {
     config
 }
 
-/// Writes the cache back to its file (atomically; no-op when disabled,
-/// in-memory, or unchanged). Binaries call this once before exiting so
-/// the next run starts warm. Persist failures only cost future warmth,
-/// so they warn instead of aborting a finished experiment.
+/// Merges the cache into its file (under a lock, atomically; no-op when
+/// disabled, in-memory, or unchanged). Binaries call this once before
+/// exiting so the next run starts warm. Persist failures only cost future
+/// warmth, so they warn instead of aborting a finished experiment.
 pub fn persist_timing_cache() {
     if let Some(cache) = shared_timing_cache() {
         if let Err(err) = cache.persist() {

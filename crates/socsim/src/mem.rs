@@ -22,19 +22,36 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets implied by the geometry.
+    /// Number of sets implied by the geometry, or why it cannot back a
+    /// [`Cache`]: zero ways or line size, a capacity below one set, a set
+    /// count or line size that is not a power of two, or one set of
+    /// one-byte lines (its tag would span the whole 64-bit address,
+    /// leaving no bit for the dirty flag).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the geometry is degenerate (zero or non-dividing sizes).
-    pub fn sets(&self) -> usize {
-        assert!(
-            self.ways > 0 && self.line_bytes > 0,
-            "degenerate cache geometry"
-        );
-        let sets = self.size_bytes / (self.ways * self.line_bytes);
-        assert!(sets > 0, "cache smaller than one set");
-        sets
+    /// Returns the first rule the geometry breaks.
+    pub fn sets(&self) -> Result<usize, &'static str> {
+        if self.ways == 0 || self.line_bytes == 0 {
+            return Err("degenerate cache geometry");
+        }
+        let sets = self
+            .ways
+            .checked_mul(self.line_bytes)
+            .map_or(0, |set_bytes| self.size_bytes / set_bytes);
+        if sets == 0 {
+            return Err("cache smaller than one set");
+        }
+        if !sets.is_power_of_two() {
+            return Err("set count must be a power of two");
+        }
+        if !self.line_bytes.is_power_of_two() {
+            return Err("line size must be a power of two");
+        }
+        if sets == 1 && self.line_bytes == 1 {
+            return Err("a one-set cache needs lines wider than a byte");
+        }
+        Ok(sets)
     }
 
     /// Serializes the geometry.
@@ -108,23 +125,14 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate, if the set count or line size
-    /// is not a power of two, or if the tag would span the whole 64-bit
-    /// address (one set of one-byte lines), leaving no bit for the dirty
-    /// flag.
+    /// Panics if [`CacheConfig::sets`] rejects the geometry.
     pub fn new(config: CacheConfig) -> Cache {
-        let sets = config.sets();
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(
-            config.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
+        let sets = match config.sets() {
+            Ok(sets) => sets,
+            Err(why) => panic!("{why}"),
+        };
         let line_shift = config.line_bytes.trailing_zeros();
         let tag_shift = line_shift + sets.trailing_zeros();
-        assert!(
-            tag_shift > 0,
-            "a one-set cache needs lines wider than a byte"
-        );
         Cache {
             config,
             lines: vec![0; sets * config.ways],
@@ -198,6 +206,22 @@ impl Cache {
     /// Invalidates all contents (e.g. after DMA writes to memory).
     pub fn flush(&mut self) {
         self.fill.fill(0);
+    }
+
+    /// Feeds the dynamic state to `word`: per set its fill and resident
+    /// line words, then the counters. Two caches of one geometry with
+    /// equal [`Cache::save_state`] bytes feed equal words; stale words
+    /// beyond a set's fill are not fed.
+    fn state_words(&self, word: &mut impl FnMut(u64)) {
+        for (set, &n) in self.lines.chunks_exact(self.config.ways).zip(&self.fill) {
+            word(n as u64);
+            for &line in &set[..n] {
+                word(line);
+            }
+        }
+        word(self.stats.hits);
+        word(self.stats.misses);
+        word(self.stats.writebacks);
     }
 
     /// Serializes contents (tags in LRU order, dirty bits) and counters.
@@ -493,6 +517,32 @@ impl MemSystem {
     /// Misses absorbed by the L2 stream prefetcher so far.
     pub fn prefetch_hits(&self) -> u64 {
         self.prefetch_hits
+    }
+
+    /// Feeds the dynamic state to `word`, one `u64` at a time: both
+    /// caches' sets and counters, the bus, the prefetch streams and
+    /// `prefetch_hits` — what [`MemSystem::save_state`] writes, read from
+    /// the live arrays. Two hierarchies of one [`MemConfig`] with equal
+    /// `save_state` bytes feed equal words, so the timing cache keys
+    /// expansions by this walk with no serialization.
+    pub fn state_words(&self, mut word: impl FnMut(u64)) {
+        let MemSystem {
+            config: _,
+            l1d,
+            l2,
+            bus,
+            prefetch_streams,
+            prefetch_hits,
+            miss_latencies: _,
+        } = self;
+        l1d.state_words(&mut word);
+        l2.state_words(&mut word);
+        word(bus.dma_utilization.to_bits());
+        word(bus.total_bytes);
+        for &stream in prefetch_streams {
+            word(stream);
+        }
+        word(*prefetch_hits);
     }
 
     /// Serializes the hierarchy: both cache contents, bus state, and the
@@ -809,7 +859,7 @@ mod reference_lru_tests {
 
     impl RefCache {
         fn new(config: CacheConfig) -> RefCache {
-            let sets = config.sets();
+            let sets = config.sets().unwrap();
             RefCache {
                 ways: config.ways,
                 sets: vec![Vec::with_capacity(config.ways); sets],

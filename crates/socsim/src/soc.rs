@@ -542,65 +542,47 @@ impl Soc {
     /// The in-memory-miss path of [`Soc::cpu_cost`]: replay a persisted
     /// expansion when the timing cache holds one for this exact context
     /// (kernel, config fingerprint, memory state, branch RNG) whose check
-    /// hash matches the live pre-state, expand cold — and record the
-    /// result, replacing any entry that failed its check — otherwise.
+    /// hash matches the live pre-state and whose memory configuration
+    /// matches the live one, expand cold — and record the result,
+    /// replacing any entry that failed its check — otherwise. Both hashes
+    /// walk the live cache arrays, and a hit copies a decoded post-state
+    /// in: neither path touches the snapshot codec.
     fn expand_cpu_kernel(&mut self, kernel: Kernel) -> u64 {
-        // The expansion context doubles as the rollback image below, so
-        // it is serialized once, only when a cache is attached.
-        let ctx = self.timing_cache.is_some().then(|| {
-            let mut w = SnapWriter::new();
-            self.mem.save_state(&mut w);
-            let pre_mem = w.into_bytes();
-            let hash = SharedTimingCache::context_hash(&pre_mem, self.cpu.branch_rng());
-            (hash, pre_mem)
-        });
-        if let (Some(cache), Some(((key, check), pre_mem))) = (&self.timing_cache, &ctx) {
-            if let Some(entry) = cache.lookup_kernel(self.timing_fingerprint, &kernel, *key, *check)
-            {
-                match self.mem.restore_state(&mut SnapReader::new(&entry.post_mem)) {
-                    Ok(()) => {
-                        self.cpu.replay_expansion(
-                            entry.cycles,
-                            entry.instrs,
-                            entry.mispredicts,
-                            entry.post_rng,
-                        );
-                        let cycles = entry.cycles.max(1);
-                        self.kernel_costs.insert(kernel, (cycles, entry.instrs));
-                        return cycles;
-                    }
-                    Err(_) => {
-                        // A check mismatch is a miss and never gets here,
-                        // so an image that fails to decode means file
-                        // corruption. It may have partially overwritten
-                        // the memory state: roll back to the
-                        // pre-expansion image and expand cold.
-                        self.mem
-                            .restore_state(&mut SnapReader::new(pre_mem))
-                            // rose-lint: allow(PANIC002, the pre-expansion image was serialized from this exact MemSystem and round-trips by construction)
-                            .expect("pre-expansion memory state round-trips");
-                    }
-                }
+        let ctx = self
+            .timing_cache
+            .is_some()
+            .then(|| SharedTimingCache::mem_context_hash(&self.mem, self.cpu.branch_rng()));
+        if let (Some(cache), Some((key, check))) = (&self.timing_cache, ctx) {
+            let fp = self.timing_fingerprint;
+            if let Some(entry) = cache.lookup_kernel(fp, &kernel, key, check, self.mem.config()) {
+                self.mem = entry.post_mem.clone();
+                self.cpu.replay_expansion(
+                    entry.cycles,
+                    entry.instrs,
+                    entry.mispredicts,
+                    entry.post_rng,
+                );
+                let cycles = entry.cycles.max(1);
+                self.kernel_costs.insert(kernel, (cycles, entry.instrs));
+                return cycles;
             }
         }
         let before = self.cpu.stats();
         let cycles = self.cpu.run_kernel(&kernel, &mut self.mem).max(1);
         let after = self.cpu.stats();
         let instrs = after.instrs - before.instrs;
-        if let (Some(cache), Some(((key, check), _))) = (&self.timing_cache, &ctx) {
-            let mut w = SnapWriter::new();
-            self.mem.save_state(&mut w);
+        if let (Some(cache), Some((key, check))) = (&self.timing_cache, ctx) {
             cache.insert_kernel(
                 self.timing_fingerprint,
                 kernel,
-                *key,
+                key,
                 KernelEntry {
                     cycles: after.cycles - before.cycles,
                     instrs,
                     mispredicts: after.mispredicts - before.mispredicts,
                     post_rng: self.cpu.branch_rng(),
-                    check: *check,
-                    post_mem: w.into_bytes(),
+                    check,
+                    post_mem: self.mem.clone(),
                 },
             );
         }
@@ -1126,58 +1108,166 @@ mod tests {
         assert_eq!(state(&cold), state(&warmup));
     }
 
-    #[test]
-    fn forged_timing_cache_entry_fails_its_check_and_expands_cold() {
-        // The first op is a CPU kernel, so its expansion context is the
-        // fresh SoC's memory state and branch RNG.
+    /// An entry's counters, check and post-state bytes, for comparison.
+    fn entry_fields(e: &KernelEntry) -> (u64, u64, u64, u64, u64, Vec<u8>) {
+        let mut w = SnapWriter::new();
+        e.post_mem.save_state(&mut w);
+        let post_mem = w.into_bytes();
+        (
+            e.cycles,
+            e.instrs,
+            e.mispredicts,
+            e.post_rng,
+            e.check,
+            post_mem,
+        )
+    }
+
+    /// Plants `plant(check)` under the live key of `cache_ops()`'s first
+    /// kernel, whose expansion context is the fresh SoC's memory state and
+    /// branch RNG, and flies the program. The planted entry must be a
+    /// miss: the run ends in the cold state, and the cold expansion
+    /// replaces the entry with the one a recording run makes.
+    fn assert_planted_entry_expands_cold(plant: impl FnOnce(u64) -> KernelEntry) {
         let fresh = scripted_soc(cache_ops());
         let fp = SharedTimingCache::fingerprint(&fresh.config);
         let kernel = Kernel::Memcpy { bytes: 32 << 10 };
-        let (key, check) =
-            SharedTimingCache::context_hash(&mem_bytes(&fresh), fresh.cpu.branch_rng());
-
-        // A forged entry under the live key: a wrong check, and a
-        // well-formed post-image taken from a different memory state. Were
-        // the check not compared, this replay would restore it and diverge.
-        let mut other = scripted_soc(vec![TargetOp::CpuKernel(Kernel::Memcpy {
-            bytes: 1 << 10,
-        })]);
-        other.run_cycles(1_000_000);
-        assert!(other.halted());
-        let forged = KernelEntry {
-            cycles: 1,
-            instrs: 1,
-            mispredicts: 0,
-            post_rng: other.cpu.branch_rng(),
-            check: !check,
-            post_mem: mem_bytes(&other),
-        };
-        assert_ne!(forged.post_mem, mem_bytes(&fresh));
+        let (key, check) = SharedTimingCache::mem_context_hash(&fresh.mem, fresh.cpu.branch_rng());
         let cache = SharedTimingCache::in_memory();
-        cache.insert_kernel(fp, kernel, key, forged.clone());
+        cache.insert_kernel(fp, kernel, key, plant(check));
 
         let mut cold = scripted_soc(cache_ops());
         cold.run_cycles(100_000_000);
-        let mut checked = scripted_soc(cache_ops());
-        checked.set_timing_cache(cache.clone());
-        checked.run_cycles(100_000_000);
-        assert!(checked.halted());
+        let mut planted = scripted_soc(cache_ops());
+        planted.set_timing_cache(cache.clone());
+        planted.run_cycles(100_000_000);
+        assert!(planted.halted());
         assert!(
-            state(&cold) == state(&checked),
-            "a forged entry must not reach the SoC state"
+            state(&cold) == state(&planted),
+            "a planted entry must not reach the SoC state"
         );
-        assert_eq!(cache.counters(), (0, 1), "a failed check is a miss");
+        assert_eq!(cache.counters(), (0, 1), "a planted entry is a miss");
 
-        // The cold expansion replaced the forged entry with its own.
         let recorded = SharedTimingCache::in_memory();
         let mut recorder = scripted_soc(cache_ops());
         recorder.set_timing_cache(recorded.clone());
         recorder.run_cycles(100_000_000);
         assert_eq!(cache.len(), 1);
-        let replaced = cache.lookup_kernel(fp, &kernel, key, check);
-        assert!(replaced.is_some());
-        assert_ne!(replaced.as_ref(), Some(&forged));
-        assert_eq!(replaced, recorded.lookup_kernel(fp, &kernel, key, check));
+        let live = fresh.mem.config();
+        let replaced = cache.lookup_kernel(fp, &kernel, key, check, live);
+        let expected = recorded.lookup_kernel(fp, &kernel, key, check, live);
+        assert_eq!(
+            replaced.map(|e| entry_fields(&e)),
+            expected.map(|e| entry_fields(&e)),
+            "the cold expansion replaced the planted entry"
+        );
+    }
+
+    #[test]
+    fn forged_timing_cache_entry_fails_its_check_and_expands_cold() {
+        // A wrong check, and a well-formed post-state taken from a
+        // different memory state. Were the check not compared, this
+        // replay would copy it in and diverge.
+        let mut other = scripted_soc(vec![TargetOp::CpuKernel(Kernel::Memcpy {
+            bytes: 1 << 10,
+        })]);
+        other.run_cycles(1_000_000);
+        assert!(other.halted());
+        assert_ne!(mem_bytes(&other), mem_bytes(&scripted_soc(cache_ops())));
+        assert_planted_entry_expands_cold(|check| KernelEntry {
+            cycles: 1,
+            instrs: 1,
+            mispredicts: 0,
+            post_rng: other.cpu.branch_rng(),
+            check: !check,
+            post_mem: other.mem.clone(),
+        });
+    }
+
+    #[test]
+    fn timing_cache_entry_of_another_geometry_expands_cold() {
+        // The right check, but a post-state of another memory geometry:
+        // copying it in would change the SoC's caches under it.
+        let mut small = SocConfig::config_a().mem;
+        small.l2.size_bytes /= 2;
+        assert_planted_entry_expands_cold(|check| KernelEntry {
+            cycles: 1,
+            instrs: 1,
+            mispredicts: 0,
+            post_rng: 0,
+            check,
+            post_mem: MemSystem::new(small),
+        });
+    }
+
+    /// A scripted op: one of four CPU kernel families or an accelerator
+    /// conv or matmul, sized small enough to expand in milliseconds.
+    fn random_op((sel, a, b): (u8, usize, usize)) -> TargetOp {
+        use crate::kernel::ElemKind;
+        match sel % 6 {
+            0 => TargetOp::CpuKernel(Kernel::Memcpy {
+                bytes: 256 * (1 + a),
+            }),
+            1 => TargetOp::CpuKernel(Kernel::Elementwise {
+                n: 64 * (1 + a),
+                kind: [ElemKind::Relu, ElemKind::Add][b % 2],
+            }),
+            2 => TargetOp::CpuKernel(Kernel::MatMul {
+                m: 2 + a,
+                k: 2 + b,
+                n: 8,
+            }),
+            3 => TargetOp::CpuKernel(Kernel::Control { ops: 64 * (1 + a) }),
+            4 => TargetOp::AccelConv(ConvShape {
+                in_c: 1 + a,
+                out_c: 8,
+                out_h: 4 + b,
+                out_w: 4 + b,
+                ksize: 3,
+            }),
+            _ => TargetOp::AccelMatmul {
+                m: 8 * (1 + a),
+                k: 16,
+                n: 8 * (1 + b),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn timing_cache_replays_random_programs_bit_identically(
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..6, 0usize..4),
+                1..8,
+            ),
+        ) {
+            // Cold, recording and warm flights of one program end in the
+            // same state. The warm flight replays every distinct CPU
+            // kernel the recording flight expanded, each from the memory
+            // state the accelerator ops before it left.
+            let ops: Vec<TargetOp> = ops.into_iter().map(random_op).collect();
+            let fly = |cache: Option<&SharedTimingCache>| {
+                let mut soc = scripted_soc(ops.clone());
+                if let Some(cache) = cache {
+                    soc.set_timing_cache(cache.clone());
+                }
+                soc.run_cycles(1_000_000_000);
+                (soc.halted(), soc.stats(), state(&soc))
+            };
+            let cache = SharedTimingCache::in_memory();
+            let cold = fly(None);
+            proptest::prop_assert!(cold.0, "the program halts");
+            let recording = fly(Some(&cache));
+            let (recorded_hits, _) = cache.counters();
+            let warm = fly(Some(&cache));
+            let (warm_hits, _) = cache.counters();
+            proptest::prop_assert_eq!(recorded_hits, 0);
+            proptest::prop_assert_eq!(warm_hits, cache.len() as u64);
+            proptest::prop_assert_eq!(recording.1, cold.1);
+            proptest::prop_assert_eq!(warm.1, cold.1);
+            proptest::prop_assert!(recording.2 == cold.2, "recording diverged");
+            proptest::prop_assert!(warm.2 == cold.2, "warm replay diverged");
+        }
     }
 
     #[test]
