@@ -597,8 +597,10 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// `max_syncs` elapse. Returns the number of periods executed.
     ///
     /// A transport fault on the RTL side reports as a halt; callers that
-    /// need to distinguish an orderly halt from a fault should use
-    /// [`try_run_until`](Synchronizer::try_run_until).
+    /// need to distinguish an orderly halt from a fault take the latched
+    /// error afterwards with [`RtlSide::take_fault`] (through
+    /// [`rtl_mut`](Synchronizer::rtl_mut)); the synchronizer is left
+    /// consistent at the last completed sync boundary.
     pub fn run_until(
         &mut self,
         max_syncs: u64,
@@ -610,26 +612,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
             executed += 1;
         }
         executed
-    }
-
-    /// Like [`run_until`](Synchronizer::run_until), but surfaces a fault
-    /// the RTL endpoint latched (e.g. the remote simulator's transport
-    /// dying mid-mission) instead of folding it into an orderly halt.
-    ///
-    /// # Errors
-    ///
-    /// The latched [`TransportError`], with the synchronizer left in a
-    /// consistent state at the last completed sync boundary.
-    pub fn try_run_until(
-        &mut self,
-        max_syncs: u64,
-        done: impl FnMut(&E, SimTime) -> bool,
-    ) -> Result<u64, TransportError> {
-        let executed = self.run_until(max_syncs, done);
-        match self.rtl.take_fault() {
-            Some(fault) => Err(fault),
-            None => Ok(executed),
-        }
     }
 }
 
@@ -695,11 +677,6 @@ impl<T: Transport> RemoteRtl<T> {
     /// The latched transport fault, if the remote side has failed.
     pub fn fault(&self) -> Option<&TransportError> {
         self.fault.as_ref()
-    }
-
-    /// The recovery policy in force.
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
     }
 
     /// The wrapped transport (for reading decorator telemetry such as
@@ -1256,11 +1233,12 @@ mod tests {
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(client));
         drop(server); // peer dies before the first grant
 
-        let result = sync.try_run_until(100, |_, _| false);
-        assert!(matches!(result, Err(TransportError::Disconnected)));
+        sync.run_until(100, |_, _| false);
+        let result = sync.rtl_mut().take_fault();
+        assert!(matches!(result, Some(TransportError::Disconnected)));
         assert!(sync.rtl().halted());
-        // The fault was taken by try_run_until; the halt latch keeps the
-        // mission loop from re-entering the dead transport.
+        // The fault was taken; the halt latch keeps the mission loop from
+        // re-entering the dead transport.
         assert_eq!(sync.run_until(100, |_, _| false), 0);
         assert!(sync.rtl_mut().take_fault().is_none());
     }
@@ -1333,7 +1311,7 @@ mod tests {
     }
 
     /// A transport dying *mid-mission* — after successful periods — must
-    /// surface through `try_run_until`/`take_fault`, and the occupancy
+    /// surface through `take_fault` after `run_until`, and the occupancy
     /// counters must stay consistent: every payload counted towards the
     /// RTL is either delivered to the server or still queued, never lost
     /// or double-counted.
@@ -1378,8 +1356,9 @@ mod tests {
         let delivered = server_thread.join().unwrap();
         assert_eq!(delivered, 2);
 
-        let result = sync.try_run_until(10, |_, _| false);
-        assert!(matches!(result, Err(TransportError::Disconnected)));
+        sync.run_until(10, |_, _| false);
+        let result = sync.rtl_mut().take_fault();
+        assert!(matches!(result, Some(TransportError::Disconnected)));
 
         let stats = *sync.stats();
         let (_, remote) = sync.into_parts();
@@ -1416,11 +1395,12 @@ mod tests {
         });
 
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(client));
-        let result = sync.try_run_until(10, |_, _| false);
+        sync.run_until(10, |_, _| false);
+        let result = sync.rtl_mut().take_fault();
         assert!(
             matches!(
                 result,
-                Err(TransportError::Protocol {
+                Some(TransportError::Protocol {
                     got: "GrantCycles",
                     ..
                 })
@@ -1550,9 +1530,11 @@ mod tests {
             let mut sync =
                 Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(faulty));
             sync.rtl_mut().push_data(vec![1, 2, 3]);
-            let executed = sync
-                .try_run_until(10, |_, _| false)
-                .expect("transient fault must not latch");
+            let executed = sync.run_until(10, |_, _| false);
+            assert!(
+                sync.rtl_mut().take_fault().is_none(),
+                "transient fault must not latch"
+            );
             assert_eq!(executed, 10);
             let stats = *sync.stats();
             let recovery = *sync.rtl().recovery_stats();
@@ -1592,7 +1574,8 @@ mod tests {
         let faulty = FaultyTransport::new(client, plan);
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(faulty));
         sync.rtl_mut().push_data(vec![7]);
-        assert_eq!(sync.try_run_until(5, |_, _| false).unwrap(), 5);
+        assert_eq!(sync.run_until(5, |_, _| false), 5);
+        assert!(sync.rtl_mut().take_fault().is_none());
         let recovery = *sync.rtl().recovery_stats();
         assert!(recovery.retries >= 2, "{recovery:?}");
         assert_eq!(recovery.exhausted, 0, "{recovery:?}");

@@ -10,13 +10,13 @@ use std::collections::HashMap; // DET002: seeded violation
 use std::time::SystemTime; // DET001: seeded violation
 
 fn seeded_wall_clock() -> u64 {
-    let started = Instant::now(); // DET001 + PROF001: seeded violation
+    let started = Instant::now(); // DET001: seeded violation
     started.elapsed().as_micros() as u64 // CAST001: seeded violation
 }
 
 fn seeded_system_clock() -> u64 {
-    // SystemTime::now() is both nondeterministic (DET001) and a bypass of
-    // the profiler's sanctioned Stopwatch API (PROF001).
+    // SystemTime::now() is nondeterministic (DET001): host timing goes
+    // through the profiler's sanctioned Stopwatch API instead.
     SystemTime::now().elapsed().as_secs()
 }
 

@@ -1,13 +1,16 @@
-//! Tier W's lightweight AST: items, not expressions.
+//! The one parse every rule reads: items, not expressions.
 //!
-//! The workspace rules (DET003, PANIC002, SNAP002) need to know *which
-//! functions exist, what they call, and what structs declare* — nothing
-//! more. This module parses the [`crate::lexer`] token stream into exactly
-//! that: function definitions with their enclosing `impl`/`trait` type and
-//! the call expressions inside their bodies, struct definitions with named
-//! fields, and enum names. There is deliberately no expression grammar, no
-//! type resolution, and no borrow anything: the parser is a single linear
-//! pass that tracks brace depth and an impl-context stack.
+//! [`SourceFile::parse`] lexes a file, masks its test-only code and parses
+//! its items exactly once; tier L ([`crate::rules`]), tier W
+//! ([`crate::workspace`], [`crate::wrules`]) and the ANN002 check all read
+//! that result. The rules need to know *which functions exist, where
+//! their bodies are, what they call, and what structs declare* — nothing
+//! more. So the AST holds exactly that: function definitions with their
+//! enclosing `impl`/`trait` type, body range and the call expressions
+//! inside, struct definitions with named fields, and enum names. There is
+//! deliberately no expression grammar, no type resolution, and no borrow
+//! anything: the parser is a single linear pass that tracks brace depth
+//! and an impl-context stack.
 //!
 //! Like the lexer, the parser is forgiving by construction — a construct it
 //! does not understand is skipped token-by-token. A linter must never fail
@@ -16,14 +19,128 @@
 //! Known, documented approximations (see DESIGN.md §4g):
 //!
 //! - Nested `fn` items inside a function body are not separate nodes; their
-//!   calls are attributed to the enclosing function (an over-approximation,
-//!   safe for reachability).
+//!   calls (and, for TRACE001, their span calls) are attributed to the
+//!   enclosing function (an over-approximation, safe for reachability).
 //! - Enum variants are not parsed; enums contribute only their name to the
 //!   symbol table.
 //! - Tuple and unit structs have no named fields and are skipped by
 //!   SNAP002 (their codecs cannot silently miss a field by name).
 
-use crate::lexer::{Tok, Token};
+use crate::lexer::{lex, Lexed, Tok, Token};
+
+/// One source file, lexed, test-masked and parsed once.
+#[derive(Debug)]
+pub struct SourceFile {
+    /// Workspace-relative path, forward slashes.
+    pub rel: String,
+    /// Tokens and comments.
+    pub lexed: Lexed,
+    /// `mask[i]` is true when token `i` sits in test-only code: a
+    /// `#[cfg(test)]` module body or a `#[test]` function body.
+    pub mask: Vec<bool>,
+    /// The file's items.
+    pub ast: Ast,
+}
+
+impl SourceFile {
+    /// Lexes, masks and parses `source`.
+    pub fn parse(rel: &str, source: &str) -> SourceFile {
+        let lexed = lex(source);
+        let mask = test_mask(&lexed.tokens);
+        let ast = Parser {
+            tokens: &lexed.tokens,
+            mask: &mask,
+            ast: Ast::default(),
+        }
+        .run();
+        SourceFile {
+            rel: rel.to_string(),
+            lexed,
+            mask,
+            ast,
+        }
+    }
+
+    /// True when some token on `line` sits in test-only code.
+    pub fn is_test_line(&self, line: usize) -> bool {
+        self.lexed
+            .tokens
+            .iter()
+            .zip(&self.mask)
+            .any(|(t, m)| *m && t.line == line)
+    }
+}
+
+/// Computes, per token index, whether the token sits inside test-only
+/// code: a `#[cfg(test)]` module body or a `#[test]` function body.
+/// The determinism contract governs simulation logic; tests may use
+/// wall-clock timeouts and `unwrap()` freely.
+fn test_mask(tokens: &[Token]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let mut i = 0;
+    while i < tokens.len() {
+        if let Some(attr_end) = match_test_attr(tokens, i) {
+            // Find the body's opening brace (skipping the item header),
+            // then mark the whole brace-balanced region.
+            let mut j = attr_end;
+            while j < tokens.len() && tokens[j].tok != Tok::Punct("{") {
+                j += 1;
+            }
+            if j < tokens.len() {
+                let mut depth = 0usize;
+                let start = i;
+                while j < tokens.len() {
+                    match &tokens[j].tok {
+                        Tok::Punct("{") => depth += 1,
+                        Tok::Punct("}") => {
+                            depth -= 1;
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                    j += 1;
+                }
+                for m in mask.iter_mut().take(j.min(tokens.len() - 1) + 1).skip(start) {
+                    *m = true;
+                }
+                i = j + 1;
+                continue;
+            }
+        }
+        i += 1;
+    }
+    mask
+}
+
+/// Matches `#[cfg(test)]` or `#[test]` starting at `i`; returns the index
+/// just past the closing `]`.
+fn match_test_attr(tokens: &[Token], i: usize) -> Option<usize> {
+    if tokens.get(i)?.tok != Tok::Punct("#") || tokens.get(i + 1)?.tok != Tok::Punct("[") {
+        return None;
+    }
+    match &tokens.get(i + 2)?.tok {
+        Tok::Ident(s) if s == "test" => {
+            (tokens.get(i + 3)?.tok == Tok::Punct("]")).then_some(i + 4)
+        }
+        Tok::Ident(s) if s == "cfg" => {
+            let seq = [
+                Tok::Punct("("),
+                Tok::Ident("test".into()),
+                Tok::Punct(")"),
+                Tok::Punct("]"),
+            ];
+            for (k, want) in seq.iter().enumerate() {
+                if &tokens.get(i + 3 + k)?.tok != want {
+                    return None;
+                }
+            }
+            Some(i + 7)
+        }
+        _ => None,
+    }
+}
 
 /// One call expression found inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,8 +176,9 @@ pub struct FnDef {
     /// code (excluded from the call graph — the contract governs
     /// simulation logic, not tests).
     pub is_test: bool,
-    /// Token-index range of the body including both braces, or `None` for
-    /// bodiless declarations (trait method signatures).
+    /// Token-index range `[open, end)` of the body, from its `{` to just
+    /// past its `}`, or `None` for bodiless declarations (trait method
+    /// signatures).
     pub body: Option<(usize, usize)>,
     /// Every call expression in the body, in source order.
     pub calls: Vec<Call>,
@@ -108,17 +226,6 @@ pub struct Ast {
     pub structs: Vec<StructDef>,
     /// Names of enum definitions (variants are not parsed).
     pub enums: Vec<String>,
-}
-
-/// Parses the items of one lexed file. `mask[i]` marks token `i` as
-/// test-only (see [`crate::rules::test_mask`]).
-pub fn parse(tokens: &[Token], mask: &[bool]) -> Ast {
-    Parser {
-        tokens,
-        mask,
-        ast: Ast::default(),
-    }
-    .run()
 }
 
 struct Parser<'a> {
@@ -279,28 +386,22 @@ impl<'a> Parser<'a> {
             }
             j += 1;
         };
-        let Some(body_open) = body_open else {
-            self.ast.fns.push(FnDef {
-                name,
-                self_ty,
-                line,
-                is_test: self.mask.get(start).copied().unwrap_or(false),
-                body: None,
-                calls: Vec::new(),
-            });
-            return j + 1;
+        let (body, calls, next) = match body_open {
+            Some(open) => {
+                let end = self.skip_braces(open);
+                (Some((open, end)), self.extract_calls(open, end), end)
+            }
+            None => (None, Vec::new(), j + 1),
         };
-        let body_end = self.skip_braces(body_open);
-        let calls = self.extract_calls(body_open, body_end);
         self.ast.fns.push(FnDef {
             name,
             self_ty,
             line,
-            is_test: self.mask.get(start).copied().unwrap_or(false),
-            body: Some((body_open, body_end)),
+            is_test: self.mask[start],
+            body,
             calls,
         });
-        body_end
+        next
     }
 
     /// Returns the index just past the brace-balanced region opened at
@@ -392,7 +493,7 @@ impl<'a> Parser<'a> {
     /// to continue from.
     fn parse_struct(&mut self, start: usize) -> usize {
         let line = self.tokens[start].line;
-        let is_test = self.mask.get(start).copied().unwrap_or(false);
+        let is_test = self.mask[start];
         let Some(name) = ident(self.tokens.get(start + 1)) else {
             return start + 1;
         };
@@ -541,13 +642,9 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::rules::test_mask;
 
     fn parse_src(src: &str) -> Ast {
-        let lexed = lex(src);
-        let mask = test_mask(&lexed.tokens);
-        parse(&lexed.tokens, &mask)
+        SourceFile::parse("x.rs", src).ast
     }
 
     #[test]
@@ -647,5 +744,26 @@ mod tests {
         let ast = parse_src("enum SyncMode { Sequential, Parallel }");
         assert_eq!(ast.enums, vec!["SyncMode"]);
         assert!(ast.fns.is_empty());
+    }
+
+    #[test]
+    fn test_mask_covers_cfg_test_modules() {
+        let file = SourceFile::parse(
+            "x.rs",
+            "fn live() {}\n#[cfg(test)]\nmod tests {\n fn a() { x.unwrap(); }\n}\nfn also_live() {}",
+        );
+        let live_idents: Vec<&str> = file
+            .lexed
+            .tokens
+            .iter()
+            .zip(&file.mask)
+            .filter_map(|(t, m)| match &t.tok {
+                Tok::Ident(s) if !m => Some(s.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(live_idents, vec!["fn", "live", "fn", "also_live"]);
+        assert!(!file.is_test_line(1));
+        assert!(file.is_test_line(4));
     }
 }

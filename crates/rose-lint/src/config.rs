@@ -1,36 +1,24 @@
 //! The `rose-lint.toml` configuration.
 //!
-//! A deliberately tiny TOML subset with two kinds of section:
+//! A deliberately tiny TOML subset with one section:
 //!
 //! ```toml
 //! [allow]
 //! DET001 = ["crates/trace/src/profiler.rs", "crates/bench/src"]
-//!
-//! [rule.DET003]
-//! entry_points = ["Soc::run_*", "Synchronizer::step_*"]
-//! sinks = ["my_entropy_helper"]
-//!
-//! [rule.PANIC002]
-//! roots = ["crates/rose-bridge/src"]
 //! ```
 //!
 //! `[allow]` maps rule identifiers to arrays of workspace-relative path
 //! prefixes: a file matching a prefix is exempt from that rule wholesale
 //! (for whole-file exemptions like the profiler, the one sanctioned
 //! wall-clock reader). Single-line exemptions use `// rose-lint: allow(RULE, reason)`
-//! annotations instead, handled in [`crate::lint_files`].
-//!
-//! `[rule.RULE]` sections tune tier W's workspace analysis per rule:
-//! `entry_points` (DET003's sim-side roots, `Type::fn` with a trailing-`*`
-//! glob), `sinks` (extra entropy-sink identifiers), and `roots`
-//! (PANIC002's fault-path file prefixes). Omitted keys fall back to the
-//! built-in defaults; a present key replaces the default list.
+//! annotations instead, handled in [`crate::lint_files`]. Any other
+//! section is an error, so a stale config fails loudly.
 //!
 //! Every `[allow]` entry records its source line so the stale-allow rule
 //! (ANN002) can point at a `rose-lint.toml` entry that no longer
 //! suppresses anything.
 
-use std::collections::BTreeMap;
+use crate::rules::path_in;
 use std::path::Path;
 
 /// One `[allow]` entry: a rule exempted for one path prefix.
@@ -44,16 +32,11 @@ pub struct AllowEntry {
     pub line: usize,
 }
 
-/// Per-rule list keys accepted inside `[rule.X]` sections.
-const RULE_LIST_KEYS: &[&str] = &["entry_points", "sinks", "roots"];
-
 /// Parsed configuration.
 #[derive(Debug, Default, Clone)]
 pub struct Config {
     /// Every `[allow]` entry, in file order (one per rule × prefix).
     entries: Vec<AllowEntry>,
-    /// `[rule.X]` sections: rule → key → values.
-    rule_lists: BTreeMap<String, BTreeMap<String, Vec<String>>>,
 }
 
 /// A configuration parse failure, with the offending 1-based line.
@@ -71,22 +54,16 @@ impl std::fmt::Display for ConfigError {
     }
 }
 
-enum Section {
-    None,
-    Allow,
-    Rule(String),
-}
-
 impl Config {
     /// Parses the configuration text.
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] on an unknown section, a malformed entry, an entry
-    /// outside any section, or an unknown `[rule.X]` key.
+    /// [`ConfigError`] on an unknown section, a malformed entry, or an
+    /// entry outside `[allow]`.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut config = Config::default();
-        let mut section = Section::None;
+        let mut in_allow = false;
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -98,20 +75,13 @@ impl Config {
                     line: lineno,
                     message: format!("unterminated section header {raw:?}"),
                 })?;
-                section = match name.trim() {
-                    "allow" => Section::Allow,
-                    other => match other.strip_prefix("rule.") {
-                        Some(rule) if !rule.trim().is_empty() => {
-                            Section::Rule(rule.trim().to_string())
-                        }
-                        _ => {
-                            return Err(ConfigError {
-                                line: lineno,
-                                message: format!("unknown section [{other}]"),
-                            })
-                        }
-                    },
-                };
+                if name.trim() != "allow" {
+                    return Err(ConfigError {
+                        line: lineno,
+                        message: format!("unknown section [{}]", name.trim()),
+                    });
+                }
+                in_allow = true;
                 continue;
             }
             let (key, value) = line.split_once('=').ok_or_else(|| ConfigError {
@@ -122,40 +92,18 @@ impl Config {
                 line: lineno,
                 message: format!("expected a [\"..\", ..] array, got {:?}", value.trim()),
             })?;
-            match &section {
-                Section::None => {
-                    return Err(ConfigError {
-                        line: lineno,
-                        message: "entry outside any section".into(),
-                    })
-                }
-                Section::Allow => {
-                    for prefix in values {
-                        config.entries.push(AllowEntry {
-                            rule: key.trim().to_string(),
-                            prefix,
-                            line: lineno,
-                        });
-                    }
-                }
-                Section::Rule(rule) => {
-                    let key = key.trim();
-                    if !RULE_LIST_KEYS.contains(&key) {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!(
-                                "unknown [rule.{rule}] key {key:?}; expected one of {RULE_LIST_KEYS:?}"
-                            ),
-                        });
-                    }
-                    config
-                        .rule_lists
-                        .entry(rule.clone())
-                        .or_default()
-                        .entry(key.to_string())
-                        .or_default()
-                        .extend(values);
-                }
+            if !in_allow {
+                return Err(ConfigError {
+                    line: lineno,
+                    message: "entry outside any section".into(),
+                });
+            }
+            for prefix in values {
+                config.entries.push(AllowEntry {
+                    rule: key.trim().to_string(),
+                    prefix,
+                    line: lineno,
+                });
             }
         }
         Ok(config)
@@ -182,7 +130,7 @@ impl Config {
         let normalized = rel_path.replace('\\', "/");
         self.entries
             .iter()
-            .position(|e| e.rule == rule && matches_prefix(&normalized, &e.prefix))
+            .position(|e| e.rule == rule && path_in(&normalized, &[&e.prefix]))
     }
 
     /// True when `rel_path` is exempt from `rule` by prefix match.
@@ -194,24 +142,6 @@ impl Config {
     pub fn allow_entries(&self) -> &[AllowEntry] {
         &self.entries
     }
-
-    /// The `[rule.X] key = [...]` list, if configured.
-    pub fn rule_list(&self, rule: &str, key: &str) -> Option<&[String]> {
-        self.rule_lists
-            .get(rule)
-            .and_then(|keys| keys.get(key))
-            .map(Vec::as_slice)
-    }
-}
-
-/// Prefix matching with a path-component boundary: `crates/bench/src`
-/// matches `crates/bench/src/lib.rs` but not `crates/bench/srcfoo.rs`.
-fn matches_prefix(path: &str, prefix: &str) -> bool {
-    let p = prefix.trim_end_matches('/');
-    path == p
-        || path
-            .strip_prefix(p)
-            .is_some_and(|rest| rest.starts_with('/'))
 }
 
 /// Parses `["a", "b"]` into its strings; `None` on malformed input.
@@ -243,40 +173,39 @@ mod tests {
         assert!(config.is_allowed("DET001", "crates/bench/src/lib.rs"));
         assert!(!config.is_allowed("DET001", "crates/bench/srcfoo.rs"));
         assert!(!config.is_allowed("DET002", "crates/bench/src/lib.rs"));
+        // A trailing `/` on a prefix is tolerated.
+        let slash = Config::parse("[allow]\nDET002 = [\"crates/bench/src/\"]\n").unwrap();
+        assert!(slash.is_allowed("DET002", "crates/bench/src/lib.rs"));
+        assert!(slash.is_allowed("DET002", "crates/bench/src"));
+        assert!(!slash.is_allowed("DET002", "crates/bench/srcfoo.rs"));
     }
 
     #[test]
     fn records_entry_lines_for_staleness_checks() {
-        let config = Config::parse(
-            "[allow]\nDET001 = [\"a.rs\", \"b.rs\"]\nPROF001 = [\"c.rs\"]\n",
-        )
-        .unwrap();
+        let config =
+            Config::parse("[allow]\nDET001 = [\"a.rs\", \"b.rs\"]\nDET002 = [\"c.rs\"]\n").unwrap();
         let entries = config.allow_entries();
         assert_eq!(entries.len(), 3);
         assert_eq!(entries[0].line, 2);
         assert_eq!(entries[1].line, 2);
         assert_eq!(entries[2].line, 3);
-        assert_eq!(config.match_allow("PROF001", "c.rs"), Some(2));
+        assert_eq!(config.match_allow("DET002", "c.rs"), Some(2));
     }
 
     #[test]
-    fn parses_rule_sections() {
-        let config = Config::parse(
-            "[rule.DET003]\nentry_points = [\"Soc::run_*\"]\nsinks = [\"leaky\"]\n\
-             [rule.PANIC002]\nroots = [\"crates/rose-bridge/src\"]\n",
+    fn rejects_rule_sections_naming_their_line() {
+        // `[allow]` is the only section: a `[rule.X]` tuning table is an
+        // error at its header line, not a silently ignored table.
+        let err = Config::parse(
+            "[allow]\nDET001 = [\"a.rs\"]\n\n[rule.DET003]\nentry_points = [\"Soc::run_*\"]\n",
         )
-        .unwrap();
+        .unwrap_err();
+        assert_eq!(err.line, 4);
+        assert_eq!(err.message, "unknown section [rule.DET003]");
         assert_eq!(
-            config.rule_list("DET003", "entry_points").unwrap(),
-            &["Soc::run_*".to_string()]
+            err.to_string(),
+            "rose-lint.toml:4: unknown section [rule.DET003]"
         );
-        assert_eq!(config.rule_list("DET003", "sinks").unwrap(), &["leaky".to_string()]);
-        assert_eq!(
-            config.rule_list("PANIC002", "roots").unwrap(),
-            &["crates/rose-bridge/src".to_string()]
-        );
-        assert!(config.rule_list("DET003", "roots").is_none());
-        assert!(config.rule_list("SNAP002", "entry_points").is_none());
     }
 
     #[test]
@@ -285,8 +214,6 @@ mod tests {
         assert!(Config::parse("[unknown]\n").is_err());
         assert!(Config::parse("DET001 = []\n").is_err()); // outside a section
         assert!(Config::parse("[allow]\nDET001 = nope\n").is_err());
-        assert!(Config::parse("[rule.]\n").is_err());
-        assert!(Config::parse("[rule.DET003]\nbogus_key = [\"x\"]\n").is_err());
     }
 
     #[test]

@@ -453,11 +453,9 @@ mod tests {
     // parser never panics or derails) and produce the right token stream.
 
     /// Lex + parse; returns the idents so token-stream shape is checkable
-    /// while proving `ast::parse` survives the stream.
+    /// while proving `SourceFile::parse` survives the stream.
     fn idents_and_parse(src: &str) -> Vec<String> {
-        let lexed = lex(src);
-        let mask = vec![false; lexed.tokens.len()];
-        let _ = crate::ast::parse(&lexed.tokens, &mask);
+        let _ = crate::ast::SourceFile::parse("x.rs", src);
         idents(src)
     }
 
@@ -520,8 +518,7 @@ mod tests {
             "only the 'a' comparison at the end is a char literal"
         );
         // And the parser still sees one fn named f.
-        let mask = vec![false; lexed.tokens.len()];
-        let ast = crate::ast::parse(&lexed.tokens, &mask);
+        let ast = crate::ast::SourceFile::parse("x.rs", src).ast;
         assert_eq!(ast.fns.len(), 1);
         assert_eq!(ast.fns[0].name, "f");
     }

@@ -4,28 +4,14 @@
 //! configs (see `rose::audit`). That promise is easy to break one line at
 //! a time — a `HashMap` drain here, an `Instant::now()` there — so this
 //! crate scans the workspace source with a hand-rolled Rust lexer
-//! ([`lexer`]) and a two-tier analysis:
-//!
-//! **Tier L** ([`rules`]) pattern-matches each file's token stream.
-//! **Tier W** ([`ast`], [`workspace`], [`wrules`]) parses every file into
-//! a lightweight item AST, builds a workspace symbol table plus a
-//! conservative call graph, and reasons interprocedurally.
-//!
-//! | rule     | tier | violation                                               |
-//! |----------|------|---------------------------------------------------------|
-//! | DET001   | L    | wall-clock reads (`Instant::now`, `SystemTime`)         |
-//! | DET002   | L    | unordered maps (`HashMap`/`HashSet`) in sim crates      |
-//! | DET003   | W    | nondeterminism sink reachable from a sim entry point    |
-//! | PANIC001 | L    | `unwrap`/`expect`/`panic!` on transport/bridge paths    |
-//! | PANIC002 | W    | panic site reachable from the transport/bridge path     |
-//! | FAULT001 | L    | discarded `Transport::send` result on the fault path    |
-//! | TRACE001 | L    | unpaired `span_begin*`/`span_end*` calls                |
-//! | CAST001  | L    | truncating `as` casts in cycle arithmetic               |
-//! | SNAP001  | L    | `..` rest patterns in `save_state`/`restore_state`      |
-//! | SNAP002  | W    | struct field absent from both snapshot codec bodies     |
-//! | ANN001   | —    | malformed / reasonless `rose-lint:` annotation          |
-//! | ANN002   | —    | stale allow: annotation or toml entry suppressing nothing |
-//! | PROF001  | L    | `Instant::now`/`SystemTime::now` outside the profiler   |
+//! ([`lexer`]) and a two-tier analysis. Each file is lexed, test-masked
+//! and parsed into a lightweight item AST once ([`ast::SourceFile`]);
+//! every rule reads that one parse. **Tier L** ([`rules`]) checks each
+//! file on its own. **Tier W**
+//! ([`workspace`], [`wrules`]) builds a workspace symbol table plus a
+//! conservative call graph over the parsed files and reasons
+//! interprocedurally. `rose-lint --list-rules` prints every rule with its
+//! tier and a one-line summary, from the one table [`ALL_RULES`].
 //!
 //! Suppression is always explicit: file-level via `rose-lint.toml`
 //! ([`config`]), or line-level via `// rose-lint: allow(RULE, reason)` —
@@ -49,6 +35,7 @@ pub use config::{Config, ConfigError};
 pub use output::Format;
 pub use rules::{Finding, ALL_RULES};
 
+use ast::SourceFile;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use workspace::Workspace;
@@ -131,22 +118,17 @@ fn parse_allows(comments: &[(usize, String)]) -> (Vec<Allow>, Vec<Finding>) {
 
 /// Per-file state carried through the two-tier pipeline.
 struct FileCtx {
-    rel: String,
-    lexed: lexer::Lexed,
     allows: Vec<Allow>,
     /// ANN001 findings from annotation parsing (never suppressible).
     ann: Vec<Finding>,
     /// Raw tier L + tier W findings, pre-suppression.
     raw: Vec<Finding>,
-    /// Lines covered by `#[cfg(test)]` / `#[test]` regions: annotations
-    /// there guard test code the rules never visit, so they are exempt
-    /// from the ANN002 staleness check.
-    masked_lines: BTreeSet<usize>,
 }
 
 /// Lints a set of files as one workspace: tier L per file, tier W over
 /// the combined call graph, then suppression (toml allowlist first, line
-/// annotations second) and the ANN002 stale-annotation check.
+/// annotations second) and the ANN002 stale-annotation check. Each file
+/// is parsed once; every stage reads that [`SourceFile`].
 ///
 /// `all_rules` forces every rule in scope regardless of path (self-test).
 /// Stale `rose-lint.toml` entries are only checked by [`lint_workspace`],
@@ -162,62 +144,45 @@ fn lint_files_inner(
     all_rules: bool,
     check_config_staleness: bool,
 ) -> Vec<Diagnostic> {
-    let mut ctxs: Vec<FileCtx> = files
+    let parsed: Vec<SourceFile> = files
         .iter()
-        .map(|(rel, source)| {
-            let lexed = lexer::lex(source);
-            let (allows, ann) = parse_allows(&lexed.comments);
-            let raw = rules::run_rules(rel, &lexed, all_rules);
-            let mask = rules::test_mask(&lexed.tokens);
-            let masked_lines = lexed
-                .tokens
-                .iter()
-                .zip(&mask)
-                .filter(|(_, m)| **m)
-                .map(|(t, _)| t.line)
-                .collect();
+        .map(|(rel, source)| SourceFile::parse(rel, source))
+        .collect();
+    let mut ctxs: Vec<FileCtx> = parsed
+        .iter()
+        .map(|file| {
+            let (allows, ann) = parse_allows(&file.lexed.comments);
             FileCtx {
-                rel: rel.clone(),
-                lexed,
                 allows,
                 ann,
-                raw,
-                masked_lines,
+                raw: rules::run_rules(file, all_rules),
             }
         })
         .collect();
 
     // Tier W: one call graph over every in-scope file.
-    let extra_sinks: Vec<String> = config
-        .rule_list("DET003", "sinks")
-        .map(<[String]>::to_vec)
-        .unwrap_or_default();
-    let graph: Vec<usize> = (0..ctxs.len())
-        .filter(|&i| all_rules || wrules::in_graph_scope(&ctxs[i].rel))
+    let graph: Vec<usize> = (0..parsed.len())
+        .filter(|&i| all_rules || wrules::in_graph_scope(&parsed[i].rel))
         .collect();
-    let ws_files: Vec<(String, &lexer::Lexed)> = graph
-        .iter()
-        .map(|&i| (ctxs[i].rel.clone(), &ctxs[i].lexed))
-        .collect();
-    let ws = Workspace::build(&ws_files, &extra_sinks);
-    for (ws_file, finding) in wrules::run_workspace_rules(&ws, config, all_rules) {
+    let ws = Workspace::build(&graph.iter().map(|&i| &parsed[i]).collect::<Vec<_>>());
+    for (ws_file, finding) in wrules::run_workspace_rules(&ws, all_rules) {
         ctxs[graph[ws_file]].raw.push(finding);
     }
 
     // Suppression + emission, tracking which allows earned their keep.
     let mut used_entries: BTreeSet<usize> = BTreeSet::new();
     let mut out: Vec<Diagnostic> = Vec::new();
-    for ctx in &mut ctxs {
+    for (file, ctx) in parsed.iter().zip(&mut ctxs) {
         ctx.raw.sort_by_key(|f| (f.line, f.rule));
         for finding in ctx.ann.drain(..) {
             out.push(Diagnostic {
-                file: ctx.rel.clone(),
+                file: file.rel.clone(),
                 finding,
             });
         }
         let mut used_allows = vec![false; ctx.allows.len()];
         for finding in &ctx.raw {
-            if let Some(entry) = config.match_allow(finding.rule, &ctx.rel) {
+            if let Some(entry) = config.match_allow(finding.rule, &file.rel) {
                 used_entries.insert(entry);
                 continue;
             }
@@ -231,22 +196,24 @@ fn lint_files_inner(
                 continue;
             }
             out.push(Diagnostic {
-                file: ctx.rel.clone(),
+                file: file.rel.clone(),
                 finding: finding.clone(),
             });
         }
         // ANN002 — a reasoned annotation that suppressed nothing is stale:
         // either the violation was fixed (delete the annotation) or the
         // annotation never matched (wrong rule / wrong line — fix it).
-        if !config.is_allowed("ANN002", &ctx.rel) {
+        // Annotations in test code guard code the rules never visit, so
+        // they are exempt.
+        if !config.is_allowed("ANN002", &file.rel) {
             for (i, a) in ctx.allows.iter().enumerate() {
                 if a.has_reason
                     && !used_allows[i]
-                    && !ctx.masked_lines.contains(&a.line)
-                    && !ctx.masked_lines.contains(&(a.line + 1))
+                    && !file.is_test_line(a.line)
+                    && !file.is_test_line(a.line + 1)
                 {
                     out.push(Diagnostic {
-                        file: ctx.rel.clone(),
+                        file: file.rel.clone(),
                         finding: Finding {
                             rule: "ANN002",
                             line: a.line,
@@ -444,18 +411,14 @@ let w = y.unwrap();
 
     #[test]
     fn config_allowlist_exempts_whole_files() {
-        let config = Config::parse(
-            "[allow]\nDET001 = [\"crates/rose-bridge/src/sync.rs\"]\n\
-             PROF001 = [\"crates/rose-bridge/src/sync.rs\"]\n",
-        )
-        .unwrap();
+        let config =
+            Config::parse("[allow]\nDET001 = [\"crates/rose-bridge/src/sync.rs\"]\n").unwrap();
         let src = "let t = Instant::now();\n";
         assert!(lint_source("crates/rose-bridge/src/sync.rs", src, &config, false).is_empty());
-        // Elsewhere the same read trips both the determinism rule and the
-        // profiler-bypass rule.
+        // Elsewhere the same read is one DET001 finding.
         let elsewhere = lint_source("crates/rose-bridge/src/other.rs", src, &config, false);
         let rules: Vec<&str> = elsewhere.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec!["DET001", "PROF001"]);
+        assert_eq!(rules, vec!["DET001"]);
     }
 
     #[test]
@@ -510,17 +473,52 @@ let w = y.unwrap();
             "pub fn t() -> Instant { Instant::now() }\n",
         )
         .unwrap();
-        let config =
-            Config::parse("[allow]\nDET001 = [\"src\"]\nPROF001 = [\"src\"]\n").unwrap();
+        let config = Config::parse("[allow]\nDET001 = [\"src\"]\n").unwrap();
         let found = lint_workspace(&dir, &config).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         assert!(found.is_empty(), "unexpected: {found:?}");
     }
 
     #[test]
+    fn self_test_fixture_findings_are_pinned() {
+        // The exact (file, line, rule) rows, sorted: a rule that starts
+        // firing twice on one line, or moves, shows up here.
+        let found: Vec<(String, usize, &str)> = lint_self_test_fixture()
+            .into_iter()
+            .map(|d| (d.file, d.finding.line, d.finding.rule))
+            .collect();
+        let bridge = "crates/rose-bridge/src/seeded_bridge.rs";
+        let seeded = "crates/rose-lint/fixtures/seeded.rs";
+        let want: Vec<(String, usize, &str)> = [
+            (bridge, 19, "FAULT001"),
+            (bridge, 20, "FAULT001"),
+            (seeded, 9, "DET002"),
+            (seeded, 10, "DET001"),
+            (seeded, 13, "DET001"),
+            (seeded, 13, "DET003"),
+            (seeded, 14, "CAST001"),
+            (seeded, 20, "DET001"),
+            (seeded, 24, "PANIC001"),
+            (seeded, 27, "PANIC001"),
+            (seeded, 32, "TRACE001"),
+            (seeded, 39, "ANN001"),
+            (seeded, 41, "PANIC001"),
+            (seeded, 47, "SNAP001"),
+            (seeded, 69, "PANIC001"),
+            (seeded, 69, "PANIC002"),
+            (seeded, 76, "SNAP002"),
+            (seeded, 92, "ANN002"),
+        ]
+        .into_iter()
+        .map(|(file, line, rule)| (file.to_string(), line, rule))
+        .collect();
+        assert_eq!(found, want);
+    }
+
+    #[test]
     fn self_test_fixture_trips_every_rule() {
         let findings = lint_self_test_fixture();
-        for rule in ALL_RULES {
+        for (rule, _, _) in ALL_RULES {
             assert!(
                 findings.iter().any(|d| d.finding.rule == *rule),
                 "fixture must contain a seeded {rule} violation; found {findings:?}"

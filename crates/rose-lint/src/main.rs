@@ -15,7 +15,8 @@
 //!   rule in scope. Exits 1 when every registered rule fired (the expected
 //!   outcome, which CI asserts as a non-zero exit), 2 if any rule failed
 //!   to fire (the linter itself is broken).
-//! * `--list-rules`: print the rule table and exit 0.
+//! * `--list-rules`: print every rule's id, tier and summary (the
+//!   [`ALL_RULES`] table) and exit 0.
 //!
 //! # Exit-code contract
 //!
@@ -65,22 +66,10 @@ fn main() -> ExitCode {
     }
 
     if list_rules {
-        println!("tier L (per-file token stream):");
-        println!("  DET001   wall-clock reads (Instant::now / SystemTime) in simulation logic");
-        println!("  DET002   HashMap/HashSet in simulation crates (use BTreeMap/BTreeSet)");
-        println!("  PANIC001 unwrap/expect/panic! on transport/bridge/synchronizer paths");
-        println!("  FAULT001 discarded Transport::send result on the bridge fault path");
-        println!("  TRACE001 unpaired span_begin*/span_end* calls within a function");
-        println!("  CAST001  truncating `as` casts in cycle arithmetic (widen via u128)");
-        println!("  SNAP001  `..` rest patterns in save_state/restore_state (snapshot hidden state)");
-        println!("  PROF001  direct Instant::now/SystemTime::now outside the profiler module");
-        println!("tier W (workspace call graph):");
-        println!("  DET003   nondeterminism sink reachable from a sim entry point (chain printed)");
-        println!("  PANIC002 panic site reachable from the transport/bridge fault path");
-        println!("  SNAP002  struct field absent from both save_state and restore_state bodies");
-        println!("annotations:");
-        println!("  ANN001   malformed or reasonless rose-lint allow annotation");
-        println!("  ANN002   stale allow: annotation or rose-lint.toml entry suppressing nothing");
+        println!("tiers: L per file, W workspace call graph, A allow annotations");
+        for (id, tier, summary) in ALL_RULES {
+            println!("  {id:<8} {tier}  {summary}");
+        }
         return ExitCode::SUCCESS;
     }
 
@@ -88,7 +77,7 @@ fn main() -> ExitCode {
         let diagnostics = lint_self_test_fixture();
         print!("{}", output::render(&diagnostics, format));
         let mut broken = false;
-        for rule in ALL_RULES {
+        for (rule, _, _) in ALL_RULES {
             let hits = diagnostics.iter().filter(|d| d.finding.rule == *rule).count();
             if hits == 0 {
                 eprintln!("self-test BROKEN: rule {rule} did not fire on the seeded fixture");

@@ -1,10 +1,12 @@
-//! The determinism & fault-safety rules.
+//! The tier L rules: one file at a time.
 //!
-//! Each rule is a pure function over a lexed token stream plus a test-code
-//! mask; rules know their own file scope (`applies_to`). The full contract
-//! with rationale lives in `DESIGN.md` § "Determinism contract".
+//! Each rule is a pure function over one [`SourceFile`] — its token
+//! stream, test-code mask and parsed items; rules know their own file
+//! scope (`applies_to`). The full contract with rationale lives in
+//! `DESIGN.md` § "Determinism contract".
 
-use crate::lexer::{Lexed, Tok, Token};
+use crate::ast::SourceFile;
+use crate::lexer::{Tok, Token};
 
 /// One lint finding, before allow-annotation filtering.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,9 +49,12 @@ const CYCLE_ARITH_FILES: &[&str] = &[
 
 /// Paths where a panic is a protocol hole, not a programming aid: the
 /// transport/bridge/synchronizer hot paths must latch faults instead
-/// (PANIC001 scope).
+/// (PANIC001 scope, and PANIC002's roots).
 pub const FAULT_PATH_PREFIXES: &[&str] =
     &["crates/rose-bridge/src", "crates/socsim/src/bridge.rs"];
+
+/// Panicking macros (PANIC001's and PANIC002's `name!` sites).
+pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Integer types an `as` cast can truncate or wrap into. `u128`/`i128`
 /// (the sanctioned exact path) and float targets are exempt.
@@ -57,24 +62,34 @@ const TRUNCATING_TARGETS: &[&str] = &[
     "u8", "u16", "u32", "u64", "usize", "i8", "i16", "i32", "i64", "isize",
 ];
 
-/// All rule identifiers, in report order. Tier L rules run per file over
-/// the token stream; tier W rules ([`crate::wrules`]) run over the
-/// workspace call graph; ANN001/ANN002 run in the [`crate::lint_files`]
-/// pipeline itself.
-pub const ALL_RULES: &[&str] = &[
-    "DET001", "DET002", "DET003", "PANIC001", "PANIC002", "FAULT001", "TRACE001", "CAST001",
-    "SNAP001", "SNAP002", "ANN001", "ANN002", "PROF001",
+/// Every rule as `(id, tier, summary)`, in report order. Tier L rules run
+/// per file ([`run_rules`]); tier W rules ([`crate::wrules`]) run over the
+/// workspace call graph; tier A (annotation) rules run in the
+/// [`crate::lint_files`] pipeline itself. `--list-rules` prints this
+/// table and `--self-test` demands a finding for every row.
+#[rustfmt::skip]
+pub const ALL_RULES: &[(&str, char, &str)] = &[
+    ("DET001", 'L', "wall-clock read (`Instant::now`, `SystemTime`) outside the profiler's Stopwatch"),
+    ("DET002", 'L', "`HashMap`/`HashSet` in a simulation crate (use `BTreeMap`/`BTreeSet`)"),
+    ("DET003", 'W', "wall clock, entropy RNG or unordered map reachable from a sim entry point"),
+    ("PANIC001", 'L', "`unwrap`/`expect`/`panic!` on the transport/bridge fault path"),
+    ("PANIC002", 'W', "panic site reachable from the transport/bridge fault path"),
+    ("FAULT001", 'L', "discarded `Transport::send` result on the fault path"),
+    ("TRACE001", 'L', "a function whose `span_begin*` and `span_end*` call counts differ"),
+    ("CAST001", 'L', "truncating `as` cast in cycle arithmetic (widen through u128)"),
+    ("SNAP001", 'L', "`..` rest pattern in a `save_state`/`restore_state` body"),
+    ("SNAP002", 'W', "struct field absent from both `save_state` and `restore_state`"),
+    ("ANN001", 'A', "malformed or reasonless `rose-lint: allow` annotation"),
+    ("ANN002", 'A', "stale allow: an annotation or rose-lint.toml entry suppressing nothing"),
 ];
 
-/// The one module allowed to read host clocks directly: everything else
-/// funnels wall time through its `Stopwatch`/`Profiler` API (PROF001).
-const PROFILER_MODULE: &str = "crates/trace/src/profiler.rs";
-
-/// True when `rel_path` equals a prefix or sits below it (path-component
-/// boundary: `crates/rose/src` does not match `crates/rose/srcfoo.rs`).
+/// True when `rel_path` equals one of `prefixes` or sits below one
+/// (path-component boundary: `crates/rose/src` does not match
+/// `crates/rose/srcfoo.rs`; a trailing `/` on a prefix is ignored).
 pub fn path_in(rel_path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| {
-        rel_path == *p
+        let p = p.trim_end_matches('/');
+        rel_path == p
             || rel_path
                 .strip_prefix(p)
                 .is_some_and(|rest| rest.starts_with('/'))
@@ -88,84 +103,14 @@ pub fn applies_to(rule: &str, rel_path: &str, all_rules: bool) -> bool {
         return true;
     }
     match rule {
-        "DET001" | "TRACE001" | "ANN001" => true,
-        "PROF001" => rel_path != PROFILER_MODULE,
+        "DET001" | "TRACE001" => true,
         "DET002" => path_in(rel_path, SIM_CRATES),
         "PANIC001" | "FAULT001" => path_in(rel_path, FAULT_PATH_PREFIXES),
-        "CAST001" => CYCLE_ARITH_FILES.contains(&rel_path),
-        "SNAP001" => path_in(rel_path, SIM_CRATES) || path_in(rel_path, &["crates/trace/src"]),
+        "CAST001" => path_in(rel_path, CYCLE_ARITH_FILES),
+        "SNAP001" | "SNAP002" => {
+            path_in(rel_path, SIM_CRATES) || path_in(rel_path, &["crates/trace/src"])
+        }
         _ => false,
-    }
-}
-
-/// Computes, per token index, whether the token sits inside test-only
-/// code: a `#[cfg(test)]` module body or a `#[test]` function body.
-/// The determinism contract governs simulation logic; tests may use
-/// wall-clock timeouts and `unwrap()` freely.
-pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0;
-    while i < tokens.len() {
-        if let Some(attr_end) = match_test_attr(tokens, i) {
-            // Find the body's opening brace (skipping the item header),
-            // then mark the whole brace-balanced region.
-            let mut j = attr_end;
-            while j < tokens.len() && tokens[j].tok != Tok::Punct("{") {
-                j += 1;
-            }
-            if j < tokens.len() {
-                let mut depth = 0usize;
-                let start = i;
-                while j < tokens.len() {
-                    match &tokens[j].tok {
-                        Tok::Punct("{") => depth += 1,
-                        Tok::Punct("}") => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                for m in mask.iter_mut().take(j.min(tokens.len() - 1) + 1).skip(start) {
-                    *m = true;
-                }
-                i = j + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    mask
-}
-
-/// Matches `#[cfg(test)]` or `#[test]` starting at `i`; returns the index
-/// just past the closing `]`.
-fn match_test_attr(tokens: &[Token], i: usize) -> Option<usize> {
-    if tokens.get(i)?.tok != Tok::Punct("#") || tokens.get(i + 1)?.tok != Tok::Punct("[") {
-        return None;
-    }
-    match &tokens.get(i + 2)?.tok {
-        Tok::Ident(s) if s == "test" => {
-            (tokens.get(i + 3)?.tok == Tok::Punct("]")).then_some(i + 4)
-        }
-        Tok::Ident(s) if s == "cfg" => {
-            let seq = [
-                Tok::Punct("("),
-                Tok::Ident("test".into()),
-                Tok::Punct(")"),
-                Tok::Punct("]"),
-            ];
-            for (k, want) in seq.iter().enumerate() {
-                if &tokens.get(i + 3 + k)?.tok != want {
-                    return None;
-                }
-            }
-            Some(i + 7)
-        }
-        _ => None,
     }
 }
 
@@ -176,107 +121,64 @@ fn ident(tok: &Token) -> Option<&str> {
     }
 }
 
-/// Runs every in-scope rule over one lexed file.
-pub fn run_rules(rel_path: &str, lexed: &Lexed, all_rules: bool) -> Vec<Finding> {
-    let tokens = &lexed.tokens;
-    let mask = test_mask(tokens);
+/// One tier L rule: its id and check.
+type Check = (&'static str, fn(&SourceFile) -> Vec<Finding>);
+
+/// Runs every in-scope tier L rule over one file.
+pub fn run_rules(file: &SourceFile, all_rules: bool) -> Vec<Finding> {
+    const CHECKS: [Check; 7] = [
+        ("DET001", det001),
+        ("DET002", det002),
+        ("PANIC001", panic001),
+        ("FAULT001", fault001),
+        ("TRACE001", trace001),
+        ("CAST001", cast001),
+        ("SNAP001", snap001),
+    ];
     let mut findings = Vec::new();
-
-    let live = |i: usize| !mask[i];
-
-    if applies_to("DET001", rel_path, all_rules) {
-        findings.extend(det001(tokens, &live));
-    }
-    if applies_to("DET002", rel_path, all_rules) {
-        findings.extend(det002(tokens, &live));
-    }
-    if applies_to("PANIC001", rel_path, all_rules) {
-        findings.extend(panic001(tokens, &live));
-    }
-    if applies_to("FAULT001", rel_path, all_rules) {
-        findings.extend(fault001(tokens, &live));
-    }
-    if applies_to("TRACE001", rel_path, all_rules) {
-        findings.extend(trace001(tokens, &live));
-    }
-    if applies_to("CAST001", rel_path, all_rules) {
-        findings.extend(cast001(tokens, &live));
-    }
-    if applies_to("SNAP001", rel_path, all_rules) {
-        findings.extend(snap001(tokens, &live));
-    }
-    if applies_to("PROF001", rel_path, all_rules) {
-        findings.extend(prof001(tokens, &live));
+    for (rule, check) in CHECKS {
+        if applies_to(rule, &file.rel, all_rules) {
+            findings.extend(check(file));
+        }
     }
     findings.sort_by_key(|f| (f.line, f.rule));
     findings
 }
 
-/// DET001 — no wall-clock reads in simulation logic. `Instant::now()` and
-/// any use of `SystemTime` make behavior depend on host scheduling; the
-/// whitelist (rose-lint.toml) covers the profiler's `Stopwatch`, whose
-/// readings measure the *host*, by design.
-fn det001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if !live(i) {
-            continue;
-        }
-        if ident(&tokens[i]) == Some("Instant")
-            && tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct("::"))
-            && tokens.get(i + 2).and_then(ident) == Some("now")
-        {
-            out.push(Finding {
-                rule: "DET001",
-                line: tokens[i].line,
-                message: "wall-clock read (Instant::now) in simulation logic; \
-                          derive time from cycles/frames, or whitelist the file \
-                          in rose-lint.toml if it measures the host on purpose"
-                    .into(),
-            });
-        }
-        if ident(&tokens[i]) == Some("SystemTime") {
-            out.push(Finding {
-                rule: "DET001",
-                line: tokens[i].line,
-                message: "SystemTime in simulation logic; wall time is \
-                          nondeterministic across runs"
-                    .into(),
-            });
-        }
-    }
-    out
+/// The indices of `file`'s tokens outside test-only code.
+fn live(file: &SourceFile) -> impl Iterator<Item = usize> + '_ {
+    (0..file.mask.len()).filter(|&i| !file.mask[i])
 }
 
-/// PROF001 — wall-clock reads funnel through the profiler. A direct
-/// `Instant::now()` / `SystemTime::now()` call anywhere but
-/// `crates/trace/src/profiler.rs` bypasses the one sanctioned wall-time
-/// API (`rose_trace::Stopwatch` / `Profiler::time`) whose readings are
-/// digest-excluded by construction (DESIGN.md §4f). Where DET001 guards
-/// *determinism* of simulated state, PROF001 guards *attribution*: ad-hoc
-/// timing never shows up in `--profile` and can leak into reports.
-fn prof001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
+/// DET001 — no wall-clock reads outside the profiler. `Instant::now()`
+/// and any use of `SystemTime` make behavior depend on host scheduling.
+/// Host timing goes through `rose_trace::Stopwatch` / `Profiler::time`,
+/// whose readings are digest-excluded by construction (DESIGN.md §4f) and
+/// show up in `--profile`; rose-lint.toml exempts that one module.
+fn det001(file: &SourceFile) -> Vec<Finding> {
+    let tokens = &file.lexed.tokens;
     let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if !live(i) {
-            continue;
-        }
-        if let Some(clock @ ("Instant" | "SystemTime")) = ident(&tokens[i]) {
-            if tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct("::"))
-                && tokens.get(i + 2).and_then(ident) == Some("now")
+    for i in live(file) {
+        let what = match ident(&tokens[i]) {
+            Some("Instant")
+                if tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct("::"))
+                    && tokens.get(i + 2).and_then(ident) == Some("now") =>
             {
-                out.push(Finding {
-                    rule: "PROF001",
-                    line: tokens[i].line,
-                    message: format!(
-                        "direct {clock}::now() outside the profiler module; route \
-                         host timing through rose_trace::Stopwatch / Profiler::time \
-                         so it stays digest-excluded, or whitelist the file in \
-                         rose-lint.toml"
-                    ),
-                });
+                "wall-clock read (Instant::now)"
             }
-        }
+            Some("SystemTime") => "SystemTime",
+            _ => continue,
+        };
+        out.push(Finding {
+            rule: "DET001",
+            line: tokens[i].line,
+            message: format!(
+                "{what} outside the profiler: wall time is nondeterministic \
+                 across runs; derive simulated time from cycles/frames, route \
+                 host timing through rose_trace::Stopwatch / Profiler::time so \
+                 it stays digest-excluded, or whitelist the file in rose-lint.toml"
+            ),
+        });
     }
     out
 }
@@ -285,17 +187,15 @@ fn prof001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
 /// iteration order varies with hasher seeding and insertion history;
 /// draining one into stats, traces, or packets perturbs downstream bits.
 /// `BTreeMap`/`BTreeSet` give the same ordering on every run.
-fn det002(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
+fn det002(file: &SourceFile) -> Vec<Finding> {
+    let tokens = &file.lexed.tokens;
     let mut out = Vec::new();
-    for (i, token) in tokens.iter().enumerate() {
-        if !live(i) {
-            continue;
-        }
-        if let Some(name @ ("HashMap" | "HashSet")) = ident(token) {
+    for i in live(file) {
+        if let Some(name @ ("HashMap" | "HashSet")) = ident(&tokens[i]) {
             let replacement = if name == "HashMap" { "BTreeMap" } else { "BTreeSet" };
             out.push(Finding {
                 rule: "DET002",
-                line: token.line,
+                line: tokens[i].line,
                 message: format!(
                     "{name} in a simulation crate: iteration order is \
                      nondeterministic; use {replacement}"
@@ -310,13 +210,10 @@ fn det002(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
 /// A panic mid-quantum poisons the lockstep (the peer blocks forever on a
 /// reply that never comes); faults must latch via `TransportError` /
 /// `RtlSide::take_fault` so the mission winds down and reports.
-fn panic001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
-    const MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+fn panic001(file: &SourceFile) -> Vec<Finding> {
+    let tokens = &file.lexed.tokens;
     let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if !live(i) {
-            continue;
-        }
+    for i in live(file) {
         // `.unwrap()` / `.expect(` method calls.
         if tokens[i].tok == Tok::Punct(".")
             && matches!(tokens.get(i + 1).and_then(ident), Some("unwrap") | Some("expect"))
@@ -335,7 +232,7 @@ fn panic001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
         }
         // `panic!(` and friends.
         if let Some(name) = ident(&tokens[i]) {
-            if MACROS.contains(&name)
+            if PANIC_MACROS.contains(&name)
                 && tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct("!"))
             {
                 out.push(Finding {
@@ -356,53 +253,20 @@ fn panic001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
 /// number of `span_begin*` calls must equal the number of `span_end*`
 /// calls; an unmatched begin corrupts the trace's span nesting for every
 /// event that follows (and `TraceLog::unpaired_spans` will flag the run).
-fn trace001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
+fn trace001(file: &SourceFile) -> Vec<Finding> {
+    let tokens = &file.lexed.tokens;
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if ident(&tokens[i]) != Some("fn") {
-            i += 1;
-            continue;
-        }
-        let fn_line = tokens[i].line;
-        let fn_name = tokens.get(i + 1).and_then(ident).unwrap_or("?").to_string();
-        // Scan the signature for the body `{` or a bodiless `;`, tracking
-        // bracket depth so `[u8; 4]` defaults don't end the signature.
-        let mut j = i + 1;
-        let mut depth = 0i32;
-        let body_start = loop {
-            match tokens.get(j).map(|t| &t.tok) {
-                None => break None,
-                Some(Tok::Punct("(")) | Some(Tok::Punct("[")) => depth += 1,
-                Some(Tok::Punct(")")) | Some(Tok::Punct("]")) => depth -= 1,
-                Some(Tok::Punct(";")) if depth == 0 => break None,
-                Some(Tok::Punct("{")) if depth == 0 => break Some(j),
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(body_start) = body_start else {
-            i = j + 1;
+    for f in file.ast.fns.iter().filter(|f| !f.is_test) {
+        let Some((open, end)) = f.body else {
             continue;
         };
-        // Walk the brace-balanced body, counting span call sites.
         let mut begins = 0usize;
         let mut ends = 0usize;
-        let mut brace = 0i32;
-        let mut k = body_start;
-        while k < tokens.len() {
-            match &tokens[k].tok {
-                Tok::Punct("{") => brace += 1,
-                Tok::Punct("}") => {
-                    brace -= 1;
-                    if brace == 0 {
-                        break;
-                    }
-                }
-                Tok::Ident(name)
-                    if live(k)
-                        && tokens.get(k + 1).map(|t| &t.tok) == Some(&Tok::Punct("("))
-                        && ident(&tokens[k - 1]) != Some("fn") =>
+        for k in open..end {
+            if let Tok::Ident(name) = &tokens[k].tok {
+                if !file.mask[k]
+                    && tokens.get(k + 1).map(|t| &t.tok) == Some(&Tok::Punct("("))
+                    && ident(&tokens[k - 1]) != Some("fn")
                 {
                     if name.starts_with("span_begin") {
                         begins += 1;
@@ -410,21 +274,19 @@ fn trace001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
                         ends += 1;
                     }
                 }
-                _ => {}
             }
-            k += 1;
         }
-        if begins != ends && live(i) {
+        if begins != ends {
             out.push(Finding {
                 rule: "TRACE001",
-                line: fn_line,
+                line: f.line,
                 message: format!(
-                    "fn {fn_name} opens {begins} trace span(s) but closes {ends}; \
-                     every span_begin* needs a matching span_end* on every path"
+                    "fn {} opens {begins} trace span(s) but closes {ends}; \
+                     every span_begin* needs a matching span_end* on every path",
+                    f.name
                 ),
             });
         }
-        i = k + 1;
     }
     out
 }
@@ -435,25 +297,24 @@ fn trace001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
 /// narrows after a bounds-checked divide (see `Clocks::cycles_for_frames`).
 /// Casts to u128/i128 or floats are exempt; anything else needs an
 /// annotation naming the invariant that makes it lossless.
-fn cast001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
+fn cast001(file: &SourceFile) -> Vec<Finding> {
+    let tokens = &file.lexed.tokens;
     let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if !live(i) {
+    for i in live(file) {
+        if ident(&tokens[i]) != Some("as") {
             continue;
         }
-        if ident(&tokens[i]) == Some("as") {
-            if let Some(target) = tokens.get(i + 1).and_then(ident) {
-                if TRUNCATING_TARGETS.contains(&target) {
-                    out.push(Finding {
-                        rule: "CAST001",
-                        line: tokens[i].line,
-                        message: format!(
-                            "`as {target}` in cycle arithmetic can truncate; widen \
-                             through u128 (see Clocks::cycles_for_frames) or annotate \
-                             with // rose-lint: allow(CAST001, reason)"
-                        ),
-                    });
-                }
+        if let Some(target) = tokens.get(i + 1).and_then(ident) {
+            if TRUNCATING_TARGETS.contains(&target) {
+                out.push(Finding {
+                    rule: "CAST001",
+                    line: tokens[i].line,
+                    message: format!(
+                        "`as {target}` in cycle arithmetic can truncate; widen \
+                         through u128 (see Clocks::cycles_for_frames) or annotate \
+                         with // rose-lint: allow(CAST001, reason)"
+                    ),
+                });
             }
         }
     }
@@ -473,75 +334,39 @@ fn cast001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
 /// The lexer emits `..` as two adjacent `.` puncts; a pair preceded by
 /// `{` or `,` is a rest pattern / functional update, while ranges
 /// (`0..n`) follow a literal or identifier and are fine.
-fn snap001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
+fn snap001(file: &SourceFile) -> Vec<Finding> {
+    let tokens = &file.lexed.tokens;
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if ident(&tokens[i]) != Some("fn") {
-            i += 1;
-            continue;
-        }
-        let fn_name = tokens.get(i + 1).and_then(ident).unwrap_or("?").to_string();
-        if fn_name != "save_state" && fn_name != "restore_state" {
-            i += 1;
-            continue;
-        }
-        // Find the body `{` (or a bodiless `;`), tracking bracket depth.
-        let mut j = i + 1;
-        let mut depth = 0i32;
-        let body_start = loop {
-            match tokens.get(j).map(|t| &t.tok) {
-                None => break None,
-                Some(Tok::Punct("(")) | Some(Tok::Punct("[")) => depth += 1,
-                Some(Tok::Punct(")")) | Some(Tok::Punct("]")) => depth -= 1,
-                Some(Tok::Punct(";")) if depth == 0 => break None,
-                Some(Tok::Punct("{")) if depth == 0 => break Some(j),
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(body_start) = body_start else {
-            i = j + 1;
+    for f in &file.ast.fns {
+        let Some((open, end)) = f.body else {
             continue;
         };
-        // Walk the brace-balanced body flagging rest-pattern `..` pairs.
-        let mut brace = 0i32;
-        let mut k = body_start;
-        while k < tokens.len() {
-            match &tokens[k].tok {
-                Tok::Punct("{") => brace += 1,
-                Tok::Punct("}") => {
-                    brace -= 1;
-                    if brace == 0 {
-                        break;
-                    }
-                }
-                Tok::Punct(".")
-                    if live(k)
-                        && tokens.get(k + 1).map(|t| &t.tok) == Some(&Tok::Punct("."))
-                        && matches!(
-                            tokens.get(k - 1).map(|t| &t.tok),
-                            Some(Tok::Punct("{")) | Some(Tok::Punct(","))
-                        ) =>
-                {
-                    out.push(Finding {
-                        rule: "SNAP001",
-                        line: tokens[k].line,
-                        message: format!(
-                            "`..` rest pattern in fn {fn_name}: snapshot code must \
-                             destructure exhaustively so new fields break the build \
-                             (bind structural fields to `_`), or annotate with \
-                             // rose-lint: allow(SNAP001, reason)"
-                        ),
-                    });
-                    k += 2;
-                    continue;
-                }
-                _ => {}
-            }
-            k += 1;
+        if f.name != "save_state" && f.name != "restore_state" {
+            continue;
         }
-        i = k + 1;
+        let mut k = open;
+        while k < end {
+            if tokens[k].tok == Tok::Punct(".")
+                && !file.mask[k]
+                && tokens.get(k + 1).map(|t| &t.tok) == Some(&Tok::Punct("."))
+                && matches!(tokens[k - 1].tok, Tok::Punct("{") | Tok::Punct(","))
+            {
+                out.push(Finding {
+                    rule: "SNAP001",
+                    line: tokens[k].line,
+                    message: format!(
+                        "`..` rest pattern in fn {}: snapshot code must \
+                         destructure exhaustively so new fields break the build \
+                         (bind structural fields to `_`), or annotate with \
+                         // rose-lint: allow(SNAP001, reason)",
+                        f.name
+                    ),
+                });
+                k += 2;
+            } else {
+                k += 1;
+            }
+        }
     }
     out
 }
@@ -552,12 +377,10 @@ fn snap001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
 /// a `let _ =` binding) silently swallows the very error the recovery
 /// machinery exists to absorb. Propagate with `?`, match on the error, or
 /// annotate the deliberate fire-and-forget with a reasoned allow.
-fn fault001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
+fn fault001(file: &SourceFile) -> Vec<Finding> {
+    let tokens = &file.lexed.tokens;
     let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if !live(i) {
-            continue;
-        }
+    for i in live(file) {
         // A method *call*: `.send(` — definitions (`fn send(`) and free
         // functions have no receiver dot and never match.
         if tokens[i].tok != Tok::Punct(".")
@@ -626,11 +449,9 @@ fn fault001(tokens: &[Token], live: &dyn Fn(usize) -> bool) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn findings(rule: &str, src: &str) -> Vec<Finding> {
-        let lexed = lex(src);
-        run_rules("fixture.rs", &lexed, true)
+        run_rules(&SourceFile::parse("fixture.rs", src), true)
             .into_iter()
             .filter(|f| f.rule == rule)
             .collect()
@@ -645,42 +466,22 @@ mod tests {
             findings("DET001", "let t = std::time::Instant::now();").len(),
             1
         );
+        assert_eq!(findings("DET001", "let t = SystemTime::now();").len(), 1);
         assert_eq!(findings("DET001", "use std::time::SystemTime;").len(), 1);
+        // The advice names the sanctioned wall-time API.
+        let found = findings("DET001", "let t = Instant::now();");
+        assert!(found[0].message.contains("rose_trace::Stopwatch"));
     }
 
     #[test]
     fn det001_ignores_the_event_kind_and_tests() {
-        // `EventKind::Instant` is an enum variant, not a clock read.
+        // `EventKind::Instant` is an enum variant, not a clock read, and
+        // naming the `Instant` type (fields, signatures) reads no clock.
         assert!(findings("DET001", "let k = EventKind::Instant;").is_empty());
         assert!(findings("DET001", "started: Instant,").is_empty());
+        assert!(findings("DET001", "fn at(&self) -> Instant { self.0 }").is_empty());
         assert!(findings(
             "DET001",
-            "#[cfg(test)]\nmod tests {\n fn t() { let x = Instant::now(); }\n}"
-        )
-        .is_empty());
-    }
-
-    // PROF001 --------------------------------------------------------------
-
-    #[test]
-    fn prof001_flags_direct_clock_reads() {
-        assert_eq!(findings("PROF001", "let t = Instant::now();").len(), 1);
-        assert_eq!(
-            findings("PROF001", "let t = std::time::Instant::now();").len(),
-            1
-        );
-        assert_eq!(findings("PROF001", "let t = SystemTime::now();").len(), 1);
-    }
-
-    #[test]
-    fn prof001_ignores_types_annotations_and_tests() {
-        // Naming the type (fields, signatures, imports) is fine; only the
-        // clock *read* must go through the profiler.
-        assert!(findings("PROF001", "started: Instant,").is_empty());
-        assert!(findings("PROF001", "use std::time::SystemTime;").is_empty());
-        assert!(findings("PROF001", "fn at(&self) -> Instant { self.0 }").is_empty());
-        assert!(findings(
-            "PROF001",
             "#[cfg(test)]\nmod tests {\n fn t() { let x = Instant::now(); }\n}"
         )
         .is_empty());
@@ -869,25 +670,7 @@ mod tests {
         assert!(applies_to("SNAP001", "crates/socsim/src/soc.rs", false));
         assert!(applies_to("SNAP001", "crates/trace/src/tracer.rs", false));
         assert!(!applies_to("SNAP001", "crates/bench/src/lib.rs", false));
-        assert!(applies_to("PROF001", "crates/rose-bridge/src/sync.rs", false));
-        assert!(applies_to("PROF001", "crates/bench/src/lib.rs", false));
-        assert!(!applies_to("PROF001", "crates/trace/src/profiler.rs", false));
-    }
-
-    #[test]
-    fn test_mask_covers_cfg_test_modules() {
-        let lexed = lex("fn live() {}\n#[cfg(test)]\nmod tests {\n fn a() { x.unwrap(); }\n}\nfn also_live() {}");
-        let mask = test_mask(&lexed.tokens);
-        let live_idents: Vec<&str> = lexed
-            .tokens
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| !mask[*i] && matches!(t.tok, Tok::Ident(_)))
-            .map(|(_, t)| match &t.tok {
-                Tok::Ident(s) => s.as_str(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(live_idents, vec!["fn", "live", "fn", "also_live"]);
+        assert!(applies_to("SNAP002", "crates/trace/src/tracer.rs", false));
+        assert!(!applies_to("SNAP002", "crates/bench/src/lib.rs", false));
     }
 }

@@ -18,9 +18,9 @@
 //! associated functions imported via `use Type::method`. Test code is
 //! excluded from the graph wholesale.
 
-use crate::ast::{self, Ast};
-use crate::lexer::{Lexed, Tok, Token};
-use crate::rules::test_mask;
+use crate::ast::{self, SourceFile};
+use crate::lexer::{Tok, Token};
+use crate::rules::PANIC_MACROS;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// What a determinism sink is (DET003's taint sources).
@@ -56,15 +56,11 @@ pub struct PanicSite {
 
 /// A function node in the workspace graph.
 #[derive(Debug)]
-pub struct FnNode {
+pub struct FnNode<'a> {
     /// Index into [`Workspace::files`].
     pub file: usize,
-    /// Function name.
-    pub name: String,
-    /// Enclosing `impl`/`trait` type, if any.
-    pub self_ty: Option<String>,
-    /// 1-based line of the definition.
-    pub line: usize,
+    /// The parsed definition.
+    pub def: &'a ast::FnDef,
     /// Resolved callee node ids, sorted and deduplicated.
     pub callees: Vec<usize>,
     /// Determinism sinks in the body.
@@ -73,35 +69,20 @@ pub struct FnNode {
     pub panics: Vec<PanicSite>,
     /// Identifiers appearing in the body — populated only for
     /// `save_state`/`restore_state` (SNAP002's field-coverage check).
-    pub body_idents: Option<BTreeSet<String>>,
-}
-
-impl FnNode {
-    /// `Type::name` for methods, `name` for free functions.
-    pub fn qname(&self) -> String {
-        match &self.self_ty {
-            Some(ty) => format!("{ty}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
+    pub body_idents: Option<BTreeSet<&'a str>>,
 }
 
 /// A struct node in the workspace symbol table.
 #[derive(Debug)]
-pub struct StructNode {
+pub struct StructNode<'a> {
     /// Index into [`Workspace::files`].
     pub file: usize,
-    /// Struct name.
-    pub name: String,
-    /// 1-based line of the definition.
-    pub line: usize,
-    /// Declared named fields.
-    pub fields: Vec<ast::Field>,
+    /// The parsed definition.
+    pub def: &'a ast::StructDef,
 }
 
 /// Identifiers that read environmental entropy; reaching one from a sim
-/// entry point makes the mission unreproducible. Extended per-config via
-/// `[rule.DET003] sinks = [...]`.
+/// entry point makes the mission unreproducible.
 pub const ENTROPY_SINKS: &[&str] = &[
     "thread_rng",
     "from_entropy",
@@ -110,108 +91,82 @@ pub const ENTROPY_SINKS: &[&str] = &[
     "RandomState",
 ];
 
-/// The whole-workspace model tier W rules run against.
+/// The whole-workspace model tier W rules run against: an index over the
+/// parsed files it was built from.
 #[derive(Debug, Default)]
-pub struct Workspace {
-    /// Workspace-relative file paths, parallel to the `file` indices.
-    pub files: Vec<String>,
+pub struct Workspace<'a> {
+    /// The files in the graph, parallel to the `file` indices.
+    pub files: Vec<&'a SourceFile>,
     /// Every non-test function definition.
-    pub fns: Vec<FnNode>,
+    pub fns: Vec<FnNode<'a>>,
     /// Every non-test struct definition.
-    pub structs: Vec<StructNode>,
+    pub structs: Vec<StructNode<'a>>,
     /// Function name → node ids (methods and free fns alike).
-    by_name: BTreeMap<String, Vec<usize>>,
+    by_name: BTreeMap<&'a str, Vec<usize>>,
     /// (self type, name) → node ids.
-    by_ty: BTreeMap<(String, String), Vec<usize>>,
+    by_ty: BTreeMap<(&'a str, &'a str), Vec<usize>>,
     /// Function name → free-fn node ids.
-    free_by_name: BTreeMap<String, Vec<usize>>,
+    free_by_name: BTreeMap<&'a str, Vec<usize>>,
 }
 
-impl Workspace {
-    /// Builds the model from every lexed file. `extra_sinks` extends the
-    /// entropy sink list (from `[rule.DET003] sinks`).
-    pub fn build(files: &[(String, &Lexed)], extra_sinks: &[String]) -> Workspace {
-        let mut ws = Workspace::default();
-        let mut pending_calls: Vec<(usize, Vec<ast::Call>, Option<String>)> = Vec::new();
-        for (rel_path, lexed) in files {
-            let file_idx = ws.files.len();
-            ws.files.push(rel_path.clone());
-            let mask = test_mask(&lexed.tokens);
-            let ast = ast::parse(&lexed.tokens, &mask);
-            ws.index_ast(file_idx, ast, &lexed.tokens, extra_sinks, &mut pending_calls);
+impl<'a> Workspace<'a> {
+    /// Indexes every parsed file's non-test items and resolves calls.
+    pub fn build(files: &[&'a SourceFile]) -> Workspace<'a> {
+        let mut ws = Workspace {
+            files: files.to_vec(),
+            ..Workspace::default()
+        };
+        for (file_idx, file) in files.iter().enumerate() {
+            let tokens = &file.lexed.tokens;
+            for def in file.ast.fns.iter().filter(|f| !f.is_test) {
+                let id = ws.fns.len();
+                let (sinks, panics) = match def.body {
+                    Some((start, end)) => scan_body(tokens, start, end),
+                    None => (Vec::new(), Vec::new()),
+                };
+                let body_idents = match (def.name.as_str(), def.body) {
+                    ("save_state" | "restore_state", Some((start, end))) => Some(
+                        tokens[start..end]
+                            .iter()
+                            .filter_map(|t| match &t.tok {
+                                Tok::Ident(s) => Some(s.as_str()),
+                                _ => None,
+                            })
+                            .collect(),
+                    ),
+                    _ => None,
+                };
+                ws.by_name.entry(&def.name).or_default().push(id);
+                match &def.self_ty {
+                    Some(ty) => ws.by_ty.entry((ty, &def.name)).or_default().push(id),
+                    None => ws.free_by_name.entry(&def.name).or_default().push(id),
+                }
+                ws.fns.push(FnNode {
+                    file: file_idx,
+                    def,
+                    callees: Vec::new(),
+                    sinks,
+                    panics,
+                    body_idents,
+                });
+            }
+            for def in file.ast.structs.iter().filter(|s| !s.is_test) {
+                ws.structs.push(StructNode {
+                    file: file_idx,
+                    def,
+                });
+            }
         }
         // Second pass: resolve calls now that every symbol is indexed.
-        for (fn_id, calls, self_ty) in pending_calls {
+        for id in 0..ws.fns.len() {
+            let def = ws.fns[id].def;
             let mut callees = BTreeSet::new();
-            for call in &calls {
-                ws.resolve(call, self_ty.as_deref(), &mut callees);
+            for call in &def.calls {
+                ws.resolve(call, def.self_ty.as_deref(), &mut callees);
             }
-            ws.fns[fn_id].callees = callees.into_iter().collect();
+            ws.fns[id].callees = callees.into_iter().collect();
         }
         ws
-    }
-
-    fn index_ast(
-        &mut self,
-        file_idx: usize,
-        ast: Ast,
-        tokens: &[Token],
-        extra_sinks: &[String],
-        pending_calls: &mut Vec<(usize, Vec<ast::Call>, Option<String>)>,
-    ) {
-        for f in ast.fns {
-            if f.is_test {
-                continue;
-            }
-            let id = self.fns.len();
-            let (sinks, panics) = match f.body {
-                Some((start, end)) => scan_body(tokens, start, end, extra_sinks),
-                None => (Vec::new(), Vec::new()),
-            };
-            let body_idents = match (f.name.as_str(), f.body) {
-                ("save_state" | "restore_state", Some((start, end))) => {
-                    let mut idents = BTreeSet::new();
-                    for t in &tokens[start..end] {
-                        if let Tok::Ident(s) = &t.tok {
-                            idents.insert(s.clone());
-                        }
-                    }
-                    Some(idents)
-                }
-                _ => None,
-            };
-            self.by_name.entry(f.name.clone()).or_default().push(id);
-            if let Some(ty) = &f.self_ty {
-                self.by_ty
-                    .entry((ty.clone(), f.name.clone()))
-                    .or_default()
-                    .push(id);
-            } else {
-                self.free_by_name.entry(f.name.clone()).or_default().push(id);
-            }
-            pending_calls.push((id, f.calls, f.self_ty.clone()));
-            self.fns.push(FnNode {
-                file: file_idx,
-                name: f.name,
-                self_ty: f.self_ty,
-                line: f.line,
-                callees: Vec::new(),
-                sinks,
-                panics,
-                body_idents,
-            });
-        }
-        for s in ast.structs {
-            if s.is_test {
-                continue;
-            }
-            self.structs.push(StructNode {
-                file: file_idx,
-                name: s.name,
-                line: s.line,
-                fields: s.fields,
-            });
-        }
     }
 
     /// Resolves one call to workspace node ids (see the module docs for
@@ -238,7 +193,7 @@ impl Workspace {
                 } else {
                     qualifier
                 };
-                if let Some(ids) = self.by_ty.get(&(ty.to_string(), name.to_string())) {
+                if let Some(ids) = self.by_ty.get(&(ty, name)) {
                     out.extend(ids.iter().copied());
                 } else if let Some(ids) = self.free_by_name.get(name) {
                     // `module::helper(...)`: a path-qualified free fn.
@@ -260,14 +215,14 @@ impl Workspace {
         match pattern.split_once("::") {
             Some((ty, fn_pat)) => {
                 for (id, f) in self.fns.iter().enumerate() {
-                    if f.self_ty.as_deref() == Some(ty) && matches_glob(&f.name, fn_pat) {
+                    if f.def.self_ty.as_deref() == Some(ty) && matches_glob(&f.def.name, fn_pat) {
                         out.push(id);
                     }
                 }
             }
             None => {
                 for (id, f) in self.fns.iter().enumerate() {
-                    if matches_glob(&f.name, pattern) {
+                    if matches_glob(&f.def.name, pattern) {
                         out.push(id);
                     }
                 }
@@ -303,12 +258,12 @@ impl Workspace {
     /// The call chain from the entry point down to `id`, rendered as
     /// `Entry::fn → helper → sink_fn`.
     pub fn chain(&self, parents: &BTreeMap<usize, usize>, mut id: usize) -> String {
-        let mut names = vec![self.fns[id].qname()];
+        let mut names = vec![self.fns[id].def.qname()];
         while let Some(&p) = parents.get(&id) {
             if p == id {
                 break;
             }
-            names.push(self.fns[p].qname());
+            names.push(self.fns[p].def.qname());
             id = p;
         }
         names.reverse();
@@ -317,13 +272,7 @@ impl Workspace {
 }
 
 /// Scans a function body for determinism sinks and panic sites.
-fn scan_body(
-    tokens: &[Token],
-    start: usize,
-    end: usize,
-    extra_sinks: &[String],
-) -> (Vec<Sink>, Vec<PanicSite>) {
-    const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+fn scan_body(tokens: &[Token], start: usize, end: usize) -> (Vec<Sink>, Vec<PanicSite>) {
     let mut sinks = Vec::new();
     let mut panics = Vec::new();
     let ident = |i: usize| match tokens.get(i).map(|t| &t.tok) {
@@ -350,7 +299,7 @@ fn scan_body(
             });
         }
         if let Some(name) = ident(k) {
-            if ENTROPY_SINKS.contains(&name) || extra_sinks.iter().any(|s| s == name) {
+            if ENTROPY_SINKS.contains(&name) {
                 sinks.push(Sink {
                     kind: SinkKind::Entropy,
                     line,
@@ -380,27 +329,28 @@ fn scan_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
-    fn build(sources: &[(&str, &str)]) -> Workspace {
-        let lexed: Vec<(String, Lexed)> = sources
+    fn parse(sources: &[(&str, &str)]) -> Vec<SourceFile> {
+        sources
             .iter()
-            .map(|(path, src)| (path.to_string(), lex(src)))
-            .collect();
-        let refs: Vec<(String, &Lexed)> = lexed.iter().map(|(p, l)| (p.clone(), l)).collect();
-        Workspace::build(&refs, &[])
+            .map(|(path, src)| SourceFile::parse(path, src))
+            .collect()
+    }
+
+    fn build(files: &[SourceFile]) -> Workspace<'_> {
+        Workspace::build(&files.iter().collect::<Vec<_>>())
     }
 
     fn id_of(ws: &Workspace, qname: &str) -> usize {
         ws.fns
             .iter()
-            .position(|f| f.qname() == qname)
+            .position(|f| f.def.qname() == qname)
             .unwrap_or_else(|| panic!("no fn {qname}"))
     }
 
     #[test]
     fn cross_file_call_resolution_and_reachability() {
-        let ws = build(&[
+        let files = parse(&[
             (
                 "crates/a/src/lib.rs",
                 "impl Soc {\n pub fn step(&mut self) { tick_helper(); }\n}",
@@ -410,6 +360,7 @@ mod tests {
                 "pub fn tick_helper() { deep(); }\nfn deep() { let t = Instant::now(); }",
             ),
         ]);
+        let ws = build(&files);
         let entries = ws.match_entry("Soc::step");
         assert_eq!(entries.len(), 1);
         let parents = ws.reachable(&entries);
@@ -422,12 +373,13 @@ mod tests {
 
     #[test]
     fn method_calls_resolve_by_name_conservatively() {
-        let ws = build(&[(
+        let files = parse(&[(
             "crates/a/src/lib.rs",
             "impl A {\n fn run(&self, x: &B) { x.helper(); }\n}\n\
              impl B {\n fn helper(&self) {}\n}\n\
              impl C {\n fn helper(&self) { panic!(\"boom\"); }\n}",
         )]);
+        let ws = build(&files);
         let run = id_of(&ws, "A::run");
         // Both same-named methods are edges: no type inference.
         assert_eq!(ws.fns[run].callees.len(), 2);
@@ -435,10 +387,11 @@ mod tests {
 
     #[test]
     fn self_path_calls_resolve_within_the_impl() {
-        let ws = build(&[(
+        let files = parse(&[(
             "crates/a/src/lib.rs",
             "impl Soc {\n fn run(&mut self) { Self::helper(); }\n fn helper() {}\n}",
         )]);
+        let ws = build(&files);
         let run = id_of(&ws, "Soc::run");
         let helper = id_of(&ws, "Soc::helper");
         assert_eq!(ws.fns[run].callees, vec![helper]);
@@ -446,20 +399,22 @@ mod tests {
 
     #[test]
     fn test_fns_are_outside_the_graph() {
-        let ws = build(&[(
+        let files = parse(&[(
             "crates/a/src/lib.rs",
             "fn live() {}\n#[cfg(test)]\nmod tests {\n fn t() { let x = Instant::now(); }\n}",
         )]);
+        let ws = build(&files);
         assert_eq!(ws.fns.len(), 1);
-        assert_eq!(ws.fns[0].name, "live");
+        assert_eq!(ws.fns[0].def.name, "live");
     }
 
     #[test]
     fn entry_globs_match_prefixes() {
-        let ws = build(&[(
+        let files = parse(&[(
             "crates/a/src/lib.rs",
             "impl Synchronizer {\n fn run_syncs(&mut self) {}\n fn run_until(&mut self) {}\n fn stats(&self) {}\n}",
         )]);
+        let ws = build(&files);
         assert_eq!(ws.match_entry("Synchronizer::run_*").len(), 2);
         assert_eq!(ws.match_entry("Synchronizer::stats").len(), 1);
         assert!(ws.match_entry("Soc::*").is_empty());
@@ -467,10 +422,11 @@ mod tests {
 
     #[test]
     fn panic_sites_and_entropy_sinks_are_collected() {
-        let ws = build(&[(
+        let files = parse(&[(
             "crates/a/src/lib.rs",
             "fn f(x: Option<u8>) {\n let seed = thread_rng();\n x.unwrap();\n y.expect(\"no\");\n unreachable!();\n}",
         )]);
+        let ws = build(&files);
         let f = &ws.fns[0];
         assert_eq!(f.sinks.len(), 1);
         assert_eq!(f.sinks[0].kind, SinkKind::Entropy);

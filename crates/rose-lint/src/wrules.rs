@@ -6,10 +6,11 @@
 //!
 //! - **DET003** — determinism taint: any function transitively reachable
 //!   from a sim-side entry point (`Soc::step`, `UavSim::step_frames`,
-//!   `Synchronizer::run_*`, ... — configurable via `[rule.DET003]
-//!   entry_points`) that reaches a wall-clock read, an entropy-seeded RNG,
-//!   or `HashMap`/`HashSet` unordered iteration is flagged, with the full
-//!   call chain in the diagnostic.
+//!   `Synchronizer::run_*`, ... — the fixed [`DET003_ENTRY_POINTS`]) that
+//!   reaches a wall-clock read, an entropy-seeded RNG
+//!   ([`crate::workspace::ENTROPY_SINKS`]), or `HashMap`/`HashSet`
+//!   unordered iteration is flagged, with the full call chain in the
+//!   diagnostic.
 //! - **PANIC002** — the PANIC001 surface extended through the call graph:
 //!   a helper *outside* the transport/bridge files that `unwrap()`s is
 //!   caught when it is reachable from a function defined inside them.
@@ -23,10 +24,9 @@
 //! file), so the existing `// rose-lint: allow(RULE, reason)` annotation
 //! and `rose-lint.toml` machinery suppress them like any tier L finding.
 
-use crate::config::Config;
-use crate::rules::{path_in, Finding, FAULT_PATH_PREFIXES, SIM_CRATES};
-use crate::workspace::Workspace;
-use std::collections::BTreeMap;
+use crate::rules::{applies_to, path_in, Finding, FAULT_PATH_PREFIXES};
+use crate::workspace::{StructNode, Workspace};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Files tier W builds its call graph from: the sim crates, the trace
 /// crate (digest-adjacent), and the root package. `crates/bench` and the
@@ -43,11 +43,11 @@ pub const GRAPH_SCOPE: &[&str] = &[
     "src",
 ];
 
-/// DET003's default sim-side entry points (overridable via
-/// `[rule.DET003] entry_points`). Everything the synchronizer drives on
-/// the simulated-time axis: the SoC cycle loop, the environment frame
-/// loop, and the synchronizer's own quantum loop.
-pub const DET003_DEFAULT_ENTRY_POINTS: &[&str] = &[
+/// DET003's sim-side entry points, `Type::fn` with a trailing-`*` glob:
+/// everything the synchronizer drives on the simulated-time axis — the
+/// SoC cycle loop, the environment frame loop, and the synchronizer's own
+/// quantum loop. A new entry point is an edit here.
+pub const DET003_ENTRY_POINTS: &[&str] = &[
     "Soc::step",
     "Soc::run_*",
     "UavSim::step_*",
@@ -65,32 +65,21 @@ pub fn in_graph_scope(rel_path: &str) -> bool {
 /// Runs every tier W rule; returns `(file index, finding)` pairs.
 /// `all_rules` (self-test) skips the per-rule path scoping so the seeded
 /// fixture can live under `crates/rose-lint/fixtures/`.
-pub fn run_workspace_rules(
-    ws: &Workspace,
-    config: &Config,
-    all_rules: bool,
-) -> Vec<(usize, Finding)> {
+pub fn run_workspace_rules(ws: &Workspace, all_rules: bool) -> Vec<(usize, Finding)> {
     let mut findings = Vec::new();
-    det003(ws, config, &mut findings);
-    panic002(ws, config, &mut findings);
+    det003(ws, &mut findings);
+    panic002(ws, &mut findings);
     snap002(ws, all_rules, &mut findings);
     findings
 }
 
 /// DET003 — determinism taint from sim entry points to nondeterminism
 /// sinks, with the call chain printed.
-fn det003(ws: &Workspace, config: &Config, out: &mut Vec<(usize, Finding)>) {
-    let default_entries: Vec<String> = DET003_DEFAULT_ENTRY_POINTS
+fn det003(ws: &Workspace, out: &mut Vec<(usize, Finding)>) {
+    let entries: Vec<usize> = DET003_ENTRY_POINTS
         .iter()
-        .map(|s| s.to_string())
+        .flat_map(|pattern| ws.match_entry(pattern))
         .collect();
-    let patterns = config
-        .rule_list("DET003", "entry_points")
-        .unwrap_or(&default_entries);
-    let mut entries = Vec::new();
-    for pattern in patterns {
-        entries.extend(ws.match_entry(pattern));
-    }
     let parents = ws.reachable(&entries);
     for &id in parents.keys() {
         let f = &ws.fns[id];
@@ -117,23 +106,15 @@ fn det003(ws: &Workspace, config: &Config, out: &mut Vec<(usize, Finding)>) {
 
 /// PANIC002 — panic sites outside the fault-path files that are reachable
 /// from functions defined inside them.
-fn panic002(ws: &Workspace, config: &Config, out: &mut Vec<(usize, Finding)>) {
-    let default_roots: Vec<String> = FAULT_PATH_PREFIXES.iter().map(|s| s.to_string()).collect();
-    let root_prefixes = config
-        .rule_list("PANIC002", "roots")
-        .unwrap_or(&default_roots);
-    let prefix_strs: Vec<&str> = root_prefixes.iter().map(String::as_str).collect();
-    let roots: Vec<usize> = ws
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| path_in(&ws.files[f.file], &prefix_strs))
-        .map(|(id, _)| id)
+fn panic002(ws: &Workspace, out: &mut Vec<(usize, Finding)>) {
+    let on_fault_path = |file: usize| path_in(&ws.files[file].rel, FAULT_PATH_PREFIXES);
+    let roots: Vec<usize> = (0..ws.fns.len())
+        .filter(|&id| on_fault_path(ws.fns[id].file))
         .collect();
     let parents = ws.reachable(&roots);
     for &id in parents.keys() {
         let f = &ws.fns[id];
-        if path_in(&ws.files[f.file], &prefix_strs) {
+        if on_fault_path(f.file) {
             // Panic sites inside the fault-path files are PANIC001's job.
             continue;
         }
@@ -163,14 +144,14 @@ fn snap002(ws: &Workspace, all_rules: bool, out: &mut Vec<(usize, Finding)>) {
     // Collect, per impl type, the save/restore bodies' identifier sets.
     let mut pairs: BTreeMap<&str, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
     for (id, f) in ws.fns.iter().enumerate() {
-        let Some(ty) = f.self_ty.as_deref() else {
+        let Some(ty) = f.def.self_ty.as_deref() else {
             continue;
         };
         if f.body_idents.is_none() {
             continue;
         }
         let slot = pairs.entry(ty).or_default();
-        match f.name.as_str() {
+        match f.def.name.as_str() {
             "save_state" => slot.0.push(id),
             "restore_state" => slot.1.push(id),
             _ => {}
@@ -186,8 +167,7 @@ fn snap002(ws: &Workspace, all_rules: bool, out: &mut Vec<(usize, Finding)>) {
         // unique workspace-wide match; ambiguity means we stay silent
         // (conservative — no false positives on name collisions).
         let save_file = ws.fns[saves[0]].file;
-        let candidates: Vec<&crate::workspace::StructNode> =
-            ws.structs.iter().filter(|s| s.name == ty).collect();
+        let candidates: Vec<&StructNode> = ws.structs.iter().filter(|s| s.def.name == ty).collect();
         let strukt = match candidates.len() {
             0 => continue,
             1 => candidates[0],
@@ -196,18 +176,16 @@ fn snap002(ws: &Workspace, all_rules: bool, out: &mut Vec<(usize, Finding)>) {
                 None => continue,
             },
         };
-        if !all_rules && !path_in(&ws.files[strukt.file], SIM_CRATES)
-            && !path_in(&ws.files[strukt.file], &["crates/trace/src"])
-        {
+        if !applies_to("SNAP002", &ws.files[strukt.file].rel, all_rules) {
             continue;
         }
-        let mut mentioned: std::collections::BTreeSet<&str> = Default::default();
+        let mut mentioned: BTreeSet<&str> = BTreeSet::new();
         for &id in saves.iter().chain(&restores) {
             if let Some(idents) = &ws.fns[id].body_idents {
-                mentioned.extend(idents.iter().map(String::as_str));
+                mentioned.extend(idents);
             }
         }
-        for field in &strukt.fields {
+        for field in &strukt.def.fields {
             if !mentioned.contains(field.name.as_str()) {
                 out.push((
                     strukt.file,
@@ -233,42 +211,41 @@ fn snap002(ws: &Workspace, all_rules: bool, out: &mut Vec<(usize, Finding)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{lex, Lexed};
+    use crate::ast::SourceFile;
 
-    fn run(sources: &[(&str, &str)], config: &Config) -> Vec<(String, Finding)> {
-        let lexed: Vec<(String, Lexed)> = sources
+    fn run(sources: &[(&str, &str)]) -> Vec<(String, Finding)> {
+        let files: Vec<SourceFile> = sources
             .iter()
-            .map(|(p, s)| (p.to_string(), lex(s)))
+            .map(|(p, s)| SourceFile::parse(p, s))
             .collect();
-        let refs: Vec<(String, &Lexed)> = lexed.iter().map(|(p, l)| (p.clone(), l)).collect();
-        let ws = Workspace::build(&refs, &[]);
-        run_workspace_rules(&ws, config, true)
+        let ws = Workspace::build(&files.iter().collect::<Vec<_>>());
+        run_workspace_rules(&ws, true)
             .into_iter()
-            .map(|(file, f)| (ws.files[file].clone(), f))
+            .map(|(file, f)| (ws.files[file].rel.clone(), f))
             .collect()
     }
 
     #[test]
     fn det003_prints_the_full_call_chain() {
-        let found = run(
-            &[
-                (
-                    "crates/socsim/src/soc.rs",
-                    "impl Soc {\n pub fn step(&mut self) { tick_helper(); }\n}",
-                ),
-                (
-                    "crates/socsim/src/util.rs",
-                    "pub fn tick_helper() { deep_clock(); }\n\
+        let found = run(&[
+            (
+                "crates/socsim/src/soc.rs",
+                "impl Soc {\n pub fn step(&mut self) { tick_helper(); }\n}",
+            ),
+            (
+                "crates/socsim/src/util.rs",
+                "pub fn tick_helper() { deep_clock(); }\n\
                      fn deep_clock() -> u64 { Instant::now().elapsed().as_micros() as u64 }",
-                ),
-            ],
-            &Config::default(),
-        );
+            ),
+        ]);
         let det: Vec<_> = found.iter().filter(|(_, f)| f.rule == "DET003").collect();
         assert_eq!(det.len(), 1);
         assert_eq!(det[0].0, "crates/socsim/src/util.rs");
         assert!(
-            det[0].1.message.contains("Soc::step → tick_helper → deep_clock"),
+            det[0]
+                .1
+                .message
+                .contains("Soc::step → tick_helper → deep_clock"),
             "chain missing from: {}",
             det[0].1.message
         );
@@ -276,51 +253,39 @@ mod tests {
 
     #[test]
     fn det003_ignores_unreachable_sinks() {
-        let found = run(
-            &[(
-                "crates/socsim/src/soc.rs",
-                "impl Soc {\n pub fn step(&mut self) {}\n}\n\
+        let found = run(&[(
+            "crates/socsim/src/soc.rs",
+            "impl Soc {\n pub fn step(&mut self) {}\n}\n\
                  fn never_called() { let t = Instant::now(); }",
-            )],
-            &Config::default(),
-        );
+        )]);
         assert!(found.iter().all(|(_, f)| f.rule != "DET003"));
     }
 
     #[test]
-    fn det003_entry_points_are_configurable() {
-        let config =
-            Config::parse("[rule.DET003]\nentry_points = [\"Fleet::dispatch\"]\n").unwrap();
-        let found = run(
-            &[(
-                "crates/socsim/src/fleet.rs",
-                "impl Fleet {\n fn dispatch(&mut self) { let s: HashSet<u8> = x; }\n}\n\
-                 impl Soc {\n fn step(&mut self) { let t = Instant::now(); }\n}",
-            )],
-            &config,
-        );
+    fn det003_starts_only_at_the_sim_loops() {
+        let found = run(&[(
+            "crates/socsim/src/fleet.rs",
+            "impl Fleet {\n fn dispatch(&mut self) { let s: HashSet<u8> = x; }\n}\n\
+             impl Soc {\n fn step(&mut self) { let t = Instant::now(); }\n}",
+        )]);
         let det: Vec<_> = found.iter().filter(|(_, f)| f.rule == "DET003").collect();
-        // Only the configured entry's HashSet sink fires; the default
-        // Soc::step entry was replaced.
+        // `Soc::step` is an entry point; `Fleet::dispatch` is not one.
         assert_eq!(det.len(), 1);
-        assert!(det[0].1.message.contains("HashSet"));
+        assert!(det[0].1.message.contains("Soc::step → Instant::now()"));
     }
 
     #[test]
     fn panic002_catches_helpers_reachable_from_the_bridge() {
-        let found = run(
-            &[
-                (
-                    "crates/rose-bridge/src/transport.rs",
-                    "pub fn serve(&mut self) { decode_helper(&buf); }",
-                ),
-                (
-                    "crates/socsim/src/program.rs",
-                    "pub fn decode_helper(buf: &[u8]) -> u8 { buf.first().unwrap() }",
-                ),
-            ],
-            &Config::default(),
-        );
+        let found = run(&[
+            (
+                "crates/rose-bridge/src/transport.rs",
+                "pub fn serve(&mut self) { decode_helper(&buf); }",
+            ),
+            (
+                "crates/socsim/src/program.rs",
+                "pub fn decode_helper(buf: &[u8]) -> u8 { buf.first().unwrap() }",
+            ),
+        ]);
         let p2: Vec<_> = found.iter().filter(|(_, f)| f.rule == "PANIC002").collect();
         assert_eq!(p2.len(), 1);
         assert_eq!(p2[0].0, "crates/socsim/src/program.rs");
@@ -329,13 +294,10 @@ mod tests {
 
     #[test]
     fn panic002_leaves_root_file_panics_to_panic001() {
-        let found = run(
-            &[(
-                "crates/rose-bridge/src/transport.rs",
-                "pub fn serve(&mut self) { x.unwrap(); }",
-            )],
-            &Config::default(),
-        );
+        let found = run(&[(
+            "crates/rose-bridge/src/transport.rs",
+            "pub fn serve(&mut self) { x.unwrap(); }",
+        )]);
         assert!(found.iter().all(|(_, f)| f.rule != "PANIC002"));
     }
 
@@ -350,7 +312,6 @@ mod tests {
                  pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> { self.ticks = r.u64()?; Ok(()) }\n\
                  }",
             )],
-            &Config::default(),
         );
         let s2: Vec<_> = found.iter().filter(|(_, f)| f.rule == "SNAP002").collect();
         assert_eq!(s2.len(), 1);
@@ -370,7 +331,6 @@ mod tests {
                  pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> { self.ticks = r.u64()?; Ok(()) }\n\
                  }",
             )],
-            &Config::default(),
         );
         assert!(found.iter().all(|(_, f)| f.rule != "SNAP002"));
     }
@@ -386,7 +346,6 @@ mod tests {
                  pub fn restore_state(&mut self, _r: &mut SnapReader) -> Result<(), SnapError> { Ok(()) }\n\
                  }",
             )],
-            &Config::default(),
         );
         // `ticks` appears in save_state: covered (asymmetric codecs are
         // legal — restore may rebuild from config).
@@ -405,7 +364,6 @@ mod tests {
                  pub fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> { Ok(()) }\n\
                  }",
             )],
-            &Config::default(),
         );
         assert!(found.iter().all(|(_, f)| f.rule != "SNAP002"));
     }

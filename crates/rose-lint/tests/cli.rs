@@ -97,6 +97,38 @@ fn exit_2_on_a_malformed_config() {
 }
 
 #[test]
+fn exit_2_on_a_rule_tuning_section() {
+    // `[allow]` is the only section: a `[rule.X]` tuning table stops the
+    // lint and names its line.
+    let ws = Scratch::with_source("rulesection", "pub fn tidy() {}\n");
+    ws.write(
+        "rose-lint.toml",
+        "[allow]\n\n[rule.DET003]\nentry_points = [\"Soc::step\"]\n",
+    );
+    let out = run(&["--root", "."], &ws.root);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("rose-lint.toml:3: unknown section [rule.DET003]"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn list_rules_prints_the_rule_table() {
+    let ws = Scratch::with_source("listrules", "pub fn tidy() {}\n");
+    let out = run(&["--list-rules"], &ws.root);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for (rule, _, summary) in rose_lint::ALL_RULES {
+        assert!(
+            stdout.contains(rule) && stdout.contains(summary),
+            "{rule}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn self_test_exits_1_with_every_rule_firing() {
     let ws = Scratch::with_source("selftest", "pub fn tidy() {}\n");
     let out = run(&["--self-test"], &ws.root);
@@ -104,10 +136,7 @@ fn self_test_exits_1_with_every_rule_firing() {
     // would mean the linter itself is broken).
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for rule in [
-        "DET001", "DET002", "DET003", "PANIC001", "PANIC002", "TRACE001", "CAST001", "SNAP001",
-        "SNAP002", "ANN001", "ANN002", "PROF001",
-    ] {
+    for (rule, _, _) in rose_lint::ALL_RULES {
         assert!(
             stderr.contains(&format!("self-test: {rule} fired")),
             "{rule} missing from self-test report: {stderr}"

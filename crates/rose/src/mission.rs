@@ -494,6 +494,7 @@ fn drive_mission<R: MissionRtl>(
             postmortems.push(flight.postmortem(
                 "mission-abort",
                 "sustained degraded-control streak",
+                sync.rtl().recent_events(),
             ));
             break;
         }

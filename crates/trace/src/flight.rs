@@ -3,13 +3,14 @@
 //! An aircraft flight recorder is cheap, always on, and only read after
 //! something went wrong. This is the co-simulation's equivalent: a
 //! fixed-capacity ring of per-quantum [`FlightSample`]s (metric deltas —
-//! collisions, deadline misses, queue depth, wall-time split) plus, when
-//! tracing is enabled, a tail of recent trace events. On a trigger — a
-//! collision, a deadline miss, or a latched transport fault — it dumps a
-//! **self-contained postmortem JSON** with the ring, the recent events,
-//! and a deadline-miss **attribution** that walks the recorded spans to
-//! name the dominant time sink (compute vs `stall:rx-empty` vs bridge
-//! traffic).
+//! collisions, deadline misses, queue depth, wall-time split). On a
+//! trigger — a collision, a deadline miss, or a latched transport fault —
+//! it dumps a **self-contained postmortem JSON** with the ring, the tail
+//! of the trace events recorded so far (when tracing is enabled), and a
+//! deadline-miss **attribution** that walks those spans to name the
+//! dominant time sink (compute vs `stall:rx-empty` vs bridge traffic).
+//! The event tail is read only when a postmortem is written; quanta that
+//! trigger nothing copy no events.
 //!
 //! The recorder is telemetry: fixed memory, never part of a mission
 //! snapshot, never an input to the determinism digest (DESIGN.md §4f).
@@ -25,7 +26,7 @@ pub const POSTMORTEM_SCHEMA: &str = "rose-postmortem-v1";
 /// Default ring capacity (samples retained before the trigger).
 pub const DEFAULT_CAPACITY: usize = 256;
 
-/// How many recent trace events are retained for attribution.
+/// How many of the most recent trace events a postmortem embeds.
 const EVENT_TAIL: usize = 64;
 
 /// One per-quantum observation: absolute counters the recorder diffs to
@@ -112,7 +113,6 @@ pub struct FlightRecorder {
     ring: VecDeque<FlightSample>,
     capacity: usize,
     last: Option<FlightSample>,
-    recent_events: Vec<TraceEvent>,
 }
 
 impl Default for FlightRecorder {
@@ -128,7 +128,6 @@ impl FlightRecorder {
             ring: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
             last: None,
-            recent_events: Vec::new(),
         }
     }
 
@@ -147,19 +146,16 @@ impl FlightRecorder {
         self.ring.iter()
     }
 
-    /// Records one quantum's sample plus the recent trace-event tail, and
-    /// returns a postmortem JSON if the sample crossed a trigger: a
-    /// collision-count rise, a deadline-miss rise, or a transport fault
-    /// latching. Multiple simultaneous triggers produce one postmortem
-    /// whose `detail` lists them all.
+    /// Records one quantum's sample, and returns a postmortem JSON if the
+    /// sample crossed a trigger: a collision-count rise, a deadline-miss
+    /// rise, or a transport fault latching. Multiple simultaneous triggers
+    /// produce one postmortem whose `detail` lists them all. `recent` is
+    /// the trace recorded so far; it is read only when a trigger fires.
     pub fn record(&mut self, sample: FlightSample, recent: &[TraceEvent]) -> Option<String> {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
         self.ring.push_back(sample);
-        let tail_start = recent.len().saturating_sub(EVENT_TAIL);
-        self.recent_events.clear();
-        self.recent_events.extend_from_slice(&recent[tail_start..]);
 
         let prev = self.last.replace(sample).unwrap_or_default();
         let mut triggers: Vec<&'static str> = Vec::new();
@@ -176,15 +172,17 @@ impl FlightRecorder {
             return None;
         }
         let detail = triggers.join(", ");
-        Some(self.postmortem(triggers[0], &detail))
+        Some(self.postmortem(triggers[0], &detail, recent))
     }
 
     /// Renders a self-contained postmortem JSON from the current ring and
-    /// recent-event tail. `reason` is the primary trigger; `detail` is
-    /// free-form context (all simultaneous triggers, a fault message, …).
-    pub fn postmortem(&self, reason: &str, detail: &str) -> String {
+    /// the last `EVENT_TAIL` (64) events of `recent`, the trace recorded so
+    /// far. `reason` is the primary trigger; `detail` is free-form context
+    /// (all simultaneous triggers, a fault message, …).
+    pub fn postmortem(&self, reason: &str, detail: &str, recent: &[TraceEvent]) -> String {
         let at = self.ring.back().copied().unwrap_or_default();
-        let attribution = attribute(&self.recent_events);
+        let tail = &recent[recent.len().saturating_sub(EVENT_TAIL)..];
+        let attribution = attribute(tail);
         let mut out = String::with_capacity(4096);
         out.push_str("{\"schema\":\"");
         escape_into(&mut out, POSTMORTEM_SCHEMA);
@@ -227,7 +225,7 @@ impl FlightRecorder {
             out.push('}');
         }
         out.push_str("],\"recent_events\":[");
-        for (i, e) in self.recent_events.iter().enumerate() {
+        for (i, e) in tail.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }

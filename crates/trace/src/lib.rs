@@ -20,7 +20,8 @@
 //! - [`hist::LogHistogram`] — a fixed-memory log-bucketed histogram with
 //!   p50/p90/p99/p99.9 estimation.
 //! - [`profiler::Profiler`] — host wall-clock self-attribution per
-//!   co-simulation phase, the one sanctioned wall-time API (PROF001).
+//!   co-simulation phase, the one sanctioned wall-time API (the DET001
+//!   lint flags clock reads anywhere else).
 //! - [`flight::FlightRecorder`] — an always-on bounded postmortem ring
 //!   that dumps self-contained JSON on collision / deadline miss /
 //!   transport fault, with span-walk attribution.

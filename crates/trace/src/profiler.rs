@@ -12,7 +12,7 @@
 //! Wall-clock readings are host-dependent and **never** enter the
 //! determinism digest or a mission snapshot (DESIGN.md §4d/§4f) — the
 //! same contract the sync-quantum span args already follow. To keep that
-//! auditable, the `PROF001` lint flags every direct `std::time::Instant`
+//! auditable, the `DET001` lint flags every direct `std::time::Instant`
 //! / `SystemTime` read outside this module: all wall-clock sampling
 //! funnels through [`Stopwatch`] / [`Profiler::time`], which are
 //! digest-excluded by construction.
@@ -88,7 +88,7 @@ impl Phase {
 
 /// A started wall-clock measurement. The **only** sanctioned way (along
 /// with [`Profiler::time`]) to read host time — see the module docs and
-/// the `PROF001` lint.
+/// the `DET001` lint.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
