@@ -42,13 +42,13 @@ fn main() {
             r.mission_time_s.map_or("-".into(), |x| format!("{x:.2}")),
             r.collisions.to_string(),
             format!("{:.2}", r.metrics.image_branch_rate()),
-            r.metrics.steps.to_string(),
+            r.metrics.steps().to_string(),
         ]);
         csv.row(&[
             wi as f64,
             velocity,
             r.metrics.image_branch_rate(),
-            r.metrics.steps as f64,
+            r.metrics.steps() as f64,
         ]);
     }
     t.print("Extension: sensor fusion with data-dependent branch execution");

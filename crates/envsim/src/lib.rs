@@ -3,7 +3,8 @@
 //! The paper integrates AirSim (an Unreal Engine plugin) to simulate the
 //! UAV's environment: rigid-body physics, camera rendering, inertial sensor
 //! models, and an RPC API for sensor readings, actuation, and simulator
-//! commands (Section 3.1). This crate reproduces that surface in pure Rust:
+//! commands (Section 3.1). This crate reproduces that surface in pure Rust,
+//! as direct method calls on [`UavSim`]:
 //!
 //! * [`world`] — corridor environments (the paper's `tunnel` and `s-shape`
 //!   maps), collision geometry, raycasting, and ground-truth centerline
@@ -14,9 +15,11 @@
 //! * [`sensors`] — IMU (accelerometer + gyroscope with bias and noise) and a
 //!   forward depth sensor.
 //! * [`uav`] — [`uav::UavSim`], the frame-stepped UAV simulation combining
-//!   world, body, autopilot, and sensors.
-//! * [`api`] — the RPC-style request/response surface consumed by the RoSÉ
-//!   synchronizer ([`api::SimRequest`] / [`api::SimResponse`]).
+//!   world, body, autopilot, and sensors, with the sensor (`image`, `imu`,
+//!   `depth`), actuation (`set_target`) and frame-stepping (`step_frames`)
+//!   calls the RoSÉ synchronizer makes.
+//! * [`api`] — the values those calls exchange: [`api::VelocityTarget`]
+//!   and [`api::Pose`].
 //!
 //! The simulation advances in discrete **frames** (one physics + render
 //! step, typically 60–120 Hz) so it can be integrated with the hardware RTL
@@ -31,7 +34,7 @@ pub mod sensors;
 pub mod uav;
 pub mod world;
 
-pub use api::{SimRequest, SimResponse, VelocityTarget};
+pub use api::VelocityTarget;
 pub use camera::{CameraConfig, Image};
 pub use dynamics::{QuadrotorBody, QuadrotorParams, RigidBodyState};
 pub use uav::{Autopilot, UavSim, UavSimConfig};

@@ -6,10 +6,10 @@
 //! One frame = one physics + render step; physics runs at a higher substep
 //! rate internally for numerical stability.
 
-use crate::api::{Pose, SimRequest, SimResponse, VelocityTarget};
-use crate::camera::{self, CameraConfig};
+use crate::api::{Pose, VelocityTarget};
+use crate::camera::{self, CameraConfig, Image};
 use crate::dynamics::{MotorCommand, QuadrotorBody, QuadrotorParams, RigidBodyState};
-use crate::sensors::{DepthConfig, DepthSensor, Imu, ImuConfig};
+use crate::sensors::{DepthConfig, DepthSample, DepthSensor, Imu, ImuConfig, ImuSample};
 use crate::world::{P2, World};
 use rose_sim_core::cycles::FrameSpec;
 use rose_sim_core::math::{Quat, Vec3};
@@ -28,9 +28,6 @@ pub trait Autopilot {
     /// Computes the motor command for one physics substep.
     fn command(&mut self, state: &RigidBodyState, target: &VelocityTarget, dt: f64)
         -> MotorCommand;
-
-    /// Resets controller state (integrators, derivative history).
-    fn reset(&mut self);
 
     /// Serializes the controller's dynamic state (integrators, derivative
     /// history) for a mission snapshot. Stateless controllers keep the
@@ -146,9 +143,9 @@ pub struct UavSim {
     imu: Imu,
     depth: DepthSensor,
     target: VelocityTarget,
-    frame: u64,
     collision_count: u32,
     in_collision: bool,
+    /// One point per frame stepped, so its length is the frame counter.
     trajectory: Vec<TrajectoryPoint>,
     tracer: Tracer,
     /// Sim-time windows `[start, end)` (seconds) in which the depth sensor
@@ -167,7 +164,7 @@ impl std::fmt::Debug for UavSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UavSim")
             .field("world", &self.world.kind())
-            .field("frame", &self.frame)
+            .field("frame", &self.frame())
             .field("position", &self.body.state().position)
             .field("collisions", &self.collision_count)
             .finish()
@@ -198,7 +195,6 @@ impl UavSim {
             config,
             world,
             autopilot,
-            frame: 0,
             collision_count: 0,
             in_collision: false,
             trajectory: Vec::new(),
@@ -210,7 +206,7 @@ impl UavSim {
     }
 
     /// Schedules depth-sensor blackout windows `[start, end)` in simulated
-    /// seconds. While inside a window, `GetDepth` answers
+    /// seconds. While inside a window, [`UavSim::depth`] answers
     /// [`DEPTH_INVALID`] without consuming sensor noise, modeling a sensor
     /// that stops producing frames rather than one producing garbage.
     pub fn set_depth_blackouts(&mut self, mut windows: Vec<(f64, f64)>) {
@@ -257,12 +253,12 @@ impl UavSim {
 
     /// Simulated seconds elapsed.
     pub fn time(&self) -> f64 {
-        self.frame as f64 * self.config.frames.dt()
+        self.frame() as f64 * self.config.frames.dt()
     }
 
     /// Frames stepped so far.
     pub fn frame(&self) -> u64 {
-        self.frame
+        self.trajectory.len() as u64
     }
 
     /// The current ground-truth pose.
@@ -295,57 +291,37 @@ impl UavSim {
         self.world.mission_complete(self.body.state().position)
     }
 
-    /// Handles one RPC request.
-    pub fn handle(&mut self, request: SimRequest) -> SimResponse {
-        match request {
-            SimRequest::GetImage => {
-                let s = self.body.state();
-                SimResponse::Image(camera::render(
-                    &self.world,
-                    s.position,
-                    s.yaw(),
-                    &self.config.camera,
-                ))
-            }
-            SimRequest::GetImu => SimResponse::Imu(self.imu.sample(&self.body, self.time())),
-            SimRequest::GetDepth => {
-                if self.depth_blacked_out() {
-                    // No noise draw: the blacked-out sensor produces no
-                    // frame at all, so the noise stream position matches a
-                    // sensor that was simply not polled.
-                    return SimResponse::Depth(crate::sensors::DepthSample {
-                        depth: DEPTH_INVALID,
-                        timestamp: self.time(),
-                    });
-                }
-                let s = self.body.state();
-                SimResponse::Depth(self.depth.sample(
-                    &self.world,
-                    s.position,
-                    s.yaw(),
-                    self.time(),
-                ))
-            }
-            SimRequest::GetPose => SimResponse::Pose(self.pose()),
-            SimRequest::SetVelocityTarget(t) => {
-                // The flight controller tracks the most recent target
-                // received (Section 4.2.2).
-                self.target = t;
-                SimResponse::Ack
-            }
-            SimRequest::GetCollisionCount => SimResponse::CollisionCount(self.collision_count),
-            SimRequest::Reset { position, yaw } => {
-                *self.body.state_mut() = RigidBodyState {
-                    position,
-                    attitude: rose_sim_core::math::Quat::from_euler(0.0, 0.0, yaw),
-                    ..RigidBodyState::default()
-                };
-                self.autopilot.reset();
-                self.collision_count = 0;
-                self.in_collision = false;
-                SimResponse::Ack
-            }
+    /// Renders the camera frame seen from the current pose.
+    pub fn image(&self) -> Image {
+        let s = self.body.state();
+        camera::render(&self.world, s.position, s.yaw(), &self.config.camera)
+    }
+
+    /// Samples the IMU.
+    pub fn imu(&mut self) -> ImuSample {
+        self.imu.sample(&self.body, self.time())
+    }
+
+    /// Samples the forward depth sensor, or answers [`DEPTH_INVALID`]
+    /// inside a blackout window.
+    pub fn depth(&mut self) -> DepthSample {
+        if self.depth_blacked_out() {
+            // No noise draw: the blacked-out sensor produces no frame at
+            // all, so the noise stream position matches a sensor that was
+            // simply not polled.
+            return DepthSample {
+                depth: DEPTH_INVALID,
+                timestamp: self.time(),
+            };
         }
+        let s = self.body.state();
+        self.depth.sample(&self.world, s.position, s.yaw(), self.time())
+    }
+
+    /// Sends a velocity target to the flight controller, which tracks the
+    /// most recent target received (Section 4.2.2).
+    pub fn set_target(&mut self, target: VelocityTarget) {
+        self.target = target;
     }
 
     /// Section magic guarding the environment state in snapshots ("ENVS").
@@ -367,7 +343,6 @@ impl UavSim {
             imu,
             depth,
             target,
-            frame,
             collision_count,
             in_collision,
             trajectory,
@@ -391,7 +366,6 @@ impl UavSim {
         w.f64(*lateral);
         w.f64(*yaw_rate);
         w.f64(*altitude);
-        w.u64(*frame);
         w.u32(*collision_count);
         w.bool(*in_collision);
         w.usize(trajectory.len());
@@ -419,7 +393,6 @@ impl UavSim {
             yaw_rate: r.f64()?,
             altitude: r.f64()?,
         };
-        self.frame = r.u64()?;
         self.collision_count = r.u32()?;
         self.in_collision = r.bool()?;
         let count = r.usize()?;
@@ -461,7 +434,7 @@ impl UavSim {
             self.imu.shift_accel_bias(delta);
             self.bias_steps_applied += 1;
         }
-        let start_frame = self.frame;
+        let start_frame = self.frame();
         let collisions_before = self.collision_count;
         let dt = self.config.frames.dt() / self.config.substeps as f64;
         for _ in 0..self.config.substeps {
@@ -471,10 +444,9 @@ impl UavSim {
             self.body.step(cmd, dt);
             self.resolve_collisions();
         }
-        self.frame += 1;
         let s = self.body.state();
         self.trajectory.push(TrajectoryPoint {
-            t: self.time(),
+            t: (start_frame + 1) as f64 * self.config.frames.dt(),
             position: s.position,
             velocity: s.velocity,
             yaw: s.yaw(),
@@ -547,8 +519,6 @@ mod tests {
         ) -> MotorCommand {
             MotorCommand::uniform(QuadrotorParams::default().hover_command())
         }
-
-        fn reset(&mut self) {}
     }
 
     fn sim() -> UavSim {
@@ -570,33 +540,16 @@ mod tests {
     }
 
     #[test]
-    fn rpc_surface_answers() {
+    fn sensor_and_actuation_calls_answer() {
         let mut s = sim();
         s.step_frames(1);
-        assert!(matches!(s.handle(SimRequest::GetImage), SimResponse::Image(_)));
-        assert!(matches!(s.handle(SimRequest::GetImu), SimResponse::Imu(_)));
-        assert!(matches!(s.handle(SimRequest::GetDepth), SimResponse::Depth(_)));
-        assert!(matches!(s.handle(SimRequest::GetPose), SimResponse::Pose(_)));
-        assert!(matches!(
-            s.handle(SimRequest::SetVelocityTarget(VelocityTarget::forward(2.0))),
-            SimResponse::Ack
-        ));
+        let config = UavSimConfig::default().camera;
+        let img = s.image();
+        assert_eq!((img.width(), img.height()), (config.width, config.height));
+        assert_eq!(s.imu().timestamp, s.time());
+        assert!(s.depth().depth > 0.0);
+        s.set_target(VelocityTarget::forward(2.0));
         assert_eq!(s.target().forward, 2.0);
-    }
-
-    #[test]
-    fn reset_restores_pose_and_counters() {
-        let mut s = sim();
-        s.step_frames(10);
-        let r = s.handle(SimRequest::Reset {
-            position: Vec3::new(1.0, 0.5, 2.0),
-            yaw: 0.3,
-        });
-        assert_eq!(r, SimResponse::Ack);
-        let p = s.pose();
-        assert_eq!(p.position, Vec3::new(1.0, 0.5, 2.0));
-        assert!((p.yaw - 0.3).abs() < 1e-9);
-        assert_eq!(s.collision_count(), 0);
     }
 
     #[test]
@@ -624,20 +577,14 @@ mod tests {
         let mut clean = sim();
         degraded.set_depth_blackouts(vec![(0.0, 0.5)]);
         // Inside the window: sentinel, and the noise stream is untouched.
-        match degraded.handle(SimRequest::GetDepth) {
-            SimResponse::Depth(s) => assert_eq!(s.depth, DEPTH_INVALID),
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_eq!(degraded.depth().depth, DEPTH_INVALID);
         assert!(degraded.depth_blacked_out());
         // Past the window the reading matches a sim that never polled
         // during the blackout — proof the sentinel consumed no RNG.
         degraded.step_frames(60);
         clean.step_frames(60);
         assert!(!degraded.depth_blacked_out());
-        assert_eq!(
-            degraded.handle(SimRequest::GetDepth),
-            clean.handle(SimRequest::GetDepth)
-        );
+        assert_eq!(degraded.depth(), clean.depth());
     }
 
     #[test]
@@ -659,20 +606,22 @@ mod tests {
         assert_eq!(twin.bias_steps_applied, 1);
         s.step_frames(10);
         twin.step_frames(10);
-        assert_eq!(
-            s.handle(SimRequest::GetImu),
-            twin.handle(SimRequest::GetImu)
-        );
+        assert_eq!(s.imu(), twin.imu());
     }
 
     #[test]
     fn wall_contact_is_counted_once_per_event() {
-        let mut s = sim();
-        // Teleport into the wall region and give lateral velocity.
-        s.handle(SimRequest::Reset {
-            position: Vec3::new(10.0, 1.2, 1.5),
-            yaw: 0.0,
-        });
+        // Start in the wall region with lateral velocity.
+        let config = UavSimConfig {
+            start_position: Vec3::new(10.0, 1.2, 1.5),
+            ..UavSimConfig::default()
+        };
+        let mut s = UavSim::new(
+            config,
+            World::tunnel(),
+            Box::new(HoverOpenLoop),
+            &SimRng::new(11),
+        );
         s.body.state_mut().velocity = Vec3::new(0.0, 3.0, 0.0);
         s.step_frames(30);
         assert!(s.collision_count() >= 1);

@@ -76,14 +76,12 @@ fn closed_loop_envelope() {
         let config = UavSimConfig::default();
         let fc = SimpleFlight::default_for(config.quad);
         let mut sim = UavSim::new(config, World::s_shape(), Box::new(fc), &SimRng::new(9));
-        sim.handle(rose_envsim::api::SimRequest::SetVelocityTarget(
-            VelocityTarget {
-                forward,
-                lateral,
-                yaw_rate,
-                altitude: 1.5,
-            },
-        ));
+        sim.set_target(VelocityTarget {
+            forward,
+            lateral,
+            yaw_rate,
+            altitude: 1.5,
+        });
         sim.step_frames(240);
         let pose = sim.pose();
         assert!(pose.position.is_finite());
@@ -106,7 +104,6 @@ fn passive_autopilot_lands() {
         ) -> MotorCommand {
             MotorCommand::uniform(0.0)
         }
-        fn reset(&mut self) {}
     }
     let mut sim = UavSim::new(
         UavSimConfig::default(),

@@ -183,15 +183,6 @@ impl Autopilot for SimpleFlight {
         self.mixer.mix(thrust, torque)
     }
 
-    fn reset(&mut self) {
-        self.pid_vx.reset();
-        self.pid_vy.reset();
-        self.pid_vz.reset();
-        self.pid_rate_x.reset();
-        self.pid_rate_y.reset();
-        self.pid_rate_z.reset();
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         // Gains, airframe, and mixer are structural; the cascade's dynamic
         // state is the six controllers' integrators and derivative history.
@@ -229,7 +220,6 @@ mod tests {
     use super::*;
     use rose_envsim::uav::{UavSim, UavSimConfig};
     use rose_envsim::world::World;
-    use rose_envsim::SimRequest;
     use rose_sim_core::rng::SimRng;
 
     fn flown_sim(start_yaw: f64) -> UavSim {
@@ -254,7 +244,7 @@ mod tests {
     #[test]
     fn tracks_forward_velocity() {
         let mut sim = flown_sim(0.0);
-        sim.handle(SimRequest::SetVelocityTarget(VelocityTarget::forward(3.0)));
+        sim.set_target(VelocityTarget::forward(3.0));
         sim.step_frames(240); // 4 s
         let p = sim.pose();
         assert!(
@@ -270,10 +260,10 @@ mod tests {
     #[test]
     fn tracks_lateral_velocity() {
         let mut sim = flown_sim(0.0);
-        sim.handle(SimRequest::SetVelocityTarget(VelocityTarget {
+        sim.set_target(VelocityTarget {
             lateral: 0.5,
             ..VelocityTarget::default()
-        }));
+        });
         sim.step_frames(120); // 2 s
         let p = sim.pose();
         assert!(p.position.y > 0.3, "y = {} should move left", p.position.y);
@@ -283,10 +273,10 @@ mod tests {
     #[test]
     fn tracks_yaw_rate() {
         let mut sim = flown_sim(0.0);
-        sim.handle(SimRequest::SetVelocityTarget(VelocityTarget {
+        sim.set_target(VelocityTarget {
             yaw_rate: 0.5,
             ..VelocityTarget::default()
-        }));
+        });
         sim.step_frames(120); // 2 s at 0.5 rad/s -> ~1 rad
         let p = sim.pose();
         assert!(
@@ -302,7 +292,7 @@ mod tests {
         // heading, not the world x-axis.
         let yaw0 = 20f64.to_radians();
         let mut sim = flown_sim(yaw0);
-        sim.handle(SimRequest::SetVelocityTarget(VelocityTarget::forward(2.0)));
+        sim.set_target(VelocityTarget::forward(2.0));
         sim.step_frames(180);
         let p = sim.pose();
         let track = p.position.y.atan2(p.position.x);
@@ -310,19 +300,5 @@ mod tests {
             (track - yaw0).abs() < 0.15,
             "track {track} vs heading {yaw0}"
         );
-    }
-
-    #[test]
-    fn reset_clears_integrators() {
-        let quad = QuadrotorParams::default();
-        let mut fc = SimpleFlight::default_for(quad);
-        let state = RigidBodyState::default();
-        let target = VelocityTarget::forward(5.0);
-        for _ in 0..200 {
-            fc.command(&state, &target, 1.0 / 480.0);
-        }
-        fc.reset();
-        assert_eq!(fc.pid_vx.integral(), 0.0);
-        assert_eq!(fc.pid_vz.integral(), 0.0);
     }
 }

@@ -24,7 +24,7 @@
 
 use crate::packet::Packet;
 use crate::transport::{Transport, TransportError};
-use rose_sim_core::cycles::{Cycle, Frame, SimTime, SyncRatio};
+use rose_sim_core::cycles::SyncRatio;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{
     ArgValue, LogHistogram, MetricRegistry, MetricSource, Phase, Profiler, Stopwatch, Track,
@@ -304,7 +304,6 @@ pub struct Synchronizer<E, R> {
     env: E,
     rtl: R,
     config: SyncConfig,
-    time: SimTime,
     stats: SyncStats,
     tracer: Tracer,
     telemetry: SyncTelemetry,
@@ -318,7 +317,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
             env,
             rtl,
             config,
-            time: SimTime::ZERO,
             stats: SyncStats::default(),
             tracer: Tracer::disabled(),
             telemetry: SyncTelemetry::default(),
@@ -345,11 +343,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// The synchronization configuration.
     pub fn config(&self) -> &SyncConfig {
         &self.config
-    }
-
-    /// Current simulation time.
-    pub fn time(&self) -> SimTime {
-        self.time
     }
 
     /// Progress counters.
@@ -392,29 +385,28 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
         (self.env, self.rtl)
     }
 
-    /// Serializes the synchronizer's own position: the simulation clock,
-    /// the deterministic progress counters, and the trace prefix.
+    /// Serializes the synchronizer's own position: the deterministic
+    /// progress counters and the trace prefix.
     ///
     /// The endpoints serialize separately — the mission layer owns their
-    /// concrete types. The next grant is a pure function of the frame
-    /// counter ([`Synchronizer::next_grant`] sizes grants cumulatively), so
-    /// `time` alone pins the synchronizer's position in the quantum
-    /// schedule. The telemetry histograms and the profiler are host
-    /// measurements, not simulated state: they are excluded and restart
-    /// from zero on resume (DESIGN.md §4f).
+    /// concrete types. Grants are sized cumulatively over the frame
+    /// timeline, so the next grant is a pure function of
+    /// [`SyncStats::sim_frames`], and [`SyncStats::sim_cycles`] is the
+    /// cycle the next quantum starts at: the counters alone pin the
+    /// synchronizer's position in the quantum schedule. The telemetry
+    /// histograms and the profiler are host measurements, not simulated
+    /// state: they are excluded and restart from zero on resume
+    /// (DESIGN.md §4f).
     pub fn save_state(&self, w: &mut SnapWriter) {
         let Synchronizer {
             env: _,
             rtl: _,
             config: _,
-            time,
             stats,
             tracer,
             telemetry: _,
             profiler: _,
         } = self;
-        w.u64(time.cycle.raw());
-        w.u64(time.frame.raw());
         let SyncStats {
             syncs,
             sim_cycles,
@@ -437,10 +429,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     ///
     /// Propagates [`SnapError`] on a malformed snapshot.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.time = SimTime {
-            cycle: Cycle(r.u64()?),
-            frame: Frame(r.u64()?),
-        };
         self.telemetry = SyncTelemetry::default();
         self.profiler = Profiler::new();
         self.stats = SyncStats::default();
@@ -460,7 +448,7 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// observes during the following quantum was committed at the sync
     /// boundary.
     fn exchange(&mut self) {
-        let boundary = self.time.cycle.raw();
+        let boundary = self.stats.sim_cycles;
         let drained = self.rtl.drain_tx();
         // rose-lint: allow(CAST001, usize -> u64 queue length widens on every supported target)
         self.telemetry.queue_depth.record_u64(drained.len() as u64);
@@ -497,12 +485,13 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     }
 
     /// Records the period's grant and quantum span (called before the
-    /// clock advances, so `self.time` is still the period start).
+    /// counters advance, so `self.stats.sim_cycles` is still the period
+    /// start).
     fn trace_quantum(&mut self, cycles: u64, frames: u64, env_wall: Duration, rtl_wall: Duration) {
         if !self.tracer.is_enabled() {
             return;
         }
-        let start = self.time.cycle.raw();
+        let start = self.stats.sim_cycles;
         self.tracer.instant_cycles(
             Track::Sync,
             "sync-grant",
@@ -534,7 +523,7 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// sized cumulatively so no drift accumulates (Equation 1, exact).
     fn next_grant(&self) -> (u64, u64) {
         let frames = self.config.frames_per_sync;
-        let start = self.time.frame.raw();
+        let start = self.stats.sim_frames;
         let cycles = self.config.ratio.cycles_for_span(start, start + frames);
         (cycles, frames)
     }
@@ -579,7 +568,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
             .record((rtl_wall + env_wall).as_secs_f64() * 1e6);
         self.trace_quantum(cycles, frames, env_wall, rtl_wall);
 
-        self.time.advance(frames, cycles);
         self.stats.syncs += 1;
         self.stats.sim_cycles += cycles;
         self.stats.sim_frames += frames;
@@ -593,7 +581,7 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
         }
     }
 
-    /// Runs until `done(env, time)` returns true, the RTL program halts, or
+    /// Runs until `done(env)` returns true, the RTL program halts, or
     /// `max_syncs` elapse. Returns the number of periods executed.
     ///
     /// A transport fault on the RTL side reports as a halt; callers that
@@ -601,13 +589,9 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// error afterwards with [`RtlSide::take_fault`] (through
     /// [`rtl_mut`](Synchronizer::rtl_mut)); the synchronizer is left
     /// consistent at the last completed sync boundary.
-    pub fn run_until(
-        &mut self,
-        max_syncs: u64,
-        mut done: impl FnMut(&E, SimTime) -> bool,
-    ) -> u64 {
+    pub fn run_until(&mut self, max_syncs: u64, mut done: impl FnMut(&E) -> bool) -> u64 {
         let mut executed = 0;
-        while executed < max_syncs && !self.rtl.halted() && !done(&self.env, self.time) {
+        while executed < max_syncs && !self.rtl.halted() && !done(&self.env) {
             self.step_sync();
             executed += 1;
         }
@@ -1120,8 +1104,8 @@ mod tests {
         sync.run_syncs(5);
         assert_eq!(sync.env().frames, 10);
         assert_eq!(sync.rtl().cycles, 5 * 2 * 10); // 10 cycles/frame
-        assert_eq!(sync.time().frame.raw(), 10);
-        assert_eq!(sync.time().cycle.raw(), 100);
+        assert_eq!(sync.stats().sim_frames, 10);
+        assert_eq!(sync.stats().sim_cycles, 100);
         assert_eq!(sync.stats().syncs, 5);
     }
 
@@ -1144,7 +1128,7 @@ mod tests {
     #[test]
     fn run_until_predicate_stops() {
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), LoopRtl::default());
-        let executed = sync.run_until(100, |env, _| env.frames >= 7);
+        let executed = sync.run_until(100, |env| env.frames >= 7);
         assert_eq!(executed, 7);
         assert_eq!(sync.env().frames, 7);
     }
@@ -1174,8 +1158,8 @@ mod tests {
             let mut sync = Synchronizer::new(cfg, EchoEnv::default(), LoopRtl::default());
             sync.run_syncs(10_000);
 
-            let frames = sync.time().frame.raw();
-            let cycles = sync.time().cycle.raw();
+            let frames = sync.stats().sim_frames;
+            let cycles = sync.stats().sim_cycles;
             assert_eq!(frames, 10_000 * frames_per_sync);
             // The granted cycles telescope to the exact conversion...
             assert_eq!(cycles, ratio.cycles_for_frames(frames));
@@ -1221,7 +1205,7 @@ mod tests {
         };
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), rtl);
         sync.step_sync();
-        assert_eq!(sync.run_until(100, |env, _| env.frames >= 5), 4);
+        assert_eq!(sync.run_until(100, |env| env.frames >= 5), 4);
         assert_eq!(cycles.get(), 5 * 10); // 10 cycles/frame
         assert_eq!(cycles.get(), sync.stats().sim_cycles);
     }
@@ -1233,13 +1217,13 @@ mod tests {
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(client));
         drop(server); // peer dies before the first grant
 
-        sync.run_until(100, |_, _| false);
+        sync.run_until(100, |_| false);
         let result = sync.rtl_mut().take_fault();
         assert!(matches!(result, Some(TransportError::Disconnected)));
         assert!(sync.rtl().halted());
         // The fault was taken; the halt latch keeps the mission loop from
         // re-entering the dead transport.
-        assert_eq!(sync.run_until(100, |_, _| false), 0);
+        assert_eq!(sync.run_until(100, |_| false), 0);
         assert!(sync.rtl_mut().take_fault().is_none());
     }
 
@@ -1350,13 +1334,13 @@ mod tests {
         });
 
         let mut sync = Synchronizer::new(config(1), StreamEnv, RemoteRtl::new(client));
-        assert_eq!(sync.run_until(2, |_, _| false), 2);
+        assert_eq!(sync.run_until(2, |_| false), 2);
         // Join before the next period so the transport is deterministically
         // dead (not merely buffering into a channel nobody reads).
         let delivered = server_thread.join().unwrap();
         assert_eq!(delivered, 2);
 
-        sync.run_until(10, |_, _| false);
+        sync.run_until(10, |_| false);
         let result = sync.rtl_mut().take_fault();
         assert!(matches!(result, Some(TransportError::Disconnected)));
 
@@ -1395,7 +1379,7 @@ mod tests {
         });
 
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(client));
-        sync.run_until(10, |_, _| false);
+        sync.run_until(10, |_| false);
         let result = sync.rtl_mut().take_fault();
         assert!(
             matches!(
@@ -1530,7 +1514,7 @@ mod tests {
             let mut sync =
                 Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(faulty));
             sync.rtl_mut().push_data(vec![1, 2, 3]);
-            let executed = sync.run_until(10, |_, _| false);
+            let executed = sync.run_until(10, |_| false);
             assert!(
                 sync.rtl_mut().take_fault().is_none(),
                 "transient fault must not latch"
@@ -1574,7 +1558,7 @@ mod tests {
         let faulty = FaultyTransport::new(client, plan);
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(faulty));
         sync.rtl_mut().push_data(vec![7]);
-        assert_eq!(sync.run_until(5, |_, _| false), 5);
+        assert_eq!(sync.run_until(5, |_| false), 5);
         assert!(sync.rtl_mut().take_fault().is_none());
         let recovery = *sync.rtl().recovery_stats();
         assert!(recovery.retries >= 2, "{recovery:?}");

@@ -45,13 +45,18 @@ pub const GRAPH_SCOPE: &[&str] = &[
 
 /// DET003's sim-side entry points, `Type::fn` with a trailing-`*` glob:
 /// everything the synchronizer drives on the simulated-time axis — the
-/// SoC cycle loop, the environment frame loop, and the synchronizer's own
-/// quantum loop. A new entry point is an edit here.
+/// SoC cycle loop, the environment frame loop and its sensor, actuation
+/// and pose calls, and the synchronizer's own quantum loop. A new entry
+/// point is an edit here.
 pub const DET003_ENTRY_POINTS: &[&str] = &[
     "Soc::step",
     "Soc::run_*",
     "UavSim::step_*",
-    "UavSim::handle",
+    "UavSim::image",
+    "UavSim::imu",
+    "UavSim::depth",
+    "UavSim::set_target",
+    "UavSim::pose",
     "CoSimEnv::step_*",
     "Synchronizer::run_*",
     "Synchronizer::step_*",
@@ -263,15 +268,29 @@ mod tests {
 
     #[test]
     fn det003_starts_only_at_the_sim_loops() {
-        let found = run(&[(
-            "crates/socsim/src/fleet.rs",
-            "impl Fleet {\n fn dispatch(&mut self) { let s: HashSet<u8> = x; }\n}\n\
-             impl Soc {\n fn step(&mut self) { let t = Instant::now(); }\n}",
-        )]);
+        let found = run(&[
+            (
+                "crates/socsim/src/fleet.rs",
+                "impl Fleet {\n fn dispatch(&mut self) { let s: HashSet<u8> = x; }\n}\n\
+                 impl Soc {\n fn step(&mut self) { let t = Instant::now(); }\n}",
+            ),
+            (
+                "crates/envsim/src/uav.rs",
+                "impl UavSim {\n fn depth(&mut self) -> f64 { sample(); }\n}\n\
+                 fn sample() -> f64 { let r = thread_rng(); }",
+            ),
+        ]);
         let det: Vec<_> = found.iter().filter(|(_, f)| f.rule == "DET003").collect();
-        // `Soc::step` is an entry point; `Fleet::dispatch` is not one.
-        assert_eq!(det.len(), 1);
-        assert!(det[0].1.message.contains("Soc::step → Instant::now()"));
+        // `Soc::step` and the `UavSim` sensor call are entry points;
+        // `Fleet::dispatch` is not one.
+        assert_eq!(det.len(), 2);
+        assert!(det
+            .iter()
+            .any(|(_, f)| f.message.contains("Soc::step → Instant::now()")));
+        assert!(det
+            .iter()
+            .any(|(file, f)| file == "crates/envsim/src/uav.rs"
+                && f.message.contains("UavSim::depth → sample → thread_rng")));
     }
 
     #[test]

@@ -140,13 +140,9 @@ impl ControllerChoice {
 /// of the artifact: DNN latency, inference counts, model selections).
 #[derive(Debug, Clone, Default)]
 pub struct AppMetrics {
-    /// Completed inferences.
-    pub inferences: u64,
     /// Per-inference latency, image request → command send, in cycles
-    /// (Figure 16c's measurement).
+    /// (Figure 16c's measurement), one entry per completed inference.
     pub latencies_cycles: Vec<u64>,
-    /// Velocity commands sent.
-    pub commands: u64,
     /// Inferences executed with the fast (argmax) network.
     pub fast_inferences: u64,
     /// Deadline evaluations that selected the fast network.
@@ -174,6 +170,16 @@ pub struct AppMetrics {
 }
 
 impl AppMetrics {
+    /// Completed inferences.
+    pub fn inferences(&self) -> u64 {
+        self.latencies_cycles.len() as u64
+    }
+
+    /// Velocity commands sent: one per DNN inference or classical command.
+    pub fn commands(&self) -> u64 {
+        self.inferences() + self.classical_commands
+    }
+
     /// Mean inference latency in cycles (0 if none).
     pub fn mean_latency_cycles(&self) -> f64 {
         if self.latencies_cycles.is_empty() {
@@ -186,8 +192,8 @@ impl AppMetrics {
 
 impl rose_trace::MetricSource for AppMetrics {
     fn record_metrics(&self, registry: &mut rose_trace::MetricRegistry) {
-        registry.set_counter("app.inferences", self.inferences);
-        registry.set_counter("app.commands", self.commands);
+        registry.set_counter("app.inferences", self.inferences());
+        registry.set_counter("app.commands", self.commands());
         registry.set_counter("app.fast_inferences", self.fast_inferences);
         registry.set_counter("app.deadline_switches", self.deadline_switches);
         registry.set_counter("app.deadline_misses", self.deadline_misses);
@@ -206,9 +212,7 @@ impl rose_trace::MetricSource for AppMetrics {
 impl AppMetrics {
     fn save_state(&self, w: &mut SnapWriter) {
         let AppMetrics {
-            inferences,
             latencies_cycles,
-            commands,
             fast_inferences,
             deadline_switches,
             deadline_misses,
@@ -220,12 +224,10 @@ impl AppMetrics {
             abort_requested,
             lost_responses,
         } = self;
-        w.u64(*inferences);
         w.usize(latencies_cycles.len());
         for &lat in latencies_cycles {
             w.u64(lat);
         }
-        w.u64(*commands);
         w.u64(*fast_inferences);
         w.u64(*deadline_switches);
         w.u64(*deadline_misses);
@@ -236,13 +238,11 @@ impl AppMetrics {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.inferences = r.u64()?;
         let n = r.usize()?;
         self.latencies_cycles.clear();
         for _ in 0..n {
             self.latencies_cycles.push(r.u64()?);
         }
-        self.commands = r.u64()?;
         self.fast_inferences = r.u64()?;
         self.deadline_switches = r.u64()?;
         self.deadline_misses = r.u64()?;
@@ -592,11 +592,9 @@ impl TargetProgram for TrailNavApp {
                     let mut missed = false;
                     {
                         let mut m = self.metrics.lock();
-                        m.commands += 1;
                         if self.use_classical {
                             m.classical_commands += 1;
                         } else {
-                            m.inferences += 1;
                             m.latencies_cycles.push(latency);
                             if self.use_argmax {
                                 m.fast_inferences += 1;
@@ -655,9 +653,10 @@ impl TargetProgram for TrailNavApp {
 
     /// Serializes the application's dynamic state. Configuration (choice,
     /// gains, velocity, altitude, deadline parameters) and the lowered
-    /// inference plans are structural — rebuilt from [`MissionConfig`]
-    /// (`crate::mission::MissionConfig`) on resume. The current model is
-    /// stored as an index into the plan table, so no model codec is needed.
+    /// inference plans are structural — rebuilt from
+    /// [`MissionConfig`](crate::mission::MissionConfig) on resume. The
+    /// current model is stored as an index into the plan table, so no
+    /// model codec is needed.
     fn save_state(&self, w: &mut SnapWriter) {
         let TrailNavApp {
             choice: _,
@@ -799,8 +798,12 @@ mod tests {
         let (metrics, commands) =
             run_app_with_responder(ControllerChoice::Static(DnnModel::ResNet14), 40);
         let m = metrics.lock();
-        assert!(m.inferences >= 2, "expected >=2 inferences, got {}", m.inferences);
-        assert_eq!(m.commands, m.inferences);
+        assert!(
+            m.inferences() >= 2,
+            "expected >=2 inferences, got {}",
+            m.inferences()
+        );
+        assert_eq!(m.commands(), m.inferences());
         assert!(commands >= 1);
         // Latency covers the lowered inference (~107 ms on config A) plus
         // sync-boundary waits.
@@ -815,7 +818,7 @@ mod tests {
     fn dynamic_app_uses_accurate_model_when_safe() {
         let (metrics, _) = run_app_with_responder(ControllerChoice::dynamic_default(), 40);
         let m = metrics.lock();
-        assert!(m.inferences >= 1);
+        assert!(m.inferences() >= 1);
         // Depth 30 m at 3 m/s: 10 s to impact — never switch to the fast
         // network.
         assert_eq!(m.fast_inferences, 0);
@@ -831,12 +834,12 @@ mod tests {
             0,
         );
         let m = metrics.lock();
-        assert!(m.inferences >= 1);
+        assert!(m.inferences() >= 1);
         // Every iteration saw the sentinel: all degraded, all flown on the
         // conservative fast network, and the loop kept closing. (The depth
         // count may lead by one in-flight iteration.)
-        assert!(m.degraded_depth >= m.inferences);
-        assert_eq!(m.fast_inferences, m.inferences);
+        assert!(m.degraded_depth >= m.inferences());
+        assert_eq!(m.fast_inferences, m.inferences());
         assert!(commands >= 1);
         // No abort threshold armed: the mission never requests one.
         assert!(!m.abort_requested);

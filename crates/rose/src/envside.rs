@@ -8,7 +8,7 @@
 
 use crate::message::{AppMessage, TrailInfo};
 use rose_bridge::sync::EnvSide;
-use rose_envsim::api::{SimRequest, SimResponse, VelocityTarget};
+use rose_envsim::api::VelocityTarget;
 use rose_envsim::uav::UavSim;
 
 /// Wraps a [`UavSim`] as the synchronizer's environment endpoint.
@@ -108,44 +108,41 @@ impl EnvSide for CoSimEnv {
         match msg {
             AppMessage::ImageRequest => {
                 let trail = self.trail_info();
-                match self.sim.handle(SimRequest::GetImage) {
-                    SimResponse::Image(img) => vec![AppMessage::Image {
-                        width: img.width() as u16,
-                        height: img.height() as u16,
-                        pixels: img.into_bytes(),
-                        trail,
-                    }
-                    .encode()],
-                    // rose-lint: allow(PANIC002, UavSim::handle answers GetImage with Image by construction)
-                    other => unreachable!("GetImage answered with {other:?}"),
+                let img = self.sim.image();
+                vec![AppMessage::Image {
+                    width: img.width() as u16,
+                    height: img.height() as u16,
+                    pixels: img.into_bytes(),
+                    trail,
                 }
+                .encode()]
             }
-            AppMessage::DepthRequest => match self.sim.handle(SimRequest::GetDepth) {
-                SimResponse::Depth(d) => vec![AppMessage::Depth { depth: d.depth }.encode()],
-                // rose-lint: allow(PANIC002, UavSim::handle answers GetDepth with Depth by construction)
-                other => unreachable!("GetDepth answered with {other:?}"),
-            },
-            AppMessage::ImuRequest => match self.sim.handle(SimRequest::GetImu) {
-                SimResponse::Imu(s) => vec![AppMessage::Imu {
+            AppMessage::DepthRequest => {
+                vec![AppMessage::Depth {
+                    depth: self.sim.depth().depth,
+                }
+                .encode()]
+            }
+            AppMessage::ImuRequest => {
+                let s = self.sim.imu();
+                vec![AppMessage::Imu {
                     accel: [s.accel.x, s.accel.y, s.accel.z],
                     gyro: [s.gyro.x, s.gyro.y, s.gyro.z],
                 }
-                .encode()],
-                // rose-lint: allow(PANIC002, UavSim::handle answers GetImu with Imu by construction)
-                other => unreachable!("GetImu answered with {other:?}"),
-            },
+                .encode()]
+            }
             AppMessage::Command {
                 forward,
                 lateral,
                 yaw_rate,
                 altitude,
             } => {
-                self.sim.handle(SimRequest::SetVelocityTarget(VelocityTarget {
+                self.sim.set_target(VelocityTarget {
                     forward,
                     lateral,
                     yaw_rate,
                     altitude,
-                }));
+                });
                 Vec::new() // actuation has no response payload
             }
             // Environment-bound tags only; a response tag arriving here

@@ -59,8 +59,6 @@ impl Default for FusionConfig {
 /// Metrics recorded by the fusion application.
 #[derive(Debug, Clone, Default)]
 pub struct FusionMetrics {
-    /// Control steps executed.
-    pub steps: u64,
     /// Steps that ran the image branch.
     pub image_branch_runs: u64,
     /// Steps that ran only the IMU branch.
@@ -68,17 +66,23 @@ pub struct FusionMetrics {
     /// Steps that flew on the previous inertial estimate because the IMU
     /// reply failed to decode (sensor-loss dead-reckoning).
     pub dead_reckoned: u64,
-    /// Per-step latency in cycles (request → command).
+    /// Per-step latency in cycles (request → command), one entry per
+    /// control step executed.
     pub latencies_cycles: Vec<u64>,
 }
 
 impl FusionMetrics {
+    /// Control steps executed.
+    pub fn steps(&self) -> u64 {
+        self.latencies_cycles.len() as u64
+    }
+
     /// Fraction of steps that executed the (expensive) image branch.
     pub fn image_branch_rate(&self) -> f64 {
-        if self.steps == 0 {
+        if self.steps() == 0 {
             0.0
         } else {
-            self.image_branch_runs as f64 / self.steps as f64
+            self.image_branch_runs as f64 / self.steps() as f64
         }
     }
 }
@@ -244,7 +248,6 @@ impl TargetProgram for FusionApp {
                         self.gains.beta_lateral * (out.lateral.right() - out.lateral.left());
                     {
                         let mut m = self.metrics.lock();
-                        m.steps += 1;
                         if self.run_image_branch {
                             m.image_branch_runs += 1;
                         } else {
@@ -303,7 +306,7 @@ pub fn run_fusion_mission(
     );
     let (env, rtl, sync_config) = mission_parts_with_program(mission, Box::new(app));
     let mut sync = Synchronizer::new(sync_config, env, rtl);
-    sync.run_until(mission.max_syncs(), |env, _| env.sim().mission_complete());
+    sync.run_until(mission.max_syncs(), |env| env.sim().mission_complete());
 
     let (env, _rtl) = sync.into_parts();
     let sim = env.into_sim();
@@ -331,7 +334,7 @@ mod tests {
         };
         let r = run_fusion_mission(&mission, FusionConfig::default());
         assert!(r.completed, "fusion controller should finish the tunnel");
-        assert!(r.metrics.steps > 50);
+        assert!(r.metrics.steps() > 50);
         // A healthy transport never forces a dead-reckoned step.
         assert_eq!(r.metrics.dead_reckoned, 0);
         // In a straight tunnel, most steps are IMU-only (low angular

@@ -465,7 +465,7 @@ fn drive_mission<R: MissionRtl>(
     while sync.stats().syncs < max_syncs {
         let before = *sync.stats();
         let walls_before = side_walls(sync.profiler());
-        if sync.run_until(1, |env, _| env.sim().mission_complete()) == 0 {
+        if sync.run_until(1, |env| env.sim().mission_complete()) == 0 {
             break; // mission complete, program halted, or fault latched
         }
         let after = *sync.stats();
@@ -602,9 +602,7 @@ pub fn mission_parts_with_program(
     // The mission's velocity target is active from launch; the DNN
     // controller refines lateral/angular targets once inferences arrive
     // (so high-latency SoCs fly uncorrected at speed, as in Figure 10c).
-    sim.handle(rose_envsim::api::SimRequest::SetVelocityTarget(
-        rose_envsim::api::VelocityTarget::forward(config.velocity),
-    ));
+    sim.set_target(rose_envsim::api::VelocityTarget::forward(config.velocity));
     let env = CoSimEnv::new(sim);
 
     // Companion-computer SoC running the target application.
@@ -689,12 +687,12 @@ pub(crate) fn finish_report<R: RtlSide>(
         collisions: sim.collision_count(),
         avg_velocity: mission_time.map_or(0.0, |t| if t > 0.0 { goal / t } else { 0.0 }),
         trajectory: sim.trajectory().to_vec(),
-        inference_count: m.inferences,
+        inference_count: m.inferences(),
         mean_latency_ms: m.mean_latency_cycles() / clock_hz * 1e3,
-        fast_fraction: if m.inferences == 0 {
+        fast_fraction: if m.inferences() == 0 {
             0.0
         } else {
-            m.fast_inferences as f64 / m.inferences as f64
+            m.fast_inferences as f64 / m.inferences() as f64
         },
         activity_factor: soc_stats.activity_factor(),
         energy: rose_socsim::energy::energy_of(&soc_stats, &config.soc),
@@ -806,6 +804,10 @@ mod tests {
         let report = run_mission(&config);
         assert!(!report.completed, "3 s is not enough for 50 m at 3 m/s");
         assert_eq!(report.trajectory.len(), 180); // 3 s at 60 fps
+        // One clock position, counted once by the synchronizer: both
+        // simulators advanced by exactly its grants.
+        assert_eq!(report.sync_stats.sim_cycles, report.soc_stats.cycles);
+        assert_eq!(report.sync_stats.sim_frames, report.trajectory.len() as u64);
         assert!(report.sim_time_s >= 3.0);
         assert!(report.inference_count >= 1, "at least one control update");
         assert!(report.mean_latency_ms > 50.0, "latency includes inference");

@@ -155,13 +155,16 @@ impl MpcSolver {
 pub struct MpcMetrics {
     /// Solver iteration count per control step.
     pub iterations: Vec<usize>,
-    /// Commands sent.
-    pub commands: u64,
-    /// Request → command latency, in cycles.
+    /// Request → command latency, in cycles, one entry per command sent.
     pub latencies_cycles: Vec<u64>,
 }
 
 impl MpcMetrics {
+    /// Commands sent.
+    pub fn commands(&self) -> u64 {
+        self.latencies_cycles.len() as u64
+    }
+
     /// Mean solver iterations (0 if none).
     pub fn mean_iterations(&self) -> f64 {
         if self.iterations.is_empty() {
@@ -264,7 +267,6 @@ impl TargetProgram for MpcApp {
                     let lateral = clamp(-1.2 * self.last_trail.lateral_offset, -2.5, 2.5);
                     {
                         let mut m = self.metrics.lock();
-                        m.commands += 1;
                         m.latencies_cycles
                             .push(ctx.now().saturating_sub(self.request_cycle));
                     }
@@ -315,7 +317,7 @@ pub fn run_mpc_mission(
     let (app, metrics) = MpcApp::new(mpc, mission.velocity);
     let (env, rtl, sync_config) = mission_parts_with_program(mission, Box::new(app));
     let mut sync = Synchronizer::new(sync_config, env, rtl);
-    sync.run_until(mission.max_syncs(), |env, _| env.sim().mission_complete());
+    sync.run_until(mission.max_syncs(), |env| env.sim().mission_complete());
 
     let (env, _rtl) = sync.into_parts();
     let sim = env.into_sim();

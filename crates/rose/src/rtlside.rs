@@ -51,14 +51,14 @@ impl SocRtl {
 
 impl RtlSide for SocRtl {
     fn grant_and_run(&mut self, cycles: u64) {
-        self.soc.bridge_mut().grant_cycles(cycles);
-        self.soc.run_granted();
+        self.soc.run_cycles(cycles);
     }
 
     fn push_data(&mut self, payload: Vec<u8>) {
-        // Backpressure: a full queue drops the push; the synchronizer's
-        // next period will retry via the environment's response path. In
-        // practice the queues are sized far above the application's needs.
+        // Backpressure: a full queue drops the payload. Nothing retries
+        // it, and the synchronizer's `SyncStats::data_to_rtl` has already
+        // counted it as delivered. The queues are sized far above the
+        // application's needs, so a clean mission never drops one.
         let _ = self.soc.bridge_mut().host_push_rx(payload);
     }
 

@@ -95,7 +95,7 @@ impl Mission {
     /// Runs up to `n` synchronization periods, stopping early at mission
     /// completion or an SoC halt. Returns the number executed.
     pub fn run_syncs(&mut self, n: u64) -> u64 {
-        self.sync.run_until(n, |env, _| env.sim().mission_complete())
+        self.sync.run_until(n, |env| env.sim().mission_complete())
     }
 
     /// Runs until the mission completes, the SoC halts, the application
@@ -166,7 +166,12 @@ impl MissionSnapshot {
     /// Version 3 added the robustness state: sensor-degradation schedules
     /// and the recovery policy in the config codec, the environment's
     /// bias-step cursor, and the app's degradation-ladder state.
-    pub const VERSION: u16 = 3;
+    /// Version 4 dropped the stored copies of derived counters: the
+    /// synchronizer's clock position (its progress counters hold it), the
+    /// environment's frame counter (its trajectory length), the bridge's
+    /// queued-byte counts (the queues' sums), and the app's inference and
+    /// command counters (its latency list and classical-command count).
+    pub const VERSION: u16 = 4;
 
     /// The raw snapshot bytes (e.g. for writing to a checkpoint file).
     pub fn bytes(&self) -> &[u8] {
@@ -251,12 +256,12 @@ mod tests {
         }
     }
 
-    fn digest_of_resumed(config: &MissionConfig, snapshot_at_syncs: u64) -> MissionDigest {
+    fn resumed_report(config: &MissionConfig, snapshot_at_syncs: u64) -> MissionReport {
         let mut mission = Mission::start(config);
         mission.run_syncs(snapshot_at_syncs);
         let snap = mission.snapshot();
         let resumed = snap.resume().expect("snapshot must resume");
-        MissionDigest::of(&resumed.run_to_completion())
+        resumed.run_to_completion()
     }
 
     #[test]
@@ -264,8 +269,13 @@ mod tests {
         let config = short();
         let straight = MissionDigest::of(&run_mission(&config));
         for boundary in [0, 1, 17, 60] {
+            let report = resumed_report(&config, boundary);
+            // Across the resume, both simulators advanced by exactly the
+            // synchronizer's counted grants.
+            assert_eq!(report.sync_stats.sim_cycles, report.soc_stats.cycles);
+            assert_eq!(report.sync_stats.sim_frames, report.trajectory.len() as u64);
             assert_eq!(
-                digest_of_resumed(&config, boundary),
+                MissionDigest::of(&report),
                 straight,
                 "divergence after snapshot at sync {boundary}"
             );
@@ -340,6 +350,17 @@ mod tests {
         assert!(matches!(
             MissionSnapshot::from_bytes(bad).resume(),
             Err(SnapError::BadVersion { .. })
+        ));
+
+        // The previous layout is refused by its version, not misparsed.
+        let mut bad = snap.bytes().to_vec();
+        bad[4..6].copy_from_slice(&3u16.to_le_bytes());
+        assert!(matches!(
+            MissionSnapshot::from_bytes(bad).resume(),
+            Err(SnapError::BadVersion {
+                supported: 4,
+                found: 3
+            })
         ));
 
         // Truncation anywhere in the stream.

@@ -1,4 +1,4 @@
-//! Strongly-typed simulation time.
+//! The two simulation clock domains and the ratio between them.
 //!
 //! The co-simulation couples two clock domains:
 //!
@@ -18,109 +18,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
-
-/// A count of SoC clock cycles.
-///
-/// `Cycle` is an absolute position on the SoC timeline (cycle 0 is reset).
-/// Arithmetic is saturating-free: overflowing a `u64` cycle counter at 1 GHz
-/// would take ~585 years of simulated time, so plain addition is used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct Cycle(pub u64);
-
-impl Cycle {
-    /// The zero cycle (reset).
-    pub const ZERO: Cycle = Cycle(0);
-
-    /// Returns the raw cycle count.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Number of cycles from `earlier` to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is after `self`.
-    pub fn since(self, earlier: Cycle) -> u64 {
-        self.0
-            .checked_sub(earlier.0)
-            // rose-lint: allow(PANIC002, documented panic contract; callers pass monotone cycles)
-            .expect("Cycle::since called with a later cycle")
-    }
-
-    /// Converts this absolute cycle count to seconds under `clock`.
-    pub fn to_seconds(self, clock: ClockSpec) -> f64 {
-        self.0 as f64 / clock.hz() as f64
-    }
-}
-
-impl Add<u64> for Cycle {
-    type Output = Cycle;
-    fn add(self, rhs: u64) -> Cycle {
-        Cycle(self.0 + rhs)
-    }
-}
-
-impl AddAssign<u64> for Cycle {
-    fn add_assign(&mut self, rhs: u64) {
-        self.0 += rhs;
-    }
-}
-
-impl Sub for Cycle {
-    type Output = u64;
-    fn sub(self, rhs: Cycle) -> u64 {
-        self.since(rhs)
-    }
-}
-
-impl fmt::Display for Cycle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} cyc", self.0)
-    }
-}
-
-/// A count of environment simulator frames.
-///
-/// One frame corresponds to one physics + rendering step of the environment
-/// simulator (the minimum time period of the AirSim-side domain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct Frame(pub u64);
-
-impl Frame {
-    /// Frame zero (simulation start).
-    pub const ZERO: Frame = Frame(0);
-
-    /// Returns the raw frame count.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Converts this absolute frame count to seconds under `frames`.
-    pub fn to_seconds(self, frames: FrameSpec) -> f64 {
-        self.0 as f64 / frames.hz() as f64
-    }
-}
-
-impl Add<u64> for Frame {
-    type Output = Frame;
-    fn add(self, rhs: u64) -> Frame {
-        Frame(self.0 + rhs)
-    }
-}
-
-impl AddAssign<u64> for Frame {
-    fn add_assign(&mut self, rhs: u64) {
-        self.0 += rhs;
-    }
-}
-
-impl fmt::Display for Frame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "frame {}", self.0)
-    }
-}
 
 /// The clock frequency of the simulated SoC.
 ///
@@ -299,55 +196,9 @@ impl Default for SyncRatio {
     }
 }
 
-/// A unified view of simulation time, tracking both domains.
-///
-/// `SimTime` is advanced only by the synchronizer, which guarantees that the
-/// two counters always satisfy the lockstep invariant within one sync period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SimTime {
-    /// Current SoC cycle.
-    pub cycle: Cycle,
-    /// Current environment frame.
-    pub frame: Frame,
-}
-
-impl SimTime {
-    /// Simulation start.
-    pub const ZERO: SimTime = SimTime {
-        cycle: Cycle::ZERO,
-        frame: Frame::ZERO,
-    };
-
-    /// Advances both domains by one synchronization period.
-    pub fn advance(&mut self, frames: u64, cycles: u64) {
-        self.frame += frames;
-        self.cycle += cycles;
-    }
-
-    /// Simulated seconds elapsed, measured on the SoC clock.
-    pub fn seconds(self, ratio: SyncRatio) -> f64 {
-        self.cycle.to_seconds(ratio.clock())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cycle_arithmetic() {
-        let a = Cycle(100);
-        let b = a + 50;
-        assert_eq!(b, Cycle(150));
-        assert_eq!(b - a, 50);
-        assert_eq!(b.since(a), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "later cycle")]
-    fn cycle_since_panics_backwards() {
-        let _ = Cycle(10).since(Cycle(20));
-    }
 
     #[test]
     fn equation_1_ratio() {
@@ -388,25 +239,12 @@ mod tests {
     #[test]
     fn seconds_conversion() {
         let clock = ClockSpec::from_mhz(500);
-        assert_eq!(Cycle(500_000_000).to_seconds(clock), 1.0);
         assert_eq!(clock.cycles_in(0.5), 250_000_000);
-    }
-
-    #[test]
-    fn sim_time_advance() {
-        let ratio = SyncRatio::default();
-        let mut t = SimTime::ZERO;
-        t.advance(1, ratio.cycles_per_frame());
-        assert_eq!(t.frame, Frame(1));
-        assert_eq!(t.cycle, Cycle(16_666_666));
-        assert!((t.seconds(ratio) - 1.0 / 60.0).abs() < 1e-6);
     }
 
     #[test]
     fn display_forms() {
         assert_eq!(ClockSpec::from_mhz(1000).to_string(), "1000 MHz");
         assert_eq!(FrameSpec::from_hz(60).to_string(), "60 fps");
-        assert_eq!(Cycle(5).to_string(), "5 cyc");
-        assert_eq!(Frame(5).to_string(), "frame 5");
     }
 }

@@ -4,10 +4,10 @@
 //! This crate provides the building blocks that both simulation domains
 //! (the environment simulator and the SoC simulator) are built from:
 //!
-//! * [`cycles`] — strongly-typed simulation time: clock [`cycles::Cycle`]s on
-//!   the SoC side, rendered [`cycles::Frame`]s on the environment side, and
-//!   the [`cycles::ClockSpec`] / [`cycles::FrameSpec`] conversions between
-//!   them (Equation 1 of the paper).
+//! * [`cycles`] — the two clock domains: the SoC's [`cycles::ClockSpec`],
+//!   the environment's [`cycles::FrameSpec`], and the
+//!   [`cycles::SyncRatio`] conversions between cycles and frames
+//!   (Equation 1 of the paper).
 //! * [`rng`] — seeded, splittable deterministic random number generation so
 //!   that a simulation seed reproduces a trajectory bit-exactly.
 //! * [`fnv`] — platform-stable FNV-1a hashing, the digest primitive behind
@@ -43,7 +43,7 @@ pub mod pid;
 pub mod rng;
 pub mod snap;
 
-pub use cycles::{ClockSpec, Cycle, Frame, FrameSpec, SimTime, SyncRatio};
+pub use cycles::{ClockSpec, FrameSpec, SyncRatio};
 pub use fnv::Fnv64;
 pub use math::{Quat, Vec3};
 pub use pid::Pid;

@@ -46,9 +46,7 @@ pub struct BridgeHwStats {
 pub struct RoseBridgeHw {
     config: BridgeHwConfig,
     rx: VecDeque<Vec<u8>>,
-    rx_bytes: usize,
     tx: VecDeque<Vec<u8>>,
-    tx_bytes: usize,
     /// Cycles the control unit currently allows the SoC to advance.
     budget: u64,
     stats: BridgeHwStats,
@@ -88,9 +86,7 @@ impl RoseBridgeHw {
         let RoseBridgeHw {
             config: _,
             rx,
-            rx_bytes,
             tx,
-            tx_bytes,
             budget,
             stats,
         } = self;
@@ -98,12 +94,10 @@ impl RoseBridgeHw {
         for msg in rx {
             w.bytes(msg);
         }
-        w.usize(*rx_bytes);
         w.usize(tx.len());
         for msg in tx {
             w.bytes(msg);
         }
-        w.usize(*tx_bytes);
         w.u64(*budget);
         w.u64(stats.rx_msgs);
         w.u64(stats.rx_bytes);
@@ -122,13 +116,11 @@ impl RoseBridgeHw {
         for _ in 0..n_rx {
             self.rx.push_back(r.bytes()?);
         }
-        self.rx_bytes = r.usize()?;
         let n_tx = r.usize()?;
         self.tx.clear();
         for _ in 0..n_tx {
             self.tx.push_back(r.bytes()?);
         }
-        self.tx_bytes = r.usize()?;
         self.budget = r.u64()?;
         self.stats.rx_msgs = r.u64()?;
         self.stats.rx_bytes = r.u64()?;
@@ -155,23 +147,26 @@ impl RoseBridgeHw {
 
     /// Enqueues a data packet towards the SoC.
     ///
-    /// Returns `false` (dropping nothing, the caller retries next sync) if
-    /// the queue is full.
+    /// Returns `false` if the queue is full. The message is then dropped:
+    /// no layer keeps it to retry.
     pub fn host_push_rx(&mut self, msg: Vec<u8>) -> bool {
-        if self.rx.len() >= self.config.queue_depth
-            || self.rx_bytes + msg.len() > self.config.queue_bytes
-        {
+        if !self.has_room(&self.rx, msg.len()) {
             return false;
         }
-        self.rx_bytes += msg.len();
         self.rx.push_back(msg);
         true
     }
 
     /// Drains every message the SoC has produced.
     pub fn host_drain_tx(&mut self) -> Vec<Vec<u8>> {
-        self.tx_bytes = 0;
         self.tx.drain(..).collect()
+    }
+
+    /// True when `queue` can take one more message of `len` bytes. Summing
+    /// the queue is cheap: it holds at most `queue_depth` messages.
+    fn has_room(&self, queue: &VecDeque<Vec<u8>>, len: usize) -> bool {
+        queue.len() < self.config.queue_depth
+            && queue.iter().map(Vec::len).sum::<usize>() + len <= self.config.queue_bytes
     }
 
     // --- Target (SoC) side ----------------------------------------------
@@ -184,7 +179,6 @@ impl RoseBridgeHw {
     /// Pops the next SoC-bound message, if any.
     pub fn target_try_recv(&mut self) -> Option<Vec<u8>> {
         let msg = self.rx.pop_front()?;
-        self.rx_bytes -= msg.len();
         self.stats.rx_msgs += 1;
         self.stats.rx_bytes += msg.len() as u64;
         Some(msg)
@@ -194,14 +188,11 @@ impl RoseBridgeHw {
     ///
     /// Returns `false` if the TX queue is full (the SoC must stall).
     pub fn target_send(&mut self, msg: Vec<u8>) -> bool {
-        if self.tx.len() >= self.config.queue_depth
-            || self.tx_bytes + msg.len() > self.config.queue_bytes
-        {
+        if !self.has_room(&self.tx, msg.len()) {
             return false;
         }
         self.stats.tx_msgs += 1;
         self.stats.tx_bytes += msg.len() as u64;
-        self.tx_bytes += msg.len();
         self.tx.push_back(msg);
         true
     }
@@ -265,5 +256,11 @@ mod tests {
         assert!(!b.target_send(vec![0; 8]));
         b.host_drain_tx();
         assert!(b.target_send(vec![0; 8]));
+        // The SoC-bound queue frees its bytes as the SoC pops them.
+        assert!(b.host_push_rx(vec![0; 8]));
+        assert!(!b.host_push_rx(vec![0; 3]));
+        assert!(b.host_push_rx(vec![0; 2]));
+        b.target_try_recv();
+        assert!(b.host_push_rx(vec![0; 8]));
     }
 }

@@ -338,7 +338,7 @@ impl Soc {
     /// The destructuring is exhaustive on purpose: adding a field to [`Soc`]
     /// without deciding how it snapshots becomes a compile error, upholding
     /// the no-hidden-state contract (DESIGN.md §4e). `config` is structural
-    /// (rebuilt from [`MissionConfig`]-level data on resume); everything
+    /// (rebuilt from `MissionConfig`-level data on resume); everything
     /// else — in-flight op position, cost caches, timing-model state, queue
     /// occupancy, and the trace prefix — round-trips through the snapshot.
     pub fn save_state(&self, w: &mut SnapWriter) {
@@ -647,9 +647,8 @@ impl Soc {
     }
 
     /// Advances the SoC by exactly `cycles`, gated through the bridge
-    /// budget. Grants the budget first, then consumes it — the normal
-    /// synchronizer flow calls [`RoseBridgeHw::grant_cycles`] itself and
-    /// then [`Soc::run_granted`].
+    /// budget: grants the budget, then consumes it with
+    /// [`Soc::run_granted`]. This is the synchronizer's cycle grant.
     pub fn run_cycles(&mut self, cycles: u64) {
         self.bridge.grant_cycles(cycles);
         self.run_granted();

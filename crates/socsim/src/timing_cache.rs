@@ -288,7 +288,7 @@ pub struct SharedTimingCache {
 }
 
 /// Handle identity (shared storage), not content equality — this is what
-/// "the same cache" means for a [`MissionConfig`]-carried handle.
+/// "the same cache" means for a `MissionConfig`-carried handle.
 impl PartialEq for SharedTimingCache {
     fn eq(&self, other: &SharedTimingCache) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)

@@ -112,7 +112,6 @@ pub fn attribute(events: &[TraceEvent]) -> Attribution {
 pub struct FlightRecorder {
     ring: VecDeque<FlightSample>,
     capacity: usize,
-    last: Option<FlightSample>,
 }
 
 impl Default for FlightRecorder {
@@ -127,7 +126,6 @@ impl FlightRecorder {
         FlightRecorder {
             ring: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
-            last: None,
         }
     }
 
@@ -152,12 +150,12 @@ impl FlightRecorder {
     /// produce one postmortem whose `detail` lists them all. `recent` is
     /// the trace recorded so far; it is read only when a trigger fires.
     pub fn record(&mut self, sample: FlightSample, recent: &[TraceEvent]) -> Option<String> {
+        let prev = self.ring.back().copied().unwrap_or_default();
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
         self.ring.push_back(sample);
 
-        let prev = self.last.replace(sample).unwrap_or_default();
         let mut triggers: Vec<&'static str> = Vec::new();
         if sample.collisions > prev.collisions {
             triggers.push("collision");

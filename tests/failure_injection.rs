@@ -31,7 +31,7 @@ fn corrupt_rx_packets_do_not_crash_the_soc() {
         sync.env().sim().mission_complete(),
         "mission should survive corrupt packets"
     );
-    assert!(metrics.lock().inferences > 50);
+    assert!(metrics.lock().inferences() > 50);
 }
 
 /// Corrupt packets flowing towards the environment are counted and

@@ -15,7 +15,11 @@ fn mpc_completes_tunnel() {
     let r = run_mpc_mission(&mission, MpcConfig::default());
     assert!(r.completed, "MPC should complete the tunnel");
     assert_eq!(r.collisions, 0, "MPC tracks the centerline cleanly");
-    assert!(r.metrics.commands > 50, "commands {}", r.metrics.commands);
+    assert!(
+        r.metrics.commands() > 50,
+        "commands {}",
+        r.metrics.commands()
+    );
 }
 
 #[test]
