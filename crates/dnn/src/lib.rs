@@ -4,14 +4,10 @@
 //! (TrailNet-style dual-headed ResNets, Section 4.2.2) through ONNX-Runtime,
 //! with matmuls/convolutions dispatched to Gemmini. This crate provides:
 //!
-//! * [`tensor`] — a small NCHW `f32` tensor type.
-//! * [`ops`] — real functional operators: conv2d, batch-norm (inference
-//!   form), ReLU, pooling, linear, softmax, residual add.
-//! * [`graph`] — a DAG network representation with two classifier heads
-//!   (angular and lateral, Figure 8) and a forward pass.
-//! * [`resnet`] — builders for the evaluated ResNet6/11/14/18/34 variants,
-//!   both as shape-only [`resnet::InferencePlan`]s (for SoC timing) and as
-//!   weighted [`graph::Network`]s (for functional inference).
+//! * [`tensor`] — a small NCHW `f32` tensor type for rendered images.
+//! * [`resnet`] — the evaluated ResNet6/11/14/18/34 variants, each
+//!   described once, as a shape-only [`resnet::InferencePlan`] (for SoC
+//!   timing).
 //! * [`lower`] — lowering of a plan to [`rose_socsim::TargetOp`] sequences:
 //!   convolutions map to the accelerator (or to im2col + matmul CPU kernels
 //!   on accelerator-less SoCs), everything else to CPU kernels, plus
@@ -26,15 +22,12 @@
 
 #![deny(missing_docs)]
 
-pub mod graph;
 pub mod lower;
-pub mod ops;
 pub mod perception;
 pub mod resnet;
 pub mod tensor;
 pub mod trainer;
 
-pub use graph::Network;
 pub use perception::{ClassProbs, PerceptionHead, PerceptionOutput};
 pub use resnet::{DnnModel, InferencePlan};
 pub use tensor::Tensor;

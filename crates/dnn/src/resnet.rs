@@ -3,14 +3,11 @@
 //! Section 4.2.2 / Table 3 evaluate TrailNet-architecture ResNets of depth
 //! 6, 11, 14, 18, and 34: a convolutional stem, stages of residual basic
 //! blocks, global average pooling, and two 3-class linear heads (angular
-//! and lateral). [`DnnModel`] enumerates the variants;
-//! [`DnnModel::plan`] yields a shape-only [`InferencePlan`] used to time
-//! inference on the SoC models, and [`DnnModel::build`] materializes a
-//! weighted [`Network`] for functional inference.
+//! and lateral). [`DnnModel`] enumerates the variants, and
+//! [`DnnModel::plan`] yields each one's shape-only [`InferencePlan`]: the
+//! single description of the network, which [`crate::lower`] turns into
+//! SoC operations to time inference.
 
-use crate::graph::{Network, NetworkBuilder, NodeId, Op};
-use crate::tensor::Tensor;
-use rose_sim_core::rng::SimRng;
 use rose_socsim::gemmini::ConvShape;
 use rose_socsim::kernel::ElemKind;
 use serde::{Deserialize, Serialize};
@@ -132,7 +129,7 @@ impl DnnModel {
         }
     }
 
-    /// The architecture spec (evaluation input resolution, 3×128×128).
+    /// The architecture spec (evaluation input resolution, 3×160×160).
     pub fn spec(&self) -> ResNetSpec {
         let (stem, blocks, channels): (usize, Vec<usize>, Vec<usize>) = match self {
             DnnModel::ResNet6 => (32, vec![1, 1], vec![32, 64]),
@@ -153,17 +150,6 @@ impl DnnModel {
     /// Builds the shape-only inference plan at the evaluation resolution.
     pub fn plan(&self) -> InferencePlan {
         InferencePlan::from_spec(&self.to_string(), &self.spec())
-    }
-
-    /// Materializes a weighted network with deterministic He-initialized
-    /// weights, optionally overriding the input resolution (small inputs
-    /// keep functional tests fast).
-    pub fn build(&self, rng: &SimRng, input_hw: Option<usize>) -> Network {
-        let mut spec = self.spec();
-        if let Some(hw) = input_hw {
-            spec.input = (spec.input.0, hw, hw);
-        }
-        build_network(&self.to_string(), &spec, rng)
     }
 }
 
@@ -355,93 +341,6 @@ impl InferencePlan {
     }
 }
 
-/// Builds a weighted network for `spec` with deterministic initialization.
-fn build_network(name: &str, spec: &ResNetSpec, rng: &SimRng) -> Network {
-    let mut rng = rng.split("resnet-init");
-    let (mut b, input) = NetworkBuilder::new();
-    let (c_in, _h, _w) = spec.input;
-
-    let he = |fan_in: usize, n: usize, rng: &mut SimRng| -> Vec<f32> {
-        let std = (2.0 / fan_in as f64).sqrt();
-        (0..n).map(|_| (rng.normal(0.0, std)) as f32).collect()
-    };
-    let conv =
-        |b: &mut NetworkBuilder, x: NodeId, i: usize, o: usize, k: usize, s: usize, p: usize, rng: &mut SimRng| {
-            let weight = Tensor::from_vec(&[o, i, k, k], he(i * k * k, o * i * k * k, rng));
-            b.push(
-                Op::Conv {
-                    weight,
-                    bias: None,
-                    stride: s,
-                    pad: p,
-                },
-                x,
-            )
-        };
-    let bn = |b: &mut NetworkBuilder, x: NodeId, c: usize| {
-        b.push(
-            Op::BatchNorm {
-                scale: Tensor::from_fn(&[c], |_| 1.0),
-                shift: Tensor::zeros(&[c]),
-            },
-            x,
-        )
-    };
-
-    // Stem.
-    let mut ch = spec.stem_channels;
-    let mut x = conv(&mut b, input, c_in, ch, 7, 2, 3, &mut rng);
-    x = bn(&mut b, x, ch);
-    x = b.push(Op::Relu, x);
-    x = b.push(Op::MaxPool { window: 2 }, x);
-
-    // Stages.
-    for (stage, (&blocks, &out_ch)) in spec
-        .stage_blocks
-        .iter()
-        .zip(&spec.stage_channels)
-        .enumerate()
-    {
-        for block in 0..blocks {
-            let downsample = stage > 0 && block == 0;
-            let stride = if downsample { 2 } else { 1 };
-            let shortcut_src = x;
-            let in_ch = ch;
-            let mut y = conv(&mut b, x, in_ch, out_ch, 3, stride, 1, &mut rng);
-            y = bn(&mut b, y, out_ch);
-            y = b.push(Op::Relu, y);
-            y = conv(&mut b, y, out_ch, out_ch, 3, 1, 1, &mut rng);
-            y = bn(&mut b, y, out_ch);
-            let shortcut = if in_ch != out_ch || downsample {
-                let s = conv(&mut b, shortcut_src, in_ch, out_ch, 1, stride, 0, &mut rng);
-                bn(&mut b, s, out_ch)
-            } else {
-                shortcut_src
-            };
-            y = b.push(Op::Add { other: shortcut }, y);
-            x = b.push(Op::Relu, y);
-            ch = out_ch;
-        }
-    }
-
-    // Heads.
-    let pooled = b.push(Op::GlobalAvgPool, x);
-    let head = |b: &mut NetworkBuilder, rng: &mut SimRng| {
-        let weight = Tensor::from_vec(&[spec.classes, ch], he(ch, spec.classes * ch, rng));
-        let fc = b.push(
-            Op::Linear {
-                weight,
-                bias: Tensor::zeros(&[spec.classes]),
-            },
-            pooled,
-        );
-        b.push(Op::Softmax, fc)
-    };
-    let angular = head(&mut b, &mut rng);
-    let lateral = head(&mut b, &mut rng);
-    b.finish(name, angular, lateral)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,41 +370,30 @@ mod tests {
         assert!((1.6..2.4).contains(&r), "R34/R18 MAC ratio {r}");
     }
 
+    /// Each model's plan is its only description of the network, so every
+    /// shape is pinned: (model, conv ops, all ops, MACs, input elements).
     #[test]
-    fn plan_counts_are_plausible() {
-        let plan = DnnModel::ResNet18.plan();
-        // 1 stem + 16 block convs + 2 projections... conv ops:
-        let convs = plan
-            .ops()
-            .iter()
-            .filter(|o| matches!(o, PlanOp::Conv(_)))
-            .count();
-        assert_eq!(convs, 1 + 16 + 3, "stem + 16 block convs + 3 projections");
-        assert_eq!(plan.input_elems(), 3 * 160 * 160);
-    }
-
-    #[test]
-    fn functional_forward_small_input() {
-        // A ResNet6 at 32×32 runs end to end and yields two distributions.
-        let rng = SimRng::new(42);
-        let net = DnnModel::ResNet6.build(&rng, Some(32));
-        let input = Tensor::from_fn(&[3, 32, 32], |i| ((i % 17) as f32 - 8.0) / 8.0);
-        let (a, l) = net.forward(&input);
-        assert_eq!(a.len(), 3);
-        assert_eq!(l.len(), 3);
-        let sa: f32 = a.data().iter().sum();
-        let sl: f32 = l.data().iter().sum();
-        assert!((sa - 1.0).abs() < 1e-4, "angular sums to {sa}");
-        assert!((sl - 1.0).abs() < 1e-4, "lateral sums to {sl}");
-        assert!(net.param_count() > 10_000);
-    }
-
-    #[test]
-    fn deterministic_build() {
-        let rng = SimRng::new(7);
-        let a = DnnModel::ResNet6.build(&rng, Some(16));
-        let b = DnnModel::ResNet6.build(&rng, Some(16));
-        assert_eq!(a, b);
+    fn plans_are_pinned() {
+        let table = [
+            (DnnModel::ResNet6, 6, 24, 82_534_784, 76_800),
+            (DnnModel::ResNet11, 12, 40, 266_344_704, 76_800),
+            (DnnModel::ResNet14, 16, 54, 399_055_104, 76_800),
+            // Stem + 16 block convs + 3 projection shortcuts.
+            (DnnModel::ResNet18, 20, 68, 925_289_472, 76_800),
+            (DnnModel::ResNet34, 36, 124, 1_869_007_872, 76_800),
+        ];
+        for (model, convs, ops, macs, input_elems) in table {
+            let plan = model.plan();
+            let plan_convs = plan
+                .ops()
+                .iter()
+                .filter(|o| matches!(o, PlanOp::Conv(_)))
+                .count();
+            assert_eq!(plan_convs, convs, "{model} conv ops");
+            assert_eq!(plan.ops().len(), ops, "{model} ops");
+            assert_eq!(plan.macs(), macs, "{model} MACs");
+            assert_eq!(plan.input_elems(), input_elems, "{model} input elements");
+        }
     }
 
     #[test]

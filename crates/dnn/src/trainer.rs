@@ -4,20 +4,18 @@
 //! images with randomized positions, angles, and textures. This module
 //! provides the equivalent trainable stage for the reproduction: a
 //! multinomial-logistic-regression trainer that fits the two 3-class
-//! linear heads on top of backbone features
-//! ([`crate::Network::forward_features`]), with mini-batch SGD and
-//! cross-entropy loss. The backbone acts as a (fixed) random feature
-//! extractor — enough to learn the strongly structured corridor renders,
-//! while keeping training fast enough to run inside the test suite.
+//! linear heads on a feature vector per image, with mini-batch SGD and
+//! cross-entropy loss. Every caller feeds it raw pixels — enough to learn
+//! the strongly structured corridor renders, while keeping training fast
+//! enough to run inside the test suite.
 
-use crate::tensor::Tensor;
 use rose_sim_core::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
 /// One training example: a feature vector and its two class labels.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Example {
-    /// Backbone feature vector.
+    /// Feature vector.
     pub features: Vec<f32>,
     /// Angular class (0 = left, 1 = center, 2 = right).
     pub angular: usize,
@@ -248,17 +246,6 @@ impl HeadTrainer {
     }
 }
 
-/// Extracts backbone features for an image tensor and builds an example.
-pub fn example_from_image(
-    net: &crate::Network,
-    image: &Tensor,
-    angular: usize,
-    lateral: usize,
-) -> Example {
-    let features = net.forward_features(image);
-    Example::new(features.data().to_vec(), angular, lateral)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,15 +297,6 @@ mod tests {
             t.angular.predict(&[0.3, 0.8])
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn features_from_backbone() {
-        let net = crate::DnnModel::ResNet6.build(&SimRng::new(5), Some(16));
-        let img = Tensor::from_fn(&[3, 16, 16], |i| (i % 7) as f32 / 7.0);
-        let e = example_from_image(&net, &img, 0, 2);
-        assert_eq!(e.features.len(), 64); // ResNet6's final channel count
-        assert_eq!((e.angular, e.lateral), (0, 2));
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! message" (Section 3.4.1). Two families exist:
 //!
 //! * **synchronization packets** ([`Packet::GrantCycles`],
-//!   [`Packet::CyclesDone`], [`Packet::FramesDone`], [`Packet::Resync`],
-//!   [`Packet::Shutdown`]) — simulator control, invisible to the modeled
-//!   SoC;
+//!   [`Packet::CyclesDone`], [`Packet::Resync`], [`Packet::Shutdown`]) —
+//!   simulator control, invisible to the modeled SoC;
 //! * **data packets** ([`Packet::Data`]) — sensor and actuator payloads,
 //!   the only packets exposed through the RoSÉ BRIDGE queues.
 //!
@@ -26,7 +25,6 @@ use std::fmt;
 /// Wire packet type tags.
 const TAG_GRANT: u8 = 0x01;
 const TAG_CYCLES_DONE: u8 = 0x02;
-const TAG_FRAMES_DONE: u8 = 0x03;
 const TAG_DATA: u8 = 0x04;
 const TAG_SHUTDOWN: u8 = 0x05;
 const TAG_RESYNC: u8 = 0x06;
@@ -57,11 +55,6 @@ pub enum Packet {
         cycles: u64,
         /// Index of the quantum this completion closes.
         quantum: u64,
-    },
-    /// Sync: the environment side reports it finished its frames.
-    FramesDone {
-        /// Frames executed.
-        frames: u64,
     },
     /// A data packet: serialized sensor/actuator message, opaque here.
     Data {
@@ -126,11 +119,6 @@ impl Packet {
                 buf.put_u64_le(*cycles);
                 buf.put_u64_le(*quantum);
             }
-            Packet::FramesDone { frames } => {
-                buf.put_u8(TAG_FRAMES_DONE);
-                buf.put_u32_le(8);
-                buf.put_u64_le(*frames);
-            }
             Packet::Data { seq, payload } => {
                 buf.put_u8(TAG_DATA);
                 // rose-lint: allow(CAST001, payload length is bounded by MAX_PAYLOAD well below u32::MAX)
@@ -185,7 +173,6 @@ impl Packet {
         };
         match tag {
             TAG_GRANT | TAG_CYCLES_DONE => fixed(16)?,
-            TAG_FRAMES_DONE => fixed(8)?,
             TAG_RESYNC => fixed(12)?,
             TAG_SHUTDOWN => fixed(0)?,
             // A data packet carries at least its 4-byte sequence number.
@@ -207,9 +194,6 @@ impl Packet {
                 cycles: payload.get_u64_le(),
                 quantum: payload.get_u64_le(),
             },
-            TAG_FRAMES_DONE => Packet::FramesDone {
-                frames: payload.get_u64_le(),
-            },
             TAG_DATA => Packet::Data {
                 seq: payload.get_u32_le(),
                 payload: payload.to_vec(),
@@ -224,17 +208,11 @@ impl Packet {
         })
     }
 
-    /// True for synchronization packets (invisible to the modeled SoC).
-    pub fn is_sync(&self) -> bool {
-        !matches!(self, Packet::Data { .. })
-    }
-
     /// The packet kind as a static label (protocol-error reporting).
     pub fn kind_name(&self) -> &'static str {
         match self {
             Packet::GrantCycles { .. } => "GrantCycles",
             Packet::CyclesDone { .. } => "CyclesDone",
-            Packet::FramesDone { .. } => "FramesDone",
             Packet::Data { .. } => "Data",
             Packet::Shutdown => "Shutdown",
             Packet::Resync { .. } => "Resync",
@@ -264,7 +242,6 @@ mod tests {
             cycles: 1,
             quantum: u64::MAX,
         });
-        roundtrip(Packet::FramesDone { frames: 40 });
         roundtrip(Packet::Data {
             seq: 7,
             payload: vec![1, 2, 3, 4, 5],
@@ -332,6 +309,10 @@ mod tests {
         raw[0] = 0x7f;
         let mut buf = BytesMut::from(&raw[..]);
         assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadTag(0x7f)));
+        // An unassigned tag between assigned ones is rejected too.
+        raw[0] = 0x03;
+        let mut buf = BytesMut::from(&raw[..]);
+        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadTag(0x03)));
     }
 
     #[test]
@@ -375,26 +356,6 @@ mod tests {
         raw[1] = 4;
         let mut buf = BytesMut::from(&raw[..]);
         assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadLength(4)));
-    }
-
-    #[test]
-    fn sync_vs_data_classification() {
-        assert!(Packet::GrantCycles {
-            cycles: 0,
-            quantum: 0
-        }
-        .is_sync());
-        assert!(Packet::Shutdown.is_sync());
-        assert!(Packet::Resync {
-            expect_rx: 0,
-            quantum: 0
-        }
-        .is_sync());
-        assert!(!Packet::Data {
-            seq: 0,
-            payload: vec![]
-        }
-        .is_sync());
     }
 
     #[test]

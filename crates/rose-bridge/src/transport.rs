@@ -389,7 +389,12 @@ mod tests {
         let mut server = handle.join().unwrap();
         // Nothing sent yet.
         assert!(matches!(client.try_recv(), Ok(None)));
-        server.send(&Packet::FramesDone { frames: 1 }).unwrap();
+        server
+            .send(&Packet::CyclesDone {
+                cycles: 1,
+                quantum: 0,
+            })
+            .unwrap();
         // Poll until it arrives.
         let mut got = None;
         for _ in 0..1000 {
@@ -399,7 +404,13 @@ mod tests {
             }
             thread::yield_now();
         }
-        assert_eq!(got, Some(Packet::FramesDone { frames: 1 }));
+        assert_eq!(
+            got,
+            Some(Packet::CyclesDone {
+                cycles: 1,
+                quantum: 0
+            })
+        );
     }
 
     /// The short-read satellite: a peer that dribbles packets onto the

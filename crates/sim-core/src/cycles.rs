@@ -48,12 +48,6 @@ impl ClockSpec {
     pub fn hz(self) -> u64 {
         self.hz
     }
-
-    /// Converts a duration in seconds to a whole number of cycles (floor).
-    pub fn cycles_in(self, seconds: f64) -> u64 {
-        // rose-lint: allow(CAST001, float-to-cycle floor is this API's contract; saturating `as` keeps huge inputs finite)
-        (seconds * self.hz as f64) as u64
-    }
 }
 
 impl Default for ClockSpec {
@@ -234,12 +228,6 @@ mod tests {
         assert_eq!(ratio.cycles_per_frame(), 10);
         assert_eq!(ratio.frames_for_cycles(99), 9);
         assert_eq!(ratio.frames_for_cycles(100), 10);
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        let clock = ClockSpec::from_mhz(500);
-        assert_eq!(clock.cycles_in(0.5), 250_000_000);
     }
 
     #[test]

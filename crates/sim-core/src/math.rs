@@ -100,16 +100,6 @@ impl Vec3 {
         }
     }
 
-    /// Component-wise clamp of the magnitude to `max` (preserves direction).
-    pub fn clamp_norm(self, max: f64) -> Vec3 {
-        let n = self.norm();
-        if n > max && n > 0.0 {
-            self * (max / n)
-        } else {
-            self
-        }
-    }
-
     /// The horizontal (XY-plane) projection.
     pub fn horizontal(self) -> Vec3 {
         Vec3::new(self.x, self.y, 0.0)
@@ -361,16 +351,6 @@ mod tests {
         assert!(vec_approx(v.normalized() * 5.0, v));
         assert!(approx(Vec3::X.dot(Vec3::Y), 0.0));
         assert!(vec_approx(Vec3::X.cross(Vec3::Y), Vec3::Z));
-    }
-
-    #[test]
-    fn clamp_norm_preserves_direction() {
-        let v = Vec3::new(6.0, 8.0, 0.0);
-        let c = v.clamp_norm(5.0);
-        assert!(approx(c.norm(), 5.0));
-        assert!(vec_approx(c.normalized(), v.normalized()));
-        // Under the limit: untouched.
-        assert!(vec_approx(v.clamp_norm(100.0), v));
     }
 
     #[test]

@@ -210,17 +210,6 @@ impl SnapWriter {
         }
     }
 
-    /// Writes an optional `u64` (presence byte + value).
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
     /// Writes an optional length-prefixed byte string.
     pub fn opt_bytes(&mut self, v: Option<&[u8]>) {
         match v {
@@ -420,15 +409,6 @@ impl<'a> SnapReader<'a> {
         Ok(if self.bool()? { Some(self.f64()?) } else { None })
     }
 
-    /// Reads an optional `u64`.
-    ///
-    /// # Errors
-    ///
-    /// As [`SnapReader::bool`] and [`SnapReader::u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
-        Ok(if self.bool()? { Some(self.u64()?) } else { None })
-    }
-
     /// Reads an optional byte string.
     ///
     /// # Errors
@@ -464,7 +444,6 @@ mod tests {
         w.str("hello");
         w.opt_f64(Some(1.5));
         w.opt_f64(None);
-        w.opt_u64(Some(9));
         w.opt_bytes(Some(&[4, 5]));
         w.opt_bytes(None);
         let bytes = w.into_bytes();
@@ -485,7 +464,6 @@ mod tests {
         assert_eq!(r.string().unwrap(), "hello");
         assert_eq!(r.opt_f64().unwrap(), Some(1.5));
         assert_eq!(r.opt_f64().unwrap(), None);
-        assert_eq!(r.opt_u64().unwrap(), Some(9));
         assert_eq!(r.opt_bytes().unwrap(), Some(vec![4, 5]));
         assert_eq!(r.opt_bytes().unwrap(), None);
         r.finish().unwrap();

@@ -55,15 +55,6 @@ impl TraceLog {
         });
     }
 
-    /// The distinct track names present, in display order.
-    pub fn track_names(&self) -> Vec<&'static str> {
-        Track::ALL
-            .iter()
-            .filter(|t| self.events.iter().any(|e| e.track == **t))
-            .map(|t| t.name())
-            .collect()
-    }
-
     /// How many events carry `name`.
     pub fn count_named(&self, name: &str) -> usize {
         self.events.iter().filter(|e| e.name == name).count()
@@ -282,7 +273,6 @@ mod tests {
         let times: Vec<f64> = log.events().iter().map(|e| e.ts_us).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
         assert_eq!(log.count_named("bridge-packet"), 1);
-        assert_eq!(log.track_names(), vec!["env", "bridge", "soc.gemmini", "soc.mem"]);
     }
 
     /// Replays the trace shape of a mission — per-grant `soc-grant`

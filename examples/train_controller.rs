@@ -1,12 +1,11 @@
 //! The artifact's §A.4.4 DNN-training flow: generate a labeled dataset of
-//! rendered corridor images with randomized poses, extract backbone
-//! features, train the dual classifier heads, and report validation
-//! accuracy (the quantity Table 3 lists per model).
+//! rendered corridor images with randomized poses, train the dual
+//! classifier heads on their pixels, and report validation accuracy (the
+//! quantity Table 3 lists per model).
 //!
 //! Run with: `cargo run --release --example train_controller`
 
-use rose_dnn::trainer::{example_from_image, Example, HeadTrainer, TrainConfig};
-use rose_dnn::DnnModel;
+use rose_dnn::trainer::{Example, HeadTrainer, TrainConfig};
 use rose_envsim::world::World;
 use rose_repro::dataset::{generate, DatasetConfig};
 use rose_sim_core::rng::SimRng;
@@ -31,8 +30,7 @@ fn main() {
     );
 
     // The corridor renders are structured enough that a linear probe on raw
-    // pixels learns them well; backbone features from an untrained ResNet
-    // are also supported (see `rose_dnn::trainer::example_from_image`).
+    // pixels learns them well.
     let to_examples = |images: &[rose_repro::dataset::LabeledImage]| {
         images
             .iter()
@@ -45,9 +43,6 @@ fn main() {
     };
     let train = to_examples(&train_images);
     let val = to_examples(&val_images);
-    // Sanity-check the backbone feature path too.
-    let backbone = DnnModel::ResNet6.build(&rng, Some(32));
-    let _probe = example_from_image(&backbone, &train_images[0].image, 0, 0);
 
     println!("training heads ({} examples)...", train.len());
     let mut trainer = HeadTrainer::new(
