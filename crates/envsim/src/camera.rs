@@ -7,6 +7,10 @@
 //! the DNN controller the same distance/offset cues the paper's rendered
 //! corridors provide (near walls are tall and bright, the open corridor is
 //! dark at the vanishing point).
+//!
+//! A [`Camera`] tabulates its floor shades once from its [`CameraConfig`]
+//! and writes each column straight into the row-major pixel buffer. Each
+//! ray is a [`World::raycast`], which walks the world's wall grid.
 
 use crate::world::{P2, World};
 use rose_sim_core::math::Vec3;
@@ -110,58 +114,84 @@ impl Image {
     }
 }
 
-/// Renders the view from `pos` at heading `yaw` into an [`Image`].
-///
-/// The camera is assumed level (stabilized gimbal); each column casts one
-/// horizontal ray over the FOV, and the column is filled doom-style: sky
-/// above the projected wall top, shaded wall, floor below.
-pub fn render(world: &World, pos: Vec3, yaw: f64, cfg: &CameraConfig) -> Image {
-    let mut img = Image::black(cfg.width, cfg.height);
-    let origin = P2::new(pos.x, pos.y);
-    let eye_height = pos.z.max(0.2);
-    let half_fov = cfg.fov * 0.5;
-    // Vertical FOV matches horizontal scaled by aspect (square here).
-    let v_half_fov = half_fov * cfg.height as f64 / cfg.width as f64;
+/// A camera: its intrinsics and the floor shades they imply.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Camera {
+    config: CameraConfig,
+    /// The shade of image row `row` on the floor below a wall whose bottom
+    /// projects to row `bot_row`, at `bot_row * height + row`. Derived
+    /// from `config` when the camera is made; it is not simulation state.
+    floor: Vec<u8>,
+}
 
-    for col in 0..cfg.width {
-        // Column angle across the FOV, left edge = +half_fov (left of view).
-        let frac = (col as f64 + 0.5) / cfg.width as f64; // 0..1 left->right
-        let angle = yaw + half_fov - frac * cfg.fov;
-        let dist = world
-            .raycast(origin, angle)
-            .unwrap_or(cfg.max_depth)
-            .min(cfg.max_depth);
-        // Correct fisheye: perpendicular distance.
-        let perp = (dist * (angle - yaw).cos()).max(0.05);
-
-        // Projected rows of wall top and bottom.
-        let wall_top_angle = ((world.wall_height() - eye_height) / perp).atan();
-        let wall_bot_angle = (-eye_height / perp).atan();
-        let row_of = |a: f64| -> f64 {
-            // +v_half_fov (up) maps to row 0.
-            (v_half_fov - a) / (2.0 * v_half_fov) * cfg.height as f64
-        };
-        let top_row = row_of(wall_top_angle).max(0.0) as usize;
-        let bot_row = row_of(wall_bot_angle).clamp(0.0, cfg.height as f64) as usize;
-
-        // Wall shading decays with distance; sky light, floor mid-dark with
-        // distance-based gradient for depth cues.
-        let wall_shade = (220.0 * (1.0 - (dist / cfg.max_depth)).powf(1.2)).max(16.0) as u8;
-        for row in 0..cfg.height {
-            let v = if row < top_row {
-                235 // sky
-            } else if row < bot_row.min(cfg.height) {
-                wall_shade
-            } else {
+impl Camera {
+    /// Creates a camera, tabulating its floor shades.
+    pub fn new(config: CameraConfig) -> Camera {
+        let h = config.height;
+        let mut floor = Vec::with_capacity((h + 1) * h);
+        for bot_row in 0..=h {
+            for row in 0..h {
                 // Floor: nearer rows (lower on screen) brighter.
-                let t = (row as f64 - bot_row as f64 + 1.0)
-                    / (cfg.height as f64 - bot_row as f64 + 1.0);
-                (40.0 + 50.0 * t) as u8
-            };
-            img.set(row, col, v);
+                let t = (row as f64 - bot_row as f64 + 1.0) / (h as f64 - bot_row as f64 + 1.0);
+                floor.push((40.0 + 50.0 * t) as u8);
+            }
         }
+        Camera { config, floor }
     }
-    img
+
+    /// Renders the view from `pos` at heading `yaw` into an [`Image`].
+    ///
+    /// The camera is assumed level (stabilized gimbal); each column casts
+    /// one horizontal ray over the FOV, and the column is filled
+    /// doom-style: sky above the projected wall top, shaded wall, floor
+    /// below.
+    pub fn render(&self, world: &World, pos: Vec3, yaw: f64) -> Image {
+        let cfg = &self.config;
+        let mut pixels = vec![0; cfg.width * cfg.height];
+        let origin = P2::new(pos.x, pos.y);
+        let eye_height = pos.z.max(0.2);
+        let half_fov = cfg.fov * 0.5;
+        // Vertical FOV matches horizontal scaled by aspect (square here).
+        let v_half_fov = half_fov * cfg.height as f64 / cfg.width as f64;
+
+        for col in 0..cfg.width {
+            // Column angle across the FOV, left edge = +half_fov (left of view).
+            let frac = (col as f64 + 0.5) / cfg.width as f64; // 0..1 left->right
+            let angle = yaw + half_fov - frac * cfg.fov;
+            let dist = world
+                .raycast(origin, angle)
+                .unwrap_or(cfg.max_depth)
+                .min(cfg.max_depth);
+            // Correct fisheye: perpendicular distance.
+            let perp = (dist * (angle - yaw).cos()).max(0.05);
+
+            // Projected rows of wall top and bottom.
+            let wall_top_angle = ((world.wall_height() - eye_height) / perp).atan();
+            let wall_bot_angle = (-eye_height / perp).atan();
+            let row_of = |a: f64| -> f64 {
+                // +v_half_fov (up) maps to row 0.
+                (v_half_fov - a) / (2.0 * v_half_fov) * cfg.height as f64
+            };
+            let top_row = row_of(wall_top_angle).max(0.0) as usize;
+            let bot_row = row_of(wall_bot_angle).clamp(0.0, cfg.height as f64) as usize;
+
+            // Wall shading decays with distance; sky light, floor from the
+            // table (mid-dark with a gradient for depth cues).
+            let wall_shade = (220.0 * (1.0 - (dist / cfg.max_depth)).powf(1.2)).max(16.0) as u8;
+            let floor = &self.floor[bot_row * cfg.height..];
+            let column = pixels.iter_mut().skip(col).step_by(cfg.width);
+            for (row, px) in column.enumerate() {
+                *px = if row < top_row {
+                    235 // sky
+                } else if row < bot_row {
+                    wall_shade
+                } else {
+                    floor[row]
+                };
+            }
+        }
+        Image::from_bytes(cfg.width, cfg.height, pixels)
+    }
 }
 
 #[cfg(test)]
@@ -190,7 +220,7 @@ mod tests {
     fn render_centered_view_is_symmetric() {
         let world = World::tunnel();
         let cfg = CameraConfig::default();
-        let img = render(&world, Vec3::new(5.0, 0.0, 1.0), 0.0, &cfg);
+        let img = Camera::new(cfg).render(&world, Vec3::new(5.0, 0.0, 1.0), 0.0);
         // A centered, axis-aligned view of a symmetric tunnel renders
         // left/right mirror-symmetric columns.
         for row in 0..cfg.height {
@@ -211,7 +241,7 @@ mod tests {
         let cfg = CameraConfig::default();
         // Near the left wall: the left half of the view is much closer
         // (brighter walls, taller columns) than the right half.
-        let img = render(&world, Vec3::new(5.0, 1.0, 1.0), 0.0, &cfg);
+        let img = Camera::new(cfg).render(&world, Vec3::new(5.0, 1.0, 1.0), 0.0);
         let mid = cfg.height / 2;
         let left_mean: f64 = (0..cfg.width / 4)
             .map(|c| img.get(mid, c) as f64)
@@ -233,17 +263,16 @@ mod tests {
         let cfg = CameraConfig::default();
         let mid_row = cfg.height / 2;
         // Looking directly at the left wall from two distances.
-        let near = render(
+        let camera = Camera::new(cfg);
+        let near = camera.render(
             &world,
             Vec3::new(5.0, 1.0, 1.0),
             std::f64::consts::FRAC_PI_2,
-            &cfg,
         );
-        let far = render(
+        let far = camera.render(
             &world,
             Vec3::new(5.0, -1.0, 1.0),
             std::f64::consts::FRAC_PI_2,
-            &cfg,
         );
         let c = cfg.width / 2;
         assert!(near.get(mid_row, c) > far.get(mid_row, c));

@@ -7,8 +7,8 @@
 //! as direct method calls on [`UavSim`]:
 //!
 //! * [`world`] — corridor environments (the paper's `tunnel` and `s-shape`
-//!   maps), collision geometry, raycasting, and ground-truth centerline
-//!   queries.
+//!   maps, plus `slalom`), collision geometry and raycasting over a grid
+//!   of the walls, and ground-truth centerline queries.
 //! * [`dynamics`] — 6-DoF quadrotor rigid-body dynamics with a motor model.
 //! * [`camera`] — a software column raycaster producing grayscale
 //!   first-person-view frames (90° FOV, as in Section 4.1).
@@ -35,7 +35,7 @@ pub mod uav;
 pub mod world;
 
 pub use api::VelocityTarget;
-pub use camera::{CameraConfig, Image};
+pub use camera::{Camera, CameraConfig, Image};
 pub use dynamics::{QuadrotorBody, QuadrotorParams, RigidBodyState};
 pub use uav::{Autopilot, UavSim, UavSimConfig};
 pub use world::{World, WorldKind};

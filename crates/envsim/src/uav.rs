@@ -7,7 +7,7 @@
 //! rate internally for numerical stability.
 
 use crate::api::{Pose, VelocityTarget};
-use crate::camera::{self, CameraConfig, Image};
+use crate::camera::{Camera, CameraConfig, Image};
 use crate::dynamics::{MotorCommand, QuadrotorBody, QuadrotorParams, RigidBodyState};
 use crate::sensors::{DepthConfig, DepthSample, DepthSensor, Imu, ImuConfig, ImuSample};
 use crate::world::{P2, World};
@@ -138,6 +138,8 @@ pub const DEPTH_INVALID: f64 = -1.0;
 pub struct UavSim {
     config: UavSimConfig,
     world: World,
+    /// Built from `config.camera`, so structural like `config`.
+    camera: Camera,
     body: QuadrotorBody,
     autopilot: Box<dyn Autopilot + Send>,
     imu: Imu,
@@ -192,6 +194,7 @@ impl UavSim {
                 altitude: config.start_position.z.max(1.5),
                 ..VelocityTarget::default()
             },
+            camera: Camera::new(config.camera),
             config,
             world,
             autopilot,
@@ -294,7 +297,7 @@ impl UavSim {
     /// Renders the camera frame seen from the current pose.
     pub fn image(&self) -> Image {
         let s = self.body.state();
-        camera::render(&self.world, s.position, s.yaw(), &self.config.camera)
+        self.camera.render(&self.world, s.position, s.yaw())
     }
 
     /// Samples the IMU.
@@ -329,7 +332,7 @@ impl UavSim {
 
     /// Serializes the simulation's complete dynamic state.
     ///
-    /// Structural fields (`config`, `world`) are rebuilt from
+    /// Structural fields (`config`, `world`, `camera`) are rebuilt from
     /// `MissionConfig` on resume; everything that changes while frames
     /// step is written here, including the full trajectory log (the
     /// determinism digest covers every frame since launch, so a resumed
@@ -338,6 +341,7 @@ impl UavSim {
         let UavSim {
             config: _,
             world: _,
+            camera: _,
             body,
             autopilot,
             imu,

@@ -1,16 +1,25 @@
 //! Corridor environments and geometric queries.
 //!
-//! Two environments are modeled after Section 4.2.3 / Figure 9:
+//! Two environments are modeled after Section 4.2.3 / Figure 9, and a
+//! third extends them:
 //!
 //! * `tunnel` — a straight corridor 50 m long and 3.2 m wide (boundaries at
 //!   y = ±1.6 m, as in Figure 10).
 //! * `s-shape` — an "S" shaped corridor of ~80 m; the mission is completed
 //!   upon reaching x = 80 (Figure 11). The map is wider (6 m) but requires
 //!   constant correction.
+//! * `slalom` — a straight 60 m corridor with pillars alternating sides.
 //!
 //! Worlds are built from 2-D wall segments extruded to a fixed height, plus
 //! a centerline polyline used for ground-truth perception queries (lateral
 //! offset and heading error relative to the trail).
+//!
+//! The walls are indexed by a uniform grid built once with the world, whose
+//! cell edge is the median wall length. [`World::raycast`] walks the cells
+//! along the ray and [`World::collides`] reads the cells under the body's
+//! bounding box; both return exactly what a scan over every wall returns.
+//! The grid is derived from the walls, so it is never snapshotted: a
+//! resumed mission rebuilds its `World` from the mission config.
 
 use rose_sim_core::math::{clamp, wrap_angle, Vec3};
 use serde::{Deserialize, Serialize};
@@ -165,11 +174,150 @@ pub struct TrailQuery {
     pub half_width: f64,
 }
 
+/// Padding, in meters, on each wall's bounding box when the wall is listed
+/// in the grid. It is far wider than the rounding error of a computed hit
+/// or closest point, so a wall is listed in every cell such a point can be
+/// placed in, and a query that reads those cells meets the wall.
+const GRID_PAD: f64 = 1e-6;
+
+/// A uniform grid over a world's walls: each cell lists every wall whose
+/// padded bounding box overlaps it.
+#[derive(Debug, Clone, PartialEq)]
+struct WallGrid {
+    /// Lower corner of cell (0, 0): the walls' minimum x and y.
+    min: P2,
+    /// Cell edge in meters: the median wall length.
+    cell: f64,
+    /// Cells along x.
+    nx: usize,
+    /// Cells along y.
+    ny: usize,
+    /// Cell `iy * nx + ix` lists `walls[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    /// Wall indices, ascending within each cell.
+    walls: Vec<u32>,
+}
+
+impl WallGrid {
+    fn new(walls: &[Wall]) -> WallGrid {
+        let mut min = P2::new(f64::INFINITY, f64::INFINITY);
+        let mut max = P2::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for p in walls.iter().flat_map(|w| [w.a, w.b]) {
+            min = P2::new(min.x.min(p.x), min.y.min(p.y));
+            max = P2::new(max.x.max(p.x), max.y.max(p.y));
+        }
+        let mut lengths: Vec<f64> = walls.iter().map(|w| w.b.sub(w.a).norm()).collect();
+        lengths.sort_by(f64::total_cmp);
+        let cell = lengths
+            .get(lengths.len() / 2)
+            .copied()
+            .filter(|&median| median > 0.0)
+            .expect("a world's median wall has a positive length");
+        let cells = |extent: f64| ((extent / cell).ceil() as usize).max(1);
+        let (nx, ny) = (cells(max.x - min.x), cells(max.y - min.y));
+        let mut grid = WallGrid {
+            min,
+            cell,
+            nx,
+            ny,
+            offsets: Vec::new(),
+            walls: Vec::new(),
+        };
+        // The cells a wall's padded bounding box overlaps.
+        let cells_of = |w: &Wall| {
+            let xs = grid.span(w.a.x.min(w.b.x) - GRID_PAD, w.a.x.max(w.b.x) + GRID_PAD, 0);
+            let ys = grid.span(w.a.y.min(w.b.y) - GRID_PAD, w.a.y.max(w.b.y) + GRID_PAD, 1);
+            ys.flat_map(move |iy| xs.clone().map(move |ix| iy * nx + ix))
+        };
+        // Count each cell's walls, then fill the flat list in wall order.
+        let mut offsets = vec![0u32; nx * ny + 1];
+        for c in walls.iter().flat_map(cells_of) {
+            offsets[c + 1] += 1;
+        }
+        for c in 1..offsets.len() {
+            offsets[c] += offsets[c - 1];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![0; offsets[nx * ny] as usize];
+        for (i, w) in walls.iter().enumerate() {
+            for c in cells_of(w) {
+                ids[next[c] as usize] = i as u32;
+                next[c] += 1;
+            }
+        }
+        grid.offsets = offsets;
+        grid.walls = ids;
+        grid
+    }
+
+    /// The column (`axis` 0) or row (`axis` 1) holding coordinate `v`,
+    /// clamped into the grid. It truncates after a sign check because
+    /// `f64::floor` is a libm call on the baseline x86-64 target.
+    fn index(&self, v: f64, axis: usize) -> usize {
+        let (lo, n) = if axis == 0 {
+            (self.min.x, self.nx)
+        } else {
+            (self.min.y, self.ny)
+        };
+        let f = (v - lo) / self.cell;
+        if f >= 0.0 {
+            (f as usize).min(n - 1)
+        } else {
+            0
+        }
+    }
+
+    /// The columns or rows overlapping `[lo, hi]`, clamped into the grid.
+    fn span(&self, lo: f64, hi: f64, axis: usize) -> std::ops::RangeInclusive<usize> {
+        self.index(lo, axis)..=self.index(hi, axis)
+    }
+
+    /// The walls listed in cells `first..=last` (consecutive in one row).
+    fn cells(&self, first: usize, last: usize) -> &[u32] {
+        &self.walls[self.offsets[first] as usize..self.offsets[last + 1] as usize]
+    }
+
+    /// True if the grid is a single cell, which lists every wall.
+    fn is_one_cell(&self) -> bool {
+        self.nx * self.ny == 1
+    }
+}
+
+/// The nearer of `best` and every hit of the walls `ids` along the ray.
+fn nearest_hit(
+    walls: &[Wall],
+    ids: &[u32],
+    origin: P2,
+    (dx, dy): (f64, f64),
+    best: Option<f64>,
+) -> Option<f64> {
+    ids.iter()
+        .filter_map(|&i| walls[i as usize].raycast(origin, dx, dy))
+        .fold(best, |best, t| match best {
+            Some(b) if b.total_cmp(&t).is_le() => Some(b),
+            _ => Some(t),
+        })
+}
+
+/// The ray's step along one axis from cell `i`: the index step, the ray
+/// distance to the cell's exit boundary, and the ray distance per cell.
+fn dda_axis(origin: f64, d: f64, lo: f64, cell: f64, i: usize) -> (isize, f64, f64) {
+    if d > 0.0 {
+        (1, (lo + (i + 1) as f64 * cell - origin) / d, cell / d)
+    } else if d < 0.0 {
+        (-1, (lo + i as f64 * cell - origin) / d, -cell / d)
+    } else {
+        (0, f64::INFINITY, f64::INFINITY)
+    }
+}
+
 /// An environment: walls, a centerline, and mission geometry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct World {
     kind: WorldKind,
     walls: Vec<Wall>,
+    /// Index over `walls`, derived from them when the world is made.
+    grid: WallGrid,
     /// Centerline polyline (ordered along the corridor).
     centerline: Vec<P2>,
     /// Cumulative arc length at each centerline vertex.
@@ -301,6 +449,7 @@ impl World {
         }
         World {
             kind,
+            grid: WallGrid::new(&walls),
             walls,
             centerline,
             arclen,
@@ -347,6 +496,9 @@ impl World {
 
     /// Distance from `p` to the nearest wall, and the push-out direction
     /// (unit vector from the wall's closest point towards `p`).
+    ///
+    /// A scan over every wall, not a grid query: it runs only while the UAV
+    /// is in wall contact.
     pub fn nearest_wall(&self, p: P2) -> (f64, P2) {
         let mut best = (f64::INFINITY, P2::default());
         for w in &self.walls {
@@ -365,18 +517,64 @@ impl World {
 
     /// Casts a horizontal ray from `origin` at world `heading` radians and
     /// returns the distance to the first wall, or `None` on a miss.
+    ///
+    /// The ray walks the wall grid cell by cell (2-D DDA) and stops once
+    /// its nearest hit is no farther than where it leaves the current cell,
+    /// or once it leaves the grid. A hit point lies in a cell the ray
+    /// crosses and every cell lists the walls near it, so the minimum
+    /// (under `total_cmp`) is the one a scan over every wall finds. An
+    /// origin outside the grid scans.
     pub fn raycast(&self, origin: P2, heading: f64) -> Option<f64> {
-        let (dx, dy) = (heading.cos(), heading.sin());
-        self.walls
-            .iter()
-            .filter_map(|w| w.raycast(origin, dx, dy))
-            .min_by(|a, b| a.total_cmp(b))
+        let dir = (heading.cos(), heading.sin());
+        let scan = || {
+            self.walls
+                .iter()
+                .filter_map(|w| w.raycast(origin, dir.0, dir.1))
+                .min_by(|a, b| a.total_cmp(b))
+        };
+        let g = &self.grid;
+        if g.is_one_cell() {
+            return scan();
+        }
+        let fx = (origin.x - g.min.x) / g.cell;
+        let fy = (origin.y - g.min.y) / g.cell;
+        // Written so that a NaN origin or direction also scans.
+        let inside = fx >= 0.0 && fx < g.nx as f64 && fy >= 0.0 && fy < g.ny as f64;
+        if !(inside && dir.0.is_finite() && dir.1.is_finite()) {
+            return scan();
+        }
+        let (mut ix, mut iy) = (fx as usize, fy as usize);
+        let (step_x, mut exit_x, delta_x) = dda_axis(origin.x, dir.0, g.min.x, g.cell, ix);
+        let (step_y, mut exit_y, delta_y) = dda_axis(origin.y, dir.1, g.min.y, g.cell, iy);
+        let mut best = None;
+        loop {
+            let c = iy * g.nx + ix;
+            best = nearest_hit(&self.walls, g.cells(c, c), origin, dir, best);
+            // A finite heading has a nonzero cos or sin, so one exit is
+            // finite and every pass moves one cell until the ray leaves.
+            if best.is_some_and(|b| b <= exit_x.min(exit_y)) {
+                return best;
+            }
+            let (i, n, step) = if exit_x < exit_y {
+                exit_x += delta_x;
+                (&mut ix, g.nx, step_x)
+            } else {
+                exit_y += delta_y;
+                (&mut iy, g.ny, step_y)
+            };
+            match i.checked_add_signed(step) {
+                Some(next) if next < n => *i = next,
+                _ => return best,
+            }
+        }
     }
 
     /// Ground-truth trail query for a pose (position + heading).
     ///
     /// Finds the closest centerline point and reports signed lateral offset,
     /// heading error relative to the local tangent, and arc-length progress.
+    /// A scan over every centerline segment, not a grid query: it runs once
+    /// per camera frame.
     pub fn trail_query(&self, pos: Vec3, yaw: f64) -> TrailQuery {
         let p = P2::new(pos.x, pos.y);
         let mut best_d = f64::INFINITY;
@@ -415,11 +613,28 @@ impl World {
 
     /// True if a UAV of `radius` at `pos` is in contact with a wall (only
     /// walls tall enough to reach `pos.z` count).
+    ///
+    /// Only the walls listed in the grid cells under the `pos ± radius` box
+    /// are tested: a wall closer than `radius` has a point inside that box.
     pub fn collides(&self, pos: Vec3, radius: f64) -> bool {
         let p = P2::new(pos.x, pos.y);
-        self.walls
-            .iter()
-            .any(|w| pos.z <= w.height && w.closest_point(p).0 < radius)
+        let touches = |&i: &u32| {
+            let w = &self.walls[i as usize];
+            pos.z <= w.height && w.closest_point(p).0 < radius
+        };
+        let g = &self.grid;
+        if g.is_one_cell() {
+            return g.walls.iter().any(touches);
+        }
+        // A radius that is not positive touches no wall; `max` keeps its
+        // box from turning inside out (and maps NaN to 0).
+        let reach = radius.max(0.0);
+        let (first, last) = (g.index(p.x - reach, 0), g.index(p.x + reach, 0));
+        g.span(p.y - reach, p.y + reach, 1).any(|iy| {
+            g.cells(iy * g.nx + first, iy * g.nx + last)
+                .iter()
+                .any(touches)
+        })
     }
 }
 
@@ -532,6 +747,29 @@ mod tests {
         let w = World::tunnel();
         assert!(!w.mission_complete(Vec3::new(49.9, 0.0, 1.0)));
         assert!(w.mission_complete(Vec3::new(50.0, 0.0, 1.0)));
+    }
+
+    #[test]
+    fn grid_shape_follows_the_median_wall() {
+        // (cells along x, cells along y, walls listed) per world.
+        for (world, nx, ny, listed) in [
+            (World::tunnel(), 1, 1, 3),
+            (World::s_shape(), 159, 30, 785),
+            (World::slalom(), 87, 7, 213),
+        ] {
+            let g = &world.grid;
+            assert_eq!(
+                (g.nx, g.ny, g.walls.len()),
+                (nx, ny, listed),
+                "{}",
+                world.kind()
+            );
+            let mut lengths: Vec<f64> = world.walls.iter().map(|w| w.b.sub(w.a).norm()).collect();
+            lengths.sort_by(f64::total_cmp);
+            assert_eq!(g.cell, lengths[lengths.len() / 2]);
+        }
+        // The tunnel's one cell lists every wall, in order.
+        assert_eq!(World::tunnel().grid.walls, [0, 1, 2]);
     }
 
     #[test]

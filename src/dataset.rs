@@ -9,7 +9,7 @@
 //! controller trained here is consistent with the closed-loop evaluation.
 
 use rose_dnn::tensor::Tensor;
-use rose_envsim::camera::{self, CameraConfig};
+use rose_envsim::camera::{Camera, CameraConfig};
 use rose_envsim::world::World;
 use rose_sim_core::math::Vec3;
 use rose_sim_core::rng::SimRng;
@@ -58,11 +58,11 @@ impl Default for DatasetConfig {
 /// randomized headings inside the target angular class.
 pub fn generate(world: &World, config: &DatasetConfig, rng: &SimRng) -> Vec<LabeledImage> {
     let mut rng = rng.split("dataset");
-    let cam = CameraConfig {
+    let cam = Camera::new(CameraConfig {
         width: config.image_size,
         height: config.image_size,
         ..CameraConfig::default()
-    };
+    });
     let half = world.half_width();
     let lat_edge = config.lateral_threshold * half;
     let mut out = Vec::with_capacity(config.per_class * 9);
@@ -85,7 +85,7 @@ pub fn generate(world: &World, config: &DatasetConfig, rng: &SimRng) -> Vec<Labe
                 // Random station along the first straight stretch.
                 let x = rng.uniform(2.0, world.goal_x() * 0.3);
                 let pos = Vec3::new(x, offset, rng.uniform(1.2, 1.8));
-                let img = camera::render(world, pos, heading_err, &cam);
+                let img = cam.render(world, pos, heading_err);
                 out.push(LabeledImage {
                     image: image_to_tensor(&img),
                     angular,
