@@ -39,10 +39,34 @@ fn main() {
     //    across ResNet14's distinct conv shapes.
     let mut t = TextTable::new(&["conv shape", "WS cycles", "OS cycles", "WS/OS"]);
     let shapes = [
-        ConvShape { in_c: 3, out_c: 48, out_h: 80, out_w: 80, ksize: 7 },
-        ConvShape { in_c: 48, out_c: 48, out_h: 40, out_w: 40, ksize: 3 },
-        ConvShape { in_c: 96, out_c: 96, out_h: 20, out_w: 20, ksize: 3 },
-        ConvShape { in_c: 384, out_c: 384, out_h: 5, out_w: 5, ksize: 3 },
+        ConvShape {
+            in_c: 3,
+            out_c: 48,
+            out_h: 80,
+            out_w: 80,
+            ksize: 7,
+        },
+        ConvShape {
+            in_c: 48,
+            out_c: 48,
+            out_h: 40,
+            out_w: 40,
+            ksize: 3,
+        },
+        ConvShape {
+            in_c: 96,
+            out_c: 96,
+            out_h: 20,
+            out_w: 20,
+            ksize: 3,
+        },
+        ConvShape {
+            in_c: 384,
+            out_c: 384,
+            out_h: 5,
+            out_w: 5,
+            ksize: 3,
+        },
     ];
     for shape in shapes {
         let run = |dataflow| {

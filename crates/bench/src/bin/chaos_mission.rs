@@ -128,7 +128,11 @@ fn check_termination(outcome: &FaultedMissionReport) -> Result<(), String> {
         let named = outcome.report.postmortems.iter().any(|pm| {
             json::parse(pm)
                 .ok()
-                .and_then(|doc| doc.get("reason").and_then(|v| v.as_str()).map(str::to_owned))
+                .and_then(|doc| {
+                    doc.get("reason")
+                        .and_then(|v| v.as_str())
+                        .map(str::to_owned)
+                })
                 .as_deref()
                 == Some("transport-fault")
         });
@@ -210,7 +214,10 @@ fn dump_reproducer(plan: &FaultPlan, path: &PathBuf) {
     let mut w = SnapWriter::new();
     plan.save_state(&mut w);
     if let Err(e) = std::fs::write(path, w.into_bytes()) {
-        eprintln!("chaos_mission: could not write reproducer {}: {e}", path.display());
+        eprintln!(
+            "chaos_mission: could not write reproducer {}: {e}",
+            path.display()
+        );
     } else {
         eprintln!("chaos_mission: reproducer written to {}", path.display());
     }
@@ -227,7 +234,10 @@ fn self_test() -> ExitCode {
         plan.events().iter().any(|e| e.kind == FaultKind::Drop)
             && plan.events().iter().any(|e| e.kind == FaultKind::Corrupt)
     };
-    assert!(oracle(&noisy), "the seeded schedule must start out violating");
+    assert!(
+        oracle(&noisy),
+        "the seeded schedule must start out violating"
+    );
     let minimal = shrink(&noisy, &mut oracle);
 
     let mut broken = false;

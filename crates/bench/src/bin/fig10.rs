@@ -3,9 +3,8 @@ use rose_bench::{mission_table, trajectories_csv, write_csv};
 
 fn main() {
     let runs = rose_bench::fig10();
-    mission_table(&runs).print(
-        "Figure 10: tunnel, ResNet14 @ 3 m/s, configs A/B/C x initial angles -20/0/+20",
-    );
+    mission_table(&runs)
+        .print("Figure 10: tunnel, ResNet14 @ 3 m/s, configs A/B/C x initial angles -20/0/+20");
     if let Some(p) = write_csv("fig10_trajectories.csv", &trajectories_csv(&runs)) {
         println!("wrote {}", p.display());
     }

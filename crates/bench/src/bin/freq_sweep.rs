@@ -6,8 +6,8 @@ use rose::mission::{run_mission, MissionConfig};
 use rose_bench::{default_jobs, parallel_map, with_timing_cache, write_csv, TextTable};
 use rose_dnn::lower::time_inference;
 use rose_dnn::DnnModel;
-use rose_sim_core::cycles::ClockSpec;
 use rose_sim_core::csv::CsvLog;
+use rose_sim_core::cycles::ClockSpec;
 use rose_socsim::SocConfig;
 
 fn main() {

@@ -25,7 +25,10 @@ fn main() {
     // control loop alone. All six runs are independent, so they share the
     // sweep worker pool.
     let mut scenarios = Vec::new();
-    for (ci, soc) in [SocConfig::config_a(), SocConfig::config_b()].iter().enumerate() {
+    for (ci, soc) in [SocConfig::config_a(), SocConfig::config_b()]
+        .iter()
+        .enumerate()
+    {
         for bg_ops in [0u32, 1, 4] {
             scenarios.push((ci, soc.clone(), bg_ops));
         }
@@ -65,7 +68,12 @@ fn main() {
             format!("{idle:.2}"),
             telemetry.to_string(),
         ]);
-        csv.row(&[ci as f64, bg_ops as f64, r.mean_latency_ms, telemetry as f64]);
+        csv.row(&[
+            ci as f64,
+            bg_ops as f64,
+            r.mean_latency_ms,
+            telemetry as f64,
+        ]);
     }
     t.print("Extension: multi-tenant core sharing (tunnel, ResNet14 @ 3 m/s)");
     println!("the telemetry tenant recovers the control loop's idle cycles (idle frac");

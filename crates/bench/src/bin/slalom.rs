@@ -3,15 +3,21 @@
 
 use rose::app::ControllerChoice;
 use rose::mission::{run_mission, MissionConfig};
-use rose_bench::{mission_table, write_csv, trajectories_csv, LabeledRun};
+use rose_bench::{mission_table, trajectories_csv, write_csv, LabeledRun};
 use rose_dnn::DnnModel;
 use rose_envsim::WorldKind;
 
 fn main() {
     let mut runs = Vec::new();
     for (label, controller) in [
-        ("static-ResNet14", ControllerChoice::Static(DnnModel::ResNet14)),
-        ("static-ResNet6", ControllerChoice::Static(DnnModel::ResNet6)),
+        (
+            "static-ResNet14",
+            ControllerChoice::Static(DnnModel::ResNet14),
+        ),
+        (
+            "static-ResNet6",
+            ControllerChoice::Static(DnnModel::ResNet6),
+        ),
         ("dynamic", ControllerChoice::dynamic_default()),
     ] {
         for velocity in [3.0, 5.0] {

@@ -120,13 +120,8 @@ pub fn fig10() -> Vec<LabeledRun> {
     let scenarios: Vec<(String, MissionSnapshot, f64)> = boots
         .into_iter()
         .flat_map(|(config, snap)| {
-            [-20.0, 0.0, 20.0].map(|yaw| {
-                (
-                    format!("{}/yaw{:+.0}", config.name, yaw),
-                    snap.clone(),
-                    yaw,
-                )
-            })
+            [-20.0, 0.0, 20.0]
+                .map(|yaw| (format!("{}/yaw{:+.0}", config.name, yaw), snap.clone(), yaw))
         })
         .collect();
     parallel_map(scenarios, default_jobs(), |(label, snap, yaw)| {
@@ -184,8 +179,14 @@ pub fn fig12() -> Vec<(f64, MissionReport)> {
 /// accelerator activity factor.
 pub fn fig13() -> Vec<LabeledRun> {
     let scenarios = [
-        ("static-ResNet14", ControllerChoice::Static(DnnModel::ResNet14)),
-        ("static-ResNet6", ControllerChoice::Static(DnnModel::ResNet6)),
+        (
+            "static-ResNet14",
+            ControllerChoice::Static(DnnModel::ResNet14),
+        ),
+        (
+            "static-ResNet6",
+            ControllerChoice::Static(DnnModel::ResNet6),
+        ),
         ("dynamic", ControllerChoice::dynamic_default()),
     ]
     .into_iter()

@@ -21,7 +21,11 @@ fn table3_rows_are_ordered_and_positive() {
         assert!(w[0].accuracy < w[1].accuracy);
     }
     for r in &rows {
-        assert!(r.rocket_ms > r.boom_ms, "{}: Rocket must be slower", r.model);
+        assert!(
+            r.rocket_ms > r.boom_ms,
+            "{}: Rocket must be slower",
+            r.model
+        );
     }
 }
 

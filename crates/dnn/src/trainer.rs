@@ -98,8 +98,7 @@ impl SoftmaxHead {
         let mut logits = [0.0f32; 3];
         for (c, logit) in logits.iter_mut().enumerate() {
             let row = &self.weights[c * self.dim..(c + 1) * self.dim];
-            *logit = self.biases[c]
-                + row.iter().zip(features).map(|(w, x)| w * x).sum::<f32>();
+            *logit = self.biases[c] + row.iter().zip(features).map(|(w, x)| w * x).sum::<f32>();
         }
         let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let exps = logits.map(|l| (l - max).exp());
@@ -130,10 +129,7 @@ impl SoftmaxHead {
             for c in 0..3 {
                 let err = p[c] - (c == label) as u8 as f32;
                 grad_b[c] += err;
-                for (g, &xv) in grad_w[c * self.dim..(c + 1) * self.dim]
-                    .iter_mut()
-                    .zip(x)
-                {
+                for (g, &xv) in grad_w[c * self.dim..(c + 1) * self.dim].iter_mut().zip(x) {
                     *g += err * xv;
                 }
             }

@@ -12,7 +12,7 @@
 //! and writes each column straight into the row-major pixel buffer. Each
 //! ray is a [`World::raycast`], which walks the world's wall grid.
 
-use crate::world::{P2, World};
+use crate::world::{World, P2};
 use rose_sim_core::math::Vec3;
 use serde::{Deserialize, Serialize};
 

@@ -235,8 +235,7 @@ impl QuadrotorBody {
         let tau_y = l * ((rl + rr) - (fl + fr));
         // yaw from rotor drag torque: CCW motors (fl, rr) push -z torque.
         let tau_z = p.torque_coeff * ((fr + rl) - (fl + rr));
-        let torque = Vec3::new(tau_x, tau_y, tau_z)
-            - self.state.angular_velocity * p.angular_drag;
+        let torque = Vec3::new(tau_x, tau_y, tau_z) - self.state.angular_velocity * p.angular_drag;
 
         // Angular dynamics (diagonal inertia, gyroscopic term included).
         let i = p.inertia;
@@ -248,7 +247,10 @@ impl QuadrotorBody {
             (torque.z - (w.cross(i_w)).z) / i.z,
         );
         self.state.angular_velocity += w_dot * dt;
-        self.state.attitude = self.state.attitude.integrate(self.state.angular_velocity, dt);
+        self.state.attitude = self
+            .state
+            .attitude
+            .integrate(self.state.angular_velocity, dt);
 
         // Linear dynamics: thrust along body +z, gravity, drag.
         let thrust_world = self.state.attitude.rotate(Vec3::Z) * total_thrust;
@@ -276,7 +278,10 @@ impl QuadrotorBody {
         let total: f64 = self.motor_thrust.iter().sum();
         let drag_world = -self.state.velocity * self.params.linear_drag;
         let f_world = self.state.attitude.rotate(Vec3::Z) * total + drag_world;
-        self.state.attitude.conjugate().rotate(f_world / self.params.mass)
+        self.state
+            .attitude
+            .conjugate()
+            .rotate(f_world / self.params.mass)
     }
 }
 
@@ -301,8 +306,16 @@ mod tests {
             body.step(hover_cmd(&p), dt);
         }
         let s = body.state();
-        assert!((s.position.z - 2.0).abs() < 0.05, "z drifted to {}", s.position.z);
-        assert!(s.velocity.norm() < 0.02, "residual velocity {}", s.velocity.norm());
+        assert!(
+            (s.position.z - 2.0).abs() < 0.05,
+            "z drifted to {}",
+            s.position.z
+        );
+        assert!(
+            s.velocity.norm() < 0.02,
+            "residual velocity {}",
+            s.velocity.norm()
+        );
     }
 
     #[test]

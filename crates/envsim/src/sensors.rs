@@ -7,7 +7,7 @@
 //! inertial sensor models.
 
 use crate::dynamics::QuadrotorBody;
-use crate::world::{P2, World};
+use crate::world::{World, P2};
 use rose_sim_core::math::Vec3;
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
@@ -129,7 +129,9 @@ impl Imu {
             )
         };
         ImuSample {
-            accel: body.specific_force() + self.accel_bias + noise(self.config.accel_noise, &mut self.rng),
+            accel: body.specific_force()
+                + self.accel_bias
+                + noise(self.config.accel_noise, &mut self.rng),
             gyro: body.state().angular_velocity
                 + self.gyro_bias
                 + noise(self.config.gyro_noise, &mut self.rng),

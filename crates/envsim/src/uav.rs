@@ -10,12 +10,12 @@ use crate::api::{Pose, VelocityTarget};
 use crate::camera::{Camera, CameraConfig, Image};
 use crate::dynamics::{MotorCommand, QuadrotorBody, QuadrotorParams, RigidBodyState};
 use crate::sensors::{DepthConfig, DepthSample, DepthSensor, Imu, ImuConfig, ImuSample};
-use crate::world::{P2, World};
+use crate::world::{World, P2};
 use rose_sim_core::cycles::FrameSpec;
 use rose_sim_core::math::{Quat, Vec3};
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use rose_trace::{ArgValue, TraceEvent, Track, Tracer};
+use rose_trace::{ArgValue, TraceEvent, Tracer, Track};
 use serde::{Deserialize, Serialize};
 
 /// The flight controller interface.
@@ -318,7 +318,8 @@ impl UavSim {
             };
         }
         let s = self.body.state();
-        self.depth.sample(&self.world, s.position, s.yaw(), self.time())
+        self.depth
+            .sample(&self.world, s.position, s.yaw(), self.time())
     }
 
     /// Sends a velocity target to the flight controller, which tracks the
@@ -442,9 +443,7 @@ impl UavSim {
         let collisions_before = self.collision_count;
         let dt = self.config.frames.dt() / self.config.substeps as f64;
         for _ in 0..self.config.substeps {
-            let cmd = self
-                .autopilot
-                .command(self.body.state(), &self.target, dt);
+            let cmd = self.autopilot.command(self.body.state(), &self.target, dt);
             self.body.step(cmd, dt);
             self.resolve_collisions();
         }
@@ -466,12 +465,8 @@ impl UavSim {
             );
             // One instant per rising edge of wall contact within this frame.
             for _ in collisions_before..self.collision_count {
-                self.tracer.instant_frames(
-                    Track::Env,
-                    "collision",
-                    start_frame + 1,
-                    Vec::new(),
-                );
+                self.tracer
+                    .instant_frames(Track::Env, "collision", start_frame + 1, Vec::new());
             }
         }
     }

@@ -367,8 +367,8 @@ impl World {
         let mut right = Vec::new();
         for (i, &c) in centerline.iter().enumerate() {
             let x = goal * i as f64 / steps as f64;
-            let dy_dx = amplitude * std::f64::consts::PI / 40.0
-                * (std::f64::consts::PI * x / 40.0).cos();
+            let dy_dx =
+                amplitude * std::f64::consts::PI / 40.0 * (std::f64::consts::PI * x / 40.0).cos();
             let norm = (1.0 + dy_dx * dy_dx).sqrt();
             // Unit normal (pointing left of travel).
             let nx = -dy_dx / norm;
@@ -409,10 +409,26 @@ impl World {
             let side = if i % 2 == 0 { -1.0 } else { 1.0 };
             let py = side * 0.8;
             let r = 0.4; // pillar half-size
-            walls.push(Wall::new(P2::new(px - r, py - r), P2::new(px + r, py - r), h));
-            walls.push(Wall::new(P2::new(px + r, py - r), P2::new(px + r, py + r), h));
-            walls.push(Wall::new(P2::new(px + r, py + r), P2::new(px - r, py + r), h));
-            walls.push(Wall::new(P2::new(px - r, py + r), P2::new(px - r, py - r), h));
+            walls.push(Wall::new(
+                P2::new(px - r, py - r),
+                P2::new(px + r, py - r),
+                h,
+            ));
+            walls.push(Wall::new(
+                P2::new(px + r, py - r),
+                P2::new(px + r, py + r),
+                h,
+            ));
+            walls.push(Wall::new(
+                P2::new(px + r, py + r),
+                P2::new(px - r, py + r),
+                h,
+            ));
+            walls.push(Wall::new(
+                P2::new(px - r, py + r),
+                P2::new(px - r, py - r),
+                h,
+            ));
             // Trail swings to the free side at the pillar, back to center
             // midway to the next.
             centerline.push(P2::new(*px, -side * 1.1));
@@ -736,9 +752,7 @@ mod tests {
         let q = w.trail_query(Vec3::new(12.0, 1.1, 1.0), 0.0);
         assert!(q.lateral_offset.abs() < 0.2, "offset {}", q.lateral_offset);
         // The depth sensor sees the pillar when heading straight at it.
-        let d = w
-            .raycast(P2::new(8.0, -0.8), 0.0)
-            .expect("pillar in view");
+        let d = w.raycast(P2::new(8.0, -0.8), 0.0).expect("pillar in view");
         assert!((d - 3.6).abs() < 0.1, "distance to pillar face {d}");
     }
 

@@ -269,12 +269,7 @@ fn closed_loop_envelope() {
 fn passive_autopilot_lands() {
     struct NoThrust;
     impl Autopilot for NoThrust {
-        fn command(
-            &mut self,
-            _s: &RigidBodyState,
-            _t: &VelocityTarget,
-            _dt: f64,
-        ) -> MotorCommand {
+        fn command(&mut self, _s: &RigidBodyState, _t: &VelocityTarget, _dt: f64) -> MotorCommand {
             MotorCommand::uniform(0.0)
         }
     }

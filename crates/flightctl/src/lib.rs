@@ -28,9 +28,9 @@ pub mod mixer;
 use rose_envsim::api::VelocityTarget;
 use rose_envsim::dynamics::{MotorCommand, QuadrotorParams, RigidBodyState, GRAVITY};
 use rose_envsim::Autopilot;
-use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_sim_core::math::{clamp, Vec3};
 use rose_sim_core::pid::{Pid, PidConfig};
+use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
 pub use mixer::Mixer;
@@ -164,7 +164,11 @@ impl Autopilot for SimpleFlight {
         // --- Attitude P loop: body-rate targets -------------------------
         let (roll, pitch, _) = state.attitude.to_euler();
         let rate_x_des = clamp(cfg.att_kp * (roll_des - roll), -cfg.max_rate, cfg.max_rate);
-        let rate_y_des = clamp(cfg.att_kp * (pitch_des - pitch), -cfg.max_rate, cfg.max_rate);
+        let rate_y_des = clamp(
+            cfg.att_kp * (pitch_des - pitch),
+            -cfg.max_rate,
+            cfg.max_rate,
+        );
         let rate_z_des = clamp(target.yaw_rate, -cfg.max_rate, cfg.max_rate);
 
         // --- Rate PID loop: torques --------------------------------------
@@ -237,7 +241,11 @@ mod tests {
         sim.step_frames(300); // 5 s
         let p = sim.pose();
         assert!((p.position.z - 1.5).abs() < 0.15, "z = {}", p.position.z);
-        assert!(p.velocity.norm() < 0.2, "residual v = {}", p.velocity.norm());
+        assert!(
+            p.velocity.norm() < 0.2,
+            "residual v = {}",
+            p.velocity.norm()
+        );
         assert_eq!(sim.collision_count(), 0);
     }
 

@@ -151,9 +151,7 @@ impl FaultPlan {
 
     /// Adds one event in place.
     pub fn push(&mut self, at_quantum: u64, kind: FaultKind) {
-        let idx = self
-            .events
-            .partition_point(|e| e.at_quantum <= at_quantum);
+        let idx = self.events.partition_point(|e| e.at_quantum <= at_quantum);
         self.events.insert(idx, FaultEvent { at_quantum, kind });
     }
 
@@ -574,11 +572,7 @@ mod tests {
         };
         assert_eq!(seq, 0, "corruption must not touch the sequence number");
         let clean = vec![0x55u8; 4];
-        let diffs = payload
-            .iter()
-            .zip(&clean)
-            .filter(|(a, b)| a != b)
-            .count();
+        let diffs = payload.iter().zip(&clean).filter(|(a, b)| a != b).count();
         assert_eq!(diffs, 1, "exactly one byte flipped");
         assert_eq!(faulty.stats().corrupted, 1);
     }

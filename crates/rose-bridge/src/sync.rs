@@ -27,8 +27,8 @@ use crate::transport::{Transport, TransportError};
 use rose_sim_core::cycles::SyncRatio;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{
-    ArgValue, LogHistogram, MetricRegistry, MetricSource, Phase, Profiler, Stopwatch, Track,
-    TraceEvent, Tracer,
+    ArgValue, LogHistogram, MetricRegistry, MetricSource, Phase, Profiler, Stopwatch, TraceEvent,
+    Tracer, Track,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -1259,8 +1259,8 @@ mod tests {
     /// stamped in simulated time; an untraced run records nothing.
     #[test]
     fn synchronizer_traces_quanta_and_packets() {
-        use rose_trace::{EventKind, TraceClock};
         use rose_sim_core::cycles::{ClockSpec, FrameSpec};
+        use rose_trace::{EventKind, TraceClock};
 
         let mut sync = Synchronizer::new(config(2), EchoEnv::default(), LoopRtl::default());
         sync.set_tracer(Tracer::enabled(TraceClock::new(
@@ -1278,7 +1278,10 @@ mod tests {
         assert_eq!(grants, 3);
         // Seeded packet to env + its echo back, then the echo round-trips
         // again on later periods.
-        assert_eq!(packets as u64, sync.stats().data_to_env + sync.stats().data_to_rtl);
+        assert_eq!(
+            packets as u64,
+            sync.stats().data_to_env + sync.stats().data_to_rtl
+        );
         // Quantum spans tile the cycle timeline: 20 cycles per period at
         // 600 Hz / 60 fps × 2 frames = 33_333.3 µs each.
         assert_eq!(quanta[0].ts_us, 0.0);
@@ -1323,7 +1326,9 @@ mod tests {
                     match server.recv().unwrap() {
                         Packet::Data { .. } => delivered += 1,
                         Packet::GrantCycles { cycles, quantum } => {
-                            server.send(&Packet::CyclesDone { cycles, quantum }).unwrap();
+                            server
+                                .send(&Packet::CyclesDone { cycles, quantum })
+                                .unwrap();
                             break;
                         }
                         other => panic!("unexpected packet {other:?}"),
@@ -1351,7 +1356,11 @@ mod tests {
             delivered + remote.pending_tx() as u64,
             "fault must not lose or double-count queued packets"
         );
-        assert_eq!(remote.pending_tx(), 1, "the failed period's payload stays queued");
+        assert_eq!(
+            remote.pending_tx(),
+            1,
+            "the failed period's payload stays queued"
+        );
     }
 
     /// A peer that answers a grant with a packet the synchronizer role
@@ -1436,10 +1445,18 @@ mod tests {
         assert_eq!(telemetry.quantum_wall_us.count(), 10);
         assert_eq!(telemetry.grant_latency_us.count(), 10);
         assert_eq!(telemetry.queue_depth.count(), 10);
-        assert!(telemetry.queue_depth.max().unwrap() >= 1.0, "seeded packet crossed");
+        assert!(
+            telemetry.queue_depth.max().unwrap() >= 1.0,
+            "seeded packet crossed"
+        );
 
         let profiler = sync.profiler().clone();
-        for phase in [Phase::Transport, Phase::RtlGrant, Phase::EnvStep, Phase::TraceOverhead] {
+        for phase in [
+            Phase::Transport,
+            Phase::RtlGrant,
+            Phase::EnvStep,
+            Phase::TraceOverhead,
+        ] {
             assert_eq!(profiler.count(phase), 10, "phase {}", phase.name());
         }
         // The phases are laps of one stopwatch: they tile each step, so
@@ -1452,7 +1469,10 @@ mod tests {
             registry.histogram("sync.quantum_wall_us").unwrap().count(),
             10
         );
-        assert_eq!(registry.histogram("bridge.queue_depth").unwrap().count(), 10);
+        assert_eq!(
+            registry.histogram("bridge.queue_depth").unwrap().count(),
+            10
+        );
 
         // Host telemetry is excluded from snapshots: the byte stream is
         // identical with or without it, and restore resets both.
@@ -1511,8 +1531,7 @@ mod tests {
                 rtl
             });
             let faulty = FaultyTransport::new(client, plan);
-            let mut sync =
-                Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(faulty));
+            let mut sync = Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(faulty));
             sync.rtl_mut().push_data(vec![1, 2, 3]);
             let executed = sync.run_until(10, |_| false);
             assert!(

@@ -59,10 +59,7 @@ impl TransportError {
     /// point of view, while decode and protocol errors indicate a peer
     /// speaking the wrong language — retrying those would loop forever.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            TransportError::Disconnected | TransportError::Io(_)
-        )
+        matches!(self, TransportError::Disconnected | TransportError::Io(_))
     }
 }
 
@@ -512,7 +509,10 @@ mod tests {
     /// reports, so they are contract, not cosmetics).
     #[test]
     fn transport_error_display_formats() {
-        assert_eq!(TransportError::Disconnected.to_string(), "peer disconnected");
+        assert_eq!(
+            TransportError::Disconnected.to_string(),
+            "peer disconnected"
+        );
         assert_eq!(
             TransportError::Decode(DecodeError::BadTag(0x7f)).to_string(),
             "decode error: unknown packet tag 0x7f"

@@ -135,7 +135,8 @@ pub fn lex(source: &str) -> Lexed {
                     .iter()
                     .take_while(|c| **c != '\n')
                     .collect();
-                out.comments.push((start_line, first_line.trim().to_string()));
+                out.comments
+                    .push((start_line, first_line.trim().to_string()));
             }
             // Raw / byte / byte-raw string prefixes, checked before plain
             // identifiers so `r"..."` is not lexed as ident `r`.
@@ -341,7 +342,10 @@ fn is_lifetime(bytes: &[char], i: usize) -> bool {
             // Scan the would-be identifier; if it terminates in a quote
             // it was a char literal like 'a' or a multi-char escape.
             let mut j = i + 2;
-            while bytes.get(j).is_some_and(|c| *c == '_' || c.is_alphanumeric()) {
+            while bytes
+                .get(j)
+                .is_some_and(|c| *c == '_' || c.is_alphanumeric())
+            {
                 j += 1;
             }
             bytes.get(j) != Some(&'\'')
@@ -387,8 +391,14 @@ mod tests {
 
     #[test]
     fn string_contents_are_opaque() {
-        assert_eq!(idents(r#"let x = "call unwrap() and panic!";"#), vec!["let", "x"]);
-        assert_eq!(idents(r##"let y = r#"Instant::now()"#;"##), vec!["let", "y"]);
+        assert_eq!(
+            idents(r#"let x = "call unwrap() and panic!";"#),
+            vec!["let", "x"]
+        );
+        assert_eq!(
+            idents(r##"let y = r#"Instant::now()"#;"##),
+            vec!["let", "y"]
+        );
         assert_eq!(idents("let z = b\"HashMap\";"), vec!["let", "z"]);
     }
 
@@ -430,11 +440,7 @@ mod tests {
             .filter(|t| t.tok == Tok::Punct("."))
             .count();
         assert_eq!(dots, 2);
-        let numbers = lexed
-            .tokens
-            .iter()
-            .filter(|t| t.tok == Tok::Number)
-            .count();
+        let numbers = lexed.tokens.iter().filter(|t| t.tok == Tok::Number).count();
         assert_eq!(numbers, 3); // 0, 10, 1.5e-3
     }
 
@@ -469,7 +475,11 @@ mod tests {
         assert_eq!(idents_and_parse(src2), vec!["let", "t"]);
         let lexed = lex(src2);
         assert_eq!(
-            lexed.tokens.iter().filter(|t| t.tok == Tok::Literal).count(),
+            lexed
+                .tokens
+                .iter()
+                .filter(|t| t.tok == Tok::Literal)
+                .count(),
             1
         );
     }
@@ -496,7 +506,11 @@ mod tests {
         );
         let lexed = lex(src);
         assert_eq!(
-            lexed.tokens.iter().filter(|t| t.tok == Tok::Literal).count(),
+            lexed
+                .tokens
+                .iter()
+                .filter(|t| t.tok == Tok::Literal)
+                .count(),
             3
         );
         // Same for the char (non-byte) spelling.
@@ -508,12 +522,20 @@ mod tests {
         let src = "fn f<'a, 'b>(x: Map<'a, K<'b>>, c: char) -> bool { c == 'a' }";
         let lexed = lex(src);
         assert_eq!(
-            lexed.tokens.iter().filter(|t| t.tok == Tok::Lifetime).count(),
+            lexed
+                .tokens
+                .iter()
+                .filter(|t| t.tok == Tok::Lifetime)
+                .count(),
             4,
             "'a, 'b in the params and the two uses in the types"
         );
         assert_eq!(
-            lexed.tokens.iter().filter(|t| t.tok == Tok::Literal).count(),
+            lexed
+                .tokens
+                .iter()
+                .filter(|t| t.tok == Tok::Literal)
+                .count(),
             1,
             "only the 'a' comparison at the end is a char literal"
         );

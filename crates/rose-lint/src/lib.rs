@@ -376,7 +376,12 @@ mod tests {
 let v = x.unwrap();
 let w = y.unwrap();
 ";
-        let found = lint_source("crates/rose-bridge/src/x.rs", src, &Config::default(), false);
+        let found = lint_source(
+            "crates/rose-bridge/src/x.rs",
+            src,
+            &Config::default(),
+            false,
+        );
         // Line 2 suppressed; line 3 still fires.
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 3);
@@ -386,7 +391,12 @@ let w = y.unwrap();
     #[test]
     fn annotation_without_reason_does_not_suppress_and_is_flagged() {
         let src = "// rose-lint: allow(PANIC001)\nlet v = x.unwrap();\n";
-        let found = lint_source("crates/rose-bridge/src/x.rs", src, &Config::default(), false);
+        let found = lint_source(
+            "crates/rose-bridge/src/x.rs",
+            src,
+            &Config::default(),
+            false,
+        );
         let rules: Vec<&str> = found.iter().map(|f| f.rule).collect();
         assert_eq!(rules, vec!["ANN001", "PANIC001"]);
     }
@@ -394,7 +404,12 @@ let w = y.unwrap();
     #[test]
     fn annotation_for_the_wrong_rule_does_not_suppress_and_goes_stale() {
         let src = "// rose-lint: allow(DET001, not the right rule)\nlet v = x.unwrap();\n";
-        let found = lint_source("crates/rose-bridge/src/x.rs", src, &Config::default(), false);
+        let found = lint_source(
+            "crates/rose-bridge/src/x.rs",
+            src,
+            &Config::default(),
+            false,
+        );
         let rules: Vec<&str> = found.iter().map(|f| f.rule).collect();
         // The unwrap fires (wrong rule), and the DET001 allow — suppressing
         // nothing — is itself stale.
@@ -404,7 +419,12 @@ let w = y.unwrap();
     #[test]
     fn malformed_annotation_is_flagged() {
         let src = "// rose-lint: alow(PANIC001, typo)\nlet a = 1;\n";
-        let found = lint_source("crates/rose-bridge/src/x.rs", src, &Config::default(), false);
+        let found = lint_source(
+            "crates/rose-bridge/src/x.rs",
+            src,
+            &Config::default(),
+            false,
+        );
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "ANN001");
     }
@@ -425,7 +445,12 @@ let w = y.unwrap();
     fn ann002_flags_a_used_up_annotation() {
         // The unwrap was fixed, the annotation lingers: stale.
         let src = "// rose-lint: allow(PANIC001, tag validated above)\nlet v = x;\n";
-        let found = lint_source("crates/rose-bridge/src/x.rs", src, &Config::default(), false);
+        let found = lint_source(
+            "crates/rose-bridge/src/x.rs",
+            src,
+            &Config::default(),
+            false,
+        );
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "ANN002");
         assert!(found[0].message.contains("PANIC001"));
@@ -436,7 +461,12 @@ let w = y.unwrap();
         // Rules never fire inside #[cfg(test)], so an annotation there is
         // documentation, not a stale suppression.
         let src = "#[cfg(test)]\nmod tests {\n // rose-lint: allow(PANIC001, test helper)\n fn t() { x.unwrap(); }\n}\n";
-        let found = lint_source("crates/rose-bridge/src/x.rs", src, &Config::default(), false);
+        let found = lint_source(
+            "crates/rose-bridge/src/x.rs",
+            src,
+            &Config::default(),
+            false,
+        );
         assert!(found.is_empty(), "unexpected: {found:?}");
     }
 

@@ -78,7 +78,10 @@ fn main() -> ExitCode {
         print!("{}", output::render(&diagnostics, format));
         let mut broken = false;
         for (rule, _, _) in ALL_RULES {
-            let hits = diagnostics.iter().filter(|d| d.finding.rule == *rule).count();
+            let hits = diagnostics
+                .iter()
+                .filter(|d| d.finding.rule == *rule)
+                .count();
             if hits == 0 {
                 eprintln!("self-test BROKEN: rule {rule} did not fire on the seeded fixture");
                 broken = true;

@@ -125,7 +125,9 @@ fn gh_property(s: &str) -> String {
 /// Escapes workflow-command *data* (the message after `::`): only `%`
 /// and newlines are special there.
 fn gh_data(s: &str) -> String {
-    s.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
+    s.replace('%', "%25")
+        .replace('\r', "%0D")
+        .replace('\n', "%0A")
 }
 
 #[cfg(test)]
@@ -192,7 +194,9 @@ mod tests {
         let doc = rose_trace::json::parse(&text).expect("empty JSON must parse");
         assert_eq!(doc.get("count").and_then(|c| c.as_f64()), Some(0.0));
         assert_eq!(
-            doc.get("findings").and_then(|f| f.as_array()).map(<[_]>::len),
+            doc.get("findings")
+                .and_then(|f| f.as_array())
+                .map(<[_]>::len),
             Some(0)
         );
     }
@@ -222,10 +226,7 @@ mod tests {
     fn text_format_matches_display() {
         let diagnostics = sample();
         let text = render(&diagnostics, Format::Text);
-        assert_eq!(
-            text,
-            format!("{}\n{}\n", diagnostics[0], diagnostics[1])
-        );
+        assert_eq!(text, format!("{}\n{}\n", diagnostics[0], diagnostics[1]));
         assert_eq!(render(&[], Format::Text), "");
     }
 

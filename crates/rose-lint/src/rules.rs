@@ -50,8 +50,7 @@ const CYCLE_ARITH_FILES: &[&str] = &[
 /// Paths where a panic is a protocol hole, not a programming aid: the
 /// transport/bridge/synchronizer hot paths must latch faults instead
 /// (PANIC001 scope, and PANIC002's roots).
-pub const FAULT_PATH_PREFIXES: &[&str] =
-    &["crates/rose-bridge/src", "crates/socsim/src/bridge.rs"];
+pub const FAULT_PATH_PREFIXES: &[&str] = &["crates/rose-bridge/src", "crates/socsim/src/bridge.rs"];
 
 /// Panicking macros (PANIC001's and PANIC002's `name!` sites).
 pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -192,7 +191,11 @@ fn det002(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     for i in live(file) {
         if let Some(name @ ("HashMap" | "HashSet")) = ident(&tokens[i]) {
-            let replacement = if name == "HashMap" { "BTreeMap" } else { "BTreeSet" };
+            let replacement = if name == "HashMap" {
+                "BTreeMap"
+            } else {
+                "BTreeSet"
+            };
             out.push(Finding {
                 rule: "DET002",
                 line: tokens[i].line,
@@ -216,7 +219,10 @@ fn panic001(file: &SourceFile) -> Vec<Finding> {
     for i in live(file) {
         // `.unwrap()` / `.expect(` method calls.
         if tokens[i].tok == Tok::Punct(".")
-            && matches!(tokens.get(i + 1).and_then(ident), Some("unwrap") | Some("expect"))
+            && matches!(
+                tokens.get(i + 1).and_then(ident),
+                Some("unwrap") | Some("expect")
+            )
             && tokens.get(i + 2).map(|t| &t.tok) == Some(&Tok::Punct("("))
         {
             let which = ident(&tokens[i + 1]).unwrap_or("unwrap");
@@ -647,7 +653,8 @@ mod tests {
         assert!(findings("SNAP001", exhaustive).is_empty());
 
         // `..` anywhere outside save_state/restore_state is out of scope.
-        let elsewhere = "fn rebuild(&self) -> Config {\n Config { name: x, ..Config::default() }\n}";
+        let elsewhere =
+            "fn rebuild(&self) -> Config {\n Config { name: x, ..Config::default() }\n}";
         assert!(findings("SNAP001", elsewhere).is_empty());
     }
 
@@ -658,13 +665,25 @@ mod tests {
         assert!(applies_to("DET001", "crates/envsim/src/world.rs", false));
         assert!(applies_to("DET002", "crates/socsim/src/soc.rs", false));
         assert!(!applies_to("DET002", "crates/bench/src/lib.rs", false));
-        assert!(applies_to("PANIC001", "crates/rose-bridge/src/sync.rs", false));
+        assert!(applies_to(
+            "PANIC001",
+            "crates/rose-bridge/src/sync.rs",
+            false
+        ));
         assert!(applies_to("PANIC001", "crates/socsim/src/bridge.rs", false));
         assert!(!applies_to("PANIC001", "crates/socsim/src/soc.rs", false));
-        assert!(applies_to("FAULT001", "crates/rose-bridge/src/faults.rs", false));
+        assert!(applies_to(
+            "FAULT001",
+            "crates/rose-bridge/src/faults.rs",
+            false
+        ));
         assert!(applies_to("FAULT001", "crates/socsim/src/bridge.rs", false));
         assert!(!applies_to("FAULT001", "crates/rose/src/mission.rs", false));
-        assert!(applies_to("CAST001", "crates/sim-core/src/cycles.rs", false));
+        assert!(applies_to(
+            "CAST001",
+            "crates/sim-core/src/cycles.rs",
+            false
+        ));
         assert!(!applies_to("CAST001", "crates/sim-core/src/rng.rs", false));
         assert!(applies_to("CAST001", "crates/sim-core/src/rng.rs", true));
         assert!(applies_to("SNAP001", "crates/socsim/src/soc.rs", false));

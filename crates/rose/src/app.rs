@@ -362,12 +362,7 @@ impl TrailNavApp {
         let lowering = LoweringConfig::default();
         let plans: Vec<(DnnModel, Vec<TargetOp>)> = models
             .iter()
-            .map(|&m| {
-                (
-                    m,
-                    lower_inference(&m.plan(), has_accelerator, &lowering),
-                )
-            })
+            .map(|&m| (m, lower_inference(&m.plan(), has_accelerator, &lowering)))
             .collect();
         let heads = models
             .iter()
@@ -493,8 +488,7 @@ impl TrailNavApp {
     /// ladder when DNN inference misses its budget.
     fn classical_command(&self, trail: TrailInfo) -> AppMessage {
         let yaw_rate = -self.gains.beta_yaw * trail.heading_error;
-        let lateral =
-            -self.gains.beta_lateral * (trail.lateral_offset / trail.half_width.max(0.1));
+        let lateral = -self.gains.beta_lateral * (trail.lateral_offset / trail.half_width.max(0.1));
         AppMessage::Command {
             forward: self.velocity,
             lateral,
@@ -861,8 +855,12 @@ mod tests {
     #[test]
     fn classical_fallback_commands_are_corrective() {
         let rng = SimRng::new(5);
-        let (app, _) =
-            TrailNavApp::new(ControllerChoice::Static(DnnModel::ResNet14), true, 3.0, &rng);
+        let (app, _) = TrailNavApp::new(
+            ControllerChoice::Static(DnnModel::ResNet14),
+            true,
+            3.0,
+            &rng,
+        );
         // Far left of the trail, pointing left: corrections must be
         // rightward (negative lateral, negative yaw) — same sign contract
         // as the DNN path, but deterministic.
@@ -886,8 +884,12 @@ mod tests {
     #[test]
     fn command_signs_are_corrective() {
         let rng = SimRng::new(5);
-        let (mut app, _) =
-            TrailNavApp::new(ControllerChoice::Static(DnnModel::ResNet34), true, 3.0, &rng);
+        let (mut app, _) = TrailNavApp::new(
+            ControllerChoice::Static(DnnModel::ResNet34),
+            true,
+            3.0,
+            &rng,
+        );
         // UAV far left of the trail and pointing left: corrections must be
         // rightward (negative lateral, negative yaw).
         let trail = TrailInfo {
@@ -923,8 +925,7 @@ mod tests {
             progress: 0.0,
         };
         let mean_yaw = |model| {
-            let (mut app, _) =
-                TrailNavApp::new(ControllerChoice::Static(model), true, 3.0, &rng);
+            let (mut app, _) = TrailNavApp::new(ControllerChoice::Static(model), true, 3.0, &rng);
             let mut sum = 0.0;
             for _ in 0..300 {
                 if let AppMessage::Command { yaw_rate, .. } = app.command_from(trail) {

@@ -211,10 +211,7 @@ mod tests {
     fn different_seeds_digest_differently() {
         let base = short(MissionConfig::default());
         let a = MissionDigest::of(&run_mission(&base));
-        let b = MissionDigest::of(&run_mission(&MissionConfig {
-            seed: 1234,
-            ..base
-        }));
+        let b = MissionDigest::of(&run_mission(&MissionConfig { seed: 1234, ..base }));
         assert_ne!(a.trajectory, b.trajectory, "seed must perturb the flight");
     }
 
@@ -298,7 +295,10 @@ mod tests {
         let a = MissionDigest::of(&run_mission(&config));
         let mut b = a;
         b.trajectory ^= 1;
-        let outcome = AuditOutcome { first: a, second: b };
+        let outcome = AuditOutcome {
+            first: a,
+            second: b,
+        };
         assert!(!outcome.identical());
         assert_eq!(outcome.diverged_surfaces(), vec!["trajectory"]);
     }

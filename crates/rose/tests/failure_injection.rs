@@ -237,11 +237,21 @@ fn abort_postmortems(report: &rose::mission::MissionReport) -> usize {
 fn sustained_blackout_walks_the_ladder_to_a_clean_abort() {
     let config = aborting();
     let report = run_mission(&config);
-    assert!(report.app.abort_requested, "the ladder must reach the abort rung");
-    assert!(!report.completed, "an aborted mission does not reach the goal");
+    assert!(
+        report.app.abort_requested,
+        "the ladder must reach the abort rung"
+    );
+    assert!(
+        !report.completed,
+        "an aborted mission does not reach the goal"
+    );
     assert!(report.app.degraded_depth >= 10);
     // The abort is documented, not silent.
-    assert_eq!(abort_postmortems(&report), 1, "exactly one abort postmortem");
+    assert_eq!(
+        abort_postmortems(&report),
+        1,
+        "exactly one abort postmortem"
+    );
 }
 
 #[test]
@@ -281,6 +291,10 @@ fn resumed_mission_still_stops_at_the_abort_rung() {
         .run_to_completion();
     assert!(resumed.app.abort_requested);
     assert_eq!(resumed.sim_time_s, straight.sim_time_s);
-    assert_eq!(abort_postmortems(&resumed), 1, "the resumed run documents its abort");
+    assert_eq!(
+        abort_postmortems(&resumed),
+        1,
+        "the resumed run documents its abort"
+    );
     assert_eq!(MissionDigest::of(&resumed), MissionDigest::of(&straight));
 }

@@ -231,7 +231,10 @@ mod tests {
     fn typed_rows_serialize_exactly() {
         let mut log = CsvLog::new(&["metric", "value"]);
         // 2^60 + 1 is not representable as f64; Int cells must not lose it.
-        log.push_row(vec![CsvCell::from("soc.cycles"), CsvCell::Int((1 << 60) + 1)]);
+        log.push_row(vec![
+            CsvCell::from("soc.cycles"),
+            CsvCell::Int((1 << 60) + 1),
+        ]);
         log.push_row(vec![CsvCell::from("ipc"), CsvCell::Float(0.75)]);
         assert_eq!(
             log.to_csv_string(),

@@ -155,8 +155,7 @@ impl Pid {
         if let Some(lim) = self.config.integral_limit {
             integral = integral.clamp(-lim, lim);
         }
-        let raw =
-            self.config.kp * error + self.config.ki * integral + self.config.kd * derivative;
+        let raw = self.config.kp * error + self.config.ki * integral + self.config.kd * derivative;
 
         let out = match self.config.output_limit {
             Some(lim) => raw.clamp(-lim, lim),

@@ -86,7 +86,10 @@ impl fmt::Display for SnapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapError::Truncated { wanted, available } => {
-                write!(f, "snapshot truncated: wanted {wanted} bytes, {available} available")
+                write!(
+                    f,
+                    "snapshot truncated: wanted {wanted} bytes, {available} available"
+                )
             }
             SnapError::BadTag { context, tag } => {
                 write!(f, "bad tag {tag:#04x} decoding {context}")
@@ -406,7 +409,11 @@ impl<'a> SnapReader<'a> {
     ///
     /// As [`SnapReader::bool`] and [`SnapReader::f64`].
     pub fn opt_f64(&mut self) -> Result<Option<f64>, SnapError> {
-        Ok(if self.bool()? { Some(self.f64()?) } else { None })
+        Ok(if self.bool()? {
+            Some(self.f64()?)
+        } else {
+            None
+        })
     }
 
     /// Reads an optional byte string.

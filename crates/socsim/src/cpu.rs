@@ -456,7 +456,10 @@ mod tests {
         let mut boom = CpuModel::new(CpuConfig::boom());
         boom.run_kernel(&k, &mut m2);
         let ipc_b = boom.stats().ipc();
-        assert!((0.8..=3.0).contains(&ipc_b), "BOOM IPC {ipc_b} out of range");
+        assert!(
+            (0.8..=3.0).contains(&ipc_b),
+            "BOOM IPC {ipc_b} out of range"
+        );
         assert!(ipc_b > ipc_r);
     }
 

@@ -103,14 +103,13 @@ pub fn energy_of(stats: &SocStats, config: &SocConfig) -> EnergyReport {
     let seconds = stats.cycles as f64 / config.clock.hz() as f64;
     // Bridge traffic is tiny next to kernel traffic; DMA bytes are folded
     // into the instruction/MAC counts' cache traffic via the L2 miss count.
-    let dram_bytes = (stats.l2.misses + stats.l2.writebacks) as f64 * 64.0
-        + stats.accel_macs as f64 * 0.15; // amortized operand re-fetch per MAC
+    let dram_bytes =
+        (stats.l2.misses + stats.l2.writebacks) as f64 * 64.0 + stats.accel_macs as f64 * 0.15; // amortized operand re-fetch per MAC
     EnergyReport {
         core_mj: stats.cpu.instrs as f64 * model.core_pj_per_instr * 1e-9,
         accel_mj: stats.accel_macs as f64 * model.accel_pj_per_mac * 1e-9,
         dram_mj: dram_bytes * model.dram_pj_per_byte * 1e-9,
-        static_mj: (model.core_static_mw + model.accel_static_mw + model.soc_static_mw)
-            * seconds,
+        static_mj: (model.core_static_mw + model.accel_static_mw + model.soc_static_mw) * seconds,
         seconds,
     }
 }

@@ -324,7 +324,10 @@ impl GemminiModel {
             let mut lm = mem_before;
             let looped = g.matmul_looped(m, k, n, &mut lm);
             debug_assert_eq!(run, looped, "closed-form vs looped run for {m}x{k}x{n}");
-            debug_assert_eq!(g.total_cycles, self.total_cycles, "activity cycles {m}x{k}x{n}");
+            debug_assert_eq!(
+                g.total_cycles, self.total_cycles,
+                "activity cycles {m}x{k}x{n}"
+            );
             debug_assert_eq!(g.total_macs, self.total_macs, "activity macs {m}x{k}x{n}");
             debug_assert_eq!(
                 lm.bus().total_bytes(),
@@ -345,6 +348,7 @@ impl GemminiModel {
         let cfg = self.config;
         let dim = cfg.mesh_rows; // square mesh assumed
         let elem = 4; // FP32
+
         // Tile sizing: B tiles (k×n) and A tiles (m×k) live in scratchpad
         // halves; C tiles (m×n) must fit the accumulator.
         let spad_half_elems = cfg.scratchpad_bytes / (2 * elem);
@@ -432,8 +436,13 @@ impl GemminiModel {
         // crossed with interior/last k. Sum count-many copies of each.
         let mut run = AccelRun::default();
         for (cur_m, cur_k, last_k, count) in [
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            (tile_m, tile_k, false, ((blocks_m - 1) * (blocks_k - 1)) as u64),
+            (
+                tile_m,
+                tile_k,
+                false,
+                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
+                ((blocks_m - 1) * (blocks_k - 1)) as u64,
+            ),
             // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
             (tile_m, k_rem, true, (blocks_m - 1) as u64),
             // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
@@ -574,11 +583,17 @@ impl GemminiModel {
             // Remove the im2col duplication from DMA accounting.
             // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
             let saved = run.dma_bytes - run.dma_bytes / shape.ksize as u64;
-            let bw = mem.config().bus_bytes_per_cycle.min(mem.config().dram_bytes_per_cycle);
+            let bw = mem
+                .config()
+                .bus_bytes_per_cycle
+                .min(mem.config().dram_bytes_per_cycle);
             // rose-lint: allow(CAST001, DMA byte counts stay far below 2^53, so the f64 quotient is exact enough; floor-to-u64 is the overlap model's rounding contract)
             let saved_cycles = (saved as f64 / bw * 0.5) as u64; // half was overlapped anyway
             run.dma_bytes -= saved;
-            run.cycles = run.cycles.saturating_sub(saved_cycles).max(run.compute_cycles);
+            run.cycles = run
+                .cycles
+                .saturating_sub(saved_cycles)
+                .max(run.compute_cycles);
             self.total_cycles = self.total_cycles.saturating_sub(saved_cycles);
         }
         run

@@ -566,7 +566,8 @@ impl Kernel {
                     // depends on the previous iteration's chase load (8
                     // instructions back), and the load depends on it — no
                     // core can overlap these misses.
-                    ptr = region::HEAP + (ptr.wrapping_mul(2654435761).wrapping_add(it) % (1 << 21));
+                    ptr =
+                        region::HEAP + (ptr.wrapping_mul(2654435761).wrapping_add(it) % (1 << 21));
                     out.push(Instr::alu(7)); // next-pointer arithmetic (dep: prev chase load)
                     out.push(Instr::load_dep(ptr, 1)); // chase load
                     out.push(Instr::load_dep(ptr + 16, 2)); // field load

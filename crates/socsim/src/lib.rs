@@ -52,6 +52,6 @@ pub mod soc;
 pub mod timing_cache;
 
 pub use config::{CoreKind, SocConfig};
-pub use timing_cache::SharedTimingCache;
 pub use program::{TargetOp, TargetProgram};
 pub use soc::{Soc, SocStats};
+pub use timing_cache::SharedTimingCache;

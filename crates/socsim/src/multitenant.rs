@@ -110,8 +110,7 @@ impl TimeShared {
     }
 
     fn run_foreground(&mut self, now: u64, rx_available: bool) -> TargetOp {
-        let mut ctx =
-            ProgContext::new(now, self.fg_inbox.take()).with_rx_available(rx_available);
+        let mut ctx = ProgContext::new(now, self.fg_inbox.take()).with_rx_available(rx_available);
         let op = self.foreground.next_op(&mut ctx);
         // Un-consumed message goes back to the stash.
         if let Some(msg) = ctx.take_message() {

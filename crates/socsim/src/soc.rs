@@ -17,7 +17,7 @@ use crate::program::{ProgContext, TargetOp, TargetProgram};
 use crate::timing_cache::{KernelEntry, SharedTimingCache};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{
-    ArgValue, LogHistogram, MetricRegistry, MetricSource, Stopwatch, Track, TraceEvent, Tracer,
+    ArgValue, LogHistogram, MetricRegistry, MetricSource, Stopwatch, TraceEvent, Tracer, Track,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -667,7 +667,8 @@ impl Soc {
         }
         self.run_granted_inner();
         if self.tracer.is_enabled() {
-            self.tracer.span_end_cycles(Track::SocCpu, "soc-grant", self.now);
+            self.tracer
+                .span_end_cycles(Track::SocCpu, "soc-grant", self.now);
         }
         // One counter sample per grant: the contention/occupancy curves
         // (L1/L2 misses, bridge RX depth, idle time) over simulated time.
@@ -1033,14 +1034,21 @@ mod tests {
         // second replays from the in-memory cost cache. Their tile spans
         // must be indistinguishable (same name, duration, and args).
         let mut soc = scripted_soc(vec![
-            TargetOp::AccelMatmul { m: 64, k: 64, n: 64 },
-            TargetOp::AccelMatmul { m: 64, k: 64, n: 64 },
+            TargetOp::AccelMatmul {
+                m: 64,
+                k: 64,
+                n: 64,
+            },
+            TargetOp::AccelMatmul {
+                m: 64,
+                k: 64,
+                n: 64,
+            },
         ]);
         soc.set_tracer(Tracer::enabled(rose_trace::TraceClock::default()));
         soc.run_cycles(50_000_000);
         let events = soc.take_trace_events();
-        let tiles: Vec<&TraceEvent> =
-            events.iter().filter(|e| e.name == "gemmini-tile").collect();
+        let tiles: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "gemmini-tile").collect();
         assert_eq!(tiles.len(), 2, "one tile span per accelerator op");
         let (cold, cached) = (tiles[0], tiles[1]);
         assert_eq!(format!("{:?}", cold.kind), format!("{:?}", cached.kind));
@@ -1060,7 +1068,11 @@ mod tests {
                 out_w: 14,
                 ksize: 3,
             }),
-            TargetOp::AccelMatmul { m: 48, k: 48, n: 48 },
+            TargetOp::AccelMatmul {
+                m: 48,
+                k: 48,
+                n: 48,
+            },
             TargetOp::Send(vec![9]),
             TargetOp::CpuKernel(Kernel::Memcpy { bytes: 32 << 10 }),
         ]
@@ -1167,9 +1179,7 @@ mod tests {
         // A wrong check, and a well-formed post-state taken from a
         // different memory state. Were the check not compared, this
         // replay would copy it in and diverge.
-        let mut other = scripted_soc(vec![TargetOp::CpuKernel(Kernel::Memcpy {
-            bytes: 1 << 10,
-        })]);
+        let mut other = scripted_soc(vec![TargetOp::CpuKernel(Kernel::Memcpy { bytes: 1 << 10 })]);
         other.run_cycles(1_000_000);
         assert!(other.halted());
         assert_ne!(mem_bytes(&other), mem_bytes(&scripted_soc(cache_ops())));

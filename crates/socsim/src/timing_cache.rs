@@ -345,7 +345,9 @@ impl SharedTimingCache {
         // A panic while holding the lock cannot leave the plain-data maps
         // in a torn state; recover the contents rather than poisoning
         // every subsequent mission.
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.inner
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Merges the cache into its backing file. Under an exclusive
@@ -504,8 +506,8 @@ impl SharedTimingCache {
 mod tests {
     use super::*;
     use crate::config::{CoreKind, SocConfig};
-    use crate::mem::CacheConfig;
     use crate::mem::test_support::{config_from, state_bytes, warmed};
+    use crate::mem::CacheConfig;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -7,7 +7,7 @@
 //! so Perfetto (`ui.perfetto.dev`) and `chrome://tracing` render the
 //! components as parallel swimlanes over simulated time.
 
-use crate::event::{ArgValue, EventKind, Track, TraceEvent};
+use crate::event::{ArgValue, EventKind, TraceEvent, Track};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Write};
@@ -113,7 +113,9 @@ impl TraceLog {
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.events.len() * 96);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"rose-cosim\"}}");
+        out.push_str(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"rose-cosim\"}}",
+        );
         for track in Track::ALL {
             let _ = write!(
                 out,
@@ -231,7 +233,10 @@ mod tests {
             Track::Bridge,
             "bridge-packet",
             0,
-            vec![("dir", ArgValue::Str("to-env")), ("bytes", ArgValue::U64(12))],
+            vec![
+                ("dir", ArgValue::Str("to-env")),
+                ("bytes", ArgValue::U64(12)),
+            ],
         );
         t.counter_cycles(Track::SocMem, "l2-misses", 500, 3.0);
         t.complete_cycles(
@@ -294,7 +299,13 @@ mod tests {
                 start,
                 vec![("budget", ArgValue::U64(cycles_per_grant))],
             );
-            soc.complete_cycles(Track::SocCpu, "kernel:matmul", start, start + 1000, Vec::new());
+            soc.complete_cycles(
+                Track::SocCpu,
+                "kernel:matmul",
+                start,
+                start + 1000,
+                Vec::new(),
+            );
             soc.counter_cycles(Track::SocMem, "l2-misses", end, grant as f64);
             soc.span_end_cycles(Track::SocCpu, "soc-grant", end);
             env.complete_frames(Track::Env, "env-frame", grant, grant + 1, Vec::new());
@@ -384,7 +395,10 @@ mod tests {
             .iter()
             .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
             .expect("the complete event");
-        assert_eq!(event.get("name").and_then(|n| n.as_str()), Some(hostile_name));
+        assert_eq!(
+            event.get("name").and_then(|n| n.as_str()),
+            Some(hostile_name)
+        );
         assert_eq!(
             event
                 .get("args")
@@ -402,7 +416,9 @@ mod tests {
             track: Track::Sync,
             name: "sync-quantum",
             ts_us: f64::NAN,
-            kind: EventKind::Complete { dur_us: f64::INFINITY },
+            kind: EventKind::Complete {
+                dur_us: f64::INFINITY,
+            },
             args: vec![("x", ArgValue::F64(f64::NEG_INFINITY))],
         }]);
         json::parse(&log.to_chrome_json()).expect("non-finite values must not corrupt the JSON");

@@ -253,8 +253,7 @@ impl Parser<'_> {
                 self.pos += 2;
                 let second = self.hex4()?;
                 if (0xDC00..0xE000).contains(&second) {
-                    let combined =
-                        0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
+                    let combined = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
                     return char::from_u32(combined).ok_or_else(|| self.error("bad surrogate"));
                 }
             }
@@ -315,7 +314,8 @@ mod tests {
 
     #[test]
     fn parses_nested_document() {
-        let doc = r#"{"traceEvents":[{"name":"a","ts":1.5e3,"ok":true},{"args":{"n":null}}],"x":-2}"#;
+        let doc =
+            r#"{"traceEvents":[{"name":"a","ts":1.5e3,"ok":true},{"args":{"n":null}}],"x":-2}"#;
         let v = parse(doc).unwrap();
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
         assert_eq!(events.len(), 2);
@@ -333,7 +333,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\" 1}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            "{\"a\" 1}",
+        ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
     }

@@ -46,7 +46,7 @@ pub mod tracer;
 
 pub use chrome::TraceLog;
 pub use clock::TraceClock;
-pub use event::{intern, ArgValue, EventKind, Track, TraceEvent};
+pub use event::{intern, ArgValue, EventKind, TraceEvent, Track};
 pub use flight::{FlightRecorder, FlightSample};
 pub use hist::LogHistogram;
 pub use metrics::{MetricRegistry, MetricSource, MetricValue};

@@ -84,7 +84,10 @@ impl MetricRegistry {
     /// (p50/p90/p99/p99.9 in the CSV snapshot; see
     /// [`LogHistogram`] for the bucketing contract).
     pub fn observe_hist(&mut self, name: &str, x: f64) {
-        self.histograms.entry(name.to_string()).or_default().record(x);
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(x);
     }
 
     /// Merges a pre-built histogram into `name` (for subsystems that
@@ -126,7 +129,11 @@ impl MetricRegistry {
                 MetricValue::Counter(v) => ("counter", CsvCell::from(*v)),
                 MetricValue::Gauge(v) => ("gauge", CsvCell::Float(*v)),
             };
-            log.push_row(vec![CsvCell::from(name.as_str()), CsvCell::from(kind), cell]);
+            log.push_row(vec![
+                CsvCell::from(name.as_str()),
+                CsvCell::from(kind),
+                cell,
+            ]);
         }
         for (name, hist) in &self.histograms {
             let rows: [(&str, CsvCell); 5] = [

@@ -9,7 +9,7 @@
 //! into a [`TraceLog`](crate::chrome::TraceLog) at mission teardown.
 
 use crate::clock::TraceClock;
-use crate::event::{ArgValue, EventKind, Track, TraceEvent};
+use crate::event::{ArgValue, EventKind, TraceEvent, Track};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 
 /// Buffer plus clock for one enabled tracer.
@@ -121,7 +121,14 @@ impl Tracer {
     }
 
     #[inline]
-    fn push(&mut self, track: Track, name: &'static str, ts_us: f64, kind: EventKind, args: Vec<(&'static str, ArgValue)>) {
+    fn push(
+        &mut self,
+        track: Track,
+        name: &'static str,
+        ts_us: f64,
+        kind: EventKind,
+        args: Vec<(&'static str, ArgValue)>,
+    ) {
         if let Some(buf) = &mut self.inner {
             buf.events.push(TraceEvent {
                 track,
@@ -255,7 +262,13 @@ mod tests {
     #[test]
     fn enabled_tracer_stamps_simulated_time() {
         let mut t = Tracer::enabled(TraceClock::default());
-        t.complete_cycles(Track::SocCpu, "kernel:matmul", 1_000_000_000, 2_000_000_000, Vec::new());
+        t.complete_cycles(
+            Track::SocCpu,
+            "kernel:matmul",
+            1_000_000_000,
+            2_000_000_000,
+            Vec::new(),
+        );
         t.instant_frames(Track::Env, "collision", 60, Vec::new());
         let events = t.take_events();
         assert_eq!(events.len(), 2);

@@ -16,8 +16,14 @@ fn main() {
         "controller", "time(s)", "collisions", "activity", "inferences", "fast-frac"
     );
     for (name, controller) in [
-        ("static ResNet14", ControllerChoice::Static(DnnModel::ResNet14)),
-        ("static ResNet6", ControllerChoice::Static(DnnModel::ResNet6)),
+        (
+            "static ResNet14",
+            ControllerChoice::Static(DnnModel::ResNet14),
+        ),
+        (
+            "static ResNet6",
+            ControllerChoice::Static(DnnModel::ResNet6),
+        ),
         ("dynamic 14<->6", ControllerChoice::dynamic_default()),
     ] {
         let config = MissionConfig {

@@ -30,7 +30,10 @@ fn main() {
     }
     println!("collisions:       {}", report.collisions);
     println!("inferences:       {}", report.inference_count);
-    println!("mean latency:     {:.0} ms (image request -> command)", report.mean_latency_ms);
+    println!(
+        "mean latency:     {:.0} ms (image request -> command)",
+        report.mean_latency_ms
+    );
     println!("activity factor:  {:.3}", report.activity_factor);
     println!(
         "simulated:        {:.1} s of flight, {:.2}e9 SoC cycles",
@@ -40,6 +43,9 @@ fn main() {
 
     let csv = report.trajectory_csv();
     if csv.write_to("quickstart_trajectory.csv").is_ok() {
-        println!("trajectory:       quickstart_trajectory.csv ({} rows)", csv.len());
+        println!(
+            "trajectory:       quickstart_trajectory.csv ({} rows)",
+            csv.len()
+        );
     }
 }

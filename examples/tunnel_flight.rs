@@ -35,7 +35,10 @@ fn ascii_trajectory(report: &MissionReport) -> String {
 }
 
 fn main() {
-    for (name, soc) in [("A (BOOM+Gemmini)", SocConfig::config_a()), ("C (BOOM only)", SocConfig::config_c())] {
+    for (name, soc) in [
+        ("A (BOOM+Gemmini)", SocConfig::config_a()),
+        ("C (BOOM only)", SocConfig::config_c()),
+    ] {
         for yaw in [-20.0, 0.0, 20.0] {
             let config = MissionConfig {
                 soc: soc.clone(),

@@ -109,6 +109,7 @@ fn fig16_sync_granularity_latency() {
     let fine = run(1); // 10M cycles/sync
     let mid = run(10); // 100M
     let coarse = run(40); // 400M
+
     // Latency grows with granularity.
     assert!(
         fine.mean_latency_ms < mid.mean_latency_ms,

@@ -13,7 +13,10 @@ fn telemetry_tenant_recovers_idle_cycles() {
     let (shared, telemetry) =
         run_mission_multitenant(&mission, TimeSharedConfig::default(), 64 * 1024);
 
-    assert!(shared.completed, "mission must still complete under sharing");
+    assert!(
+        shared.completed,
+        "mission must still complete under sharing"
+    );
     assert!(telemetry > 1000, "telemetry blocks {telemetry}");
     let idle_solo = solo.soc_stats.idle_cycles as f64 / solo.soc_stats.cycles as f64;
     let idle_shared = shared.soc_stats.idle_cycles as f64 / shared.soc_stats.cycles as f64;
