@@ -34,22 +34,19 @@ fn main() {
             max_sim_seconds: 60.0,
             ..MissionConfig::default()
         };
-        let r = run_fusion_mission(&mission, FusionConfig::default());
+        let (r, branches) = run_fusion_mission(&mission, FusionConfig::default());
+        let steps = r.app.commands();
+        let image_rate = branches.image_branch_rate(steps);
         t.row(vec![
             world.to_string(),
             format!("{velocity}"),
             r.completed.to_string(),
             r.mission_time_s.map_or("-".into(), |x| format!("{x:.2}")),
             r.collisions.to_string(),
-            format!("{:.2}", r.metrics.image_branch_rate()),
-            r.metrics.steps().to_string(),
+            format!("{image_rate:.2}"),
+            steps.to_string(),
         ]);
-        csv.row(&[
-            wi as f64,
-            velocity,
-            r.metrics.image_branch_rate(),
-            r.metrics.steps() as f64,
-        ]);
+        csv.row(&[wi as f64, velocity, image_rate, steps as f64]);
     }
     t.print("Extension: sensor fusion with data-dependent branch execution");
     println!("straight corridors mostly run the cheap IMU branch; curvy/obstacle worlds");

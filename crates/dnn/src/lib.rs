@@ -4,7 +4,6 @@
 //! (TrailNet-style dual-headed ResNets, Section 4.2.2) through ONNX-Runtime,
 //! with matmuls/convolutions dispatched to Gemmini. This crate provides:
 //!
-//! * [`tensor`] — a small NCHW `f32` tensor type for rendered images.
 //! * [`resnet`] — the evaluated ResNet6/11/14/18/34 variants, each
 //!   described once, as a shape-only [`resnet::InferencePlan`] (for SoC
 //!   timing).
@@ -19,16 +18,17 @@
 //!   model capacity — reproducing the paper's observation that
 //!   higher-capacity DNNs make more confident predictions and hence
 //!   sharper trajectory corrections (Section 5.2).
+//! * [`trainer`] — the trainer of the dual classifier heads (the
+//!   artifact's §A.4.4 flow), fed rendered pixels by the workspace's
+//!   dataset generator.
 
 #![deny(missing_docs)]
 
 pub mod lower;
 pub mod perception;
 pub mod resnet;
-pub mod tensor;
 pub mod trainer;
 
 pub use perception::{ClassProbs, PerceptionHead, PerceptionOutput};
 pub use resnet::{DnnModel, InferencePlan};
-pub use tensor::Tensor;
 pub use trainer::{Example, HeadTrainer, TrainConfig};

@@ -12,7 +12,9 @@
 //! target program: the closed loop couples flight state → solver
 //! iterations → SoC latency → control delay → flight state.
 
+use crate::app::AppMetrics;
 use crate::message::{AppMessage, TrailInfo};
+use crate::mission::{run_program_mission, MissionConfig, MissionReport};
 use parking_lot::Mutex;
 use rose_sim_core::math::clamp;
 use rose_socsim::kernel::Kernel;
@@ -150,21 +152,15 @@ impl MpcSolver {
     }
 }
 
-/// Metrics recorded by the MPC application.
+/// The solver counters the MPC application records. Its request → command
+/// latencies go to the mission's [`AppMetrics`], like every program's.
 #[derive(Debug, Clone, Default)]
 pub struct MpcMetrics {
     /// Solver iteration count per control step.
     pub iterations: Vec<usize>,
-    /// Request → command latency, in cycles, one entry per command sent.
-    pub latencies_cycles: Vec<u64>,
 }
 
 impl MpcMetrics {
-    /// Commands sent.
-    pub fn commands(&self) -> u64 {
-        self.latencies_cycles.len() as u64
-    }
-
     /// Mean solver iterations (0 if none).
     pub fn mean_iterations(&self) -> f64 {
         if self.iterations.is_empty() {
@@ -192,7 +188,8 @@ pub struct MpcApp {
     last_trail: TrailInfo,
     pending_solution: Option<MpcSolution>,
     request_cycle: u64,
-    metrics: Arc<Mutex<MpcMetrics>>,
+    metrics: Arc<Mutex<AppMetrics>>,
+    solver_metrics: Arc<Mutex<MpcMetrics>>,
 }
 
 impl std::fmt::Debug for MpcApp {
@@ -205,9 +202,14 @@ impl std::fmt::Debug for MpcApp {
 }
 
 impl MpcApp {
-    /// Builds the application and its shared metrics handle.
-    pub fn new(config: MpcConfig, velocity: f64) -> (MpcApp, Arc<Mutex<MpcMetrics>>) {
-        let metrics = Arc::new(Mutex::new(MpcMetrics::default()));
+    /// Builds the application and its shared handles: the mission's
+    /// application counters and the solver's.
+    pub fn new(
+        config: MpcConfig,
+        velocity: f64,
+    ) -> (MpcApp, Arc<Mutex<AppMetrics>>, Arc<Mutex<MpcMetrics>>) {
+        let metrics = Arc::new(Mutex::new(AppMetrics::default()));
+        let solver_metrics = Arc::new(Mutex::new(MpcMetrics::default()));
         (
             MpcApp {
                 solver: MpcSolver::new(config),
@@ -217,8 +219,10 @@ impl MpcApp {
                 pending_solution: None,
                 request_cycle: 0,
                 metrics: Arc::clone(&metrics),
+                solver_metrics: Arc::clone(&solver_metrics),
             },
             metrics,
+            solver_metrics,
         )
     }
 }
@@ -253,7 +257,10 @@ impl TargetProgram for MpcApp {
                         self.velocity,
                     );
                     let ops = solution.iterations * self.solver.config().ops_per_iter;
-                    self.metrics.lock().iterations.push(solution.iterations);
+                    self.solver_metrics
+                        .lock()
+                        .iterations
+                        .push(solution.iterations);
                     self.pending_solution = Some(solution);
                     self.state = State::SendCommand;
                     return TargetOp::CpuKernel(Kernel::Control { ops });
@@ -265,11 +272,10 @@ impl TargetProgram for MpcApp {
                     // Lateral velocity from a proportional term on the
                     // offset (the solver handles heading).
                     let lateral = clamp(-1.2 * self.last_trail.lateral_offset, -2.5, 2.5);
-                    {
-                        let mut m = self.metrics.lock();
-                        m.latencies_cycles
-                            .push(ctx.now().saturating_sub(self.request_cycle));
-                    }
+                    self.metrics
+                        .lock()
+                        .latencies_cycles
+                        .push(ctx.now().saturating_sub(self.request_cycle));
                     self.state = State::RequestState;
                     return TargetOp::Send(
                         AppMessage::Command {
@@ -290,54 +296,15 @@ impl TargetProgram for MpcApp {
     }
 }
 
-/// Outcome of an MPC-controlled mission.
-#[derive(Debug, Clone)]
-pub struct MpcMissionReport {
-    /// True if the UAV crossed the goal plane in time.
-    pub completed: bool,
-    /// Simulated seconds to goal.
-    pub mission_time_s: Option<f64>,
-    /// Collision events.
-    pub collisions: u32,
-    /// Solver/latency metrics.
-    pub metrics: MpcMetrics,
-    /// Mean request → command latency in ms.
-    pub mean_latency_ms: f64,
-}
-
 /// Runs a closed-loop mission with the MPC controller in place of the DNN
-/// application.
-pub fn run_mpc_mission(
-    mission: &crate::mission::MissionConfig,
-    mpc: MpcConfig,
-) -> MpcMissionReport {
-    use crate::mission::mission_parts_with_program;
-    use rose_bridge::sync::Synchronizer;
-
-    let (app, metrics) = MpcApp::new(mpc, mission.velocity);
-    let (env, rtl, sync_config) = mission_parts_with_program(mission, Box::new(app));
-    let mut sync = Synchronizer::new(sync_config, env, rtl);
-    sync.run_until(mission.max_syncs(), |env| env.sim().mission_complete());
-
-    let (env, _rtl) = sync.into_parts();
-    let sim = env.into_sim();
-    let completed = sim.mission_complete();
-    let m = metrics.lock().clone();
-    let mean_latency_ms = if m.latencies_cycles.is_empty() {
-        0.0
-    } else {
-        m.latencies_cycles.iter().sum::<u64>() as f64
-            / m.latencies_cycles.len() as f64
-            / mission.soc.clock.hz() as f64
-            * 1e3
-    };
-    MpcMissionReport {
-        completed,
-        mission_time_s: completed.then(|| sim.time()),
-        collisions: sim.collision_count(),
-        metrics: m,
-        mean_latency_ms,
-    }
+/// application, through [`run_program_mission`]. The report's application
+/// counters hold one request → command latency per command; the returned
+/// [`MpcMetrics`] hold the solver iterations.
+pub fn run_mpc_mission(mission: &MissionConfig, mpc: MpcConfig) -> (MissionReport, MpcMetrics) {
+    let (app, metrics, solver_metrics) = MpcApp::new(mpc, mission.velocity);
+    let report = run_program_mission(mission, Box::new(app), &metrics);
+    let solver_metrics = solver_metrics.lock().clone();
+    (report, solver_metrics)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! The snapshot embeds its [`MissionConfig`], so it is self-contained:
 //! resume rebuilds the mission *structure* (boxed programs, worlds,
 //! autopilots, interned labels) from the config exactly as
-//! [`build_mission`] does, then overlays the dynamic state field by
+//! [`Mission::start`] does, then overlays the dynamic state field by
 //! field. Structural state never travels in the byte stream — only
 //! state that changes as the mission runs.
 //!
@@ -34,7 +34,7 @@
 
 use crate::app::AppMetrics;
 use crate::envside::CoSimEnv;
-use crate::mission::{build_mission, finish_report, fly_mission, MissionConfig, MissionReport};
+use crate::mission::{build_mission, fly_mission, MissionConfig, MissionReport};
 use crate::rtlside::SocRtl;
 use parking_lot::Mutex;
 use rose_bridge::sync::Synchronizer;
@@ -67,29 +67,9 @@ impl Mission {
         &self.config
     }
 
-    /// The environment endpoint.
-    pub fn env(&self) -> &CoSimEnv {
-        self.sync.env()
-    }
-
-    /// The RTL endpoint.
-    pub fn rtl(&self) -> &SocRtl {
-        self.sync.rtl()
-    }
-
     /// Synchronization periods executed so far.
     pub fn syncs_executed(&self) -> u64 {
         self.sync.stats().syncs
-    }
-
-    /// True once the UAV has crossed the goal plane.
-    pub fn complete(&self) -> bool {
-        self.sync.env().sim().mission_complete()
-    }
-
-    /// Shared handle to the application's metrics.
-    pub fn metrics(&self) -> Arc<Mutex<AppMetrics>> {
-        Arc::clone(&self.metrics)
     }
 
     /// Runs up to `n` synchronization periods, stopping early at mission
@@ -107,11 +87,6 @@ impl Mission {
     /// wall.
     pub fn run_to_completion(self) -> MissionReport {
         fly_mission(&self.config, self.sync, &self.metrics, |rtl| rtl)
-    }
-
-    /// Extracts the report at the current position without running further.
-    pub fn finish(self) -> MissionReport {
-        finish_report(&self.config, self.sync, &self.metrics, |rtl| rtl)
     }
 
     /// Rotates the UAV in place by `dyaw` radians — the divergence knob

@@ -8,24 +8,11 @@
 //! the same thresholds the calibrated perception head uses, so a
 //! controller trained here is consistent with the closed-loop evaluation.
 
-use rose_dnn::tensor::Tensor;
+use rose_dnn::trainer::Example;
 use rose_envsim::camera::{Camera, CameraConfig};
 use rose_envsim::world::World;
 use rose_sim_core::math::Vec3;
 use rose_sim_core::rng::SimRng;
-
-/// One labeled rendered image.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LabeledImage {
-    /// The rendered frame as a (3, H, W) tensor in `[0, 1]` (grayscale
-    /// replicated across channels, as the controllers expect RGB input).
-    pub image: Tensor,
-    /// Angular class: 0 = UAV rotated left of the trail, 1 = centered,
-    /// 2 = rotated right.
-    pub angular: usize,
-    /// Lateral class: 0 = UAV left of the trail, 1 = centered, 2 = right.
-    pub lateral: usize,
-}
 
 /// Dataset generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,12 +38,17 @@ impl Default for DatasetConfig {
     }
 }
 
-/// Generates a labeled dataset of rendered corridor views.
+/// Generates a labeled dataset of rendered corridor views, one training
+/// [`Example`] per image. Its features are the frame's grayscale pixels in
+/// row-major order, scaled to `[0, 1]` and centered: `byte / 255 - 0.5`.
+/// Its labels are the angular class (0 = UAV rotated left of the trail,
+/// 1 = centered, 2 = rotated right) and the lateral class (0 = UAV left of
+/// the trail, 1 = centered, 2 = right).
 ///
 /// Poses are sampled with randomized positions along the corridor,
 /// randomized lateral offsets inside the target lateral class, and
 /// randomized headings inside the target angular class.
-pub fn generate(world: &World, config: &DatasetConfig, rng: &SimRng) -> Vec<LabeledImage> {
+pub fn generate(world: &World, config: &DatasetConfig, rng: &SimRng) -> Vec<Example> {
     let mut rng = rng.split("dataset");
     let cam = Camera::new(CameraConfig {
         width: config.image_size,
@@ -86,24 +78,16 @@ pub fn generate(world: &World, config: &DatasetConfig, rng: &SimRng) -> Vec<Labe
                 let x = rng.uniform(2.0, world.goal_x() * 0.3);
                 let pos = Vec3::new(x, offset, rng.uniform(1.2, 1.8));
                 let img = cam.render(world, pos, heading_err);
-                out.push(LabeledImage {
-                    image: image_to_tensor(&img),
-                    angular,
-                    lateral,
-                });
+                let features = img
+                    .bytes()
+                    .iter()
+                    .map(|&b| b as f32 / 255.0 - 0.5)
+                    .collect();
+                out.push(Example::new(features, angular, lateral));
             }
         }
     }
     out
-}
-
-/// Converts a grayscale camera frame to a normalized (3, H, W) tensor.
-pub fn image_to_tensor(img: &rose_envsim::camera::Image) -> Tensor {
-    let (w, h) = (img.width(), img.height());
-    Tensor::from_fn(&[3, h, w], |i| {
-        let pixel = i % (h * w);
-        img.bytes()[pixel] as f32 / 255.0
-    })
 }
 
 #[cfg(test)]
@@ -130,8 +114,8 @@ mod tests {
             }
         }
         for d in &data {
-            assert_eq!(d.image.shape(), &[3, 16, 16]);
-            assert!(d.image.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
+            assert_eq!(d.features.len(), 16 * 16);
+            assert!(d.features.iter().all(|&v| (-0.5..=0.5).contains(&v)));
         }
     }
 
@@ -146,12 +130,12 @@ mod tests {
             ..DatasetConfig::default()
         };
         let data = generate(&world, &config, &SimRng::new(2));
-        let left_half_mean = |t: &Tensor| {
+        let left_half_mean = |features: &[f32]| {
             let mut sum = 0.0;
             let mut n = 0;
             for row in 0..16 {
                 for col in 0..8 {
-                    sum += t.at3(0, row, col) as f64;
+                    sum += features[row * 16 + col] as f64;
                     n += 1;
                 }
             }
@@ -161,7 +145,7 @@ mod tests {
             let xs: Vec<f64> = data
                 .iter()
                 .filter(|d| d.lateral == lat && d.angular == 1)
-                .map(|d| left_half_mean(&d.image))
+                .map(|d| left_half_mean(&d.features))
                 .collect();
             xs.iter().sum::<f64>() / xs.len() as f64
         };

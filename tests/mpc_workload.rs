@@ -12,14 +12,10 @@ fn mpc_completes_tunnel() {
         max_sim_seconds: 45.0,
         ..MissionConfig::default()
     };
-    let r = run_mpc_mission(&mission, MpcConfig::default());
+    let (r, _) = run_mpc_mission(&mission, MpcConfig::default());
     assert!(r.completed, "MPC should complete the tunnel");
     assert_eq!(r.collisions, 0, "MPC tracks the centerline cleanly");
-    assert!(
-        r.metrics.commands() > 50,
-        "commands {}",
-        r.metrics.commands()
-    );
+    assert!(r.app.commands() > 50, "commands {}", r.app.commands());
 }
 
 #[test]
@@ -34,13 +30,13 @@ fn solver_iterations_are_state_dependent_in_the_loop() {
             MpcConfig::default(),
         )
     };
-    let centered = run(0.0);
-    let angled = run(20.0);
+    let (centered, centered_solver) = run(0.0);
+    let (angled, angled_solver) = run(20.0);
     assert!(
-        angled.metrics.mean_iterations() > 3.0 * centered.metrics.mean_iterations(),
+        angled_solver.mean_iterations() > 3.0 * centered_solver.mean_iterations(),
         "angled {} vs centered {} mean iterations",
-        angled.metrics.mean_iterations(),
-        centered.metrics.mean_iterations()
+        angled_solver.mean_iterations(),
+        centered_solver.mean_iterations()
     );
     // The extra iterations are visible as latency on the SoC.
     assert!(
@@ -64,8 +60,8 @@ fn slower_core_amplifies_data_dependent_latency() {
             MpcConfig::default(),
         )
     };
-    let boom = run(SocConfig::config_a());
-    let rocket = run(SocConfig::config_b());
+    let (boom, _) = run(SocConfig::config_a());
+    let (rocket, _) = run(SocConfig::config_b());
     assert!(
         rocket.mean_latency_ms > boom.mean_latency_ms,
         "Rocket {} ms vs BOOM {} ms",

@@ -2,21 +2,10 @@
 //! labeled dataset, train the dual heads, and verify validation accuracy
 //! lands in a useful regime.
 
-use rose_dnn::trainer::{Example, HeadTrainer, TrainConfig};
+use rose_dnn::trainer::{HeadTrainer, TrainConfig};
 use rose_envsim::world::World;
 use rose_repro::dataset::{generate, DatasetConfig};
 use rose_sim_core::rng::SimRng;
-
-fn pixel_examples(images: &[rose_repro::dataset::LabeledImage]) -> Vec<Example> {
-    images
-        .iter()
-        .map(|d| {
-            let n = d.image.shape()[1] * d.image.shape()[2];
-            let feats: Vec<f32> = d.image.data()[..n].iter().map(|&v| v - 0.5).collect();
-            Example::new(feats, d.angular, d.lateral)
-        })
-        .collect()
-}
 
 #[test]
 fn trained_heads_beat_table3_floor() {
@@ -27,15 +16,15 @@ fn trained_heads_beat_table3_floor() {
         image_size: 16,
         ..DatasetConfig::default()
     };
-    let train = pixel_examples(&generate(&world, &config, &rng.split("train")));
-    let val = pixel_examples(&generate(
+    let train = generate(&world, &config, &rng.split("train"));
+    let val = generate(
         &world,
         &DatasetConfig {
             per_class: 6,
             ..config
         },
         &rng.split("val"),
-    ));
+    );
 
     let mut trainer = HeadTrainer::new(
         train[0].features.len(),
@@ -63,7 +52,7 @@ fn s_shape_dataset_also_trains() {
         image_size: 16,
         ..DatasetConfig::default()
     };
-    let train = pixel_examples(&generate(&world, &config, &rng.split("train")));
+    let train = generate(&world, &config, &rng.split("train"));
     let mut trainer = HeadTrainer::new(
         train[0].features.len(),
         TrainConfig {
