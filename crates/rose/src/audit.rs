@@ -254,10 +254,11 @@ mod tests {
 
     #[test]
     fn accelerator_design_points_share_timing_cache_entries() {
-        // The fingerprint leaves the Gemmini parameters out, so a second
-        // design point replays the CPU-kernel expansions a first one
-        // recorded wherever their memory pre-states agree, and still
-        // flies exactly its own cold mission.
+        // The fingerprint leaves the Gemmini parameters out, and the key
+        // leaves out the counters an accelerator op moves, so a second
+        // design point replays every CPU-kernel expansion the first one
+        // recorded — it expands nothing cold and adds no entry — and
+        // still flies exactly its own cold mission.
         use rose_socsim::{SharedTimingCache, SocConfig};
 
         let base = short(MissionConfig::default());
@@ -268,7 +269,8 @@ mod tests {
             ..base.clone()
         });
         assert!(!cache.is_empty(), "mesh-4 run should record entries");
-        let (hits_before, _) = cache.counters();
+        let entries = cache.len();
+        let (hits_before, misses_before) = cache.counters();
 
         let point = MissionConfig {
             soc: SocConfig::config_a()
@@ -281,11 +283,13 @@ mod tests {
             timing_cache: Some(cache.clone()),
             ..point
         }));
-        let (hits, _) = cache.counters();
+        let (hits, misses) = cache.counters();
         assert!(
             hits > hits_before,
             "mesh-16 run should replay mesh-4 entries"
         );
+        assert_eq!(misses, misses_before, "mesh-16 run expanded a kernel cold");
+        assert_eq!(cache.len(), entries, "mesh-16 run added an entry");
         assert_eq!(cold, shared, "shared entries must not perturb");
     }
 

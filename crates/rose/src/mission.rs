@@ -39,8 +39,8 @@ use rose_sim_core::rng::SimRng;
 use rose_socsim::soc::SocStats;
 use rose_socsim::{Soc, SocConfig, TargetProgram};
 use rose_trace::{
-    FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Phase, Profiler, TraceClock,
-    TraceEvent, TraceLog, Tracer,
+    FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Phase, Profiler, TimingCacheCounts,
+    TraceClock, TraceEvent, TraceLog, Tracer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -449,7 +449,8 @@ pub(crate) fn fly_mission<R: MissionRtl>(
 /// mission completes, the program halts or latches a fault, the
 /// application requests an abort, or the simulated-time wall is reached,
 /// feeding `flight` one [`FlightSample`] per quantum. Returns the
-/// postmortem JSON documents the recorder dumped.
+/// postmortem JSON documents the recorder dumped; each dump, and only a
+/// dump, reads the mission's timing-cache counters.
 ///
 /// The per-quantum loop is host bookkeeping only — the simulated system
 /// sees exactly the same grant sequence as one
@@ -464,6 +465,16 @@ fn drive_mission<R: MissionRtl>(
     flight: &mut FlightRecorder,
 ) -> Vec<String> {
     let max_syncs = config.max_syncs();
+    let timing_cache = || {
+        config.timing_cache.as_ref().map(|cache| {
+            let (hits, misses) = cache.counters();
+            TimingCacheCounts {
+                hits,
+                misses,
+                entries: cache.len(),
+            }
+        })
+    };
     let mut postmortems = Vec::new();
     while sync.stats().syncs < max_syncs {
         let before = *sync.stats();
@@ -488,7 +499,7 @@ fn drive_mission<R: MissionRtl>(
             recovery_retries: rtl.recovery_retries(),
             recovery_us,
         };
-        if let Some(pm) = flight.record(sample, rtl.recent_events()) {
+        if let Some(pm) = flight.record(sample, rtl.recent_events(), timing_cache) {
             postmortems.push(pm);
         }
         if metrics.lock().abort_requested {
@@ -498,6 +509,7 @@ fn drive_mission<R: MissionRtl>(
                 "mission-abort",
                 "sustained degraded-control streak",
                 sync.rtl().recent_events(),
+                timing_cache(),
             ));
             break;
         }

@@ -7,6 +7,7 @@
 //! `transport-fault` postmortem: see `failure_injection.rs`.)
 
 use rose::mission::{run_mission, MissionConfig};
+use rose_socsim::SharedTimingCache;
 use rose_trace::flight::POSTMORTEM_SCHEMA;
 use rose_trace::json;
 
@@ -18,6 +19,7 @@ fn deadline_miss_postmortem_blames_compute() {
         // One SoC cycle of budget: every control-loop response misses, so
         // the very first completed command trips the recorder.
         deadline_budget_s: 1e-9,
+        timing_cache: Some(SharedTimingCache::in_memory()),
         ..MissionConfig::default()
     };
     let report = run_mission(&config);
@@ -50,6 +52,11 @@ fn deadline_miss_postmortem_blames_compute() {
         "postmortem: {}",
         report.postmortems[0]
     );
+    // The dump names the mission's timing cache: the first trigger comes
+    // after the control loop's kernels expanded cold into it.
+    let cache = parsed.get("timing_cache").expect("timing-cache counters");
+    let count = |key| cache.get(key).and_then(|v| v.as_f64()).expect(key);
+    assert!(count("misses") > 0.0 && count("entries") == count("misses"));
     // The ring carries context, not just the trigger sample.
     let ring = parsed.get("ring").and_then(|r| r.as_array()).expect("ring");
     assert!(!ring.is_empty());

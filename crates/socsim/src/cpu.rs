@@ -176,8 +176,9 @@ impl CpuModel {
     /// Replays a kernel expansion recorded in the persisted timing cache:
     /// re-applies the cold run's counter deltas and fast-forwards the
     /// branch RNG to where that run left it. Expansion is a pure function
-    /// of (kernel, memory state, RNG position, core config) — all covered
-    /// by the cache key — so this is bit-identical to re-running it.
+    /// of (kernel, the memory state timing reads, RNG position, core
+    /// config) — all covered by the cache key — and never reads a
+    /// counter, so this is bit-identical to re-running it.
     pub fn replay_expansion(&mut self, cycles: u64, instrs: u64, mispredicts: u64, post_rng: u64) {
         self.stats.cycles += cycles;
         self.stats.instrs += instrs;
@@ -540,7 +541,7 @@ mod tests {
 mod golden_tests {
     use super::*;
     use crate::kernel::ElemKind;
-    use crate::mem::test_support::{state_bytes, warmed};
+    use crate::mem::test_support::{set_counters, state_bytes, warmed};
     use proptest::prelude::*;
     use rose_sim_core::fnv::fnv64;
 
@@ -742,6 +743,47 @@ mod golden_tests {
                 outcome(&streamed, a, &streamed_mem),
                 outcome(&traced, b, &traced_mem)
             );
+        }
+
+        #[test]
+        fn timing_never_reads_a_counter(
+            variant in 0usize..8,
+            size in 0usize..1500,
+            boom in proptest::any::<bool>(),
+            geometry in 0usize..4,
+            warm_seed in 0u64..u64::MAX,
+            util_pct in 0u64..90,
+            counters in proptest::collection::vec(0u64..1 << 62, 8..9),
+        ) {
+            // The timing cache keys an expansion by what it reads and
+            // replays the memory counters as gains, so a twin whose cache,
+            // bus and prefetch counters hold arbitrary values must take the
+            // same cycles, draw the same branches and leave the same tags,
+            // streams and counter gains.
+            let kernel = small_kernel(variant, size);
+            let core = if boom { CpuConfig::boom() } else { CpuConfig::rocket() };
+            let mut plain_mem = warmed(geometry, warm_seed, util_pct);
+            let mut twin_mem = plain_mem.clone();
+            set_counters(&mut twin_mem, &counters);
+            let (plain_pre, twin_pre) = (plain_mem.counters(), twin_mem.counters());
+            let mut replayed = twin_mem.clone();
+            let mut plain = CpuModel::new(core);
+            let mut twin = CpuModel::new(core);
+            let a = plain.run_kernel(&kernel, &mut plain_mem);
+            let b = twin.run_kernel(&kernel, &mut twin_mem);
+            prop_assert_eq!(
+                (a, plain.stats(), plain.branch_rng()),
+                (b, twin.stats(), twin.branch_rng())
+            );
+            let recorded = plain_mem.expansion_post(plain_pre);
+            prop_assert_eq!(
+                state_bytes(&recorded),
+                state_bytes(&twin_mem.expansion_post(twin_pre))
+            );
+            // And the plain run's record, replayed on the twin, leaves it
+            // where its own cold run did.
+            replayed.replay_expansion(&recorded);
+            prop_assert_eq!(state_bytes(&replayed), state_bytes(&twin_mem));
         }
     }
 }

@@ -154,11 +154,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets counters (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Performs one access; returns `true` on a hit. On a miss the line is
     /// installed, possibly writing back a dirty victim.
     #[inline(always)]
@@ -208,10 +203,10 @@ impl Cache {
         self.fill.fill(0);
     }
 
-    /// Feeds the dynamic state to `word`: per set its fill and resident
-    /// line words, then the counters. Two caches of one geometry with
-    /// equal [`Cache::save_state`] bytes feed equal words; stale words
-    /// beyond a set's fill are not fed.
+    /// Feeds what [`Cache::access`] reads to `word`: per set its fill and
+    /// resident line words. Two caches of one geometry whose
+    /// [`Cache::save_state`] bytes differ at most in the counters feed
+    /// equal words; stale words beyond a set's fill are not fed.
     fn state_words(&self, word: &mut impl FnMut(u64)) {
         for (set, &n) in self.lines.chunks_exact(self.config.ways).zip(&self.fill) {
             word(n as u64);
@@ -219,9 +214,13 @@ impl Cache {
                 word(line);
             }
         }
-        word(self.stats.hits);
-        word(self.stats.misses);
-        word(self.stats.writebacks);
+    }
+
+    /// Copies `post`'s contents, a cache of the same geometry, over this
+    /// one's in place, leaving the counters alone.
+    fn copy_contents(&mut self, post: &Cache) {
+        self.lines.copy_from_slice(&post.lines);
+        self.fill.copy_from_slice(&post.fill);
     }
 
     /// Serializes contents (tags in LRU order, dirty bits) and counters.
@@ -290,6 +289,40 @@ impl Cache {
         self.stats.misses = r.u64()?;
         self.stats.writebacks = r.u64()?;
         Ok(())
+    }
+}
+
+/// What the hierarchy counts and never reads: both caches' counters, the
+/// bus's byte total and the prefetcher's hits. They only grow, and no
+/// access, DMA transfer or kernel expansion depends on them, so a
+/// timing-cache entry records an expansion's gain in each and a replay
+/// adds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemCounters {
+    /// L1 data cache counters.
+    pub l1d: CacheStats,
+    /// L2 counters.
+    pub l2: CacheStats,
+    /// Bytes moved over the bus.
+    pub bus_bytes: u64,
+    /// Misses absorbed by the L2 stream prefetcher.
+    pub prefetch_hits: u64,
+}
+
+impl MemCounters {
+    /// `op` applied to each pair of corresponding counters.
+    fn zip(self, other: MemCounters, op: impl Fn(u64, u64) -> u64) -> MemCounters {
+        let stats = |a: CacheStats, b: CacheStats| CacheStats {
+            hits: op(a.hits, b.hits),
+            misses: op(a.misses, b.misses),
+            writebacks: op(a.writebacks, b.writebacks),
+        };
+        MemCounters {
+            l1d: stats(self.l1d, other.l1d),
+            l2: stats(self.l2, other.l2),
+            bus_bytes: op(self.bus_bytes, other.bus_bytes),
+            prefetch_hits: op(self.prefetch_hits, other.prefetch_hits),
+        }
     }
 }
 
@@ -519,12 +552,14 @@ impl MemSystem {
         self.prefetch_hits
     }
 
-    /// Feeds the dynamic state to `word`, one `u64` at a time: both
-    /// caches' sets and counters, the bus, the prefetch streams and
-    /// `prefetch_hits` — what [`MemSystem::save_state`] writes, read from
-    /// the live arrays. Two hierarchies of one [`MemConfig`] with equal
-    /// `save_state` bytes feed equal words, so the timing cache keys
-    /// expansions by this walk with no serialization.
+    /// Feeds what [`MemSystem::access`] reads to `word`, one `u64` at a
+    /// time: both caches' sets, the bus's DMA utilization and the prefetch
+    /// streams, read from the live arrays. The [`MemCounters`] are left
+    /// out: two hierarchies of one [`MemConfig`] whose
+    /// [`MemSystem::save_state`] bytes differ at most in them feed equal
+    /// words, so the timing cache keys expansions by this walk with no
+    /// serialization, and design points that moved different DMA traffic
+    /// share entries.
     pub fn state_words(&self, mut word: impl FnMut(u64)) {
         let MemSystem {
             config: _,
@@ -532,17 +567,64 @@ impl MemSystem {
             l2,
             bus,
             prefetch_streams,
-            prefetch_hits,
+            prefetch_hits: _,
             miss_latencies: _,
         } = self;
         l1d.state_words(&mut word);
         l2.state_words(&mut word);
         word(bus.dma_utilization.to_bits());
-        word(bus.total_bytes);
         for &stream in prefetch_streams {
             word(stream);
         }
-        word(*prefetch_hits);
+    }
+
+    /// The counters the hierarchy increments and never reads.
+    pub fn counters(&self) -> MemCounters {
+        MemCounters {
+            l1d: self.l1d.stats,
+            l2: self.l2.stats,
+            bus_bytes: self.bus.total_bytes,
+            prefetch_hits: self.prefetch_hits,
+        }
+    }
+
+    fn set_counters(&mut self, counters: MemCounters) {
+        let MemCounters {
+            l1d,
+            l2,
+            bus_bytes,
+            prefetch_hits,
+        } = counters;
+        self.l1d.stats = l1d;
+        self.l2.stats = l2;
+        self.bus.total_bytes = bus_bytes;
+        self.prefetch_hits = prefetch_hits;
+    }
+
+    /// A copy of this hierarchy whose counters hold what each gained since
+    /// `pre`: the post-state a timing-cache entry records for an expansion
+    /// that started at `pre`.
+    pub fn expansion_post(&self, pre: MemCounters) -> MemSystem {
+        let mut post = self.clone();
+        post.set_counters(self.counters().zip(pre, |now, then| now - then));
+        post
+    }
+
+    /// Replays a recorded expansion whose [`MemSystem::expansion_post`]
+    /// is `post`, a hierarchy of the same [`MemConfig`]: copies its cache
+    /// contents and prefetch streams over the live ones in place and adds
+    /// its counter gains to the live counters. The bus's DMA utilization
+    /// is part of the key and no expansion changes it, so it stays. The
+    /// CPU's counters replay the same way
+    /// ([`crate::cpu::CpuModel::replay_expansion`]).
+    pub fn replay_expansion(&mut self, post: &MemSystem) {
+        self.l1d.copy_contents(&post.l1d);
+        self.l2.copy_contents(&post.l2);
+        self.prefetch_streams = post.prefetch_streams;
+        let counters = self
+            .counters()
+            .zip(post.counters(), |live, gain| live + gain);
+        self.set_counters(counters);
     }
 
     /// Serializes the hierarchy: both cache contents, bus state, and the
@@ -605,12 +687,6 @@ impl MemSystem {
     /// L2 statistics.
     pub fn l2_stats(&self) -> CacheStats {
         self.l2.stats()
-    }
-
-    /// Resets cache statistics.
-    pub fn reset_stats(&mut self) {
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
     }
 
     /// Performs a load or store at `addr`, returning its latency in cycles.
@@ -789,6 +865,22 @@ pub(crate) mod test_support {
         let mut w = SnapWriter::new();
         m.save_state(&mut w);
         w.into_bytes()
+    }
+
+    /// Overwrites the counters `m` increments and never reads with
+    /// `words`: eight values, in [`MemCounters`] field order.
+    pub(crate) fn set_counters(m: &mut MemSystem, words: &[u64]) {
+        let stats = |w: &[u64]| CacheStats {
+            hits: w[0],
+            misses: w[1],
+            writebacks: w[2],
+        };
+        m.set_counters(MemCounters {
+            l1d: stats(&words[0..3]),
+            l2: stats(&words[3..6]),
+            bus_bytes: words[6],
+            prefetch_hits: words[7],
+        });
     }
 
     /// Four memory configurations: the default; a tiny hierarchy of 32-B

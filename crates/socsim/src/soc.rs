@@ -541,12 +541,13 @@ impl Soc {
 
     /// The in-memory-miss path of [`Soc::cpu_cost`]: replay a persisted
     /// expansion when the timing cache holds one for this exact context
-    /// (kernel, config fingerprint, memory state, branch RNG) whose check
-    /// hash matches the live pre-state and whose memory configuration
-    /// matches the live one, expand cold — and record the result,
-    /// replacing any entry that failed its check — otherwise. Both hashes
-    /// walk the live cache arrays, and a hit copies a decoded post-state
-    /// in: neither path touches the snapshot codec.
+    /// (kernel, config fingerprint, the memory state timing reads, branch
+    /// RNG) whose check hash matches the live pre-state and whose memory
+    /// configuration matches the live one, expand cold — and record the
+    /// result, replacing any entry that failed its check — otherwise. Both
+    /// hashes walk the live cache arrays, and a hit copies a decoded
+    /// post-state in and adds its counter gains: neither path touches the
+    /// snapshot codec.
     fn expand_cpu_kernel(&mut self, kernel: Kernel) -> u64 {
         let ctx = self
             .timing_cache
@@ -555,7 +556,7 @@ impl Soc {
         if let (Some(cache), Some((key, check))) = (&self.timing_cache, ctx) {
             let fp = self.timing_fingerprint;
             if let Some(entry) = cache.lookup_kernel(fp, &kernel, key, check, self.mem.config()) {
-                self.mem = entry.post_mem.clone();
+                self.mem.replay_expansion(&entry.post_mem);
                 self.cpu.replay_expansion(
                     entry.cycles,
                     entry.instrs,
@@ -568,6 +569,7 @@ impl Soc {
             }
         }
         let before = self.cpu.stats();
+        let mem_before = self.mem.counters();
         let cycles = self.cpu.run_kernel(&kernel, &mut self.mem).max(1);
         let after = self.cpu.stats();
         let instrs = after.instrs - before.instrs;
@@ -582,7 +584,7 @@ impl Soc {
                     mispredicts: after.mispredicts - before.mispredicts,
                     post_rng: self.cpu.branch_rng(),
                     check,
-                    post_mem: self.mem.clone(),
+                    post_mem: self.mem.expansion_post(mem_before),
                 },
             );
         }

@@ -21,13 +21,18 @@
 //! Replaying an entry must be **bit-identical** to the cold expansion it
 //! stands in for: the same counter deltas, the same memory-hierarchy
 //! state, the same branch-RNG position, the same bus traffic. CPU-kernel
-//! expansion is a pure function of (kernel, memory state, branch RNG,
-//! core kind, memory geometry). The key therefore covers the kernel
-//! descriptor, the configuration fingerprint, and a *context hash* of
-//! the memory state and RNG, taken by walking the live cache arrays
+//! expansion is a pure function of (kernel, the memory state timing
+//! reads, branch RNG, core kind, memory geometry); it increments the
+//! [`crate::mem::MemCounters`] and never reads them. The key therefore
+//! covers the kernel descriptor, the configuration fingerprint, and a
+//! *context hash* of the cache tags, the bus's DMA utilization, the
+//! prefetch streams and the RNG, taken by walking the live arrays
 //! ([`MemSystem::state_words`]) with no serialization. Each entry holds
-//! its post-expansion state decoded, as a [`MemSystem`], and a replay
-//! clones it over the live one — only if its [`MemConfig`] equals the
+//! its post-expansion state decoded, as a [`MemSystem`] whose counters
+//! hold the expansion's gains, and a replay
+//! ([`MemSystem::replay_expansion`]) copies its contents over the live
+//! ones and adds the gains, as [`crate::cpu::CpuModel::replay_expansion`]
+//! does for the core's counters — only if its [`MemConfig`] equals the
 //! live one. The entry also stores a second, independent 64-bit hash
 //! of the same pre-state, and every hit is checked against it: a
 //! mismatch is a miss, and the SoC expands cold.
@@ -39,8 +44,10 @@
 //!
 //! The fingerprint deliberately **excludes** [`SocConfig::name`] (a
 //! label), the clock (cycle-domain expansion never sees wall time) and
-//! the accelerator parameters (no CPU kernel reads them), so frequency
-//! and accelerator sweeps share every entry across their points. It
+//! the accelerator parameters (no CPU kernel reads them). An accelerator
+//! op moves only counters and the DMA utilization, which it resets when
+//! it finishes, so frequency and accelerator sweeps share every entry
+//! across their points: the first point expands, the rest replay. It
 //! **includes** [`MODEL_VERSION`]: bump that constant whenever any
 //! timing-model change lands, and every stale entry self-invalidates.
 //!
@@ -49,8 +56,8 @@
 //! One snap-codec stream: the `RTMC` section, [`MODEL_VERSION`] and the
 //! entry count, then per entry its fingerprint, kernel, key, counter
 //! deltas, post-RNG and check, followed by the post-state's [`MemConfig`]
-//! and its [`MemSystem::save_state`] bytes. Loading decodes and validates
-//! every entry: the geometry first
+//! and its [`MemSystem::save_state`] bytes, whose counters are deltas.
+//! Loading decodes and validates every entry: the geometry first
 //! ([`crate::mem::CacheConfig::sets`], and a bound on its size),
 //! then the state ([`MemSystem::restore_state`] rejects a foreign set
 //! count, an over-full set and a tag too wide for the geometry). A hit
@@ -82,7 +89,7 @@ use std::time::Duration;
 /// single cycle MUST bump this: the fingerprint folds it in, so every
 /// entry recorded by an older model self-invalidates. It also guards the
 /// file layout and the context-hash key format.
-pub const MODEL_VERSION: u32 = 3;
+pub const MODEL_VERSION: u32 = 4;
 
 /// Section magic guarding the cache file ("RTMC").
 const SNAP_SECTION: u32 = 0x5254_4d43;
@@ -124,9 +131,13 @@ pub struct KernelEntry {
     /// The pre-state's check hash (the second half of
     /// [`SharedTimingCache::mem_context_hash`]), compared on every hit.
     pub check: u64,
-    /// The memory hierarchy after the expansion (caches, bus counters,
-    /// prefetcher), decoded: a replay copies it over the live one, and
-    /// only when their [`MemConfig`]s are equal.
+    /// The memory hierarchy after the expansion (caches, bus,
+    /// prefetcher), decoded, with each of its
+    /// [`crate::mem::MemCounters`] holding the expansion's gain
+    /// ([`MemSystem::expansion_post`]). A replay copies its contents over
+    /// the live ones and adds the gains
+    /// ([`MemSystem::replay_expansion`]), and only when their
+    /// [`MemConfig`]s are equal.
     pub post_mem: MemSystem,
 }
 
@@ -394,8 +405,8 @@ impl SharedTimingCache {
     /// *accelerator* parameters are deliberately excluded — none enters
     /// cycle-domain CPU-kernel expansion, so renamed configs and the
     /// points of a frequency or accelerator sweep share entries. What an
-    /// accelerator op leaves in the memory hierarchy is covered by the
-    /// context hash instead.
+    /// accelerator op leaves in the memory hierarchy is counters, which
+    /// the context hash leaves out too.
     pub fn fingerprint(config: &SocConfig) -> u64 {
         let mut w = SnapWriter::new();
         w.u32(MODEL_VERSION);
@@ -408,13 +419,15 @@ impl SharedTimingCache {
 
     /// The CPU-kernel expansion context of a memory hierarchy and the
     /// branch-RNG position, as `(key, check)`: two independent 64-bit
-    /// content hashes over [`MemSystem::state_words`] — the live cache
-    /// arrays, read in place — and then the RNG. `key` indexes the entry;
+    /// content hashes over [`MemSystem::state_words`] — what timing reads:
+    /// the live cache arrays, read in place, the DMA utilization and the
+    /// prefetch streams — and then the RNG. `key` indexes the entry;
     /// `check` is stored in it and compared on every hit, so a replay
     /// needs both to agree with the pre-state it was recorded from.
-    /// Hierarchies with equal `save_state` bytes hash equal, and two
-    /// expansions with equal kernel, fingerprint, and context are
-    /// bit-identical.
+    /// Hierarchies whose `save_state` bytes differ at most in their
+    /// [`crate::mem::MemCounters`] hash equal, and two expansions with
+    /// equal kernel, fingerprint, and context take the same cycles and
+    /// leave the same contents and counter gains.
     ///
     /// The state is ~10 000 words of cache tags, so each hash is an
     /// FNV-1a-style multiply per word (`Fnv64` folds byte-wise, which
@@ -506,7 +519,7 @@ impl SharedTimingCache {
 mod tests {
     use super::*;
     use crate::config::{CoreKind, SocConfig};
-    use crate::mem::test_support::{config_from, state_bytes, warmed};
+    use crate::mem::test_support::{config_from, set_counters, state_bytes, warmed};
     use crate::mem::CacheConfig;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -816,10 +829,12 @@ mod tests {
             other_seed in 0u64..u64::MAX,
             util_pct in 0u64..90,
             flush in proptest::any::<bool>(),
+            counters in proptest::collection::vec(0u64..u64::MAX, 8..9),
         ) {
             // `stale` held other lines before the state was restored into
             // it, so words from them sit beyond each set's fill; a flush
-            // empties every set and leaves all of its words stale.
+            // empties every set and leaves all of its words stale. Its
+            // counters then take arbitrary values, which no access reads.
             let mut live = warmed(sel, seed, util_pct);
             if flush {
                 live.invalidate();
@@ -829,6 +844,7 @@ mod tests {
             stale.access(0x3_0000, true);
             prop_assert!(stale.restore_state(&mut SnapReader::new(&bytes)).is_ok());
             prop_assert_eq!(state_bytes(&stale), bytes);
+            set_counters(&mut stale, &counters);
             let hash = SharedTimingCache::mem_context_hash(&live, seed);
             prop_assert_eq!(SharedTimingCache::mem_context_hash(&stale, seed), hash);
             let (key, check) = SharedTimingCache::mem_context_hash(&live, seed ^ 1);

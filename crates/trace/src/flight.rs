@@ -9,8 +9,10 @@
 //! of the trace events recorded so far (when tracing is enabled), and a
 //! deadline-miss **attribution** that walks those spans to name the
 //! dominant time sink (compute vs `stall:rx-empty` vs bridge traffic).
-//! The event tail is read only when a postmortem is written; quanta that
-//! trigger nothing copy no events.
+//! When the mission has a timing cache, the dump also names its hits,
+//! misses and entries. The event tail and the cache counters are read
+//! only when a postmortem is written; quanta that trigger nothing copy no
+//! events and take no lock.
 //!
 //! The recorder is telemetry: fixed memory, never part of a mission
 //! snapshot, never an input to the determinism digest (DESIGN.md §4f).
@@ -54,6 +56,18 @@ pub struct FlightSample {
     pub recovery_retries: u64,
     /// Host wall time spent in fault recovery this quantum, µs.
     pub recovery_us: f64,
+}
+
+/// A timing cache's host counters when a postmortem is written: the
+/// expansions it replayed and missed, and the entries it holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TimingCacheCounts {
+    /// Lookups that replayed an entry.
+    pub hits: u64,
+    /// Lookups that expanded cold.
+    pub misses: u64,
+    /// Recorded expansions.
+    pub entries: usize,
 }
 
 /// A per-trigger span-time attribution: where simulated time went in the
@@ -148,8 +162,15 @@ impl FlightRecorder {
     /// sample crossed a trigger: a collision-count rise, a deadline-miss
     /// rise, or a transport fault latching. Multiple simultaneous triggers
     /// produce one postmortem whose `detail` lists them all. `recent` is
-    /// the trace recorded so far; it is read only when a trigger fires.
-    pub fn record(&mut self, sample: FlightSample, recent: &[TraceEvent]) -> Option<String> {
+    /// the trace recorded so far and `timing_cache` reads the mission's
+    /// cache counters, if it has a cache; both are read only when a
+    /// trigger fires.
+    pub fn record(
+        &mut self,
+        sample: FlightSample,
+        recent: &[TraceEvent],
+        timing_cache: impl FnOnce() -> Option<TimingCacheCounts>,
+    ) -> Option<String> {
         let prev = self.ring.back().copied().unwrap_or_default();
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
@@ -170,14 +191,21 @@ impl FlightRecorder {
             return None;
         }
         let detail = triggers.join(", ");
-        Some(self.postmortem(triggers[0], &detail, recent))
+        Some(self.postmortem(triggers[0], &detail, recent, timing_cache()))
     }
 
     /// Renders a self-contained postmortem JSON from the current ring and
     /// the last `EVENT_TAIL` (64) events of `recent`, the trace recorded so
-    /// far. `reason` is the primary trigger; `detail` is free-form context
-    /// (all simultaneous triggers, a fault message, …).
-    pub fn postmortem(&self, reason: &str, detail: &str, recent: &[TraceEvent]) -> String {
+    /// far, plus `timing_cache`'s counters when there is one. `reason` is
+    /// the primary trigger; `detail` is free-form context (all
+    /// simultaneous triggers, a fault message, …).
+    pub fn postmortem(
+        &self,
+        reason: &str,
+        detail: &str,
+        recent: &[TraceEvent],
+        timing_cache: Option<TimingCacheCounts>,
+    ) -> String {
         let at = self.ring.back().copied().unwrap_or_default();
         let tail = &recent[recent.len().saturating_sub(EVENT_TAIL)..];
         let attribution = attribute(tail);
@@ -202,7 +230,15 @@ impl FlightRecorder {
             out.push_str("\":");
             write_f64(&mut out, *us);
         }
-        out.push_str("}},\"ring\":[");
+        out.push_str("}}");
+        if let Some(cache) = timing_cache {
+            let _ = write!(
+                out,
+                ",\"timing_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{}}}",
+                cache.hits, cache.misses, cache.entries
+            );
+        }
+        out.push_str(",\"ring\":[");
         for (i, s) in self.ring.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -281,7 +317,7 @@ mod tests {
     fn ring_is_bounded_and_oldest_first() {
         let mut fr = FlightRecorder::new(4);
         for i in 0..10 {
-            assert_eq!(fr.record(sample(i), &[]), None);
+            assert_eq!(fr.record(sample(i), &[], || None), None);
         }
         assert_eq!(fr.occupancy(), 4);
         assert_eq!(fr.capacity(), 4);
@@ -293,10 +329,10 @@ mod tests {
     fn rising_edges_trigger_once() {
         let mut fr = FlightRecorder::new(8);
         let mut s = sample(0);
-        assert!(fr.record(s, &[]).is_none());
+        assert!(fr.record(s, &[], || None).is_none());
         s.sync = 1;
         s.collisions = 1;
-        let pm = fr.record(s, &[]).expect("collision must trigger");
+        let pm = fr.record(s, &[], || None).expect("collision must trigger");
         let parsed = json::parse(&pm).expect("postmortem is valid JSON");
         assert_eq!(
             parsed.get("reason").and_then(|r| r.as_str()),
@@ -304,13 +340,13 @@ mod tests {
         );
         // Same count again: no re-trigger.
         s.sync = 2;
-        assert!(fr.record(s, &[]).is_none());
+        assert!(fr.record(s, &[], || None).is_none());
     }
 
     #[test]
     fn simultaneous_triggers_merge_into_detail() {
         let mut fr = FlightRecorder::new(8);
-        fr.record(sample(0), &[]);
+        fr.record(sample(0), &[], || None);
         let s = FlightSample {
             sync: 1,
             collisions: 1,
@@ -318,7 +354,7 @@ mod tests {
             fault: true,
             ..sample(1)
         };
-        let pm = fr.record(s, &[]).expect("triggers");
+        let pm = fr.record(s, &[], || None).expect("triggers");
         let parsed = json::parse(&pm).unwrap();
         assert_eq!(
             parsed.get("detail").and_then(|d| d.as_str()),
@@ -326,7 +362,7 @@ mod tests {
         );
         // fault already latched: no new trigger on the next sample.
         let s2 = FlightSample { sync: 2, ..s };
-        assert!(fr.record(s2, &[]).is_none());
+        assert!(fr.record(s2, &[], || None).is_none());
     }
 
     #[test]
@@ -353,11 +389,29 @@ mod tests {
     fn postmortem_embeds_ring_events_and_attribution() {
         let mut fr = FlightRecorder::new(8);
         let events = vec![span("kernel:conv", 300.0), span("sleep", 10.0)];
-        fr.record(sample(0), &events);
+        // A quantum that triggers nothing never reads the cache counters.
+        let untriggered = fr.record(sample(0), &events, || panic!("counters read per quantum"));
+        assert_eq!(untriggered, None);
         let mut s = sample(1);
         s.deadline_misses = 1;
-        let pm = fr.record(s, &events).expect("miss triggers");
+        let counts = TimingCacheCounts {
+            hits: 45,
+            misses: 2,
+            entries: 23,
+        };
+        let pm = fr
+            .record(s, &events, || Some(counts))
+            .expect("miss triggers");
         let parsed = json::parse(&pm).expect("valid JSON");
+        let cache = parsed.get("timing_cache").expect("the mission's cache");
+        let count = |key| cache.get(key).and_then(|v| v.as_f64());
+        assert_eq!(
+            (count("hits"), count("misses"), count("entries")),
+            (Some(45.0), Some(2.0), Some(23.0))
+        );
+        // Without a cache the dump has no such field.
+        let cacheless = json::parse(&fr.postmortem("probe", "", &events, None)).unwrap();
+        assert!(cacheless.get("timing_cache").is_none());
         assert_eq!(
             parsed.get("schema").and_then(|v| v.as_str()),
             Some(POSTMORTEM_SCHEMA)
@@ -392,7 +446,7 @@ mod tests {
         let events: Vec<TraceEvent> = (0..200).map(|_| span("kernel:fill", 1.0)).collect();
         let mut s = sample(1);
         s.collisions = 1;
-        let pm = fr.record(s, &events).expect("trigger");
+        let pm = fr.record(s, &events, || None).expect("trigger");
         let parsed = json::parse(&pm).unwrap();
         let recent = parsed
             .get("recent_events")

@@ -47,7 +47,7 @@ pub mod tracer;
 pub use chrome::TraceLog;
 pub use clock::TraceClock;
 pub use event::{intern, ArgValue, EventKind, TraceEvent, Track};
-pub use flight::{FlightRecorder, FlightSample};
+pub use flight::{FlightRecorder, FlightSample, TimingCacheCounts};
 pub use hist::LogHistogram;
 pub use metrics::{MetricRegistry, MetricSource, MetricValue};
 pub use profiler::{Phase, Profiler, Stopwatch};
