@@ -97,8 +97,8 @@ const FIG10_BOOT_SYNCS: u64 = 15;
 ///
 /// The boot prefix (simulator reset, first frames, SoC cache and
 /// cost-model warm-up) is identical across the yaw sweep, so each SoC
-/// configuration boots **once**: the three yaw branches fork from a
-/// shared [`MissionSnapshot`] and diverge via
+/// configuration boots **once**: each of the three yaw branches resumes
+/// its own copy of the shared [`MissionSnapshot`] and diverges via
 /// [`Mission::perturb_yaw`], instead of re-simulating the boot once per
 /// sweep point.
 pub fn fig10() -> Vec<LabeledRun> {

@@ -17,43 +17,24 @@ use rose_socsim::kernel::{ElemKind, Kernel};
 use rose_socsim::program::ScriptedProgram;
 use rose_socsim::{Soc, TargetOp};
 
-/// Knobs for the framework-overhead model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoweringConfig {
-    /// Elements of FP32 pre/post-processing per inference (image decode,
-    /// resize, normalize, NHWC→NCHW, output copies).
-    pub session_elems: usize,
-    /// Abstract ops of per-inference session bookkeeping.
-    pub session_ops: usize,
-    /// Scale of the per-inference session graph walk (ONNX-Runtime's
-    /// pointer-heavy interpretation layer; dependency-serialized, so its
-    /// cost is memory-latency-bound on every core).
-    pub session_graph_tensors: usize,
-    /// Tensors touched per framework node (per-node overhead scale).
-    pub node_tensors: usize,
-}
-
-impl Default for LoweringConfig {
-    fn default() -> LoweringConfig {
-        LoweringConfig {
-            session_elems: 4_000_000,
-            session_ops: 500_000,
-            session_graph_tensors: 1_300,
-            node_tensors: 4,
-        }
-    }
-}
+/// Elements of FP32 pre/post-processing per inference (image decode,
+/// resize, normalize, NHWC→NCHW, output copies).
+const SESSION_ELEMS: usize = 4_000_000;
+/// Abstract ops of per-inference session bookkeeping.
+const SESSION_OPS: usize = 500_000;
+/// Scale of the per-inference session graph walk (ONNX-Runtime's
+/// pointer-heavy interpretation layer; dependency-serialized, so its cost
+/// is memory-latency-bound on every core).
+const SESSION_GRAPH_TENSORS: usize = 1_300;
+/// Tensors touched per framework node (per-node overhead scale).
+const NODE_TENSORS: usize = 4;
 
 /// Lowers one inference of `plan` to target operations.
 ///
 /// The sequence begins after the image has been received from the bridge
 /// (the closed-loop application issues its own `Recv`) and ends after the
 /// classifier outputs are ready (the application then issues `Send`).
-pub fn lower_inference(
-    plan: &InferencePlan,
-    has_accelerator: bool,
-    cfg: &LoweringConfig,
-) -> Vec<TargetOp> {
+pub fn lower_inference(plan: &InferencePlan, has_accelerator: bool) -> Vec<TargetOp> {
     let mut ops = Vec::with_capacity(plan.ops().len() * 2 + 4);
 
     // Image staging + preprocessing (decode, resize to the network input,
@@ -62,20 +43,18 @@ pub fn lower_inference(
         bytes: plan.input_elems(),
     }));
     ops.push(TargetOp::CpuKernel(Kernel::Elementwise {
-        n: cfg.session_elems,
+        n: SESSION_ELEMS,
         kind: ElemKind::BatchNorm,
     }));
-    ops.push(TargetOp::CpuKernel(Kernel::Control {
-        ops: cfg.session_ops,
-    }));
+    ops.push(TargetOp::CpuKernel(Kernel::Control { ops: SESSION_OPS }));
     ops.push(TargetOp::CpuKernel(Kernel::FrameworkNode {
-        tensors: cfg.session_graph_tensors,
+        tensors: SESSION_GRAPH_TENSORS,
     }));
 
     for op in plan.ops() {
         // Per-node framework overhead.
         ops.push(TargetOp::CpuKernel(Kernel::FrameworkNode {
-            tensors: cfg.node_tensors,
+            tensors: NODE_TENSORS,
         }));
         match *op {
             PlanOp::Conv(shape) => {
@@ -130,7 +109,7 @@ pub fn time_inference(config: &SocConfig, model: DnnModel) -> u64 {
 /// Times one standalone inference of an explicit plan (see
 /// [`time_inference`]).
 pub fn time_plan(config: &SocConfig, plan: &InferencePlan) -> u64 {
-    let ops = lower_inference(plan, config.has_accelerator(), &LoweringConfig::default());
+    let ops = lower_inference(plan, config.has_accelerator());
     let program = ScriptedProgram::new(ops);
     let mut soc = Soc::new(config.clone(), Box::new(program));
     while !soc.halted() {
@@ -151,7 +130,7 @@ mod tests {
     #[test]
     fn accelerated_inference_uses_the_mesh() {
         let plan = DnnModel::ResNet6.plan();
-        let ops = lower_inference(&plan, true, &LoweringConfig::default());
+        let ops = lower_inference(&plan, true);
         assert!(ops.iter().any(|o| matches!(o, TargetOp::AccelConv(_))));
         assert!(!ops
             .iter()
@@ -161,7 +140,7 @@ mod tests {
     #[test]
     fn cpu_only_inference_lowered_to_im2col_matmul() {
         let plan = DnnModel::ResNet6.plan();
-        let ops = lower_inference(&plan, false, &LoweringConfig::default());
+        let ops = lower_inference(&plan, false);
         assert!(!ops.iter().any(|o| matches!(o, TargetOp::AccelConv(_))));
         assert!(ops
             .iter()

@@ -28,6 +28,14 @@ pub enum DnnModel {
     ResNet34,
 }
 
+rose_sim_core::snap_tag!(DnnModel {
+    ResNet6 = 0,
+    ResNet11 = 1,
+    ResNet14 = 2,
+    ResNet18 = 3,
+    ResNet34 = 4,
+});
+
 impl fmt::Display for DnnModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ResNet{}", self.depth())
@@ -59,39 +67,6 @@ impl DnnModel {
             DnnModel::ResNet18,
             DnnModel::ResNet34,
         ]
-    }
-
-    /// Serializes the model selection as a stable one-byte tag.
-    pub fn save_state(&self, w: &mut rose_sim_core::snap::SnapWriter) {
-        w.u8(match self {
-            DnnModel::ResNet6 => 0,
-            DnnModel::ResNet11 => 1,
-            DnnModel::ResNet14 => 2,
-            DnnModel::ResNet18 => 3,
-            DnnModel::ResNet34 => 4,
-        });
-    }
-
-    /// Restores a model selection from its tag.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`rose_sim_core::snap::SnapError`] on a malformed
-    /// snapshot.
-    pub fn restore_state(
-        r: &mut rose_sim_core::snap::SnapReader<'_>,
-    ) -> Result<DnnModel, rose_sim_core::snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(DnnModel::ResNet6),
-            1 => Ok(DnnModel::ResNet11),
-            2 => Ok(DnnModel::ResNet14),
-            3 => Ok(DnnModel::ResNet18),
-            4 => Ok(DnnModel::ResNet34),
-            tag => Err(rose_sim_core::snap::SnapError::BadTag {
-                context: "DnnModel",
-                tag,
-            }),
-        }
     }
 
     /// Nominal depth (weight layers).

@@ -373,10 +373,7 @@ impl UavSim {
         w.f64(*altitude);
         w.u32(*collision_count);
         w.bool(*in_collision);
-        w.usize(trajectory.len());
-        for point in trajectory {
-            point.save_state(w);
-        }
+        w.seq(trajectory, |w, point| point.save_state(w));
         w.usize(*bias_steps_applied);
         tracer.save_state(w);
     }
@@ -400,12 +397,7 @@ impl UavSim {
         };
         self.collision_count = r.u32()?;
         self.in_collision = r.bool()?;
-        let count = r.usize()?;
-        self.trajectory.clear();
-        self.trajectory.reserve(count.min(1 << 20));
-        for _ in 0..count {
-            self.trajectory.push(TrajectoryPoint::restore_state(r)?);
-        }
+        self.trajectory = r.seq(TrajectoryPoint::restore_state)?;
         self.bias_steps_applied = r.usize()?;
         self.tracer.restore_state(r)
     }

@@ -118,36 +118,7 @@ pub enum WorldKind {
     Slalom,
 }
 
-impl WorldKind {
-    /// Serializes the world selection as a stable one-byte tag.
-    pub fn save_state(&self, w: &mut rose_sim_core::snap::SnapWriter) {
-        w.u8(match self {
-            WorldKind::Tunnel => 0,
-            WorldKind::SShape => 1,
-            WorldKind::Slalom => 2,
-        });
-    }
-
-    /// Restores a world selection from its tag.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`rose_sim_core::snap::SnapError`] on a malformed
-    /// snapshot.
-    pub fn restore_state(
-        r: &mut rose_sim_core::snap::SnapReader<'_>,
-    ) -> Result<WorldKind, rose_sim_core::snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(WorldKind::Tunnel),
-            1 => Ok(WorldKind::SShape),
-            2 => Ok(WorldKind::Slalom),
-            tag => Err(rose_sim_core::snap::SnapError::BadTag {
-                context: "WorldKind",
-                tag,
-            }),
-        }
-    }
-}
+rose_sim_core::snap_tag!(WorldKind { Tunnel = 0, SShape = 1, Slalom = 2 });
 
 impl fmt::Display for WorldKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

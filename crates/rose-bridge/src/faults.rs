@@ -202,12 +202,11 @@ impl FaultPlan {
     /// Serializes the schedule itself (chaos-mission reproducer dumps).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.seed);
-        w.usize(self.events.len());
-        for e in &self.events {
+        w.seq(&self.events, |w, e| {
             w.u64(e.at_quantum);
             w.u8(e.kind.tag());
             w.u32(e.kind.ops());
-        }
+        });
     }
 
     /// Deserializes a schedule written by [`save_state`](FaultPlan::save_state).
@@ -217,15 +216,15 @@ impl FaultPlan {
     /// Propagates [`SnapError`] on truncation or an unknown fault tag.
     pub fn restore_state(r: &mut SnapReader<'_>) -> Result<FaultPlan, SnapError> {
         let seed = r.u64()?;
-        let n = r.usize()?;
-        let mut plan = FaultPlan::new(seed);
-        for _ in 0..n {
+        let mut events: Vec<FaultEvent> = r.seq(|r| {
             let at_quantum = r.u64()?;
             let tag = r.u8()?;
-            let ops = r.u32()?;
-            plan.push(at_quantum, FaultKind::from_parts(tag, ops)?);
-        }
-        Ok(plan)
+            let kind = FaultKind::from_parts(tag, r.u32()?)?;
+            Ok(FaultEvent { at_quantum, kind })
+        })?;
+        // Stable, so same-quantum events keep their order, as `push` does.
+        events.sort_by_key(|e| e.at_quantum);
+        Ok(FaultPlan { seed, events })
     }
 }
 

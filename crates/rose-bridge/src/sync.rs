@@ -180,6 +180,8 @@ pub enum SyncMode {
     Parallel,
 }
 
+rose_sim_core::snap_tag!(SyncMode { Sequential = 0, Parallel = 1 });
+
 /// Synchronization configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SyncConfig {
@@ -280,8 +282,9 @@ pub fn rtl_wall(profile: &Profiler) -> Duration {
 /// the wall-time args on the `sync-quantum` trace spans (DESIGN.md §4f).
 #[derive(Debug, Clone, Default)]
 pub struct SyncTelemetry {
-    /// Host wall time of each quantum's token phase (RTL grant plus
-    /// environment frames), µs.
+    /// Host wall time of each quantum's simulation work, µs: the RTL
+    /// grant plus the environment's share (its answers to the boundary's
+    /// packets and its frames). Transport and bookkeeping are left out.
     pub quantum_wall_us: LogHistogram,
     /// Host wall time of each RTL cycle grant (the grant latency), µs.
     pub grant_latency_us: LogHistogram,
@@ -447,25 +450,37 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// This runs before any token is granted, so everything either side
     /// observes during the following quantum was committed at the sync
     /// boundary.
-    fn exchange(&mut self) {
+    ///
+    /// The environment answers every drained packet before any answer is
+    /// queued, so its work (camera render, sensor reads) is one stopwatch
+    /// span, returned for [`Phase::EnvStep`]. The answers never see the
+    /// RTL queue or the trace, so queueing them afterwards keeps the
+    /// `push_data` calls and `bridge-packet` events in their interleaved
+    /// order.
+    fn exchange(&mut self) -> Duration {
         let boundary = self.stats.sim_cycles;
         let drained = self.rtl.drain_tx();
         // rose-lint: allow(CAST001, usize -> u64 queue length widens on every supported target)
         self.telemetry.queue_depth.record_u64(drained.len() as u64);
-        for datum in drained {
+        let watch = Stopwatch::start();
+        let answers: Vec<_> = drained.iter().map(|d| self.env.handle_data(d)).collect();
+        let pushed = self.env.poll_data();
+        let env_wall = watch.elapsed();
+        for (datum, responses) in drained.into_iter().zip(answers) {
             self.stats.data_to_env += 1;
             self.trace_packet(boundary, "to-env", datum.len());
-            for response in self.env.handle_data(&datum) {
+            for response in responses {
                 self.stats.data_to_rtl += 1;
                 self.trace_packet(boundary, "to-rtl", response.len());
                 self.rtl.push_data(response);
             }
         }
-        for datum in self.env.poll_data() {
+        for datum in pushed {
             self.stats.data_to_rtl += 1;
             self.trace_packet(boundary, "to-rtl", datum.len());
             self.rtl.push_data(datum);
         }
+        env_wall
     }
 
     /// Records one bridge packet crossing at the sync boundary.
@@ -536,16 +551,20 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// frames, then trace and bookkeeping — so the profiler's phases add
     /// up to the step's wall time, and the telemetry histograms and
     /// trace args reuse those laps rather than reading the clock again.
+    /// The environment's answers inside the exchange are timed separately
+    /// and moved from [`Phase::Transport`] to [`Phase::EnvStep`].
     pub fn step_sync(&mut self) {
         let mut watch = Stopwatch::start();
-        self.exchange();
-        self.profiler.add(Phase::Transport, watch.lap());
+        let answer_wall = self.exchange();
+        let exchange_wall = watch.lap();
+        self.profiler
+            .add(Phase::Transport, exchange_wall.saturating_sub(answer_wall));
         let (cycles, frames) = self.next_grant();
 
         self.rtl.grant_and_run(cycles);
         let rtl_wall = watch.lap();
         self.env.step_frames(frames);
-        let env_wall = watch.lap();
+        let env_wall = answer_wall + watch.lap();
 
         let recovery = self.rtl.take_recovery_wall();
         let cost_model = self.rtl.take_cost_model_wall();
@@ -1485,6 +1504,34 @@ mod tests {
         assert!(sync.telemetry().quantum_wall_us.is_empty());
         assert!(sync.telemetry().queue_depth.is_empty());
         assert!(sync.profiler().is_empty());
+    }
+
+    /// The environment's answers at the boundary (a camera render, a
+    /// sensor read) are environment work: the profiler books them as
+    /// `env-step`, not as `transport`, and the phases still tile the step.
+    #[test]
+    fn environment_answers_count_as_env_step() {
+        const ANSWER: Duration = Duration::from_millis(5);
+        struct SlowAnswerEnv;
+        impl EnvSide for SlowAnswerEnv {
+            fn step_frames(&mut self, _frames: u64) {}
+            fn handle_data(&mut self, payload: &[u8]) -> Vec<Vec<u8>> {
+                thread::sleep(ANSWER);
+                vec![payload.to_vec()]
+            }
+        }
+
+        let mut sync = Synchronizer::new(config(1), SlowAnswerEnv, LoopRtl::default());
+        sync.rtl_mut().tx.push(vec![1, 2]);
+        let outside = Stopwatch::start();
+        sync.step_sync();
+        let outside = outside.elapsed();
+
+        let profiler = sync.profiler();
+        assert!(profiler.total(Phase::EnvStep) >= ANSWER);
+        assert!(profiler.total(Phase::Transport) < ANSWER);
+        assert!(profiler.total_wall() <= outside);
+        assert_eq!(sync.rtl().received, [vec![1, 2]]);
     }
 
     /// A transport that dies mid-outbox must keep the unsent payloads

@@ -470,7 +470,9 @@ impl<'a> Parser<'a> {
                 k += 1;
                 continue;
             }
-            // `name(` — plain call; `name::<T>(` — turbofish call.
+            // `name(` — plain call; `name::<T>(` — turbofish call;
+            // `Type::name` ending an argument — a function passed by path
+            // (`r.seq(TraceEvent::restore_state)`), an edge like a call.
             let after = if is_punct(self.tokens.get(k + 1), "(") {
                 Some(k + 1)
             } else if is_punct(self.tokens.get(k + 1), "::")
@@ -478,6 +480,10 @@ impl<'a> Parser<'a> {
             {
                 let past = self.skip_angle(k + 2);
                 is_punct(self.tokens.get(past), "(").then_some(past)
+            } else if is_punct(self.tokens.get(k.wrapping_sub(1)), "::")
+                && (is_punct(self.tokens.get(k + 1), ")") || is_punct(self.tokens.get(k + 1), ","))
+            {
+                Some(k + 1)
             } else {
                 None
             };

@@ -13,6 +13,8 @@
 //!   known `impl`/`trait` block (`Self::` uses the enclosing block), and
 //!   fall back to every function with that name otherwise.
 //! - Bare `helper(...)` calls resolve to free functions with that name.
+//! - A `Type::method` path passed as an argument (`r.opt(Pending::restore_state)`)
+//!   is an edge like a `Type::method(...)` call: the callee runs it.
 //!
 //! Known false-negative edges, accepted and documented (DESIGN.md §4g):
 //! calls through function pointers and closures, trait-object dispatch to
@@ -416,6 +418,18 @@ mod tests {
         let run = id_of(&ws, "Soc::run");
         let helper = id_of(&ws, "Soc::helper");
         assert_eq!(ws.fns[run].callees, vec![helper]);
+    }
+
+    #[test]
+    fn functions_passed_by_path_are_edges() {
+        let files = parse(&[(
+            "crates/a/src/lib.rs",
+            "impl Event {\n fn restore_state() {}\n}\nfn restore(r: R) { r.seq(Event::restore_state); r.opt(Event::restore_state, 1); }",
+        )]);
+        let ws = build(&files);
+        let restore = id_of(&ws, "restore");
+        let event = id_of(&ws, "Event::restore_state");
+        assert_eq!(ws.fns[restore].callees, vec![event]);
     }
 
     #[test]

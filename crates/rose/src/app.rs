@@ -16,7 +16,7 @@
 use crate::deadline::DeadlineModel;
 use crate::message::{AppMessage, TrailInfo};
 use parking_lot::Mutex;
-use rose_dnn::lower::{lower_inference, LoweringConfig};
+use rose_dnn::lower::lower_inference;
 use rose_dnn::perception::PerceptionHead;
 use rose_dnn::DnnModel;
 use rose_sim_core::rng::SimRng;
@@ -100,7 +100,7 @@ impl ControllerChoice {
         match self {
             ControllerChoice::Static(model) => {
                 w.u8(0);
-                model.save_state(w);
+                w.tag(model);
             }
             ControllerChoice::Dynamic {
                 fast,
@@ -108,8 +108,8 @@ impl ControllerChoice {
                 threshold_s,
             } => {
                 w.u8(1);
-                fast.save_state(w);
-                accurate.save_state(w);
+                w.tag(fast);
+                w.tag(accurate);
                 w.f64(*threshold_s);
             }
         }
@@ -122,10 +122,10 @@ impl ControllerChoice {
     /// Returns [`SnapError::BadTag`] on an unknown tag.
     pub fn restore_state(r: &mut SnapReader<'_>) -> Result<ControllerChoice, SnapError> {
         match r.u8()? {
-            0 => Ok(ControllerChoice::Static(DnnModel::restore_state(r)?)),
+            0 => Ok(ControllerChoice::Static(r.tag()?)),
             1 => Ok(ControllerChoice::Dynamic {
-                fast: DnnModel::restore_state(r)?,
-                accurate: DnnModel::restore_state(r)?,
+                fast: r.tag()?,
+                accurate: r.tag()?,
                 threshold_s: r.f64()?,
             }),
             tag => Err(SnapError::BadTag {
@@ -224,10 +224,7 @@ impl AppMetrics {
             abort_requested,
             lost_responses,
         } = self;
-        w.usize(latencies_cycles.len());
-        for &lat in latencies_cycles {
-            w.u64(lat);
-        }
+        w.seq(latencies_cycles, |w, &lat| w.u64(lat));
         w.u64(*fast_inferences);
         w.u64(*deadline_switches);
         w.u64(*deadline_misses);
@@ -238,11 +235,7 @@ impl AppMetrics {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.latencies_cycles.clear();
-        for _ in 0..n {
-            self.latencies_cycles.push(r.u64()?);
-        }
+        self.latencies_cycles = r.seq(SnapReader::u64)?;
         self.fast_inferences = r.u64()?;
         self.deadline_switches = r.u64()?;
         self.deadline_misses = r.u64()?;
@@ -256,7 +249,7 @@ impl AppMetrics {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum State {
+pub(crate) enum State {
     /// Request the depth sensor (dynamic runtime only).
     RequestDepth,
     AwaitDepth,
@@ -267,33 +260,14 @@ enum State {
     SendCommand,
 }
 
-impl State {
-    fn save_state(self, w: &mut SnapWriter) {
-        w.u8(match self {
-            State::RequestDepth => 0,
-            State::AwaitDepth => 1,
-            State::RequestImage => 2,
-            State::AwaitImage => 3,
-            State::Inference => 4,
-            State::SendCommand => 5,
-        });
-    }
-
-    fn restore_state(r: &mut SnapReader<'_>) -> Result<State, SnapError> {
-        match r.u8()? {
-            0 => Ok(State::RequestDepth),
-            1 => Ok(State::AwaitDepth),
-            2 => Ok(State::RequestImage),
-            3 => Ok(State::AwaitImage),
-            4 => Ok(State::Inference),
-            5 => Ok(State::SendCommand),
-            tag => Err(SnapError::BadTag {
-                context: "TrailNavApp::State",
-                tag,
-            }),
-        }
-    }
-}
+rose_sim_core::snap_tag!(State {
+    RequestDepth = 0,
+    AwaitDepth = 1,
+    RequestImage = 2,
+    AwaitImage = 3,
+    Inference = 4,
+    SendCommand = 5,
+});
 
 /// The trail-navigation application (a [`TargetProgram`]).
 pub struct TrailNavApp {
@@ -359,10 +333,9 @@ impl TrailNavApp {
             ControllerChoice::Static(m) => vec![m],
             ControllerChoice::Dynamic { fast, accurate, .. } => vec![accurate, fast],
         };
-        let lowering = LoweringConfig::default();
         let plans: Vec<(DnnModel, Vec<TargetOp>)> = models
             .iter()
-            .map(|&m| (m, lower_inference(&m.plan(), has_accelerator, &lowering)))
+            .map(|&m| (m, lower_inference(&m.plan(), has_accelerator)))
             .collect();
         let heads = models
             .iter()
@@ -676,11 +649,8 @@ impl TargetProgram for TrailNavApp {
         for (_, head) in heads {
             head.save_state(w);
         }
-        state.save_state(w);
-        w.usize(queue.len());
-        for op in queue {
-            op.save_state(w);
-        }
+        w.tag(state);
+        w.seq(queue, |w, op| op.save_state(w));
         let model_idx = plans
             .iter()
             .position(|(m, _)| m == current_model)
@@ -706,12 +676,8 @@ impl TargetProgram for TrailNavApp {
         for (_, head) in &mut self.heads {
             head.restore_state(r)?;
         }
-        self.state = State::restore_state(r)?;
-        let n_ops = r.usize()?;
-        self.queue.clear();
-        for _ in 0..n_ops {
-            self.queue.push_back(TargetOp::restore_state(r)?);
-        }
+        self.state = r.tag()?;
+        self.queue = r.seq(TargetOp::restore_state)?;
         let model_idx = r.u8()? as usize;
         self.current_model = match self.plans.get(model_idx) {
             Some((m, _)) => *m,

@@ -22,7 +22,7 @@ use crate::app::{AppMetrics, ControlGains};
 use crate::message::{AppMessage, TrailInfo};
 use crate::mission::{run_program_mission, MissionConfig, MissionReport};
 use parking_lot::Mutex;
-use rose_dnn::lower::{lower_inference, LoweringConfig};
+use rose_dnn::lower::lower_inference;
 use rose_dnn::perception::PerceptionHead;
 use rose_dnn::DnnModel;
 use rose_sim_core::rng::SimRng;
@@ -128,11 +128,7 @@ impl FusionApp {
         velocity: f64,
         rng: &SimRng,
     ) -> (FusionApp, Arc<Mutex<AppMetrics>>, Arc<Mutex<FusionMetrics>>) {
-        let image_plan = lower_inference(
-            &config.image_model.plan(),
-            has_accelerator,
-            &LoweringConfig::default(),
-        );
+        let image_plan = lower_inference(&config.image_model.plan(), has_accelerator);
         // IMU branch: a 3-layer MLP with a small framework cost; runs on
         // the CPU (too small for the mesh).
         let h = config.imu_hidden;

@@ -49,10 +49,9 @@
 //! * [`audit`] — the cross-run determinism auditor: runs a config twice
 //!   and compares FNV digests of trajectory, SoC counters, and trace
 //!   ordering.
-//! * [`snapshot`] — mission snapshot / fork / resume: serialize the full
-//!   co-simulation state at a quantum boundary, warm-start sweeps from a
-//!   shared checkpoint, and clone a running mission into divergent
-//!   branches.
+//! * [`snapshot`] — mission snapshot and resume: serialize the full
+//!   co-simulation state at a quantum boundary, and warm-start sweeps by
+//!   resuming one shared checkpoint once per branch.
 
 #![deny(missing_docs)]
 

@@ -166,30 +166,25 @@ impl MissionConfig {
         } = self;
         soc.save_state(w);
         controller.save_state(w);
-        world.save_state(w);
+        w.tag(world);
         w.f64(*velocity);
         w.f64(*initial_yaw_deg);
         w.u32(*frame_hz);
         w.u64(*frames_per_sync);
-        w.u8(match sync_mode {
-            SyncMode::Sequential => 0,
-            SyncMode::Parallel => 1,
-        });
+        w.tag(sync_mode);
         w.u64(*seed);
         w.f64(*max_sim_seconds);
         gains.save_state(w);
         w.bool(*trace);
         w.f64(*deadline_budget_s);
-        w.usize(depth_blackouts.len());
-        for &(start, end) in depth_blackouts {
+        w.seq(depth_blackouts, |w, &(start, end)| {
             w.f64(start);
             w.f64(end);
-        }
-        w.usize(imu_bias_steps.len());
-        for (at, delta) in imu_bias_steps {
+        });
+        w.seq(imu_bias_steps, |w, (at, delta)| {
             w.f64(*at);
             delta.save_state(w);
-        }
+        });
         w.u32(recovery.max_retries);
         w.u32(recovery.backoff_base);
         w.u32(recovery.backoff_cap);
@@ -207,38 +202,19 @@ impl MissionConfig {
     ) -> Result<MissionConfig, rose_sim_core::snap::SnapError> {
         let soc = SocConfig::restore_state(r)?;
         let controller = ControllerChoice::restore_state(r)?;
-        let world = WorldKind::restore_state(r)?;
+        let world = r.tag()?;
         let velocity = r.f64()?;
         let initial_yaw_deg = r.f64()?;
         let frame_hz = r.u32()?;
         let frames_per_sync = r.u64()?;
-        let sync_mode = match r.u8()? {
-            0 => SyncMode::Sequential,
-            1 => SyncMode::Parallel,
-            tag => {
-                return Err(rose_sim_core::snap::SnapError::BadTag {
-                    context: "MissionConfig.sync_mode",
-                    tag,
-                })
-            }
-        };
+        let sync_mode = r.tag()?;
         let seed = r.u64()?;
         let max_sim_seconds = r.f64()?;
         let gains = ControlGains::restore_state(r)?;
         let trace = r.bool()?;
         let deadline_budget_s = r.f64()?;
-        let n_blackouts = r.usize()?;
-        let mut depth_blackouts = Vec::with_capacity(n_blackouts.min(1 << 16));
-        for _ in 0..n_blackouts {
-            let start = r.f64()?;
-            depth_blackouts.push((start, r.f64()?));
-        }
-        let n_steps = r.usize()?;
-        let mut imu_bias_steps = Vec::with_capacity(n_steps.min(1 << 16));
-        for _ in 0..n_steps {
-            let at = r.f64()?;
-            imu_bias_steps.push((at, Vec3::restore_state(r)?));
-        }
+        let depth_blackouts = r.seq(|r| Ok((r.f64()?, r.f64()?)))?;
+        let imu_bias_steps = r.seq(|r| Ok((r.f64()?, Vec3::restore_state(r)?)))?;
         let recovery = RecoveryPolicy {
             max_retries: r.u32()?,
             backoff_base: r.u32()?,

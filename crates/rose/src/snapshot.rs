@@ -1,4 +1,4 @@
-//! Mission snapshot, fork, and resume (DESIGN.md §4e).
+//! Mission snapshot and resume (DESIGN.md §4e).
 //!
 //! A [`MissionSnapshot`] is a compact, versioned, dependency-free
 //! serialization of the **entire** co-simulation state at a quantum
@@ -28,9 +28,10 @@
 //! The expensive prefix of every mission is identical within one SoC
 //! configuration: boot, first frames, cache and cost-model warm-up. A
 //! sweep (e.g. the Figure 10 trajectory study) can run that prefix
-//! *once*, [`Mission::snapshot`] it, and [`Mission::fork`] one branch
-//! per sweep point, perturbing each branch (initial yaw, gains) before
-//! running it to completion.
+//! *once*, [`Mission::snapshot`] it, and [`MissionSnapshot::resume`] one
+//! branch per sweep point, perturbing each branch (initial yaw, gains)
+//! before running it to completion. Branches resumed from one snapshot
+//! share no state.
 
 use crate::app::AppMetrics;
 use crate::envside::CoSimEnv;
@@ -108,20 +109,6 @@ impl Mission {
         MissionSnapshot {
             bytes: w.into_bytes(),
         }
-    }
-
-    /// Clones the running mission into `n` independent branches, each
-    /// resumed from the same snapshot of `self`. The branches share no
-    /// state; diverge them with [`perturb_yaw`](Mission::perturb_yaw) or
-    /// by reconfiguring before running.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapError`] if the snapshot fails to round-trip —
-    /// which would indicate a save/restore asymmetry bug.
-    pub fn fork(&self, n: usize) -> Result<Vec<Mission>, SnapError> {
-        let snap = self.snapshot();
-        (0..n).map(|_| snap.resume()).collect()
     }
 }
 
@@ -290,15 +277,12 @@ mod tests {
         let config = short();
         let mut mission = Mission::start(&config);
         mission.run_syncs(20);
-        let branches = mission.fork(2).expect("fork");
+        let snap = mission.snapshot();
         let mut digests = Vec::new();
-        let mut diverged = Vec::new();
-        for (i, mut branch) in branches.into_iter().enumerate() {
-            if i == 1 {
-                branch.perturb_yaw(0.3);
-                diverged.push(true);
-            } else {
-                diverged.push(false);
+        for dyaw in [None, Some(0.3)] {
+            let mut branch = snap.resume().expect("resume");
+            if let Some(dyaw) = dyaw {
+                branch.perturb_yaw(dyaw);
             }
             digests.push(MissionDigest::of(&branch.run_to_completion()));
         }
@@ -306,6 +290,58 @@ mod tests {
         assert_eq!(digests[0], MissionDigest::of(&run_mission(&config)));
         // ...and the perturbed branch flies a different trajectory.
         assert_ne!(digests[0].trajectory, digests[1].trajectory);
+    }
+
+    /// Every fieldless enum the snapshot stores as a tag, table-driven:
+    /// each variant writes its index as its byte and reads back, and the
+    /// first unused byte is rejected with the enum's own context.
+    #[test]
+    fn every_enum_tag_round_trips_and_rejects_the_next_byte() {
+        use rose_sim_core::snap::SnapTag;
+        use std::fmt::Debug;
+
+        fn check<T: SnapTag + PartialEq + Debug>(variants: &[T]) {
+            for (i, v) in variants.iter().enumerate() {
+                let mut w = SnapWriter::new();
+                w.tag(v);
+                let bytes = w.into_bytes();
+                assert_eq!(bytes, [i as u8], "{} byte of {v:?}", T::CONTEXT);
+                assert_eq!(SnapReader::new(&bytes).tag::<T>().as_ref(), Ok(v));
+            }
+            let unused = variants.len() as u8;
+            assert_eq!(
+                SnapReader::new(&[unused]).tag::<T>(),
+                Err(SnapError::BadTag {
+                    context: T::CONTEXT,
+                    tag: unused
+                })
+            );
+        }
+
+        use crate::app::State;
+        use rose_envsim::WorldKind;
+        use rose_socsim::config::CoreKind;
+        use rose_socsim::gemmini::Dataflow;
+        use rose_socsim::kernel::ElemKind;
+        check(&rose_dnn::DnnModel::all());
+        check(&[WorldKind::Tunnel, WorldKind::SShape, WorldKind::Slalom]);
+        check(&[CoreKind::Rocket, CoreKind::Boom]);
+        check(&[Dataflow::WeightStationary, Dataflow::OutputStationary]);
+        check(&[
+            ElemKind::Relu,
+            ElemKind::BatchNorm,
+            ElemKind::Add,
+            ElemKind::Bias,
+        ]);
+        check(&[SyncMode::Sequential, SyncMode::Parallel]);
+        check(&[
+            State::RequestDepth,
+            State::AwaitDepth,
+            State::RequestImage,
+            State::AwaitImage,
+            State::Inference,
+            State::SendCommand,
+        ]);
     }
 
     #[test]

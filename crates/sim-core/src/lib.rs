@@ -18,7 +18,7 @@
 //!   integral anti-windup, used by the flight controller cascade.
 //! * [`csv`] — minimal CSV log writing matching the artifact's CSV outputs.
 //! * [`snap`] — the versioned, dependency-free snapshot codec behind
-//!   mission snapshot / fork / resume.
+//!   mission snapshot / resume.
 //!
 //! # Example
 //!

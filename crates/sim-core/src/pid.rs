@@ -116,7 +116,7 @@ impl Pid {
             prev_error,
         } = self;
         w.f64(*integral);
-        w.opt_f64(*prev_error);
+        w.opt(*prev_error, SnapWriter::f64);
     }
 
     /// Restores the controller's dynamic state.
@@ -126,7 +126,7 @@ impl Pid {
     /// Propagates [`SnapError`] on a malformed snapshot.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.integral = r.f64()?;
-        self.prev_error = r.opt_f64()?;
+        self.prev_error = r.opt(SnapReader::f64)?;
         Ok(())
     }
 

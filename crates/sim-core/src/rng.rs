@@ -19,7 +19,7 @@
 //! hidden draw (see [`SimRng::gaussian`]). Snapshotting that one word and
 //! restoring it resumes every derived distribution — uniform, Lemire
 //! integer, Bernoulli, Gaussian — bit-identically mid-stream, a contract
-//! the mission snapshot / fork / resume machinery depends on and the
+//! the mission snapshot / resume machinery depends on and the
 //! `gaussian_stream_has_no_hidden_state` test enforces.
 
 use crate::snap::{SnapError, SnapReader, SnapWriter};

@@ -9,6 +9,11 @@
 //! serialize → deserialize → serialize is byte-identical by construction
 //! and no external serialization crate is required.
 //!
+//! Options ([`SnapWriter::opt`]), length-prefixed sequences
+//! ([`SnapWriter::seq`]) and fieldless enums ([`SnapWriter::tag`],
+//! [`SnapTag`]) are encoded here and nowhere else, so every component
+//! writes them the same way and decodes them with the same checks.
+//!
 //! # The "no hidden state" contract
 //!
 //! A component's `save_state` must begin with an exhaustive destructuring
@@ -202,26 +207,32 @@ impl SnapWriter {
         self.bytes(s.as_bytes());
     }
 
-    /// Writes an optional `f64` (presence byte + value).
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => self.u8(0),
+    /// Writes an optional value: a presence byte (0 or 1), then the value
+    /// through `put` when present.
+    pub fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Self, T)) {
+        self.bool(v.is_some());
+        if let Some(v) = v {
+            put(self, v);
         }
     }
 
-    /// Writes an optional length-prefixed byte string.
-    pub fn opt_bytes(&mut self, v: Option<&[u8]>) {
-        match v {
-            Some(b) => {
-                self.u8(1);
-                self.bytes(b);
-            }
-            None => self.u8(0),
+    /// Writes a sequence: its length as a `usize`, then each item through
+    /// `put`, in iteration order.
+    pub fn seq<I>(&mut self, items: I, mut put: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.usize(items.len());
+        for item in items {
+            put(self, item);
         }
+    }
+
+    /// Writes a fieldless enum as its one-byte [`SnapTag`].
+    pub fn tag<T: SnapTag>(&mut self, v: &T) {
+        self.u8(v.to_tag());
     }
 }
 
@@ -403,31 +414,111 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| SnapError::BadUtf8)
     }
 
-    /// Reads an optional `f64`.
+    /// Reads an optional value written by [`SnapWriter::opt`], decoding a
+    /// present value with `get`.
     ///
     /// # Errors
     ///
-    /// As [`SnapReader::bool`] and [`SnapReader::f64`].
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, SnapError> {
-        Ok(if self.bool()? {
-            Some(self.f64()?)
+    /// As [`SnapReader::bool`] for the presence byte, and whatever `get`
+    /// returns.
+    pub fn opt<T>(
+        &mut self,
+        get: impl FnOnce(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<Option<T>, SnapError> {
+        if self.bool()? {
+            get(self).map(Some)
         } else {
-            None
-        })
+            Ok(None)
+        }
     }
 
-    /// Reads an optional byte string.
+    /// Reads a sequence written by [`SnapWriter::seq`], decoding each item
+    /// with `get` and collecting them in order.
+    ///
+    /// Capacity is never reserved from the decoded length: a corrupt
+    /// prefix fails as a truncated read once the items run out, not as a
+    /// huge allocation.
     ///
     /// # Errors
     ///
-    /// As [`SnapReader::bool`] and [`SnapReader::bytes`].
-    pub fn opt_bytes(&mut self) -> Result<Option<Vec<u8>>, SnapError> {
-        Ok(if self.bool()? {
-            Some(self.bytes()?)
-        } else {
-            None
+    /// As [`SnapReader::usize`], and whatever `get` returns.
+    pub fn seq<T, C: FromIterator<T>>(
+        &mut self,
+        mut get: impl FnMut(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<C, SnapError> {
+        let n = self.usize()?;
+        (0..n).map(|_| get(self)).collect()
+    }
+
+    /// Reads a fieldless enum written by [`SnapWriter::tag`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] on exhaustion, [`SnapError::BadTag`] (with
+    /// the enum's [`SnapTag::CONTEXT`]) if no variant owns the byte.
+    pub fn tag<T: SnapTag>(&mut self) -> Result<T, SnapError> {
+        let tag = self.u8()?;
+        T::from_tag(tag).ok_or(SnapError::BadTag {
+            context: T::CONTEXT,
+            tag,
         })
     }
+}
+
+/// A fieldless enum with a stable one-byte snapshot encoding, written by
+/// [`SnapWriter::tag`] and read by [`SnapReader::tag`].
+///
+/// Implement it with [`snap_tag!`](crate::snap_tag), which states the
+/// variant-to-byte mapping once and derives both directions from it. The
+/// encoding is an exhaustive `match`, so a new variant fails to compile
+/// until it is given a byte, and saving never looks anything up.
+pub trait SnapTag: Sized {
+    /// Names the enum in a [`SnapError::BadTag`] (its type name).
+    const CONTEXT: &'static str;
+    /// The variant's byte.
+    fn to_tag(&self) -> u8;
+    /// The variant that owns `tag`, if any.
+    fn from_tag(tag: u8) -> Option<Self>;
+}
+
+/// Implements [`SnapTag`] for a fieldless enum from one variant-to-byte
+/// table:
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Core {
+///     Rocket,
+///     Boom,
+/// }
+/// rose_sim_core::snap_tag!(Core { Rocket = 0, Boom = 1 });
+///
+/// let mut w = rose_sim_core::SnapWriter::new();
+/// w.tag(&Core::Boom);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes, [1]);
+/// let mut r = rose_sim_core::SnapReader::new(&bytes);
+/// assert_eq!(r.tag::<Core>(), Ok(Core::Boom));
+/// ```
+#[macro_export]
+macro_rules! snap_tag {
+    ($ty:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::snap::SnapTag for $ty {
+            const CONTEXT: &'static str = stringify!($ty);
+
+            fn to_tag(&self) -> u8 {
+                match self {
+                    $(Self::$variant => $tag,)+
+                }
+            }
+
+            fn from_tag(tag: u8) -> Option<Self> {
+                match tag {
+                    $($tag => Some(Self::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -449,10 +540,10 @@ mod tests {
         w.bool(true);
         w.bytes(&[1, 2, 3]);
         w.str("hello");
-        w.opt_f64(Some(1.5));
-        w.opt_f64(None);
-        w.opt_bytes(Some(&[4, 5]));
-        w.opt_bytes(None);
+        w.opt(Some(1.5), SnapWriter::f64);
+        w.opt(None, SnapWriter::f64);
+        w.opt(Some(&[4u8, 5][..]), SnapWriter::bytes);
+        w.seq([7u64, 8], |w, v| w.u64(v));
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes);
@@ -469,10 +560,10 @@ mod tests {
         assert!(r.bool().unwrap());
         assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.string().unwrap(), "hello");
-        assert_eq!(r.opt_f64().unwrap(), Some(1.5));
-        assert_eq!(r.opt_f64().unwrap(), None);
-        assert_eq!(r.opt_bytes().unwrap(), Some(vec![4, 5]));
-        assert_eq!(r.opt_bytes().unwrap(), None);
+        assert_eq!(r.opt(SnapReader::f64).unwrap(), Some(1.5));
+        assert_eq!(r.opt(SnapReader::f64).unwrap(), None);
+        assert_eq!(r.opt(SnapReader::bytes).unwrap(), Some(vec![4, 5]));
+        assert_eq!(r.seq::<_, Vec<_>>(SnapReader::u64).unwrap(), [7, 8]);
         r.finish().unwrap();
     }
 
@@ -513,6 +604,22 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(r.bytes(), Err(SnapError::BadLength { .. })));
+    }
+
+    #[test]
+    fn corrupt_sequence_length_fails_as_truncation() {
+        let mut w = SnapWriter::new();
+        w.u64(u64::MAX); // a length no buffer can back
+        w.u64(1);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(
+            r.seq::<_, Vec<_>>(SnapReader::u64),
+            Err(SnapError::Truncated {
+                wanted: 8,
+                available: 0
+            })
+        );
     }
 
     #[test]

@@ -90,14 +90,8 @@ impl RoseBridgeHw {
             budget,
             stats,
         } = self;
-        w.usize(rx.len());
-        for msg in rx {
-            w.bytes(msg);
-        }
-        w.usize(tx.len());
-        for msg in tx {
-            w.bytes(msg);
-        }
+        w.seq(rx, |w, msg| w.bytes(msg));
+        w.seq(tx, |w, msg| w.bytes(msg));
         w.u64(*budget);
         w.u64(stats.rx_msgs);
         w.u64(stats.rx_bytes);
@@ -111,16 +105,8 @@ impl RoseBridgeHw {
     ///
     /// Propagates [`SnapError`] on a malformed snapshot.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n_rx = r.usize()?;
-        self.rx.clear();
-        for _ in 0..n_rx {
-            self.rx.push_back(r.bytes()?);
-        }
-        let n_tx = r.usize()?;
-        self.tx.clear();
-        for _ in 0..n_tx {
-            self.tx.push_back(r.bytes()?);
-        }
+        self.rx = r.seq(SnapReader::bytes)?;
+        self.tx = r.seq(SnapReader::bytes)?;
         self.budget = r.u64()?;
         self.stats.rx_msgs = r.u64()?;
         self.stats.rx_bytes = r.u64()?;

@@ -29,31 +29,7 @@ pub enum CoreKind {
     Boom,
 }
 
-impl CoreKind {
-    /// Serializes the core kind as a stable one-byte tag.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            CoreKind::Rocket => 0,
-            CoreKind::Boom => 1,
-        });
-    }
-
-    /// Restores a core kind from its tag.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError::BadTag`] on an unknown tag.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<CoreKind, SnapError> {
-        match r.u8()? {
-            0 => Ok(CoreKind::Rocket),
-            1 => Ok(CoreKind::Boom),
-            tag => Err(SnapError::BadTag {
-                context: "CoreKind",
-                tag,
-            }),
-        }
-    }
-}
+rose_sim_core::snap_tag!(CoreKind { Rocket = 0, Boom = 1 });
 
 impl fmt::Display for CoreKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -168,14 +144,8 @@ impl SocConfig {
             clock,
         } = self;
         w.str(name);
-        core.save_state(w);
-        match gemmini {
-            Some(g) => {
-                w.u8(1);
-                g.save_state(w);
-            }
-            None => w.u8(0),
-        }
+        w.tag(core);
+        w.opt(gemmini.as_ref(), |w, g| g.save_state(w));
         mem.save_state(w);
         w.u64(clock.hz());
     }
@@ -188,17 +158,8 @@ impl SocConfig {
     /// frequency is rejected as [`SnapError::BadTag`].
     pub fn restore_state(r: &mut SnapReader<'_>) -> Result<SocConfig, SnapError> {
         let name = r.string()?;
-        let core = CoreKind::restore_state(r)?;
-        let gemmini = match r.u8()? {
-            0 => None,
-            1 => Some(GemminiConfig::restore_state(r)?),
-            tag => {
-                return Err(SnapError::BadTag {
-                    context: "SocConfig.gemmini presence",
-                    tag,
-                })
-            }
-        };
+        let core = r.tag()?;
+        let gemmini = r.opt(GemminiConfig::restore_state)?;
         let mem = MemConfig::restore_state(r)?;
         let hz = r.u64()?;
         if hz == 0 {

@@ -25,6 +25,8 @@ pub enum Dataflow {
     OutputStationary,
 }
 
+rose_sim_core::snap_tag!(Dataflow { WeightStationary = 0, OutputStationary = 1 });
+
 /// Accelerator generator parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GemminiConfig {
@@ -77,10 +79,7 @@ impl GemminiConfig {
         w.usize(*mesh_cols);
         w.usize(*scratchpad_bytes);
         w.usize(*accumulator_bytes);
-        w.u8(match dataflow {
-            Dataflow::WeightStationary => 0,
-            Dataflow::OutputStationary => 1,
-        });
+        w.tag(dataflow);
         w.u64(*cmd_overhead);
     }
 
@@ -95,16 +94,7 @@ impl GemminiConfig {
             mesh_cols: r.usize()?,
             scratchpad_bytes: r.usize()?,
             accumulator_bytes: r.usize()?,
-            dataflow: match r.u8()? {
-                0 => Dataflow::WeightStationary,
-                1 => Dataflow::OutputStationary,
-                tag => {
-                    return Err(SnapError::BadTag {
-                        context: "Dataflow",
-                        tag,
-                    });
-                }
-            },
+            dataflow: r.tag()?,
             cmd_overhead: r.u64()?,
         })
     }

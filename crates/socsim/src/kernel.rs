@@ -136,35 +136,12 @@ pub enum ElemKind {
     Bias,
 }
 
-impl ElemKind {
-    /// Serializes the kind as a stable one-byte tag.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            ElemKind::Relu => 0,
-            ElemKind::BatchNorm => 1,
-            ElemKind::Add => 2,
-            ElemKind::Bias => 3,
-        });
-    }
-
-    /// Restores a kind from its tag.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapError`] on a malformed snapshot.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<ElemKind, SnapError> {
-        match r.u8()? {
-            0 => Ok(ElemKind::Relu),
-            1 => Ok(ElemKind::BatchNorm),
-            2 => Ok(ElemKind::Add),
-            3 => Ok(ElemKind::Bias),
-            tag => Err(SnapError::BadTag {
-                context: "ElemKind",
-                tag,
-            }),
-        }
-    }
-}
+rose_sim_core::snap_tag!(ElemKind {
+    Relu = 0,
+    BatchNorm = 1,
+    Add = 2,
+    Bias = 3,
+});
 
 /// A CPU workload kernel.
 ///
@@ -253,7 +230,7 @@ impl Kernel {
             Kernel::Elementwise { n, kind } => {
                 w.u8(2);
                 w.usize(n);
-                kind.save_state(w);
+                w.tag(&kind);
             }
             Kernel::Pool { out_elems, window } => {
                 w.u8(3);
@@ -298,7 +275,7 @@ impl Kernel {
             }),
             2 => Ok(Kernel::Elementwise {
                 n: r.usize()?,
-                kind: ElemKind::restore_state(r)?,
+                kind: r.tag()?,
             }),
             3 => Ok(Kernel::Pool {
                 out_elems: r.usize()?,

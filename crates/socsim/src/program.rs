@@ -230,29 +230,13 @@ impl TargetProgram for ScriptedProgram {
 
     fn save_state(&self, w: &mut SnapWriter) {
         let ScriptedProgram { ops, received } = self;
-        let remaining = ops.as_slice();
-        w.usize(remaining.len());
-        for op in remaining {
-            op.save_state(w);
-        }
-        w.usize(received.len());
-        for msg in received {
-            w.bytes(msg);
-        }
+        w.seq(ops.as_slice(), |w, op| op.save_state(w));
+        w.seq(received, |w, msg| w.bytes(msg));
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n_ops = r.usize()?;
-        let mut ops = Vec::with_capacity(n_ops);
-        for _ in 0..n_ops {
-            ops.push(TargetOp::restore_state(r)?);
-        }
-        self.ops = ops.into_iter();
-        let n_recv = r.usize()?;
-        self.received.clear();
-        for _ in 0..n_recv {
-            self.received.push(r.bytes()?);
-        }
+        self.ops = r.seq::<_, Vec<_>>(TargetOp::restore_state)?.into_iter();
+        self.received = r.seq(SnapReader::bytes)?;
         Ok(())
     }
 }

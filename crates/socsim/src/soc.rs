@@ -380,49 +380,28 @@ impl Soc {
         w.bool(*halted);
         w.u64(*rx_blocked_quanta);
         w.bool(*rx_timeout_fired);
-        match pending {
-            None => w.u8(0),
-            Some(p) => {
-                w.u8(1);
-                p.save_state(w);
-            }
-        }
-        match blocked {
-            None => w.u8(0),
-            Some(op) => {
-                w.u8(1);
-                op.save_state(w);
-            }
-        }
-        w.opt_bytes(inbox.as_deref());
+        w.opt(pending.as_ref(), |w, p| p.save_state(w));
+        w.opt(blocked.as_ref(), |w, op| op.save_state(w));
+        w.opt(inbox.as_deref(), SnapWriter::bytes);
         cpu.save_state(w);
-        match gemmini {
-            None => w.u8(0),
-            Some(g) => {
-                w.u8(1);
-                g.save_state(w);
-            }
-        }
+        w.opt(gemmini.as_ref(), |w, g| g.save_state(w));
         mem.save_state(w);
         bridge.save_state(w);
-        w.usize(kernel_costs.len());
-        for (kernel, (cycles, instrs)) in kernel_costs {
+        w.seq(kernel_costs, |w, (kernel, (cycles, instrs))| {
             kernel.save_state(w);
             w.u64(*cycles);
             w.u64(*instrs);
-        }
-        w.usize(conv_costs.len());
-        for (shape, run) in conv_costs {
+        });
+        w.seq(conv_costs, |w, (shape, run)| {
             shape.save_state(w);
             run.save_state(w);
-        }
-        w.usize(matmul_costs.len());
-        for (&(m, k, n), run) in matmul_costs {
+        });
+        w.seq(matmul_costs, |w, (&(m, k, n), run)| {
             w.usize(m);
             w.usize(k);
             w.usize(n);
             run.save_state(w);
-        }
+        });
         program.save_state(w);
         tracer.save_state(w);
     }
@@ -441,38 +420,11 @@ impl Soc {
         self.halted = r.bool()?;
         self.rx_blocked_quanta = r.u64()?;
         self.rx_timeout_fired = r.bool()?;
-        self.pending = match r.u8()? {
-            0 => None,
-            1 => Some(Pending::restore_state(r)?),
-            tag => {
-                return Err(SnapError::BadTag {
-                    context: "Soc.pending",
-                    tag,
-                });
-            }
-        };
-        self.blocked = match r.u8()? {
-            0 => None,
-            1 => Some(TargetOp::restore_state(r)?),
-            tag => {
-                return Err(SnapError::BadTag {
-                    context: "Soc.blocked",
-                    tag,
-                });
-            }
-        };
-        self.inbox = r.opt_bytes()?;
+        self.pending = r.opt(Pending::restore_state)?;
+        self.blocked = r.opt(TargetOp::restore_state)?;
+        self.inbox = r.opt(SnapReader::bytes)?;
         self.cpu.restore_state(r)?;
-        let has_gemmini = match r.u8()? {
-            0 => false,
-            1 => true,
-            tag => {
-                return Err(SnapError::BadTag {
-                    context: "Soc.gemmini",
-                    tag,
-                });
-            }
-        };
+        let has_gemmini = r.bool()?;
         match (&mut self.gemmini, has_gemmini) {
             (Some(g), true) => g.restore_state(r)?,
             (None, false) => {}
@@ -485,30 +437,16 @@ impl Soc {
         }
         self.mem.restore_state(r)?;
         self.bridge.restore_state(r)?;
-        let n_kernels = r.usize()?;
-        self.kernel_costs.clear();
-        for _ in 0..n_kernels {
+        self.kernel_costs = r.seq(|r| {
             let kernel = Kernel::restore_state(r)?;
-            let cycles = r.u64()?;
-            let instrs = r.u64()?;
-            self.kernel_costs.insert(kernel, (cycles, instrs));
-        }
-        let n_convs = r.usize()?;
-        self.conv_costs.clear();
-        for _ in 0..n_convs {
-            let shape = ConvShape::restore_state(r)?;
-            let run = AccelRun::restore_state(r)?;
-            self.conv_costs.insert(shape, run);
-        }
-        let n_matmuls = r.usize()?;
-        self.matmul_costs.clear();
-        for _ in 0..n_matmuls {
-            let m = r.usize()?;
-            let k = r.usize()?;
-            let n = r.usize()?;
-            let run = AccelRun::restore_state(r)?;
-            self.matmul_costs.insert((m, k, n), run);
-        }
+            Ok((kernel, (r.u64()?, r.u64()?)))
+        })?;
+        self.conv_costs =
+            r.seq(|r| Ok((ConvShape::restore_state(r)?, AccelRun::restore_state(r)?)))?;
+        self.matmul_costs = r.seq(|r| {
+            let dims = (r.usize()?, r.usize()?, r.usize()?);
+            Ok((dims, AccelRun::restore_state(r)?))
+        })?;
         self.program.restore_state(r)?;
         self.kernel_cycles_hist = LogHistogram::new();
         self.tracer.restore_state(r)

@@ -158,8 +158,7 @@ struct Inner {
 fn save_kernels(kernels: &KernelMap, w: &mut SnapWriter) {
     w.section(SNAP_SECTION);
     w.u32(MODEL_VERSION);
-    w.usize(kernels.len());
-    for ((fp, kernel, ctx), entry) in kernels {
+    w.seq(kernels, |w, ((fp, kernel, ctx), entry)| {
         w.u64(*fp);
         kernel.save_state(w);
         w.u64(*ctx);
@@ -170,7 +169,7 @@ fn save_kernels(kernels: &KernelMap, w: &mut SnapWriter) {
         w.u64(entry.check);
         entry.post_mem.config().save_state(w);
         entry.post_mem.save_state(w);
-    }
+    });
 }
 
 /// Decodes and validates a cache file. A stale generation is not an
@@ -181,18 +180,16 @@ fn restore_kernels(bytes: &[u8]) -> Result<KernelMap, SnapError> {
     if r.u32()? != MODEL_VERSION {
         return Ok(KernelMap::new());
     }
-    let mut kernels = KernelMap::new();
-    let n_kernels = r.usize()?;
-    for _ in 0..n_kernels {
+    let kernels = r.seq(|r| {
         let fp = r.u64()?;
-        let kernel = Kernel::restore_state(&mut r)?;
+        let kernel = Kernel::restore_state(r)?;
         let ctx = r.u64()?;
         let (cycles, instrs, mispredicts, post_rng, check) =
             (r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-        let config = MemConfig::restore_state(&mut r)?;
+        let config = MemConfig::restore_state(r)?;
         check_loaded_geometry(&config)?;
         let mut post_mem = MemSystem::new(config);
-        post_mem.restore_state(&mut r)?;
+        post_mem.restore_state(r)?;
         let entry = KernelEntry {
             cycles,
             instrs,
@@ -201,8 +198,8 @@ fn restore_kernels(bytes: &[u8]) -> Result<KernelMap, SnapError> {
             check,
             post_mem,
         };
-        kernels.insert((fp, kernel, ctx), Arc::new(entry));
-    }
+        Ok(((fp, kernel, ctx), Arc::new(entry)))
+    })?;
     r.finish()?;
     Ok(kernels)
 }
@@ -410,7 +407,7 @@ impl SharedTimingCache {
     pub fn fingerprint(config: &SocConfig) -> u64 {
         let mut w = SnapWriter::new();
         w.u32(MODEL_VERSION);
-        config.core.save_state(&mut w);
+        w.tag(&config.core);
         config.mem.save_state(&mut w);
         let mut h = Fnv64::new();
         h.write(&w.into_bytes());

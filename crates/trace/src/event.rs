@@ -175,8 +175,7 @@ impl TraceEvent {
                 w.f64(*value);
             }
         }
-        w.usize(args.len());
-        for (key, value) in args {
+        w.seq(args, |w, (key, value)| {
             w.str(key);
             match value {
                 ArgValue::U64(v) => {
@@ -192,7 +191,7 @@ impl TraceEvent {
                     w.str(s);
                 }
             }
-        }
+        });
     }
 
     /// Deserializes one event, interning names and string values.
@@ -222,9 +221,7 @@ impl TraceEvent {
                 })
             }
         };
-        let count = r.usize()?;
-        let mut args = Vec::with_capacity(count.min(64));
-        for _ in 0..count {
+        let args = r.seq(|r| {
             let key = intern(&r.string()?);
             let value = match r.u8()? {
                 ARG_U64 => ArgValue::U64(r.u64()?),
@@ -237,8 +234,8 @@ impl TraceEvent {
                     })
                 }
             };
-            args.push((key, value));
-        }
+            Ok((key, value))
+        })?;
         Ok(TraceEvent {
             track,
             name,

@@ -1,11 +1,12 @@
 //! Host wall-clock self-profiler: scoped, phase-keyed time attribution.
 //!
-//! ROADMAP item 3 ("make the SoC cycle loop an order of magnitude
-//! faster") needs a target list before it can be attacked: where does
-//! *host* time actually go — environment stepping, the RTL grant loop,
-//! transport, the snapshot codec, or the tracing layer itself? This
-//! module answers that with a fixed-size per-phase accumulator that is
-//! cheap enough to leave always on.
+//! A speed-up needs a target, and a slow run needs an explanation: where
+//! does *host* time go — the environment, the RTL grant loop, the SoC's
+//! cost model, transport, recovery, the snapshot codec, or the tracing
+//! layer itself? This module answers that with a fixed-size per-phase
+//! accumulator, cheap enough to leave always on, whose phases add up to
+//! the wall time of each synchronization period
+//! (`profile_mission --profile` prints the table).
 //!
 //! # The digest-exclusion contract
 //!
@@ -24,11 +25,14 @@ use std::time::{Duration, Instant};
 /// cost center.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Environment simulator frame stepping (dynamics, sensors, render).
+    /// The environment simulator's work: stepping its frames (dynamics,
+    /// physics substeps) and answering the SoC's packets at the sync
+    /// boundary (camera render, sensor reads).
     EnvStep,
     /// The RTL grant: running the SoC for one quantum's worth of cycles.
     RtlGrant,
-    /// Token/packet exchange between the endpoints (queue drains, IPC).
+    /// Token/packet exchange between the endpoints (queue drains, IPC),
+    /// without the environment's answers, which count as `EnvStep`.
     Transport,
     /// Mission snapshot serialization and resume deserialization.
     SnapshotCodec,

@@ -85,11 +85,7 @@ impl Tracer {
     pub fn save_state(&self, w: &mut SnapWriter) {
         // The clock and enabled/disabled mode are structural: both are
         // re-derived from `MissionConfig` when the tracer is rebuilt.
-        let events = self.events();
-        w.usize(events.len());
-        for event in events {
-            event.save_state(w);
-        }
+        w.seq(self.events(), |w, event| event.save_state(w));
     }
 
     /// Restores buffered events into this tracer.
@@ -102,20 +98,9 @@ impl Tracer {
     ///
     /// Propagates [`SnapError`] on malformed input.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let count = r.usize()?;
-        match &mut self.inner {
-            Some(buf) => {
-                buf.events.clear();
-                buf.events.reserve(count.min(1 << 20));
-                for _ in 0..count {
-                    buf.events.push(TraceEvent::restore_state(r)?);
-                }
-            }
-            None => {
-                for _ in 0..count {
-                    TraceEvent::restore_state(r)?;
-                }
-            }
+        let events = r.seq(TraceEvent::restore_state)?;
+        if let Some(buf) = &mut self.inner {
+            buf.events = events;
         }
         Ok(())
     }

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use rose::audit::MissionDigest;
 use rose::mission::{run_mission, MissionConfig};
 use rose::snapshot::Mission;
+use rose_sim_core::fnv::fnv64;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -57,6 +58,23 @@ fn resumed_digest(boundary: u64) -> MissionDigest {
     let digest = MissionDigest::of(&resumed.run_to_completion());
     CACHE.lock().unwrap().insert(boundary, digest);
     digest
+}
+
+/// The snapshot format, pinned byte for byte: the snapshot of an untraced
+/// `short()` mission at boundary 8 must hash to this constant. Untraced,
+/// because a traced snapshot carries host wall times in its `sync-quantum`
+/// event args. A codec change that moves one byte fails here even when it
+/// round-trips; bump `MissionSnapshot::VERSION` with any deliberate change.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let config = MissionConfig {
+        trace: false,
+        ..short()
+    };
+    let mut mission = Mission::start(&config);
+    assert_eq!(mission.run_syncs(8), 8);
+    let snap = mission.snapshot();
+    assert_eq!(fnv64(snap.bytes()), 0xfcbc_0c0d_29fc_680f);
 }
 
 proptest! {
