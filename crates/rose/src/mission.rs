@@ -448,6 +448,7 @@ fn drive_mission<R: MissionRtl>(
                 hits,
                 misses,
                 entries: cache.len(),
+                file_bytes: cache.file_bytes(),
             }
         })
     };

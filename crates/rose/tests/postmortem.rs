@@ -57,9 +57,33 @@ fn deadline_miss_postmortem_blames_compute() {
     let cache = parsed.get("timing_cache").expect("timing-cache counters");
     let count = |key| cache.get(key).and_then(|v| v.as_f64()).expect(key);
     assert!(count("misses") > 0.0 && count("entries") == count("misses"));
+    // A cache held in memory has no file, so the dump gives no size.
+    assert!(cache.get("file_bytes").is_none());
     // The ring carries context, not just the trigger sample.
     let ring = parsed.get("ring").and_then(|r| r.as_array()).expect("ring");
     assert!(!ring.is_empty());
+
+    // Bound to a file, the cache reports the file's size once it exists.
+    let path =
+        std::env::temp_dir().join(format!("rose-postmortem-cache-{}.snap", std::process::id()));
+    let file_bytes = |cache: SharedTimingCache| {
+        let report = run_mission(&MissionConfig {
+            max_sim_seconds: 0.5,
+            timing_cache: Some(cache),
+            ..config.clone()
+        });
+        let parsed = json::parse(&report.postmortems[0]).expect("postmortem is valid JSON");
+        let cache = parsed.get("timing_cache").expect("timing-cache counters");
+        cache.get("file_bytes").map(|v| v.as_f64().expect("a size"))
+    };
+    let unwritten = SharedTimingCache::load(&path);
+    assert_eq!(file_bytes(unwritten.clone()), None, "no file written yet");
+    unwritten.persist().expect("cache file writes");
+    let written = std::fs::metadata(&path).expect("the cache file").len();
+    assert!(written > 0);
+    let size = file_bytes(SharedTimingCache::load(&path));
+    std::fs::remove_file(&path).ok();
+    assert_eq!(size, Some(written as f64));
 }
 
 #[test]

@@ -89,16 +89,35 @@ impl CpuConfig {
         }
     }
 
-    fn latency_of(&self, class: InstrClass) -> u64 {
-        match class {
-            InstrClass::IntAlu | InstrClass::Branch => self.int_latency,
-            InstrClass::FpAdd => self.fp_add_latency,
-            InstrClass::FpMul => self.fp_mul_latency,
-            InstrClass::FpDiv => self.fp_div_latency,
-            // Memory latencies come from the memory system.
-            InstrClass::Load | InstrClass::Store => 0,
+    /// Execution latency per [`InstrClass`], indexed by its discriminant.
+    /// Loads and stores are costed by the memory system instead.
+    fn latencies(&self) -> [u64; CLASSES] {
+        let mut table = [0; CLASSES];
+        for (class, latency) in [
+            (InstrClass::IntAlu, self.int_latency),
+            (InstrClass::Branch, self.int_latency),
+            (InstrClass::FpAdd, self.fp_add_latency),
+            (InstrClass::FpMul, self.fp_mul_latency),
+            (InstrClass::FpDiv, self.fp_div_latency),
+        ] {
+            table[class as usize] = latency;
         }
+        table
     }
+}
+
+/// The number of [`InstrClass`] variants, whose discriminants index the
+/// per-class latency table.
+const CLASSES: usize = 7;
+
+/// The integer form of a mispredict probability `p`: a draw `m` of
+/// [`next_draw`] mispredicts when `m < miss_threshold(p)`,
+/// exactly when the float draw `m / 2^53 < p` would. Scaling by `2^53`
+/// is exact, and an integer is below a real `x` exactly when it is below
+/// `ceil(x)`; the saturating cast sends NaN and `p <= 0` to 0 (never) and
+/// `p >= 1` to at least `2^53` (always).
+fn miss_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Aggregate execution counters for one core.
@@ -213,16 +232,6 @@ impl CpuModel {
         Ok(())
     }
 
-    fn next_rand(&mut self) -> f64 {
-        // xorshift64*
-        let mut x = self.branch_rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.branch_rng = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Times a materialized trace against `mem`, returning the (scaled)
     /// cycle cost: the trace's instructions are pushed, in order, through
     /// the same pipeline step that [`CpuModel::run_kernel`] streams a
@@ -245,6 +254,17 @@ impl CpuModel {
     }
 }
 
+/// Advances the branch-predictor noise stream `state` (xorshift64*) and
+/// returns its next 53-bit draw, compared against a [`miss_threshold`].
+fn next_draw(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11
+}
+
 /// Completion-time ring of the pipeline step: a power of two no smaller
 /// than the largest reorder buffer [`CpuConfig::window`] is clamped to.
 const RING: usize = 512;
@@ -260,6 +280,11 @@ struct Pipeline<'a> {
     cpu: &'a mut CpuModel,
     mem: &'a mut MemSystem,
     cfg: CpuConfig,
+    /// [`CpuConfig::latencies`].
+    latency: [u64; CLASSES],
+    /// [`miss_threshold`] of the easy and hard mispredict probabilities.
+    easy_miss: u64,
+    hard_miss: u64,
     /// Reorder-buffer size, clamped to `1..=RING`.
     window: usize,
     /// Completion time of instruction `i` at `completed[i % RING]`.
@@ -285,6 +310,9 @@ impl<'a> Pipeline<'a> {
             cpu,
             mem,
             cfg,
+            latency: cfg.latencies(),
+            easy_miss: miss_threshold(cfg.easy_branch_miss),
+            hard_miss: miss_threshold(cfg.hard_branch_miss),
             window: cfg.window.clamp(1, RING),
             completed: [0; RING],
             count: 0,
@@ -362,9 +390,14 @@ impl InstrSink for Pipeline<'_> {
             }
             InstrClass::IntAlu | InstrClass::Branch => &mut [],
         };
-        let earliest = ports.iter().copied().enumerate().min_by_key(|&(_, t)| t);
-        if let Some((idx, free_at)) = earliest {
-            start = start.max(free_at);
+        if !ports.is_empty() {
+            let mut idx = 0;
+            for i in 1..ports.len() {
+                if ports[i] < ports[idx] {
+                    idx = i;
+                }
+            }
+            start = start.max(ports[idx]);
             ports[idx] = start + 1;
         }
 
@@ -383,18 +416,18 @@ impl InstrSink for Pipeline<'_> {
                 self.mem.access(addr, true);
                 1
             }
-            c => cfg.latency_of(c),
+            c => self.latency[c as usize],
         };
         let completion = start + latency.max(1);
 
         // Branch resolution.
         if instr.class == InstrClass::Branch {
-            let miss_p = if instr.hard_to_predict {
-                cfg.hard_branch_miss
+            let threshold = if instr.hard_to_predict {
+                self.hard_miss
             } else {
-                cfg.easy_branch_miss
+                self.easy_miss
             };
-            if self.cpu.next_rand() < miss_p {
+            if next_draw(&mut self.cpu.branch_rng) < threshold {
                 self.cpu.stats.mispredicts += 1;
                 let redirect = completion + cfg.mispredict_penalty;
                 if redirect > self.dispatch_cycle {
@@ -516,6 +549,41 @@ mod tests {
     }
 
     #[test]
+    fn integer_branch_threshold_agrees_with_the_float_draw() {
+        // The draw the thresholds replaced: the same 53-bit integer as a
+        // fraction of 2^53, compared against the probability as a float.
+        let float_miss = |m: u64, p: f64| (m as f64 / (1u64 << 53) as f64) < p;
+        let (rocket, boom) = (CpuConfig::rocket(), CpuConfig::boom());
+        let probabilities = [
+            rocket.easy_branch_miss,
+            rocket.hard_branch_miss,
+            boom.easy_branch_miss,
+            boom.hard_branch_miss,
+            0.0,
+            -0.0,
+            1.0,
+            1.5,
+            -0.25,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        let mut rng = CpuModel::new(boom).branch_rng();
+        let draws: Vec<u64> = (0..1_000_000).map(|_| next_draw(&mut rng)).collect();
+        for p in probabilities {
+            let threshold = miss_threshold(p);
+            let edges = [0, threshold.saturating_sub(1), threshold, (1 << 53) - 1];
+            for m in draws.iter().copied().chain(edges) {
+                if m < 1 << 53 {
+                    assert_eq!(m < threshold, float_miss(m, p), "p = {p}, draw {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at most 8 issue ports")]
     fn more_ports_than_the_pipeline_holds_are_rejected() {
         CpuModel::new(CpuConfig {
@@ -575,7 +643,22 @@ mod golden_tests {
     /// A core's name and its configuration constructor.
     type Core = (&'static str, fn() -> CpuConfig);
 
-    const CORES: [Core; 2] = [("Rocket", CpuConfig::rocket), ("BOOM", CpuConfig::boom)];
+    const CORES: [Core; 3] = [
+        ("Rocket", CpuConfig::rocket),
+        ("BOOM", CpuConfig::boom),
+        ("Wide", wide),
+    ];
+
+    /// A core wider than BOOM: four-wide, with three memory and three FP
+    /// ports, so the port claim breaks ties among more than two ports.
+    fn wide() -> CpuConfig {
+        CpuConfig {
+            width: 4,
+            mem_ports: 3,
+            fp_ports: 3,
+            ..CpuConfig::boom()
+        }
+    }
 
     /// The five outputs of one expansion: cycles, instructions,
     /// mispredicts, the branch RNG afterwards, and an FNV of the memory
@@ -603,10 +686,12 @@ mod golden_tests {
     /// post-memory FNV)`.
     type GoldenRow = (usize, usize, usize, u64, u64, u64, u64, u64);
 
-    /// Recorded from the materialize-then-cost pipeline that predates
-    /// streaming.
+    /// The Rocket and BOOM rows were recorded from the
+    /// materialize-then-cost pipeline that predates streaming; the wide
+    /// core's from the streamed pipeline whose port claim was a
+    /// `min_by_key` and whose branch draw was a float compare.
     #[rustfmt::skip]
-    const GOLDEN: [GoldenRow; 64] = [
+    const GOLDEN: [GoldenRow; 96] = [
         (0, 0, 0, 726088, 385602, 177, 0x6cf0bfe28a5a96be, 0x20f5518977ae55d3),
         (0, 0, 1, 932760, 385602, 177, 0x6cf0bfe28a5a96be, 0x727fb9d626937912),
         (0, 0, 2, 775818, 385602, 177, 0x6cf0bfe28a5a96be, 0x1d6a1bdc2aa5b65f),
@@ -671,6 +756,38 @@ mod golden_tests {
         (7, 1, 1, 110281, 160000, 2145, 0x5e18a843784b8a05, 0x974194d9c6148cc0),
         (7, 1, 2, 103257, 160000, 2145, 0x5e18a843784b8a05, 0x6ec59f3c08d5862b),
         (7, 1, 3, 98104, 160000, 2145, 0x5e18a843784b8a05, 0x669691b044092c54),
+        (0, 2, 0, 175882, 385602, 73, 0x6cf0bfe28a5a96be, 0x20f5518977ae55d3),
+        (0, 2, 1, 232068, 385602, 73, 0x6cf0bfe28a5a96be, 0x727fb9d626937912),
+        (0, 2, 2, 210690, 385602, 73, 0x6cf0bfe28a5a96be, 0x1d6a1bdc2aa5b65f),
+        (0, 2, 3, 250153, 385602, 73, 0x6cf0bfe28a5a96be, 0xd664f475e2f515b6),
+        (1, 2, 0, 316288, 193536, 1240, 0x6754085be04e8b21, 0x66dc3267a5985d89),
+        (1, 2, 1, 1056387, 193536, 1240, 0x6754085be04e8b21, 0xfa47073d41450e11),
+        (1, 2, 2, 1084141, 193536, 1240, 0x6754085be04e8b21, 0x117830299945a18b),
+        (1, 2, 3, 208758, 193536, 1240, 0x6754085be04e8b21, 0xf9fd5a8b9fd5b142),
+        (2, 2, 0, 98744, 225000, 25, 0xe5f97278cb6d7377, 0xd1a5129aa3ab687d),
+        (2, 2, 1, 131436, 225000, 25, 0xe5f97278cb6d7377, 0x04031cc88233ec69),
+        (2, 2, 2, 217462, 225000, 25, 0xe5f97278cb6d7377, 0x3b02f8093ab8fb3b),
+        (2, 2, 3, 244731, 225000, 25, 0xe5f97278cb6d7377, 0xdb02284c4f79f30c),
+        (3, 2, 0, 36069, 122880, 14, 0x99b7ed34a79d8b49, 0x4c5c9dae2e1c46d1),
+        (3, 2, 1, 33047, 122880, 14, 0x99b7ed34a79d8b49, 0xa55beeb6ca58a14a),
+        (3, 2, 2, 128016, 122880, 14, 0x99b7ed34a79d8b49, 0xae5ac09b068212eb),
+        (3, 2, 3, 40514, 122880, 14, 0x99b7ed34a79d8b49, 0x8e9c83d63c1bfd98),
+        (4, 2, 0, 86610, 50000, 42, 0xdfe79d8c9d878a72, 0xe3bbe5af672220eb),
+        (4, 2, 1, 115034, 50000, 42, 0xdfe79d8c9d878a72, 0xfa5cd0309832299f),
+        (4, 2, 2, 96265, 50000, 42, 0xdfe79d8c9d878a72, 0xf110dd53a3c71aaf),
+        (4, 2, 3, 128437, 50000, 42, 0xdfe79d8c9d878a72, 0x2d0895b6d91184ff),
+        (5, 2, 0, 50080, 100000, 102, 0x92cbec61a3f78878, 0xe9fb833e7ea49937),
+        (5, 2, 1, 68819, 100000, 102, 0x92cbec61a3f78878, 0x53bdd2abd3254e88),
+        (5, 2, 2, 143790, 100000, 102, 0x92cbec61a3f78878, 0x6b879b14159a081a),
+        (5, 2, 3, 186677, 100000, 102, 0x92cbec61a3f78878, 0xe406f81b21db02d5),
+        (6, 2, 0, 357255, 25600, 222, 0x9dd6c29cb55e3e05, 0x50871639dddde395),
+        (6, 2, 1, 364345, 25600, 222, 0x9dd6c29cb55e3e05, 0x932fe49f218a48da),
+        (6, 2, 2, 358269, 25600, 222, 0x9dd6c29cb55e3e05, 0x1fe1a37dc3344c4a),
+        (6, 2, 3, 374543, 25600, 222, 0x9dd6c29cb55e3e05, 0xe144c7d5ca797c07),
+        (7, 2, 0, 80848, 160000, 2145, 0x5e18a843784b8a05, 0xf4c5e0f09f74626c),
+        (7, 2, 1, 96644, 160000, 2145, 0x5e18a843784b8a05, 0x974194d9c6148cc0),
+        (7, 2, 2, 89808, 160000, 2145, 0x5e18a843784b8a05, 0x6ec59f3c08d5862b),
+        (7, 2, 3, 84072, 160000, 2145, 0x5e18a843784b8a05, 0x669691b044092c54),
     ];
 
     #[test]

@@ -156,46 +156,62 @@ impl Cache {
 
     /// Performs one access; returns `true` on a hit. On a miss the line is
     /// installed, possibly writing back a dirty victim.
+    ///
+    /// A hit on the set's most-recently-used line, the common case of a
+    /// streaming kernel, is handled here, inline at every call site;
+    /// every other outcome takes `access_lru`, out of line.
     #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         let set = ((addr >> self.line_shift) & self.set_mask) as usize;
         let key = (addr >> self.tag_shift) << 1;
-        let ways = self.config.ways;
-        let lines = &mut self.lines[set * ways..(set + 1) * ways];
-        match lines[..self.fill[set]].iter().position(|&w| w & !1 == key) {
-            Some(pos) => {
-                let word = lines[pos] | u64::from(write);
-                if pos > 0 {
-                    lines.copy_within(..pos, 1);
-                }
-                lines[0] = word;
-                self.stats.hits += 1;
-                true
+        let mru = set * self.config.ways;
+        if self.lines[mru] & !1 == key && self.fill[set] > 0 {
+            if write {
+                self.lines[mru] |= 1;
             }
-            None => {
-                self.install(set, key | u64::from(write));
-                false
-            }
+            self.stats.hits += 1;
+            return true;
         }
+        self.access_lru(set, key | u64::from(write))
     }
 
-    /// The miss path of [`Cache::access`]: installs `word` as the MRU line
-    /// of `set`, evicting (and writing back, if dirty) the LRU line of a
-    /// full set.
-    fn install(&mut self, set: usize, word: u64) {
+    /// The out-of-line rest of [`Cache::access`], for a set whose MRU line
+    /// does not hold `word`'s tag: looks the tag up among the older lines
+    /// and moves its line to the front on a hit, or installs `word` as the
+    /// MRU line on a miss, evicting (and writing back, if dirty) the LRU
+    /// line of a full set. The lines shift back one way in the same loop
+    /// that searches them: a set holds a handful of ways, too few for a
+    /// `memmove` call to pay.
+    #[inline(never)]
+    fn access_lru(&mut self, set: usize, word: u64) -> bool {
         let ways = self.config.ways;
         let lines = &mut self.lines[set * ways..(set + 1) * ways];
         let fill = &mut self.fill[set];
-        self.stats.misses += 1;
-        if *fill == ways {
-            if lines[ways - 1] & 1 == 1 {
-                self.stats.writebacks += 1;
+        let key = word & !1;
+        // One pass from the MRU way down: each line moves back one way
+        // until the tag turns up, and then it moves to the front.
+        let mut carried = lines[0];
+        for i in 1..*fill {
+            let line = lines[i];
+            lines[i] = carried;
+            if line & !1 == key {
+                lines[0] = line | (word & 1);
+                self.stats.hits += 1;
+                return true;
             }
-        } else {
-            *fill += 1;
+            carried = line;
         }
-        lines.copy_within(..*fill - 1, 1);
+        // A miss: every resident line moved back one way, and `carried`
+        // is the LRU line, kept in a free way or evicted.
+        if *fill < ways {
+            lines[*fill] = carried;
+            *fill += 1;
+        } else if carried & 1 == 1 {
+            self.stats.writebacks += 1;
+        }
         lines[0] = word;
+        self.stats.misses += 1;
+        false
     }
 
     /// Invalidates all contents (e.g. after DMA writes to memory).
@@ -578,6 +594,30 @@ impl MemSystem {
         }
     }
 
+    /// True when `other`'s timing state equals this one's, compared as
+    /// whole arrays: both caches' line words (stale ones included) and
+    /// fills, the bus's DMA-utilization bits and the prefetch streams.
+    /// Equal states feed equal [`MemSystem::state_words`], so the timing
+    /// cache can take a hierarchy's context-hash lanes from an entry whose
+    /// post-state it equals instead of walking it; the comparison reads
+    /// each word once and runs no multiply chain.
+    pub fn same_timing_state(&self, other: &MemSystem) -> bool {
+        let MemSystem {
+            config: _,
+            l1d,
+            l2,
+            bus,
+            prefetch_streams,
+            prefetch_hits: _,
+            miss_latencies: _,
+        } = self;
+        let same_contents = |a: &Cache, b: &Cache| a.lines == b.lines && a.fill == b.fill;
+        same_contents(l1d, &other.l1d)
+            && same_contents(l2, &other.l2)
+            && bus.dma_utilization.to_bits() == other.bus.dma_utilization.to_bits()
+            && *prefetch_streams == other.prefetch_streams
+    }
+
     /// The counters the hierarchy increments and never reads.
     pub fn counters(&self) -> MemCounters {
         MemCounters {
@@ -693,11 +733,20 @@ impl MemSystem {
     ///
     /// L1 hit → `l1_latency`; L1 miss, L2 hit → `l2_latency`; L2 miss →
     /// DRAM latency plus the line transfer, inflated by bus contention.
+    /// The L1 hit is handled inline at every call site; the miss path
+    /// (L2, bus and prefetcher) is `l1_miss`, out of line, so
+    /// a kernel's many access sites do not each carry a copy of it.
     #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> u64 {
         if self.l1d.access(addr, write) {
             return self.config.l1_latency;
         }
+        self.l1_miss(addr, write)
+    }
+
+    /// The L1-miss path of [`MemSystem::access`].
+    #[inline(never)]
+    fn l1_miss(&mut self, addr: u64, write: bool) -> u64 {
         let lat = self.miss_latencies();
         if self.l2.access(addr, write) {
             return lat.l2_hit;
@@ -842,6 +891,53 @@ mod tests {
     fn mmio_latency_fixed() {
         let m = MemSystem::new(MemConfig::default());
         assert_eq!(m.mmio_access(), 40);
+    }
+
+    #[test]
+    fn same_timing_state_sees_every_field_the_walk_reads() {
+        use crate::timing_cache::SharedTimingCache;
+        let live = test_support::warmed(0, 0x5EED, 30);
+        // Counters are not timing state.
+        let mut twin = live.clone();
+        test_support::set_counters(&mut twin, &[1; 8]);
+        assert!(live.same_timing_state(&twin));
+        // One-field mutants of the state the walk reads. Each must compare
+        // unequal, both ways round, and move the walk's context too.
+        fn occupied(c: &Cache) -> usize {
+            c.fill.iter().position(|&n| n > 0).expect("a warmed set")
+        }
+        type Mutant = (&'static str, fn(&mut MemSystem));
+        let mutants: [Mutant; 6] = [
+            ("an L1 line word", |m| {
+                let set = occupied(&m.l1d);
+                m.l1d.lines[set * m.l1d.config.ways] ^= 2;
+            }),
+            ("an L2 line word", |m| {
+                let set = occupied(&m.l2);
+                m.l2.lines[set * m.l2.config.ways] ^= 2;
+            }),
+            ("an L1 fill", |m| {
+                let set = occupied(&m.l1d);
+                m.l1d.fill[set] -= 1;
+            }),
+            ("an L2 fill", |m| {
+                let set = occupied(&m.l2);
+                m.l2.fill[set] -= 1;
+            }),
+            ("the DMA-utilization bits", |m| {
+                let bits = m.bus.dma_utilization.to_bits();
+                m.bus.dma_utilization = f64::from_bits(bits ^ 1);
+            }),
+            ("a prefetch stream", |m| m.prefetch_streams[3] ^= 1),
+        ];
+        let context = |m: &MemSystem| SharedTimingCache::mem_context_hash(m, 7);
+        for (field, mutate) in mutants {
+            let mut mutant = live.clone();
+            mutate(&mut mutant);
+            assert!(!live.same_timing_state(&mutant), "{field}");
+            assert!(!mutant.same_timing_state(&live), "{field}");
+            assert_ne!(context(&live), context(&mutant), "{field}");
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@ use rose_trace::{
     ArgValue, LogHistogram, MetricRegistry, MetricSource, Stopwatch, TraceEvent, Tracer, Track,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Aggregate SoC execution statistics.
@@ -195,6 +196,11 @@ pub struct Soc {
     /// [`SharedTimingCache::fingerprint`] of `config`, precomputed when
     /// the cache is attached.
     timing_fingerprint: u64,
+    /// The timing-cache entry whose post-state the last expansion or
+    /// replay left the hierarchy in: the next lookup takes its context
+    /// hash from it when nothing has changed the timing state since
+    /// ([`KernelEntry::chained_context_hash`]).
+    timing_chain: Option<Arc<KernelEntry>>,
     /// Wall time spent in cost models (cold kernel expansion, kernel
     /// cache replays, accelerator timing), drained each grant for
     /// `Phase::CostModel` attribution. Host telemetry (§4f).
@@ -241,6 +247,7 @@ impl Soc {
             matmul_costs: BTreeMap::new(),
             timing_cache: None,
             timing_fingerprint: 0,
+            timing_chain: None,
             cost_model_wall: Duration::ZERO,
             tracer: Tracer::disabled(),
             kernel_cycles_hist: LogHistogram::new(),
@@ -368,6 +375,8 @@ impl Soc {
             // cold expansion, so presence or absence is digest-invisible.
             timing_cache: _,
             timing_fingerprint: _,
+            // A hint, compared against the live state before use.
+            timing_chain: _,
             tracer,
             // Host telemetry, not architectural state: a resumed run
             // re-observes only its own suffix (§4f).
@@ -482,15 +491,12 @@ impl Soc {
     /// (kernel, config fingerprint, the memory state timing reads, branch
     /// RNG) whose check hash matches the live pre-state and whose memory
     /// configuration matches the live one, expand cold — and record the
-    /// result, replacing any entry that failed its check — otherwise. Both
-    /// hashes walk the live cache arrays, and a hit copies a decoded
-    /// post-state in and adds its counter gains: neither path touches the
-    /// snapshot codec.
+    /// result, replacing any entry that failed its check — otherwise. The
+    /// context comes from [`Soc::timing_context`], and a hit copies a
+    /// decoded post-state in and adds its counter gains: neither path
+    /// touches the snapshot codec.
     fn expand_cpu_kernel(&mut self, kernel: Kernel) -> u64 {
-        let ctx = self
-            .timing_cache
-            .is_some()
-            .then(|| SharedTimingCache::mem_context_hash(&self.mem, self.cpu.branch_rng()));
+        let ctx = self.timing_cache.is_some().then(|| self.timing_context());
         if let (Some(cache), Some((key, check))) = (&self.timing_cache, ctx) {
             let fp = self.timing_fingerprint;
             if let Some(entry) = cache.lookup_kernel(fp, &kernel, key, check, self.mem.config()) {
@@ -503,6 +509,7 @@ impl Soc {
                 );
                 let cycles = entry.cycles.max(1);
                 self.kernel_costs.insert(kernel, (cycles, entry.instrs));
+                self.timing_chain = Some(entry);
                 return cycles;
             }
         }
@@ -512,22 +519,34 @@ impl Soc {
         let after = self.cpu.stats();
         let instrs = after.instrs - before.instrs;
         if let (Some(cache), Some((key, check))) = (&self.timing_cache, ctx) {
-            cache.insert_kernel(
-                self.timing_fingerprint,
-                kernel,
-                key,
-                KernelEntry {
-                    cycles: after.cycles - before.cycles,
-                    instrs,
-                    mispredicts: after.mispredicts - before.mispredicts,
-                    post_rng: self.cpu.branch_rng(),
-                    check,
-                    post_mem: self.mem.expansion_post(mem_before),
-                },
+            let entry = KernelEntry::new(
+                after.cycles - before.cycles,
+                instrs,
+                after.mispredicts - before.mispredicts,
+                self.cpu.branch_rng(),
+                check,
+                self.mem.expansion_post(mem_before),
             );
+            let entry = cache.insert_kernel(self.timing_fingerprint, kernel, key, entry);
+            self.timing_chain = Some(entry);
         }
         self.kernel_costs.insert(kernel, (cycles, instrs));
         cycles
+    }
+
+    /// The expansion context `(key, check)` of the live hierarchy and
+    /// branch RNG: [`SharedTimingCache::mem_context_hash`], whose walk of
+    /// ~10 000 words is skipped when the hierarchy still holds the
+    /// post-state of [`Soc::timing_chain`]'s entry. Accelerator ops move
+    /// only counters and a DMA utilization they reset, so every lookup
+    /// but a mission's first is chained; the comparison makes that an
+    /// observation, not an assumption.
+    fn timing_context(&self) -> (u64, u64) {
+        let rng = self.cpu.branch_rng();
+        self.timing_chain
+            .as_ref()
+            .and_then(|entry| entry.chained_context_hash(&self.mem, rng))
+            .unwrap_or_else(|| SharedTimingCache::mem_context_hash(&self.mem, rng))
     }
 
     /// The accelerator, taken by field so callers can also borrow `mem`.
@@ -1123,13 +1142,8 @@ mod tests {
         other.run_cycles(1_000_000);
         assert!(other.halted());
         assert_ne!(mem_bytes(&other), mem_bytes(&scripted_soc(cache_ops())));
-        assert_planted_entry_expands_cold(|check| KernelEntry {
-            cycles: 1,
-            instrs: 1,
-            mispredicts: 0,
-            post_rng: other.cpu.branch_rng(),
-            check: !check,
-            post_mem: other.mem.clone(),
+        assert_planted_entry_expands_cold(|check| {
+            KernelEntry::new(1, 1, 0, other.cpu.branch_rng(), !check, other.mem.clone())
         });
     }
 
@@ -1139,13 +1153,8 @@ mod tests {
         // copying it in would change the SoC's caches under it.
         let mut small = SocConfig::config_a().mem;
         small.l2.size_bytes /= 2;
-        assert_planted_entry_expands_cold(|check| KernelEntry {
-            cycles: 1,
-            instrs: 1,
-            mispredicts: 0,
-            post_rng: 0,
-            check,
-            post_mem: MemSystem::new(small),
+        assert_planted_entry_expands_cold(|check| {
+            KernelEntry::new(1, 1, 0, 0, check, MemSystem::new(small))
         });
     }
 
@@ -1216,6 +1225,53 @@ mod tests {
             proptest::prop_assert_eq!(warm.1, cold.1);
             proptest::prop_assert!(recording.2 == cold.2, "recording diverged");
             proptest::prop_assert!(warm.2 == cold.2, "warm replay diverged");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn chained_lookups_take_the_walks_context(
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..6, 0usize..4),
+                1..8,
+            ),
+        ) {
+            // Each prefix of the program flies with the cache and halts
+            // where the whole program looks up its next CPU kernel. There
+            // the pair the chain gives must be the walk's, and every lookup
+            // but the first must find the chain's post-state live: the
+            // recording flights chain from the entries they insert, the
+            // later ones from the entries they replay. Once the state
+            // moves, the chain must not be taken.
+            let ops: Vec<TargetOp> = ops.into_iter().map(random_op).collect();
+            let cache = SharedTimingCache::in_memory();
+            let mut lookups = 0;
+            for (i, op) in ops.iter().enumerate() {
+                let TargetOp::CpuKernel(kernel) = op else {
+                    continue;
+                };
+                let mut soc = scripted_soc(ops[..i].to_vec());
+                soc.set_timing_cache(cache.clone());
+                soc.run_cycles(1_000_000_000);
+                proptest::prop_assert!(soc.halted());
+                if soc.kernel_costs.contains_key(kernel) {
+                    continue; // an in-memory hit looks nothing up
+                }
+                let rng = soc.cpu.branch_rng();
+                let walked = SharedTimingCache::mem_context_hash(&soc.mem, rng);
+                let chained = soc
+                    .timing_chain
+                    .as_ref()
+                    .and_then(|entry| entry.chained_context_hash(&soc.mem, rng));
+                proptest::prop_assert_eq!(chained.is_some(), lookups > 0);
+                proptest::prop_assert_eq!(soc.timing_context(), walked);
+                lookups += 1;
+                // An access no kernel makes moves the state off the
+                // chain's post-state: the context is the new walk's.
+                soc.mem.access(0x7000_0000, true);
+                let walked = SharedTimingCache::mem_context_hash(&soc.mem, rng);
+                proptest::prop_assert_eq!(soc.timing_context(), walked);
+            }
         }
     }
 

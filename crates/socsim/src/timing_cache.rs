@@ -27,7 +27,11 @@
 //! covers the kernel descriptor, the configuration fingerprint, and a
 //! *context hash* of the cache tags, the bus's DMA utilization, the
 //! prefetch streams and the RNG, taken by walking the live arrays
-//! ([`MemSystem::state_words`]) with no serialization. Each entry holds
+//! ([`MemSystem::state_words`]) with no serialization. When the live
+//! hierarchy is still the post-state of the entry the SoC last expanded
+//! or replayed, a comparison stands in for the walk: the lanes come from
+//! that entry ([`KernelEntry::chained_context_hash`]), and the pair is
+//! the walk's, bit for bit. Each entry holds
 //! its post-expansion state decoded, as a [`MemSystem`] whose counters
 //! hold the expansion's gains, and a replay
 //! ([`MemSystem::replay_expansion`]) copies its contents over the live
@@ -81,7 +85,7 @@ use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// Timing-model generation. Any change to kernel expansion, the CPU or
@@ -115,7 +119,9 @@ const LOCK_ATTEMPTS: u32 = 500;
 const MAX_LOADED_LINES: usize = 1 << 22;
 
 /// A recorded CPU-kernel expansion: the counter deltas and final state of
-/// one cold [`crate::cpu::CpuModel::run_kernel`] call.
+/// one cold [`crate::cpu::CpuModel::run_kernel`] call, and, once first
+/// used, the context-hash lanes of that final state, so the lookup that
+/// follows its expansion or replay can skip the walk.
 #[derive(Debug)]
 pub struct KernelEntry {
     /// Cycles the expansion added to [`crate::cpu::CpuStats::cycles`]
@@ -139,6 +145,46 @@ pub struct KernelEntry {
     /// ([`MemSystem::replay_expansion`]), and only when their
     /// [`MemConfig`]s are equal.
     pub post_mem: MemSystem,
+    /// The context-hash lanes of `post_mem`, before the branch RNG is
+    /// folded in: computed on first use, never persisted.
+    post_lanes: OnceLock<(u64, u64)>,
+}
+
+impl KernelEntry {
+    /// An entry recording one expansion (the fields' docs say what each
+    /// holds).
+    pub fn new(
+        cycles: u64,
+        instrs: u64,
+        mispredicts: u64,
+        post_rng: u64,
+        check: u64,
+        post_mem: MemSystem,
+    ) -> KernelEntry {
+        KernelEntry {
+            cycles,
+            instrs,
+            mispredicts,
+            post_rng,
+            check,
+            post_mem,
+            post_lanes: OnceLock::new(),
+        }
+    }
+
+    /// [`SharedTimingCache::mem_context_hash`] of `mem` and `branch_rng`,
+    /// or `None` unless `mem`'s timing state is this entry's post-state
+    /// ([`MemSystem::same_timing_state`]). Equal states feed the walk the
+    /// same words, so the lanes come from the post-state, walked once per
+    /// entry, and only the RNG is folded in: the `(key, check)` pair is
+    /// the one the walk of `mem` gives.
+    pub fn chained_context_hash(&self, mem: &MemSystem, branch_rng: u64) -> Option<(u64, u64)> {
+        if !mem.same_timing_state(&self.post_mem) {
+            return None;
+        }
+        let lanes = *self.post_lanes.get_or_init(|| walk_lanes(&self.post_mem));
+        Some(lane(lanes, branch_rng))
+    }
 }
 
 /// (config fingerprint, kernel, expansion-context key) → expansion.
@@ -190,14 +236,7 @@ fn restore_kernels(bytes: &[u8]) -> Result<KernelMap, SnapError> {
         check_loaded_geometry(&config)?;
         let mut post_mem = MemSystem::new(config);
         post_mem.restore_state(r)?;
-        let entry = KernelEntry {
-            cycles,
-            instrs,
-            mispredicts,
-            post_rng,
-            check,
-            post_mem,
-        };
+        let entry = KernelEntry::new(cycles, instrs, mispredicts, post_rng, check, post_mem);
         Ok(((fp, kernel, ctx), Arc::new(entry)))
     })?;
     r.finish()?;
@@ -284,6 +323,13 @@ fn lane((key, check): (u64, u64), word: u64) -> (u64, u64) {
 /// The lane chains' seeds.
 const LANE_SEED: (u64, u64) = (0xcbf2_9ce4_8422_2325, 0x6a09_e667_f3bc_c908);
 
+/// The lanes over [`MemSystem::state_words`], before the branch RNG.
+fn walk_lanes(mem: &MemSystem) -> (u64, u64) {
+    let mut h = LANE_SEED;
+    mem.state_words(|word| h = lane(h, word));
+    h
+}
+
 /// A cloneable, thread-safe handle to one timing cache, shared by every
 /// mission of a sweep (clones share storage). The missions of a
 /// multi-threaded sweep hit it concurrently, hence the mutex; the lock is
@@ -347,6 +393,12 @@ impl SharedTimingCache {
     /// The backing file, if any.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
+    }
+
+    /// The size of the backing file in bytes; `None` for an in-memory
+    /// cache or a file not yet written.
+    pub fn file_bytes(&self) -> Option<u64> {
+        std::fs::metadata(self.path()?).ok().map(|m| m.len())
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -438,9 +490,7 @@ impl SharedTimingCache {
     /// format private to the cache file; `MODEL_VERSION` guards them like
     /// every other layout choice.
     pub fn mem_context_hash(mem: &MemSystem, branch_rng: u64) -> (u64, u64) {
-        let mut h = LANE_SEED;
-        mem.state_words(|word| h = lane(h, word));
-        lane(h, branch_rng)
+        lane(walk_lanes(mem), branch_rng)
     }
 
     /// [`SharedTimingCache::mem_context_hash`]'s lanes over a byte slice
@@ -488,11 +538,19 @@ impl SharedTimingCache {
     }
 
     /// Records a cold CPU-kernel expansion under the context `key`,
-    /// replacing any entry already there.
-    pub fn insert_kernel(&self, fp: u64, kernel: Kernel, key: u64, entry: KernelEntry) {
+    /// replacing any entry already there, and returns the shared entry.
+    pub fn insert_kernel(
+        &self,
+        fp: u64,
+        kernel: Kernel,
+        key: u64,
+        entry: KernelEntry,
+    ) -> Arc<KernelEntry> {
+        let entry = Arc::new(entry);
         let mut inner = self.lock();
-        inner.kernels.insert((fp, kernel, key), Arc::new(entry));
+        inner.kernels.insert((fp, kernel, key), Arc::clone(&entry));
         inner.dirty = true;
+        entry
     }
 
     /// Number of recorded kernel expansions.
@@ -532,14 +590,7 @@ mod tests {
 
     /// An entry whose post-state is the small geometry warmed from `seed`.
     fn entry(cycles: u64, check: u64, seed: u64) -> KernelEntry {
-        KernelEntry {
-            cycles,
-            instrs: 456,
-            mispredicts: 7,
-            post_rng: 0xabcd,
-            check,
-            post_mem: warmed(1, seed, 0),
-        }
+        KernelEntry::new(cycles, 456, 7, 0xabcd, check, warmed(1, seed, 0))
     }
 
     fn sample_entries(cache: &SharedTimingCache, fp: u64) {
