@@ -9,8 +9,9 @@
 //! dark at the vanishing point).
 //!
 //! A [`Camera`] tabulates its floor shades once from its [`CameraConfig`]
-//! and writes each column straight into the row-major pixel buffer. Each
-//! ray is a [`World::raycast`], which walks the world's wall grid.
+//! and writes each column into the row-major pixel buffer as three runs,
+//! sky, wall and floor, with no per-pixel branch. Each ray is a
+//! [`World::raycast`], which walks the world's wall grid.
 
 use crate::world::{World, P2};
 use rose_sim_core::math::Vec3;
@@ -178,16 +179,21 @@ impl Camera {
             // Wall shading decays with distance; sky light, floor from the
             // table (mid-dark with a gradient for depth cues).
             let wall_shade = (220.0 * (1.0 - (dist / cfg.max_depth)).powf(1.2)).max(16.0) as u8;
-            let floor = &self.floor[bot_row * cfg.height..];
-            let column = pixels.iter_mut().skip(col).step_by(cfg.width);
-            for (row, px) in column.enumerate() {
-                *px = if row < top_row {
-                    235 // sky
-                } else if row < bot_row {
-                    wall_shade
-                } else {
-                    floor[row]
-                };
+            // Three runs down the column: sky `[0, t)`, wall `[t, b)` and
+            // floor `[b, h)`. A wall top below the image makes the whole
+            // column sky; a wall bottom above the top leaves no wall.
+            let (w, h) = (cfg.width, cfg.height);
+            let t = top_row.min(h);
+            let b = bot_row.max(t);
+            for row in 0..t {
+                pixels[row * w + col] = 235;
+            }
+            for row in t..b {
+                pixels[row * w + col] = wall_shade;
+            }
+            let floor = &self.floor[bot_row * h..][..h];
+            for (row, &shade) in floor.iter().enumerate().skip(b) {
+                pixels[row * w + col] = shade;
             }
         }
         Image::from_bytes(cfg.width, cfg.height, pixels)

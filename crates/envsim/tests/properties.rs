@@ -177,6 +177,60 @@ proptest! {
     }
 }
 
+/// The camera renders what the scan renderer renders where a column's
+/// sky, wall and floor runs degenerate: an eye above the walls close to
+/// one (the wall top projects below the image, so the whole column is
+/// sky), an eye at the 0.2-m floor clamp pressed against a wall (the wall
+/// bottom clamps to the last row, so the column has no floor), a
+/// one-pixel-wide image and an empty one.
+#[test]
+fn render_matches_the_scan_renderer_at_the_edges() {
+    // Tunnel coordinates: its side walls are at y = ±1.6 and its back wall
+    // at x = -5; the poses also fly through the other worlds.
+    let above = [(5.0, 1.3, 4.5, FRAC_PI_2), (5.0, -1.0, 3.5, -FRAC_PI_2)];
+    let low = [(5.0, 1.58, 0.0, FRAC_PI_2), (-4.97, 0.0, 0.1, PI)];
+    let tunnel = World::tunnel();
+    let cfg = CameraConfig::default();
+    let (mid, h) = (cfg.width / 2, cfg.height);
+    let (x, y, z, yaw) = above[0];
+    let img = Camera::new(cfg).render(&tunnel, Vec3::new(x, y, z), yaw);
+    assert!(
+        (0..h).all(|row| img.get(row, mid) == 235),
+        "the wall top should project below the image"
+    );
+    let (x, y, z, yaw) = low[0];
+    let img = Camera::new(cfg).render(&tunnel, Vec3::new(x, y, z), yaw);
+    assert_eq!(
+        img.get(h - 1, mid),
+        img.get(h / 2, mid),
+        "the wall bottom should clamp to the last row"
+    );
+
+    let sizes = [(64, 64), (1, 64), (1, 1), (64, 0), (1, 0), (7, 5), (80, 3)];
+    let yaws = [0.0, 1.0, -2.0];
+    for (width, height) in sizes {
+        let cfg = CameraConfig {
+            width,
+            height,
+            ..CameraConfig::default()
+        };
+        let camera = Camera::new(cfg);
+        for world in KINDS.map(World::of_kind) {
+            for (x, y, z, pose_yaw) in above.into_iter().chain(low) {
+                for yaw in yaws.into_iter().chain([pose_yaw]) {
+                    let pos = Vec3::new(x, y, z);
+                    assert_eq!(
+                        camera.render(&world, pos, yaw).bytes(),
+                        scan_render(&world, pos, yaw, &cfg).bytes(),
+                        "{} {width}x{height} render differs at {pos:?}, yaw {yaw}",
+                        world.kind()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The grid queries match the scans where the grid walk has edge cases:
 /// origins on cell boundaries and corners (inside and just outside the
 /// grid), at wall endpoints, and rays along each wall, at the axis and

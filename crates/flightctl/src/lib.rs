@@ -126,7 +126,7 @@ impl Autopilot for SimpleFlight {
         dt: f64,
     ) -> MotorCommand {
         let cfg = &self.config;
-        let yaw = state.yaw();
+        let (roll, pitch, yaw) = state.attitude.to_euler();
 
         // --- Outer loop: world-frame velocity targets -------------------
         // Body-frame forward/lateral targets rotate into the world frame.
@@ -162,7 +162,6 @@ impl Autopilot for SimpleFlight {
         let roll_des = clamp(-a_left / GRAVITY, -cfg.max_tilt, cfg.max_tilt);
 
         // --- Attitude P loop: body-rate targets -------------------------
-        let (roll, pitch, _) = state.attitude.to_euler();
         let rate_x_des = clamp(cfg.att_kp * (roll_des - roll), -cfg.max_rate, cfg.max_rate);
         let rate_y_des = clamp(
             cfg.att_kp * (pitch_des - pitch),

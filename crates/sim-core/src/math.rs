@@ -230,7 +230,10 @@ impl Quat {
         (qz * qy * qx).normalized()
     }
 
-    /// Decomposes into (roll, pitch, yaw) in the Z-Y-X convention.
+    /// Decomposes into (roll, pitch, yaw) in the Z-Y-X convention, from
+    /// the normalized quaternion. Pitch saturates at ±π/2 where
+    /// `|sinp| ≥ 1` (gimbal lock). A caller that needs more than one angle
+    /// takes all three from one call; [`Quat::yaw`] alone is cheaper.
     pub fn to_euler(self) -> (f64, f64, f64) {
         let q = self.normalized();
         let sinr_cosp = 2.0 * (q.w * q.x + q.y * q.z);
@@ -244,15 +247,20 @@ impl Quat {
             sinp.asin()
         };
 
-        let siny_cosp = 2.0 * (q.w * q.z + q.x * q.y);
-        let cosy_cosp = 1.0 - 2.0 * (q.y * q.y + q.z * q.z);
-        let yaw = siny_cosp.atan2(cosy_cosp);
-        (roll, pitch, yaw)
+        (roll, pitch, q.unit_yaw())
     }
 
-    /// The yaw (heading) angle about +Z.
+    /// The yaw (heading) angle about +Z: the yaw of [`Quat::to_euler`],
+    /// bit for bit, without the roll and pitch terms.
     pub fn yaw(self) -> f64 {
-        self.to_euler().2
+        self.normalized().unit_yaw()
+    }
+
+    /// The yaw term of the Z-Y-X decomposition of a normalized quaternion.
+    fn unit_yaw(self) -> f64 {
+        let siny_cosp = 2.0 * (self.w * self.z + self.x * self.y);
+        let cosy_cosp = 1.0 - 2.0 * (self.y * self.y + self.z * self.z);
+        siny_cosp.atan2(cosy_cosp)
     }
 
     /// Quaternion norm.

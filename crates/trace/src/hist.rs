@@ -14,6 +14,13 @@
 //! at most `1 / SUB_BUCKETS` (12.5%). Callers pick the unit (µs, cycles,
 //! frames) so that interesting values sit well above 1.0.
 //!
+//! A bucket is read off the float's bits, with no `log2` and no division:
+//! for `x ≥ 1` the octave is the biased exponent minus 1023, and the
+//! sub-bucket is the top `log2(SUB_BUCKETS)` mantissa bits. Bucket bounds
+//! are built from the same bits, so every value below `2^40` lies in its
+//! bucket's `[lo, hi)`, even the float just below a power of two, which a
+//! rounded `log2` would lift into the next octave.
+//!
 //! Bucket contents are plain counts, so `merge` is bucket-wise addition,
 //! exact at the bucket resolution. Quantiles are reported as the geometric
 //! placement inside the selected bucket, clamped to the observed
@@ -171,22 +178,28 @@ impl LogHistogram {
     }
 }
 
+/// Mantissa bits that select the sub-bucket: `log2(SUB_BUCKETS)`.
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+const _: () = assert!(SUB_BUCKETS.is_power_of_two());
+
+/// Bit pattern of bucket 1's lower bound: a zero mantissa under the
+/// exponent bias.
+const ONE_BITS: u64 = 1.0f64.to_bits();
+
 /// The bucket holding value `x`.
 fn bucket_index(x: f64) -> usize {
     if x.is_nan() || x < 1.0 {
         return 0;
     }
-    if x.is_infinite() {
+    // `x ≥ 1`: the sign bit is clear and the biased exponent is at least
+    // 1023. Counted from 1.0's bits, the exponent and the top `SUB_BITS`
+    // mantissa bits read `octave * SUB_BUCKETS + sub`. ∞ has the largest
+    // exponent, so it clamps with the overflow.
+    let offset = (x.to_bits() - ONE_BITS) >> (52 - SUB_BITS);
+    if offset >= (OCTAVES * SUB_BUCKETS) as u64 {
         return BUCKETS - 1;
     }
-    let octave = x.log2().floor();
-    if octave >= OCTAVES as f64 {
-        return BUCKETS - 1;
-    }
-    let o = octave as usize;
-    let frac = (x / octave.exp2() - 1.0).max(0.0);
-    let sub = ((frac * SUB_BUCKETS as f64) as usize).min(SUB_BUCKETS - 1);
-    1 + o * SUB_BUCKETS + sub
+    1 + offset as usize
 }
 
 /// The `[lo, hi)` value range of bucket `idx`.
@@ -194,13 +207,8 @@ fn bucket_bounds(idx: usize) -> (f64, f64) {
     if idx == 0 {
         return (0.0, 1.0);
     }
-    let i = idx - 1;
-    let o = (i / SUB_BUCKETS) as f64;
-    let s = (i % SUB_BUCKETS) as f64;
-    let base = o.exp2();
-    let lo = base * (1.0 + s / SUB_BUCKETS as f64);
-    let hi = base * (1.0 + (s + 1.0) / SUB_BUCKETS as f64);
-    (lo, hi)
+    let edge = |i: usize| f64::from_bits(ONE_BITS + ((i as u64) << (52 - SUB_BITS)));
+    (edge(idx - 1), edge(idx))
 }
 
 #[cfg(test)]
@@ -232,6 +240,74 @@ mod tests {
             }
             last = idx;
             v *= 1.07;
+        }
+    }
+
+    /// Every value below `2^OCTAVES` lies inside its bucket's bounds: at
+    /// each power of two, at the float just below it, and at each
+    /// sub-bucket edge and the float just below that.
+    #[test]
+    fn bucket_bounds_hold_at_every_edge() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for k in 0..OCTAVES as i32 {
+            let base = 2f64.powi(k);
+            let edges = (0..SUB_BUCKETS).map(|s| base * (1.0 + s as f64 / SUB_BUCKETS as f64));
+            for edge in edges {
+                for x in [edge, below(edge)] {
+                    let idx = bucket_index(x);
+                    let (lo, hi) = bucket_bounds(idx);
+                    assert!(lo <= x && x < hi, "{x:e} outside [{lo},{hi}) at {idx}");
+                }
+            }
+        }
+    }
+
+    /// The bucket as `log2`, `exp2` and a division compute it.
+    fn log2_bucket_index(x: f64) -> usize {
+        if x.is_nan() || x < 1.0 {
+            return 0;
+        }
+        if x.is_infinite() {
+            return BUCKETS - 1;
+        }
+        let octave = x.log2().floor();
+        if octave >= OCTAVES as f64 {
+            return BUCKETS - 1;
+        }
+        let o = octave as usize;
+        let frac = (x / octave.exp2() - 1.0).max(0.0);
+        let sub = ((frac * SUB_BUCKETS as f64) as usize).min(SUB_BUCKETS - 1);
+        1 + o * SUB_BUCKETS + sub
+    }
+
+    /// Integer observations (cycle counts, queue depths) land in the
+    /// bucket the `log2` formula gives them: around every power of two
+    /// below `2^53`, and for a million integers below `2^48` whose bit
+    /// lengths are drawn uniformly.
+    #[test]
+    fn integer_buckets_match_the_log2_formula() {
+        let check = |n: u64| {
+            let x = n as f64;
+            assert_eq!(bucket_index(x), log2_bucket_index(x), "at {n}");
+        };
+        for k in 0..53 {
+            let p = 1u64 << k;
+            check(p - 1);
+            check(p);
+            check(p + 1);
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1_000_000 {
+            let bits = 1 + next() % 48;
+            check(next() >> (64 - bits));
         }
     }
 
