@@ -12,7 +12,9 @@
 //!
 //! `--check` re-parses the emitted JSON and cross-checks the trace and
 //! registry against the mission's raw stats — the CI smoke test — exiting
-//! nonzero on any inconsistency.
+//! nonzero on any inconsistency. Every `sync-quantum` span must carry
+//! numeric `env_wall_us`, `rtl_wall_us` and `quantum_wall_us` args: the
+//! trace is the only per-quantum record of the host walls.
 //! `--determinism` additionally runs the same config a second time and
 //! compares FNV digests of the trajectory, SoC counters, and trace
 //! ordering (see `rose::audit`), exiting nonzero on any divergence.
@@ -124,8 +126,12 @@ fn parse_args() -> Args {
     args
 }
 
+/// The host-wall args every `sync-quantum` span carries.
+const QUANTUM_WALL_ARGS: [&str; 3] = ["env_wall_us", "rtl_wall_us", "quantum_wall_us"];
+
 /// The `--check` validation: the emitted JSON must parse, name every
-/// track, contain the stack's event types, and agree with the raw stats.
+/// track, contain the stack's event types, carry each quantum's host
+/// walls, and agree with the raw stats.
 fn check(report: &MissionReport) -> Result<(), String> {
     let log = report.trace.as_ref().expect("mission ran traced");
     let doc = json::parse(&log.to_chrome_json()).map_err(|e| format!("bad JSON: {e}"))?;
@@ -147,7 +153,21 @@ fn check(report: &MissionReport) -> Result<(), String> {
                     tracks.push(t.to_string());
                 }
             }
-            Some(n) => names.push(n.to_string()),
+            Some(n) => {
+                if n == "sync-quantum" {
+                    let args = event.get("args");
+                    for arg in QUANTUM_WALL_ARGS {
+                        if args
+                            .and_then(|a| a.get(arg))
+                            .and_then(|v| v.as_f64())
+                            .is_none()
+                        {
+                            return Err(format!("sync-quantum event without a numeric {arg:?}"));
+                        }
+                    }
+                }
+                names.push(n.to_string());
+            }
             None => return Err("event without a name".into()),
         }
     }
@@ -363,4 +383,39 @@ fn main() -> ExitCode {
     }
     rose_bench::persist_timing_cache();
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rose_trace::TraceLog;
+
+    /// A short traced mission passes `--check`; the same trace with one
+    /// quantum's host-wall arg dropped fails it, naming the arg.
+    #[test]
+    fn check_requires_every_quantum_wall_arg() {
+        let mut report = run_mission(&MissionConfig {
+            trace: true,
+            max_sim_seconds: 0.5,
+            ..MissionConfig::default()
+        });
+        assert_eq!(check(&report), Ok(()));
+
+        for dropped in QUANTUM_WALL_ARGS {
+            let mut events = report.trace.as_ref().unwrap().events().to_vec();
+            let quantum = events
+                .iter_mut()
+                .rfind(|e| e.name == "sync-quantum")
+                .expect("a traced quantum");
+            quantum.args.retain(|(key, _)| *key != dropped);
+            let intact = report.trace.replace({
+                let mut log = TraceLog::new();
+                log.extend(events);
+                log
+            });
+            let err = check(&report).expect_err("a quantum lacks a wall arg");
+            assert!(err.contains(dropped), "{err}");
+            report.trace = intact;
+        }
+    }
 }

@@ -19,7 +19,7 @@
 //! handshake: each side announces the next data sequence number it
 //! expects and the last quantum it has completed.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use std::fmt;
 
 /// Wire packet type tags.
@@ -104,8 +104,8 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 impl Packet {
-    /// Serializes the packet into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
+    /// Serializes the packet onto the end of `buf`.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Packet::GrantCycles { cycles, quantum } => {
                 buf.put_u8(TAG_GRANT);
@@ -141,20 +141,19 @@ impl Packet {
 
     /// Serializes to a standalone byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         self.encode(&mut buf);
-        buf.to_vec()
+        buf
     }
 
-    /// Attempts to decode one packet from the front of `buf`, consuming it
-    /// on success.
+    /// Decodes one packet from the front of `buf`, returning it with the
+    /// number of bytes it occupied there. The caller drops that prefix.
     ///
     /// # Errors
     ///
-    /// [`DecodeError::Incomplete`] if more bytes are needed (buffer is left
-    /// untouched); [`DecodeError::BadTag`]/[`DecodeError::BadLength`] on
-    /// corrupt input.
-    pub fn decode(buf: &mut BytesMut) -> Result<Packet, DecodeError> {
+    /// [`DecodeError::Incomplete`] if more bytes are needed;
+    /// [`DecodeError::BadTag`]/[`DecodeError::BadLength`] on corrupt input.
+    pub fn decode(buf: &[u8]) -> Result<(Packet, usize), DecodeError> {
         if buf.len() < HEADER_LEN {
             return Err(DecodeError::Incomplete);
         }
@@ -180,12 +179,10 @@ impl Packet {
             TAG_DATA => {}
             t => return Err(DecodeError::BadTag(t)),
         }
-        if buf.len() < HEADER_LEN + len {
+        let Some(mut payload) = buf.get(HEADER_LEN..HEADER_LEN + len) else {
             return Err(DecodeError::Incomplete);
-        }
-        buf.advance(HEADER_LEN);
-        let mut payload: Bytes = buf.split_to(len).freeze();
-        Ok(match tag {
+        };
+        let packet = match tag {
             TAG_GRANT => Packet::GrantCycles {
                 cycles: payload.get_u64_le(),
                 quantum: payload.get_u64_le(),
@@ -205,7 +202,8 @@ impl Packet {
             },
             // rose-lint: allow(PANIC001, the match above already rejected every tag outside this set via DecodeError::BadTag)
             _ => unreachable!("tag validated above"),
-        })
+        };
+        Ok((packet, HEADER_LEN + len))
     }
 
     /// The packet kind as a static label (protocol-error reporting).
@@ -225,11 +223,10 @@ mod tests {
     use super::*;
 
     fn roundtrip(pkt: Packet) {
-        let mut buf = BytesMut::new();
-        pkt.encode(&mut buf);
-        let decoded = Packet::decode(&mut buf).expect("decode");
+        let buf = pkt.to_bytes();
+        let (decoded, used) = Packet::decode(&buf).expect("decode");
         assert_eq!(decoded, pkt);
-        assert!(buf.is_empty(), "decode must consume the packet");
+        assert_eq!(used, buf.len(), "decode must consume the packet");
     }
 
     #[test]
@@ -264,16 +261,14 @@ mod tests {
             payload: vec![7; 100],
         }
         .to_bytes();
-        for cut in [0, 1, 4, HEADER_LEN, HEADER_LEN + 50] {
-            let mut buf = BytesMut::from(&full[..cut]);
-            assert_eq!(Packet::decode(&mut buf), Err(DecodeError::Incomplete));
-            assert_eq!(buf.len(), cut, "incomplete decode must not consume");
+        for cut in [0, 1, 4, HEADER_LEN, HEADER_LEN + 50, full.len() - 1] {
+            assert_eq!(Packet::decode(&full[..cut]), Err(DecodeError::Incomplete));
         }
     }
 
     #[test]
     fn back_to_back_packets_stream() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Packet::GrantCycles {
             cycles: 5,
             quantum: 2,
@@ -285,34 +280,40 @@ mod tests {
         }
         .encode(&mut buf);
         Packet::Shutdown.encode(&mut buf);
+        let mut rest = &buf[..];
+        let mut next = || {
+            let decoded = Packet::decode(rest);
+            if let Ok((_, used)) = decoded {
+                rest = &rest[used..];
+            }
+            decoded.map(|(packet, _)| packet)
+        };
         assert_eq!(
-            Packet::decode(&mut buf).unwrap(),
-            Packet::GrantCycles {
+            next(),
+            Ok(Packet::GrantCycles {
                 cycles: 5,
                 quantum: 2
-            }
+            })
         );
         assert_eq!(
-            Packet::decode(&mut buf).unwrap(),
-            Packet::Data {
+            next(),
+            Ok(Packet::Data {
                 seq: 0,
                 payload: vec![9, 9]
-            }
+            })
         );
-        assert_eq!(Packet::decode(&mut buf).unwrap(), Packet::Shutdown);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::Incomplete));
+        assert_eq!(next(), Ok(Packet::Shutdown));
+        assert_eq!(next(), Err(DecodeError::Incomplete));
     }
 
     #[test]
     fn corrupt_tag_rejected() {
         let mut raw = Packet::Shutdown.to_bytes();
         raw[0] = 0x7f;
-        let mut buf = BytesMut::from(&raw[..]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadTag(0x7f)));
+        assert_eq!(Packet::decode(&raw), Err(DecodeError::BadTag(0x7f)));
         // An unassigned tag between assigned ones is rejected too.
         raw[0] = 0x03;
-        let mut buf = BytesMut::from(&raw[..]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadTag(0x03)));
+        assert_eq!(Packet::decode(&raw), Err(DecodeError::BadTag(0x03)));
     }
 
     #[test]
@@ -323,8 +324,7 @@ mod tests {
         }
         .to_bytes();
         raw[1] = 9; // length must be exactly 16
-        let mut buf = BytesMut::from(&raw[..]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadLength(9)));
+        assert_eq!(Packet::decode(&raw), Err(DecodeError::BadLength(9)));
         // Oversized data payload length.
         let mut raw = Packet::Data {
             seq: 0,
@@ -332,9 +332,8 @@ mod tests {
         }
         .to_bytes();
         raw[1..5].copy_from_slice(&(u32::MAX).to_le_bytes());
-        let mut buf = BytesMut::from(&raw[..]);
         assert!(matches!(
-            Packet::decode(&mut buf),
+            Packet::decode(&raw),
             Err(DecodeError::BadLength(_))
         ));
         // A data packet shorter than its sequence number is malformed —
@@ -345,8 +344,10 @@ mod tests {
         }
         .to_bytes();
         raw[1..5].copy_from_slice(&3u32.to_le_bytes());
-        let mut buf = BytesMut::from(&raw[..4 + 1]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadLength(3)));
+        assert_eq!(
+            Packet::decode(&raw[..4 + 1]),
+            Err(DecodeError::BadLength(3))
+        );
         // Resync with a truncated length field.
         let mut raw = Packet::Resync {
             expect_rx: 1,
@@ -354,8 +355,7 @@ mod tests {
         }
         .to_bytes();
         raw[1] = 4;
-        let mut buf = BytesMut::from(&raw[..]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadLength(4)));
+        assert_eq!(Packet::decode(&raw), Err(DecodeError::BadLength(4)));
     }
 
     #[test]

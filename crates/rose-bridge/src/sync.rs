@@ -27,8 +27,7 @@ use crate::transport::{Transport, TransportError};
 use rose_sim_core::cycles::SyncRatio;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{
-    ArgValue, LogHistogram, MetricRegistry, MetricSource, Phase, Profiler, Stopwatch, TraceEvent,
-    Tracer, Track,
+    ArgValue, MetricRegistry, MetricSource, Phase, Profiler, Stopwatch, TraceEvent, Tracer, Track,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -273,34 +272,6 @@ pub fn rtl_wall(profile: &Profiler) -> Duration {
         + profile.total(Phase::CostModel)
 }
 
-/// Always-on per-quantum latency and queue-depth distributions.
-///
-/// Unlike the profiler's cumulative totals, these keep the full
-/// per-period shape (p50/p90/p99/p99.9 through [`LogHistogram`]) of the
-/// same stopwatch laps. They are host-side telemetry: excluded from
-/// mission snapshots and never an input to the determinism digest, like
-/// the wall-time args on the `sync-quantum` trace spans (DESIGN.md §4f).
-#[derive(Debug, Clone, Default)]
-pub struct SyncTelemetry {
-    /// Host wall time of each quantum's simulation work, µs: the RTL
-    /// grant plus the environment's share (its answers to the boundary's
-    /// packets and its frames). Transport and bookkeeping are left out.
-    pub quantum_wall_us: LogHistogram,
-    /// Host wall time of each RTL cycle grant (the grant latency), µs.
-    pub grant_latency_us: LogHistogram,
-    /// Bridge inbound queue depth observed at each sync boundary (payloads
-    /// drained from the RTL side during the exchange phase).
-    pub queue_depth: LogHistogram,
-}
-
-impl MetricSource for SyncTelemetry {
-    fn record_metrics(&self, registry: &mut MetricRegistry) {
-        registry.record_histogram("sync.quantum_wall_us", &self.quantum_wall_us);
-        registry.record_histogram("sync.grant_latency_us", &self.grant_latency_us);
-        registry.record_histogram("bridge.queue_depth", &self.queue_depth);
-    }
-}
-
 /// The lockstep synchronizer.
 #[derive(Debug)]
 pub struct Synchronizer<E, R> {
@@ -309,7 +280,6 @@ pub struct Synchronizer<E, R> {
     config: SyncConfig,
     stats: SyncStats,
     tracer: Tracer,
-    telemetry: SyncTelemetry,
     profiler: Profiler,
 }
 
@@ -322,7 +292,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
             config,
             stats: SyncStats::default(),
             tracer: Tracer::disabled(),
-            telemetry: SyncTelemetry::default(),
             profiler: Profiler::new(),
         }
     }
@@ -351,11 +320,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// Progress counters.
     pub fn stats(&self) -> &SyncStats {
         &self.stats
-    }
-
-    /// Always-on per-quantum latency/depth histograms.
-    pub fn telemetry(&self) -> &SyncTelemetry {
-        &self.telemetry
     }
 
     /// Host wall-time attribution accumulated so far.
@@ -396,10 +360,9 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     /// timeline, so the next grant is a pure function of
     /// [`SyncStats::sim_frames`], and [`SyncStats::sim_cycles`] is the
     /// cycle the next quantum starts at: the counters alone pin the
-    /// synchronizer's position in the quantum schedule. The telemetry
-    /// histograms and the profiler are host measurements, not simulated
-    /// state: they are excluded and restart from zero on resume
-    /// (DESIGN.md §4f).
+    /// synchronizer's position in the quantum schedule. The profiler is a
+    /// host measurement, not simulated state: it is excluded and restarts
+    /// from zero on resume (DESIGN.md §4f).
     pub fn save_state(&self, w: &mut SnapWriter) {
         let Synchronizer {
             env: _,
@@ -407,7 +370,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
             config: _,
             stats,
             tracer,
-            telemetry: _,
             profiler: _,
         } = self;
         let SyncStats {
@@ -425,14 +387,12 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
         tracer.save_state(w);
     }
 
-    /// Restores the synchronizer's position. The telemetry histograms and
-    /// the profiler reset.
+    /// Restores the synchronizer's position. The profiler resets.
     ///
     /// # Errors
     ///
     /// Propagates [`SnapError`] on a malformed snapshot.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.telemetry = SyncTelemetry::default();
         self.profiler = Profiler::new();
         self.stats = SyncStats::default();
         self.stats.syncs = r.u64()?;
@@ -460,8 +420,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     fn exchange(&mut self) -> Duration {
         let boundary = self.stats.sim_cycles;
         let drained = self.rtl.drain_tx();
-        // rose-lint: allow(CAST001, usize -> u64 queue length widens on every supported target)
-        self.telemetry.queue_depth.record_u64(drained.len() as u64);
         let watch = Stopwatch::start();
         let answers: Vec<_> = drained.iter().map(|d| self.env.handle_data(d)).collect();
         let pushed = self.env.poll_data();
@@ -549,8 +507,8 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     ///
     /// One chain of stopwatch laps times the period — exchange, grant,
     /// frames, then trace and bookkeeping — so the profiler's phases add
-    /// up to the step's wall time, and the telemetry histograms and
-    /// trace args reuse those laps rather than reading the clock again.
+    /// up to the step's wall time, and the `sync-quantum` trace args reuse
+    /// those laps rather than reading the clock again.
     /// The environment's answers inside the exchange are timed separately
     /// and moved from [`Phase::Transport`] to [`Phase::EnvStep`].
     pub fn step_sync(&mut self) {
@@ -579,12 +537,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
             self.profiler.add(Phase::CostModel, cost_model);
         }
         self.profiler.add(Phase::EnvStep, env_wall);
-        self.telemetry
-            .grant_latency_us
-            .record(rtl_wall.as_secs_f64() * 1e6);
-        self.telemetry
-            .quantum_wall_us
-            .record((rtl_wall + env_wall).as_secs_f64() * 1e6);
         self.trace_quantum(cycles, frames, env_wall, rtl_wall);
 
         self.stats.syncs += 1;
@@ -1449,24 +1401,20 @@ mod tests {
         );
     }
 
-    /// Telemetry histograms and the profiler accumulate one entry per
-    /// quantum, stay out of snapshots (restore resets them), and flatten
-    /// into the metric registry through `MetricSource`.
+    /// The profiler accumulates one entry per phase per quantum and stays
+    /// out of snapshots (restore resets it).
     #[test]
-    fn telemetry_and_profiler_accumulate_and_stay_out_of_snapshots() {
+    fn profiler_accumulates_and_stays_out_of_snapshots() {
         let mut sync = Synchronizer::new(config(1), EchoEnv::default(), LoopRtl::default());
         sync.rtl_mut().tx.push(vec![1, 2]);
         let outside = Stopwatch::start();
         sync.run_syncs(10);
         let outside = outside.elapsed();
 
-        let telemetry = sync.telemetry().clone();
-        assert_eq!(telemetry.quantum_wall_us.count(), 10);
-        assert_eq!(telemetry.grant_latency_us.count(), 10);
-        assert_eq!(telemetry.queue_depth.count(), 10);
-        assert!(
-            telemetry.queue_depth.max().unwrap() >= 1.0,
-            "seeded packet crossed"
+        assert_eq!(
+            sync.stats().data_to_env,
+            10,
+            "the seeded packet crosses every quantum"
         );
 
         let profiler = sync.profiler().clone();
@@ -1482,27 +1430,13 @@ mod tests {
         // their sum never exceeds the steps' wall time read from outside.
         assert!(profiler.total_wall() <= outside);
 
-        let mut registry = MetricRegistry::new();
-        registry.record(&telemetry);
-        assert_eq!(
-            registry.histogram("sync.quantum_wall_us").unwrap().count(),
-            10
-        );
-        assert_eq!(
-            registry.histogram("bridge.queue_depth").unwrap().count(),
-            10
-        );
-
-        // Host telemetry is excluded from snapshots: the byte stream is
-        // identical with or without it, and restore resets both.
+        // The profiler is excluded from snapshots: restore resets it.
         let mut w = SnapWriter::new();
         sync.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         sync.restore_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert!(sync.telemetry().quantum_wall_us.is_empty());
-        assert!(sync.telemetry().queue_depth.is_empty());
         assert!(sync.profiler().is_empty());
     }
 

@@ -16,18 +16,18 @@
 //!   socket, which loops internally until every byte of the encoded
 //!   packet is accepted or an error surfaces — a short write can never
 //!   silently truncate a frame.
-//! * **Reads** append whatever bytes arrive into a [`BytesMut`] inbox;
-//!   [`Packet::decode`] returns [`DecodeError::Incomplete`] (leaving the
-//!   buffer untouched) until a full frame is present. A packet dribbled
-//!   in one byte at a time therefore decodes exactly once, when its last
-//!   byte lands — see the `tcp_survives_dribbling_peer` test.
+//! * **Reads** append whatever bytes arrive to a byte inbox;
+//!   [`Packet::decode`] returns [`DecodeError::Incomplete`] until a full
+//!   frame is at its front, and only a decoded frame's bytes are dropped.
+//!   A packet dribbled in one byte at a time therefore decodes exactly
+//!   once, when its last byte lands — see the `tcp_survives_dribbling_peer`
+//!   test.
 //!
 //! This buffering also means packet boundaries need not align with read
 //! boundaries: one read may complete several packets, and `pop` drains
 //! them in order.
 
 use crate::packet::{DecodeError, Packet};
-use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -173,7 +173,10 @@ impl Transport for ChannelTransport {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
-    inbox: BytesMut,
+    /// Received bytes not yet decoded; frames are taken from the front.
+    inbox: Vec<u8>,
+    /// The socket read buffer, allocated once for the transport's lifetime.
+    chunk: Box<[u8]>,
     /// The address originally dialed, kept so `reconnect` can re-dial.
     /// `None` on the accept side — a server cannot call its client back.
     peer: Option<SocketAddr>,
@@ -210,19 +213,19 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream) -> TcpTransport {
         TcpTransport {
             stream,
-            inbox: BytesMut::with_capacity(64 * 1024),
+            inbox: Vec::new(),
+            chunk: vec![0; 64 * 1024].into_boxed_slice(),
             peer: None,
         }
     }
 
     fn pump(&mut self, blocking: bool) -> Result<(), TransportError> {
         self.stream.set_nonblocking(!blocking)?;
-        let mut chunk = [0u8; 64 * 1024];
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(TransportError::Disconnected),
                 Ok(n) => {
-                    self.inbox.extend_from_slice(&chunk[..n]);
+                    self.inbox.extend_from_slice(&self.chunk[..n]);
                     return Ok(());
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
@@ -233,8 +236,11 @@ impl TcpTransport {
     }
 
     fn pop(&mut self) -> Result<Option<Packet>, TransportError> {
-        match Packet::decode(&mut self.inbox) {
-            Ok(p) => Ok(Some(p)),
+        match Packet::decode(&self.inbox) {
+            Ok((p, used)) => {
+                self.inbox.drain(..used);
+                Ok(Some(p))
+            }
             Err(DecodeError::Incomplete) => Ok(None),
             Err(e) => Err(TransportError::Decode(e)),
         }
@@ -279,10 +285,7 @@ impl Transport for TcpTransport {
         let stream = TcpStream::connect(peer)?;
         stream.set_nodelay(true)?;
         self.stream = stream;
-        let stale = self.inbox.len();
-        if stale > 0 {
-            self.inbox.advance(stale);
-        }
+        self.inbox.clear();
         Ok(())
     }
 }
@@ -412,7 +415,7 @@ mod tests {
 
     /// The short-read satellite: a peer that dribbles packets onto the
     /// wire one byte at a time (every read returns a 1-byte prefix) must
-    /// still deliver every packet intact and in order — the BytesMut inbox
+    /// still deliver every packet intact and in order — the inbox
     /// plus `DecodeError::Incomplete` reassembles frames regardless of how
     /// the stream fragments them.
     #[test]

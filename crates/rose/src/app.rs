@@ -150,11 +150,6 @@ pub struct AppMetrics {
     /// Control-loop iterations whose request→command latency exceeded the
     /// mission's deadline budget (0 when no budget is configured).
     pub deadline_misses: u64,
-    /// Distribution of per-frame control-loop slack: deadline budget minus
-    /// observed latency, in cycles. A miss records into the underflow
-    /// bucket (slack clamps to 0). Host telemetry (DESIGN.md §4f): not
-    /// snapshotted, so a resumed branch observes only its own suffix.
-    pub slack_cycles: rose_trace::LogHistogram,
     /// Control-loop iterations flown without a valid depth reading (the
     /// sensor answered the blackout sentinel).
     pub degraded_depth: u64,
@@ -202,10 +197,6 @@ impl rose_trace::MetricSource for AppMetrics {
         registry.set_counter("app.lost_responses", self.lost_responses);
         registry.gauge("app.abort_requested", self.abort_requested as u8 as f64);
         registry.gauge("app.mean_latency_cycles", self.mean_latency_cycles());
-        for &lat in &self.latencies_cycles {
-            registry.observe_hist("app.latency_cycles", lat as f64);
-        }
-        registry.record_histogram("app.slack_cycles", &self.slack_cycles);
     }
 }
 
@@ -216,9 +207,6 @@ impl AppMetrics {
             fast_inferences,
             deadline_switches,
             deadline_misses,
-            // Host telemetry (DESIGN.md §4f): a resumed branch re-observes
-            // only its own suffix.
-            slack_cycles: _,
             degraded_depth,
             classical_commands,
             abort_requested,
@@ -239,7 +227,6 @@ impl AppMetrics {
         self.fast_inferences = r.u64()?;
         self.deadline_switches = r.u64()?;
         self.deadline_misses = r.u64()?;
-        self.slack_cycles = rose_trace::LogHistogram::new();
         self.degraded_depth = r.u64()?;
         self.classical_commands = r.u64()?;
         self.abort_requested = r.bool()?;
@@ -376,10 +363,9 @@ impl TrailNavApp {
     }
 
     /// Arms the per-frame deadline budget: each request→command latency is
-    /// compared against `budget_s` (converted to cycles at `clock_hz`), a
-    /// miss is counted, and the remaining slack is recorded into
-    /// [`AppMetrics::slack_cycles`]. A non-positive budget disables the
-    /// check.
+    /// compared against `budget_s` (converted to cycles at `clock_hz`) and
+    /// a miss is counted in [`AppMetrics::deadline_misses`]. A non-positive
+    /// budget disables the check.
     pub fn set_deadline_budget(&mut self, budget_s: f64, clock_hz: f64) {
         self.deadline_budget_cycles = if budget_s > 0.0 && clock_hz > 0.0 {
             (budget_s * clock_hz) as u64
@@ -567,15 +553,10 @@ impl TargetProgram for TrailNavApp {
                                 m.fast_inferences += 1;
                             }
                         }
-                        if self.deadline_budget_cycles > 0 {
-                            let slack = self.deadline_budget_cycles.saturating_sub(latency);
-                            if latency > self.deadline_budget_cycles {
-                                m.deadline_misses += 1;
-                                missed = true;
-                            }
-                            // A miss clamps to 0 slack → the histogram's
-                            // underflow bucket.
-                            m.slack_cycles.record_u64(slack);
+                        if self.deadline_budget_cycles > 0 && latency > self.deadline_budget_cycles
+                        {
+                            m.deadline_misses += 1;
+                            missed = true;
                         }
                         // The degradation ladder: a degraded iteration
                         // (no valid depth, or a missed deadline) extends

@@ -142,9 +142,20 @@ impl fmt::Display for MessageError {
 impl std::error::Error for MessageError {}
 
 impl AppMessage {
-    /// Serializes the message to bytes.
+    /// Length of the encoded message in bytes: the tag plus its fields.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            AppMessage::ImageRequest | AppMessage::DepthRequest | AppMessage::ImuRequest => 0,
+            AppMessage::Imu { .. } => 48,
+            AppMessage::Image { pixels, .. } => 8 + pixels.len() + 32,
+            AppMessage::Depth { .. } => 8,
+            AppMessage::Command { .. } => 32,
+        }
+    }
+
+    /// Serializes the message to bytes, allocated once at their exact size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16);
+        let mut buf = Vec::with_capacity(self.encoded_len());
         match self {
             AppMessage::ImageRequest => buf.put_u8(TAG_IMAGE_REQ),
             AppMessage::DepthRequest => buf.put_u8(TAG_DEPTH_REQ),
@@ -272,6 +283,7 @@ mod tests {
 
     fn roundtrip(msg: AppMessage) {
         let bytes = msg.encode();
+        assert_eq!(bytes.len(), msg.encoded_len(), "reserved size is exact");
         assert_eq!(AppMessage::decode(&bytes), Ok(msg));
     }
 
@@ -279,6 +291,11 @@ mod tests {
     fn roundtrip_all_variants() {
         roundtrip(AppMessage::ImageRequest);
         roundtrip(AppMessage::DepthRequest);
+        roundtrip(AppMessage::ImuRequest);
+        roundtrip(AppMessage::Imu {
+            accel: [0.1, -9.81, 0.3],
+            gyro: [-0.02, 0.0, 1.5],
+        });
         roundtrip(AppMessage::Image {
             width: 64,
             height: 64,

@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
     rtl_wall, serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, RtlSide, SyncConfig, SyncMode,
-    SyncStats, SyncTelemetry, Synchronizer,
+    SyncStats, Synchronizer,
 };
 use rose_bridge::transport::{ChannelTransport, Transport};
 use rose_dnn::DnnModel;
@@ -39,8 +39,8 @@ use rose_sim_core::rng::SimRng;
 use rose_socsim::soc::SocStats;
 use rose_socsim::{Soc, SocConfig, TargetProgram};
 use rose_trace::{
-    FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Phase, Profiler, TimingCacheCounts,
-    TraceClock, TraceEvent, TraceLog, Tracer,
+    FlightRecorder, FlightSample, MetricRegistry, Phase, Profiler, TimingCacheCounts, TraceClock,
+    TraceEvent, TraceLog, Tracer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,8 +81,8 @@ pub struct MissionConfig {
     /// Per-frame control-loop deadline budget in simulated seconds.
     /// When positive, every image-request → command latency above the
     /// budget counts a deadline miss (triggering a flight-recorder
-    /// postmortem), and the remaining slack feeds
-    /// [`AppMetrics::slack_cycles`]. 0 disables the check.
+    /// postmortem) in [`AppMetrics::deadline_misses`]. 0 disables the
+    /// check.
     pub deadline_budget_s: f64,
     /// Depth-sensor blackout windows `[start, end)` in simulated seconds:
     /// inside a window the sensor answers the invalid-reading sentinel
@@ -289,11 +289,6 @@ pub struct MissionReport {
     /// time record, so throughput derives from its total. Telemetry: never
     /// an input to the determinism digest (DESIGN.md §4f).
     pub profile: Profiler,
-    /// Synchronizer host-telemetry histograms (quantum wall time, grant
-    /// latency, bridge queue depth).
-    pub sync_telemetry: SyncTelemetry,
-    /// Distribution of per-issue kernel / accelerator-tile cycle costs.
-    pub kernel_cycles: LogHistogram,
     /// Postmortem JSON documents the flight recorder dumped during the
     /// run (one per trigger: collision, deadline miss, transport fault).
     pub postmortems: Vec<String>,
@@ -331,7 +326,6 @@ impl MissionReport {
         let mut registry = MetricRegistry::new();
         registry.record(&self.soc_stats);
         registry.record(&self.sync_stats);
-        registry.record(&self.sync_telemetry);
         registry.record(&self.energy);
         registry.record(&self.app);
         registry.record(&self.profile);
@@ -339,7 +333,6 @@ impl MissionReport {
             "sync.throughput_hz",
             self.sync_stats.throughput_hz(self.profile.total_wall()),
         );
-        registry.record_histogram("soc.kernel_cycles", &self.kernel_cycles);
         registry.set_counter("mission.collisions", self.collisions as u64);
         registry.set_counter("mission.postmortems", self.postmortems.len() as u64);
         registry.gauge("mission.completed", self.completed as u8 as f64);
@@ -463,12 +456,18 @@ fn drive_mission<R: MissionRtl>(
         let walls_after = side_walls(sync.profiler());
         let [env_wall_us, rtl_wall_us, recovery_us] =
             std::array::from_fn(|i| (walls_after[i] - walls_before[i]).as_secs_f64() * 1e6);
+        // One lock per quantum: nothing touches the metrics between the
+        // sample and the abort check.
+        let (deadline_misses, abort_requested) = {
+            let m = metrics.lock();
+            (m.deadline_misses, m.abort_requested)
+        };
         let rtl = sync.rtl();
         let sample = FlightSample {
             sync: after.syncs,
             sim_time_s: sync.env().sim().time(),
             collisions: sync.env().sim().collision_count() as u64,
-            deadline_misses: metrics.lock().deadline_misses,
+            deadline_misses,
             queue_depth: after.data_to_env - before.data_to_env,
             env_wall_us,
             rtl_wall_us,
@@ -479,7 +478,7 @@ fn drive_mission<R: MissionRtl>(
         if let Some(pm) = flight.record(sample, rtl.recent_events(), timing_cache) {
             postmortems.push(pm);
         }
-        if metrics.lock().abort_requested {
+        if abort_requested {
             // The degradation ladder's last rung: wind down cleanly with
             // a postmortem instead of flying blind to the timeout.
             postmortems.push(flight.postmortem(
@@ -659,14 +658,12 @@ fn finish_report<R: RtlSide>(
     into_soc: impl FnOnce(R) -> SocRtl,
 ) -> MissionReport {
     let sync_stats = *sync.stats();
-    let sync_telemetry = sync.telemetry().clone();
     let profile = sync.profiler().clone();
     let sync_events = sync.take_trace_events();
     let (env, rtl) = sync.into_parts();
     let mut sim = env.into_sim();
     let mut soc = into_soc(rtl).into_soc();
     let soc_stats = soc.stats();
-    let kernel_cycles = soc.kernel_cycles_hist().clone();
     // Merge each component's owned trace buffer into one chronological log.
     let trace = config.trace.then(|| {
         let mut log = TraceLog::new();
@@ -703,8 +700,6 @@ fn finish_report<R: RtlSide>(
         app: m.clone(),
         trace,
         profile,
-        sync_telemetry,
-        kernel_cycles,
         postmortems: Vec::new(),
         flight_occupancy: 0,
         flight_capacity: 0,
@@ -898,11 +893,10 @@ mod tests {
             reg.gauge_value("energy.total_mj"),
             Some(report.energy.total_mj())
         );
-        // Every inference latency lands in the histogram.
-        let latency = reg
-            .histogram("app.latency_cycles")
-            .expect("latency histogram");
-        assert_eq!(latency.count() as usize, report.app.latencies_cycles.len());
+        assert_eq!(
+            reg.gauge_value("app.mean_latency_cycles"),
+            Some(report.app.mean_latency_cycles())
+        );
 
         // An untraced mission carries no log (and records no events).
         let quiet = run_mission(&MissionConfig {

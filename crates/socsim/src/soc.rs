@@ -16,9 +16,7 @@ use crate::mem::{CacheStats, MemSystem};
 use crate::program::{ProgContext, TargetOp, TargetProgram};
 use crate::timing_cache::{KernelEntry, SharedTimingCache};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use rose_trace::{
-    ArgValue, LogHistogram, MetricRegistry, MetricSource, Stopwatch, TraceEvent, Tracer, Track,
-};
+use rose_trace::{ArgValue, MetricRegistry, MetricSource, Stopwatch, TraceEvent, Tracer, Track};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -206,9 +204,6 @@ pub struct Soc {
     /// `Phase::CostModel` attribution. Host telemetry (§4f).
     cost_model_wall: Duration,
     tracer: Tracer,
-    /// Per-issue kernel/tile cycle-cost distribution (host telemetry,
-    /// DESIGN.md §4f: excluded from snapshots and the determinism digest).
-    kernel_cycles_hist: LogHistogram,
 }
 
 impl std::fmt::Debug for Soc {
@@ -250,7 +245,6 @@ impl Soc {
             timing_chain: None,
             cost_model_wall: Duration::ZERO,
             tracer: Tracer::disabled(),
-            kernel_cycles_hist: LogHistogram::new(),
             config,
         }
     }
@@ -300,11 +294,6 @@ impl Soc {
     /// link and this is behavior-neutral for clean runs.
     pub fn set_rx_timeout_quanta(&mut self, quanta: u64) {
         self.rx_timeout_quanta = quanta;
-    }
-
-    /// Distribution of per-issue kernel and accelerator-tile cycle costs.
-    pub fn kernel_cycles_hist(&self) -> &LogHistogram {
-        &self.kernel_cycles_hist
     }
 
     /// Attaches the persisted cross-run timing cache (DESIGN.md §4i),
@@ -381,7 +370,6 @@ impl Soc {
             // Host telemetry, not architectural state: a resumed run
             // re-observes only its own suffix (§4f).
             cost_model_wall: _,
-            kernel_cycles_hist: _,
         } = self;
         w.section(Soc::SNAP_SECTION);
         w.u64(*now);
@@ -457,7 +445,6 @@ impl Soc {
             Ok((dims, AccelRun::restore_state(r)?))
         })?;
         self.program.restore_state(r)?;
-        self.kernel_cycles_hist = LogHistogram::new();
         self.tracer.restore_state(r)
     }
 
@@ -715,7 +702,6 @@ impl Soc {
             match op {
                 TargetOp::CpuKernel(k) => {
                     let cost = self.cpu_cost(k);
-                    self.kernel_cycles_hist.record_u64(cost);
                     if self.tracer.is_enabled() {
                         self.tracer.complete_cycles(
                             Track::SocCpu,
@@ -734,7 +720,6 @@ impl Soc {
                 TargetOp::AccelConv(shape) => {
                     let run = self.conv_cost(shape);
                     let cost = run.cycles.max(1);
-                    self.kernel_cycles_hist.record_u64(cost);
                     self.trace_accel(run, cost);
                     self.pending = Some(Pending {
                         remaining: cost,
@@ -745,7 +730,6 @@ impl Soc {
                 TargetOp::AccelMatmul { m, k, n } => {
                     let run = self.matmul_cost(m, k, n);
                     let cost = run.cycles.max(1);
-                    self.kernel_cycles_hist.record_u64(cost);
                     self.trace_accel(run, cost);
                     self.pending = Some(Pending {
                         remaining: cost,

@@ -13,12 +13,12 @@
 //!   trace-event JSON, loadable in Perfetto (`ui.perfetto.dev`) or
 //!   `chrome://tracing`, with env / sync / bridge / SoC-unit activity on
 //!   parallel tracks.
-//! - [`metrics::MetricRegistry`] — a named counter/gauge/histogram
-//!   registry unifying the scattered per-subsystem stats structs behind one
+//! - [`metrics::MetricRegistry`] — a named counter/gauge registry
+//!   unifying the scattered per-subsystem stats structs behind one
 //!   interface with CSV snapshot export; subsystems opt in by implementing
-//!   [`metrics::MetricSource`].
-//! - [`hist::LogHistogram`] — a fixed-memory log-bucketed histogram with
-//!   p50/p90/p99/p99.9 estimation.
+//!   [`metrics::MetricSource`]. It keeps no distributions: per-sample
+//!   values live in the trace's span args, the flight recorder's ring and
+//!   the subsystems' own logs (DESIGN.md §4f).
 //! - [`profiler::Profiler`] — host wall-clock self-attribution per
 //!   co-simulation phase, the one sanctioned wall-time API (the DET001
 //!   lint flags clock reads anywhere else).
@@ -38,7 +38,6 @@ pub mod chrome;
 pub mod clock;
 pub mod event;
 pub mod flight;
-pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod profiler;
@@ -48,7 +47,6 @@ pub use chrome::TraceLog;
 pub use clock::TraceClock;
 pub use event::{intern, ArgValue, EventKind, TraceEvent, Track};
 pub use flight::{FlightRecorder, FlightSample, TimingCacheCounts};
-pub use hist::LogHistogram;
 pub use metrics::{MetricRegistry, MetricSource, MetricValue};
 pub use profiler::{Phase, Profiler, Stopwatch};
 pub use tracer::Tracer;

@@ -6,8 +6,12 @@
 //! bespoke glue per experiment. Subsystems implement [`MetricSource`] for
 //! their stats types; the registry stays ignorant of their layouts (and
 //! this crate stays below every simulator crate in the dependency graph).
+//!
+//! The registry holds scalars only: counters and gauges. Distributions
+//! are not summarised here; the per-sample values stay where they are
+//! recorded (trace span args, the flight recorder's ring, the
+//! application's latency log) and are read from there.
 
-use crate::hist::LogHistogram;
 use rose_sim_core::csv::{CsvCell, CsvLog};
 use std::collections::BTreeMap;
 
@@ -30,14 +34,13 @@ pub trait MetricSource {
     fn record_metrics(&self, registry: &mut MetricRegistry);
 }
 
-/// A named counter/gauge/histogram store with CSV snapshot export.
+/// A named counter/gauge store with CSV snapshot export.
 ///
 /// Names sort lexicographically in the snapshot (a `BTreeMap` underneath),
 /// so output order is deterministic across runs and platforms.
 #[derive(Debug, Clone, Default)]
 pub struct MetricRegistry {
     values: BTreeMap<String, MetricValue>,
-    histograms: BTreeMap<String, LogHistogram>,
 }
 
 impl MetricRegistry {
@@ -80,38 +83,14 @@ impl MetricRegistry {
         }
     }
 
-    /// Records one observation into the log-bucketed histogram `name`
-    /// (p50/p90/p99/p99.9 in the CSV snapshot; see
-    /// [`LogHistogram`] for the bucketing contract).
-    pub fn observe_hist(&mut self, name: &str, x: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(x);
-    }
-
-    /// Merges a pre-built histogram into `name` (for subsystems that
-    /// accumulate their own [`LogHistogram`] on the hot path).
-    pub fn record_histogram(&mut self, name: &str, hist: &LogHistogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(hist);
-    }
-
-    /// The histogram `name`, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// Number of scalar metrics plus histograms.
+    /// Number of metrics.
     pub fn len(&self) -> usize {
-        self.values.len() + self.histograms.len()
+        self.values.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty() && self.histograms.is_empty()
+        self.values.is_empty()
     }
 
     /// Pulls every metric out of `source`.
@@ -119,9 +98,7 @@ impl MetricRegistry {
         source.record_metrics(self);
     }
 
-    /// Snapshots the registry as a `metric,kind,value` CSV table. Each
-    /// histogram expands to `.count` / `.p50` / `.p90` / `.p99` / `.p999`
-    /// rows.
+    /// Snapshots the registry as a `metric,kind,value` CSV table.
     pub fn to_csv(&self) -> CsvLog {
         let mut log = CsvLog::new(&["metric", "kind", "value"]);
         for (name, value) in &self.values {
@@ -134,22 +111,6 @@ impl MetricRegistry {
                 CsvCell::from(kind),
                 cell,
             ]);
-        }
-        for (name, hist) in &self.histograms {
-            let rows: [(&str, CsvCell); 5] = [
-                ("count", CsvCell::from(hist.count())),
-                ("p50", CsvCell::Float(hist.p50().unwrap_or(f64::NAN))),
-                ("p90", CsvCell::Float(hist.p90().unwrap_or(f64::NAN))),
-                ("p99", CsvCell::Float(hist.p99().unwrap_or(f64::NAN))),
-                ("p999", CsvCell::Float(hist.p999().unwrap_or(f64::NAN))),
-            ];
-            for (stat, cell) in rows {
-                log.push_row(vec![
-                    CsvCell::Str(format!("{name}.{stat}")),
-                    CsvCell::from("histogram"),
-                    cell,
-                ]);
-            }
         }
         log
     }
@@ -210,29 +171,8 @@ mod tests {
              m.mid,counter,3\n\
              z.last,gauge,0.5\n"
         );
-    }
-
-    #[test]
-    fn histogram_rows_follow_scalars_in_csv() {
-        let mut reg = MetricRegistry::new();
-        reg.set_counter("z.hits", 1);
-        for _ in 0..10 {
-            reg.observe_hist("wall", 64.0);
-        }
-        let text = reg.to_csv().to_csv_string();
-        assert_eq!(
-            text,
-            "metric,kind,value\n\
-             z.hits,counter,1\n\
-             wall.count,histogram,10\n\
-             wall.p50,histogram,64\n\
-             wall.p90,histogram,64\n\
-             wall.p99,histogram,64\n\
-             wall.p999,histogram,64\n"
-        );
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.len(), 3);
         assert!(!reg.is_empty());
-        assert_eq!(reg.histogram("wall").unwrap().count(), 10);
-        assert_eq!(reg.histogram("missing"), None);
+        assert!(MetricRegistry::new().is_empty());
     }
 }

@@ -1,14 +1,9 @@
 //! Offline stub of the `bytes` crate.
 //!
-//! Implements exactly the API surface this workspace uses — little-endian
-//! `Buf`/`BufMut` accessors, `BytesMut` as a growable inbox buffer with
-//! `advance`/`split_to`/`freeze`, and an owned `Bytes` cursor — backed by
-//! plain `Vec<u8>`. Semantics match the real crate for these operations
-//! (including panics on short reads); performance characteristics differ
-//! (`advance` is O(remaining) here), which is irrelevant at the packet
-//! sizes the co-simulation moves.
-
-use std::ops::{Deref, DerefMut};
+//! Implements exactly the API surface this workspace uses: little-endian
+//! `Buf` reads from a `&[u8]` cursor and `BufMut` appends to a `Vec<u8>`.
+//! Semantics match the real crate for these operations (including panics
+//! on short reads).
 
 /// Read-side cursor operations (little-endian subset).
 pub trait Buf {
@@ -118,157 +113,13 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// A growable byte buffer with front-consumption, as used for framed
-/// transport inboxes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> BytesMut {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// Creates an empty buffer with reserved capacity.
-    pub fn with_capacity(capacity: usize) -> BytesMut {
-        BytesMut {
-            buf: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Appends bytes at the back.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-
-    /// Discards the first `n` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the buffer length.
-    pub fn advance(&mut self, n: usize) {
-        assert!(n <= self.buf.len(), "advance past end of BytesMut");
-        self.buf.drain(..n);
-    }
-
-    /// Splits off and returns the first `n` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the buffer length.
-    pub fn split_to(&mut self, n: usize) -> BytesMut {
-        assert!(n <= self.buf.len(), "split_to past end of BytesMut");
-        let tail = self.buf.split_off(n);
-        let head = std::mem::replace(&mut self.buf, tail);
-        BytesMut { buf: head }
-    }
-
-    /// Converts into an immutable [`Bytes`] cursor.
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            buf: self.buf,
-            pos: 0,
-        }
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl From<&[u8]> for BytesMut {
-    fn from(src: &[u8]) -> BytesMut {
-        BytesMut { buf: src.to_vec() }
-    }
-}
-
-impl Buf for BytesMut {
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.buf.len() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.buf[..dst.len()]);
-        BytesMut::advance(self, dst.len());
-    }
-
-    fn advance(&mut self, n: usize) {
-        BytesMut::advance(self, n);
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-/// An owned immutable byte sequence with a read cursor.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Bytes {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl Bytes {
-    /// Remaining bytes as a slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// Copies the remaining bytes into a `Vec`.
-    #[allow(clippy::wrong_self_convention)]
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
-
-    /// Remaining length.
-    pub fn len(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// True if no bytes remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.len() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.buf[self.pos..self.pos + dst.len()]);
-        self.pos += dst.len();
-    }
-
-    fn advance(&mut self, n: usize) {
-        assert!(self.len() >= n, "advance past end of Bytes");
-        self.pos += n;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn roundtrip_little_endian() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(7);
         buf.put_u32_le(0xDEAD_BEEF);
         buf.put_u64_le(42);
@@ -279,15 +130,5 @@ mod tests {
         assert_eq!(rd.get_u64_le(), 42);
         assert_eq!(rd.get_f64_le(), 1.5);
         assert!(rd.is_empty());
-    }
-
-    #[test]
-    fn split_and_freeze() {
-        let mut buf = BytesMut::from(&[1u8, 2, 3, 4, 5][..]);
-        buf.advance(1);
-        let mut head = buf.split_to(2).freeze();
-        assert_eq!(head.to_vec(), vec![2, 3]);
-        assert_eq!(head.get_u8(), 2);
-        assert_eq!(&buf[..], &[4, 5]);
     }
 }

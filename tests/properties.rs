@@ -1,7 +1,6 @@
 //! Cross-crate property-based tests (proptest) on the co-simulation's
 //! structural invariants.
 
-use bytes::BytesMut;
 use proptest::prelude::*;
 use rose::message::{AppMessage, TrailInfo};
 use rose_bridge::packet::Packet;
@@ -19,16 +18,19 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..8192),
     ) {
         let pkt = Packet::Data { seq, payload };
-        let mut buf = BytesMut::from(&pkt.to_bytes()[..]);
-        prop_assert_eq!(Packet::decode(&mut buf).unwrap(), pkt);
-        prop_assert!(buf.is_empty());
+        let buf = pkt.to_bytes();
+        let (decoded, used) = Packet::decode(&buf).unwrap();
+        prop_assert_eq!(decoded, pkt);
+        prop_assert_eq!(used, buf.len());
     }
 
-    /// Decoding never panics on arbitrary bytes.
+    /// Decoding never panics on arbitrary bytes, and a decoded packet
+    /// never claims more bytes than the buffer holds.
     #[test]
     fn packet_decode_never_panics(raw in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut buf = BytesMut::from(&raw[..]);
-        let _ = Packet::decode(&mut buf);
+        if let Ok((_, used)) = Packet::decode(&raw) {
+            prop_assert!(used <= raw.len());
+        }
     }
 
     /// App messages roundtrip for arbitrary finite field values.
