@@ -23,7 +23,9 @@
 //! or after `F` simulated seconds, writes a [`rose::MissionSnapshot`]
 //! checkpoint to `--snapshot-out` (default `mission.rosesnap`), verifies
 //! in-process that resuming the checkpoint reproduces the straight run's
-//! digest bit-exactly, and then continues to completion.
+//! digest bit-exactly, and then continues to completion. It prints the
+//! snapshot's encode and resume walls on their own lines; neither enters
+//! the mission's profile.
 //! `--resume-from PATH` warm-starts from such a checkpoint instead of
 //! booting a fresh mission; the checkpoint's embedded config (including
 //! its simulated-time wall) replaces the defaults, so `--seconds` is
@@ -32,7 +34,7 @@
 //! Observability (DESIGN.md §4f):
 //!
 //! * `--profile` prints the host wall-clock self-attribution table
-//!   (env step / RTL grant / transport / snapshot codec / trace overhead).
+//!   (env step / RTL grant / trace overhead / recovery / cost model).
 //! * `--deadline-budget F` arms the per-frame control deadline at `F`
 //!   simulated seconds; misses trigger flight-recorder postmortems.
 //! * `--postmortem-out PATH` writes any postmortems the flight recorder
@@ -49,7 +51,7 @@
 use rose::audit::{audit_determinism, MissionDigest};
 use rose::mission::{run_mission, MissionConfig, MissionReport};
 use rose::snapshot::{Mission, MissionSnapshot};
-use rose_trace::{json, Phase, Stopwatch, Track};
+use rose_trace::{json, Stopwatch, Track};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -216,9 +218,9 @@ fn check(report: &MissionReport) -> Result<(), String> {
 }
 
 /// The `--snapshot-at` path: run to the boundary, checkpoint, verify the
-/// checkpoint resumes bit-identically, continue to completion. Snapshot
-/// serialization and resume deserialization wall time is attributed to
-/// [`Phase::SnapshotCodec`] in the returned report's profile.
+/// checkpoint resumes bit-identically, continue to completion. The encode
+/// and resume walls are printed on their own lines; the returned report's
+/// profile holds the mission's synchronization periods only.
 fn run_with_snapshot(
     config: &MissionConfig,
     at: f64,
@@ -239,15 +241,17 @@ fn run_with_snapshot(
         mission.syncs_executed(),
         save_wall.as_secs_f64() * 1e6,
     );
-    let mut report = mission.run_to_completion();
-    report.profile.add(Phase::SnapshotCodec, save_wall);
+    let report = mission.run_to_completion();
 
     // The checkpoint is only useful if it continues bit-identically.
     let sw = Stopwatch::start();
     let resumed_mission = snap
         .resume()
         .map_err(|e| format!("snapshot failed to resume: {e}"))?;
-    report.profile.add(Phase::SnapshotCodec, sw.elapsed());
+    println!(
+        "resumed snapshot in {:.1} us",
+        sw.elapsed().as_secs_f64() * 1e6
+    );
     let resumed = resumed_mission.run_to_completion();
     if MissionDigest::of(&resumed) != MissionDigest::of(&report) {
         return Err("resumed run diverged from the straight run".into());

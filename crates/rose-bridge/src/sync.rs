@@ -6,17 +6,18 @@
 //! simulator endpoints through the [`EnvSide`] / [`RtlSide`] traits and
 //! advances them one sync period at a time:
 //!
-//! 1. poll the RTL side for I/O data and translate each datum into
-//!    environment API calls,
-//! 2. forward the responses (and any unsolicited sensor data) to the RTL
-//!    side's RX queue,
-//! 3. allocate tokens: grant the RTL simulation its cycle budget and the
-//!    environment its frames,
-//! 4. wait for both to finish, and advance simulation time.
+//! 1. drain the RTL side's I/O data and translate each datum into
+//!    environment API calls, collecting the responses and any
+//!    unsolicited sensor data,
+//! 2. step the environment its frames,
+//! 3. forward the responses and sensor data to the RTL side's RX queue,
+//! 4. grant the RTL simulation its cycle budget, run it, and advance
+//!    simulation time.
 //!
 //! Both sides run on the calling thread, one after the other: the
-//! exchange already fixed everything either side can observe during the
-//! period, so a second thread would only add a spawn and a join.
+//! boundary already fixed everything either side can observe during the
+//! period, so a second thread would only add a spawn and a join, and
+//! the environment's frames can step before the grant.
 //!
 //! Data crossing between simulators is therefore only visible at sync
 //! boundaries — coarser synchronization induces artificial latency, the
@@ -403,44 +404,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
         self.tracer.restore_state(r)
     }
 
-    /// The exchange phase of Algorithm 1: translate I/O packets from the
-    /// SoC into environment API calls, and queue the responses (plus any
-    /// unsolicited sensor data) towards the SoC.
-    ///
-    /// This runs before any token is granted, so everything either side
-    /// observes during the following quantum was committed at the sync
-    /// boundary.
-    ///
-    /// The environment answers every drained packet before any answer is
-    /// queued, so its work (camera render, sensor reads) is one stopwatch
-    /// span, returned for [`Phase::EnvStep`]. The answers never see the
-    /// RTL queue or the trace, so queueing them afterwards keeps the
-    /// `push_data` calls and `bridge-packet` events in their interleaved
-    /// order.
-    fn exchange(&mut self) -> Duration {
-        let boundary = self.stats.sim_cycles;
-        let drained = self.rtl.drain_tx();
-        let watch = Stopwatch::start();
-        let answers: Vec<_> = drained.iter().map(|d| self.env.handle_data(d)).collect();
-        let pushed = self.env.poll_data();
-        let env_wall = watch.elapsed();
-        for (datum, responses) in drained.into_iter().zip(answers) {
-            self.stats.data_to_env += 1;
-            self.trace_packet(boundary, "to-env", datum.len());
-            for response in responses {
-                self.stats.data_to_rtl += 1;
-                self.trace_packet(boundary, "to-rtl", response.len());
-                self.rtl.push_data(response);
-            }
-        }
-        for datum in pushed {
-            self.stats.data_to_rtl += 1;
-            self.trace_packet(boundary, "to-rtl", datum.len());
-            self.rtl.push_data(datum);
-        }
-        env_wall
-    }
-
     /// Records one bridge packet crossing at the sync boundary.
     fn trace_packet(&mut self, boundary: u64, dir: &'static str, bytes: usize) {
         if self.tracer.is_enabled() {
@@ -502,30 +465,51 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     }
 
     /// Executes one synchronization period (the body of Algorithm 1) on
-    /// the calling thread: exchange data at the boundary, grant the RTL
-    /// its cycles, step the environment its frames, advance time.
+    /// the calling thread, timed as three laps of one stopwatch:
     ///
-    /// One chain of stopwatch laps times the period — exchange, grant,
-    /// frames, then trace and bookkeeping — so the profiler's phases add
-    /// up to the step's wall time, and the `sync-quantum` trace args reuse
-    /// those laps rather than reading the clock again.
-    /// The environment's answers inside the exchange are timed separately
-    /// and moved from [`Phase::Transport`] to [`Phase::EnvStep`].
+    /// 1. `env-step`: drain the SoC's packets, let the environment answer
+    ///    them and push its unsolicited data, then step its frames;
+    /// 2. `rtl-grant`: queue the answers and pushes towards the SoC, then
+    ///    grant the RTL its cycles (less the `recovery` and `cost-model`
+    ///    walls the endpoint reports, which are carved out of it);
+    /// 3. `trace-overhead`: the profiler, the trace and the counters.
+    ///
+    /// Neither side sees the other inside the period: the answers are
+    /// computed before the frames step, and the grant sees only what was
+    /// queued at the boundary. So the environment can finish its side
+    /// before the grant starts. The laps tile the step, so the phases add
+    /// up to its wall time, and the `sync-quantum` args reuse them rather
+    /// than reading the clock again.
     pub fn step_sync(&mut self) {
         let mut watch = Stopwatch::start();
-        let answer_wall = self.exchange();
-        let exchange_wall = watch.lap();
-        self.profiler
-            .add(Phase::Transport, exchange_wall.saturating_sub(answer_wall));
+        let boundary = self.stats.sim_cycles;
         let (cycles, frames) = self.next_grant();
+        let drained = self.rtl.drain_tx();
+        let answers: Vec<_> = drained.iter().map(|d| self.env.handle_data(d)).collect();
+        let pushed = self.env.poll_data();
+        self.env.step_frames(frames);
+        let env_wall = watch.lap();
 
+        for (datum, responses) in drained.into_iter().zip(answers) {
+            self.stats.data_to_env += 1;
+            self.trace_packet(boundary, "to-env", datum.len());
+            for response in responses {
+                self.stats.data_to_rtl += 1;
+                self.trace_packet(boundary, "to-rtl", response.len());
+                self.rtl.push_data(response);
+            }
+        }
+        for datum in pushed {
+            self.stats.data_to_rtl += 1;
+            self.trace_packet(boundary, "to-rtl", datum.len());
+            self.rtl.push_data(datum);
+        }
         self.rtl.grant_and_run(cycles);
         let rtl_wall = watch.lap();
-        self.env.step_frames(frames);
-        let env_wall = answer_wall + watch.lap();
 
         let recovery = self.rtl.take_recovery_wall();
         let cost_model = self.rtl.take_cost_model_wall();
+        self.profiler.add(Phase::EnvStep, env_wall);
         self.profiler.add(
             Phase::RtlGrant,
             rtl_wall.saturating_sub(recovery).saturating_sub(cost_model),
@@ -536,7 +520,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
         if !cost_model.is_zero() {
             self.profiler.add(Phase::CostModel, cost_model);
         }
-        self.profiler.add(Phase::EnvStep, env_wall);
         self.trace_quantum(cycles, frames, env_wall, rtl_wall);
 
         self.stats.syncs += 1;
@@ -1418,12 +1401,7 @@ mod tests {
         );
 
         let profiler = sync.profiler().clone();
-        for phase in [
-            Phase::Transport,
-            Phase::RtlGrant,
-            Phase::EnvStep,
-            Phase::TraceOverhead,
-        ] {
+        for phase in [Phase::EnvStep, Phase::RtlGrant, Phase::TraceOverhead] {
             assert_eq!(profiler.count(phase), 10, "phase {}", phase.name());
         }
         // The phases are laps of one stopwatch: they tile each step, so
@@ -1440,32 +1418,87 @@ mod tests {
         assert!(sync.profiler().is_empty());
     }
 
-    /// The environment's answers at the boundary (a camera render, a
-    /// sensor read) are environment work: the profiler books them as
-    /// `env-step`, not as `transport`, and the phases still tile the step.
-    #[test]
-    fn environment_answers_count_as_env_step() {
-        const ANSWER: Duration = Duration::from_millis(5);
-        struct SlowAnswerEnv;
-        impl EnvSide for SlowAnswerEnv {
-            fn step_frames(&mut self, _frames: u64) {}
-            fn handle_data(&mut self, payload: &[u8]) -> Vec<Vec<u8>> {
-                thread::sleep(ANSWER);
-                vec![payload.to_vec()]
-            }
+    /// Which endpoint call the table's endpoints make slow.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Slow {
+        HandleData,
+        StepFrames,
+        Grant,
+    }
+
+    const SLOW: Duration = Duration::from_millis(5);
+
+    fn sleep_if(slow: Slow, here: Slow) {
+        if slow == here {
+            thread::sleep(SLOW);
+        }
+    }
+
+    struct SlowEnv(Slow);
+
+    impl EnvSide for SlowEnv {
+        fn step_frames(&mut self, _frames: u64) {
+            sleep_if(self.0, Slow::StepFrames);
         }
 
-        let mut sync = Synchronizer::new(config(1), SlowAnswerEnv, LoopRtl::default());
-        sync.rtl_mut().tx.push(vec![1, 2]);
-        let outside = Stopwatch::start();
-        sync.step_sync();
-        let outside = outside.elapsed();
+        fn handle_data(&mut self, payload: &[u8]) -> Vec<Vec<u8>> {
+            sleep_if(self.0, Slow::HandleData);
+            vec![payload.to_vec()]
+        }
+    }
 
-        let profiler = sync.profiler();
-        assert!(profiler.total(Phase::EnvStep) >= ANSWER);
-        assert!(profiler.total(Phase::Transport) < ANSWER);
-        assert!(profiler.total_wall() <= outside);
-        assert_eq!(sync.rtl().received, [vec![1, 2]]);
+    struct SlowRtl(Slow, LoopRtl);
+
+    impl RtlSide for SlowRtl {
+        fn grant_and_run(&mut self, cycles: u64) {
+            sleep_if(self.0, Slow::Grant);
+            self.1.grant_and_run(cycles);
+        }
+
+        fn push_data(&mut self, payload: Vec<u8>) {
+            self.1.push_data(payload);
+        }
+
+        fn drain_tx(&mut self) -> Vec<Vec<u8>> {
+            self.1.drain_tx()
+        }
+    }
+
+    /// Each lap books the work inside it: the environment's answers at the
+    /// boundary (a camera render, a sensor read) and its frames are
+    /// `env-step`, the grant is `rtl-grant`. Every lapped phase is booked
+    /// once per step, and the laps tile the step.
+    #[test]
+    fn each_lap_books_its_own_work() {
+        for (slow, booked) in [
+            (Slow::HandleData, Phase::EnvStep),
+            (Slow::StepFrames, Phase::EnvStep),
+            (Slow::Grant, Phase::RtlGrant),
+        ] {
+            let mut sync =
+                Synchronizer::new(config(1), SlowEnv(slow), SlowRtl(slow, LoopRtl::default()));
+            sync.rtl_mut().1.tx.push(vec![1, 2]);
+            let outside = Stopwatch::start();
+            sync.step_sync();
+            let outside = outside.elapsed();
+
+            let profiler = sync.profiler();
+            for phase in Phase::ALL {
+                let (total, count) = (profiler.total(phase), profiler.count(phase));
+                if phase == booked {
+                    assert!(total >= SLOW, "slow {slow:?}: {} {total:?}", phase.name());
+                } else {
+                    assert!(total < SLOW, "slow {slow:?}: {} {total:?}", phase.name());
+                }
+                let lapped = matches!(
+                    phase,
+                    Phase::EnvStep | Phase::RtlGrant | Phase::TraceOverhead
+                );
+                assert_eq!(count, u64::from(lapped), "slow {slow:?}: {}", phase.name());
+            }
+            assert!(profiler.total_wall() <= outside, "slow {slow:?}");
+            assert_eq!(sync.rtl().1.received, [vec![1, 2]]);
+        }
     }
 
     /// A transport that dies mid-outbox must keep the unsent payloads

@@ -151,9 +151,9 @@ fn live(file: &SourceFile) -> impl Iterator<Item = usize> + '_ {
 
 /// DET001 — no wall-clock reads outside the profiler. `Instant::now()`
 /// and any use of `SystemTime` make behavior depend on host scheduling.
-/// Host timing goes through `rose_trace::Stopwatch` / `Profiler::time`,
-/// whose readings are digest-excluded by construction (DESIGN.md §4f) and
-/// show up in `--profile`; rose-lint.toml exempts that one module.
+/// Host timing goes through `rose_trace::Stopwatch`, whose readings are
+/// digest-excluded by construction (DESIGN.md §4f) and show up in
+/// `--profile`; rose-lint.toml exempts that one module.
 fn det001(file: &SourceFile) -> Vec<Finding> {
     let tokens = &file.lexed.tokens;
     let mut out = Vec::new();
@@ -174,8 +174,8 @@ fn det001(file: &SourceFile) -> Vec<Finding> {
             message: format!(
                 "{what} outside the profiler: wall time is nondeterministic \
                  across runs; derive simulated time from cycles/frames, route \
-                 host timing through rose_trace::Stopwatch / Profiler::time so \
-                 it stays digest-excluded, or whitelist the file in rose-lint.toml"
+                 host timing through rose_trace::Stopwatch so it stays \
+                 digest-excluded, or whitelist the file in rose-lint.toml"
             ),
         });
     }

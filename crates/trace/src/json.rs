@@ -83,21 +83,21 @@ impl std::error::Error for JsonError {}
 ///
 /// A [`JsonError`] locating the first malformed byte.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.error("trailing data after document"));
     }
     Ok(value)
 }
 
+/// The parser's cursor. `pos` always sits on a char boundary of `text`:
+/// every structural token is ASCII, and string contents advance by whole
+/// chars.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -110,7 +110,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -129,7 +129,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -230,15 +230,15 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.error("raw control character in string")),
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (input is a &str, so
-                    // the encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    // rose-lint: allow(PANIC002, bytes came from a &str; a non-empty UTF-8 suffix is valid)
-                    let text = std::str::from_utf8(rest).expect("input was a &str");
-                    // rose-lint: allow(PANIC002, peek() returned Some so the suffix is non-empty)
-                    let c = text.chars().next().expect("peeked byte exists");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain chars up to the next quote,
+                    // escape or control byte (all ASCII, so the run ends
+                    // on a char boundary) in one step.
+                    let rest = &self.text[self.pos..];
+                    let run = rest
+                        .find(|c: char| c == '"' || c == '\\' || c < ' ')
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -249,7 +249,7 @@ impl Parser<'_> {
         // Decode surrogate pairs (Perfetto never needs them, but a
         // validator should not reject legal JSON).
         if (0xD800..0xDC00).contains(&first) {
-            if self.bytes[self.pos..].starts_with(b"\\u") {
+            if self.text[self.pos..].starts_with("\\u") {
                 self.pos += 2;
                 let second = self.hex4()?;
                 if (0xDC00..0xE000).contains(&second) {
@@ -301,8 +301,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII span");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Number)
             .map_err(|_| self.error("malformed number"))
     }
@@ -327,8 +327,19 @@ mod tests {
 
     #[test]
     fn parses_escapes() {
-        let v = parse(r#""a\n\"A😀""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\n\"A😀"));
+        for (doc, text) in [
+            (r#""a\n\"A😀""#, "a\n\"A😀"),
+            // Raw 2-, 3- and 4-byte chars next to escapes and next to the
+            // closing quote.
+            (r#""é\n€\t😀\u00e9""#, "é\n€\t😀é"),
+            (r#""\"é\"€\\😀""#, "\"é\"€\\😀"),
+            (r#""é""#, "é"),
+            (r#""€""#, "€"),
+            (r#""😀""#, "😀"),
+            (r#""x\u20ac€""#, "x€€"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(text), "{doc}");
+        }
     }
 
     #[test]
@@ -342,6 +353,7 @@ mod tests {
             "\"unterminated",
             "1 2",
             "{\"a\" 1}",
+            "\"é\u{1}\"",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }

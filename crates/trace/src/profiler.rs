@@ -2,10 +2,12 @@
 //!
 //! A speed-up needs a target, and a slow run needs an explanation: where
 //! does *host* time go — the environment, the RTL grant loop, the SoC's
-//! cost model, transport, recovery, the snapshot codec, or the tracing
-//! layer itself? This module answers that with a fixed-size per-phase
-//! accumulator, cheap enough to leave always on, whose phases add up to
-//! the wall time of each synchronization period
+//! cost model, fault recovery, or the tracing layer itself? This module
+//! answers that with a fixed-size per-phase accumulator, cheap enough to
+//! leave always on. The synchronizer times each period as three laps of
+//! one [`Stopwatch`] (env-step, rtl-grant, trace-overhead) and carves
+//! `recovery` and `cost-model` out of the grant, so the phases add up to
+//! the wall time of the synchronization periods
 //! (`profile_mission --profile` prints the table).
 //!
 //! # The digest-exclusion contract
@@ -15,8 +17,8 @@
 //! same contract the sync-quantum span args already follow. To keep that
 //! auditable, the `DET001` lint flags every direct `std::time::Instant`
 //! / `SystemTime` read outside this module: all wall-clock sampling
-//! funnels through [`Stopwatch`] / [`Profiler::time`], which are
-//! digest-excluded by construction.
+//! funnels through [`Stopwatch`], whose readings are digest-excluded by
+//! construction.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -26,16 +28,13 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// The environment simulator's work: stepping its frames (dynamics,
-    /// physics substeps) and answering the SoC's packets at the sync
-    /// boundary (camera render, sensor reads).
+    /// physics substeps), and draining and answering the SoC's packets
+    /// at the sync boundary (camera render, sensor reads).
     EnvStep,
-    /// The RTL grant: running the SoC for one quantum's worth of cycles.
+    /// The RTL grant: queueing the boundary's data towards the SoC and
+    /// running it for one quantum's worth of cycles (for a remote SoC,
+    /// the transport's round trips too).
     RtlGrant,
-    /// Token/packet exchange between the endpoints (queue drains, IPC),
-    /// without the environment's answers, which count as `EnvStep`.
-    Transport,
-    /// Mission snapshot serialization and resume deserialization.
-    SnapshotCodec,
     /// Trace recording and quantum bookkeeping overhead.
     TraceOverhead,
     /// Transport-fault recovery: retries, reconnects, and resync
@@ -50,15 +49,13 @@ pub enum Phase {
 }
 
 /// Number of phases (array backing size).
-const PHASES: usize = 7;
+const PHASES: usize = 5;
 
 impl Phase {
     /// Every phase, in display order.
     pub const ALL: [Phase; PHASES] = [
         Phase::EnvStep,
         Phase::RtlGrant,
-        Phase::Transport,
-        Phase::SnapshotCodec,
         Phase::TraceOverhead,
         Phase::Recovery,
         Phase::CostModel,
@@ -69,8 +66,6 @@ impl Phase {
         match self {
             Phase::EnvStep => "env-step",
             Phase::RtlGrant => "rtl-grant",
-            Phase::Transport => "transport",
-            Phase::SnapshotCodec => "snapshot-codec",
             Phase::TraceOverhead => "trace-overhead",
             Phase::Recovery => "recovery",
             Phase::CostModel => "cost-model",
@@ -81,18 +76,15 @@ impl Phase {
         match self {
             Phase::EnvStep => 0,
             Phase::RtlGrant => 1,
-            Phase::Transport => 2,
-            Phase::SnapshotCodec => 3,
-            Phase::TraceOverhead => 4,
-            Phase::Recovery => 5,
-            Phase::CostModel => 6,
+            Phase::TraceOverhead => 2,
+            Phase::Recovery => 3,
+            Phase::CostModel => 4,
         }
     }
 }
 
-/// A started wall-clock measurement. The **only** sanctioned way (along
-/// with [`Profiler::time`]) to read host time — see the module docs and
-/// the `DET001` lint.
+/// A started wall-clock measurement. The **only** sanctioned way to read
+/// host time — see the module docs and the `DET001` lint.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
@@ -122,8 +114,8 @@ impl Stopwatch {
 ///
 /// Plain data, deliberately *not* scope-guard based: the co-simulation's
 /// phases interleave across closures and threads, so call sites measure
-/// a [`Stopwatch`] (or let [`Profiler::time`] do it) and attribute the
-/// `Duration` explicitly with [`add`](Profiler::add). The accumulator
+/// a [`Stopwatch`] and attribute the `Duration` explicitly with
+/// [`add`](Profiler::add). The accumulator
 /// itself is telemetry: excluded from snapshots and the determinism
 /// digest.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -144,14 +136,6 @@ impl Profiler {
         let i = phase.index();
         self.totals[i] += wall;
         self.counts[i] += 1;
-    }
-
-    /// Runs `f`, attributing its wall time to `phase`.
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let sw = Stopwatch::start();
-        let out = f();
-        self.add(phase, sw.elapsed());
-        out
     }
 
     /// Total wall time attributed to `phase`.
@@ -228,21 +212,13 @@ mod tests {
         assert!(p.is_empty());
         p.add(Phase::EnvStep, Duration::from_micros(100));
         p.add(Phase::EnvStep, Duration::from_micros(50));
-        p.add(Phase::Transport, Duration::from_micros(25));
+        p.add(Phase::TraceOverhead, Duration::from_micros(25));
         assert_eq!(p.total(Phase::EnvStep), Duration::from_micros(150));
         assert_eq!(p.count(Phase::EnvStep), 2);
-        assert_eq!(p.total(Phase::Transport), Duration::from_micros(25));
+        assert_eq!(p.total(Phase::TraceOverhead), Duration::from_micros(25));
         assert_eq!(p.total(Phase::RtlGrant), Duration::ZERO);
         assert_eq!(p.total_wall(), Duration::from_micros(175));
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn time_attributes_the_closure_and_returns_its_value() {
-        let mut p = Profiler::new();
-        let out = p.time(Phase::SnapshotCodec, || 41 + 1);
-        assert_eq!(out, 42);
-        assert_eq!(p.count(Phase::SnapshotCodec), 1);
     }
 
     #[test]
