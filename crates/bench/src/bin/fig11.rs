@@ -1,18 +1,5 @@
 //! Regenerates Figure 11: DNN sweep in s-shape at 9 m/s.
-use rose_bench::{mission_table, trajectories_csv, write_csv, LabeledRun};
-
 fn main() {
-    let runs: Vec<LabeledRun> = rose_bench::fig11()
-        .into_iter()
-        .map(|(m, report)| LabeledRun {
-            label: m.to_string(),
-            report,
-        })
-        .collect();
-    mission_table(&runs).print("Figure 11: s-shape @ 9 m/s, config A, DNN architecture sweep");
-    println!("paper mission times: ResNet6 16.1 s (collides), ResNet11 12.94 s, ResNet14 12.32 s, ResNet18 35.68 s, ResNet34 fails");
-    if let Some(p) = write_csv("fig11_trajectories.csv", &trajectories_csv(&runs)) {
-        println!("wrote {}", p.display());
-    }
+    rose_bench::report_fig11();
     rose_bench::persist_timing_cache();
 }

@@ -1,18 +1,5 @@
 //! Regenerates Figure 12: velocity-target sweep, ResNet14 on BOOM+Gemmini.
-use rose_bench::{mission_table, trajectories_csv, write_csv, LabeledRun};
-
 fn main() {
-    let runs: Vec<LabeledRun> = rose_bench::fig12()
-        .into_iter()
-        .map(|(v, report)| LabeledRun {
-            label: format!("v={v}"),
-            report,
-        })
-        .collect();
-    mission_table(&runs).print("Figure 12: s-shape, ResNet14 on A, velocity sweep 6/9/12 m/s");
-    println!("paper: 6 m/s safest trajectory; 9 m/s shortest mission (12.14 s); 12 m/s collides after deadline violations");
-    if let Some(p) = write_csv("fig12_trajectories.csv", &trajectories_csv(&runs)) {
-        println!("wrote {}", p.display());
-    }
+    rose_bench::report_fig12();
     rose_bench::persist_timing_cache();
 }

@@ -1,23 +1,5 @@
 //! Regenerates Figure 13: static vs dynamic DNN selection.
-use rose_bench::{mission_table, write_csv};
-use rose_sim_core::csv::CsvLog;
-
 fn main() {
-    let runs = rose_bench::fig13();
-    mission_table(&runs).print("Figure 13: application runtime and accelerator activity factor");
-    let mut csv = CsvLog::new(&["run", "time_s", "activity", "inferences", "fast_fraction"]);
-    for (i, run) in runs.iter().enumerate() {
-        csv.row(&[
-            i as f64,
-            run.report.mission_time_s.unwrap_or(f64::NAN),
-            run.report.activity_factor,
-            run.report.inference_count as f64,
-            run.report.fast_fraction,
-        ]);
-    }
-    println!("paper: the dynamic runtime achieves a lower activity factor than static ResNet14 while also improving mission time, with ~15% fewer inferences");
-    if let Some(p) = write_csv("fig13.csv", &csv) {
-        println!("wrote {}", p.display());
-    }
+    rose_bench::report_fig13();
     rose_bench::persist_timing_cache();
 }

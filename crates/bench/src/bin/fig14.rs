@@ -1,24 +1,5 @@
 //! Regenerates Figure 14: hardware x software co-design sweep.
-use rose_bench::{mission_table, write_csv};
-use rose_sim_core::csv::CsvLog;
-
 fn main() {
-    let runs = rose_bench::fig14();
-    mission_table(&runs)
-        .print("Figure 14: mission time / velocity / DNN activity, BOOM+Gemmini vs Rocket+Gemmini");
-    let mut csv = CsvLog::new(&["run", "time_s", "avg_v", "activity", "collisions"]);
-    for (i, run) in runs.iter().enumerate() {
-        csv.row(&[
-            i as f64,
-            run.report.mission_time_s.unwrap_or(f64::NAN),
-            run.report.avg_velocity,
-            run.report.activity_factor,
-            run.report.collisions as f64,
-        ]);
-    }
-    println!("paper: with BOOM, ResNet14 is the optimal design point; with Rocket the SoC struggles (recovers from collisions), and low-latency DNNs gain value");
-    if let Some(p) = write_csv("fig14.csv", &csv) {
-        println!("wrote {}", p.display());
-    }
+    rose_bench::report_fig14();
     rose_bench::persist_timing_cache();
 }

@@ -1,46 +1,6 @@
 //! Regenerates Figure 16: effect of synchronization granularity on
 //! trajectories and on image-request -> DNN-response latency.
-use rose_bench::{write_csv, TextTable};
-use rose_sim_core::csv::CsvLog;
-
 fn main() {
-    let runs = rose_bench::fig16();
-    let mut t = TextTable::new(&[
-        "cycles/sync",
-        "latency (ms)",
-        "mission time (s)",
-        "collisions",
-        "final |y| (m)",
-    ]);
-    let mut csv = CsvLog::new(&["cycles_per_sync", "latency_ms", "time_s", "collisions"]);
-    let mut traj = CsvLog::new(&["cycles_per_sync", "t", "x", "y"]);
-    for run in &runs {
-        let r = &run.report;
-        let final_y = r.trajectory.last().map_or(0.0, |p| p.position.y.abs());
-        t.row(vec![
-            format!("{}M", run.cycles_per_sync / 1_000_000),
-            format!("{:.0}", r.mean_latency_ms),
-            r.mission_time_s.map_or("-".into(), |x| format!("{x:.2}")),
-            r.collisions.to_string(),
-            format!("{final_y:.2}"),
-        ]);
-        csv.row(&[
-            run.cycles_per_sync as f64,
-            r.mean_latency_ms,
-            r.mission_time_s.unwrap_or(f64::NAN),
-            r.collisions as f64,
-        ]);
-        for p in &r.trajectory {
-            traj.row(&[run.cycles_per_sync as f64, p.t, p.position.x, p.position.y]);
-        }
-    }
-    t.print("Figure 16: sync granularity sweep (tunnel, +20deg, ResNet14 @ 3 m/s)");
-    println!("paper: at 10M cycles the latency sits slightly above the 125 ms compute latency; by 400M cycles the observed ~400 ms is >3x the ideal, and trajectories diverge");
-    if let Some(p) = write_csv("fig16.csv", &csv) {
-        println!("wrote {}", p.display());
-    }
-    if let Some(p) = write_csv("fig16_trajectories.csv", &traj) {
-        println!("wrote {}", p.display());
-    }
+    rose_bench::report_fig16();
     rose_bench::persist_timing_cache();
 }

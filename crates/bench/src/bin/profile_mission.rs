@@ -1,6 +1,6 @@
 //! Profile one mission: run it with tracing enabled, write a Chrome
 //! trace-event JSON (loadable in Perfetto / `chrome://tracing`) and a
-//! metrics CSV snapshot of every counter in the stack.
+//! metrics CSV of every counter in the mission report.
 //!
 //! ```text
 //! profile_mission [--trace out.json] [--metrics out.csv] [--seconds F]
@@ -11,8 +11,8 @@
 //! ```
 //!
 //! `--check` re-parses the emitted JSON and cross-checks the trace and
-//! registry against the mission's raw stats — the CI smoke test — exiting
-//! nonzero on any inconsistency. Every `sync-quantum` span must carry
+//! the metrics CSV against the mission's report — the CI smoke test —
+//! exiting nonzero on any inconsistency. Every `sync-quantum` span must carry
 //! numeric `env_wall_us`, `rtl_wall_us` and `quantum_wall_us` args: the
 //! trace is the only per-quantum record of the host walls.
 //! `--determinism` additionally runs the same config a second time and
@@ -133,7 +133,8 @@ const QUANTUM_WALL_ARGS: [&str; 3] = ["env_wall_us", "rtl_wall_us", "quantum_wal
 
 /// The `--check` validation: the emitted JSON must parse, name every
 /// track, contain the stack's event types, carry each quantum's host
-/// walls, and agree with the raw stats.
+/// walls, and agree with the report; the metrics CSV must list the
+/// report's fields.
 fn check(report: &MissionReport) -> Result<(), String> {
     let log = report.trace.as_ref().expect("mission ran traced");
     let doc = json::parse(&log.to_chrome_json()).map_err(|e| format!("bad JSON: {e}"))?;
@@ -196,23 +197,22 @@ fn check(report: &MissionReport) -> Result<(), String> {
         return Err("bridge-packet count != data crossings".into());
     }
 
-    // Registry totals must reproduce the pre-existing stats structs.
-    let reg = report.metric_registry();
-    let pairs = [
+    // The `--metrics` CSV must list the report's own fields.
+    let csv = report.metrics_csv().to_csv_string();
+    let counters = [
         ("soc.l1.misses", report.soc_stats.l1.misses),
         ("soc.l2.misses", report.soc_stats.l2.misses),
         ("soc.cycles", report.soc_stats.cycles),
         ("sync.syncs", report.sync_stats.syncs),
         ("sync.sim_cycles", report.sync_stats.sim_cycles),
         ("app.inferences", report.inference_count),
-    ];
-    for (name, expected) in pairs {
-        if reg.counter_value(name) != Some(expected) {
-            return Err(format!("registry {name} != stats value {expected}"));
+    ]
+    .map(|(name, value)| format!("{name},counter,{value}"));
+    let energy = format!("energy.total_mj,gauge,{}", report.energy.total_mj());
+    for line in counters.iter().chain([&energy]) {
+        if !csv.lines().any(|l| l == line) {
+            return Err(format!("metrics CSV lacks the row {line:?}"));
         }
-    }
-    if reg.gauge_value("energy.total_mj") != Some(report.energy.total_mj()) {
-        return Err("registry energy.total_mj != energy report".into());
     }
     Ok(())
 }
@@ -325,7 +325,7 @@ fn main() -> ExitCode {
         println!("wrote {} (load in ui.perfetto.dev)", path.display());
     }
     if let Some(path) = &args.metrics {
-        if let Err(e) = report.metric_registry().to_csv().write_to(path) {
+        if let Err(e) = report.metrics_csv().write_to(path) {
             eprintln!("error: writing {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
@@ -354,7 +354,7 @@ fn main() -> ExitCode {
     }
     if args.check {
         match check(&report) {
-            Ok(()) => println!("check: trace and registry consistent"),
+            Ok(()) => println!("check: trace and metrics consistent"),
             Err(e) => {
                 eprintln!("check failed: {e}");
                 return ExitCode::FAILURE;

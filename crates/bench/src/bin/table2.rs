@@ -1,4 +1,4 @@
 //! Regenerates Table 2: the evaluated hardware configurations.
 fn main() {
-    rose_bench::table2().print("Table 2: hardware configurations");
+    rose_bench::report_table2();
 }

@@ -1,38 +1,4 @@
 //! Regenerates Table 3: latency and accuracy of the DNN controllers.
-use rose_bench::{write_csv, TextTable};
-use rose_sim_core::csv::CsvLog;
-
 fn main() {
-    let rows = rose_bench::table3();
-    let paper_a = [77.0, 83.0, 85.0, 130.0, 225.0];
-    let paper_b = [101.0, 108.0, 125.0, 185.0, 300.0];
-    let mut t = TextTable::new(&[
-        "model",
-        "BOOM+Gemmini (ms)",
-        "paper",
-        "Rocket+Gemmini (ms)",
-        "paper",
-        "val. accuracy",
-    ]);
-    let mut csv = CsvLog::new(&["depth", "boom_ms", "rocket_ms", "accuracy"]);
-    for (i, row) in rows.iter().enumerate() {
-        t.row(vec![
-            row.model.to_string(),
-            format!("{:.0}", row.boom_ms),
-            format!("{:.0}", paper_a[i]),
-            format!("{:.0}", row.rocket_ms),
-            format!("{:.0}", paper_b[i]),
-            format!("{:.0}%", row.accuracy * 100.0),
-        ]);
-        csv.row(&[
-            row.model.depth() as f64,
-            row.boom_ms,
-            row.rocket_ms,
-            row.accuracy,
-        ]);
-    }
-    t.print("Table 3: DNN controller latency and accuracy (paper values inline)");
-    if let Some(p) = write_csv("table3.csv", &csv) {
-        println!("wrote {}", p.display());
-    }
+    rose_bench::report_table3();
 }

@@ -27,9 +27,7 @@ use crate::packet::Packet;
 use crate::transport::{Transport, TransportError};
 use rose_sim_core::cycles::SyncRatio;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use rose_trace::{
-    ArgValue, MetricRegistry, MetricSource, Phase, Profiler, Stopwatch, TraceEvent, Tracer, Track,
-};
+use rose_trace::{ArgValue, Phase, Profiler, Stopwatch, TraceEvent, Tracer, Track};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -250,16 +248,6 @@ impl SyncStats {
         } else {
             self.sim_cycles as f64 / secs
         }
-    }
-}
-
-impl MetricSource for SyncStats {
-    fn record_metrics(&self, registry: &mut MetricRegistry) {
-        registry.set_counter("sync.syncs", self.syncs);
-        registry.set_counter("sync.sim_cycles", self.sim_cycles);
-        registry.set_counter("sync.sim_frames", self.sim_frames);
-        registry.set_counter("sync.data_to_env", self.data_to_env);
-        registry.set_counter("sync.data_to_rtl", self.data_to_rtl);
     }
 }
 

@@ -185,21 +185,6 @@ impl AppMetrics {
     }
 }
 
-impl rose_trace::MetricSource for AppMetrics {
-    fn record_metrics(&self, registry: &mut rose_trace::MetricRegistry) {
-        registry.set_counter("app.inferences", self.inferences());
-        registry.set_counter("app.commands", self.commands());
-        registry.set_counter("app.fast_inferences", self.fast_inferences);
-        registry.set_counter("app.deadline_switches", self.deadline_switches);
-        registry.set_counter("app.deadline_misses", self.deadline_misses);
-        registry.set_counter("app.degraded_depth", self.degraded_depth);
-        registry.set_counter("app.classical_commands", self.classical_commands);
-        registry.set_counter("app.lost_responses", self.lost_responses);
-        registry.gauge("app.abort_requested", self.abort_requested as u8 as f64);
-        registry.gauge("app.mean_latency_cycles", self.mean_latency_cycles());
-    }
-}
-
 impl AppMetrics {
     fn save_state(&self, w: &mut SnapWriter) {
         let AppMetrics {

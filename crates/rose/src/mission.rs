@@ -32,15 +32,15 @@ use rose_dnn::DnnModel;
 use rose_envsim::uav::{TrajectoryPoint, UavSim, UavSimConfig};
 use rose_envsim::world::{World, WorldKind};
 use rose_flightctl::SimpleFlight;
-use rose_sim_core::csv::CsvLog;
+use rose_sim_core::csv::{CsvCell, CsvLog};
 use rose_sim_core::cycles::{FrameSpec, SyncRatio};
 use rose_sim_core::math::Vec3;
 use rose_sim_core::rng::SimRng;
 use rose_socsim::soc::SocStats;
 use rose_socsim::{Soc, SocConfig, TargetProgram};
 use rose_trace::{
-    FlightRecorder, FlightSample, MetricRegistry, Phase, Profiler, TimingCacheCounts, TraceClock,
-    TraceEvent, TraceLog, Tracer,
+    FlightRecorder, FlightSample, Phase, Profiler, TimingCacheCounts, TraceClock, TraceEvent,
+    TraceLog, Tracer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -196,7 +196,9 @@ impl MissionConfig {
     /// # Errors
     ///
     /// Propagates [`rose_sim_core::snap::SnapError`] on a malformed
-    /// snapshot.
+    /// snapshot; a zero frame rate or zero frames per sync (which no
+    /// mission can be built from) is rejected as
+    /// [`rose_sim_core::snap::SnapError::BadTag`].
     pub fn restore_state(
         r: &mut rose_sim_core::snap::SnapReader<'_>,
     ) -> Result<MissionConfig, rose_sim_core::snap::SnapError> {
@@ -207,6 +209,14 @@ impl MissionConfig {
         let initial_yaw_deg = r.f64()?;
         let frame_hz = r.u32()?;
         let frames_per_sync = r.u64()?;
+        for (context, value) in [
+            ("MissionConfig.frame_hz", u64::from(frame_hz)),
+            ("MissionConfig.frames_per_sync", frames_per_sync),
+        ] {
+            if value == 0 {
+                return Err(rose_sim_core::snap::SnapError::BadTag { context, tag: 0 });
+            }
+        }
         let sync_mode = r.tag()?;
         let seed = r.u64()?;
         let max_sim_seconds = r.f64()?;
@@ -285,7 +295,7 @@ pub struct MissionReport {
     /// [`MissionConfig::trace`] was set.
     pub trace: Option<TraceLog>,
     /// Host wall-clock self-profile of the run (env step / RTL grant /
-    /// transport / snapshot codec / trace overhead) — the run's only wall
+    /// trace overhead / recovery / cost model) — the run's only wall
     /// time record, so throughput derives from its total. Telemetry: never
     /// an input to the determinism digest (DESIGN.md §4f).
     pub profile: Profiler,
@@ -319,30 +329,93 @@ impl MissionReport {
         log
     }
 
-    /// Collects every counter of the run — SoC, synchronizer, energy,
-    /// application, and mission-level outcomes — into one named-metric
-    /// registry (the `--metrics` CSV of `profile_mission`).
-    pub fn metric_registry(&self) -> MetricRegistry {
-        let mut registry = MetricRegistry::new();
-        registry.record(&self.soc_stats);
-        registry.record(&self.sync_stats);
-        registry.record(&self.energy);
-        registry.record(&self.app);
-        registry.record(&self.profile);
-        registry.gauge(
-            "sync.throughput_hz",
-            self.sync_stats.throughput_hz(self.profile.total_wall()),
-        );
-        registry.set_counter("mission.collisions", self.collisions as u64);
-        registry.set_counter("mission.postmortems", self.postmortems.len() as u64);
-        registry.gauge("mission.completed", self.completed as u8 as f64);
-        registry.gauge("mission.sim_time_s", self.sim_time_s);
-        registry.gauge("mission.avg_velocity", self.avg_velocity);
-        registry.gauge("mission.mean_latency_ms", self.mean_latency_ms);
-        registry.gauge("mission.activity_factor", self.activity_factor);
-        registry.gauge("flight.ring_occupancy", self.flight_occupancy as f64);
-        registry.gauge("flight.ring_capacity", self.flight_capacity as f64);
-        registry
+    /// Lists every counter of the run — SoC, synchronizer, energy,
+    /// application, host profile and mission-level outcomes — as one
+    /// `metric,kind,value` table sorted by name (the `--metrics` CSV of
+    /// `profile_mission`). Integer cells are `counter`s, real ones
+    /// `gauge`s.
+    pub fn metrics_csv(&self) -> CsvLog {
+        let (soc, sync, energy, app) = (&self.soc_stats, &self.sync_stats, &self.energy, &self.app);
+        let mut rows: Vec<(String, CsvCell)> = Vec::new();
+        let mut row = |name: &str, value: CsvCell| rows.push((name.to_string(), value));
+        let flag = |set: bool| CsvCell::Float(f64::from(u8::from(set)));
+        let wall = self.profile.total_wall();
+        row("soc.cycles", soc.cycles.into());
+        row("soc.idle_cycles", soc.idle_cycles.into());
+        row("soc.accel_cycles", soc.accel_cycles.into());
+        row("soc.accel_macs", soc.accel_macs.into());
+        row("soc.activity_factor", soc.activity_factor().into());
+        row("soc.cpu.instrs", soc.cpu.instrs.into());
+        row("soc.cpu.cycles", soc.cpu.cycles.into());
+        row("soc.cpu.mispredicts", soc.cpu.mispredicts.into());
+        row("soc.cpu.ipc", soc.cpu.ipc().into());
+        for (prefix, cache) in [("soc.l1", &soc.l1), ("soc.l2", &soc.l2)] {
+            row(&format!("{prefix}.hits"), cache.hits.into());
+            row(&format!("{prefix}.misses"), cache.misses.into());
+            row(&format!("{prefix}.writebacks"), cache.writebacks.into());
+            row(&format!("{prefix}.miss_ratio"), cache.miss_ratio().into());
+        }
+        row("soc.bridge.rx_msgs", soc.bridge.rx_msgs.into());
+        row("soc.bridge.rx_bytes", soc.bridge.rx_bytes.into());
+        row("soc.bridge.tx_msgs", soc.bridge.tx_msgs.into());
+        row("soc.bridge.tx_bytes", soc.bridge.tx_bytes.into());
+        row("sync.syncs", sync.syncs.into());
+        row("sync.sim_cycles", sync.sim_cycles.into());
+        row("sync.sim_frames", sync.sim_frames.into());
+        row("sync.data_to_env", sync.data_to_env.into());
+        row("sync.data_to_rtl", sync.data_to_rtl.into());
+        row("sync.throughput_hz", sync.throughput_hz(wall).into());
+        row("energy.core_mj", energy.core_mj.into());
+        row("energy.accel_mj", energy.accel_mj.into());
+        row("energy.dram_mj", energy.dram_mj.into());
+        row("energy.static_mj", energy.static_mj.into());
+        row("energy.total_mj", energy.total_mj().into());
+        row("energy.average_mw", energy.average_mw().into());
+        row("energy.seconds", energy.seconds.into());
+        row("app.inferences", app.inferences().into());
+        row("app.commands", app.commands().into());
+        row("app.fast_inferences", app.fast_inferences.into());
+        row("app.deadline_switches", app.deadline_switches.into());
+        row("app.deadline_misses", app.deadline_misses.into());
+        row("app.degraded_depth", app.degraded_depth.into());
+        row("app.classical_commands", app.classical_commands.into());
+        row("app.lost_responses", app.lost_responses.into());
+        row("app.abort_requested", flag(app.abort_requested));
+        row("app.mean_latency_cycles", app.mean_latency_cycles().into());
+        for phase in Phase::ALL {
+            let name = phase.name();
+            let (total_us, calls) = (
+                self.profile.total(phase).as_secs_f64() * 1e6,
+                self.profile.count(phase),
+            );
+            row(&format!("profile.{name}.total_us"), total_us.into());
+            row(&format!("profile.{name}.calls"), calls.into());
+        }
+        row("mission.collisions", u64::from(self.collisions).into());
+        let postmortems = self.postmortems.len() as u64;
+        row("mission.postmortems", postmortems.into());
+        row("mission.completed", flag(self.completed));
+        row("mission.sim_time_s", self.sim_time_s.into());
+        row("mission.avg_velocity", self.avg_velocity.into());
+        row("mission.mean_latency_ms", self.mean_latency_ms.into());
+        row("mission.activity_factor", self.activity_factor.into());
+        for (name, slots) in [
+            ("flight.ring_occupancy", self.flight_occupancy),
+            ("flight.ring_capacity", self.flight_capacity),
+        ] {
+            row(name, (slots as f64).into());
+        }
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+
+        let mut log = CsvLog::new(&["metric", "kind", "value"]);
+        for (name, value) in rows {
+            let kind = match value {
+                CsvCell::Int(_) => "counter",
+                _ => "gauge",
+            };
+            log.push_row(vec![name.into(), kind.into(), value]);
+        }
+        log
     }
 }
 
@@ -846,7 +919,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_mission_merges_all_tracks_and_registry_matches_stats() {
+    fn traced_mission_merges_all_tracks_and_metrics_match_the_report() {
         let config = MissionConfig {
             max_sim_seconds: 2.0,
             trace: true,
@@ -871,32 +944,41 @@ mod tests {
             "merged log is chronological"
         );
 
-        // The registry reproduces the raw stats counters exactly.
-        let reg = report.metric_registry();
-        assert_eq!(
-            reg.counter_value("soc.l2.misses"),
-            Some(report.soc_stats.l2.misses)
-        );
-        assert_eq!(
-            reg.counter_value("soc.l1.misses"),
-            Some(report.soc_stats.l1.misses)
-        );
-        assert_eq!(
-            reg.counter_value("sync.syncs"),
-            Some(report.sync_stats.syncs)
-        );
-        assert_eq!(
-            reg.counter_value("app.inferences"),
-            Some(report.inference_count)
-        );
-        assert_eq!(
-            reg.gauge_value("energy.total_mj"),
-            Some(report.energy.total_mj())
-        );
-        assert_eq!(
-            reg.gauge_value("app.mean_latency_cycles"),
-            Some(report.app.mean_latency_cycles())
-        );
+        // The metrics table lists the report's own fields, sorted by name,
+        // and each row's kind follows its cell: integer → counter.
+        let csv = report.metrics_csv();
+        assert_eq!(csv.header(), ["metric", "kind", "value"]);
+        assert_eq!(csv.len(), 63);
+        let name = |row: &[CsvCell]| row[0].to_string();
+        assert!(csv.rows().windows(2).all(|w| name(&w[0]) < name(&w[1])));
+        for row in csv.rows() {
+            let kind = match row[2] {
+                CsvCell::Int(_) => "counter",
+                CsvCell::Float(_) => "gauge",
+                CsvCell::Str(_) => panic!("text value in {}", name(row)),
+            };
+            assert_eq!(row[1], CsvCell::from(kind), "{}", name(row));
+        }
+        let value = |metric: &str| {
+            csv.rows()
+                .iter()
+                .find(|row| name(row) == metric)
+                .map(|row| row[2].clone())
+        };
+        let expected: [(&str, CsvCell); 6] = [
+            ("soc.l2.misses", report.soc_stats.l2.misses.into()),
+            ("soc.l1.misses", report.soc_stats.l1.misses.into()),
+            ("sync.syncs", report.sync_stats.syncs.into()),
+            ("app.inferences", report.inference_count.into()),
+            ("energy.total_mj", report.energy.total_mj().into()),
+            (
+                "app.mean_latency_cycles",
+                report.app.mean_latency_cycles().into(),
+            ),
+        ];
+        for (metric, cell) in expected {
+            assert_eq!(value(metric), Some(cell), "{metric}");
+        }
 
         // An untraced mission carries no log (and records no events).
         let quiet = run_mission(&MissionConfig {

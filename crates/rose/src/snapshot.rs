@@ -386,5 +386,34 @@ mod tests {
             MissionSnapshot::from_bytes(bad).resume(),
             Err(SnapError::TrailingBytes { .. })
         ));
+
+        // A zero frame rate or sync period in the embedded config is an
+        // error, not a panic while the mission is rebuilt from it. Both
+        // fields are fixed-width, so the rest of the stream still lines up.
+        let header_and = |config: &MissionConfig| {
+            let mut w = SnapWriter::new();
+            w.section(MissionSnapshot::MAGIC);
+            w.u16(MissionSnapshot::VERSION);
+            config.save_state(&mut w);
+            w.into_bytes()
+        };
+        let rest = &snap.bytes()[header_and(&config).len()..];
+        for crafted in [
+            MissionConfig {
+                frame_hz: 0,
+                ..short()
+            },
+            MissionConfig {
+                frames_per_sync: 0,
+                ..short()
+            },
+        ] {
+            let mut bad = header_and(&crafted);
+            bad.extend_from_slice(rest);
+            assert!(matches!(
+                MissionSnapshot::from_bytes(bad).resume(),
+                Err(SnapError::BadTag { tag: 0, .. })
+            ));
+        }
     }
 }

@@ -15,7 +15,6 @@
 use crate::config::SocConfig;
 use crate::soc::SocStats;
 use crate::CoreKind;
-use rose_trace::{MetricRegistry, MetricSource};
 use serde::{Deserialize, Serialize};
 
 /// Energy coefficients.
@@ -82,18 +81,6 @@ impl EnergyReport {
         } else {
             self.total_mj() / self.seconds // mJ/s = mW
         }
-    }
-}
-
-impl MetricSource for EnergyReport {
-    fn record_metrics(&self, registry: &mut MetricRegistry) {
-        registry.gauge("energy.core_mj", self.core_mj);
-        registry.gauge("energy.accel_mj", self.accel_mj);
-        registry.gauge("energy.dram_mj", self.dram_mj);
-        registry.gauge("energy.static_mj", self.static_mj);
-        registry.gauge("energy.total_mj", self.total_mj());
-        registry.gauge("energy.average_mw", self.average_mw());
-        registry.gauge("energy.seconds", self.seconds);
     }
 }
 
@@ -179,17 +166,5 @@ mod tests {
     fn zero_time_means_zero_power() {
         let r = energy_of(&stats(0, 0, 0), &SocConfig::config_a());
         assert_eq!(r.average_mw(), 0.0);
-    }
-
-    #[test]
-    fn energy_flows_through_metric_registry() {
-        let config = SocConfig::config_a();
-        let r = energy_of(&stats(1_000_000_000, 500_000_000, 1_000_000_000), &config);
-        let mut reg = MetricRegistry::new();
-        reg.record(&r);
-        assert_eq!(reg.gauge_value("energy.total_mj"), Some(r.total_mj()));
-        assert_eq!(reg.gauge_value("energy.average_mw"), Some(r.average_mw()));
-        assert_eq!(reg.gauge_value("energy.core_mj"), Some(r.core_mj));
-        assert_eq!(reg.gauge_value("energy.seconds"), Some(r.seconds));
     }
 }

@@ -16,7 +16,7 @@ use crate::mem::{CacheStats, MemSystem};
 use crate::program::{ProgContext, TargetOp, TargetProgram};
 use crate::timing_cache::{KernelEntry, SharedTimingCache};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use rose_trace::{ArgValue, MetricRegistry, MetricSource, Stopwatch, TraceEvent, Tracer, Track};
+use rose_trace::{ArgValue, Stopwatch, TraceEvent, Tracer, Track};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,30 +51,6 @@ impl SocStats {
         } else {
             self.accel_cycles as f64 / self.cycles as f64
         }
-    }
-}
-
-impl MetricSource for SocStats {
-    fn record_metrics(&self, registry: &mut MetricRegistry) {
-        registry.set_counter("soc.cycles", self.cycles);
-        registry.set_counter("soc.idle_cycles", self.idle_cycles);
-        registry.set_counter("soc.accel_cycles", self.accel_cycles);
-        registry.set_counter("soc.accel_macs", self.accel_macs);
-        registry.gauge("soc.activity_factor", self.activity_factor());
-        registry.set_counter("soc.cpu.instrs", self.cpu.instrs);
-        registry.set_counter("soc.cpu.cycles", self.cpu.cycles);
-        registry.set_counter("soc.cpu.mispredicts", self.cpu.mispredicts);
-        registry.gauge("soc.cpu.ipc", self.cpu.ipc());
-        for (prefix, cache) in [("soc.l1", &self.l1), ("soc.l2", &self.l2)] {
-            registry.set_counter(&format!("{prefix}.hits"), cache.hits);
-            registry.set_counter(&format!("{prefix}.misses"), cache.misses);
-            registry.set_counter(&format!("{prefix}.writebacks"), cache.writebacks);
-            registry.gauge(&format!("{prefix}.miss_ratio"), cache.miss_ratio());
-        }
-        registry.set_counter("soc.bridge.rx_msgs", self.bridge.rx_msgs);
-        registry.set_counter("soc.bridge.rx_bytes", self.bridge.rx_bytes);
-        registry.set_counter("soc.bridge.tx_msgs", self.bridge.tx_msgs);
-        registry.set_counter("soc.bridge.tx_bytes", self.bridge.tx_bytes);
     }
 }
 

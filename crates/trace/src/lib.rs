@@ -1,4 +1,5 @@
-//! Simulated-time tracing and metrics for the RoSÉ co-simulation.
+//! Simulated-time tracing and host-time profiling for the RoSÉ
+//! co-simulation.
 //!
 //! The paper's evaluation is built from *visibility* into the HW/SW stack:
 //! latency breakdowns, queue behaviour, and utilization curves recovered
@@ -13,12 +14,6 @@
 //!   trace-event JSON, loadable in Perfetto (`ui.perfetto.dev`) or
 //!   `chrome://tracing`, with env / sync / bridge / SoC-unit activity on
 //!   parallel tracks.
-//! - [`metrics::MetricRegistry`] — a named counter/gauge registry
-//!   unifying the scattered per-subsystem stats structs behind one
-//!   interface with CSV snapshot export; subsystems opt in by implementing
-//!   [`metrics::MetricSource`]. It keeps no distributions: per-sample
-//!   values live in the trace's span args, the flight recorder's ring and
-//!   the subsystems' own logs (DESIGN.md §4f).
 //! - [`profiler::Profiler`] — host wall-clock self-attribution per
 //!   co-simulation phase, the one sanctioned wall-time API (the DET001
 //!   lint flags clock reads anywhere else).
@@ -28,6 +23,12 @@
 //! - [`json`] — a dependency-free JSON parser used to validate emitted
 //!   traces in tests and CI (the workspace builds offline; serde here is a
 //!   no-op stub).
+//!
+//! The crate keeps no counters of its own: the simulators' stats structs
+//! hold them, and `rose::mission::MissionReport::metrics_csv` lists them
+//! as one `metric,kind,value` table. Per-sample values live in the trace's
+//! span args, the flight recorder's ring and the subsystems' own logs
+//! (DESIGN.md §4f).
 //!
 //! Only `rose-sim-core` sits below this crate, so every simulator crate
 //! (envsim, socsim, rose-bridge, rose) can depend on it without cycles.
@@ -39,7 +40,6 @@ pub mod clock;
 pub mod event;
 pub mod flight;
 pub mod json;
-pub mod metrics;
 pub mod profiler;
 pub mod tracer;
 
@@ -47,6 +47,5 @@ pub use chrome::TraceLog;
 pub use clock::TraceClock;
 pub use event::{intern, ArgValue, EventKind, TraceEvent, Track};
 pub use flight::{FlightRecorder, FlightSample, TimingCacheCounts};
-pub use metrics::{MetricRegistry, MetricSource, MetricValue};
 pub use profiler::{Phase, Profiler, Stopwatch};
 pub use tracer::Tracer;

@@ -189,19 +189,6 @@ impl fmt::Display for Profiler {
     }
 }
 
-impl crate::metrics::MetricSource for Profiler {
-    fn record_metrics(&self, registry: &mut crate::metrics::MetricRegistry) {
-        for phase in Phase::ALL {
-            let name = phase.name();
-            registry.gauge(
-                &format!("profile.{name}.total_us"),
-                self.total(phase).as_secs_f64() * 1e6,
-            );
-            registry.set_counter(&format!("profile.{name}.calls"), self.count(phase));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

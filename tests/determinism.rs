@@ -57,6 +57,27 @@ fn sync_modes_produce_the_same_simulation() {
     );
 }
 
+/// The behavioural oracle: the 2-s traced default mission digests to the
+/// values `profile_mission --determinism --seconds 2` prints. A change
+/// that moves any simulated surface must move this test too.
+#[test]
+fn default_mission_digests_to_the_oracle() {
+    let digest = MissionDigest::of(&run_mission(&MissionConfig {
+        max_sim_seconds: 2.0,
+        trace: true,
+        ..MissionConfig::default()
+    }));
+    assert_eq!(
+        digest,
+        MissionDigest {
+            trajectory: 0xd6aa_a15e_745b_7b96,
+            soc: 0x2701_1a3d_fd2f_285f,
+            trace: 0x0ce9_724b_132b_4221,
+        }
+    );
+    assert_eq!(digest.combined(), 0x7b55_3455_7bc6_159d);
+}
+
 /// Digests are sensitive, not vacuous: a different seed moves the
 /// trajectory digest (sensor noise perturbs the flight), and a longer
 /// mission moves the trace digest (more events on the timeline). The SoC
