@@ -3,7 +3,8 @@
 //! The paper's synchronizer communicates "with FireSim by using a TCP
 //! listener" (Section 3.4.1). [`TcpTransport`] reproduces that deployment;
 //! [`ChannelTransport`] provides the same interface in-process for
-//! single-machine co-simulation and tests.
+//! single-machine co-simulation and tests, over one blocking packet queue
+//! per direction that never spins while it waits (see its docs for why).
 //!
 //! # Short reads and short writes
 //!
@@ -28,9 +29,10 @@
 //! them in order.
 
 use crate::packet::{DecodeError, Packet};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A transport error.
 #[derive(Debug)]
@@ -122,48 +124,127 @@ pub trait Transport {
     }
 }
 
-/// An in-process transport over crossbeam channels.
+/// One direction of a [`ChannelTransport`] pair.
+#[derive(Debug, Default)]
+struct Queue {
+    /// Packets in flight, and whether either endpoint has been dropped.
+    state: Mutex<(VecDeque<Packet>, bool)>,
+    /// Signalled on every push and on close.
+    ready: Condvar,
+}
+
+impl Queue {
+    fn push(&self, packet: Packet) -> Result<(), TransportError> {
+        let mut state = self
+            .state
+            .lock()
+            .map_err(|_| TransportError::Disconnected)?;
+        let (packets, closed) = &mut *state;
+        if *closed {
+            return Err(TransportError::Disconnected);
+        }
+        packets.push_back(packet);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// The next packet; `None` when the queue is empty and `block` is
+    /// false. Packets queued before a close are still delivered, then
+    /// [`TransportError::Disconnected`] follows.
+    fn pop(&self, block: bool) -> Result<Option<Packet>, TransportError> {
+        let mut state = self
+            .state
+            .lock()
+            .map_err(|_| TransportError::Disconnected)?;
+        loop {
+            let (packets, closed) = &mut *state;
+            if let Some(packet) = packets.pop_front() {
+                return Ok(Some(packet));
+            }
+            if *closed {
+                return Err(TransportError::Disconnected);
+            }
+            if !block {
+                return Ok(None);
+            }
+            state = self
+                .ready
+                .wait(state)
+                .map_err(|_| TransportError::Disconnected)?;
+        }
+    }
+
+    /// Marks the queue closed and wakes every waiting receiver. A poisoned
+    /// lock still closes: the flag cannot be left half-written.
+    fn close(&self) {
+        let mut state = self
+            .state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        state.1 = true;
+        drop(state);
+        self.ready.notify_all();
+    }
+}
+
+/// An in-process transport: one FIFO queue per direction, each a
+/// `Mutex`-guarded `VecDeque` with a `Condvar`.
+///
+/// `recv` sleeps on the condvar without spinning first. The benchmark
+/// runs the synchronizer and the RTL server on one CPU, and there a spin
+/// before sleeping only delays the peer thread that produces the reply.
+/// Dropping either endpoint closes both directions: the survivor still
+/// receives what was queued, then [`TransportError::Disconnected`], and
+/// its sends fail at once.
 #[derive(Debug)]
 pub struct ChannelTransport {
-    tx: Sender<Packet>,
-    rx: Receiver<Packet>,
+    tx: Arc<Queue>,
+    rx: Arc<Queue>,
 }
 
 impl ChannelTransport {
     /// Creates a connected pair of endpoints.
     pub fn pair() -> (ChannelTransport, ChannelTransport) {
-        let (tx_a, rx_b) = unbounded();
-        let (tx_b, rx_a) = unbounded();
+        let a_to_b = Arc::new(Queue::default());
+        let b_to_a = Arc::new(Queue::default());
         (
-            ChannelTransport { tx: tx_a, rx: rx_a },
-            ChannelTransport { tx: tx_b, rx: rx_b },
+            ChannelTransport {
+                tx: Arc::clone(&a_to_b),
+                rx: Arc::clone(&b_to_a),
+            },
+            ChannelTransport {
+                tx: b_to_a,
+                rx: a_to_b,
+            },
         )
+    }
+}
+
+impl Drop for ChannelTransport {
+    fn drop(&mut self) {
+        self.tx.close();
+        self.rx.close();
     }
 }
 
 impl Transport for ChannelTransport {
     fn send(&mut self, packet: &Packet) -> Result<(), TransportError> {
-        self.tx
-            .send(packet.clone())
-            .map_err(|_| TransportError::Disconnected)
+        self.tx.push(packet.clone())
     }
 
     fn try_recv(&mut self) -> Result<Option<Packet>, TransportError> {
-        match self.rx.try_recv() {
-            Ok(p) => Ok(Some(p)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(TransportError::Disconnected),
-        }
+        self.rx.pop(false)
     }
 
     fn recv(&mut self) -> Result<Packet, TransportError> {
-        self.rx.recv().map_err(|_| TransportError::Disconnected)
+        self.rx.pop(true)?.ok_or(TransportError::Disconnected)
     }
 
-    /// Channels hold both directions open for as long as both endpoints
-    /// exist, so "reconnecting" is a no-op: if the peer endpoint is alive
-    /// the session simply continues, and if it was dropped the next
-    /// operation reports [`TransportError::Disconnected`] again.
+    /// The queues stay open for as long as both endpoints exist, so
+    /// "reconnecting" is a no-op: if the peer endpoint is alive the
+    /// session simply continues, and if it was dropped the next operation
+    /// reports [`TransportError::Disconnected`] again.
     fn reconnect(&mut self) -> Result<(), TransportError> {
         Ok(())
     }
@@ -345,6 +426,77 @@ mod tests {
         a.reconnect().unwrap();
         a.send(&Packet::Shutdown).unwrap();
         assert_eq!(b.recv().unwrap(), Packet::Shutdown);
+    }
+
+    fn data(seq: u32) -> Packet {
+        Packet::Data {
+            seq,
+            payload: seq.to_le_bytes().to_vec(),
+        }
+    }
+
+    /// mpsc's contract: packets sent before the sender is dropped are
+    /// still received, in order, and only then does the receiver see the
+    /// disconnect.
+    #[test]
+    fn channel_delivers_queued_packets_before_disconnect() {
+        let (mut a, mut b) = ChannelTransport::pair();
+        for seq in 0..3 {
+            a.send(&data(seq)).unwrap();
+        }
+        drop(a);
+        assert_eq!(b.recv().unwrap(), data(0));
+        assert_eq!(b.try_recv().unwrap(), Some(data(1)));
+        assert_eq!(b.recv().unwrap(), data(2));
+        assert!(matches!(b.recv(), Err(TransportError::Disconnected)));
+        assert!(matches!(b.try_recv(), Err(TransportError::Disconnected)));
+    }
+
+    /// mpsc's contract: a receiver blocked on an empty channel wakes with
+    /// a disconnect when the last sender is dropped, rather than sleeping
+    /// forever.
+    #[test]
+    fn channel_blocked_recv_wakes_on_peer_drop() {
+        let (a, mut b) = ChannelTransport::pair();
+        let receiver = thread::spawn(move || b.recv());
+        // Let the receiver reach its wait; the test holds either way,
+        // since a drop before the wait is seen as soon as it locks.
+        thread::sleep(Duration::from_millis(20));
+        drop(a);
+        assert!(matches!(
+            receiver.join().unwrap(),
+            Err(TransportError::Disconnected)
+        ));
+    }
+
+    /// mpsc's contract: sending to a channel whose receiver is gone fails
+    /// at once, even with packets still queued the other way.
+    #[test]
+    fn channel_send_to_dropped_peer_fails() {
+        let (mut a, mut b) = ChannelTransport::pair();
+        b.send(&Packet::Shutdown).unwrap();
+        drop(b);
+        assert!(matches!(
+            a.send(&data(0)),
+            Err(TransportError::Disconnected)
+        ));
+        assert_eq!(a.recv().unwrap(), Packet::Shutdown);
+    }
+
+    #[test]
+    fn channel_keeps_fifo_order_across_threads() {
+        const N: u32 = 10_000;
+        let (mut a, mut b) = ChannelTransport::pair();
+        let sender = thread::spawn(move || {
+            for seq in 0..N {
+                a.send(&data(seq)).unwrap();
+            }
+        });
+        for seq in 0..N {
+            assert_eq!(b.recv().unwrap(), data(seq));
+        }
+        sender.join().unwrap();
+        assert!(matches!(b.recv(), Err(TransportError::Disconnected)));
     }
 
     #[test]

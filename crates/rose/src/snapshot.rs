@@ -388,16 +388,7 @@ mod tests {
         ));
 
         // A zero frame rate or sync period in the embedded config is an
-        // error, not a panic while the mission is rebuilt from it. Both
-        // fields are fixed-width, so the rest of the stream still lines up.
-        let header_and = |config: &MissionConfig| {
-            let mut w = SnapWriter::new();
-            w.section(MissionSnapshot::MAGIC);
-            w.u16(MissionSnapshot::VERSION);
-            config.save_state(&mut w);
-            w.into_bytes()
-        };
-        let rest = &snap.bytes()[header_and(&config).len()..];
+        // error, not a panic while the mission is rebuilt from it.
         for crafted in [
             MissionConfig {
                 frame_hz: 0,
@@ -408,12 +399,48 @@ mod tests {
                 ..short()
             },
         ] {
-            let mut bad = header_and(&crafted);
-            bad.extend_from_slice(rest);
             assert!(matches!(
-                MissionSnapshot::from_bytes(bad).resume(),
+                with_config(&snap, &crafted).resume(),
                 Err(SnapError::BadTag { tag: 0, .. })
             ));
         }
+    }
+
+    /// `snap` with its embedded config replaced by `crafted`. The fields
+    /// crafted here are fixed-width, so the rest of the stream still lines
+    /// up.
+    fn with_config(snap: &MissionSnapshot, crafted: &MissionConfig) -> MissionSnapshot {
+        let header_and = |config: &MissionConfig| {
+            let mut w = SnapWriter::new();
+            w.section(MissionSnapshot::MAGIC);
+            w.u16(MissionSnapshot::VERSION);
+            config.save_state(&mut w);
+            w.into_bytes()
+        };
+        let original = snap.config().expect("config decodes");
+        let mut bytes = header_and(crafted);
+        bytes.extend_from_slice(&snap.bytes()[header_and(&original).len()..]);
+        MissionSnapshot::from_bytes(bytes)
+    }
+
+    /// A cache geometry `Cache::new` refuses is a decode error, not a
+    /// panic while the SoC is rebuilt.
+    #[test]
+    fn degenerate_cache_geometry_is_rejected() {
+        let snap = Mission::start(&short()).snapshot();
+        let mut crafted = short();
+        crafted.soc.mem.l1d.ways = 0;
+        assert!(with_config(&snap, &crafted).resume().is_err());
+    }
+
+    /// A zero mesh dimension is a decode error, not a division by zero in
+    /// the tile model after the mission resumes.
+    #[test]
+    fn degenerate_accelerator_mesh_is_rejected() {
+        let snap = Mission::start(&short()).snapshot();
+        let mut crafted = short();
+        let gemmini = crafted.soc.gemmini.as_mut().expect("config A has one");
+        gemmini.mesh_rows = 0;
+        assert!(with_config(&snap, &crafted).resume().is_err());
     }
 }

@@ -87,16 +87,25 @@ impl GemminiConfig {
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapError`] on a malformed snapshot.
+    /// Propagates [`SnapError`] on a malformed snapshot; a zero mesh
+    /// dimension is rejected as [`SnapError::BadTag`]: the tile model
+    /// divides by the rows, and utilization by rows × columns.
     pub fn restore_state(r: &mut SnapReader<'_>) -> Result<GemminiConfig, SnapError> {
-        Ok(GemminiConfig {
+        let config = GemminiConfig {
             mesh_rows: r.usize()?,
             mesh_cols: r.usize()?,
             scratchpad_bytes: r.usize()?,
             accumulator_bytes: r.usize()?,
             dataflow: r.tag()?,
             cmd_overhead: r.u64()?,
-        })
+        };
+        if config.mesh_rows == 0 || config.mesh_cols == 0 {
+            return Err(SnapError::BadTag {
+                context: "GemminiConfig mesh dimension",
+                tag: 0,
+            });
+        }
+        Ok(config)
     }
 }
 

@@ -70,13 +70,19 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapError`] on a malformed snapshot.
+    /// Propagates [`SnapError`] on a malformed snapshot; a geometry that
+    /// [`CacheConfig::sets`] refuses is rejected as [`SnapError::BadTag`]
+    /// with the rule it breaks as the context.
     pub fn restore_state(r: &mut SnapReader<'_>) -> Result<CacheConfig, SnapError> {
-        Ok(CacheConfig {
+        let config = CacheConfig {
             size_bytes: r.usize()?,
             ways: r.usize()?,
             line_bytes: r.usize()?,
-        })
+        };
+        config
+            .sets()
+            .map_err(|context| SnapError::BadTag { context, tag: 0 })?;
+        Ok(config)
     }
 }
 

@@ -1,9 +1,9 @@
 //! Offline stub of `crossbeam`.
 //!
-//! The workspace only uses `crossbeam::channel`'s unbounded MPSC channel,
-//! which `std::sync::mpsc` covers one-for-one (same `TryRecvError`
-//! variants, same send/recv error semantics for the single-consumer uses
-//! here), so this stub re-exports the std types under crossbeam's names.
+//! Re-exports `std::sync::mpsc` under `crossbeam::channel`'s names. No
+//! workspace code uses it any more: `rose-bridge` still declares the
+//! dependency only because the benchmark package's locked `Cargo.lock`
+//! lists it.
 
 pub mod channel {
     pub use std::sync::mpsc::{Receiver, RecvError, SendError, Sender, TryRecvError};
