@@ -899,7 +899,8 @@ mod golden_tests {
             );
             // And the plain run's record, replayed on the twin, leaves it
             // where its own cold run did.
-            replayed.replay_expansion(&recorded);
+            replayed.copy_contents(&recorded);
+            replayed.add_expansion_gains(&recorded);
             prop_assert_eq!(state_bytes(&replayed), state_bytes(&twin_mem));
         }
     }

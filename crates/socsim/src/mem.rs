@@ -574,54 +574,35 @@ impl MemSystem {
         self.prefetch_hits
     }
 
-    /// Feeds what [`MemSystem::access`] reads to `word`, one `u64` at a
-    /// time: both caches' sets, the bus's DMA utilization and the prefetch
-    /// streams, read from the live arrays. The [`MemCounters`] are left
-    /// out: two hierarchies of one [`MemConfig`] whose
-    /// [`MemSystem::save_state`] bytes differ at most in them feed equal
-    /// words, so the timing cache keys expansions by this walk with no
-    /// serialization, and design points that moved different DMA traffic
-    /// share entries.
-    pub fn state_words(&self, mut word: impl FnMut(u64)) {
+    /// Feeds the cache arrays [`MemSystem::access`] reads to `word`, one
+    /// `u64` at a time: per set of each cache its fill and resident line
+    /// words, read in place. With the bus's DMA utilization and the
+    /// [`MemSystem::prefetch_streams`] they are the whole timing state;
+    /// the [`MemCounters`] are left out. Two hierarchies of one
+    /// [`MemConfig`] whose [`MemSystem::save_state`] bytes differ at most
+    /// in the counters feed equal words (stale words beyond a set's fill
+    /// are not fed), so the timing cache keys expansions by this walk
+    /// with no serialization, and design points that moved different DMA
+    /// traffic share entries.
+    pub fn cache_words(&self, mut word: impl FnMut(u64)) {
         let MemSystem {
             config: _,
             l1d,
             l2,
-            bus,
-            prefetch_streams,
+            // Folded in after these words by the timing cache, which takes
+            // the streams from wherever the contents are.
+            bus: _,
+            prefetch_streams: _,
             prefetch_hits: _,
             miss_latencies: _,
         } = self;
         l1d.state_words(&mut word);
         l2.state_words(&mut word);
-        word(bus.dma_utilization.to_bits());
-        for &stream in prefetch_streams {
-            word(stream);
-        }
     }
 
-    /// True when `other`'s timing state equals this one's, compared as
-    /// whole arrays: both caches' line words (stale ones included) and
-    /// fills, the bus's DMA-utilization bits and the prefetch streams.
-    /// Equal states feed equal [`MemSystem::state_words`], so the timing
-    /// cache can take a hierarchy's context-hash lanes from an entry whose
-    /// post-state it equals instead of walking it; the comparison reads
-    /// each word once and runs no multiply chain.
-    pub fn same_timing_state(&self, other: &MemSystem) -> bool {
-        let MemSystem {
-            config: _,
-            l1d,
-            l2,
-            bus,
-            prefetch_streams,
-            prefetch_hits: _,
-            miss_latencies: _,
-        } = self;
-        let same_contents = |a: &Cache, b: &Cache| a.lines == b.lines && a.fill == b.fill;
-        same_contents(l1d, &other.l1d)
-            && same_contents(l2, &other.l2)
-            && bus.dma_utilization.to_bits() == other.bus.dma_utilization.to_bits()
-            && *prefetch_streams == other.prefetch_streams
+    /// The L2 stream prefetcher's tracked streams: the last line of each.
+    pub fn prefetch_streams(&self) -> [u64; 4] {
+        self.prefetch_streams
     }
 
     /// The counters the hierarchy increments and never reads.
@@ -656,21 +637,36 @@ impl MemSystem {
         post
     }
 
-    /// Replays a recorded expansion whose [`MemSystem::expansion_post`]
-    /// is `post`, a hierarchy of the same [`MemConfig`]: copies its cache
-    /// contents and prefetch streams over the live ones in place and adds
-    /// its counter gains to the live counters. The bus's DMA utilization
-    /// is part of the key and no expansion changes it, so it stays. The
-    /// CPU's counters replay the same way
-    /// ([`crate::cpu::CpuModel::replay_expansion`]).
-    pub fn replay_expansion(&mut self, post: &MemSystem) {
-        self.l1d.copy_contents(&post.l1d);
-        self.l2.copy_contents(&post.l2);
-        self.prefetch_streams = post.prefetch_streams;
+    /// Adds the counter gains of a recorded expansion whose
+    /// [`MemSystem::expansion_post`] is `post` to the live counters: the
+    /// counter half of a replay. The contents half is
+    /// [`MemSystem::copy_contents`], which the timing cache defers until
+    /// something reads them; the bus's DMA utilization is part of the key
+    /// and no expansion changes it, so it stays. The CPU's counters replay
+    /// the same way ([`crate::cpu::CpuModel::replay_expansion`]).
+    pub fn add_expansion_gains(&mut self, post: &MemSystem) {
         let counters = self
             .counters()
             .zip(post.counters(), |live, gain| live + gain);
         self.set_counters(counters);
+    }
+
+    /// Copies the contents of `post`, a hierarchy of the same
+    /// [`MemConfig`], over this one's in place: both caches' line words
+    /// and fills, and the prefetch streams. The counters and the bus stay.
+    pub fn copy_contents(&mut self, post: &MemSystem) {
+        let MemSystem {
+            config: _,
+            l1d,
+            l2,
+            bus: _,
+            prefetch_streams,
+            prefetch_hits: _,
+            miss_latencies: _,
+        } = post;
+        self.l1d.copy_contents(l1d);
+        self.l2.copy_contents(l2);
+        self.prefetch_streams = *prefetch_streams;
     }
 
     /// Serializes the hierarchy: both cache contents, bus state, and the
@@ -725,16 +721,6 @@ impl MemSystem {
         &mut self.bus
     }
 
-    /// L1 data cache statistics.
-    pub fn l1_stats(&self) -> CacheStats {
-        self.l1d.stats()
-    }
-
-    /// L2 statistics.
-    pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
-    }
-
     /// Performs a load or store at `addr`, returning its latency in cycles.
     ///
     /// L1 hit → `l1_latency`; L1 miss, L2 hit → `l2_latency`; L2 miss →
@@ -773,11 +759,6 @@ impl MemSystem {
         // Allocate the stream table entry (round-robin by line hash).
         self.prefetch_streams[(line % 4) as usize] = line;
         lat.dram
-    }
-
-    /// Latency of one uncached MMIO word access.
-    pub fn mmio_access(&self) -> u64 {
-        self.config.mmio_latency
     }
 
     /// Cycles for the accelerator's DMA engine to move `bytes` between
@@ -894,21 +875,16 @@ mod tests {
     }
 
     #[test]
-    fn mmio_latency_fixed() {
-        let m = MemSystem::new(MemConfig::default());
-        assert_eq!(m.mmio_access(), 40);
-    }
-
-    #[test]
-    fn same_timing_state_sees_every_field_the_walk_reads() {
+    fn context_hash_sees_every_field_the_walk_reads() {
         use crate::timing_cache::SharedTimingCache;
         let live = test_support::warmed(0, 0x5EED, 30);
+        let context = |m: &MemSystem| SharedTimingCache::mem_context_hash(m, 7);
         // Counters are not timing state.
         let mut twin = live.clone();
         test_support::set_counters(&mut twin, &[1; 8]);
-        assert!(live.same_timing_state(&twin));
-        // One-field mutants of the state the walk reads. Each must compare
-        // unequal, both ways round, and move the walk's context too.
+        assert_eq!(context(&live), context(&twin));
+        // One-field mutants of the state the walk reads: each must move
+        // the walk's context.
         fn occupied(c: &Cache) -> usize {
             c.fill.iter().position(|&n| n > 0).expect("a warmed set")
         }
@@ -936,12 +912,9 @@ mod tests {
             }),
             ("a prefetch stream", |m| m.prefetch_streams[3] ^= 1),
         ];
-        let context = |m: &MemSystem| SharedTimingCache::mem_context_hash(m, 7);
         for (field, mutate) in mutants {
             let mut mutant = live.clone();
             mutate(&mut mutant);
-            assert!(!live.same_timing_state(&mutant), "{field}");
-            assert!(!mutant.same_timing_state(&live), "{field}");
             assert_ne!(context(&live), context(&mutant), "{field}");
         }
     }
@@ -967,6 +940,21 @@ pub(crate) mod test_support {
         let mut w = SnapWriter::new();
         m.save_state(&mut w);
         w.into_bytes()
+    }
+
+    /// The contents of `m`, every word: both caches' line words (stale
+    /// ones included) and fills, and the prefetch streams.
+    pub(crate) fn contents_of(m: &MemSystem) -> Vec<u64> {
+        let fills = |c: &Cache| c.fill.iter().map(|&n| n as u64).collect();
+        let (l1d, l2) = (&m.l1d, &m.l2);
+        [
+            l1d.lines.clone(),
+            fills(l1d),
+            l2.lines.clone(),
+            fills(l2),
+            m.prefetch_streams.to_vec(),
+        ]
+        .concat()
     }
 
     /// Overwrites the counters `m` increments and never reads with

@@ -12,13 +12,12 @@ use crate::config::SocConfig;
 use crate::cpu::{CpuModel, CpuStats};
 use crate::gemmini::{AccelRun, ConvShape, GemminiModel};
 use crate::kernel::Kernel;
-use crate::mem::{CacheStats, MemSystem};
+use crate::mem::CacheStats;
 use crate::program::{ProgContext, TargetOp, TargetProgram};
-use crate::timing_cache::{KernelEntry, SharedTimingCache};
+use crate::timing_cache::{Hierarchy, KernelEntry, SharedTimingCache};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{ArgValue, Stopwatch, TraceEvent, Tracer, Track};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Aggregate SoC execution statistics.
@@ -137,7 +136,9 @@ pub struct Soc {
     config: SocConfig,
     cpu: CpuModel,
     gemmini: Option<GemminiModel>,
-    mem: MemSystem,
+    /// The memory hierarchy, whose contents a timing-cache hit replays by
+    /// reference ([`crate::timing_cache`]).
+    mem: Hierarchy,
     bridge: RoseBridgeHw,
     program: Box<dyn TargetProgram>,
     now: u64,
@@ -170,11 +171,6 @@ pub struct Soc {
     /// [`SharedTimingCache::fingerprint`] of `config`, precomputed when
     /// the cache is attached.
     timing_fingerprint: u64,
-    /// The timing-cache entry whose post-state the last expansion or
-    /// replay left the hierarchy in: the next lookup takes its context
-    /// hash from it when nothing has changed the timing state since
-    /// ([`KernelEntry::chained_context_hash`]).
-    timing_chain: Option<Arc<KernelEntry>>,
     /// Wall time spent in cost models (cold kernel expansion, kernel
     /// cache replays, accelerator timing), drained each grant for
     /// `Phase::CostModel` attribution. Host telemetry (§4f).
@@ -201,7 +197,7 @@ impl Soc {
         Soc {
             cpu: CpuModel::new(config.cpu_config()),
             gemmini: config.gemmini.map(GemminiModel::new),
-            mem: MemSystem::new(config.mem),
+            mem: Hierarchy::new(config.mem),
             bridge: RoseBridgeHw::new(BridgeHwConfig::default()),
             program,
             now: 0,
@@ -218,7 +214,6 @@ impl Soc {
             matmul_costs: BTreeMap::new(),
             timing_cache: None,
             timing_fingerprint: 0,
-            timing_chain: None,
             cost_model_wall: Duration::ZERO,
             tracer: Tracer::disabled(),
             config,
@@ -293,14 +288,15 @@ impl Soc {
 
     /// Execution statistics snapshot.
     pub fn stats(&self) -> SocStats {
+        let mem = self.mem.counters();
         SocStats {
             cycles: self.now,
             idle_cycles: self.idle_cycles,
             accel_cycles: self.gemmini.as_ref().map_or(0, |g| g.total_cycles()),
             accel_macs: self.gemmini.as_ref().map_or(0, |g| g.total_macs()),
             cpu: self.cpu.stats(),
-            l1: self.mem.l1_stats(),
-            l2: self.mem.l2_stats(),
+            l1: mem.l1d,
+            l2: mem.l2,
             bridge: self.bridge.stats(),
         }
     }
@@ -340,8 +336,6 @@ impl Soc {
             // cold expansion, so presence or absence is digest-invisible.
             timing_cache: _,
             timing_fingerprint: _,
-            // A hint, compared against the live state before use.
-            timing_chain: _,
             tracer,
             // Host telemetry, not architectural state: a resumed run
             // re-observes only its own suffix (§4f).
@@ -428,7 +422,7 @@ impl Soc {
     /// (64-bit words, one uncached access each).
     fn mmio_cost(&self, bytes: usize) -> u64 {
         let words = bytes.div_ceil(8).max(1) as u64;
-        words * self.mem.mmio_access()
+        words * self.mem.config().mmio_latency
     }
 
     /// Cycle cost of a CPU kernel (cached: dense kernels are
@@ -455,15 +449,15 @@ impl Soc {
     /// RNG) whose check hash matches the live pre-state and whose memory
     /// configuration matches the live one, expand cold — and record the
     /// result, replacing any entry that failed its check — otherwise. The
-    /// context comes from [`Soc::timing_context`], and a hit copies a
-    /// decoded post-state in and adds its counter gains: neither path
-    /// touches the snapshot codec.
+    /// context comes from [`Soc::timing_context`]. A hit adds the entry's
+    /// counter gains and takes its post-state by reference, moving no
+    /// cache contents; a cold expansion first copies in what an earlier
+    /// hit left owed. Neither path touches the snapshot codec.
     fn expand_cpu_kernel(&mut self, kernel: Kernel) -> u64 {
-        let ctx = self.timing_cache.is_some().then(|| self.timing_context());
+        let ctx = self.timing_context();
         if let (Some(cache), Some((key, check))) = (&self.timing_cache, ctx) {
             let fp = self.timing_fingerprint;
             if let Some(entry) = cache.lookup_kernel(fp, &kernel, key, check, self.mem.config()) {
-                self.mem.replay_expansion(&entry.post_mem);
                 self.cpu.replay_expansion(
                     entry.cycles,
                     entry.instrs,
@@ -472,13 +466,14 @@ impl Soc {
                 );
                 let cycles = entry.cycles.max(1);
                 self.kernel_costs.insert(kernel, (cycles, entry.instrs));
-                self.timing_chain = Some(entry);
+                self.mem.replay(entry);
                 return cycles;
             }
         }
+        let mem = self.mem.contents();
         let before = self.cpu.stats();
-        let mem_before = self.mem.counters();
-        let cycles = self.cpu.run_kernel(&kernel, &mut self.mem).max(1);
+        let mem_before = mem.counters();
+        let cycles = self.cpu.run_kernel(&kernel, mem).max(1);
         let after = self.cpu.stats();
         let instrs = after.instrs - before.instrs;
         if let (Some(cache), Some((key, check))) = (&self.timing_cache, ctx) {
@@ -488,28 +483,26 @@ impl Soc {
                 after.mispredicts - before.mispredicts,
                 self.cpu.branch_rng(),
                 check,
-                self.mem.expansion_post(mem_before),
+                mem.expansion_post(mem_before),
             );
-            let entry = cache.insert_kernel(self.timing_fingerprint, kernel, key, entry);
-            self.timing_chain = Some(entry);
+            cache.insert_kernel(self.timing_fingerprint, kernel, key, entry);
         }
         self.kernel_costs.insert(kernel, (cycles, instrs));
         cycles
     }
 
-    /// The expansion context `(key, check)` of the live hierarchy and
-    /// branch RNG: [`SharedTimingCache::mem_context_hash`], whose walk of
-    /// ~10 000 words is skipped when the hierarchy still holds the
-    /// post-state of [`Soc::timing_chain`]'s entry. Accelerator ops move
-    /// only counters and a DMA utilization they reset, so every lookup
-    /// but a mission's first is chained; the comparison makes that an
-    /// observation, not an assumption.
-    fn timing_context(&self) -> (u64, u64) {
+    /// The expansion context `(key, check)` of the hierarchy and branch
+    /// RNG, or `None` without a timing cache. Contents that a hit left
+    /// owed, or a fresh SoC's empty ones, are hashed by reference from
+    /// memoised lanes; contents a cold expansion or a restore left in the
+    /// live arrays are walked ([`SharedTimingCache::mem_context_hash`]).
+    /// Only the hierarchy's contents accessor hands the contents out to
+    /// be changed, and it forgets the reference, so every lookup by
+    /// reference takes the walk's pair; debug builds check it.
+    fn timing_context(&self) -> Option<(u64, u64)> {
+        let cache = self.timing_cache.as_ref()?;
         let rng = self.cpu.branch_rng();
-        self.timing_chain
-            .as_ref()
-            .and_then(|entry| entry.chained_context_hash(&self.mem, rng))
-            .unwrap_or_else(|| SharedTimingCache::mem_context_hash(&self.mem, rng))
+        Some(self.mem.context_hash(cache, self.timing_fingerprint, rng))
     }
 
     /// The accelerator, taken by field so callers can also borrow `mem`.
@@ -527,9 +520,9 @@ impl Soc {
             return run;
         }
         let sw = Stopwatch::start();
-        let gemmini = Soc::accel(&mut self.gemmini);
-        let run = gemmini.conv(shape, &mut self.mem);
-        gemmini.release_bus(&mut self.mem);
+        let (gemmini, mem) = (Soc::accel(&mut self.gemmini), self.mem.dma());
+        let run = gemmini.conv(shape, mem);
+        gemmini.release_bus(mem);
         self.conv_costs.insert(shape, run);
         self.cost_model_wall += sw.elapsed();
         run
@@ -541,9 +534,9 @@ impl Soc {
             return run;
         }
         let sw = Stopwatch::start();
-        let gemmini = Soc::accel(&mut self.gemmini);
-        let run = gemmini.matmul(m, k, n, &mut self.mem);
-        gemmini.release_bus(&mut self.mem);
+        let (gemmini, mem) = (Soc::accel(&mut self.gemmini), self.mem.dma());
+        let run = gemmini.matmul(m, k, n, mem);
+        gemmini.release_bus(mem);
         self.matmul_costs.insert((m, k, n), run);
         self.cost_model_wall += sw.elapsed();
         run
@@ -596,8 +589,8 @@ impl Soc {
         // (L1/L2 misses, bridge RX depth, idle time) over simulated time.
         if self.tracer.is_enabled() {
             let now = self.now;
-            let l1 = self.mem.l1_stats();
-            let l2 = self.mem.l2_stats();
+            let counters = self.mem.counters();
+            let (l1, l2) = (counters.l1d, counters.l2);
             self.tracer
                 .counter_cycles(Track::SocMem, "l1-misses", now, l1.misses as f64);
             self.tracer
@@ -1009,6 +1002,17 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Flies `ops` to the end, with `cache` attached if given.
+    fn fly(ops: &[TargetOp], cache: Option<&SharedTimingCache>) -> Soc {
+        let mut soc = scripted_soc(ops.to_vec());
+        if let Some(cache) = cache {
+            soc.set_timing_cache(cache.clone());
+        }
+        soc.run_cycles(1_000_000_000);
+        assert!(soc.halted());
+        soc
+    }
+
     #[test]
     fn warm_timing_cache_replays_bit_identically() {
         // Populate: a first mission expands everything cold into the
@@ -1059,10 +1063,11 @@ mod tests {
     /// miss: the run ends in the cold state, and the cold expansion
     /// replaces the entry with the one a recording run makes.
     fn assert_planted_entry_expands_cold(plant: impl FnOnce(u64) -> KernelEntry) {
-        let fresh = scripted_soc(cache_ops());
+        let mut fresh = scripted_soc(cache_ops());
         let fp = SharedTimingCache::fingerprint(&fresh.config);
         let kernel = Kernel::Memcpy { bytes: 32 << 10 };
-        let (key, check) = SharedTimingCache::mem_context_hash(&fresh.mem, fresh.cpu.branch_rng());
+        let rng = fresh.cpu.branch_rng();
+        let (key, check) = SharedTimingCache::mem_context_hash(fresh.mem.contents(), rng);
         let cache = SharedTimingCache::in_memory();
         cache.insert_kernel(fp, kernel, key, plant(check));
 
@@ -1103,7 +1108,8 @@ mod tests {
         assert!(other.halted());
         assert_ne!(mem_bytes(&other), mem_bytes(&scripted_soc(cache_ops())));
         assert_planted_entry_expands_cold(|check| {
-            KernelEntry::new(1, 1, 0, other.cpu.branch_rng(), !check, other.mem.clone())
+            let post = other.mem.contents().clone();
+            KernelEntry::new(1, 1, 0, other.cpu.branch_rng(), !check, post)
         });
     }
 
@@ -1114,7 +1120,7 @@ mod tests {
         let mut small = SocConfig::config_a().mem;
         small.l2.size_bytes /= 2;
         assert_planted_entry_expands_cold(|check| {
-            KernelEntry::new(1, 1, 0, 0, check, MemSystem::new(small))
+            KernelEntry::new(1, 1, 0, 0, check, crate::mem::MemSystem::new(small))
         });
     }
 
@@ -1190,49 +1196,131 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn chained_lookups_take_the_walks_context(
+        fn lookups_by_reference_take_the_walks_context(
             ops in proptest::collection::vec(
                 (0u8..6, 0usize..6, 0usize..4),
                 1..8,
             ),
         ) {
-            // Each prefix of the program flies with the cache and halts
-            // where the whole program looks up its next CPU kernel. There
-            // the pair the chain gives must be the walk's, and every lookup
-            // but the first must find the chain's post-state live: the
-            // recording flights chain from the entries they insert, the
-            // later ones from the entries they replay. Once the state
-            // moves, the chain must not be taken.
+            // Each prefix of the program flies twice with the cache and
+            // halts where the whole program looks up its next CPU kernel.
+            // The first flight records what the prefix expands, so the
+            // second, a fresh SoC, replays every kernel by reference, and
+            // its lookup there is by reference too: from the empty memo
+            // when the prefix looked nothing up, else from the last
+            // replayed entry. The pair must be the walk's of the hierarchy
+            // with its contents copied in. Once the contents are taken to
+            // be changed, the next lookup walks them.
             let ops: Vec<TargetOp> = ops.into_iter().map(random_op).collect();
             let cache = SharedTimingCache::in_memory();
-            let mut lookups = 0;
             for (i, op) in ops.iter().enumerate() {
                 let TargetOp::CpuKernel(kernel) = op else {
                     continue;
                 };
-                let mut soc = scripted_soc(ops[..i].to_vec());
-                soc.set_timing_cache(cache.clone());
-                soc.run_cycles(1_000_000_000);
-                proptest::prop_assert!(soc.halted());
+                fly(&ops[..i], Some(&cache));
+                let mut soc = fly(&ops[..i], Some(&cache));
                 if soc.kernel_costs.contains_key(kernel) {
                     continue; // an in-memory hit looks nothing up
                 }
+                proptest::prop_assert!(soc.mem.by_reference());
+                let by_reference = soc.timing_context();
                 let rng = soc.cpu.branch_rng();
-                let walked = SharedTimingCache::mem_context_hash(&soc.mem, rng);
-                let chained = soc
-                    .timing_chain
-                    .as_ref()
-                    .and_then(|entry| entry.chained_context_hash(&soc.mem, rng));
-                proptest::prop_assert_eq!(chained.is_some(), lookups > 0);
-                proptest::prop_assert_eq!(soc.timing_context(), walked);
-                lookups += 1;
-                // An access no kernel makes moves the state off the
-                // chain's post-state: the context is the new walk's.
-                soc.mem.access(0x7000_0000, true);
-                let walked = SharedTimingCache::mem_context_hash(&soc.mem, rng);
-                proptest::prop_assert_eq!(soc.timing_context(), walked);
+                let walked = SharedTimingCache::mem_context_hash(soc.mem.contents(), rng);
+                proptest::prop_assert_eq!(by_reference, Some(walked));
+                proptest::prop_assert!(!soc.mem.by_reference());
+                // An access no kernel makes moves the contents: the
+                // context is the new walk's.
+                soc.mem.contents().access(0x7000_0000, true);
+                let walked = SharedTimingCache::mem_context_hash(soc.mem.contents(), rng);
+                proptest::prop_assert_eq!(soc.timing_context(), Some(walked));
             }
         }
+    }
+
+    /// Two CPU kernels whose expansions depend on the contents before them.
+    const FIRST: TargetOp = TargetOp::CpuKernel(Kernel::Memcpy { bytes: 32 << 10 });
+    const SECOND: TargetOp = TargetOp::CpuKernel(Kernel::Memcpy { bytes: 16 << 10 });
+
+    #[test]
+    fn cold_expansion_after_a_hit_copies_the_contents_in() {
+        // The cache holds the first kernel only. The warm flight replays
+        // it by reference and expands the second cold, which must run on
+        // the first's post-state, not on the stale empty arrays.
+        let cache = SharedTimingCache::in_memory();
+        fly(&[FIRST], Some(&cache));
+        let warm = fly(&[FIRST, SECOND], Some(&cache));
+        assert_eq!(cache.counters(), (1, 2));
+        let cold = fly(&[FIRST, SECOND], None);
+        assert!(
+            state(&warm) == state(&cold),
+            "the cold expansion ran on stale contents"
+        );
+    }
+
+    #[test]
+    fn restore_forgets_the_replayed_entry() {
+        // A warm SoC that replayed the first kernel by reference is
+        // restored to a fresh SoC's state. Its flight from there must be
+        // the cold one: the restored contents, not the entry's, feed the
+        // next lookup and the next cold expansion.
+        let ops = [FIRST, SECOND];
+        let cache = SharedTimingCache::in_memory();
+        fly(&[FIRST], Some(&cache));
+        let mut warm = scripted_soc(ops.to_vec());
+        warm.set_timing_cache(cache.clone());
+        warm.run_cycles(1);
+        assert_eq!(cache.counters(), (1, 1), "the first kernel replayed");
+        let fresh = state(&scripted_soc(ops.to_vec()));
+        warm.restore_state(&mut SnapReader::new(&fresh)).unwrap();
+        warm.run_cycles(1_000_000_000);
+        let cold = fly(&ops, None);
+        assert!(
+            state(&warm) == state(&cold),
+            "the restore kept the replayed entry"
+        );
+    }
+
+    #[test]
+    fn snapshot_writes_the_owed_contents() {
+        // Just after a replay by reference the live arrays are stale; the
+        // snapshot must hold the entry's contents, as a cold SoC's does.
+        let ops = vec![FIRST, TargetOp::Send(vec![1])];
+        let cache = SharedTimingCache::in_memory();
+        fly(&ops, Some(&cache));
+        let mut warm = scripted_soc(ops.clone());
+        warm.set_timing_cache(cache.clone());
+        warm.run_cycles(1);
+        assert_eq!(cache.counters(), (1, 1), "the kernel replayed");
+        let mut cold = scripted_soc(ops);
+        cold.run_cycles(1);
+        assert!(
+            state(&warm) == state(&cold),
+            "the snapshot wrote stale contents"
+        );
+    }
+
+    #[test]
+    fn accelerator_ops_leave_the_contents_untouched() {
+        // The accelerator's route to the hierarchy never copies owed
+        // contents in, so its ops must neither read nor write them.
+        use crate::mem::test_support::contents_of;
+        let mut soc = scripted_soc(vec![]);
+        soc.cpu_cost(Kernel::Memcpy { bytes: 32 << 10 });
+        let before = contents_of(soc.mem.contents());
+        let bus_bytes = soc.mem.counters().bus_bytes;
+        soc.conv_cost(ConvShape {
+            in_c: 3,
+            out_c: 8,
+            out_h: 14,
+            out_w: 14,
+            ksize: 3,
+        });
+        soc.matmul_cost(48, 48, 48);
+        assert!(
+            soc.mem.counters().bus_bytes > bus_bytes,
+            "the ops moved DMA traffic"
+        );
+        assert_eq!(contents_of(soc.mem.contents()), before);
     }
 
     #[test]

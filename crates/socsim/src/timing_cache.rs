@@ -27,24 +27,43 @@
 //! covers the kernel descriptor, the configuration fingerprint, and a
 //! *context hash* of the cache tags, the bus's DMA utilization, the
 //! prefetch streams and the RNG, taken by walking the live arrays
-//! ([`MemSystem::state_words`]) with no serialization. When the live
-//! hierarchy is still the post-state of the entry the SoC last expanded
-//! or replayed, a comparison stands in for the walk: the lanes come from
-//! that entry ([`KernelEntry::chained_context_hash`]), and the pair is
-//! the walk's, bit for bit. Each entry holds
+//! ([`MemSystem::cache_words`]) with no serialization. Each entry holds
 //! its post-expansion state decoded, as a [`MemSystem`] whose counters
-//! hold the expansion's gains, and a replay
-//! ([`MemSystem::replay_expansion`]) copies its contents over the live
-//! ones and adds the gains, as [`crate::cpu::CpuModel::replay_expansion`]
-//! does for the core's counters — only if its [`MemConfig`] equals the
-//! live one. The entry also stores a second, independent 64-bit hash
-//! of the same pre-state, and every hit is checked against it: a
-//! mismatch is a miss, and the SoC expands cold.
+//! hold the expansion's gains, and is a hit only if its [`MemConfig`]
+//! equals the live one. The entry also stores a second, independent
+//! 64-bit hash of the same pre-state, and every hit is checked against
+//! it: a mismatch is a miss, and the SoC expands cold.
+//!
+//! # Replay by reference
+//!
+//! A hit moves no cache contents. The SoC's `Hierarchy` adds the
+//! entry's counter gains ([`MemSystem::add_expansion_gains`]), as
+//! [`crate::cpu::CpuModel::replay_expansion`] does for the core's, and
+//! records that its contents — both caches' line words and fills and the
+//! prefetch streams — *are* the entry's post-state; the live arrays may
+//! be stale from then on. The next lookup takes its pair from that
+//! entry's cache lanes, walked once per entry and memoised, then folds in
+//! the live DMA utilization, the post-state's streams and the branch RNG:
+//! the words the walk would read, so the pair is the walk's, bit for bit,
+//! with no comparison. A fresh SoC's first lookup takes its cache lanes
+//! from a per-fingerprint memo of the empty hierarchy.
+//!
+//! That is sound because nothing changes the contents in between.
+//! `Hierarchy::contents` is the route to them for whatever reads or
+//! changes them, a cold expansion: it copies in what a replay left owed
+//! and forgets the entry, so the next lookup walks. The accelerator's DMA
+//! reads only the configuration and the bus; it gets `Hierarchy::dma`,
+//! which never copies in, and `soc.rs`'s
+//! `accelerator_ops_leave_the_contents_untouched` pins that the Gemmini
+//! model neither reads nor writes the contents. A snapshot writes the
+//! owed contents, and a restore forgets the entry. Debug builds check
+//! every lookup by reference against a walk of the hierarchy with its
+//! contents copied in.
 //!
 //! The post-state is stored whole, not as a diff over the sets the kernel
 //! changed. Across the 23 kernels of a default mission, a cold expansion
 //! changes on average 63% of the 1024 L2 sets (17 of the 23 change 467
-//! or more), so a diff would save at most about a third of the copy.
+//! or more), so a diff would save at most about a third of an entry.
 //!
 //! The fingerprint deliberately **excludes** [`SocConfig::name`] (a
 //! label), the clock (cycle-domain expansion never sees wall time) and
@@ -78,9 +97,10 @@
 
 use crate::config::SocConfig;
 use crate::kernel::Kernel;
-use crate::mem::{MemConfig, MemSystem};
+use crate::mem::{MemConfig, MemCounters, MemSystem};
 use rose_sim_core::fnv::Fnv64;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::ErrorKind;
@@ -120,8 +140,8 @@ const MAX_LOADED_LINES: usize = 1 << 22;
 
 /// A recorded CPU-kernel expansion: the counter deltas and final state of
 /// one cold [`crate::cpu::CpuModel::run_kernel`] call, and, once first
-/// used, the context-hash lanes of that final state, so the lookup that
-/// follows its expansion or replay can skip the walk.
+/// used, the context-hash lanes of that final state's caches, so a
+/// lookup that follows its replay skips the walk.
 #[derive(Debug)]
 pub struct KernelEntry {
     /// Cycles the expansion added to [`crate::cpu::CpuStats::cycles`]
@@ -140,14 +160,15 @@ pub struct KernelEntry {
     /// The memory hierarchy after the expansion (caches, bus,
     /// prefetcher), decoded, with each of its
     /// [`crate::mem::MemCounters`] holding the expansion's gain
-    /// ([`MemSystem::expansion_post`]). A replay copies its contents over
-    /// the live ones and adds the gains
-    /// ([`MemSystem::replay_expansion`]), and only when their
-    /// [`MemConfig`]s are equal.
+    /// ([`MemSystem::expansion_post`]). A hit, only when their
+    /// [`MemConfig`]s are equal, adds the gains to the live counters and
+    /// takes these contents by reference: the SoC's hierarchy owes them
+    /// until something reads them, and then copies them in
+    /// ([`MemSystem::copy_contents`]; module docs).
     pub post_mem: MemSystem,
-    /// The context-hash lanes of `post_mem`, before the branch RNG is
-    /// folded in: computed on first use, never persisted.
-    post_lanes: OnceLock<(u64, u64)>,
+    /// The context-hash lanes of `post_mem`'s caches: computed on first
+    /// use, never persisted.
+    cache_lanes: OnceLock<(u64, u64)>,
 }
 
 impl KernelEntry {
@@ -168,22 +189,143 @@ impl KernelEntry {
             post_rng,
             check,
             post_mem,
-            post_lanes: OnceLock::new(),
+            cache_lanes: OnceLock::new(),
         }
     }
 
-    /// [`SharedTimingCache::mem_context_hash`] of `mem` and `branch_rng`,
-    /// or `None` unless `mem`'s timing state is this entry's post-state
-    /// ([`MemSystem::same_timing_state`]). Equal states feed the walk the
-    /// same words, so the lanes come from the post-state, walked once per
-    /// entry, and only the RNG is folded in: the `(key, check)` pair is
-    /// the one the walk of `mem` gives.
-    pub fn chained_context_hash(&self, mem: &MemSystem, branch_rng: u64) -> Option<(u64, u64)> {
-        if !mem.same_timing_state(&self.post_mem) {
-            return None;
+    /// The lanes over `post_mem`'s [`MemSystem::cache_words`], walked
+    /// once per entry.
+    fn cache_lanes(&self) -> (u64, u64) {
+        *self.cache_lanes.get_or_init(|| cache_lanes(&self.post_mem))
+    }
+}
+
+/// A SoC's memory hierarchy under replay by reference (module docs): the
+/// live [`MemSystem`], and where its contents — both caches' line words
+/// and fills, and the prefetch streams — are. Its counters and bus are
+/// always the live ones.
+#[derive(Debug)]
+pub(crate) struct Hierarchy {
+    live: MemSystem,
+    contents: Contents,
+}
+
+/// Where a [`Hierarchy`]'s contents are.
+#[derive(Debug)]
+enum Contents {
+    /// In the live arrays: a lookup walks them.
+    Live,
+    /// In the live arrays, empty as [`MemSystem::new`] left them: a lookup
+    /// takes their lanes from [`SharedTimingCache::empty_lanes`].
+    Empty,
+    /// In the entry's post-state, by reference: the live arrays are stale
+    /// until [`Hierarchy::contents`] copies them in.
+    Owed(Arc<KernelEntry>),
+}
+
+impl Hierarchy {
+    /// An empty (cold) hierarchy.
+    pub(crate) fn new(config: MemConfig) -> Hierarchy {
+        Hierarchy {
+            live: MemSystem::new(config),
+            contents: Contents::Empty,
         }
-        let lanes = *self.post_lanes.get_or_init(|| walk_lanes(&self.post_mem));
-        Some(lane(lanes, branch_rng))
+    }
+
+    /// Memory parameters.
+    pub(crate) fn config(&self) -> &MemConfig {
+        self.live.config()
+    }
+
+    /// The counters, which a replay moves at once.
+    pub(crate) fn counters(&self) -> MemCounters {
+        self.live.counters()
+    }
+
+    /// The route to the contents for whatever reads or changes them, a
+    /// cold expansion: copies in what a replay left owed, and forgets
+    /// where the contents came from, so the next lookup walks them.
+    pub(crate) fn contents(&mut self) -> &mut MemSystem {
+        if let Contents::Owed(entry) = std::mem::replace(&mut self.contents, Contents::Live) {
+            self.live.copy_contents(&entry.post_mem);
+        }
+        &mut self.live
+    }
+
+    /// The hierarchy for the accelerator's DMA, which reads only the
+    /// configuration and the bus and moves only the bus: the contents are
+    /// not copied in, and may be stale here.
+    pub(crate) fn dma(&mut self) -> &mut MemSystem {
+        &mut self.live
+    }
+
+    /// Replays a hit: adds `entry`'s counter gains and takes its
+    /// post-state as the contents, by reference.
+    pub(crate) fn replay(&mut self, entry: Arc<KernelEntry>) {
+        self.live.add_expansion_gains(&entry.post_mem);
+        self.contents = Contents::Owed(entry);
+    }
+
+    /// [`SharedTimingCache::mem_context_hash`] of the hierarchy with its
+    /// contents copied in and of `branch_rng`. Contents held by reference
+    /// (a fresh hierarchy's, or an entry's) take their cache lanes from a
+    /// memo, and the live DMA utilization, their streams and the RNG are
+    /// folded in: the pair the walk gives, with no walk and no compare.
+    /// Debug builds check it against the walk.
+    pub(crate) fn context_hash(
+        &self,
+        cache: &SharedTimingCache,
+        fp: u64,
+        branch_rng: u64,
+    ) -> (u64, u64) {
+        let (lanes, contents) = match &self.contents {
+            Contents::Live => return SharedTimingCache::mem_context_hash(&self.live, branch_rng),
+            Contents::Empty => (
+                cache.empty_lanes(fp, || cache_lanes(&self.live)),
+                &self.live,
+            ),
+            Contents::Owed(entry) => (entry.cache_lanes(), &entry.post_mem),
+        };
+        let util = self.live.bus().dma_utilization();
+        let pair = finish_lanes(lanes, util, contents.prefetch_streams(), branch_rng);
+        debug_assert_eq!(
+            pair,
+            SharedTimingCache::mem_context_hash(&self.copied_in(), branch_rng),
+            "a lookup by reference must take the walk's pair"
+        );
+        pair
+    }
+
+    /// True when the next lookup hashes the contents by reference.
+    #[cfg(test)]
+    pub(crate) fn by_reference(&self) -> bool {
+        !matches!(self.contents, Contents::Live)
+    }
+
+    /// The hierarchy with its contents copied in: the live one, or a copy
+    /// of it holding the owed contents.
+    fn copied_in(&self) -> Cow<'_, MemSystem> {
+        match &self.contents {
+            Contents::Owed(entry) => {
+                let mut copy = self.live.clone();
+                copy.copy_contents(&entry.post_mem);
+                Cow::Owned(copy)
+            }
+            Contents::Live | Contents::Empty => Cow::Borrowed(&self.live),
+        }
+    }
+
+    /// [`MemSystem::save_state`] of the hierarchy with its contents copied
+    /// in: the owed contents, not the stale arrays.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        self.copied_in().save_state(w);
+    }
+
+    /// [`MemSystem::restore_state`], which replaces the contents: any
+    /// entry they were owed by is forgotten.
+    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.contents = Contents::Live;
+        self.live.restore_state(r)
     }
 }
 
@@ -193,6 +335,9 @@ type KernelMap = BTreeMap<(u64, Kernel, u64), Arc<KernelEntry>>;
 #[derive(Debug, Default)]
 struct Inner {
     kernels: KernelMap,
+    /// Per configuration fingerprint, the cache lanes of the empty
+    /// hierarchy ([`SharedTimingCache::empty_lanes`]); never persisted.
+    empty_lanes: BTreeMap<u64, (u64, u64)>,
     /// Entries added since load (persist is a no-op while clean).
     dirty: bool,
     /// Host telemetry: disk-cache hits / misses this process.
@@ -323,11 +468,27 @@ fn lane((key, check): (u64, u64), word: u64) -> (u64, u64) {
 /// The lane chains' seeds.
 const LANE_SEED: (u64, u64) = (0xcbf2_9ce4_8422_2325, 0x6a09_e667_f3bc_c908);
 
-/// The lanes over [`MemSystem::state_words`], before the branch RNG.
-fn walk_lanes(mem: &MemSystem) -> (u64, u64) {
+/// The lanes over [`MemSystem::cache_words`].
+fn cache_lanes(mem: &MemSystem) -> (u64, u64) {
     let mut h = LANE_SEED;
-    mem.state_words(|word| h = lane(h, word));
+    mem.cache_words(|word| h = lane(h, word));
     h
+}
+
+/// The context pair from the cache lanes of a hierarchy: the lanes then
+/// fold the bus's DMA-utilization bits, the prefetch streams and the
+/// branch RNG.
+fn finish_lanes(
+    lanes: (u64, u64),
+    dma_utilization: f64,
+    streams: [u64; 4],
+    rng: u64,
+) -> (u64, u64) {
+    let mut h = lane(lanes, dma_utilization.to_bits());
+    for stream in streams {
+        h = lane(h, stream);
+    }
+    lane(h, rng)
 }
 
 /// A cloneable, thread-safe handle to one timing cache, shared by every
@@ -468,9 +629,9 @@ impl SharedTimingCache {
 
     /// The CPU-kernel expansion context of a memory hierarchy and the
     /// branch-RNG position, as `(key, check)`: two independent 64-bit
-    /// content hashes over [`MemSystem::state_words`] — what timing reads:
-    /// the live cache arrays, read in place, the DMA utilization and the
-    /// prefetch streams — and then the RNG. `key` indexes the entry;
+    /// content hashes over what timing reads — the live cache arrays,
+    /// read in place ([`MemSystem::cache_words`]), the DMA utilization and
+    /// the prefetch streams — and then the RNG. `key` indexes the entry;
     /// `check` is stored in it and compared on every hit, so a replay
     /// needs both to agree with the pre-state it was recorded from.
     /// Hierarchies whose `save_state` bytes differ at most in their
@@ -490,7 +651,15 @@ impl SharedTimingCache {
     /// format private to the cache file; `MODEL_VERSION` guards them like
     /// every other layout choice.
     pub fn mem_context_hash(mem: &MemSystem, branch_rng: u64) -> (u64, u64) {
-        lane(walk_lanes(mem), branch_rng)
+        let util = mem.bus().dma_utilization();
+        finish_lanes(cache_lanes(mem), util, mem.prefetch_streams(), branch_rng)
+    }
+
+    /// The cache lanes of an empty hierarchy of configuration fingerprint
+    /// `fp`, memoised per fingerprint: `walk` computes them on the first
+    /// call. A fresh SoC's first lookup takes its context from them.
+    fn empty_lanes(&self, fp: u64, walk: impl FnOnce() -> (u64, u64)) -> (u64, u64) {
+        *self.lock().empty_lanes.entry(fp).or_insert_with(walk)
     }
 
     /// [`SharedTimingCache::mem_context_hash`]'s lanes over a byte slice
@@ -538,19 +707,11 @@ impl SharedTimingCache {
     }
 
     /// Records a cold CPU-kernel expansion under the context `key`,
-    /// replacing any entry already there, and returns the shared entry.
-    pub fn insert_kernel(
-        &self,
-        fp: u64,
-        kernel: Kernel,
-        key: u64,
-        entry: KernelEntry,
-    ) -> Arc<KernelEntry> {
-        let entry = Arc::new(entry);
+    /// replacing any entry already there.
+    pub fn insert_kernel(&self, fp: u64, kernel: Kernel, key: u64, entry: KernelEntry) {
         let mut inner = self.lock();
-        inner.kernels.insert((fp, kernel, key), Arc::clone(&entry));
+        inner.kernels.insert((fp, kernel, key), Arc::new(entry));
         inner.dirty = true;
-        entry
     }
 
     /// Number of recorded kernel expansions.

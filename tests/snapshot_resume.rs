@@ -91,3 +91,41 @@ proptest! {
         );
     }
 }
+
+/// A warm timing cache changes wall time only: a mission that replays
+/// its kernels from the cache snapshots to the bytes a cold mission does
+/// at every boundary, whether the hierarchy's contents were just copied
+/// in or are still held by reference. Untraced, because a traced snapshot
+/// carries host wall times.
+#[test]
+fn warm_snapshots_equal_cold_snapshots() {
+    let config = MissionConfig {
+        max_sim_seconds: 0.5,
+        trace: false,
+        ..MissionConfig::default()
+    };
+    let cache = rose_socsim::SharedTimingCache::in_memory();
+    run_mission(&MissionConfig {
+        timing_cache: Some(cache.clone()),
+        ..config.clone()
+    });
+    let (_, recorded_misses) = cache.counters();
+    let mut warm = Mission::start(&MissionConfig {
+        timing_cache: Some(cache.clone()),
+        ..config.clone()
+    });
+    let mut cold = Mission::start(&config);
+    for boundary in [3, 8, 15, 25] {
+        for mission in [&mut warm, &mut cold] {
+            let n = boundary - mission.syncs_executed();
+            assert_eq!(mission.run_syncs(n), n);
+        }
+        assert!(
+            warm.snapshot().bytes() == cold.snapshot().bytes(),
+            "warm and cold snapshots differ at boundary {boundary}"
+        );
+    }
+    let (hits, misses) = cache.counters();
+    assert!(hits > 0, "the warm mission replayed nothing");
+    assert_eq!(misses, recorded_misses, "the warm mission expanded cold");
+}
