@@ -875,6 +875,12 @@ mod tests {
     }
 
     #[test]
+    fn mmio_latency_fixed() {
+        let m = MemSystem::new(MemConfig::default());
+        assert_eq!(m.config().mmio_latency, 40);
+    }
+
+    #[test]
     fn context_hash_sees_every_field_the_walk_reads() {
         use crate::timing_cache::SharedTimingCache;
         let live = test_support::warmed(0, 0x5EED, 30);

@@ -493,16 +493,17 @@ impl Soc {
 
     /// The expansion context `(key, check)` of the hierarchy and branch
     /// RNG, or `None` without a timing cache. Contents that a hit left
-    /// owed, or a fresh SoC's empty ones, are hashed by reference from
-    /// memoised lanes; contents a cold expansion or a restore left in the
-    /// live arrays are walked ([`SharedTimingCache::mem_context_hash`]).
+    /// owed are hashed by reference from the entry's memoised lanes;
+    /// contents in the live arrays (a fresh SoC's, or what a cold
+    /// expansion or a restore left) are walked
+    /// ([`SharedTimingCache::mem_context_hash`]).
     /// Only the hierarchy's contents accessor hands the contents out to
     /// be changed, and it forgets the reference, so every lookup by
     /// reference takes the walk's pair; debug builds check it.
     fn timing_context(&self) -> Option<(u64, u64)> {
-        let cache = self.timing_cache.as_ref()?;
-        let rng = self.cpu.branch_rng();
-        Some(self.mem.context_hash(cache, self.timing_fingerprint, rng))
+        self.timing_cache
+            .is_some()
+            .then(|| self.mem.context_hash(self.cpu.branch_rng()))
     }
 
     /// The accelerator, taken by field so callers can also borrow `mem`.
@@ -1205,12 +1206,12 @@ mod tests {
             // Each prefix of the program flies twice with the cache and
             // halts where the whole program looks up its next CPU kernel.
             // The first flight records what the prefix expands, so the
-            // second, a fresh SoC, replays every kernel by reference, and
-            // its lookup there is by reference too: from the empty memo
-            // when the prefix looked nothing up, else from the last
-            // replayed entry. The pair must be the walk's of the hierarchy
-            // with its contents copied in. Once the contents are taken to
-            // be changed, the next lookup walks them.
+            // second, a fresh SoC, replays every kernel by reference. Its
+            // lookup there is by reference, from the last replayed entry,
+            // unless the prefix looked nothing up and the fresh contents
+            // are walked. Either way the pair must be the walk's of the
+            // hierarchy with its contents copied in. Once the contents are
+            // taken to be changed, the next lookup walks them.
             let ops: Vec<TargetOp> = ops.into_iter().map(random_op).collect();
             let cache = SharedTimingCache::in_memory();
             for (i, op) in ops.iter().enumerate() {
@@ -1218,11 +1219,14 @@ mod tests {
                     continue;
                 };
                 fly(&ops[..i], Some(&cache));
+                let (hits, misses) = cache.counters();
                 let mut soc = fly(&ops[..i], Some(&cache));
                 if soc.kernel_costs.contains_key(kernel) {
                     continue; // an in-memory hit looks nothing up
                 }
-                proptest::prop_assert!(soc.mem.by_reference());
+                let (replayed, missed) = cache.counters();
+                proptest::prop_assert_eq!(missed, misses);
+                proptest::prop_assert_eq!(soc.mem.by_reference(), replayed > hits);
                 let by_reference = soc.timing_context();
                 let rng = soc.cpu.branch_rng();
                 let walked = SharedTimingCache::mem_context_hash(soc.mem.contents(), rng);
@@ -1321,6 +1325,15 @@ mod tests {
             "the ops moved DMA traffic"
         );
         assert_eq!(contents_of(soc.mem.contents()), before);
+    }
+
+    #[test]
+    fn mmio_cost_is_one_latency_per_word() {
+        // The default 40-cycle word latency, per started 64-bit word, and
+        // at least one word.
+        let soc = scripted_soc(Vec::new());
+        let costs = [0, 1, 8, 9, 8192].map(|bytes| soc.mmio_cost(bytes));
+        assert_eq!(costs, [40, 40, 40, 80, 40 * 1024]);
     }
 
     #[test]

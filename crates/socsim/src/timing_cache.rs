@@ -45,8 +45,7 @@
 //! entry's cache lanes, walked once per entry and memoised, then folds in
 //! the live DMA utilization, the post-state's streams and the branch RNG:
 //! the words the walk would read, so the pair is the walk's, bit for bit,
-//! with no comparison. A fresh SoC's first lookup takes its cache lanes
-//! from a per-fingerprint memo of the empty hierarchy.
+//! with no comparison.
 //!
 //! That is sound because nothing changes the contents in between.
 //! `Hierarchy::contents` is the route to them for whatever reads or
@@ -215,9 +214,6 @@ pub(crate) struct Hierarchy {
 enum Contents {
     /// In the live arrays: a lookup walks them.
     Live,
-    /// In the live arrays, empty as [`MemSystem::new`] left them: a lookup
-    /// takes their lanes from [`SharedTimingCache::empty_lanes`].
-    Empty,
     /// In the entry's post-state, by reference: the live arrays are stale
     /// until [`Hierarchy::contents`] copies them in.
     Owed(Arc<KernelEntry>),
@@ -228,7 +224,7 @@ impl Hierarchy {
     pub(crate) fn new(config: MemConfig) -> Hierarchy {
         Hierarchy {
             live: MemSystem::new(config),
-            contents: Contents::Empty,
+            contents: Contents::Live,
         }
     }
 
@@ -267,27 +263,19 @@ impl Hierarchy {
     }
 
     /// [`SharedTimingCache::mem_context_hash`] of the hierarchy with its
-    /// contents copied in and of `branch_rng`. Contents held by reference
-    /// (a fresh hierarchy's, or an entry's) take their cache lanes from a
-    /// memo, and the live DMA utilization, their streams and the RNG are
-    /// folded in: the pair the walk gives, with no walk and no compare.
-    /// Debug builds check it against the walk.
-    pub(crate) fn context_hash(
-        &self,
-        cache: &SharedTimingCache,
-        fp: u64,
-        branch_rng: u64,
-    ) -> (u64, u64) {
-        let (lanes, contents) = match &self.contents {
+    /// contents copied in and of `branch_rng`. Contents an entry owes take
+    /// their cache lanes from the entry's memo, and the live DMA
+    /// utilization, the entry's streams and the RNG are folded in: the
+    /// pair the walk gives, with no walk and no compare. Debug builds
+    /// check it against the walk.
+    pub(crate) fn context_hash(&self, branch_rng: u64) -> (u64, u64) {
+        let entry = match &self.contents {
             Contents::Live => return SharedTimingCache::mem_context_hash(&self.live, branch_rng),
-            Contents::Empty => (
-                cache.empty_lanes(fp, || cache_lanes(&self.live)),
-                &self.live,
-            ),
-            Contents::Owed(entry) => (entry.cache_lanes(), &entry.post_mem),
+            Contents::Owed(entry) => entry,
         };
         let util = self.live.bus().dma_utilization();
-        let pair = finish_lanes(lanes, util, contents.prefetch_streams(), branch_rng);
+        let streams = entry.post_mem.prefetch_streams();
+        let pair = finish_lanes(entry.cache_lanes(), util, streams, branch_rng);
         debug_assert_eq!(
             pair,
             SharedTimingCache::mem_context_hash(&self.copied_in(), branch_rng),
@@ -311,7 +299,7 @@ impl Hierarchy {
                 copy.copy_contents(&entry.post_mem);
                 Cow::Owned(copy)
             }
-            Contents::Live | Contents::Empty => Cow::Borrowed(&self.live),
+            Contents::Live => Cow::Borrowed(&self.live),
         }
     }
 
@@ -335,9 +323,6 @@ type KernelMap = BTreeMap<(u64, Kernel, u64), Arc<KernelEntry>>;
 #[derive(Debug, Default)]
 struct Inner {
     kernels: KernelMap,
-    /// Per configuration fingerprint, the cache lanes of the empty
-    /// hierarchy ([`SharedTimingCache::empty_lanes`]); never persisted.
-    empty_lanes: BTreeMap<u64, (u64, u64)>,
     /// Entries added since load (persist is a no-op while clean).
     dirty: bool,
     /// Host telemetry: disk-cache hits / misses this process.
@@ -653,13 +638,6 @@ impl SharedTimingCache {
     pub fn mem_context_hash(mem: &MemSystem, branch_rng: u64) -> (u64, u64) {
         let util = mem.bus().dma_utilization();
         finish_lanes(cache_lanes(mem), util, mem.prefetch_streams(), branch_rng)
-    }
-
-    /// The cache lanes of an empty hierarchy of configuration fingerprint
-    /// `fp`, memoised per fingerprint: `walk` computes them on the first
-    /// call. A fresh SoC's first lookup takes its context from them.
-    fn empty_lanes(&self, fp: u64, walk: impl FnOnce() -> (u64, u64)) -> (u64, u64) {
-        *self.lock().empty_lanes.entry(fp).or_insert_with(walk)
     }
 
     /// [`SharedTimingCache::mem_context_hash`]'s lanes over a byte slice
