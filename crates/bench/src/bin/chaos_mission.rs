@@ -13,10 +13,11 @@
 //! 1. **No panic.** Whatever the transport does, the stack latches faults
 //!    and winds down; it never tears down the process.
 //! 2. **Determinism.** Same seed ⇒ bit-identical [`MissionDigest`] run to
-//!    run. [`run_mission_with_faults`] serves the SoC from its own thread,
-//!    and injected faults, retries, and watchdog-degraded iterations are
-//!    all scheduled in sim time, so the host's thread interleaving must
-//!    stay unobservable.
+//!    run. Injected faults, retries, and watchdog-degraded iterations are
+//!    all scheduled in sim time, so nothing the host does may show.
+//!    [`run_mission_with_faults`] serves the SoC inline on the calling
+//!    thread, so the sweep crosses no threads; `tests/deployment.rs`
+//!    checks that inline server against the threaded one.
 //! 3. **Orderly termination.** Every flight ends in one of: goal reached,
 //!    sim-time budget expired, a deliberate mission abort, or a latched
 //!    transport fault documented by a `transport-fault` postmortem. A

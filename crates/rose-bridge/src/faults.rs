@@ -317,6 +317,11 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
+    /// Unwraps the wrapped transport.
+    pub fn into_inner(self) -> T {
+        self.inner
+    }
+
     /// The schedule driving this injector.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan

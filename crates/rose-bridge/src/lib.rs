@@ -14,7 +14,9 @@
 //! * [`sync`] — the lockstep synchronizer implementing Algorithm 1 over
 //!   two abstract simulator interfaces ([`sync::EnvSide`] /
 //!   [`sync::RtlSide`]), plus a remote RTL adapter that runs the RTL side
-//!   of the protocol over any [`transport::Transport`].
+//!   of the protocol over any [`transport::Transport`], the server's
+//!   packet handler, and a transport that runs that handler on the
+//!   caller's thread ([`sync::InlineTransport`]).
 //! * [`faults`] — a deterministic fault-injection engine: a seeded,
 //!   sim-time-scheduled [`faults::FaultPlan`] and a
 //!   [`faults::FaultyTransport`] decorator that perturbs any transport

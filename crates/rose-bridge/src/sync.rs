@@ -29,6 +29,8 @@ use rose_sim_core::cycles::SyncRatio;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{ArgValue, Phase, Profiler, Stopwatch, TraceEvent, Tracer, Track};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 /// The environment-simulator side of the co-simulation (AirSim's role).
@@ -641,11 +643,18 @@ impl<T: Transport> RemoteRtl<T> {
     ///
     /// The latched fault if the session already failed, or any error from
     /// sending the shutdown packet.
-    pub fn shutdown(mut self) -> Result<(), TransportError> {
-        if let Some(fault) = self.fault.take() {
-            return Err(fault);
-        }
-        self.transport.send(&Packet::Shutdown)
+    pub fn shutdown(self) -> Result<(), TransportError> {
+        self.close().1
+    }
+
+    /// [`shutdown`](RemoteRtl::shutdown), handing the transport back with
+    /// its outcome: an [`InlineTransport`] still holds the served RTL.
+    pub fn close(mut self) -> (T, Result<(), TransportError>) {
+        let sent = match self.fault.take() {
+            Some(fault) => Err(fault),
+            None => self.transport.send(&Packet::Shutdown),
+        };
+        (self.transport, sent)
     }
 
     /// Moves queued payloads into the retransmit buffer, assigning
@@ -849,9 +858,10 @@ impl<T: Transport> RtlSide for RemoteRtl<T> {
 /// counterpart of [`RemoteRtl`], running next to the RTL simulation (the
 /// bridge-driver process in the paper's deployment).
 ///
-/// Processes grants until a [`Packet::Shutdown`] arrives or the transport
-/// disconnects. The server speaks the sequenced recovery protocol
-/// (DESIGN.md §4h):
+/// Receives each packet, hands it to the server's packet handler and
+/// sends the replies, until a [`Packet::Shutdown`] arrives or the
+/// transport disconnects. The server speaks the sequenced recovery
+/// protocol (DESIGN.md §4h):
 ///
 /// * inbound data is deduplicated by sequence number, so a synchronizer
 ///   retrying a quantum can blindly retransmit;
@@ -861,6 +871,8 @@ impl<T: Transport> RtlSide for RemoteRtl<T> {
 /// * a [`Packet::Resync`] is answered with the server's own position and
 ///   a retransmission of whatever completed-quantum data the client has
 ///   not acknowledged seeing.
+///
+/// [`InlineTransport`] runs the same handler on the client's thread.
 ///
 /// # Errors
 ///
@@ -876,112 +888,215 @@ pub fn serve_rtl<T: Transport, R: RtlSide>(
     transport: &mut T,
     rtl: &mut R,
 ) -> Result<(), TransportError> {
-    match serve_rtl_inner(transport, rtl) {
-        Err(TransportError::Disconnected) => Ok(()),
-        other => other,
+    let mut server = RtlServer::default();
+    loop {
+        let served = transport
+            .recv()
+            .and_then(|packet| server.handle(packet, rtl, |reply| transport.send(&reply)));
+        match served {
+            Ok(ControlFlow::Continue(())) => {}
+            Ok(ControlFlow::Break(())) | Err(TransportError::Disconnected) => return Ok(()),
+            Err(e) => return Err(e),
+        }
     }
 }
 
-fn serve_rtl_inner<T: Transport, R: RtlSide>(
-    transport: &mut T,
-    rtl: &mut R,
-) -> Result<(), TransportError> {
-    // Next inbound data sequence expected (the dedupe floor). A gap means
-    // the link lost a packet in flight; the payload is gone, which the
-    // application layer absorbs — the floor jumps forward so later data
-    // still flows.
-    let mut expect_rx: u32 = 0;
-    // Sequence numbering for server → synchronizer data.
-    let mut next_tx_seq: u32 = 0;
-    // Quanta completed so far == the quantum index the next fresh grant
-    // must carry.
-    let mut completed: u64 = 0;
-    // The last completed quantum's results, buffered for retransmission
-    // until the next fresh grant implicitly acknowledges them.
-    let mut last_results: Vec<(u32, Vec<u8>)> = Vec::new();
-    let mut last_cycles: u64 = 0;
-    loop {
-        match transport.recv() {
-            Ok(Packet::Data { seq, payload }) => {
-                if seq >= expect_rx {
+/// The server half of the sequenced recovery protocol: what [`serve_rtl`]
+/// and [`InlineTransport`] keep between packets, and the replies each
+/// packet earns.
+#[derive(Debug, Default)]
+struct RtlServer {
+    /// Next inbound data sequence expected (the dedupe floor). A gap means
+    /// the link lost a packet in flight; the payload is gone, which the
+    /// application layer absorbs — the floor jumps forward so later data
+    /// still flows.
+    expect_rx: u32,
+    /// Sequence numbering for server → synchronizer data.
+    next_tx_seq: u32,
+    /// Quanta completed so far == the quantum index the next fresh grant
+    /// must carry.
+    completed: u64,
+    /// The last completed quantum's results, buffered for retransmission
+    /// until the next fresh grant implicitly acknowledges them.
+    last_results: Vec<(u32, Vec<u8>)>,
+    /// The last completed quantum's grant, echoed in its `CyclesDone`.
+    last_cycles: u64,
+}
+
+impl RtlServer {
+    /// Handles one packet from the synchronizer against `rtl`, passing
+    /// each reply to `send` in order. Returns [`ControlFlow::Break`] on a
+    /// [`Packet::Shutdown`]: the session is over.
+    ///
+    /// # Errors
+    ///
+    /// The first error `send` returns, or [`TransportError::Protocol`] for
+    /// a packet the server role does not accept: a grant from the far
+    /// past (results no longer buffered) or the future (the client skipped
+    /// ahead), after which the session cannot converge, or a packet only
+    /// the server sends.
+    fn handle<R: RtlSide>(
+        &mut self,
+        packet: Packet,
+        rtl: &mut R,
+        mut send: impl FnMut(Packet) -> Result<(), TransportError>,
+    ) -> Result<ControlFlow<()>, TransportError> {
+        match packet {
+            Packet::Data { seq, payload } => {
+                if seq >= self.expect_rx {
                     rtl.push_data(payload);
-                    expect_rx = seq.wrapping_add(1);
+                    self.expect_rx = seq.wrapping_add(1);
                 }
                 // seq < expect_rx: retransmitted duplicate — drop.
             }
-            Ok(Packet::GrantCycles { cycles, quantum }) => {
-                if quantum.wrapping_add(1) == completed {
-                    // Re-delivered grant for the quantum just completed:
-                    // answer from the buffer, do NOT re-run the RTL.
-                    for (seq, payload) in &last_results {
-                        transport.send(&Packet::Data {
-                            seq: *seq,
-                            payload: payload.clone(),
-                        })?;
+            Packet::GrantCycles { cycles, quantum } => {
+                // A fresh grant runs the RTL. A grant re-delivered for the
+                // quantum just completed is answered from the buffer
+                // alone: re-running would diverge the simulated state.
+                if quantum.wrapping_add(1) != self.completed {
+                    if quantum != self.completed {
+                        return Err(TransportError::Protocol {
+                            got: "GrantCycles",
+                            at: "RTL server",
+                        });
                     }
-                    transport.send(&Packet::CyclesDone {
-                        cycles: last_cycles,
-                        quantum,
-                    })?;
-                } else if quantum == completed {
                     rtl.grant_and_run(cycles);
-                    last_results.clear();
+                    self.last_results.clear();
                     for payload in rtl.drain_tx() {
-                        last_results.push((next_tx_seq, payload));
-                        next_tx_seq = next_tx_seq.wrapping_add(1);
+                        self.last_results.push((self.next_tx_seq, payload));
+                        self.next_tx_seq = self.next_tx_seq.wrapping_add(1);
                     }
-                    for (seq, payload) in &last_results {
-                        transport.send(&Packet::Data {
-                            seq: *seq,
-                            payload: payload.clone(),
-                        })?;
-                    }
-                    last_cycles = cycles;
-                    transport.send(&Packet::CyclesDone { cycles, quantum })?;
-                    completed += 1;
-                } else {
-                    // A grant from the far past (results no longer
-                    // buffered) or the future (the client skipped ahead):
-                    // the session cannot converge.
-                    return Err(TransportError::Protocol {
-                        got: "GrantCycles",
-                        at: "RTL server",
-                    });
+                    self.last_cycles = cycles;
+                    self.completed += 1;
                 }
+                self.send_results(0, &mut send)?;
+                send(Packet::CyclesDone {
+                    cycles: self.last_cycles,
+                    quantum,
+                })?;
             }
-            Ok(Packet::Resync {
+            Packet::Resync {
                 expect_rx: peer_expect,
                 quantum: _,
-            }) => {
-                transport.send(&Packet::Resync {
-                    expect_rx,
-                    quantum: completed,
+            } => {
+                send(Packet::Resync {
+                    expect_rx: self.expect_rx,
+                    quantum: self.completed,
                 })?;
-                for (seq, payload) in &last_results {
-                    if *seq >= peer_expect {
-                        transport.send(&Packet::Data {
-                            seq: *seq,
-                            payload: payload.clone(),
-                        })?;
-                    }
-                }
+                self.send_results(peer_expect, &mut send)?;
             }
-            Ok(Packet::Shutdown) => return Ok(()),
-            Ok(other) => {
+            Packet::Shutdown => return Ok(ControlFlow::Break(())),
+            other => {
                 return Err(TransportError::Protocol {
                     got: other.kind_name(),
                     at: "RTL server",
                 })
             }
-            Err(TransportError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e),
         }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Sends the last completed quantum's results from sequence `from` on.
+    fn send_results(
+        &self,
+        from: u32,
+        send: &mut impl FnMut(Packet) -> Result<(), TransportError>,
+    ) -> Result<(), TransportError> {
+        for (seq, payload) in self.last_results.iter().filter(|(seq, _)| *seq >= from) {
+            send(Packet::Data {
+                seq: *seq,
+                payload: payload.clone(),
+            })?;
+        }
+        Ok(())
+    }
+}
+
+/// A client-side transport that serves its [`RtlSide`] on the calling
+/// thread: every [`send`](Transport::send) runs the packet handler of
+/// [`serve_rtl`] at once, and the replies queue for
+/// [`recv`](Transport::recv).
+///
+/// The RTL sees the packets, and the client the replies, in the order
+/// [`serve_rtl`] on the far end of a
+/// [`ChannelTransport`](crate::transport::ChannelTransport) pair gives
+/// them. The synchronizer waits for every reply in lockstep, so a server
+/// thread would overlap nothing; it would only add two cross-thread
+/// wake-ups per quantum.
+///
+/// It cannot block. A `recv` with nothing queued would wait for a packet
+/// no one will send, so it returns [`TransportError::Protocol`], which no
+/// retry can clear. Once the server has seen a [`Packet::Shutdown`] or
+/// failed, it is gone: queued replies are still delivered, then
+/// [`TransportError::Disconnected`], and sends report `Disconnected`.
+#[derive(Debug)]
+pub struct InlineTransport<R> {
+    rtl: R,
+    server: RtlServer,
+    replies: VecDeque<Packet>,
+    /// False once the server has shut down or failed.
+    open: bool,
+}
+
+impl<R: RtlSide> InlineTransport<R> {
+    /// A transport serving `rtl` from a fresh session.
+    pub fn new(rtl: R) -> InlineTransport<R> {
+        InlineTransport {
+            rtl,
+            server: RtlServer::default(),
+            replies: VecDeque::new(),
+            open: true,
+        }
+    }
+
+    /// Hands back the served RTL.
+    pub fn into_rtl(self) -> R {
+        self.rtl
+    }
+}
+
+impl<R: RtlSide> Transport for InlineTransport<R> {
+    /// Runs the server's handler on `packet`. A handler error closes the
+    /// session and is returned here, where the threaded server would
+    /// return it from its thread and disconnect.
+    fn send(&mut self, packet: &Packet) -> Result<(), TransportError> {
+        if !self.open {
+            return Err(TransportError::Disconnected);
+        }
+        let replies = &mut self.replies;
+        let handled = self.server.handle(packet.clone(), &mut self.rtl, |reply| {
+            replies.push_back(reply);
+            Ok(())
+        });
+        self.open = matches!(handled, Ok(ControlFlow::Continue(())));
+        handled.map(|_| ())
+    }
+
+    fn try_recv(&mut self) -> Result<Option<Packet>, TransportError> {
+        match self.replies.pop_front() {
+            None if !self.open => Err(TransportError::Disconnected),
+            next => Ok(next),
+        }
+    }
+
+    fn recv(&mut self) -> Result<Packet, TransportError> {
+        self.try_recv()?.ok_or(TransportError::Protocol {
+            got: "recv with nothing queued",
+            at: "in-process RTL server",
+        })
+    }
+
+    /// The server lives in this transport, so there is no connection to
+    /// re-establish, as for a `ChannelTransport`.
+    fn reconnect(&mut self) -> Result<(), TransportError> {
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultPlan, FaultyTransport};
     use crate::transport::ChannelTransport;
     use rose_sim_core::cycles::{ClockSpec, FrameSpec};
     use std::thread;
@@ -1012,6 +1127,7 @@ mod tests {
     #[derive(Default)]
     struct LoopRtl {
         cycles: u64,
+        grants: u64,
         rx: Vec<Vec<u8>>,
         tx: Vec<Vec<u8>>,
         received: Vec<Vec<u8>>,
@@ -1020,6 +1136,7 @@ mod tests {
     impl RtlSide for LoopRtl {
         fn grant_and_run(&mut self, cycles: u64) {
             self.cycles += cycles;
+            self.grants += 1;
             self.tx.append(&mut self.rx);
         }
 
@@ -1588,6 +1705,197 @@ mod tests {
         let (_, remote) = sync.into_parts();
         remote.shutdown().unwrap();
         server_thread.join().unwrap();
+    }
+
+    fn data(seq: u32, payload: &[u8]) -> Packet {
+        Packet::Data {
+            seq,
+            payload: payload.to_vec(),
+        }
+    }
+
+    fn grant(quantum: u64) -> Packet {
+        Packet::GrantCycles {
+            cycles: 10,
+            quantum,
+        }
+    }
+
+    /// Every reply the inline server has queued, in order.
+    fn replies<R: RtlSide>(inline: &mut InlineTransport<R>) -> Vec<Packet> {
+        std::iter::from_fn(|| inline.try_recv().unwrap()).collect()
+    }
+
+    /// A grant re-delivered for the quantum just completed is answered
+    /// from the retransmit buffer; the RTL runs once.
+    #[test]
+    fn repeated_grant_is_answered_without_rerunning_the_rtl() {
+        let mut inline = InlineTransport::new(LoopRtl::default());
+        inline.send(&data(0, &[1])).unwrap();
+        inline.send(&grant(0)).unwrap();
+        let done = Packet::CyclesDone {
+            cycles: 10,
+            quantum: 0,
+        };
+        assert_eq!(replies(&mut inline), [data(0, &[1]), done.clone()]);
+
+        inline.send(&data(0, &[1])).unwrap(); // a retry's retransmission
+        inline.send(&grant(0)).unwrap();
+        assert_eq!(replies(&mut inline), [data(0, &[1]), done]);
+        let rtl = inline.into_rtl();
+        assert_eq!(rtl.grants, 1, "the repeated grant re-ran the RTL");
+        assert_eq!(rtl.received, [vec![1]], "the duplicate was not dropped");
+    }
+
+    /// `Resync` answers with the server's position, then the completed
+    /// quantum's data from the peer's receive floor on.
+    #[test]
+    fn resync_returns_the_position_and_the_unacknowledged_data() {
+        let mut inline = InlineTransport::new(LoopRtl::default());
+        inline.send(&data(0, &[1])).unwrap();
+        inline.send(&data(1, &[2])).unwrap();
+        inline.send(&grant(0)).unwrap();
+        assert_eq!(replies(&mut inline).len(), 3);
+
+        inline
+            .send(&Packet::Resync {
+                expect_rx: 1,
+                quantum: 0,
+            })
+            .unwrap();
+        assert_eq!(
+            replies(&mut inline),
+            [
+                Packet::Resync {
+                    expect_rx: 2,
+                    quantum: 1
+                },
+                data(1, &[2]),
+            ]
+        );
+    }
+
+    /// A packet the server role does not accept yields `Protocol` and
+    /// ends the session.
+    #[test]
+    fn unexpected_packet_yields_protocol() {
+        let mut inline = InlineTransport::new(LoopRtl::default());
+        let done = Packet::CyclesDone {
+            cycles: 7,
+            quantum: 0,
+        };
+        assert!(matches!(
+            inline.send(&done),
+            Err(TransportError::Protocol {
+                got: "CyclesDone",
+                at: "RTL server",
+            })
+        ));
+        assert!(matches!(
+            inline.send(&grant(0)),
+            Err(TransportError::Disconnected)
+        ));
+
+        // A grant from the future cannot converge either.
+        let mut inline = InlineTransport::new(LoopRtl::default());
+        assert!(matches!(
+            inline.send(&grant(1)),
+            Err(TransportError::Protocol {
+                got: "GrantCycles",
+                ..
+            })
+        ));
+        assert_eq!(inline.into_rtl().grants, 0);
+    }
+
+    /// With nothing queued, `recv` errors at once, where a thread serving
+    /// the other end would leave it waiting forever; no retry can clear
+    /// the error.
+    #[test]
+    fn recv_with_nothing_queued_errors_instead_of_hanging() {
+        let mut inline = InlineTransport::new(LoopRtl::default());
+        assert!(matches!(inline.try_recv(), Ok(None)));
+        let error = inline.recv().unwrap_err();
+        assert!(matches!(error, TransportError::Protocol { .. }), "{error}");
+        assert!(!error.is_transient());
+        inline.reconnect().unwrap();
+    }
+
+    /// After `Shutdown` the server is gone: queued replies still arrive,
+    /// then `Disconnected`, and sends report `Disconnected`.
+    #[test]
+    fn send_after_shutdown_reports_disconnected() {
+        let mut inline = InlineTransport::new(LoopRtl::default());
+        inline.send(&grant(0)).unwrap();
+        inline.send(&Packet::Shutdown).unwrap();
+        assert!(matches!(
+            inline.send(&grant(1)),
+            Err(TransportError::Disconnected)
+        ));
+        assert!(matches!(inline.recv(), Ok(Packet::CyclesDone { .. })));
+        assert!(matches!(inline.recv(), Err(TransportError::Disconnected)));
+        assert!(matches!(
+            inline.try_recv(),
+            Err(TransportError::Disconnected)
+        ));
+        assert_eq!(inline.into_rtl().grants, 1);
+    }
+
+    /// The inline server is the threaded one without the thread: under
+    /// random fault plans, with and without recovery, the environment,
+    /// the RTL, the counters and the outcome match run for run.
+    #[test]
+    fn inline_server_matches_the_threaded_server_under_faults() {
+        type Outcome = (Vec<Vec<u8>>, Vec<Vec<u8>>, u64, SyncStats, String);
+
+        fn fly<T: Transport>(
+            client: T,
+            plan: FaultPlan,
+            policy: RecoveryPolicy,
+            into_rtl: impl FnOnce(T) -> LoopRtl,
+        ) -> Outcome {
+            let remote = RemoteRtl::with_policy(FaultyTransport::new(client, plan), policy);
+            let mut sync = Synchronizer::new(config(1), EchoEnv::default(), remote);
+            sync.rtl_mut().push_data(vec![1, 2, 3]);
+            sync.run_until(24, |_| false);
+            let stats = *sync.stats();
+            let (env, remote) = sync.into_parts();
+            let outcome = format!(
+                "{:?} {:?} {:?}",
+                remote.fault().map(ToString::to_string),
+                remote.recovery_stats(),
+                remote.transport().stats()
+            );
+            let (faulty, _) = remote.close();
+            let rtl = into_rtl(faulty.into_inner());
+            (env.seen, rtl.received, rtl.cycles, stats, outcome)
+        }
+
+        for seed in 0..24u64 {
+            let plan = FaultPlan::random(seed, 20, 6);
+            let policy = if seed % 2 == 0 {
+                RecoveryPolicy::default()
+            } else {
+                RecoveryPolicy::disabled()
+            };
+            let inline = fly(
+                InlineTransport::new(LoopRtl::default()),
+                plan.clone(),
+                policy,
+                |t| t.into_rtl(),
+            );
+            let (client, mut server) = ChannelTransport::pair();
+            let server_thread = thread::spawn(move || {
+                let mut rtl = LoopRtl::default();
+                serve_rtl(&mut server, &mut rtl).unwrap();
+                rtl
+            });
+            let threaded = fly(client, plan, policy, |client| {
+                drop(client);
+                server_thread.join().unwrap()
+            });
+            assert_eq!(inline, threaded, "seed {seed}");
+        }
     }
 
     #[test]

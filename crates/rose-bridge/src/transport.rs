@@ -2,9 +2,11 @@
 //!
 //! The paper's synchronizer communicates "with FireSim by using a TCP
 //! listener" (Section 3.4.1). [`TcpTransport`] reproduces that deployment;
-//! [`ChannelTransport`] provides the same interface in-process for
-//! single-machine co-simulation and tests, over one blocking packet queue
-//! per direction that never spins while it waits (see its docs for why).
+//! [`ChannelTransport`] provides the same interface in-process, to a
+//! server on another thread, over one blocking packet queue per direction
+//! that never spins while it waits (see its docs for why). A server on
+//! the client's own thread needs no queue pair:
+//! [`InlineTransport`](crate::sync::InlineTransport) runs it inside `send`.
 //!
 //! # Short reads and short writes
 //!
@@ -102,11 +104,15 @@ pub trait Transport {
     /// Returns an error on disconnect or corrupt input.
     fn try_recv(&mut self) -> Result<Option<Packet>, TransportError>;
 
-    /// Receives the next packet, blocking until one arrives.
+    /// Receives the next packet, blocking until one arrives. A transport
+    /// that cannot block, because nothing runs beside it to send
+    /// ([`InlineTransport`](crate::sync::InlineTransport)), returns an
+    /// error instead of waiting forever.
     ///
     /// # Errors
     ///
-    /// Returns an error on disconnect or corrupt input.
+    /// Returns an error on disconnect or corrupt input, or when a
+    /// transport that cannot block has nothing queued.
     fn recv(&mut self) -> Result<Packet, TransportError>;
 
     /// Attempts to re-establish a dropped connection, discarding any

@@ -4,8 +4,10 @@
 //! is deterministic" (Artifact §A.7), and every stochastic element of this
 //! reproduction draws from the seeded [`SimRng`](rose_sim_core::SimRng)
 //! streams, so the same [`MissionConfig`] must reproduce the same mission
-//! **bit-exactly** — including in deployments that serve the SoC from its
-//! own thread ([`run_mission_with_faults`](crate::mission::run_mission_with_faults)).
+//! **bit-exactly** — including in deployments that put the SoC behind a
+//! transport: served inline under fault injection
+//! ([`run_mission_with_faults`](crate::mission::run_mission_with_faults))
+//! or from its own thread ([`run_remote_mission`](crate::mission::run_remote_mission)).
 //! The static `rose-lint` pass catches the violations a lexer can see
 //! (wall-clock reads, hash-map iteration, truncating casts); this module
 //! is the dynamic complement that catches what it cannot: real data races,

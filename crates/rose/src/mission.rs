@@ -12,10 +12,10 @@
 //! in-process SoC ([`run_mission`]), any other target program on it
 //! ([`run_program_mission`]: the multi-tenant mission, the classical MPC
 //! of [`crate::mpc`] and the sensor fusion of [`crate::fusion`]), and the
-//! SoC served from its own thread behind a transport
-//! ([`run_remote_mission`], over TCP or a fault-injected channel in
-//! [`run_mission_with_faults`]). Only the per-endpoint inputs of each
-//! quantum's flight sample differ.
+//! SoC behind a transport: served from its own thread over TCP
+//! ([`run_remote_mission`]), or inline on the calling thread behind a
+//! fault injector ([`run_mission_with_faults`]). Only the per-endpoint
+//! inputs of each quantum's flight sample differ.
 
 use crate::app::{AppMetrics, ControlGains, ControllerChoice, TrailNavApp};
 use crate::envside::CoSimEnv;
@@ -24,10 +24,10 @@ use crate::snapshot::Mission;
 use parking_lot::Mutex;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
-    rtl_wall, serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, RtlSide, SyncConfig, SyncMode,
-    SyncStats, Synchronizer,
+    rtl_wall, serve_rtl, InlineTransport, RecoveryPolicy, RecoveryStats, RemoteRtl, RtlSide,
+    SyncConfig, SyncMode, SyncStats, Synchronizer,
 };
-use rose_bridge::transport::{ChannelTransport, Transport};
+use rose_bridge::transport::Transport;
 use rose_dnn::DnnModel;
 use rose_envsim::uav::{TrajectoryPoint, UavSim, UavSimConfig};
 use rose_envsim::world::{World, WorldKind};
@@ -457,7 +457,7 @@ impl MissionRtl for SocRtl {
 }
 
 /// Remote RTL: the link can fault and recover, but the SoC's tracer
-/// buffer lives on the server thread, so attribution sees only boundary
+/// buffer lives across the transport, so attribution sees only boundary
 /// samples.
 impl<T: Transport> MissionRtl for RemoteRtl<T> {
     fn fault_latched(&self) -> bool {
@@ -722,8 +722,8 @@ pub fn run_mission_multitenant(
 
 /// Extracts the report from a synchronizer at its current position, with
 /// `into_soc` handing back the SoC its RTL endpoint drives: the endpoint
-/// itself in process, or the SoC a server thread returns once the remote
-/// link is shut down ([`run_remote_mission`]).
+/// itself in process, or the SoC behind the remote link once it is shut
+/// down ([`fly_remote`]).
 fn finish_report<R: RtlSide>(
     config: &MissionConfig,
     mut sync: Synchronizer<CoSimEnv, R>,
@@ -801,10 +801,26 @@ pub struct FaultedMissionReport {
 /// wrapped in a deterministic fault injector — the full robustness
 /// topology: sequenced packets, the recovery policy of
 /// [`MissionConfig::recovery`], and the application's degradation ladder,
-/// all under one seeded [`FaultPlan`]. See [`run_remote_mission`].
+/// all under one seeded [`FaultPlan`].
+///
+/// The SoC is served inline, on the calling thread, by an
+/// [`InlineTransport`]: the packets, faults and retries are those of
+/// [`run_remote_mission`] over a
+/// [`ChannelTransport`](rose_bridge::transport::ChannelTransport) pair,
+/// without the server thread and its two wake-ups per quantum
+/// (`tests/deployment.rs` checks the two against each other).
 pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> FaultedMissionReport {
-    let (client, server) = ChannelTransport::pair();
-    run_remote_mission(config, client, server, plan)
+    let (env, rtl, sync_config, metrics) = mission_parts(config);
+    let client = InlineTransport::new(rtl);
+    fly_remote(
+        config,
+        env,
+        sync_config,
+        &metrics,
+        client,
+        plan,
+        InlineTransport::into_rtl,
+    )
 }
 
 /// Runs a mission with the SoC served from its own thread by
@@ -835,22 +851,42 @@ where
         let served = serve_rtl(&mut server, &mut rtl);
         (rtl, served)
     });
+    fly_remote(config, env, sync_config, &metrics, client, plan, |client| {
+        // After a latched fault no shutdown was sent, and dropping the
+        // transport disconnects the server. That drop is why the runner
+        // owns `client`: a borrowed one would outlive the join and leave
+        // the server blocked forever.
+        drop(client);
+        let (rtl, served) = server_thread.join().expect("rtl server thread");
+        debug_assert!(served.is_ok(), "server exited with {served:?}");
+        rtl
+    })
+}
+
+/// Flies the mission with the synchronizer driving [`RemoteRtl`] over
+/// `client` wrapped in `plan`'s injector, then shuts the link down and
+/// takes the SoC back with `into_soc`.
+fn fly_remote<T: Transport>(
+    config: &MissionConfig,
+    env: CoSimEnv,
+    sync_config: SyncConfig,
+    metrics: &Mutex<AppMetrics>,
+    client: T,
+    plan: FaultPlan,
+    into_soc: impl FnOnce(T) -> SocRtl,
+) -> FaultedMissionReport {
     let remote = RemoteRtl::with_policy(FaultyTransport::new(client, plan), config.recovery);
     let sync = synchronizer(config, sync_config, env, remote);
 
     let (mut fault_stats, mut recovery, mut latched) = Default::default();
-    let report = fly_mission(config, sync, &metrics, |remote| {
+    let report = fly_mission(config, sync, metrics, |remote| {
         fault_stats = *remote.transport().stats();
         recovery = *remote.recovery_stats();
         latched = remote.fault().map(|e| e.to_string());
         // Orderly shutdown when healthy; on a latched fault this returns
-        // the error and dropping the transport disconnects the server.
-        // That drop is why the runner owns `client`: a borrowed one would
-        // outlive the join and leave the server blocked forever.
-        let _ = remote.shutdown();
-        let (rtl, served) = server_thread.join().expect("rtl server thread");
-        debug_assert!(served.is_ok(), "server exited with {served:?}");
-        rtl
+        // the error without sending.
+        let (faulty, _) = remote.close();
+        into_soc(faulty.into_inner())
     });
     FaultedMissionReport {
         aborted: report.app.abort_requested,

@@ -45,8 +45,7 @@ fn recoverable_faults_are_absorbed_bit_identically() {
     };
     let clean = MissionDigest::of(&run_mission(&completing()));
 
-    // Flown twice: the SoC serves from its own thread in this topology,
-    // so the second flight checks run-to-run determinism.
+    // Flown twice: the second flight checks run-to-run determinism.
     let mut digests = Vec::new();
     for run in 0..2 {
         let outcome = run_mission_with_faults(&completing(), plan());

@@ -4,9 +4,13 @@
 //! protocol delivers data at the same sync boundaries either way.
 
 use rose::audit::MissionDigest;
-use rose::mission::{run_mission, run_remote_mission, MissionConfig, MissionReport};
-use rose_bridge::faults::FaultPlan;
-use rose_bridge::transport::TcpTransport;
+use rose::mission::{
+    run_mission, run_mission_with_faults, run_remote_mission, FaultedMissionReport, MissionConfig,
+    MissionReport,
+};
+use rose_bridge::faults::{FaultKind, FaultPlan};
+use rose_bridge::sync::RecoveryPolicy;
+use rose_bridge::transport::{ChannelTransport, TcpTransport};
 use std::net::TcpListener;
 
 /// Flies `config` with the SoC served over a loopback TCP connection.
@@ -53,4 +57,58 @@ fn tcp_deployment_closes_the_loop() {
         .position
         .x;
     assert!(x_last > 5.0, "UAV should be flying forward, x = {x_last}");
+}
+
+/// The fast path checked against the slow one: `run_mission_with_faults`
+/// serves the SoC inline on the calling thread, and must fly exactly the
+/// mission of the SoC served from its own thread over a channel pair,
+/// fault for fault and retry for retry.
+#[test]
+fn inline_faulted_mission_matches_the_threaded_server() {
+    let config = MissionConfig {
+        max_sim_seconds: 2.0,
+        ..MissionConfig::default()
+    };
+    let recoverable = FaultPlan::new(0xFA17)
+        .with_event(20, FaultKind::Duplicate)
+        .with_event(40, FaultKind::Stall { ops: 2 })
+        .with_event(60, FaultKind::Disconnect { ops: 3 });
+    let lossy = FaultPlan::new(0xFA18)
+        .with_event(20, FaultKind::Drop)
+        .with_event(40, FaultKind::Reorder)
+        .with_event(60, FaultKind::Corrupt);
+    let latching = FaultPlan::new(0xFA19).with_event(30, FaultKind::Disconnect { ops: 3 });
+    let unrecovered = MissionConfig {
+        recovery: RecoveryPolicy::disabled(),
+        ..config.clone()
+    };
+
+    for (name, config, plan) in [
+        ("recoverable", &config, recoverable),
+        ("lossy", &config, lossy),
+        ("latching", &unrecovered, latching),
+    ] {
+        let inline = run_mission_with_faults(config, plan.clone());
+        let (client, server) = ChannelTransport::pair();
+        let threaded = run_remote_mission(config, client, server, plan);
+        let outcome = |run: &FaultedMissionReport| {
+            (
+                MissionDigest::of(&run.report),
+                run.fault_stats,
+                run.recovery,
+                run.latched.clone(),
+                run.aborted,
+            )
+        };
+        assert_eq!(outcome(&inline), outcome(&threaded), "{name} plan");
+        assert!(inline.fault_stats.total() > 0, "{name}: nothing injected");
+        assert_eq!(inline.latched.is_some(), name == "latching", "{name}");
+        if name == "recoverable" {
+            assert!(
+                inline.recovery.recovered >= 1,
+                "{name}: {:?}",
+                inline.recovery
+            );
+        }
+    }
 }
