@@ -44,11 +44,6 @@ use rose_trace::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Sync quanta per simulated second (quantum = 2000 cycles at 75 kHz
-/// control ticks — see `MissionConfig`); used to keep random fault
-/// schedules inside the flown window.
-const QUANTA_PER_SIM_SECOND: f64 = 30.0;
-
 struct Args {
     trials: u64,
     events: usize,
@@ -66,15 +61,21 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            trials: 200,
+            events: 6,
+            seconds: 6.0,
+            seed_base: 0xC4A0_5000,
+            reproducer_out: PathBuf::from("chaos_reproducer.roseplan"),
+            self_test: false,
+        }
+    }
+}
+
 fn parse_args() -> Args {
-    let mut args = Args {
-        trials: 200,
-        events: 6,
-        seconds: 6.0,
-        seed_base: 0xC4A0_5000,
-        reproducer_out: PathBuf::from("chaos_reproducer.roseplan"),
-        self_test: false,
-    };
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| usage());
@@ -102,6 +103,15 @@ fn config(seconds: f64) -> MissionConfig {
         max_sim_seconds: seconds,
         ..MissionConfig::default()
     }
+}
+
+/// Trial `trial`'s random fault plan. Its events fall anywhere in the
+/// flown window, from the first quantum to the last the mission can
+/// reach, so no trial degenerates to a fault-free flight and no stretch
+/// of the flight goes untested.
+fn trial_plan(args: &Args, trial: u64) -> FaultPlan {
+    let window = config(args.seconds).max_syncs();
+    FaultPlan::random(args.seed_base.wrapping_add(trial), window, args.events)
 }
 
 /// Runs one mission under a fault plan, catching panics (invariant 1).
@@ -277,12 +287,9 @@ fn main() -> ExitCode {
         return self_test();
     }
 
-    // Keep every random fault inside the portion of the mission actually
-    // flown, so no trial degenerates to a fault-free flight.
-    let max_quantum = (args.seconds * QUANTA_PER_SIM_SECOND) as u64;
     for trial in 0..args.trials {
         let seed = args.seed_base.wrapping_add(trial);
-        let plan = FaultPlan::random(seed, max_quantum, args.events);
+        let plan = trial_plan(&args, trial);
         if let Some(broken) = violation(args.seconds, &plan) {
             eprintln!("chaos_mission: trial {trial} (seed {seed:#x}) VIOLATION: {broken}");
             eprintln!("chaos_mission: shrinking {} events...", plan.events().len());
@@ -307,4 +314,30 @@ fn main() -> ExitCode {
         args.trials, args.events, args.seconds
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The CI sweep's plans reach the last tenth of the flown window and
+    /// never leave it.
+    #[test]
+    fn faults_reach_the_end_of_the_flown_window() {
+        let args = Args {
+            trials: 24,
+            seed_base: 3_300_000_000,
+            ..Args::default()
+        };
+        let window = config(args.seconds).max_syncs();
+        let quanta: Vec<u64> = (0..args.trials)
+            .flat_map(|trial| trial_plan(&args, trial).events().to_vec())
+            .map(|event| event.at_quantum)
+            .collect();
+        assert!(quanta.iter().all(|&q| q < window), "{quanta:?}");
+        assert!(
+            quanta.iter().any(|&q| q >= window - window / 10),
+            "no fault in the last tenth of {window} quanta: {quanta:?}"
+        );
+    }
 }

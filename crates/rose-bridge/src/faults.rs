@@ -30,6 +30,7 @@ use crate::transport::{Transport, TransportError};
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::io;
+use std::time::Duration;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -479,6 +480,12 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.arm();
         self.disconnect_op()?;
         self.inner.reconnect()
+    }
+
+    /// Forwarded untouched: it is bookkeeping, not an operation that can
+    /// be faulted.
+    fn take_cost_model_wall(&mut self) -> Duration {
+        self.inner.take_cost_model_wall()
     }
 }
 

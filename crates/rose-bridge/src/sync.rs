@@ -852,6 +852,12 @@ impl<T: Transport> RtlSide for RemoteRtl<T> {
     fn take_recovery_wall(&mut self) -> Duration {
         std::mem::take(&mut self.recovery_wall)
     }
+
+    /// The served SoC's cost-model wall, where the transport can see it
+    /// ([`InlineTransport`]); zero across a thread or a socket.
+    fn take_cost_model_wall(&mut self) -> Duration {
+        self.transport.take_cost_model_wall()
+    }
 }
 
 /// Serves a local [`RtlSide`] implementation over a transport: the
@@ -859,9 +865,11 @@ impl<T: Transport> RtlSide for RemoteRtl<T> {
 /// bridge-driver process in the paper's deployment).
 ///
 /// Receives each packet, hands it to the server's packet handler and
-/// sends the replies, until a [`Packet::Shutdown`] arrives or the
-/// transport disconnects. The server speaks the sequenced recovery
-/// protocol (DESIGN.md §4h):
+/// sends the replies it collected with one
+/// [`send_all`](Transport::send_all), until a [`Packet::Shutdown`]
+/// arrives or the transport disconnects. Over TCP a quantum's replies
+/// (its data and the `CyclesDone`) thus cost one write. The server
+/// speaks the sequenced recovery protocol (DESIGN.md §4h):
 ///
 /// * inbound data is deduplicated by sequence number, so a synchronizer
 ///   retrying a quantum can blindly retransmit;
@@ -889,10 +897,16 @@ pub fn serve_rtl<T: Transport, R: RtlSide>(
     rtl: &mut R,
 ) -> Result<(), TransportError> {
     let mut server = RtlServer::default();
+    let mut replies = Vec::new();
     loop {
-        let served = transport
-            .recv()
-            .and_then(|packet| server.handle(packet, rtl, |reply| transport.send(&reply)));
+        let served = transport.recv().and_then(|packet| {
+            replies.clear();
+            let flow = server.handle(packet, rtl, |reply| replies.push(reply))?;
+            if !replies.is_empty() {
+                transport.send_all(&replies)?;
+            }
+            Ok(flow)
+        });
         match served {
             Ok(ControlFlow::Continue(())) => {}
             Ok(ControlFlow::Break(())) | Err(TransportError::Disconnected) => return Ok(()),
@@ -930,16 +944,16 @@ impl RtlServer {
     ///
     /// # Errors
     ///
-    /// The first error `send` returns, or [`TransportError::Protocol`] for
-    /// a packet the server role does not accept: a grant from the far
-    /// past (results no longer buffered) or the future (the client skipped
-    /// ahead), after which the session cannot converge, or a packet only
-    /// the server sends.
+    /// [`TransportError::Protocol`], before any reply, for a packet the
+    /// server role does not accept: a grant from the far past (results no
+    /// longer buffered) or the future (the client skipped ahead), after
+    /// which the session cannot converge, or a packet only the server
+    /// sends.
     fn handle<R: RtlSide>(
         &mut self,
         packet: Packet,
         rtl: &mut R,
-        mut send: impl FnMut(Packet) -> Result<(), TransportError>,
+        mut send: impl FnMut(Packet),
     ) -> Result<ControlFlow<()>, TransportError> {
         match packet {
             Packet::Data { seq, payload } => {
@@ -969,11 +983,11 @@ impl RtlServer {
                     self.last_cycles = cycles;
                     self.completed += 1;
                 }
-                self.send_results(0, &mut send)?;
+                self.send_results(0, &mut send);
                 send(Packet::CyclesDone {
                     cycles: self.last_cycles,
                     quantum,
-                })?;
+                });
             }
             Packet::Resync {
                 expect_rx: peer_expect,
@@ -982,8 +996,8 @@ impl RtlServer {
                 send(Packet::Resync {
                     expect_rx: self.expect_rx,
                     quantum: self.completed,
-                })?;
-                self.send_results(peer_expect, &mut send)?;
+                });
+                self.send_results(peer_expect, &mut send);
             }
             Packet::Shutdown => return Ok(ControlFlow::Break(())),
             other => {
@@ -997,18 +1011,13 @@ impl RtlServer {
     }
 
     /// Sends the last completed quantum's results from sequence `from` on.
-    fn send_results(
-        &self,
-        from: u32,
-        send: &mut impl FnMut(Packet) -> Result<(), TransportError>,
-    ) -> Result<(), TransportError> {
+    fn send_results(&self, from: u32, send: &mut impl FnMut(Packet)) {
         for (seq, payload) in self.last_results.iter().filter(|(seq, _)| *seq >= from) {
             send(Packet::Data {
                 seq: *seq,
                 payload: payload.clone(),
-            })?;
+            });
         }
-        Ok(())
     }
 }
 
@@ -1065,8 +1074,7 @@ impl<R: RtlSide> Transport for InlineTransport<R> {
         }
         let replies = &mut self.replies;
         let handled = self.server.handle(packet.clone(), &mut self.rtl, |reply| {
-            replies.push_back(reply);
-            Ok(())
+            replies.push_back(reply)
         });
         self.open = matches!(handled, Ok(ControlFlow::Continue(())));
         handled.map(|_| ())
@@ -1090,6 +1098,12 @@ impl<R: RtlSide> Transport for InlineTransport<R> {
     /// re-establish, as for a `ChannelTransport`.
     fn reconnect(&mut self) -> Result<(), TransportError> {
         Ok(())
+    }
+
+    /// The served RTL's cost-model wall: it runs inside this transport's
+    /// `send`, so the synchronizer can carve it out of the grant.
+    fn take_cost_model_wall(&mut self) -> Duration {
+        self.rtl.take_cost_model_wall()
     }
 }
 
@@ -1839,6 +1853,76 @@ mod tests {
             Err(TransportError::Disconnected)
         ));
         assert_eq!(inline.into_rtl().grants, 1);
+    }
+
+    /// Feeds `serve_rtl` scripted packets and records each call it makes
+    /// to send, one entry per call.
+    #[derive(Default)]
+    struct Recording {
+        inbound: VecDeque<Packet>,
+        calls: Vec<Vec<Packet>>,
+    }
+
+    impl Transport for Recording {
+        fn send(&mut self, packet: &Packet) -> Result<(), TransportError> {
+            self.calls.push(vec![packet.clone()]);
+            Ok(())
+        }
+
+        fn send_all(&mut self, packets: &[Packet]) -> Result<(), TransportError> {
+            self.calls.push(packets.to_vec());
+            Ok(())
+        }
+
+        fn try_recv(&mut self) -> Result<Option<Packet>, TransportError> {
+            Ok(self.inbound.pop_front())
+        }
+
+        fn recv(&mut self) -> Result<Packet, TransportError> {
+            self.inbound.pop_front().ok_or(TransportError::Disconnected)
+        }
+    }
+
+    /// `serve_rtl` answers each packet with one `send_all` of its
+    /// replies, in the order the handler made them: a grant's data then
+    /// its `CyclesDone`, the same batch again from the buffer for a
+    /// repeated grant, and a `Resync` then the data the peer lacks.
+    #[test]
+    fn serve_rtl_sends_each_packets_replies_as_one_batch() {
+        let mut link = Recording::default();
+        link.inbound.extend([
+            data(0, &[1]),
+            data(1, &[2]),
+            grant(0),
+            grant(0),
+            Packet::Resync {
+                expect_rx: 1,
+                quantum: 0,
+            },
+            Packet::Shutdown,
+        ]);
+        let mut rtl = LoopRtl::default();
+        serve_rtl(&mut link, &mut rtl).unwrap();
+        let grant_replies = vec![
+            data(0, &[1]),
+            data(1, &[2]),
+            Packet::CyclesDone {
+                cycles: 10,
+                quantum: 0,
+            },
+        ];
+        let resync_replies = vec![
+            Packet::Resync {
+                expect_rx: 2,
+                quantum: 1,
+            },
+            data(1, &[2]),
+        ];
+        assert_eq!(
+            link.calls,
+            [grant_replies.clone(), grant_replies, resync_replies]
+        );
+        assert_eq!(rtl.grants, 1, "the repeated grant re-ran the RTL");
     }
 
     /// The inline server is the threaded one without the thread: under

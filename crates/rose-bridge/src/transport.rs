@@ -15,10 +15,10 @@
 //! the framing here are already robust to that, by construction rather
 //! than by retry loops bolted on top:
 //!
-//! * **Writes** go through [`std::io::Write::write_all`] on a blocking
-//!   socket, which loops internally until every byte of the encoded
-//!   packet is accepted or an error surfaces — a short write can never
-//!   silently truncate a frame.
+//! * **Writes** encode a whole batch of frames into one buffer and hand
+//!   it to [`std::io::Write::write_all`] on a blocking socket, which
+//!   loops internally until every byte is accepted or an error surfaces —
+//!   a short write can never silently truncate a frame.
 //! * **Reads** append whatever bytes arrive to a byte inbox;
 //!   [`Packet::decode`] returns [`DecodeError::Incomplete`] until a full
 //!   frame is at its front, and only a decoded frame's bytes are dropped.
@@ -35,6 +35,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// A transport error.
 #[derive(Debug)]
@@ -97,6 +98,17 @@ pub trait Transport {
     /// Returns an error if the peer is gone or I/O fails.
     fn send(&mut self, packet: &Packet) -> Result<(), TransportError>;
 
+    /// Sends `packets` in order, as one [`send`](Transport::send) each
+    /// would. The default does exactly that; [`TcpTransport`] puts the
+    /// whole batch on the wire with one write.
+    ///
+    /// # Errors
+    ///
+    /// The first error a send returns; the packets after it are not sent.
+    fn send_all(&mut self, packets: &[Packet]) -> Result<(), TransportError> {
+        packets.iter().try_for_each(|packet| self.send(packet))
+    }
+
     /// Receives the next packet without blocking; `None` if none is ready.
     ///
     /// # Errors
@@ -127,6 +139,15 @@ pub trait Transport {
     /// or any I/O error from the reconnection attempt.
     fn reconnect(&mut self) -> Result<(), TransportError> {
         Err(TransportError::Disconnected)
+    }
+
+    /// Drains the wall time an RTL served on this side of the transport
+    /// spent in its cost model since the last call, as
+    /// [`RtlSide::take_cost_model_wall`](crate::sync::RtlSide::take_cost_model_wall)
+    /// reports it. Only a transport that owns its server can see that
+    /// wall; the default, for a peer beyond a thread or a socket, is zero.
+    fn take_cost_model_wall(&mut self) -> Duration {
+        Duration::ZERO
     }
 }
 
@@ -257,11 +278,23 @@ impl Transport for ChannelTransport {
 }
 
 /// A framed TCP transport.
+///
+/// One [`send_all`](Transport::send_all) costs one `write`: every frame
+/// of the batch is encoded into one buffer, reused for the transport's
+/// lifetime. The socket blocks for `send` and `recv` and not for
+/// `try_recv`; the transport remembers the mode it last set and switches
+/// it only when the next call needs the other one, so a session that
+/// never polls makes no mode-switch syscall after its first.
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
+    /// Whether the socket is nonblocking, as last set; `None` while a
+    /// wrapped stream's mode is unknown.
+    nonblocking: Option<bool>,
     /// Received bytes not yet decoded; frames are taken from the front.
     inbox: Vec<u8>,
+    /// Encoded frames of the batch being sent.
+    outbox: Vec<u8>,
     /// The socket read buffer, allocated once for the transport's lifetime.
     chunk: Box<[u8]>,
     /// The address originally dialed, kept so `reconnect` can re-dial.
@@ -280,9 +313,12 @@ impl TcpTransport {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr().ok();
-        let mut t = TcpTransport::from_stream(stream);
-        t.peer = peer;
-        Ok(t)
+        Ok(TcpTransport {
+            // A freshly connected stream blocks.
+            nonblocking: Some(false),
+            peer,
+            ..TcpTransport::from_stream(stream)
+        })
     }
 
     /// Accepts one connection from `listener`.
@@ -300,14 +336,29 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream) -> TcpTransport {
         TcpTransport {
             stream,
+            nonblocking: None,
             inbox: Vec::new(),
+            outbox: Vec::new(),
             chunk: vec![0; 64 * 1024].into_boxed_slice(),
             peer: None,
         }
     }
 
+    /// Puts the socket in the mode the next call needs, unless it is in
+    /// it already.
+    fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
+        if self.nonblocking != Some(nonblocking) {
+            self.stream.set_nonblocking(nonblocking)?;
+            self.nonblocking = Some(nonblocking);
+        }
+        Ok(())
+    }
+
+    /// Reads what the socket holds into the inbox. A blocking read waits
+    /// for at least one byte; `WouldBlock` from it is an error, since the
+    /// socket should not have been in nonblocking mode.
     fn pump(&mut self, blocking: bool) -> Result<(), TransportError> {
-        self.stream.set_nonblocking(!blocking)?;
+        self.set_nonblocking(!blocking)?;
         loop {
             match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(TransportError::Disconnected),
@@ -315,7 +366,7 @@ impl TcpTransport {
                     self.inbox.extend_from_slice(&self.chunk[..n]);
                     return Ok(());
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && !blocking => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(TransportError::Io(e)),
             }
@@ -336,10 +387,19 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, packet: &Packet) -> Result<(), TransportError> {
-        self.stream.set_nonblocking(false)?;
-        // write_all loops over short writes internally: the whole frame is
+        self.send_all(std::slice::from_ref(packet))
+    }
+
+    /// Encodes the whole batch and writes it at once.
+    fn send_all(&mut self, packets: &[Packet]) -> Result<(), TransportError> {
+        self.set_nonblocking(false)?;
+        self.outbox.clear();
+        for packet in packets {
+            packet.encode(&mut self.outbox);
+        }
+        // write_all loops over short writes internally: the whole batch is
         // on the wire or an error surfaces — never a truncated packet.
-        self.stream.write_all(&packet.to_bytes())?;
+        self.stream.write_all(&self.outbox)?;
         Ok(())
     }
 
@@ -372,6 +432,7 @@ impl Transport for TcpTransport {
         let stream = TcpStream::connect(peer)?;
         stream.set_nodelay(true)?;
         self.stream = stream;
+        self.nonblocking = Some(false);
         self.inbox.clear();
         Ok(())
     }
@@ -381,8 +442,8 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use std::thread;
-    use std::time::Duration;
+    use std::sync::mpsc;
+    use std::thread::{self, JoinHandle};
 
     #[test]
     fn channel_roundtrip() {
@@ -538,13 +599,90 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// A connected loopback pair: (client, accept side).
+    fn tcp_pair() -> (TcpTransport, TcpTransport) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        (client, TcpTransport::accept(&listener).unwrap())
+    }
+
+    /// Sends `packet` from `peer` on another thread 50 ms after `go`
+    /// fires, or after a second without it: late enough that a receiver
+    /// already in `recv` has to block for it.
+    fn send_late(mut peer: TcpTransport, packet: Packet) -> (mpsc::Sender<()>, JoinHandle<()>) {
+        let (go, wait) = mpsc::channel();
+        let sender = thread::spawn(move || {
+            let _ = wait.recv_timeout(Duration::from_secs(1));
+            thread::sleep(Duration::from_millis(50));
+            peer.send(&packet).unwrap();
+        });
+        (go, sender)
+    }
+
+    /// `try_recv` leaves the socket nonblocking; the `recv` after it must
+    /// switch it back and wait for a late packet, not fail with
+    /// `WouldBlock`.
+    #[test]
+    fn tcp_recv_after_try_recv_blocks_for_a_late_packet() {
+        let (mut client, server) = tcp_pair();
+        let (go, sender) = send_late(server, data(7));
+        assert!(matches!(client.try_recv(), Ok(None)));
+        go.send(()).unwrap();
+        assert_eq!(client.recv().unwrap(), data(7));
+        sender.join().unwrap();
+    }
+
+    /// `reconnect` dials a fresh stream, which blocks: the transport must
+    /// forget that it left the old one nonblocking. A stale record would
+    /// make the next `try_recv` block until the late packet arrived.
+    #[test]
+    fn tcp_reconnect_forgets_the_old_blocking_mode() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        let first = TcpTransport::accept(&listener).unwrap();
+        assert!(matches!(client.try_recv(), Ok(None)));
+        drop(first);
+        client.reconnect().unwrap();
+        let (go, sender) = send_late(TcpTransport::accept(&listener).unwrap(), data(8));
+        assert!(matches!(client.try_recv(), Ok(None)));
+        go.send(()).unwrap();
+        assert_eq!(client.recv().unwrap(), data(8));
+        sender.join().unwrap();
+    }
+
+    /// One `send_all` delivers every kind of packet intact and in order,
+    /// and the reused encode buffer carries nothing into the next batch.
+    #[test]
+    fn tcp_send_all_delivers_a_mixed_batch_in_order() {
+        let (mut client, mut server) = tcp_pair();
+        let batch = [
+            Packet::Resync {
+                expect_rx: 3,
+                quantum: 9,
+            },
+            data(0),
+            Packet::Data {
+                seq: 1,
+                payload: (0..=255u8).cycle().take(100_000).collect(),
+            },
+            Packet::CyclesDone {
+                cycles: 2000,
+                quantum: 9,
+            },
+            Packet::Shutdown,
+        ];
+        server.send_all(&batch).unwrap();
+        server.send_all(&batch[1..2]).unwrap();
+        server.send_all(&[]).unwrap();
+        for expected in batch.iter().chain(&batch[1..2]) {
+            assert_eq!(&client.recv().unwrap(), expected);
+        }
+        assert!(matches!(client.try_recv(), Ok(None)));
+    }
+
     #[test]
     fn tcp_try_recv_nonblocking() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = thread::spawn(move || TcpTransport::accept(&listener).unwrap());
-        let mut client = TcpTransport::connect(addr).unwrap();
-        let mut server = handle.join().unwrap();
+        let (mut client, mut server) = tcp_pair();
         // Nothing sent yet.
         assert!(matches!(client.try_recv(), Ok(None)));
         server

@@ -11,6 +11,7 @@ use rose::mission::{
 use rose_bridge::faults::{FaultKind, FaultPlan};
 use rose_bridge::sync::RecoveryPolicy;
 use rose_bridge::transport::{ChannelTransport, TcpTransport};
+use rose_trace::Phase;
 use std::net::TcpListener;
 
 /// Flies `config` with the SoC served over a loopback TCP connection.
@@ -111,4 +112,26 @@ fn inline_faulted_mission_matches_the_threaded_server() {
             );
         }
     }
+}
+
+/// A SoC served inline books its cost-model wall to `cost-model`, as the
+/// in-process mission does, instead of hiding it in `rtl-grant`. The
+/// default config carries no timing cache, so both flights are cold and
+/// expand kernels.
+#[test]
+fn inline_faulted_mission_books_the_cost_model() {
+    let config = MissionConfig {
+        max_sim_seconds: 4.0,
+        ..MissionConfig::default()
+    };
+    let local = run_mission(&config);
+    let inline = run_mission_with_faults(&config, FaultPlan::default());
+    for (name, report) in [("in-process", &local), ("inline", &inline.report)] {
+        assert!(
+            report.profile.count(Phase::CostModel) > 0
+                && !report.profile.total(Phase::CostModel).is_zero(),
+            "{name} booked no cost-model wall"
+        );
+    }
+    assert_eq!(MissionDigest::of(&inline.report), MissionDigest::of(&local));
 }
