@@ -79,5 +79,5 @@ fn main() {
     if let Some(p) = write_csv("dse_accel.csv", &csv) {
         println!("wrote {}", p.display());
     }
-    rose_bench::persist_timing_cache();
+    rose_bench::report_timing_cache();
 }

@@ -1,5 +1,5 @@
 //! Regenerates Figure 11: DNN sweep in s-shape at 9 m/s.
 fn main() {
     rose_bench::report_fig11();
-    rose_bench::persist_timing_cache();
+    rose_bench::report_timing_cache();
 }

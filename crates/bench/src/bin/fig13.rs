@@ -1,5 +1,5 @@
 //! Regenerates Figure 13: static vs dynamic DNN selection.
 fn main() {
     rose_bench::report_fig13();
-    rose_bench::persist_timing_cache();
+    rose_bench::report_timing_cache();
 }

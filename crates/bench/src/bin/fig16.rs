@@ -2,5 +2,5 @@
 //! trajectories and on image-request -> DNN-response latency.
 fn main() {
     rose_bench::report_fig16();
-    rose_bench::persist_timing_cache();
+    rose_bench::report_timing_cache();
 }

@@ -59,5 +59,5 @@ fn main() {
     if let Some(p) = write_csv("freq_sweep.csv", &csv) {
         println!("wrote {}", p.display());
     }
-    rose_bench::persist_timing_cache();
+    rose_bench::report_timing_cache();
 }

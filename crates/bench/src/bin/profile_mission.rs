@@ -44,9 +44,11 @@
 //! `--deadline-budget` finite and non-negative; anything else is a usage
 //! error (exit 2).
 //!
-//! The mission runs against the persisted timing cache selected by
-//! `ROSE_TIMING_CACHE` (set it to `0` to force a cold run) and persists
-//! the cache on exit; digests are cache-invisible by contract.
+//! Every mission the process flies shares one in-memory timing cache
+//! (DESIGN.md §4i): the first flight expands its kernels cold, and
+//! `--determinism`'s two audit runs replay them. Digests are
+//! cache-invisible by contract. On exit the cache's entries, hits and
+//! misses are reported on stderr.
 
 use rose::audit::{audit_determinism, MissionDigest};
 use rose::mission::{run_mission, MissionConfig, MissionReport};
@@ -266,10 +268,9 @@ fn main() -> ExitCode {
         max_sim_seconds: args.seconds,
         trace: true,
         deadline_budget_s: args.deadline_budget.unwrap_or(0.0),
-        // Digest-invisible by contract; `ROSE_TIMING_CACHE=0` forces a
-        // cold run. Resumed missions rebuild their config from the
-        // snapshot and therefore always run cold.
-        timing_cache: rose_bench::shared_timing_cache().cloned(),
+        // Digest-invisible by contract. Resumed missions rebuild their
+        // config from the snapshot and therefore always run cold.
+        timing_cache: Some(rose_bench::shared_timing_cache().clone()),
         ..MissionConfig::default()
     };
     let report = if let Some(path) = &args.resume_from {
@@ -385,7 +386,7 @@ fn main() -> ExitCode {
         }
         println!("determinism: bit-identical across runs");
     }
-    rose_bench::persist_timing_cache();
+    rose_bench::report_timing_cache();
     ExitCode::SUCCESS
 }
 

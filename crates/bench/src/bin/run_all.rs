@@ -18,5 +18,5 @@ fn main() {
         println!("\n################ {name} ################");
         report();
     }
-    rose_bench::persist_timing_cache();
+    rose_bench::report_timing_cache();
 }

@@ -141,7 +141,7 @@ pub fn report_fig14() {
 }
 
 /// Figure 15: co-simulation throughput vs sync granularity, 4 simulated
-/// seconds per point.
+/// seconds per flight, each point the median of five flights.
 pub fn report_fig15() {
     let points = fig15(4.0);
     let mut t = TextTable::new(&[

@@ -21,4 +21,4 @@ pub use experiments::*;
 pub use figures::*;
 pub use parallel::{default_jobs, parallel_map};
 pub use report::{write_csv, TextTable};
-pub use timing::{persist_timing_cache, shared_timing_cache, with_timing_cache};
+pub use timing::{report_timing_cache, shared_timing_cache, with_timing_cache};

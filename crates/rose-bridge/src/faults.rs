@@ -29,6 +29,7 @@ use crate::packet::Packet;
 use crate::transport::{Transport, TransportError};
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
+use rose_trace::TraceEvent;
 use std::io;
 use std::time::Duration;
 
@@ -486,6 +487,11 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     /// be faulted.
     fn take_cost_model_wall(&mut self) -> Duration {
         self.inner.take_cost_model_wall()
+    }
+
+    /// Forwarded untouched, like the cost-model wall.
+    fn recent_events(&self) -> &[TraceEvent] {
+        self.inner.recent_events()
     }
 }
 

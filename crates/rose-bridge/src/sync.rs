@@ -92,6 +92,12 @@ pub trait RtlSide {
     fn take_cost_model_wall(&mut self) -> Duration {
         Duration::ZERO
     }
+
+    /// The trace events the endpoint has recorded so far, read without
+    /// draining them, for postmortem attribution. Default: none.
+    fn recent_events(&self) -> &[TraceEvent] {
+        &[]
+    }
 }
 
 /// Bounded-retry recovery configuration for [`RemoteRtl`].
@@ -858,6 +864,12 @@ impl<T: Transport> RtlSide for RemoteRtl<T> {
     fn take_cost_model_wall(&mut self) -> Duration {
         self.transport.take_cost_model_wall()
     }
+
+    /// The served SoC's trace events, where the transport can see them
+    /// ([`InlineTransport`]); none across a thread or a socket.
+    fn recent_events(&self) -> &[TraceEvent] {
+        self.transport.recent_events()
+    }
 }
 
 /// Serves a local [`RtlSide`] implementation over a transport: the
@@ -1104,6 +1116,11 @@ impl<R: RtlSide> Transport for InlineTransport<R> {
     /// `send`, so the synchronizer can carve it out of the grant.
     fn take_cost_model_wall(&mut self) -> Duration {
         self.rtl.take_cost_model_wall()
+    }
+
+    /// The served RTL's trace events: it lives in this transport.
+    fn recent_events(&self) -> &[TraceEvent] {
+        self.rtl.recent_events()
     }
 }
 

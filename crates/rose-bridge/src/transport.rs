@@ -31,6 +31,7 @@
 //! them in order.
 
 use crate::packet::{DecodeError, Packet};
+use rose_trace::TraceEvent;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -148,6 +149,15 @@ pub trait Transport {
     /// wall; the default, for a peer beyond a thread or a socket, is zero.
     fn take_cost_model_wall(&mut self) -> Duration {
         Duration::ZERO
+    }
+
+    /// The trace events an RTL served on this side of the transport has
+    /// recorded so far, as
+    /// [`RtlSide::recent_events`](crate::sync::RtlSide::recent_events)
+    /// reports them. As for the cost-model wall, only a transport that
+    /// owns its server can see them; the default is none.
+    fn recent_events(&self) -> &[TraceEvent] {
+        &[]
     }
 }
 

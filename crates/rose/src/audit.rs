@@ -220,38 +220,32 @@ mod tests {
     #[test]
     fn timing_cache_is_digest_invisible() {
         // The §4i contract end to end: a cold mission, a recording
-        // mission (cold expansion + disk writes), and a fully warm replay
-        // from a reloaded cache file must digest bit-identically.
+        // mission (cold expansion into a fresh cache), and a fully warm
+        // replay from the same cache must digest bit-identically.
         use rose_socsim::SharedTimingCache;
 
-        let path = std::env::temp_dir().join(format!(
-            "rose-audit-timing-cache-{}.snap",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
         let base = short(MissionConfig::default());
         let cold = MissionDigest::of(&run_mission(&base));
 
-        let recording = SharedTimingCache::load(&path);
-        let populated = MissionDigest::of(&run_mission(&MissionConfig {
-            timing_cache: Some(recording.clone()),
-            ..base.clone()
-        }));
-        assert!(!recording.is_empty(), "cold run should record entries");
-        recording.persist().expect("cache file writes");
-
-        let reloaded = SharedTimingCache::load(&path);
-        assert_eq!(reloaded.len(), recording.len());
-        let warm = MissionDigest::of(&run_mission(&MissionConfig {
-            timing_cache: Some(reloaded.clone()),
+        let cache = SharedTimingCache::in_memory();
+        let with_cache = MissionConfig {
+            timing_cache: Some(cache.clone()),
             ..base
-        }));
-        let (hits, _) = reloaded.counters();
-        assert!(hits > 0, "warm run should replay cached entries");
+        };
+        let recording = MissionDigest::of(&run_mission(&with_cache));
+        assert!(!cache.is_empty(), "cold run should record entries");
+        let (recorded_hits, recorded_misses) = cache.counters();
 
-        assert_eq!(cold, populated, "recording must not perturb");
+        let warm = MissionDigest::of(&run_mission(&with_cache));
+        let (hits, misses) = cache.counters();
+        assert!(
+            hits > recorded_hits,
+            "warm run should replay cached entries"
+        );
+        assert_eq!(misses, recorded_misses, "warm run should expand nothing");
+
+        assert_eq!(cold, recording, "recording must not perturb");
         assert_eq!(cold, warm, "replay must not perturb");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -39,8 +39,7 @@ use rose_sim_core::rng::SimRng;
 use rose_socsim::soc::SocStats;
 use rose_socsim::{Soc, SocConfig, TargetProgram};
 use rose_trace::{
-    FlightRecorder, FlightSample, Phase, Profiler, TimingCacheCounts, TraceClock, TraceEvent,
-    TraceLog, Tracer,
+    FlightRecorder, FlightSample, Phase, Profiler, TimingCacheCounts, TraceClock, TraceLog, Tracer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -439,26 +438,16 @@ pub(crate) trait MissionRtl: RtlSide {
     fn recovery_retries(&self) -> u64 {
         0
     }
-
-    /// The SoC's recorded trace events, for postmortem attribution.
-    fn recent_events(&self) -> &[TraceEvent] {
-        &[]
-    }
 }
 
 /// In-process RTL: no transport, so never a fault and never recovery
-/// work; attribution reads the SoC tracer's buffer non-destructively
-/// (with tracing off an empty slice, so the recorder costs a few counter
-/// compares per quantum).
-impl MissionRtl for SocRtl {
-    fn recent_events(&self) -> &[TraceEvent] {
-        self.soc().tracer().events()
-    }
-}
+/// work.
+impl MissionRtl for SocRtl {}
 
-/// Remote RTL: the link can fault and recover, but the SoC's tracer
-/// buffer lives across the transport, so attribution sees only boundary
-/// samples.
+/// Remote RTL: the link can fault and recover. Attribution reads the
+/// SoC's trace events through the transport
+/// ([`RtlSide::recent_events`]), which sees them only when it serves the
+/// SoC inline.
 impl<T: Transport> MissionRtl for RemoteRtl<T> {
     fn fault_latched(&self) -> bool {
         self.fault().is_some()
@@ -514,7 +503,6 @@ fn drive_mission<R: MissionRtl>(
                 hits,
                 misses,
                 entries: cache.len(),
-                file_bytes: cache.file_bytes(),
             }
         })
     };

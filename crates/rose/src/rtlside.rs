@@ -73,6 +73,13 @@ impl RtlSide for SocRtl {
     fn take_cost_model_wall(&mut self) -> std::time::Duration {
         self.soc.take_cost_model_wall()
     }
+
+    /// The SoC tracer's buffer, read non-destructively (with tracing off
+    /// an empty slice, so the flight recorder costs a few counter
+    /// compares per quantum).
+    fn recent_events(&self) -> &[rose_trace::TraceEvent] {
+        self.soc.tracer().events()
+    }
 }
 
 #[cfg(test)]

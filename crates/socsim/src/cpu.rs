@@ -186,13 +186,13 @@ impl CpuModel {
         self.stats.instrs += instrs;
     }
 
-    /// The branch-predictor RNG position (part of the persisted timing
-    /// cache's expansion-context key).
+    /// The branch-predictor RNG position (part of the timing cache's
+    /// expansion-context key).
     pub fn branch_rng(&self) -> u64 {
         self.branch_rng
     }
 
-    /// Replays a kernel expansion recorded in the persisted timing cache:
+    /// Replays a kernel expansion recorded in the timing cache:
     /// re-applies the cold run's counter deltas and fast-forwards the
     /// branch RNG to where that run left it. Expansion is a pure function
     /// of (kernel, the memory state timing reads, RNG position, core

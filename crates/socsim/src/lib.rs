@@ -33,9 +33,9 @@
 //!   simulated SoC by issuing receive/compute/send operations whose costs
 //!   come from the timing models.
 //! * [`soc`] — [`soc::Soc`], the top level tying everything together.
-//! * [`timing_cache`] — the persisted cross-run timing cache that lets a
-//!   sweep expand each kernel once per machine instead of once per
-//!   mission (DESIGN.md §4i).
+//! * [`timing_cache`] — the cross-mission timing cache that lets a sweep
+//!   expand each kernel once per process instead of once per mission
+//!   (DESIGN.md §4i).
 
 #![deny(missing_docs)]
 

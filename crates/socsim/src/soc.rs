@@ -164,7 +164,7 @@ pub struct Soc {
     kernel_costs: BTreeMap<Kernel, (u64, u64)>,
     conv_costs: BTreeMap<ConvShape, AccelRun>,
     matmul_costs: BTreeMap<(usize, usize, usize), AccelRun>,
-    /// The persisted cross-run timing cache (DESIGN.md §4i), consulted on
+    /// The cross-mission timing cache (DESIGN.md §4i), consulted on
     /// in-memory CPU-kernel cost misses. Structural, like `config`: attached
     /// by the mission driver, never snapshotted.
     timing_cache: Option<SharedTimingCache>,
@@ -267,7 +267,7 @@ impl Soc {
         self.rx_timeout_quanta = quanta;
     }
 
-    /// Attaches the persisted cross-run timing cache (DESIGN.md §4i),
+    /// Attaches the cross-mission timing cache (DESIGN.md §4i),
     /// consulted on in-memory CPU-kernel cost misses. Structural, like
     /// `config`: the mission driver re-attaches it rather than the
     /// snapshot carrying it. Replays are bit-identical to cold expansion,
@@ -429,7 +429,7 @@ impl Soc {
     /// data-independent, so each distinct shape is timed once; replays
     /// re-account cycles and instructions in the core's counters).
     ///
-    /// In-memory misses consult the persisted cross-run timing cache
+    /// In-memory misses consult the cross-mission timing cache
     /// before expanding cold ([`crate::timing_cache`]); the miss-path
     /// wall time accumulates for `Phase::CostModel` attribution.
     fn cpu_cost(&mut self, kernel: Kernel) -> u64 {
@@ -443,7 +443,7 @@ impl Soc {
         cycles
     }
 
-    /// The in-memory-miss path of [`Soc::cpu_cost`]: replay a persisted
+    /// The in-memory-miss path of [`Soc::cpu_cost`]: replay a recorded
     /// expansion when the timing cache holds one for this exact context
     /// (kernel, config fingerprint, the memory state timing reads, branch
     /// RNG) whose check hash matches the live pre-state and whose memory
@@ -1017,9 +1017,9 @@ mod tests {
     #[test]
     fn warm_timing_cache_replays_bit_identically() {
         // Populate: a first mission expands everything cold into the
-        // shared cache. Only CPU kernels are persisted, and the second
-        // Memcpy hits the in-memory cache, so one kernel entry lands on
-        // "disk"; the conv and matmul are timed afresh on every run.
+        // shared cache. Only CPU kernels are recorded, and the second
+        // Memcpy hits the SoC's own memo, so one kernel entry lands in the
+        // shared cache; the conv and matmul are timed afresh on every run.
         let cache = SharedTimingCache::in_memory();
         let mut warmup = scripted_soc(cache_ops());
         warmup.set_timing_cache(cache.clone());

@@ -59,8 +59,7 @@ pub struct FlightSample {
 }
 
 /// A timing cache's host counters when a postmortem is written: the
-/// expansions it replayed and missed, the entries it holds, and the size
-/// of its file.
+/// expansions it replayed and missed, and the entries it holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimingCacheCounts {
     /// Lookups that replayed an entry.
@@ -69,9 +68,6 @@ pub struct TimingCacheCounts {
     pub misses: u64,
     /// Recorded expansions.
     pub entries: usize,
-    /// Bytes in the cache's file; `None` for a cache held in memory or a
-    /// file not yet written.
-    pub file_bytes: Option<u64>,
 }
 
 /// A per-trigger span-time attribution: where simulated time went in the
@@ -238,13 +234,9 @@ impl FlightRecorder {
         if let Some(cache) = timing_cache {
             let _ = write!(
                 out,
-                ",\"timing_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{}",
+                ",\"timing_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{}}}",
                 cache.hits, cache.misses, cache.entries
             );
-            if let Some(bytes) = cache.file_bytes {
-                let _ = write!(out, ",\"file_bytes\":{bytes}");
-            }
-            out.push('}');
         }
         out.push_str(",\"ring\":[");
         for (i, s) in self.ring.iter().enumerate() {
@@ -406,7 +398,6 @@ mod tests {
             hits: 45,
             misses: 2,
             entries: 23,
-            file_bytes: Some(1_818_209),
         };
         let pm = fr
             .record(s, &events, || Some(counts))
@@ -415,22 +406,9 @@ mod tests {
         let cache = parsed.get("timing_cache").expect("the mission's cache");
         let count = |key| cache.get(key).and_then(|v| v.as_f64());
         assert_eq!(
-            (
-                count("hits"),
-                count("misses"),
-                count("entries"),
-                count("file_bytes")
-            ),
-            (Some(45.0), Some(2.0), Some(23.0), Some(1_818_209.0))
+            (count("hits"), count("misses"), count("entries")),
+            (Some(45.0), Some(2.0), Some(23.0))
         );
-        // A cache with no file written has no size to report.
-        let fileless = TimingCacheCounts {
-            file_bytes: None,
-            ..counts
-        };
-        let fileless = json::parse(&fr.postmortem("probe", "", &events, Some(fileless))).unwrap();
-        let fileless = fileless.get("timing_cache").expect("the cache's counters");
-        assert!(fileless.get("entries").is_some() && fileless.get("file_bytes").is_none());
         // Without a cache the dump has no such field.
         let cacheless = json::parse(&fr.postmortem("probe", "", &events, None)).unwrap();
         assert!(cacheless.get("timing_cache").is_none());

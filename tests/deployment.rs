@@ -11,7 +11,7 @@ use rose::mission::{
 use rose_bridge::faults::{FaultKind, FaultPlan};
 use rose_bridge::sync::RecoveryPolicy;
 use rose_bridge::transport::{ChannelTransport, TcpTransport};
-use rose_trace::Phase;
+use rose_trace::{json, Phase};
 use std::net::TcpListener;
 
 /// Flies `config` with the SoC served over a loopback TCP connection.
@@ -134,4 +134,36 @@ fn inline_faulted_mission_books_the_cost_model() {
         );
     }
     assert_eq!(MissionDigest::of(&inline.report), MissionDigest::of(&local));
+}
+
+/// A SoC served inline shows its trace events to the flight recorder, as
+/// the in-process mission does: both flights' postmortems carry the same
+/// SoC events and the same attribution.
+#[test]
+fn inline_faulted_mission_postmortems_carry_soc_events() {
+    let config = MissionConfig {
+        max_sim_seconds: 2.0,
+        trace: true,
+        deadline_budget_s: 0.05,
+        ..MissionConfig::default()
+    };
+    let local = run_mission(&config);
+    let inline = run_mission_with_faults(&config, FaultPlan::default());
+    assert!(!local.postmortems.is_empty(), "the budget must be missed");
+    assert_eq!(inline.report.postmortems.len(), local.postmortems.len());
+    let soc_side = |postmortem: &str| {
+        let parsed = json::parse(postmortem).expect("postmortem is valid JSON");
+        let field = |key| parsed.get(key).cloned().expect(key);
+        (
+            field("reason"),
+            field("recent_events"),
+            field("attribution"),
+        )
+    };
+    for (local, inline) in local.postmortems.iter().zip(&inline.report.postmortems) {
+        let local = soc_side(local);
+        let events = local.1.as_array().expect("an event array");
+        assert!(!events.is_empty(), "the in-process SoC recorded events");
+        assert_eq!(soc_side(inline), local);
+    }
 }
