@@ -10,11 +10,10 @@
 
 use rose_socsim::gemmini::ConvShape;
 use rose_socsim::kernel::ElemKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The DNN controller variants of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DnnModel {
     /// 6-layer ResNet: fastest, least accurate.
     ResNet6,
@@ -43,7 +42,7 @@ impl fmt::Display for DnnModel {
 }
 
 /// Architecture description of one variant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResNetSpec {
     /// Input tensor shape (C, H, W).
     pub input: (usize, usize, usize),
@@ -129,7 +128,7 @@ impl DnnModel {
 }
 
 /// A shape-only operator, sufficient for timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// A convolution (runs on the accelerator when present).
     Conv(ConvShape),
@@ -162,7 +161,7 @@ pub enum PlanOp {
 }
 
 /// A complete shape-only inference description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferencePlan {
     name: String,
     ops: Vec<PlanOp>,

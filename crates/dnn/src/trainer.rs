@@ -10,10 +10,9 @@
 //! enough to run inside the test suite.
 
 use rose_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One training example: a feature vector and its two class labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Example {
     /// Feature vector.
     pub features: Vec<f32>,
@@ -40,7 +39,7 @@ impl Example {
 }
 
 /// Hyperparameters for head training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate.
     pub learning_rate: f32,
@@ -64,7 +63,7 @@ impl Default for TrainConfig {
 }
 
 /// A single 3-class softmax head under training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxHead {
     /// Weights, shape (3, d).
     weights: Vec<f32>,
@@ -146,7 +145,7 @@ impl SoftmaxHead {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Final-epoch mean cross-entropy of the angular head.
     pub angular_loss: f32,

@@ -9,11 +9,10 @@
 //! and `pose` for the ground truth the evaluation logs.
 
 use rose_sim_core::math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A velocity-level control target, as sent from the companion computer to
 /// the flight controller (angular and linear velocity targets, Section 4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VelocityTarget {
     /// Forward velocity target in the body frame (m/s).
     pub forward: f64,
@@ -48,7 +47,7 @@ impl VelocityTarget {
 }
 
 /// The UAV's ground-truth pose, for logging and evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pose {
     /// World position (m).
     pub position: Vec3,

@@ -15,10 +15,9 @@
 
 use crate::world::{World, P2};
 use rose_sim_core::math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Camera intrinsics and image geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraConfig {
     /// Image width in pixels.
     pub width: usize,
@@ -43,7 +42,7 @@ impl Default for CameraConfig {
 }
 
 /// A grayscale image (row-major, `height * width` bytes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     width: usize,
     height: usize,

@@ -9,13 +9,12 @@
 
 use rose_sim_core::math::{Quat, Vec3};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Gravitational acceleration (m/s²).
 pub const GRAVITY: f64 = 9.80665;
 
 /// Physical parameters of the simulated quadrotor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadrotorParams {
     /// Vehicle mass in kg.
     pub mass: f64,
@@ -67,7 +66,7 @@ impl QuadrotorParams {
 }
 
 /// The full rigid-body state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RigidBodyState {
     /// World-frame position (m). Z is up; the floor is z = 0.
     pub position: Vec3,
@@ -129,7 +128,7 @@ impl RigidBodyState {
 ///
 /// Motor order: front-left, front-right, rear-left, rear-right.
 /// Front-left and rear-right spin counterclockwise.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MotorCommand(pub [f64; 4]);
 
 impl MotorCommand {
@@ -145,7 +144,7 @@ impl MotorCommand {
 }
 
 /// The quadrotor body: parameters plus integrable state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuadrotorBody {
     params: QuadrotorParams,
     state: RigidBodyState,

@@ -22,11 +22,10 @@
 //! resumed mission rebuilds its `World` from the mission config.
 
 use rose_sim_core::math::{clamp, wrap_angle, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 2-D point in the horizontal plane.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct P2 {
     /// X coordinate (along the corridor).
     pub x: f64,
@@ -54,7 +53,7 @@ impl P2 {
 }
 
 /// A wall: a 2-D segment extruded vertically from the floor to `height`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wall {
     /// Segment start.
     pub a: P2,
@@ -106,7 +105,7 @@ impl Wall {
 }
 
 /// Which built-in environment a [`World`] was generated from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorldKind {
     /// Straight 50 m × 3.2 m corridor.
     Tunnel,
@@ -131,7 +130,7 @@ impl fmt::Display for WorldKind {
 }
 
 /// Ground-truth relation of a pose to the corridor centerline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrailQuery {
     /// Signed lateral offset from the centerline in meters. Positive means
     /// the UAV is to the **left** of the trail (trail appears to its right).
@@ -283,7 +282,7 @@ fn dda_axis(origin: f64, d: f64, lo: f64, cell: f64, i: usize) -> (isize, f64, f
 }
 
 /// An environment: walls, a centerline, and mission geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct World {
     kind: WorldKind,
     walls: Vec<Wall>,

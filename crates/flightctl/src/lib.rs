@@ -31,12 +31,11 @@ use rose_envsim::Autopilot;
 use rose_sim_core::math::{clamp, Vec3};
 use rose_sim_core::pid::{Pid, PidConfig};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 pub use mixer::Mixer;
 
 /// Gains and limits for the SimpleFlight cascade.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimpleFlightConfig {
     /// Horizontal velocity loop gains (output: desired acceleration m/s²).
     pub vel_xy: PidConfig,

@@ -366,6 +366,20 @@ impl<T: Transport> FaultyTransport<T> {
         Ok(())
     }
 
+    /// Consumes one receive from the stall window, if open: the receive
+    /// times out.
+    fn stall_op(&mut self) -> Result<(), TransportError> {
+        if self.stall_ops > 0 {
+            self.stall_ops -= 1;
+            self.stats.stalled_ops += 1;
+            return Err(TransportError::Io(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "injected stall",
+            )));
+        }
+        Ok(())
+    }
+
     /// Sends any held (reordered) packet before a packet that must not
     /// overtake data.
     fn flush_held(&mut self) -> Result<(), TransportError> {
@@ -452,28 +466,14 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     fn try_recv(&mut self) -> Result<Option<Packet>, TransportError> {
         self.arm();
         self.disconnect_op()?;
-        if self.stall_ops > 0 {
-            self.stall_ops -= 1;
-            self.stats.stalled_ops += 1;
-            return Err(TransportError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "injected stall",
-            )));
-        }
+        self.stall_op()?;
         self.inner.try_recv()
     }
 
     fn recv(&mut self) -> Result<Packet, TransportError> {
         self.arm();
         self.disconnect_op()?;
-        if self.stall_ops > 0 {
-            self.stall_ops -= 1;
-            self.stats.stalled_ops += 1;
-            return Err(TransportError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "injected stall",
-            )));
-        }
+        self.stall_op()?;
         self.inner.recv()
     }
 

@@ -19,7 +19,7 @@
 //! handshake: each side announces the next data sequence number it
 //! expects and the last quantum it has completed.
 
-use bytes::{Buf, BufMut};
+use rose_sim_core::snap::{SnapError, SnapReader};
 use std::fmt;
 
 /// Wire packet type tags.
@@ -106,35 +106,32 @@ impl std::error::Error for DecodeError {}
 impl Packet {
     /// Serializes the packet onto the end of `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
+        let mut header = |tag: u8, len: u32| {
+            buf.push(tag);
+            buf.extend_from_slice(&len.to_le_bytes());
+        };
         match self {
             Packet::GrantCycles { cycles, quantum } => {
-                buf.put_u8(TAG_GRANT);
-                buf.put_u32_le(16);
-                buf.put_u64_le(*cycles);
-                buf.put_u64_le(*quantum);
+                header(TAG_GRANT, 16);
+                buf.extend_from_slice(&cycles.to_le_bytes());
+                buf.extend_from_slice(&quantum.to_le_bytes());
             }
             Packet::CyclesDone { cycles, quantum } => {
-                buf.put_u8(TAG_CYCLES_DONE);
-                buf.put_u32_le(16);
-                buf.put_u64_le(*cycles);
-                buf.put_u64_le(*quantum);
+                header(TAG_CYCLES_DONE, 16);
+                buf.extend_from_slice(&cycles.to_le_bytes());
+                buf.extend_from_slice(&quantum.to_le_bytes());
             }
             Packet::Data { seq, payload } => {
-                buf.put_u8(TAG_DATA);
                 // rose-lint: allow(CAST001, payload length is bounded by MAX_PAYLOAD well below u32::MAX)
-                buf.put_u32_le(4 + payload.len() as u32);
-                buf.put_u32_le(*seq);
-                buf.put_slice(payload);
+                header(TAG_DATA, 4 + payload.len() as u32);
+                buf.extend_from_slice(&seq.to_le_bytes());
+                buf.extend_from_slice(payload);
             }
-            Packet::Shutdown => {
-                buf.put_u8(TAG_SHUTDOWN);
-                buf.put_u32_le(0);
-            }
+            Packet::Shutdown => header(TAG_SHUTDOWN, 0),
             Packet::Resync { expect_rx, quantum } => {
-                buf.put_u8(TAG_RESYNC);
-                buf.put_u32_le(12);
-                buf.put_u32_le(*expect_rx);
-                buf.put_u64_le(*quantum);
+                header(TAG_RESYNC, 12);
+                buf.extend_from_slice(&expect_rx.to_le_bytes());
+                buf.extend_from_slice(&quantum.to_le_bytes());
             }
         }
     }
@@ -154,12 +151,12 @@ impl Packet {
     /// [`DecodeError::Incomplete`] if more bytes are needed;
     /// [`DecodeError::BadTag`]/[`DecodeError::BadLength`] on corrupt input.
     pub fn decode(buf: &[u8]) -> Result<(Packet, usize), DecodeError> {
-        if buf.len() < HEADER_LEN {
+        let mut r = SnapReader::new(buf);
+        let (Ok(tag), Ok(len)) = (r.u8(), r.u32()) else {
             return Err(DecodeError::Incomplete);
-        }
-        let tag = buf[0];
+        };
         // rose-lint: allow(CAST001, u32 to usize widens on supported targets and len is bounds-checked on the next line)
-        let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
+        let len = len as usize;
         if len > MAX_PAYLOAD {
             return Err(DecodeError::BadLength(len));
         }
@@ -179,31 +176,38 @@ impl Packet {
             TAG_DATA => {}
             t => return Err(DecodeError::BadTag(t)),
         }
-        let Some(mut payload) = buf.get(HEADER_LEN..HEADER_LEN + len) else {
-            return Err(DecodeError::Incomplete);
-        };
-        let packet = match tag {
+        let payload = r.raw(len).map_err(|_| DecodeError::Incomplete)?;
+        // The length checks above keep every field read in bounds.
+        let packet =
+            Packet::decode_payload(tag, payload).map_err(|_| DecodeError::BadLength(len))?;
+        Ok((packet, HEADER_LEN + len))
+    }
+
+    /// Decodes the payload of a packet whose tag and length `decode` has
+    /// already validated.
+    fn decode_payload(tag: u8, payload: &[u8]) -> Result<Packet, SnapError> {
+        let mut p = SnapReader::new(payload);
+        Ok(match tag {
             TAG_GRANT => Packet::GrantCycles {
-                cycles: payload.get_u64_le(),
-                quantum: payload.get_u64_le(),
+                cycles: p.u64()?,
+                quantum: p.u64()?,
             },
             TAG_CYCLES_DONE => Packet::CyclesDone {
-                cycles: payload.get_u64_le(),
-                quantum: payload.get_u64_le(),
+                cycles: p.u64()?,
+                quantum: p.u64()?,
             },
             TAG_DATA => Packet::Data {
-                seq: payload.get_u32_le(),
-                payload: payload.to_vec(),
+                seq: p.u32()?,
+                payload: p.raw(p.remaining())?.to_vec(),
             },
             TAG_SHUTDOWN => Packet::Shutdown,
             TAG_RESYNC => Packet::Resync {
-                expect_rx: payload.get_u32_le(),
-                quantum: payload.get_u64_le(),
+                expect_rx: p.u32()?,
+                quantum: p.u64()?,
             },
-            // rose-lint: allow(PANIC001, the match above already rejected every tag outside this set via DecodeError::BadTag)
-            _ => unreachable!("tag validated above"),
-        };
-        Ok((packet, HEADER_LEN + len))
+            // rose-lint: allow(PANIC001, decode already rejected every tag outside this set via DecodeError::BadTag)
+            _ => unreachable!("tag validated by decode"),
+        })
     }
 
     /// The packet kind as a static label (protocol-error reporting).
@@ -222,47 +226,54 @@ impl Packet {
 mod tests {
     use super::*;
 
-    fn roundtrip(pkt: Packet) {
-        let buf = pkt.to_bytes();
-        let (decoded, used) = Packet::decode(&buf).expect("decode");
-        assert_eq!(decoded, pkt);
-        assert_eq!(used, buf.len(), "decode must consume the packet");
+    /// One packet of every variant, data both with and without a payload.
+    fn every_variant() -> Vec<Packet> {
+        vec![
+            Packet::GrantCycles {
+                cycles: 16_666_666,
+                quantum: 0,
+            },
+            Packet::CyclesDone {
+                cycles: 1,
+                quantum: u64::MAX,
+            },
+            Packet::Data {
+                seq: 7,
+                payload: vec![7; 100],
+            },
+            Packet::Data {
+                seq: u32::MAX,
+                payload: vec![],
+            },
+            Packet::Shutdown,
+            Packet::Resync {
+                expect_rx: 42,
+                quantum: 9,
+            },
+        ]
     }
 
     #[test]
     fn roundtrip_all_variants() {
-        roundtrip(Packet::GrantCycles {
-            cycles: 16_666_666,
-            quantum: 0,
-        });
-        roundtrip(Packet::CyclesDone {
-            cycles: 1,
-            quantum: u64::MAX,
-        });
-        roundtrip(Packet::Data {
-            seq: 7,
-            payload: vec![1, 2, 3, 4, 5],
-        });
-        roundtrip(Packet::Data {
-            seq: u32::MAX,
-            payload: vec![],
-        });
-        roundtrip(Packet::Shutdown);
-        roundtrip(Packet::Resync {
-            expect_rx: 42,
-            quantum: 9,
-        });
+        for pkt in every_variant() {
+            let buf = pkt.to_bytes();
+            let (decoded, used) = Packet::decode(&buf).expect("decode");
+            assert_eq!(decoded, pkt);
+            assert_eq!(used, buf.len(), "decode must consume the packet");
+        }
     }
 
     #[test]
     fn incomplete_buffers_wait_for_more() {
-        let full = Packet::Data {
-            seq: 3,
-            payload: vec![7; 100],
-        }
-        .to_bytes();
-        for cut in [0, 1, 4, HEADER_LEN, HEADER_LEN + 50, full.len() - 1] {
-            assert_eq!(Packet::decode(&full[..cut]), Err(DecodeError::Incomplete));
+        for pkt in every_variant() {
+            let full = pkt.to_bytes();
+            for cut in 0..full.len() {
+                assert_eq!(
+                    Packet::decode(&full[..cut]),
+                    Err(DecodeError::Incomplete),
+                    "{pkt:?} cut at {cut}"
+                );
+            }
         }
     }
 

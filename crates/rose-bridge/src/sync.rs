@@ -28,7 +28,6 @@ use crate::transport::{Transport, TransportError};
 use rose_sim_core::cycles::SyncRatio;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{ArgValue, Phase, Profiler, Stopwatch, TraceEvent, Tracer, Track};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::time::Duration;
@@ -110,7 +109,7 @@ pub trait RtlSide {
 /// how patient the policy was, independent of host scheduling. Disconnect
 /// errors additionally trigger [`Transport::reconnect`] plus the
 /// sequence-resync handshake before the retry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Transient failures absorbed per quantum before latching.
     pub max_retries: u32,
@@ -178,7 +177,7 @@ pub struct RecoveryStats {
 /// snapshots encode it as one byte (so existing snapshot bytes keep
 /// decoding) and because callers still name both variants in their
 /// configurations (DESIGN.md §4a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
     /// Snapshot byte 0.
     Sequential,
@@ -189,7 +188,7 @@ pub enum SyncMode {
 rose_sim_core::snap_tag!(SyncMode { Sequential = 0, Parallel = 1 });
 
 /// Synchronization configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncConfig {
     /// The clock-domain ratio (Equation 1).
     pub ratio: SyncRatio,
@@ -674,6 +673,16 @@ impl<T: Transport> RemoteRtl<T> {
         }
     }
 
+    /// Delivers one inbound data packet to the inbox and advances the
+    /// dedupe floor past it; a packet below the floor is a retransmitted
+    /// duplicate and is dropped.
+    fn accept_data(&mut self, seq: u32, payload: Vec<u8>) {
+        if seq >= self.expect_rx {
+            self.inbox.push(payload);
+            self.expect_rx = seq.wrapping_add(1);
+        }
+    }
+
     /// One attempt at the current quantum: (re)transmit buffered data,
     /// send the grant, and wait for the completion. Safe to repeat — the
     /// server deduplicates data by sequence number and answers a repeated
@@ -696,13 +705,7 @@ impl<T: Transport> RemoteRtl<T> {
         // winding the mission down at the next sync boundary.
         loop {
             match self.transport.recv()? {
-                Packet::Data { seq, payload } => {
-                    if seq >= self.expect_rx {
-                        self.inbox.push(payload);
-                        self.expect_rx = seq.wrapping_add(1);
-                    }
-                    // seq < expect_rx: a retransmitted duplicate — drop.
-                }
+                Packet::Data { seq, payload } => self.accept_data(seq, payload),
                 Packet::CyclesDone { quantum, .. } => {
                     if quantum == self.quantum {
                         return Ok(QuantumOutcome::Done);
@@ -750,12 +753,7 @@ impl<T: Transport> RemoteRtl<T> {
                     self.unacked.retain(|(seq, _)| *seq >= peer_expect);
                     return Ok(());
                 }
-                Packet::Data { seq, payload } => {
-                    if seq >= self.expect_rx {
-                        self.inbox.push(payload);
-                        self.expect_rx = seq.wrapping_add(1);
-                    }
-                }
+                Packet::Data { seq, payload } => self.accept_data(seq, payload),
                 Packet::CyclesDone { .. } => {}
                 Packet::Shutdown => {
                     self.halted = true;

@@ -23,12 +23,11 @@ use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_socsim::program::{ProgContext, TargetProgram};
 use rose_socsim::TargetOp;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Controller gains β of Equation 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlGains {
     /// β_l: lateral velocity per unit class-probability difference (m/s).
     pub beta_lateral: f64,
@@ -70,7 +69,7 @@ impl ControlGains {
 }
 
 /// Which controller runs on the companion computer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControllerChoice {
     /// A single fixed DNN.
     Static(DnnModel),

@@ -29,12 +29,11 @@ use rose_sim_core::rng::SimRng;
 use rose_socsim::kernel::Kernel;
 use rose_socsim::program::{ProgContext, TargetProgram};
 use rose_socsim::TargetOp;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Fusion-controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusionConfig {
     /// The vision backbone.
     pub image_model: DnnModel,

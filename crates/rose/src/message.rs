@@ -18,12 +18,11 @@
 //! with a trained network; we ride the ground truth along the same data
 //! path so the closed loop sees identical message sizes and timing.
 
-use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
 /// Ground-truth pose of the UAV relative to the trail at capture time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrailInfo {
     /// Signed lateral offset in meters (positive = UAV left of trail).
     pub lateral_offset: f64,
@@ -37,7 +36,7 @@ pub struct TrailInfo {
 
 impl TrailInfo {
     /// Serializes the trail estimate.
-    pub fn save_state(&self, w: &mut rose_sim_core::snap::SnapWriter) {
+    pub fn save_state(&self, w: &mut SnapWriter) {
         let TrailInfo {
             lateral_offset,
             heading_error,
@@ -54,11 +53,8 @@ impl TrailInfo {
     ///
     /// # Errors
     ///
-    /// Propagates [`rose_sim_core::snap::SnapError`] on a malformed
-    /// snapshot.
-    pub fn restore_state(
-        r: &mut rose_sim_core::snap::SnapReader<'_>,
-    ) -> Result<TrailInfo, rose_sim_core::snap::SnapError> {
+    /// Propagates [`SnapError`] on a malformed snapshot.
+    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<TrailInfo, SnapError> {
         Ok(TrailInfo {
             lateral_offset: r.f64()?,
             heading_error: r.f64()?,
@@ -69,7 +65,7 @@ impl TrailInfo {
 }
 
 /// An application-level message carried in a data packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AppMessage {
     /// SoC → env: capture a camera frame.
     ImageRequest,
@@ -141,6 +137,21 @@ impl fmt::Display for MessageError {
 
 impl std::error::Error for MessageError {}
 
+/// A message's fields are fixed-width or sized by an earlier field, so the
+/// only way their reads fail is by running off the end of the payload.
+impl From<SnapError> for MessageError {
+    fn from(_: SnapError) -> MessageError {
+        MessageError::Truncated
+    }
+}
+
+/// Appends `vals` as little-endian `f64` bit patterns.
+fn put_f64s(buf: &mut Vec<u8>, vals: &[f64]) {
+    for v in vals {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
 impl AppMessage {
     /// Length of the encoded message in bytes: the tag plus its fields.
     fn encoded_len(&self) -> usize {
@@ -157,14 +168,13 @@ impl AppMessage {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
         match self {
-            AppMessage::ImageRequest => buf.put_u8(TAG_IMAGE_REQ),
-            AppMessage::DepthRequest => buf.put_u8(TAG_DEPTH_REQ),
-            AppMessage::ImuRequest => buf.put_u8(TAG_IMU_REQ),
+            AppMessage::ImageRequest => buf.push(TAG_IMAGE_REQ),
+            AppMessage::DepthRequest => buf.push(TAG_DEPTH_REQ),
+            AppMessage::ImuRequest => buf.push(TAG_IMU_REQ),
             AppMessage::Imu { accel, gyro } => {
-                buf.put_u8(TAG_IMU);
-                for v in accel.iter().chain(gyro) {
-                    buf.put_f64_le(*v);
-                }
+                buf.push(TAG_IMU);
+                put_f64s(&mut buf, accel);
+                put_f64s(&mut buf, gyro);
             }
             AppMessage::Image {
                 width,
@@ -172,19 +182,26 @@ impl AppMessage {
                 pixels,
                 trail,
             } => {
-                buf.put_u8(TAG_IMAGE);
-                buf.put_u16_le(*width);
-                buf.put_u16_le(*height);
-                buf.put_u32_le(pixels.len() as u32);
-                buf.put_slice(pixels);
-                buf.put_f64_le(trail.lateral_offset);
-                buf.put_f64_le(trail.heading_error);
-                buf.put_f64_le(trail.half_width);
-                buf.put_f64_le(trail.progress);
+                buf.push(TAG_IMAGE);
+                buf.extend_from_slice(&width.to_le_bytes());
+                buf.extend_from_slice(&height.to_le_bytes());
+                buf.extend_from_slice(&(pixels.len() as u32).to_le_bytes());
+                buf.extend_from_slice(pixels);
+                // The rider's layout is `TrailInfo::save_state`'s, which
+                // `decode` reads back through `restore_state`.
+                put_f64s(
+                    &mut buf,
+                    &[
+                        trail.lateral_offset,
+                        trail.heading_error,
+                        trail.half_width,
+                        trail.progress,
+                    ],
+                );
             }
             AppMessage::Depth { depth } => {
-                buf.put_u8(TAG_DEPTH);
-                buf.put_f64_le(*depth);
+                buf.push(TAG_DEPTH);
+                put_f64s(&mut buf, &[*depth]);
             }
             AppMessage::Command {
                 forward,
@@ -192,11 +209,8 @@ impl AppMessage {
                 yaw_rate,
                 altitude,
             } => {
-                buf.put_u8(TAG_COMMAND);
-                buf.put_f64_le(*forward);
-                buf.put_f64_le(*lateral);
-                buf.put_f64_le(*yaw_rate);
-                buf.put_f64_le(*altitude);
+                buf.push(TAG_COMMAND);
+                put_f64s(&mut buf, &[*forward, *lateral, *yaw_rate, *altitude]);
             }
         }
         buf
@@ -209,71 +223,35 @@ impl AppMessage {
     /// [`MessageError::Truncated`] or [`MessageError::BadTag`] on corrupt
     /// payloads.
     pub fn decode(bytes: &[u8]) -> Result<AppMessage, MessageError> {
-        let mut buf = bytes;
-        if buf.is_empty() {
-            return Err(MessageError::Truncated);
-        }
-        let tag = buf.get_u8();
-        let need = |buf: &&[u8], n: usize| {
-            if buf.len() < n {
-                Err(MessageError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        match tag {
-            TAG_IMAGE_REQ => Ok(AppMessage::ImageRequest),
-            TAG_DEPTH_REQ => Ok(AppMessage::DepthRequest),
-            TAG_IMU_REQ => Ok(AppMessage::ImuRequest),
-            TAG_IMU => {
-                need(&buf, 48)?;
-                let mut vals = [0.0f64; 6];
-                for v in &mut vals {
-                    *v = buf.get_f64_le();
-                }
-                Ok(AppMessage::Imu {
-                    accel: [vals[0], vals[1], vals[2]],
-                    gyro: [vals[3], vals[4], vals[5]],
-                })
-            }
+        let mut r = SnapReader::new(bytes);
+        Ok(match r.u8()? {
+            TAG_IMAGE_REQ => AppMessage::ImageRequest,
+            TAG_DEPTH_REQ => AppMessage::DepthRequest,
+            TAG_IMU_REQ => AppMessage::ImuRequest,
+            TAG_IMU => AppMessage::Imu {
+                accel: [r.f64()?, r.f64()?, r.f64()?],
+                gyro: [r.f64()?, r.f64()?, r.f64()?],
+            },
             TAG_IMAGE => {
-                need(&buf, 8)?;
-                let width = buf.get_u16_le();
-                let height = buf.get_u16_le();
-                let len = buf.get_u32_le() as usize;
-                need(&buf, len + 32)?;
-                let pixels = buf[..len].to_vec();
-                buf.advance(len);
-                let trail = TrailInfo {
-                    lateral_offset: buf.get_f64_le(),
-                    heading_error: buf.get_f64_le(),
-                    half_width: buf.get_f64_le(),
-                    progress: buf.get_f64_le(),
-                };
-                Ok(AppMessage::Image {
+                let width = r.u16()?;
+                let height = r.u16()?;
+                let len = r.u32()? as usize;
+                AppMessage::Image {
                     width,
                     height,
-                    pixels,
-                    trail,
-                })
+                    pixels: r.raw(len)?.to_vec(),
+                    trail: TrailInfo::restore_state(&mut r)?,
+                }
             }
-            TAG_DEPTH => {
-                need(&buf, 8)?;
-                Ok(AppMessage::Depth {
-                    depth: buf.get_f64_le(),
-                })
-            }
-            TAG_COMMAND => {
-                need(&buf, 32)?;
-                Ok(AppMessage::Command {
-                    forward: buf.get_f64_le(),
-                    lateral: buf.get_f64_le(),
-                    yaw_rate: buf.get_f64_le(),
-                    altitude: buf.get_f64_le(),
-                })
-            }
-            t => Err(MessageError::BadTag(t)),
-        }
+            TAG_DEPTH => AppMessage::Depth { depth: r.f64()? },
+            TAG_COMMAND => AppMessage::Command {
+                forward: r.f64()?,
+                lateral: r.f64()?,
+                yaw_rate: r.f64()?,
+                altitude: r.f64()?,
+            },
+            t => return Err(MessageError::BadTag(t)),
+        })
     }
 }
 
@@ -281,56 +259,75 @@ impl AppMessage {
 mod tests {
     use super::*;
 
-    fn roundtrip(msg: AppMessage) {
-        let bytes = msg.encode();
-        assert_eq!(bytes.len(), msg.encoded_len(), "reserved size is exact");
-        assert_eq!(AppMessage::decode(&bytes), Ok(msg));
+    /// One message of every variant.
+    fn every_variant() -> Vec<AppMessage> {
+        vec![
+            AppMessage::ImageRequest,
+            AppMessage::DepthRequest,
+            AppMessage::ImuRequest,
+            AppMessage::Imu {
+                accel: [0.1, -9.81, 0.3],
+                gyro: [-0.02, 0.0, 1.5],
+            },
+            AppMessage::Image {
+                width: 64,
+                height: 64,
+                pixels: (0..4096u32).map(|i| (i % 251) as u8).collect(),
+                trail: TrailInfo {
+                    lateral_offset: -0.4,
+                    heading_error: 0.12,
+                    half_width: 1.6,
+                    progress: 23.5,
+                },
+            },
+            AppMessage::Depth { depth: 17.25 },
+            AppMessage::Command {
+                forward: 3.0,
+                lateral: -0.5,
+                yaw_rate: 0.2,
+                altitude: 1.5,
+            },
+        ]
     }
 
     #[test]
     fn roundtrip_all_variants() {
-        roundtrip(AppMessage::ImageRequest);
-        roundtrip(AppMessage::DepthRequest);
-        roundtrip(AppMessage::ImuRequest);
-        roundtrip(AppMessage::Imu {
-            accel: [0.1, -9.81, 0.3],
-            gyro: [-0.02, 0.0, 1.5],
-        });
-        roundtrip(AppMessage::Image {
-            width: 64,
-            height: 64,
-            pixels: (0..4096u32).map(|i| (i % 251) as u8).collect(),
-            trail: TrailInfo {
-                lateral_offset: -0.4,
-                heading_error: 0.12,
-                half_width: 1.6,
-                progress: 23.5,
-            },
-        });
-        roundtrip(AppMessage::Depth { depth: 17.25 });
-        roundtrip(AppMessage::Command {
-            forward: 3.0,
-            lateral: -0.5,
-            yaw_rate: 0.2,
-            altitude: 1.5,
-        });
+        for msg in every_variant() {
+            let bytes = msg.encode();
+            assert_eq!(bytes.len(), msg.encoded_len(), "reserved size is exact");
+            assert_eq!(AppMessage::decode(&bytes), Ok(msg));
+        }
     }
 
     #[test]
     fn truncated_rejected() {
-        let full = AppMessage::Command {
-            forward: 1.0,
-            lateral: 2.0,
-            yaw_rate: 3.0,
-            altitude: 4.0,
+        for msg in every_variant() {
+            let full = msg.encode();
+            for cut in 0..full.len() {
+                assert_eq!(
+                    AppMessage::decode(&full[..cut]),
+                    Err(MessageError::Truncated),
+                    "{msg:?} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn image_pixel_count_past_the_end_rejected() {
+        let mut raw = AppMessage::Image {
+            width: 2,
+            height: 2,
+            pixels: vec![1, 2, 3, 4],
+            trail: TrailInfo::default(),
         }
         .encode();
-        for cut in [0, 1, 16, full.len() - 1] {
-            assert_eq!(
-                AppMessage::decode(&full[..cut]),
-                Err(MessageError::Truncated)
-            );
-        }
+        // The pixel count sits after the tag and both dimensions.
+        raw[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(AppMessage::decode(&raw), Err(MessageError::Truncated));
+        // One pixel too many leaves the rider a byte short.
+        raw[5..9].copy_from_slice(&5u32.to_le_bytes());
+        assert_eq!(AppMessage::decode(&raw), Err(MessageError::Truncated));
     }
 
     #[test]

@@ -20,11 +20,10 @@ use rose_sim_core::math::clamp;
 use rose_socsim::kernel::Kernel;
 use rose_socsim::program::{ProgContext, TargetProgram};
 use rose_socsim::TargetOp;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpcConfig {
     /// Prediction horizon (steps).
     pub horizon: usize,
@@ -64,7 +63,7 @@ impl Default for MpcConfig {
 }
 
 /// The result of one solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MpcSolution {
     /// Optimized yaw-rate sequence.
     pub controls: Vec<f64>,
@@ -75,7 +74,7 @@ pub struct MpcSolution {
 }
 
 /// The corridor-tracking trajectory optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpcSolver {
     config: MpcConfig,
 }

@@ -16,14 +16,13 @@
 //! [`SyncRatio`] encodes that relation and is the single source of truth for
 //! converting between domains.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The clock frequency of the simulated SoC.
 ///
 /// A property of the physical SoC being designed (Section 3.4.1); the default
 /// target used throughout the paper's evaluation is 1 GHz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockSpec {
     hz: u64,
 }
@@ -70,7 +69,7 @@ impl fmt::Display for ClockSpec {
 /// The physics/render update rate of the environment simulator.
 ///
 /// A tunable simulation parameter (typically 60–120 Hz).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameSpec {
     hz: u32,
 }
@@ -116,7 +115,7 @@ impl fmt::Display for FrameSpec {
 /// synchronization period is expressed as `(frames, frames *
 /// cycles_per_frame)` so both simulators observe events at corresponding
 /// simulation times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SyncRatio {
     clock: ClockSpec,
     frames: FrameSpec,

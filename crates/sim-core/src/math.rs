@@ -5,11 +5,10 @@
 //! the corridor, Y left/right (lateral), Z up. Yaw is rotation about +Z.
 
 use crate::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component vector of `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component (forward).
     pub x: f64,
@@ -159,7 +158,7 @@ impl Neg for Vec3 {
 }
 
 /// A unit quaternion representing a 3-D rotation (w + xi + yj + zk).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     /// Scalar part.
     pub w: f64,

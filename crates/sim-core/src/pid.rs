@@ -5,10 +5,9 @@
 //! attack targets.
 
 use crate::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// PID gains and limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     /// Proportional gain.
     pub kp: f64,
@@ -75,7 +74,7 @@ impl PidConfig {
 /// let u = pid.update(1.0 /* target */, 0.0 /* measured */, 0.01 /* dt */);
 /// assert!(u > 0.0 && u <= 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pid {
     config: PidConfig,
     integral: f64,

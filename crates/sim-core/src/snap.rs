@@ -269,7 +269,13 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
+    /// Reads the next `n` bytes as they are, with no length prefix: a
+    /// field whose size the caller already knows.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] if fewer than `n` bytes remain.
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
             return Err(SnapError::Truncated {
                 wanted: n,
@@ -304,7 +310,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] if the buffer is exhausted.
     pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
+        Ok(self.raw(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
@@ -313,8 +319,8 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] if the buffer is exhausted.
     pub fn u16(&mut self) -> Result<u16, SnapError> {
-        // rose-lint: allow(PANIC002, take(2) returned exactly 2 bytes; the conversion is infallible)
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
+        // rose-lint: allow(PANIC002, raw(2) returned exactly 2 bytes; the conversion is infallible)
+        Ok(u16::from_le_bytes(self.raw(2)?.try_into().expect("len 2")))
     }
 
     /// Reads a little-endian `u32`.
@@ -323,8 +329,8 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] if the buffer is exhausted.
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        // rose-lint: allow(PANIC002, take(4) returned exactly 4 bytes; the conversion is infallible)
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
+        // rose-lint: allow(PANIC002, raw(4) returned exactly 4 bytes; the conversion is infallible)
+        Ok(u32::from_le_bytes(self.raw(4)?.try_into().expect("len 4")))
     }
 
     /// Reads a little-endian `u64`.
@@ -333,8 +339,8 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] if the buffer is exhausted.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        // rose-lint: allow(PANIC002, take(8) returned exactly 8 bytes; the conversion is infallible)
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        // rose-lint: allow(PANIC002, raw(8) returned exactly 8 bytes; the conversion is infallible)
+        Ok(u64::from_le_bytes(self.raw(8)?.try_into().expect("len 8")))
     }
 
     /// Reads a little-endian `i64`.
@@ -343,7 +349,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] if the buffer is exhausted.
     pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        Ok(i64::from_le_bytes(self.raw(8)?.try_into().expect("len 8")))
     }
 
     /// Reads a `usize` written by [`SnapWriter::usize`].
@@ -402,7 +408,7 @@ impl<'a> SnapReader<'a> {
                 available: self.remaining(),
             });
         }
-        Ok(self.take(len as usize)?.to_vec())
+        Ok(self.raw(len as usize)?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.

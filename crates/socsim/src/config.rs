@@ -17,11 +17,10 @@ use crate::gemmini::GemminiConfig;
 use crate::mem::MemConfig;
 use rose_sim_core::cycles::ClockSpec;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which CPU core generator instantiates the companion-computer core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreKind {
     /// 5-stage in-order scalar core (Rocket-class).
     Rocket,
@@ -41,7 +40,7 @@ impl fmt::Display for CoreKind {
 }
 
 /// A full SoC configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocConfig {
     /// Human-readable configuration name ("A", "B", "C", or custom).
     pub name: String,

@@ -17,10 +17,9 @@
 use crate::kernel::{Instr, InstrClass, InstrSink, Kernel, KernelTrace, SAMPLE_BUDGET};
 use crate::mem::MemSystem;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Microarchitectural parameters of a core timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Dispatch width (instructions per cycle).
     pub width: usize,
@@ -121,7 +120,7 @@ fn miss_threshold(p: f64) -> u64 {
 }
 
 /// Aggregate execution counters for one core.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CpuStats {
     /// Dynamic instructions executed (scaled for sampled kernels).
     pub instrs: u64,

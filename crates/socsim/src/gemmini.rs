@@ -14,10 +14,9 @@
 
 use crate::mem::MemSystem;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Systolic array dataflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Weights resident in the mesh; activations stream through.
     WeightStationary,
@@ -28,7 +27,7 @@ pub enum Dataflow {
 rose_sim_core::snap_tag!(Dataflow { WeightStationary = 0, OutputStationary = 1 });
 
 /// Accelerator generator parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemminiConfig {
     /// Mesh rows (PEs).
     pub mesh_rows: usize,
@@ -110,7 +109,7 @@ impl GemminiConfig {
 }
 
 /// A convolution shape (NCHW, square kernels, `same`-style padding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConvShape {
     /// Input channels.
     pub in_c: usize,
@@ -173,7 +172,7 @@ impl ConvShape {
 }
 
 /// The timing result of one accelerator command stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccelRun {
     /// Wall-clock cycles the accelerator run occupied (compute ∪ DMA).
     pub cycles: u64,

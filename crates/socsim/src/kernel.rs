@@ -9,10 +9,9 @@
 //! CPU-only inferences tractable while preserving cache locality patterns.
 
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Functional-unit class of one instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrClass {
     /// Integer ALU op (address arithmetic, compares, logicals).
     IntAlu,
@@ -31,7 +30,7 @@ pub enum InstrClass {
 }
 
 /// One dynamic instruction in a kernel trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instr {
     /// Functional unit used.
     pub class: InstrClass,
@@ -124,7 +123,7 @@ impl Instr {
 }
 
 /// Elementwise operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ElemKind {
     /// `max(0, x)`.
     Relu,
@@ -148,7 +147,7 @@ rose_sim_core::snap_tag!(ElemKind {
 /// Kernels are descriptors: the cycle cost is obtained by expanding the
 /// kernel to an instruction stream and running it through a CPU timing
 /// model against the memory hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Kernel {
     /// Dense f32 matrix multiply `C[m×n] += A[m×k] · B[k×n]`, naive ikj
     /// order (the CPU fallback path for accelerator-less SoCs).

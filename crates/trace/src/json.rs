@@ -1,7 +1,7 @@
 //! A minimal JSON parser for trace validation.
 //!
-//! The workspace builds with no registry access (serde resolves to a no-op
-//! stub), so validating an exported trace — in unit tests, the bench
+//! The workspace builds with no registry access and carries no JSON
+//! library, so validating an exported trace — in unit tests, the bench
 //! harness, and the CI smoke job — needs a real parser here. It is a
 //! straightforward recursive-descent implementation of RFC 8259, built for
 //! correctness on trace-sized inputs rather than speed.

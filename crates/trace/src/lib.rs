@@ -21,8 +21,8 @@
 //!   that dumps self-contained JSON on collision / deadline miss /
 //!   transport fault, with span-walk attribution.
 //! - [`json`] — a dependency-free JSON parser used to validate emitted
-//!   traces in tests and CI (the workspace builds offline; serde here is a
-//!   no-op stub).
+//!   traces in tests and CI (the workspace builds offline, with no JSON
+//!   library).
 //!
 //! The crate keeps no counters of its own: the simulators' stats structs
 //! hold them, and `rose::mission::MissionReport::metrics_csv` lists them

@@ -1,16 +1,1 @@
-//! Offline stub of `serde`.
-//!
-//! Provides the `Serialize`/`Deserialize` names in both the macro namespace
-//! (no-op derives, see the sibling `serde_derive` stub) and the trait
-//! namespace, so `use serde::{Deserialize, Serialize};` plus
-//! `#[derive(Serialize, Deserialize)]` compile unchanged without crates.io
-//! access. No code in this workspace calls serialization functions; the
-//! derives are forward-looking markers only.
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Marker trait standing in for `serde::Serialize`.
-pub trait Serialize {}
-
-/// Marker trait standing in for `serde::Deserialize`.
-pub trait Deserialize<'de>: Sized {}
+//! Empty: kept only so the benchmark package's frozen `Cargo.lock` still resolves.

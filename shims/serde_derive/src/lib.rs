@@ -1,21 +1,1 @@
-//! Offline stub of `serde_derive`.
-//!
-//! The container this workspace builds in has no access to crates.io, and
-//! nothing in the workspace actually serializes anything (the derives only
-//! mark types as serializable for future wire formats). These derive macros
-//! therefore expand to nothing: `#[derive(Serialize, Deserialize)]` stays
-//! legal on every type while generating zero code.
-
-use proc_macro::TokenStream;
-
-/// No-op stand-in for `serde_derive::Serialize`.
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-/// No-op stand-in for `serde_derive::Deserialize`.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
+//! Empty: kept only so the benchmark package's frozen `Cargo.lock` still resolves.
