@@ -7,6 +7,7 @@
 //! taken from the `--jobs N` / `-j N` command-line flag, defaulting to the
 //! machine's available parallelism.
 
+use rose_sim_core::lock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -66,24 +67,16 @@ where
                 if i >= n {
                     break;
                 }
-                let item = inputs[i]
-                    .lock()
-                    .expect("sweep input lock")
-                    .take()
-                    .expect("sweep item taken twice");
+                let item = lock(&inputs[i]).take().expect("sweep item taken twice");
                 let result = f(item);
-                *outputs[i].lock().expect("sweep output lock") = Some(result);
+                *lock(&outputs[i]) = Some(result);
             });
         }
     });
 
     outputs
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep output lock")
-                .expect("sweep item not computed")
-        })
+        .iter()
+        .map(|slot| lock(slot).take().expect("sweep item not computed"))
         .collect()
 }
 

@@ -25,7 +25,7 @@
 
 use crate::packet::Packet;
 use crate::transport::{Transport, TransportError};
-use rose_sim_core::cycles::SyncRatio;
+use rose_sim_core::cycles::{widen, SyncRatio};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{ArgValue, Phase, Profiler, Stopwatch, TraceEvent, Tracer, Track};
 use std::collections::VecDeque;
@@ -408,8 +408,7 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
                 boundary,
                 vec![
                     ("dir", ArgValue::Str(dir)),
-                    // rose-lint: allow(CAST001, usize payload length widens into u64 on every supported target)
-                    ("bytes", ArgValue::U64(bytes as u64)),
+                    ("bytes", ArgValue::U64(widen(bytes))),
                 ],
             );
         }

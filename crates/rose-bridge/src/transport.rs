@@ -31,11 +31,12 @@
 //! them in order.
 
 use crate::packet::{DecodeError, Packet};
+use rose_sim_core::lock;
 use rose_trace::TraceEvent;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// A transport error.
@@ -172,10 +173,7 @@ struct Queue {
 
 impl Queue {
     fn push(&self, packet: Packet) -> Result<(), TransportError> {
-        let mut state = self
-            .state
-            .lock()
-            .map_err(|_| TransportError::Disconnected)?;
+        let mut state = lock(&self.state);
         let (packets, closed) = &mut *state;
         if *closed {
             return Err(TransportError::Disconnected);
@@ -190,10 +188,7 @@ impl Queue {
     /// false. Packets queued before a close are still delivered, then
     /// [`TransportError::Disconnected`] follows.
     fn pop(&self, block: bool) -> Result<Option<Packet>, TransportError> {
-        let mut state = self
-            .state
-            .lock()
-            .map_err(|_| TransportError::Disconnected)?;
+        let mut state = lock(&self.state);
         loop {
             let (packets, closed) = &mut *state;
             if let Some(packet) = packets.pop_front() {
@@ -205,22 +200,18 @@ impl Queue {
             if !block {
                 return Ok(None);
             }
+            // The wait re-takes the lock, so it recovers a poisoned guard
+            // as `lock` does.
             state = self
                 .ready
                 .wait(state)
-                .map_err(|_| TransportError::Disconnected)?;
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Marks the queue closed and wakes every waiting receiver. A poisoned
-    /// lock still closes: the flag cannot be left half-written.
+    /// Marks the queue closed and wakes every waiting receiver.
     fn close(&self) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        state.1 = true;
-        drop(state);
+        lock(&self.state).1 = true;
         self.ready.notify_all();
     }
 }

@@ -15,16 +15,16 @@
 
 use crate::deadline::DeadlineModel;
 use crate::message::{AppMessage, TrailInfo};
-use parking_lot::Mutex;
 use rose_dnn::lower::lower_inference;
 use rose_dnn::perception::PerceptionHead;
 use rose_dnn::DnnModel;
+use rose_sim_core::lock;
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_socsim::program::{ProgContext, TargetProgram};
 use rose_socsim::TargetOp;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Controller gains β of Equation 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -386,7 +386,7 @@ impl TrailNavApp {
             } => {
                 let t_process = self.deadline.t_process(depth, self.velocity);
                 if t_process < threshold_s {
-                    self.metrics.lock().deadline_switches += 1;
+                    lock(&self.metrics).deadline_switches += 1;
                     self.use_argmax = true;
                     fast
                 } else {
@@ -455,7 +455,7 @@ impl TargetProgram for TrailNavApp {
                         // lost in flight. Degrade exactly like a blackout
                         // reading and move on.
                         None if ctx.rx_timed_out() => {
-                            self.metrics.lock().lost_responses += 1;
+                            lock(&self.metrics).lost_responses += 1;
                             self.depth_degraded = true;
                             self.current_model = self.select_model(0.0);
                             self.state = State::RequestImage;
@@ -472,7 +472,7 @@ impl TargetProgram for TrailNavApp {
                                 // Dead-reckon conservatively — assume an
                                 // imminent obstacle so the fast network
                                 // (argmax policy) takes over.
-                                self.metrics.lock().degraded_depth += 1;
+                                lock(&self.metrics).degraded_depth += 1;
                                 self.depth_degraded = true;
                                 self.current_model = self.select_model(0.0);
                             } else {
@@ -493,7 +493,7 @@ impl TargetProgram for TrailNavApp {
                     // estimate rather than wedging behind a response that
                     // will never arrive.
                     None if ctx.rx_timed_out() => {
-                        self.metrics.lock().lost_responses += 1;
+                        lock(&self.metrics).lost_responses += 1;
                         self.depth_degraded = true;
                         self.use_classical = true;
                         self.queue = VecDeque::new();
@@ -528,7 +528,7 @@ impl TargetProgram for TrailNavApp {
                     let latency = ctx.now().saturating_sub(self.request_cycle);
                     let mut missed = false;
                     {
-                        let mut m = self.metrics.lock();
+                        let mut m = lock(&self.metrics);
                         if self.use_classical {
                             m.classical_commands += 1;
                         } else {
@@ -628,7 +628,7 @@ impl TargetProgram for TrailNavApp {
         w.bool(*use_classical);
         w.bool(*depth_degraded);
         w.u64(*degraded_streak);
-        metrics.lock().save_state(w);
+        lock(metrics).save_state(w);
     }
 
     /// Restores the application's dynamic state.
@@ -659,7 +659,7 @@ impl TargetProgram for TrailNavApp {
         self.use_classical = r.bool()?;
         self.depth_degraded = r.bool()?;
         self.degraded_streak = r.u64()?;
-        self.metrics.lock().restore_state(r)
+        lock(&self.metrics).restore_state(r)
     }
 }
 
@@ -722,7 +722,7 @@ mod tests {
     fn static_app_closes_the_loop() {
         let (metrics, commands) =
             run_app_with_responder(ControllerChoice::Static(DnnModel::ResNet14), 40);
-        let m = metrics.lock();
+        let m = lock(&metrics);
         assert!(
             m.inferences() >= 2,
             "expected >=2 inferences, got {}",
@@ -742,7 +742,7 @@ mod tests {
     #[test]
     fn dynamic_app_uses_accurate_model_when_safe() {
         let (metrics, _) = run_app_with_responder(ControllerChoice::dynamic_default(), 40);
-        let m = metrics.lock();
+        let m = lock(&metrics);
         assert!(m.inferences() >= 1);
         // Depth 30 m at 3 m/s: 10 s to impact — never switch to the fast
         // network.
@@ -758,7 +758,7 @@ mod tests {
             rose_envsim::uav::DEPTH_INVALID,
             0,
         );
-        let m = metrics.lock();
+        let m = lock(&metrics);
         assert!(m.inferences() >= 1);
         // Every iteration saw the sentinel: all degraded, all flown on the
         // conservative fast network, and the loop kept closing. (The depth
@@ -778,7 +778,7 @@ mod tests {
             rose_envsim::uav::DEPTH_INVALID,
             2,
         );
-        let m = metrics.lock();
+        let m = lock(&metrics);
         assert!(m.degraded_depth >= 2, "degraded {}", m.degraded_depth);
         assert!(m.abort_requested, "streak of {} degraded", m.degraded_depth);
     }

@@ -21,16 +21,16 @@
 use crate::app::{AppMetrics, ControlGains};
 use crate::message::{AppMessage, TrailInfo};
 use crate::mission::{run_program_mission, MissionConfig, MissionReport};
-use parking_lot::Mutex;
 use rose_dnn::lower::lower_inference;
 use rose_dnn::perception::PerceptionHead;
 use rose_dnn::DnnModel;
+use rose_sim_core::lock;
 use rose_sim_core::rng::SimRng;
 use rose_socsim::kernel::Kernel;
 use rose_socsim::program::{ProgContext, TargetProgram};
 use rose_socsim::TargetOp;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Fusion-controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,7 +188,7 @@ impl TargetProgram for FusionApp {
                         } else {
                             // Sensor loss: dead-reckon on the previous
                             // inertial estimate rather than latch up.
-                            self.branch_metrics.lock().dead_reckoned += 1;
+                            lock(&self.branch_metrics).dead_reckoned += 1;
                         }
                         // Data-dependent branch decision: fresh vision on
                         // aggressive maneuvers or stale features.
@@ -239,10 +239,9 @@ impl TargetProgram for FusionApp {
                     let lateral =
                         self.gains.beta_lateral * (out.lateral.right() - out.lateral.left());
                     if self.run_image_branch {
-                        self.branch_metrics.lock().image_branch_runs += 1;
+                        lock(&self.branch_metrics).image_branch_runs += 1;
                     }
-                    self.metrics
-                        .lock()
+                    lock(&self.metrics)
                         .latencies_cycles
                         .push(ctx.now().saturating_sub(self.request_cycle));
                     self.state = State::RequestImu;
@@ -281,7 +280,7 @@ pub fn run_fusion_mission(
         &rng,
     );
     let report = run_program_mission(mission, Box::new(app), &metrics);
-    let branch_metrics = branch_metrics.lock().clone();
+    let branch_metrics = lock(&branch_metrics).clone();
     (report, branch_metrics)
 }
 

@@ -21,7 +21,6 @@ use crate::app::{AppMetrics, ControlGains, ControllerChoice, TrailNavApp};
 use crate::envside::CoSimEnv;
 use crate::rtlside::SocRtl;
 use crate::snapshot::Mission;
-use parking_lot::Mutex;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
     rtl_wall, serve_rtl, InlineTransport, RecoveryPolicy, RecoveryStats, RemoteRtl, RtlSide,
@@ -34,6 +33,7 @@ use rose_envsim::world::{World, WorldKind};
 use rose_flightctl::SimpleFlight;
 use rose_sim_core::csv::{CsvCell, CsvLog};
 use rose_sim_core::cycles::{FrameSpec, SyncRatio};
+use rose_sim_core::lock;
 use rose_sim_core::math::Vec3;
 use rose_sim_core::rng::SimRng;
 use rose_socsim::soc::SocStats;
@@ -41,7 +41,7 @@ use rose_socsim::{Soc, SocConfig, TargetProgram};
 use rose_trace::{
     FlightRecorder, FlightSample, Phase, Profiler, TimingCacheCounts, TraceClock, TraceLog, Tracer,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Full configuration of one mission.
@@ -520,7 +520,7 @@ fn drive_mission<R: MissionRtl>(
         // One lock per quantum: nothing touches the metrics between the
         // sample and the abort check.
         let (deadline_misses, abort_requested) = {
-            let m = metrics.lock();
+            let m = lock(metrics);
             (m.deadline_misses, m.abort_requested)
         };
         let rtl = sync.rtl();
@@ -734,7 +734,7 @@ fn finish_report<R: RtlSide>(
         log.sort_by_time();
         log
     });
-    let m = metrics.lock();
+    let m = lock(metrics);
 
     let completed = sim.mission_complete();
     let mission_time = completed.then(|| sim.time());

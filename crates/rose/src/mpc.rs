@@ -15,12 +15,12 @@
 use crate::app::AppMetrics;
 use crate::message::{AppMessage, TrailInfo};
 use crate::mission::{run_program_mission, MissionConfig, MissionReport};
-use parking_lot::Mutex;
+use rose_sim_core::lock;
 use rose_sim_core::math::clamp;
 use rose_socsim::kernel::Kernel;
 use rose_socsim::program::{ProgContext, TargetProgram};
 use rose_socsim::TargetOp;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -256,8 +256,7 @@ impl TargetProgram for MpcApp {
                         self.velocity,
                     );
                     let ops = solution.iterations * self.solver.config().ops_per_iter;
-                    self.solver_metrics
-                        .lock()
+                    lock(&self.solver_metrics)
                         .iterations
                         .push(solution.iterations);
                     self.pending_solution = Some(solution);
@@ -271,8 +270,7 @@ impl TargetProgram for MpcApp {
                     // Lateral velocity from a proportional term on the
                     // offset (the solver handles heading).
                     let lateral = clamp(-1.2 * self.last_trail.lateral_offset, -2.5, 2.5);
-                    self.metrics
-                        .lock()
+                    lock(&self.metrics)
                         .latencies_cycles
                         .push(ctx.now().saturating_sub(self.request_cycle));
                     self.state = State::RequestState;
@@ -302,7 +300,7 @@ impl TargetProgram for MpcApp {
 pub fn run_mpc_mission(mission: &MissionConfig, mpc: MpcConfig) -> (MissionReport, MpcMetrics) {
     let (app, metrics, solver_metrics) = MpcApp::new(mpc, mission.velocity);
     let report = run_program_mission(mission, Box::new(app), &metrics);
-    let solver_metrics = solver_metrics.lock().clone();
+    let solver_metrics = lock(&solver_metrics).clone();
     (report, solver_metrics)
 }
 

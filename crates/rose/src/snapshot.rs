@@ -37,10 +37,9 @@ use crate::app::AppMetrics;
 use crate::envside::CoSimEnv;
 use crate::mission::{build_mission, fly_mission, MissionConfig, MissionReport};
 use crate::rtlside::SocRtl;
-use parking_lot::Mutex;
 use rose_bridge::sync::Synchronizer;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A running (or paused) mission: the full co-simulation plus its
 /// configuration, steppable in units of synchronization periods and

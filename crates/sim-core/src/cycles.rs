@@ -18,6 +18,20 @@
 
 use std::fmt;
 
+// `widen` is lossless only where a `usize` fits in a `u64`: this fails the
+// build on any target where it would not.
+const _: () = assert!(usize::BITS <= u64::BITS);
+
+/// Widens a `usize` count, size or index into `u64` cycle arithmetic.
+///
+/// Lossless on every target this crate builds for (the assertion beside it
+/// is checked at compile time), so cycle code calls this rather than
+/// casting, and the argument is stated once.
+pub const fn widen(n: usize) -> u64 {
+    // rose-lint: allow(CAST001, lossless: the const assertion above pins usize::BITS <= u64::BITS)
+    n as u64
+}
+
 /// The clock frequency of the simulated SoC.
 ///
 /// A property of the physical SoC being designed (Section 3.4.1); the default
@@ -141,8 +155,7 @@ impl SyncRatio {
     ///
     /// E.g. a 1 GHz SoC at 60 fps gives 16,666,666 cycles per frame.
     pub fn cycles_per_frame(self) -> u64 {
-        // rose-lint: allow(CAST001, u32 frame rate widens into u64; no truncation possible)
-        self.clock.hz() / self.frames.hz() as u64
+        self.clock.hz() / u64::from(self.frames.hz())
     }
 
     /// SoC cycles corresponding to `n` environment frames, computed
@@ -227,6 +240,12 @@ mod tests {
         assert_eq!(ratio.cycles_per_frame(), 10);
         assert_eq!(ratio.frames_for_cycles(99), 9);
         assert_eq!(ratio.frames_for_cycles(100), 10);
+    }
+
+    #[test]
+    fn widen_is_lossless_at_both_ends() {
+        assert_eq!(widen(0), 0);
+        assert_eq!(u128::from(widen(usize::MAX)), usize::MAX as u128);
     }
 
     #[test]

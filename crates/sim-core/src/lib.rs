@@ -19,6 +19,8 @@
 //! * [`csv`] — minimal CSV log writing matching the artifact's CSV outputs.
 //! * [`snap`] — the versioned, dependency-free snapshot codec behind
 //!   mission snapshot / resume.
+//! * [`lock`] — the workspace's one way to take a `Mutex`, and so its one
+//!   rule for a poisoned lock.
 //!
 //! # Example
 //!
@@ -49,3 +51,39 @@ pub use math::{Quat, Vec3};
 pub use pid::Pid;
 pub use rng::SimRng;
 pub use snap::{SnapError, SnapReader, SnapWriter};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a thread panicked while holding
+/// it.
+///
+/// Every lock in the workspace goes through here. What they guard —
+/// metrics counters, the timing memo, the trace intern table, transport
+/// queues, sweep slots — is plain data that each critical section updates
+/// in one step, so a panic cannot leave it half-written, and the panic
+/// still surfaces where it happened. Recovering means one failed mission
+/// does not fail every later user of the same lock.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::Mutex;
+
+    #[test]
+    fn lock_recovers_a_poisoned_guard_with_its_value() {
+        let m = Mutex::new(3);
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                *lock(&m) += 4;
+                let _guard = lock(&m);
+                panic!("poison the lock");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(m.is_poisoned());
+        assert_eq!(*lock(&m), 7);
+    }
+}

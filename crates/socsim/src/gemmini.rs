@@ -13,6 +13,7 @@
 //! buffering, and raises the bus utilization seen by concurrent CPU misses.
 
 use crate::mem::MemSystem;
+use rose_sim_core::cycles::widen;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 
 /// Systolic array dataflow.
@@ -60,8 +61,7 @@ impl Default for GemminiConfig {
 impl GemminiConfig {
     /// Multiply-accumulates per cycle at full mesh utilization.
     pub fn peak_macs_per_cycle(&self) -> u64 {
-        // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-        (self.mesh_rows * self.mesh_cols) as u64
+        widen(self.mesh_rows * self.mesh_cols)
     }
 
     /// Serializes the generator parameters.
@@ -126,8 +126,7 @@ pub struct ConvShape {
 impl ConvShape {
     /// Total multiply-accumulates.
     pub fn macs(&self) -> u64 {
-        // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-        (self.out_h * self.out_w * self.out_c * self.in_c * self.ksize * self.ksize) as u64
+        widen(self.out_h * self.out_w * self.out_c * self.in_c * self.ksize * self.ksize)
     }
 
     /// The implicit-GEMM dimensions `(m, k, n)`.
@@ -378,18 +377,14 @@ impl GemminiModel {
         // Compute-stream cycles and mesh-tile count for one (cur_k, cur_n)
         // inner step of a block with cur_m rows.
         let stream_tiles = |cur_m: usize, cur_k: usize, cur_n: usize| -> (u64, u64) {
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            let weight_tiles = (cur_k.div_ceil(dim) * cur_n.div_ceil(dim)) as u64;
+            let weight_tiles = widen(cur_k.div_ceil(dim) * cur_n.div_ceil(dim));
             match cfg.dataflow {
                 Dataflow::WeightStationary => {
-                    // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                    (weight_tiles * (dim as u64 + cur_m as u64), weight_tiles)
+                    (weight_tiles * (widen(dim) + widen(cur_m)), weight_tiles)
                 }
                 Dataflow::OutputStationary => {
-                    // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                    let out_tiles = (cur_m.div_ceil(dim) * cur_n.div_ceil(dim)) as u64;
-                    // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                    (out_tiles * (dim as u64 + cur_k as u64), out_tiles)
+                    let out_tiles = widen(cur_m.div_ceil(dim) * cur_n.div_ceil(dim));
+                    (out_tiles * (widen(dim) + widen(cur_k)), out_tiles)
                 }
             }
         };
@@ -397,31 +392,24 @@ impl GemminiModel {
         // Price one (cur_m, cur_k, last-k) block class: the inner n loop is
         // itself closed-form, (blocks_n - 1) interior steps plus one edge.
         let block_class = |cur_m: usize, cur_k: usize, last_k: bool| -> AccelRun {
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            let a_bytes = (cur_m * cur_k * elem) as u64;
+            let a_bytes = widen(cur_m * cur_k * elem);
             let mut dma_cycles = mem.dma_latency(a_bytes);
             let (interior_stream, interior_tiles) = stream_tiles(cur_m, cur_k, tile_n);
             let (edge_stream, edge_tiles) = stream_tiles(cur_m, cur_k, n_rem);
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            let interior_n = (blocks_n - 1) as u64;
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            dma_cycles += interior_n * mem.dma_latency((cur_k * tile_n * elem) as u64)
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                + mem.dma_latency((cur_k * n_rem * elem) as u64);
+            let interior_n = widen(blocks_n - 1);
+            dma_cycles += interior_n * mem.dma_latency(widen(cur_k * tile_n * elem))
+                + mem.dma_latency(widen(cur_k * n_rem * elem));
             let mut block = AccelRun {
                 // A tile once, B tiles spanning all n columns.
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                dma_bytes: a_bytes + (cur_k * n * elem) as u64,
+                dma_bytes: a_bytes + widen(cur_k * n * elem),
                 compute_cycles: interior_n * interior_stream + edge_stream,
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                macs: (cur_m * cur_k * n) as u64,
+                macs: widen(cur_m * cur_k * n),
                 tiles: interior_n * interior_tiles + edge_tiles,
                 cycles: 0,
             };
             if last_k {
                 // Writeback of the C stripe on the last k block.
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let c_bytes = (cur_m * n * elem) as u64;
+                let c_bytes = widen(cur_m * n * elem);
                 block.dma_bytes += c_bytes;
                 dma_cycles += mem.dma_latency(c_bytes);
             }
@@ -438,13 +426,10 @@ impl GemminiModel {
                 tile_m,
                 tile_k,
                 false,
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                ((blocks_m - 1) * (blocks_k - 1)) as u64,
+                widen((blocks_m - 1) * (blocks_k - 1)),
             ),
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            (tile_m, k_rem, true, (blocks_m - 1) as u64),
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            (m_rem, tile_k, false, (blocks_k - 1) as u64),
+            (tile_m, k_rem, true, widen(blocks_m - 1)),
+            (m_rem, tile_k, false, widen(blocks_k - 1)),
             (m_rem, k_rem, true, 1u64),
         ] {
             if count == 0 {
@@ -499,8 +484,7 @@ impl GemminiModel {
             for bk in 0..blocks_k {
                 let cur_k = tile_k.min(k - bk * tile_k);
                 // A tile DMA.
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let a_bytes = (cur_m * cur_k * elem) as u64;
+                let a_bytes = widen(cur_m * cur_k * elem);
                 let mut block = AccelRun {
                     dma_bytes: a_bytes,
                     ..AccelRun::default()
@@ -509,41 +493,33 @@ impl GemminiModel {
                 for bn in 0..blocks_n {
                     let cur_n = tile_n.min(n - bn * tile_n);
                     // B tile DMA.
-                    // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                    let b_bytes = (cur_k * cur_n * elem) as u64;
+                    let b_bytes = widen(cur_k * cur_n * elem);
                     block.dma_bytes += b_bytes;
                     dma_cycles += mem.dma_cycles(b_bytes);
                     // Weight-stationary compute: for each DIM×DIM weight
                     // tile, preload (dim cycles) then stream cur_m rows.
-                    // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                    let weight_tiles = (cur_k.div_ceil(dim) * cur_n.div_ceil(dim)) as u64;
+                    let weight_tiles = widen(cur_k.div_ceil(dim) * cur_n.div_ceil(dim));
                     let stream = match cfg.dataflow {
-                        // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                        Dataflow::WeightStationary => weight_tiles * (dim as u64 + cur_m as u64),
+                        Dataflow::WeightStationary => weight_tiles * (widen(dim) + widen(cur_m)),
                         // Output-stationary keeps C resident: one pass per
                         // (m,n) tile streaming k.
                         Dataflow::OutputStationary => {
-                            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                            (cur_m.div_ceil(dim) * cur_n.div_ceil(dim)) as u64
-                                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                                * (dim as u64 + cur_k as u64)
+                            widen(cur_m.div_ceil(dim) * cur_n.div_ceil(dim))
+                                * (widen(dim) + widen(cur_k))
                         }
                     };
                     block.compute_cycles += stream;
-                    // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                    block.macs += (cur_m * cur_k * cur_n) as u64;
+                    block.macs += widen(cur_m * cur_k * cur_n);
                     block.tiles += match cfg.dataflow {
                         Dataflow::WeightStationary => weight_tiles,
                         Dataflow::OutputStationary => {
-                            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                            (cur_m.div_ceil(dim) * cur_n.div_ceil(dim)) as u64
+                            widen(cur_m.div_ceil(dim) * cur_n.div_ceil(dim))
                         }
                     };
                 }
                 // Writeback of the C stripe on the last k block.
                 if bk == blocks_k - 1 {
-                    // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                    let c_bytes = (cur_m * n * elem) as u64;
+                    let c_bytes = widen(cur_m * n * elem);
                     block.dma_bytes += c_bytes;
                     dma_cycles += mem.dma_cycles(c_bytes);
                 }
@@ -579,8 +555,7 @@ impl GemminiModel {
         let mut run = self.matmul(m, k, n, mem);
         if shape.ksize > 1 {
             // Remove the im2col duplication from DMA accounting.
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            let saved = run.dma_bytes - run.dma_bytes / shape.ksize as u64;
+            let saved = run.dma_bytes - run.dma_bytes / widen(shape.ksize);
             let bw = mem
                 .config()
                 .bus_bytes_per_cycle

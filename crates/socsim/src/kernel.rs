@@ -8,6 +8,7 @@
 //! scaled (SMARTS-style systematic sampling), which keeps multi-second
 //! CPU-only inferences tractable while preserving cache locality patterns.
 
+use rose_sim_core::cycles::widen;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 
 /// Functional-unit class of one instruction.
@@ -344,8 +345,7 @@ impl Kernel {
     /// Total f32 multiply-accumulate count, when meaningful.
     pub fn macs(&self) -> u64 {
         match *self {
-            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-            Kernel::MatMul { m, k, n } => (m * k * n) as u64,
+            Kernel::MatMul { m, k, n } => widen(m * k * n),
             _ => 0,
         }
     }
@@ -367,22 +367,17 @@ impl Kernel {
                 // Per inner element: load B, load C, fma, store C, 2 addr
                 // ops, branch ≈ 7 instrs.
                 let per_iter = 7;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let total_iters = (m * k * n) as u64;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let max_iters = (budget / per_iter) as u64;
+                let total_iters = widen(m * k * n);
+                let max_iters = widen(budget / per_iter);
                 let iters = total_iters.min(max_iters);
                 let mut count = 0u64;
                 'outer: for i in 0..m {
                     for kk in 0..k {
                         // load A[i][kk] hoisted out of inner loop
-                        // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                        out.push(Instr::load(region::A + ((i * k + kk) * 4) as u64));
+                        out.push(Instr::load(region::A + widen((i * k + kk) * 4)));
                         for j in 0..n {
-                            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                            let b_addr = region::B + ((kk * n + j) * 4) as u64;
-                            // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                            let c_addr = region::C + ((i * n + j) * 4) as u64;
+                            let b_addr = region::B + widen((kk * n + j) * 4);
+                            let c_addr = region::C + widen((i * n + j) * 4);
                             out.push(Instr::load(b_addr));
                             out.push(Instr::load(c_addr));
                             out.push(Instr::fp(InstrClass::FpMul, 1, 2)); // fma
@@ -405,10 +400,8 @@ impl Kernel {
             } => {
                 // Per output patch element: index math (3 ALU), bounds
                 // check branch, load src, store dst ≈ 7 instrs.
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let total_iters = (channels * ksize * ksize * out_elems) as u64;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let iters = total_iters.min((budget / 7) as u64);
+                let total_iters = widen(channels * ksize * ksize * out_elems);
+                let iters = total_iters.min(widen(budget / 7));
                 for it in 0..iters {
                     out.push(Instr::alu(0));
                     out.push(Instr::alu(1));
@@ -438,10 +431,8 @@ impl Kernel {
                 let per_chunk =
                     // rose-lint: allow(CAST001, UNROLL (4) and u8 op counts widen into usize)
                     (UNROLL as usize) * (2 + fp_ops as usize + extra_load as usize) + 2;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let total_chunks = (n as u64).div_ceil(UNROLL);
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let chunks = total_chunks.min((budget / per_chunk) as u64).max(1);
+                let total_chunks = widen(n).div_ceil(UNROLL);
+                let chunks = total_chunks.min(widen(budget / per_chunk)).max(1);
                 for c in 0..chunks.min(total_chunks) {
                     let base = c * UNROLL;
                     for u in 0..UNROLL {
@@ -476,14 +467,11 @@ impl Kernel {
             }
             Kernel::Pool { out_elems, window } => {
                 let per_iter = window * window * 3 + 3;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let total_iters = out_elems as u64;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let iters = total_iters.min((budget / per_iter).max(1) as u64);
+                let total_iters = widen(out_elems);
+                let iters = total_iters.min(widen((budget / per_iter).max(1)));
                 for it in 0..iters {
                     for w in 0..(window * window) {
-                        // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                        out.push(Instr::load(region::A + it * 16 + (w * 4) as u64));
+                        out.push(Instr::load(region::A + it * 16 + widen(w * 4)));
                         out.push(Instr::fp(InstrClass::FpAdd, 1, 2)); // max/add
                         out.push(Instr::alu(0));
                     }
@@ -495,10 +483,8 @@ impl Kernel {
             }
             Kernel::Softmax { n } => {
                 // Pass 1: exp (long-latency) + sum. Pass 2: divide.
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let total_iters = n as u64;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let iters = total_iters.min((budget / 10) as u64).max(1);
+                let total_iters = widen(n);
+                let iters = total_iters.min(widen(budget / 10)).max(1);
                 for it in 0..iters.min(total_iters) {
                     let a = region::A + it * 4;
                     out.push(Instr::load(a));
@@ -516,10 +502,8 @@ impl Kernel {
             }
             Kernel::Memcpy { bytes } => {
                 // 8-byte word loop: load, store, index, branch.
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let total_iters = (bytes / 8).max(1) as u64;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let iters = total_iters.min((budget / 4) as u64).max(1);
+                let total_iters = widen((bytes / 8).max(1));
+                let iters = total_iters.min(widen(budget / 4)).max(1);
                 for it in 0..iters.min(total_iters) {
                     out.push(Instr::load(region::A + it * 8));
                     out.push(Instr::store(region::C + it * 8, 1));
@@ -531,10 +515,8 @@ impl Kernel {
             Kernel::FrameworkNode { tensors } => {
                 // Pointer-chasing over session metadata: dependent loads
                 // scattered across the heap, data-dependent branches.
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let total_iters = (800 + 400 * tensors) as u64;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let iters = total_iters.min((budget / 8) as u64).max(1);
+                let total_iters = widen(800 + 400 * tensors);
+                let iters = total_iters.min(widen(budget / 8)).max(1);
                 let mut ptr = region::HEAP;
                 for it in 0..iters.min(total_iters) {
                     // Hash-scatter the next pointer (deterministic). The
@@ -556,10 +538,8 @@ impl Kernel {
                 total_iters as f64 / iters.min(total_iters).max(1) as f64
             }
             Kernel::Control { ops } => {
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let total_iters = ops as u64;
-                // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-                let iters = total_iters.min((budget / 4) as u64).max(1);
+                let total_iters = widen(ops);
+                let iters = total_iters.min(widen(budget / 4)).max(1);
                 for it in 0..iters.min(total_iters) {
                     out.push(Instr::alu(1));
                     out.push(Instr::load(region::HEAP + (it % 2048) * 8));

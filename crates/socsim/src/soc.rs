@@ -857,6 +857,12 @@ mod tests {
         assert!(!soc.halted() || quanta < 10_000);
     }
 
+    /// Two identical matmuls: the first expands cold, the second replays
+    /// the per-mission memo, and together they book exactly twice what one
+    /// cold `GemminiModel::matmul` adds to its `total_cycles`. The conv
+    /// half of that claim does not hold: `GemminiModel::conv` books its
+    /// unclamped cycles on the cold call, while the memo replays the
+    /// clamped `run.cycles` (ROADMAP item 1).
     #[test]
     fn accel_ops_accumulate_activity() {
         let mut soc = scripted_soc(vec![
@@ -876,6 +882,10 @@ mod tests {
         assert_eq!(stats.accel_macs, 2 * 64 * 64 * 64);
         assert!(stats.accel_cycles > 0);
         assert!(stats.activity_factor() > 0.0);
+        let config = SocConfig::config_a();
+        let mut cold = GemminiModel::new(config.gemmini.unwrap());
+        cold.matmul(64, 64, 64, &mut crate::mem::MemSystem::new(config.mem));
+        assert_eq!(stats.accel_cycles, 2 * cold.total_cycles());
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //! Accelerator timing ([`crate::gemmini`]) is not memoised here: it is a
 //! closed form over at most four block classes, a fraction of a
 //! microsecond per call, so a cold call already costs what a replay
-//! would. The SoC's per-mission memo is all it needs.
+//! would. The SoC's per-mission memo is all it needs. That memo is
+//! snapshot state the digest depends on, because a conv's replays do not
+//! book what its first call booked: [`crate::gemmini::GemminiModel::conv`]
+//! subtracts its overlapped DMA cycles from the accelerator's total
+//! unclamped, and the memo replays the returned cycles, which are clamped
+//! at the compute cycles (DESIGN.md §4i). Whether a shape is memoised
+//! therefore moves the accelerator cycles, and a resume must restore it.
 //!
 //! # The digest-invisibility contract
 //!
@@ -77,12 +83,14 @@
 use crate::config::SocConfig;
 use crate::kernel::Kernel;
 use crate::mem::{MemConfig, MemCounters, MemSystem};
+use rose_sim_core::cycles::widen;
 use rose_sim_core::fnv::Fnv64;
+use rose_sim_core::lock;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Timing-model generation. Any change to kernel expansion, the CPU or
 /// accelerator timing models, or the memory hierarchy that can move a
@@ -389,15 +397,6 @@ impl SharedTimingCache {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        // A panic while holding the lock cannot leave the plain-data maps
-        // in a torn state; recover the contents rather than poisoning
-        // every subsequent mission.
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Writes the cache's entries to the path it was [`load`](Self::load)ed
     /// with, replacing that file; a no-op for an in-memory cache. Its one
     /// caller is the benchmark package, which reports the file's size as
@@ -411,7 +410,7 @@ impl SharedTimingCache {
             return Ok(());
         };
         let mut w = SnapWriter::new();
-        save_kernels(&self.lock().kernels, &mut w);
+        save_kernels(&lock(&self.inner).kernels, &mut w);
         std::fs::write(path, w.into_bytes())
     }
 
@@ -473,8 +472,7 @@ impl SharedTimingCache {
         for &byte in chunks.remainder() {
             h = lane(h, u64::from(byte));
         }
-        // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-        h = lane(h, mem_state.len() as u64);
+        h = lane(h, widen(mem_state.len()));
         lane(h, branch_rng)
     }
 
@@ -491,7 +489,7 @@ impl SharedTimingCache {
         check: u64,
         mem: &MemConfig,
     ) -> Option<Arc<KernelEntry>> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         let hit = inner
             .kernels
             .get(&(fp, *kernel, key))
@@ -507,14 +505,14 @@ impl SharedTimingCache {
     /// Records a cold CPU-kernel expansion under the context `key`,
     /// replacing any entry already there.
     pub fn insert_kernel(&self, fp: u64, kernel: Kernel, key: u64, entry: KernelEntry) {
-        self.lock()
+        lock(&self.inner)
             .kernels
             .insert((fp, kernel, key), Arc::new(entry));
     }
 
     /// Number of recorded kernel expansions.
     pub fn len(&self) -> usize {
-        self.lock().kernels.len()
+        lock(&self.inner).kernels.len()
     }
 
     /// True when no entries are cached.
@@ -524,7 +522,7 @@ impl SharedTimingCache {
 
     /// Host telemetry: (hits, misses) of every lookup on this cache.
     pub fn counters(&self) -> (u64, u64) {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         (inner.hits, inner.misses)
     }
 }
@@ -588,7 +586,7 @@ mod tests {
         sample_entries(&cache, 1);
         cache.persist().unwrap();
         let mut w = SnapWriter::new();
-        save_kernels(&cache.lock().kernels, &mut w);
+        save_kernels(&lock(&cache.inner).kernels, &mut w);
         assert_eq!(std::fs::read(&path).unwrap(), w.into_bytes());
         std::fs::remove_file(&path).ok();
     }

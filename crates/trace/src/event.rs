@@ -5,6 +5,7 @@
 //! renders env, synchronizer, bridge, and per-SoC-unit activity as
 //! parallel swimlanes sharing the simulated-time axis.
 
+use rose_sim_core::lock;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -18,8 +19,7 @@ use std::sync::Mutex;
 /// the stack), so the leak is bounded and deduplicated across restores.
 pub fn intern(s: &str) -> &'static str {
     static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    // rose-lint: allow(PANIC002, lock poisoning implies a prior panic; propagating adds no new failure)
-    let mut set = INTERNED.lock().expect("intern table poisoned");
+    let mut set = lock(&INTERNED);
     if let Some(&existing) = set.get(s) {
         return existing;
     }

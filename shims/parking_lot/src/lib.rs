@@ -1,73 +1,1 @@
-//! Offline stub of `parking_lot`.
-//!
-//! Wraps `std::sync::Mutex` with parking_lot's infallible `lock()`
-//! signature (poisoning is swallowed by recovering the inner guard, which
-//! matches parking_lot's no-poisoning behavior).
-
-use std::fmt;
-use std::sync::Mutex as StdMutex;
-
-/// A mutex whose `lock` never returns a poison error.
-#[derive(Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: StdMutex<T>,
-}
-
-/// RAII guard type (std's, re-exported under parking_lot's name).
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-
-impl<T> Mutex<T> {
-    /// Creates a mutex holding `value`.
-    pub fn new(value: T) -> Mutex<T> {
-        Mutex {
-            inner: StdMutex::new(value),
-        }
-    }
-
-    /// Consumes the mutex, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock, blocking until available. Never panics on a
-    /// poisoned lock — the poisoned guard is recovered, as parking_lot
-    /// has no poisoning.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_lock() {
-            Ok(guard) => f.debug_struct("Mutex").field("data", &&*guard).finish(),
-            Err(_) => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::Mutex;
-
-    #[test]
-    fn lock_and_into_inner() {
-        let m = Mutex::new(3);
-        *m.lock() += 4;
-        assert_eq!(m.into_inner(), 7);
-    }
-}
+//! Empty: kept only so the benchmark package's frozen `Cargo.lock` still resolves.
